@@ -22,7 +22,7 @@ use geostreams_core::obs::{Histogram, PipelineObs};
 use geostreams_core::ops::{
     Compose, GammaOp, JoinStrategy, MapTransform, SpatialRestrict, ValueFunc,
 };
-use geostreams_dsms::{run_continuous, ClientRequest, OutputFormat};
+use geostreams_dsms::{run_supervised, ClientRequest, FanoutPolicy, OutputFormat, RuntimeConfig};
 use geostreams_geo::{Crs, LatticeGeoref, Rect, Region};
 use geostreams_satsim::goes_like;
 use std::time::Instant;
@@ -219,8 +219,9 @@ fn main() {
             sectors: 0,
         },
     ];
+    let lossless = RuntimeConfig { fanout: FanoutPolicy::Blocking, ..RuntimeConfig::default() };
     let (results, ingest) =
-        run_continuous(&scanner, SECTORS, &requests).expect("DSMS bench run failed");
+        run_supervised(&scanner, SECTORS, &requests, &lossless).expect("DSMS bench run failed");
     let dsms_secs = t0.elapsed().as_secs_f64();
     let dsms_points: u64 = results.iter().map(|r| r.as_ref().map(|q| q.points).unwrap_or(0)).sum();
     let dsms_pps = dsms_points as f64 / dsms_secs.max(1e-9);

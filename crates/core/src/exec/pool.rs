@@ -132,9 +132,9 @@ pub struct WorkerPool {
 
 impl WorkerPool {
     /// Spawns `workers` threads (at least one deque is always created).
-    /// If the OS refuses a thread, the pool degrades gracefully: fewer
-    /// workers, and with zero workers jobs run inline on the submitting
-    /// thread.
+    /// With zero workers — asked for, or because the OS refused every
+    /// thread — jobs run inline on the submitting thread; if the OS
+    /// refuses some threads the pool degrades to fewer workers.
     pub fn new(workers: usize) -> WorkerPool {
         let n = workers.max(1);
         let shared = Arc::new(Shared {
@@ -142,10 +142,10 @@ impl WorkerPool {
             stats: (0..n).map(|_| WorkerStats::default()).collect(),
             shutdown: AtomicBool::new(false),
         });
-        let mut handles = Vec::with_capacity(n);
-        let mut threads = Vec::with_capacity(n);
-        let mut live = Vec::with_capacity(n);
-        for i in 0..n {
+        let mut handles = Vec::with_capacity(workers);
+        let mut threads = Vec::with_capacity(workers);
+        let mut live = Vec::with_capacity(workers);
+        for i in 0..workers {
             let sh = Arc::clone(&shared);
             let spawned = thread::Builder::new()
                 .name(format!("exec-worker-{i}"))
@@ -316,6 +316,18 @@ mod tests {
             // Drop joins after draining.
         }
         assert_eq!(counter.load(Ordering::Relaxed), 64);
+    }
+
+    #[test]
+    fn zero_workers_run_jobs_inline_on_the_submitting_thread() {
+        let pool = WorkerPool::new(0);
+        assert_eq!(pool.workers(), 0);
+        let me = thread::current().id();
+        let ran_on = Arc::new(Mutex::new(None));
+        let slot = Arc::clone(&ran_on);
+        pool.submit(move |_| *slot.lock().unwrap() = Some(thread::current().id()));
+        // Inline: done by the time `submit` returns, on this thread.
+        assert_eq!(*ran_on.lock().unwrap(), Some(me));
     }
 
     #[test]

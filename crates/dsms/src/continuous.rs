@@ -6,7 +6,9 @@
 //! ingest thread per referenced spectral band fans the element stream
 //! out to bounded channels, and each registered continuous query runs
 //! its optimized pipeline on its own thread over channel-backed,
-//! gap-repaired sources.
+//! gap-repaired sources — through the same evaluator
+//! (`dsms::eval`) `run_query` uses. A run is staged: admit, wire,
+//! spawn ingest, spawn evaluators, collect.
 //!
 //! Unlike the happy-path version this grew from, the runtime is
 //! **supervised** (see DESIGN.md "Fault model & recovery"):
@@ -33,32 +35,34 @@
 //! [`FaultPlan`](geostreams_satsim::FaultPlan): same seed, same faults,
 //! byte-identical results (`scripts/chaos.sh` diffs two runs).
 
+use crate::eval::{conclude, Delivered, Evaluator};
 use crate::metrics::ServerMetrics;
 use crate::protocol::{ClientRequest, OutputFormat};
-use crate::server::{QueryResult, SourceRepair};
-use crate::share::{band_refs, plan_sharing, share_refs, share_source_name, SubscriptionTree};
-use geostreams_core::exec::{compile_stages, run_morsels, split_parallel, RunReport, WorkerPool};
+use crate::server::{certify, plan_request, scanner_catalog, QueryResult};
+use crate::share::{
+    band_refs, lock, plan_sharing, share_refs, share_source_name, SubscriptionTree,
+};
+use geostreams_core::exec::{RunReport, WorkerPool};
 use geostreams_core::model::{
     BoxedF32Stream, ChannelLike, ChunkChannel, ChunkOrMarker, GeoStream, Marker, RepairCounters,
-    RepairProbe, StreamRepair, DEFAULT_CHUNK_BUDGET,
+    RepairProbe, StreamRepair, StreamSchema, DEFAULT_CHUNK_BUDGET,
 };
 use geostreams_core::obs::{
-    now_ns, Counter, Gauge, HistogramSnapshot, PipelineObs, SpanGuard, SpanOutcome, SpanStream,
+    now_ns, FlightRecorder, Gauge, HistogramSnapshot, SpanGuard, SpanOutcome, SpanStream,
     TraceContext,
 };
-use geostreams_core::ops::delivery::PngSink;
 use geostreams_core::query::{
-    analyze_with, key_hex, merged_source_windows, optimize, parse_query, AnalyzeOptions, Catalog,
-    Expr, Planner, ReplayProvider, TimeWindow,
+    analyze_with, key_hex, merged_source_windows, AnalyzeOptions, Catalog, Expr, Planner,
+    ReplayProvider, TimeWindow,
 };
 use geostreams_core::{CoreError, Result};
-use geostreams_raster::png::PngOptions;
 use geostreams_satsim::{ChaosStream, FaultPlan, FaultStats, Scanner};
 use geostreams_store::{Archive, ArchiveReplay, SpliceStream, StoreMetrics};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
+use std::sync::mpsc::{Receiver, RecvTimeoutError};
 use std::sync::{Arc, Mutex};
+use std::thread::{Scope, ScopedJoinHandle};
 use std::time::{Duration, Instant};
 
 /// Default channel capacity per subscriber: how many chunked items a
@@ -74,8 +78,8 @@ const POLL: Duration = Duration::from_millis(20);
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FanoutPolicy {
     /// Lossless blocking send: back-pressure is absolute, but one hung
-    /// subscriber stalls the whole band (the legacy behavior; kept for
-    /// compatibility and for callers that prefer loss-free delivery).
+    /// subscriber stalls the whole band (for callers that prefer
+    /// loss-free delivery).
     Blocking,
     /// Never block ingest: points are shed (and counted) the moment a
     /// subscriber's buffer is full; framing markers are retried within
@@ -133,9 +137,9 @@ pub struct RuntimeConfig {
     /// counting queries with structurally-equal canonical plans — or
     /// common subplans across different plans — are evaluated once per
     /// chunk and multicast through subscription trees. Off by default:
-    /// shared evaluation trades the per-query scan→deliver span chains
-    /// of the legacy path for O(distinct plans) cost, so swarm mode is
-    /// opt-in. The legacy one-pipeline-per-query path is the unshared
+    /// shared evaluation trades each query's own scan→deliver span
+    /// chain for O(distinct plans) cost, so swarm mode is opt-in. With
+    /// it off every query evaluates its own pipeline — the unshared
     /// oracle `swarm_bench` and the sharing tests compare against.
     pub share_plans: bool,
     /// Tenant of each request (request index → tenant name), used for
@@ -176,15 +180,6 @@ impl Default for RuntimeConfig {
     }
 }
 
-/// How one source of an admitted query is served.
-enum SourceRoute {
-    /// Replay of a wholly-past window; no live subscription at all.
-    ArchiveOnly(ArchiveReplay),
-    /// Backfill-from-archive spliced into the live channel at the
-    /// recorded watermark sector.
-    Hybrid { replay: ArchiveReplay, watermark: Option<u64> },
-}
-
 /// Statistics of one continuous run.
 #[derive(Debug, Clone, Default)]
 pub struct IngestStats {
@@ -202,32 +197,30 @@ pub struct IngestStats {
     /// when a fault plan was active.
     pub faults_per_band: Vec<(u16, FaultStats)>,
     /// Distinct shared plans (DAG nodes) the sharing runtime evaluated
-    /// (0 = every query ran the legacy per-query path).
+    /// (0 = every query evaluated its own pipeline).
     pub shared_plans: u64,
     /// Chunked items delivered to shared-plan subscribers.
     pub shared_chunks_multicast: u64,
     /// Chunk payloads deep-copied anywhere in the fan-out (0 = every
     /// payload travelled by `Arc` reference only).
     pub payload_copies: u64,
-    /// Elements shed by subscription trees, per tenant (sorted).
+    /// Elements shed by shared-plan subscription trees, per tenant (sorted).
     pub shed_per_tenant: Vec<(String, u64)>,
+    /// Threads the runtime itself started: ingest supervisors, pumps,
+    /// node evaluators, subscribers and query threads (the worker pool
+    /// joins its own workers when it drops).
+    pub threads_spawned: u64,
+    /// Of those, the threads joined before `run_supervised` returned:
+    /// anything short of `threads_spawned` is a leak.
+    pub threads_joined: u64,
 }
 
-/// One subscriber of a band's fan-out. The channel carries whole
-/// chunked items behind an [`Arc`], so per-subscriber dispatch and
-/// channel overhead are amortized over entire point runs and the
-/// payload is never deep-copied per subscriber.
-struct SubSlot {
-    tx: Option<SyncSender<Arc<ChunkOrMarker<f32>>>>,
-    /// Elements this subscriber lost to shedding (incl. being declared
-    /// dead).
-    shed: u64,
-    /// Start of the current continuously-full stretch.
-    full_since: Option<Instant>,
-    /// Channel-depth gauge shared with the subscribing query: the pump
-    /// adds per delivered item, the query side subtracts per receive.
-    depth: Option<Gauge>,
-}
+/// The channel end a query, or a shared-plan node, pulls from: whole
+/// chunked items behind an [`Arc`], never deep-copied per subscriber.
+type Rx = Receiver<Arc<ChunkOrMarker<f32>>>;
+
+/// Repair probes by source name: what a query's result reports.
+type Probes = Vec<(String, Arc<RepairProbe>)>;
 
 /// Progress shared between an ingest attempt and its supervisor, so a
 /// restart can resume behind the last delivered sector.
@@ -238,1280 +231,865 @@ struct PumpProgress {
     last_sector: AtomicU64,
 }
 
-/// Runs a set of continuous queries over a scanner with shared ingest:
-/// each referenced band is generated once and fanned out. Legacy
-/// lossless entry point — equivalent to [`run_supervised`] with
-/// [`FanoutPolicy::Blocking`], no watchdog and a clean feed.
-///
-/// Returns per-query results in request order, plus ingest statistics.
-pub fn run_continuous(
-    scanner: &Scanner,
+/// What every stage of one run borrows.
+struct Runtime<'a> {
+    scanner: &'a Scanner,
     n_sectors: u64,
-    requests: &[ClientRequest],
-) -> Result<(Vec<Result<QueryResult>>, IngestStats)> {
-    let config = RuntimeConfig { fanout: FanoutPolicy::Blocking, ..RuntimeConfig::default() };
-    run_supervised(scanner, n_sectors, requests, &config)
+    config: &'a RuntimeConfig,
+    /// One source per instrument band — and, once wired, per shared
+    /// subplan — used for its schema only.
+    schemas: Catalog,
+    /// The runtime's one morsel pool (DESIGN.md §17): evaluators run
+    /// their data-parallel stage suffix on it, archive replays their
+    /// tile decodes, instead of spawning threads of their own.
+    pool: Arc<WorkerPool>,
+    /// Deep copies of `Arc`-shared chunk payloads across the run: a
+    /// consumer had to own what someone else still references.
+    copies: Arc<AtomicU64>,
+    ledger: ThreadLedger,
+}
+
+/// Spawned/joined counts of the runtime's (scoped) threads, so a test
+/// can assert from outside that none leaked.
+#[derive(Default)]
+struct ThreadLedger {
+    spawned: AtomicU64,
+    joined: AtomicU64,
+}
+
+impl ThreadLedger {
+    fn spawn<'scope, T: Send + 'scope>(
+        &self,
+        scope: &'scope Scope<'scope, '_>,
+        f: impl FnOnce() -> T + Send + 'scope,
+    ) -> ScopedJoinHandle<'scope, T> {
+        self.spawned.fetch_add(1, Ordering::Relaxed);
+        scope.spawn(f)
+    }
+
+    fn join<T>(&self, handle: ScopedJoinHandle<'_, T>) -> std::thread::Result<T> {
+        let outcome = handle.join();
+        self.joined.fetch_add(1, Ordering::Relaxed);
+        outcome
+    }
+}
+
+/// An admitted request: the optimized plan, its delivery format, and
+/// the sources the archive serves (live channels not attached yet).
+struct Admitted {
+    expr: Expr,
+    format: OutputFormat,
+    routes: HashMap<String, Feed<()>>,
+}
+
+/// Where a source gets its elements; `L` is its live channel.
+enum Feed<L> {
+    /// A band pump, or the tree of an upstream shared-plan node.
+    Live(L),
+    /// Archive backfill of `[lo, now)`, spliced into the live channel
+    /// at the recorded watermark sector.
+    Hybrid { replay: ArchiveReplay, watermark: Option<u64>, live: L },
+    /// A wholly-past window: the replay is the source, nothing live.
+    Archive(ArchiveReplay),
+}
+
+/// One source of one evaluation, wired but not yet opened.
+struct Source {
+    name: String,
+    feed: Feed<Rx>,
+    /// Band and archive sources are repaired, reporting here; interior
+    /// `@share:*` edges were repaired upstream and pass untouched.
+    probe: Option<Arc<RepairProbe>>,
+}
+
+/// An admitted request after wiring.
+enum Slot {
+    /// Served by this shared-plan node: counts what its tree delivers,
+    /// reports repair facts from the node and everything upstream.
+    Member(usize, Rx, Probes),
+    /// Evaluates its own pipeline over these sources.
+    Own(Expr, OutputFormat, Vec<Source>),
+}
+
+/// One ingested band; its pump fans out through the subscription tree.
+struct Band {
+    name: String,
+    idx: usize,
+    id: u16,
+    tree: SubscriptionTree,
+}
+
+/// A shared-plan DAG node: evaluated once, multicast through its tree.
+struct Node {
+    expr: Expr,
+    tree: SubscriptionTree,
+}
+
+/// The hand-off from wiring to the thread stages: every channel and
+/// tree edge exists before any thread starts, so none misses a head.
+struct Wiring {
+    bands: Vec<Band>,
+    /// In request order; `Err` for a request admission rejected.
+    slots: Vec<Result<Slot>>,
+    nodes: Vec<Node>,
+    /// The sources of each node, moved into its evaluator thread.
+    node_sources: Vec<Vec<Source>>,
+}
+
+struct BandReport {
+    band_id: u16,
+    elements: u64,
+    restarts: u32,
+    faults: Option<FaultStats>,
 }
 
 /// Runs a set of continuous queries over a scanner with shared,
-/// supervised ingest (see the module docs for the recovery model).
+/// supervised ingest (see the module docs for the recovery model):
+/// each referenced band is generated once and fanned out. Returns
+/// per-query results in request order, plus ingest statistics. The run
+/// is staged — admit, wire, ingest, evaluate, collect — on scoped threads.
 pub fn run_supervised(
     scanner: &Scanner,
     n_sectors: u64,
     requests: &[ClientRequest],
     config: &RuntimeConfig,
 ) -> Result<(Vec<Result<QueryResult>>, IngestStats)> {
-    // Schema-only catalog for parsing/optimizing (factories unused here).
-    let mut schema_catalog = Catalog::new();
-    for band_idx in 0..scanner.instrument.bands.len() {
-        let template = scanner.band_stream(band_idx, 1);
-        let schema = template.schema().clone();
-        let scanner2 = scanner.clone();
-        schema_catalog.register(schema, move || Box::new(scanner2.band_stream(band_idx, 1)));
-    }
-
-    // Archive context: "now" is the first live sector; retention knobs
-    // and metric handles are applied before any query is admitted.
-    let now = config.start_sector as i64;
-    if let Some(archive) = &config.archive {
-        if config.archive_max_bytes.is_some() || config.archive_max_frames.is_some() {
-            archive.set_retention(config.archive_max_bytes, config.archive_max_frames)?;
-        }
-        if let Some(m) = &config.metrics {
-            archive.attach_metrics(StoreMetrics::register(m.registry()));
-        }
-        // Surface what crash recovery did when the archive was opened:
-        // the report also carries the WAL-committed per-band watermarks
-        // that `archive.watermark()` was re-anchored to, which is where
-        // hybrid splices pick up their handoff point below.
-        let report = archive.recovery_report();
-        if !report.clean() {
-            eprintln!(
-                "archive recovery: {} frames restored, {} frames lost (uncommitted), \
-                 {} bytes discarded, {} segments repaired, {} truncated, {} removed; \
-                 resuming at watermarks {:?}",
-                report.frames_recovered,
-                report.frames_discarded,
-                report.bytes_discarded,
-                report.segments_repaired,
-                report.segments_truncated,
-                report.segments_removed,
-                report.watermarks,
-            );
-        }
-    }
-    let store_metrics = match (&config.archive, &config.metrics) {
-        (Some(_), Some(m)) => Some(StoreMetrics::register(m.registry())),
-        _ => None,
+    prepare_archive(config)?;
+    let mut rt = Runtime {
+        scanner,
+        n_sectors,
+        config,
+        schemas: scanner_catalog(scanner, 1),
+        pool: Arc::new(WorkerPool::new(config.exec_workers)),
+        copies: Arc::new(AtomicU64::new(0)),
+        ledger: ThreadLedger::default(),
     };
-    let analyze_opts = AnalyzeOptions {
-        now: Some(now),
-        replay: config.archive.as_deref().map(|a| a as &dyn ReplayProvider),
-    };
+    let admitted = admit(&rt, requests)?;
+    let Wiring { bands, slots, nodes, node_sources } = wire(&mut rt, admitted)?;
 
-    // One morsel-execution pool per runtime (DESIGN.md §17): counting
-    // queries and shared-plan evaluators dispatch their data-parallel
-    // stage suffix here, and archive replays decode independent tiles
-    // on it, instead of spawning threads of their own. Worker counters
-    // are published as `geostreams_exec_worker_*` once the run settles.
-    let exec_pool = Arc::new(WorkerPool::new(config.exec_workers));
-
-    // Parse, optimize, and admit every request. A query whose plan
-    // analysis carries errors (e.g. a wholly-past window with no
-    // archive coverage — it would silently deliver nothing) gets a
-    // per-query `PlanRejected` slot instead of failing the whole run.
-    type Admitted = (Expr, OutputFormat, HashMap<String, SourceRoute>);
-    let mut exprs: Vec<Result<Admitted>> = Vec::new();
-    for (qid, req) in requests.iter().enumerate() {
-        // Directory entry + flight recorder, minted at admission so the
-        // query is observable (`GET /queries`, `GET /trace/<id>`) from
-        // its very first span.
-        if let Some(m) = &config.metrics {
-            m.register_query(qid as u32, &req.query);
-        }
-        let expr = parse_query(&req.query)?;
-        for name in expr.source_names() {
-            if schema_catalog.schema(&name).is_none() {
-                return Err(CoreError::UnknownSource(name));
-            }
-        }
-        let expr = optimize(&expr, &schema_catalog);
-        let plan = analyze_with(&expr, &schema_catalog, &analyze_opts);
-        if plan.has_errors() || !plan.certificate.certified {
-            if let Some(m) = &config.metrics {
-                m.set_query_state(qid as u32, "rejected");
-            }
-            let reason = if plan.has_errors() {
-                plan.render_errors()
-            } else {
-                format!(
-                    "plan carries no valid protocol certificate: {}",
-                    plan.certificate.violations.join("; ")
-                )
-            };
-            exprs.push(Err(CoreError::PlanRejected(reason)));
-            continue;
-        }
-        // Route each temporally-restricted source: wholly-past windows
-        // replay from the archive with no live subscription; windows
-        // that merely start in the past backfill `[lo, now)` and splice
-        // into the live feed at the archive's frame watermark.
-        let mut routes = HashMap::new();
-        if let Some(archive) = &config.archive {
-            for (name, sw) in merged_source_windows(&expr, &schema_catalog) {
-                let w = sw.window;
-                if w == TimeWindow::unbounded() || w.is_empty() {
-                    continue;
-                }
-                let Some(band) = archive.band_of(&name) else { continue };
-                if w.wholly_before(now) {
-                    let replay = archive
-                        .replay(band, w.lo, w.hi, sw.region.as_ref())?
-                        .with_decode_pool(Arc::clone(&exec_pool));
-                    routes.insert(name, SourceRoute::ArchiveOnly(replay));
-                } else if w.starts_before(now) {
-                    let replay = archive
-                        .replay(band, w.lo, Some(now), sw.region.as_ref())?
-                        .with_decode_pool(Arc::clone(&exec_pool));
-                    let watermark = archive.watermark(band).map(|(s, _)| s);
-                    routes.insert(name, SourceRoute::Hybrid { replay, watermark });
-                }
-            }
-        }
-        exprs.push(Ok((expr, req.format, routes)));
-    }
-
-    // Multi-query plan sharing (DESIGN.md §16): group eligible admitted
-    // plans by canonical key and detect subplans shared across them.
-    // Eligibility is conservative — counting formats only, no archive
-    // routes, no watchdog — so the shared path can never change a
-    // result the legacy path would have produced; everything else runs
-    // per-query exactly as before.
-    let mut eligible: Vec<(usize, Expr)> = Vec::new();
-    if config.share_plans && config.watchdog.is_none() {
-        for (qid, admitted) in exprs.iter().enumerate() {
-            if let Ok((expr, format, routes)) = admitted {
-                if matches!(format, OutputFormat::Stats | OutputFormat::Json) && routes.is_empty() {
-                    eligible.push((qid, expr.clone()));
-                }
-            }
-        }
-    }
-    let share_plan = plan_sharing(&eligible);
-    let shared_qids: std::collections::HashSet<usize> =
-        share_plan.nodes.iter().flat_map(|n| n.members.iter().copied()).collect();
-    let tenant_of = |qid: usize| -> String {
-        config
-            .tenants
+    let rt = &rt;
+    let (results, mut band_reports) = std::thread::scope(|s| {
+        let ingest: Vec<_> =
+            bands.iter().map(|band| rt.ledger.spawn(s, move || supervise_band(rt, band))).collect();
+        let evaluators: Vec<_> = nodes
             .iter()
-            .find(|(i, _)| *i == qid)
-            .map_or_else(|| "default".to_string(), |(_, t)| t.clone())
-    };
-
-    // Create one channel per (query, live-served source). Archive-only
-    // sources never subscribe: their band need not be ingested at all.
-    // Queries served by a shared plan subscribe to its subscription
-    // tree instead, never directly to a band.
-    type Rx = Receiver<Arc<ChunkOrMarker<f32>>>;
-    let mut band_slots: HashMap<String, Vec<SubSlot>> = HashMap::new();
-    let mut query_receivers: Vec<HashMap<String, Rx>> = Vec::new();
-    for (qid, admitted) in exprs.iter().enumerate() {
-        let mut receivers = HashMap::new();
-        if let Ok((expr, _, routes)) = admitted {
-            if !shared_qids.contains(&qid) {
-                for name in expr.source_names() {
-                    if matches!(routes.get(&name), Some(SourceRoute::ArchiveOnly(_))) {
-                        continue;
-                    }
-                    let (tx, rx) = sync_channel(config.channel_cap);
-                    band_slots.entry(name.clone()).or_default().push(SubSlot {
-                        tx: Some(tx),
-                        shed: 0,
-                        full_since: None,
-                        depth: config
-                            .metrics
-                            .as_ref()
-                            .and_then(|m| m.query_depth_gauge(qid as u32)),
-                    });
-                    receivers.insert(name, rx);
-                }
-            }
-        }
-        query_receivers.push(receivers);
-    }
-
-    // Shared-plan DAG wiring, part 1: each node subscribes once per
-    // referenced band — a whole group of member queries costs one band
-    // subscription, not one each.
-    let mut node_band_rx: Vec<HashMap<String, Rx>> = Vec::new();
-    for node in &share_plan.nodes {
-        let mut receivers = HashMap::new();
-        for name in band_refs(&node.expr) {
-            let (tx, rx) = sync_channel(config.channel_cap);
-            band_slots.entry(name.clone()).or_default().push(SubSlot {
-                tx: Some(tx),
-                shed: 0,
-                full_since: None,
-                depth: None,
-            });
-            receivers.insert(name, rx);
-        }
-        node_band_rx.push(receivers);
-    }
-
-    // Per-band supervised ingest: a supervisor thread spawns the pump
-    // in an inner thread (panic isolation), inspects its fate, and
-    // restarts with capped exponential backoff, resuming at the sector
-    // after the last one started.
-    struct BandReport {
-        band_id: u16,
-        elements: u64,
-        restarts: u32,
-        faults: Option<FaultStats>,
-    }
-    let mut ingest_handles = Vec::new();
-    let mut band_sub_arcs: Vec<Arc<Mutex<Vec<SubSlot>>>> = Vec::new();
-    for (name, slots) in band_slots {
-        let band_idx = scanner
-            .instrument
-            .bands
-            .iter()
-            .position(|b| format!("{}.{}", scanner.instrument.name, b.name) == name)
-            .ok_or_else(|| CoreError::UnknownSource(name.clone()))?;
-        let band_id = scanner.instrument.bands[band_idx].id;
-        let scanner = scanner.clone();
-        let subs = Arc::new(Mutex::new(slots));
-        band_sub_arcs.push(Arc::clone(&subs));
-        let plan = config.fault_plan.clone();
-        let fanout = config.fanout;
-        let marker_patience = config.marker_patience;
-        let max_restarts = config.max_restarts;
-        let backoff_base = config.backoff_base;
-        let backoff_cap = config.backoff_cap;
-        let metrics = config.metrics.clone();
-        let archive = config.archive.clone();
-        let first_sector = config.start_sector;
-        ingest_handles.push(std::thread::spawn(move || -> BandReport {
-            // Ingest observability: the shared-ingest runtime records
-            // into the reserved `u32::MAX` flight recorder, and each
-            // band exports how long its pump has made no progress.
-            let rec = metrics.as_ref().map(|m| m.recorder(u32::MAX));
-            let staleness = metrics
-                .as_ref()
-                .map(|m| m.registry().gauge("geostreams_band_staleness_ns", &[("band", &name)]));
-            let mut attempt: u32 = 0;
-            let mut start_sector: u64 = first_sector;
-            let mut elements: u64 = 0;
-            let mut faults: Option<FaultStats> = None;
-            loop {
-                let base = scanner.band_stream_from(band_idx, first_sector, n_sectors);
-                let chaotic = matches!(&plan, Some(p) if !p.for_attempt(attempt).is_benign());
-                let (probe, stream): (_, BoxedF32Stream) = match &plan {
-                    Some(p) if chaotic => {
-                        // Salt by band and attempt: bands sharing a
-                        // seed degrade independently, and a restarted
-                        // feed sees a fresh (still deterministic)
-                        // fault pattern.
-                        let salt = (u64::from(attempt) << 32) | u64::from(band_id);
-                        let chaos = ChaosStream::new(base, p.for_attempt(attempt), salt);
-                        (Some(chaos.probe()), Box::new(chaos))
-                    }
-                    _ => (None, Box::new(base)),
-                };
-                // Span chain for this attempt: scan ← chaos ← pump. The
-                // pump guard travels into the pump thread, counts points
-                // and stamps its context onto every chunk fanned out.
-                let (attempt_spans, pump_span) = match &rec {
-                    Some(rec) => {
-                        let scan = rec.begin(&format!("scan:{name}#{attempt}"), 0);
-                        let chaos = chaotic
-                            .then(|| rec.begin(&format!("chaos:{name}#{attempt}"), scan.span_id()));
-                        let parent = chaos.as_ref().map_or(scan.span_id(), SpanGuard::span_id);
-                        let pump = rec.begin(&format!("pump:{name}#{attempt}"), parent);
-                        (Some((scan, chaos)), Some(pump))
-                    }
-                    None => (None, None),
-                };
-                let subs2 = Arc::clone(&subs);
-                let progress = Arc::new(PumpProgress::default());
-                let progress2 = Arc::clone(&progress);
-                let shed_counter = metrics.as_ref().map(|m| m.fanout_shed.clone());
-                let points_counter = metrics.as_ref().map(|m| m.points_ingested.clone());
-                let archive2 = archive.clone();
-                let inner = std::thread::spawn(move || {
-                    pump(
-                        stream,
-                        &subs2,
-                        &progress2,
-                        start_sector,
-                        fanout,
-                        marker_patience,
-                        shed_counter,
-                        points_counter,
-                        archive2,
-                        band_id,
-                        pump_span,
-                    );
-                });
-                // With metrics attached, the supervisor watches the pump
-                // instead of blocking on it, feeding the band staleness
-                // gauge from its element progress.
-                if let Some(g) = &staleness {
-                    let mut last_seen = progress.elements.load(Ordering::Relaxed);
-                    let mut last_progress_ns = now_ns();
-                    while !inner.is_finished() {
-                        std::thread::sleep(POLL);
-                        let seen = progress.elements.load(Ordering::Relaxed);
-                        if seen != last_seen {
-                            last_seen = seen;
-                            last_progress_ns = now_ns();
-                        }
-                        g.set(now_ns().saturating_sub(last_progress_ns));
-                    }
-                    g.set(0);
-                }
-                let panicked = inner.join().is_err();
-                let attempt_faults = probe.as_ref().map(|p| p.stats());
-                elements += progress.elements.load(Ordering::Relaxed);
-                let crashed =
-                    panicked || attempt_faults.as_ref().is_some_and(|f| f.died || f.truncated);
-                if let Some(f) = attempt_faults {
-                    faults.get_or_insert_with(FaultStats::default).merge(&f);
-                }
-                if let Some((scan, chaos)) = attempt_spans {
-                    let outcome = if crashed { SpanOutcome::Error } else { SpanOutcome::Ok };
-                    if let Some(c) = chaos {
-                        c.finish(outcome);
-                    }
-                    scan.finish(outcome);
-                }
-                if !crashed || attempt >= max_restarts {
-                    break;
-                }
-                // Supervised restart: resume at the sector after the
-                // last one the dead attempt began delivering (the
-                // partial sector is lost; queries see it finalized
-                // partial by their repair stage).
-                attempt += 1;
-                if let Some(m) = &metrics {
-                    m.ingest_restarts.inc();
-                }
-                let last = progress.last_sector.load(Ordering::Relaxed);
-                start_sector = start_sector.max(last);
-                let exp = attempt.saturating_sub(1).min(16);
-                // Bounded jitter: SplitMix64 over (band, attempt) maps
-                // to a factor in [0.5, 1.5), so bands killed by the same
-                // fault burst fan their restarts out instead of hammering
-                // the shared archive lock in lockstep — while staying
-                // deterministic for replayable supervision tests.
-                let mut z = ((u64::from(band_id) << 32) | u64::from(attempt))
-                    .wrapping_add(0x9E37_79B9_7F4A_7C15);
-                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-                z ^= z >> 31;
-                let jitter = 0.5 + (z >> 11) as f64 / (1u64 << 53) as f64;
-                let backoff =
-                    backoff_base.saturating_mul(1u32 << exp).min(backoff_cap).mul_f64(jitter);
-                if let Some(m) = &metrics {
-                    m.ingest_backoff_ms.add(backoff.as_millis() as u64);
-                }
-                if let Some(rec) = &rec {
-                    // Failure edge: leave a restart marker span and
-                    // freeze the ring for postmortem inspection.
-                    let t = now_ns();
-                    let reason = if panicked { "panic" } else { "restart" };
-                    rec.record_span(
-                        &format!("{reason}:{name}#{attempt}"),
-                        0,
-                        t,
-                        t,
-                        0,
-                        SpanOutcome::Error,
-                    );
-                    rec.freeze(&format!("{reason}:{name}"));
-                }
-                std::thread::sleep(backoff);
-            }
-            // Unsubscribe everyone: queries see end-of-stream.
-            let mut guard = subs.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-            for slot in guard.iter_mut() {
-                slot.tx = None;
-            }
-            BandReport { band_id, elements, restarts: attempt, faults }
-        }));
-    }
-
-    // Query threads: pipelines over channel-backed, repaired catalogs.
-    let repair_counters = config.metrics.as_ref().map(|m| RepairCounters {
-        gaps: m.gaps_detected.clone(),
-        duplicates: m.duplicates_dropped.clone(),
-        disorder: m.disorder_detected.clone(),
-        partial_frames: m.partial_frames.clone(),
-    });
-    // Chunk payloads travel the channels behind `Arc`s; a deep copy
-    // happens only when a consumer must own a payload someone else
-    // still references. This counts every such copy across the run.
-    let payload_copies = Arc::new(AtomicU64::new(0));
-
-    // Shared-plan DAG wiring, part 2: compute each node's output schema
-    // (consumers register it under the synthetic `@share:*` source
-    // name). Producers are resolved before consumers, so a node whose
-    // body references another cut finds its schema already present.
-    let key_of: HashMap<String, usize> =
-        share_plan.nodes.iter().enumerate().map(|(i, n)| (share_source_name(n.key), i)).collect();
-    let deps: Vec<Vec<usize>> = share_plan
-        .nodes
-        .iter()
-        .map(|n| share_refs(&n.expr).iter().filter_map(|r| key_of.get(r).copied()).collect())
-        .collect();
-    let mut topo: Vec<usize> = Vec::new();
-    {
-        // The DAG is acyclic by construction (a cut's body references
-        // only strictly smaller subexpressions); the growth check is a
-        // defensive break, not an expected path.
-        let mut placed = vec![false; share_plan.nodes.len()];
-        while topo.len() < share_plan.nodes.len() {
-            let before = topo.len();
-            for i in 0..share_plan.nodes.len() {
-                if !placed[i] && deps[i].iter().all(|&d| placed[d]) {
-                    placed[i] = true;
-                    topo.push(i);
-                }
-            }
-            if topo.len() == before {
-                break;
-            }
-        }
-    }
-    let mut share_schemas: HashMap<String, geostreams_core::model::StreamSchema> = HashMap::new();
-    for &i in &topo {
-        let node = &share_plan.nodes[i];
-        let planner = Planner::new(&schema_catalog);
-        let mut schema = planner.build(&node.expr)?.schema().clone();
-        let name = share_source_name(node.key);
-        schema.name = name.clone();
-        share_schemas.insert(name, schema.clone());
-        let schema2 = schema.clone();
-        schema_catalog
-            .register(schema, move || Box::new(ChannelLike::new(schema2.clone(), || None)));
-    }
-
-    // Part 3: one subscription tree per node. Every edge — interior
-    // (node → node) and query (node → member) — subscribes BEFORE any
-    // evaluator starts, so no subscriber can miss the stream head.
-    let share_counter = config.metrics.as_ref().map(|m| m.share_chunks_multicast.clone());
-    let trees: Vec<Arc<SubscriptionTree>> = share_plan
-        .nodes
-        .iter()
-        .map(|_| Arc::new(SubscriptionTree::new().with_counter(share_counter.clone())))
-        .collect();
-    let mut node_share_rx: Vec<Vec<(String, Rx)>> = Vec::new();
-    for node in &share_plan.nodes {
-        let mut rxs = Vec::new();
-        for r in share_refs(&node.expr) {
-            if let Some(&j) = key_of.get(&r) {
-                rxs.push((r, trees[j].subscribe_interior(config.channel_cap)));
-            }
-        }
-        node_share_rx.push(rxs);
-    }
-    let mut member_rx: HashMap<usize, Rx> = HashMap::new();
-    for (i, node) in share_plan.nodes.iter().enumerate() {
-        if let Some(m) = &config.metrics {
-            m.share_subscribers_gauge(&key_hex(node.key)).set(node.members.len() as u64);
-        }
-        for &qid in &node.members {
-            let tenant = tenant_of(qid);
-            let depth = config.metrics.as_ref().and_then(|m| m.query_depth_gauge(qid as u32));
-            let shed = config.metrics.as_ref().map(|m| m.share_shed_counter(&tenant));
-            member_rx
-                .insert(qid, trees[i].subscribe_query(config.channel_cap, &tenant, depth, shed));
-        }
-    }
-
-    // Part 4: one evaluator thread per node, draining its pipeline
-    // through the chunk-native driver and multicasting each item
-    // Arc-shared — the evaluation happens once per chunk regardless of
-    // how many queries subscribe. Band sources get the same repair
-    // stage as the legacy path; interior `@share:*` sources are already
-    // repaired upstream and stream through untouched.
-    let share_fanout = config.fanout;
-    let share_patience = config.marker_patience;
-    let mut node_handles = Vec::new();
-    let mut node_probes: Vec<Vec<(String, Arc<RepairProbe>)>> = Vec::new();
-    let mut band_rx_iter = node_band_rx.into_iter();
-    let mut share_rx_iter = node_share_rx.into_iter();
-    for (i, node) in share_plan.nodes.iter().enumerate() {
-        let receivers = band_rx_iter.next().unwrap_or_default();
-        let share_rxs = share_rx_iter.next().unwrap_or_default();
-        let mut catalog = Catalog::new();
-        let mut probes: Vec<(String, Arc<RepairProbe>)> = Vec::new();
-        for (name, rx) in receivers {
-            let Some(schema) = schema_catalog.schema(&name).cloned() else { continue };
-            let probe = Arc::new(RepairProbe::default());
-            probes.push((name.clone(), Arc::clone(&probe)));
-            let slot = Arc::new(Mutex::new(Some(rx)));
-            let counters = repair_counters.clone();
-            let copies = Arc::clone(&payload_copies);
-            catalog.register(schema.clone(), move || {
-                let mut rx_opt = lock_opt(&slot).take();
-                let copies = Arc::clone(&copies);
-                let pull = move || {
-                    let rx = rx_opt.as_ref()?;
-                    match rx.recv() {
-                        Ok(item) => Some(Arc::try_unwrap(item).unwrap_or_else(|a| {
-                            copies.fetch_add(1, Ordering::Relaxed);
-                            (*a).clone()
-                        })),
-                        Err(_) => {
-                            rx_opt = None;
-                            None
-                        }
-                    }
-                };
-                let channel = ChunkChannel::new(schema.clone(), pull);
-                let repaired = StreamRepair::with_probe(channel, Arc::clone(&probe));
-                match &counters {
-                    Some(c) => Box::new(repaired.with_counters(c.clone())),
-                    None => Box::new(repaired),
-                }
-            });
-        }
-        for (name, rx) in share_rxs {
-            let Some(schema) = share_schemas.get(&name).cloned() else { continue };
-            let slot = Arc::new(Mutex::new(Some(rx)));
-            let copies = Arc::clone(&payload_copies);
-            catalog.register(schema.clone(), move || {
-                let mut rx_opt = lock_opt(&slot).take();
-                let copies = Arc::clone(&copies);
-                let pull = move || {
-                    let rx = rx_opt.as_ref()?;
-                    match rx.recv() {
-                        Ok(item) => Some(Arc::try_unwrap(item).unwrap_or_else(|a| {
-                            copies.fetch_add(1, Ordering::Relaxed);
-                            (*a).clone()
-                        })),
-                        Err(_) => {
-                            rx_opt = None;
-                            None
-                        }
-                    }
-                };
-                Box::new(ChunkChannel::new(schema.clone(), pull))
-            });
-        }
-        node_probes.push(probes);
-        let expr = node.expr.clone();
-        let tree = Arc::clone(&trees[i]);
-        let pool = Arc::clone(&exec_pool);
-        node_handles.push(std::thread::spawn(move || -> RunReport {
-            let empty = || RunReport {
-                wall: Duration::ZERO,
-                elements: 0,
-                points_delivered: 0,
-                sectors: 0,
-                per_op: Vec::new(),
-                pull_latency: HistogramSnapshot::default(),
-                protocol_violations: 0,
-            };
-            // The node's partitionable suffix runs on the shared worker
-            // pool; the inner plan (sources + repair) stays on this
-            // thread. With an empty suffix `run_morsels` degenerates to
-            // the serial chunk driver — either way the multicast stream
-            // is byte-identical to the legacy single-threaded pull.
-            let split = split_parallel(&expr);
-            let planner = Planner::new(&catalog);
-            let mut inner: BoxedF32Stream = match planner.build(&split.inner) {
-                Ok(p) => p,
-                Err(e) => {
-                    // Cannot happen for admitted plans (all sources are
-                    // registered); close the tree so members terminate.
-                    eprintln!("shared plan build failed: {e}");
-                    tree.close();
-                    return empty();
-                }
-            };
-            let stages = match compile_stages(&split.stages, inner.schema()) {
-                Ok(s) => Arc::new(s),
-                Err(e) => {
-                    eprintln!("shared plan stage compile failed: {e}");
-                    tree.close();
-                    return empty();
-                }
-            };
-            let report = run_morsels(
-                &mut inner,
-                &stages,
-                &pool,
-                &PipelineObs::default(),
-                DEFAULT_CHUNK_BUDGET,
-                |item| {
-                    let shared = Arc::new(item.clone());
-                    tree.multicast(&shared, share_fanout, share_patience);
-                },
-            );
-            tree.close();
-            report.run
-        }));
-    }
-
-    // Part 5: one lightweight subscriber thread per member query. It
-    // counts what the shared evaluation delivers (the same stream the
-    // legacy pipeline root would have produced) and reports repair
-    // facts from its node and every upstream node it consumes.
-    let closure_of = |start: usize| -> Vec<usize> {
-        let mut seen = vec![false; deps.len()];
-        let mut stack = vec![start];
-        let mut out = Vec::new();
-        while let Some(i) = stack.pop() {
-            if i >= seen.len() || seen[i] {
-                continue;
-            }
-            seen[i] = true;
-            out.push(i);
-            stack.extend(deps[i].iter().copied());
-        }
-        out
-    };
-    let mut shared_handles: HashMap<usize, std::thread::JoinHandle<(Result<QueryResult>, bool)>> =
-        HashMap::new();
-    for (i, node) in share_plan.nodes.iter().enumerate() {
-        let closure = closure_of(i);
-        for &qid in &node.members {
-            let Some(rx) = member_rx.remove(&qid) else { continue };
-            let probes: Vec<(String, Arc<RepairProbe>)> = closure
-                .iter()
-                .flat_map(|&j| node_probes.get(j).into_iter().flatten().cloned())
-                .collect();
-            let stall = config.query_stall.iter().find(|(i, _)| *i == qid).map(|(_, d)| *d);
-            let metrics = config.metrics.clone();
-            let depth = config.metrics.as_ref().and_then(|m| m.query_depth_gauge(qid as u32));
-            shared_handles.insert(
-                qid,
-                std::thread::spawn(move || -> (Result<QueryResult>, bool) {
-                    if let Some(m) = &metrics {
-                        m.set_query_state(qid as u32, "running");
-                    }
-                    let started = Instant::now();
-                    let never_cancelled = AtomicBool::new(false);
-                    let mut elements = 0u64;
-                    let mut points = 0u64;
-                    let mut sectors = 0u64;
-                    while let Ok(item) = rx.recv() {
-                        if let Some(g) = &depth {
-                            g.sub(1);
-                        }
-                        if let Some(d) = stall {
-                            // Simulated slow client: backpressure builds
-                            // in this subscriber's own channel, where the
-                            // tree sheds per tenant instead of stalling
-                            // the shared evaluation.
-                            stall_sliced(d, None, &never_cancelled);
-                        }
-                        elements += item.element_count();
-                        points += item.point_count() as u64;
-                        if let Some(Marker::SectorEnd(_)) = item.marker() {
-                            sectors += 1;
-                        }
-                    }
-                    let report = RunReport {
-                        wall: started.elapsed(),
-                        elements,
-                        points_delivered: points,
-                        sectors,
-                        per_op: Vec::new(),
-                        pull_latency: HistogramSnapshot::default(),
-                        protocol_violations: 0,
-                    };
-                    let repair: Vec<SourceRepair> = probes
-                        .iter()
-                        .map(|(source, p)| SourceRepair {
-                            source: source.clone(),
-                            stats: p.stats(),
-                            sectors: p.sectors(),
-                        })
-                        .collect();
-                    let completeness =
-                        repair.iter().map(|s| s.stats.completeness()).fold(1.0_f64, f64::min);
-                    if let Some(m) = &metrics {
-                        m.finish_query(qid as u32, "done", points, completeness);
-                    }
-                    let result = QueryResult {
-                        id: qid as u32,
-                        frames: Vec::new(),
-                        report: Some(report),
-                        points,
-                        repair,
-                        cancelled: false,
-                    };
-                    (Ok(result), false)
-                }),
-            );
-        }
-    }
-
-    enum QuerySlot {
-        Running(std::thread::JoinHandle<(Result<QueryResult>, bool)>),
-        Rejected(CoreError),
-    }
-    let mut query_slots = Vec::new();
-    for (qid, (admitted, receivers)) in exprs.into_iter().zip(query_receivers).enumerate() {
-        // Queries served by a shared plan already have a subscriber
-        // thread; their slot just collects it.
-        if let Some(h) = shared_handles.remove(&qid) {
-            query_slots.push(QuerySlot::Running(h));
-            continue;
-        }
-        let (expr, format, mut routes) = match admitted {
-            Ok(parts) => parts,
-            Err(e) => {
-                query_slots.push(QuerySlot::Rejected(e));
-                continue;
-            }
-        };
-        let schemas: HashMap<String, geostreams_core::model::StreamSchema> = receivers
-            .keys()
-            .chain(routes.keys())
-            .filter_map(|name| schema_catalog.schema(name).map(|s| (name.clone(), s.clone())))
+            .zip(node_sources)
+            .map(|(node, sources)| rt.ledger.spawn(s, move || run_node(rt, node, sources)))
             .collect();
-        let watchdog = config.watchdog;
-        let stall = config.query_stall.iter().find(|(i, _)| *i == qid).map(|(_, d)| *d);
-        let counters = repair_counters.clone();
-        let watchdog_counter = config.metrics.as_ref().map(|m| m.watchdog_cancellations.clone());
-        let store_metrics = store_metrics.clone();
-        let metrics = config.metrics.clone();
-        let payload_copies = Arc::clone(&payload_copies);
-        let exec_pool = Arc::clone(&exec_pool);
-        query_slots.push(QuerySlot::Running(std::thread::spawn(
-            move || -> (Result<QueryResult>, bool) {
-                let deadline = watchdog.map(|d| Instant::now() + d);
-                let cancelled = Arc::new(AtomicBool::new(false));
-                let fired = Arc::new(AtomicBool::new(false));
-                let recorder = metrics.as_ref().map(|m| m.recorder(qid as u32));
-                let depth = metrics.as_ref().and_then(|m| m.query_depth_gauge(qid as u32));
-                if let Some(m) = &metrics {
-                    m.set_query_state(qid as u32, "running");
-                }
-                // A per-query catalog whose factories hand out each
-                // channel receiver exactly once, watchdog-aware and
-                // wrapped in a repair stage.
-                let mut catalog = Catalog::new();
-                let mut probes: Vec<(String, Arc<RepairProbe>)> = Vec::new();
-                for (name, rx) in receivers {
-                    let Some(schema) = schemas.get(&name).cloned() else { continue };
-                    let probe = Arc::new(RepairProbe::default());
-                    probes.push((name.clone(), Arc::clone(&probe)));
-                    let slot = Arc::new(Mutex::new(Some(rx)));
-                    // A hybrid source backfills from this replay, then
-                    // splices into the live channel (first open only).
-                    let hybrid = match routes.remove(&name) {
-                        Some(SourceRoute::Hybrid { replay, watermark }) => {
-                            Some((replay, watermark))
-                        }
-                        _ => None,
-                    };
-                    let hybrid_slot = Arc::new(Mutex::new(hybrid));
-                    let cancelled = Arc::clone(&cancelled);
-                    let fired = Arc::clone(&fired);
-                    let watchdog_counter = watchdog_counter.clone();
-                    let counters = counters.clone();
-                    let store_metrics = store_metrics.clone();
-                    let recorder = recorder.clone();
-                    let depth = depth.clone();
-                    let src_name = name.clone();
-                    let copies = Arc::clone(&payload_copies);
-                    catalog.register(schema.clone(), move || {
-                        // Sources are single-consumer: the first open
-                        // takes the receiver, later opens get an
-                        // exhausted stream.
-                        let rx_opt =
-                            slot.lock().unwrap_or_else(std::sync::PoisonError::into_inner).take();
-                        let mut done = false;
-                        let cancelled = Arc::clone(&cancelled);
-                        let fired = Arc::clone(&fired);
-                        let watchdog_counter = watchdog_counter.clone();
-                        let wd_rec = recorder.clone();
-                        let depth = depth.clone();
-                        let copies = Arc::clone(&copies);
-                        let pull = move || {
-                            loop {
-                                if expired(deadline) {
-                                    if !fired.swap(true, Ordering::SeqCst) {
-                                        if let Some(c) = &watchdog_counter {
-                                            c.inc();
-                                        }
-                                        if let Some(rec) = &wd_rec {
-                                            // The cancellation itself is
-                                            // a recorded event, and the
-                                            // ring is frozen for
-                                            // postmortem inspection.
-                                            let t = now_ns();
-                                            rec.record_span(
-                                                "watchdog",
-                                                0,
-                                                t,
-                                                t,
-                                                0,
-                                                SpanOutcome::Cancelled,
-                                            );
-                                            rec.freeze("watchdog");
-                                        }
-                                    }
-                                    cancelled.store(true, Ordering::SeqCst);
-                                }
-                                if done || cancelled.load(Ordering::SeqCst) {
-                                    return None;
-                                }
-                                let rx = rx_opt.as_ref()?;
-                                match rx.recv_timeout(POLL) {
-                                    Ok(item) => {
-                                        if let Some(g) = &depth {
-                                            g.sub(1);
-                                        }
-                                        if let Some(d) = stall {
-                                            // Simulated slow client;
-                                            // sliced so the watchdog
-                                            // can cut through it.
-                                            if !stall_sliced(d, deadline, &cancelled) {
-                                                continue;
-                                            }
-                                        }
-                                        // Copy-on-write: own the payload
-                                        // outright when this was the last
-                                        // reference (single-subscriber
-                                        // channels always are), deep-copy
-                                        // (counted) otherwise.
-                                        return Some(Arc::try_unwrap(item).unwrap_or_else(|a| {
-                                            copies.fetch_add(1, Ordering::Relaxed);
-                                            (*a).clone()
-                                        }));
-                                    }
-                                    Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {}
-                                    Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => {
-                                        done = true;
-                                        return None;
-                                    }
-                                }
-                            }
-                        };
-                        let channel = ChunkChannel::new(schema.clone(), pull);
-                        // With a recorder attached, the factory opens the
-                        // per-stage span chain repair ← splice ← scan
-                        // under the planner's source span (threaded in
-                        // via `build_parent`; ids are reserved up front
-                        // because the stack is built inside-out). The
-                        // scan span captures the first chunk-carried
-                        // pump context as its cross-trace link.
-                        match lock_opt(&hybrid_slot).take() {
-                            Some((replay, watermark)) => match &recorder {
-                                Some(rec) => {
-                                    let repair_id = rec.alloc_span();
-                                    let splice_id = rec.alloc_span();
-                                    let scan_guard =
-                                        rec.begin(&format!("scan:{src_name}"), splice_id);
-                                    let scan =
-                                        SpanStream::new(channel, scan_guard).with_link_capture();
-                                    let rec2 = Arc::clone(rec);
-                                    let bf_name = src_name.clone();
-                                    let sm = store_metrics.clone();
-                                    let bf_start = now_ns();
-                                    let on_switch = Some(Box::new(move |ns: u64| {
-                                        if let Some(sm) = &sm {
-                                            sm.backfill_ns.record(ns);
-                                        }
-                                        // The backfill phase is a span of
-                                        // its own, closed at the splice
-                                        // switch when its duration is
-                                        // known.
-                                        rec2.record_span(
-                                            &format!("backfill:{bf_name}"),
-                                            splice_id,
-                                            bf_start,
-                                            bf_start.saturating_add(ns),
-                                            0,
-                                            SpanOutcome::Ok,
-                                        );
-                                    })
-                                        as Box<dyn FnOnce(u64) + Send>);
-                                    let spliced = SpliceStream::new(
-                                        replay,
-                                        Box::new(scan),
-                                        watermark,
-                                        on_switch,
-                                    );
-                                    let splice_guard = rec.begin_with_id(
-                                        splice_id,
-                                        &format!("splice:{src_name}"),
-                                        repair_id,
-                                    );
-                                    let spliced = SpanStream::new(spliced, splice_guard);
-                                    let repaired =
-                                        StreamRepair::with_probe(spliced, Arc::clone(&probe));
-                                    let repair_guard = rec.begin_with_id(
-                                        repair_id,
-                                        &format!("repair:{src_name}"),
-                                        rec.build_parent(),
-                                    );
-                                    match &counters {
-                                        Some(c) => Box::new(SpanStream::new(
-                                            repaired.with_counters(c.clone()),
-                                            repair_guard,
-                                        )),
-                                        None => Box::new(SpanStream::new(repaired, repair_guard)),
-                                    }
-                                }
-                                None => {
-                                    let on_switch = store_metrics.clone().map(|sm| {
-                                        Box::new(move |ns: u64| sm.backfill_ns.record(ns))
-                                            as Box<dyn FnOnce(u64) + Send>
-                                    });
-                                    let spliced = SpliceStream::new(
-                                        replay,
-                                        Box::new(channel),
-                                        watermark,
-                                        on_switch,
-                                    );
-                                    let repaired =
-                                        StreamRepair::with_probe(spliced, Arc::clone(&probe));
-                                    match &counters {
-                                        Some(c) => Box::new(repaired.with_counters(c.clone())),
-                                        None => Box::new(repaired),
-                                    }
-                                }
-                            },
-                            None => match &recorder {
-                                Some(rec) => {
-                                    let repair_id = rec.alloc_span();
-                                    let scan_guard =
-                                        rec.begin(&format!("scan:{src_name}"), repair_id);
-                                    let scan =
-                                        SpanStream::new(channel, scan_guard).with_link_capture();
-                                    let repaired =
-                                        StreamRepair::with_probe(scan, Arc::clone(&probe));
-                                    let repair_guard = rec.begin_with_id(
-                                        repair_id,
-                                        &format!("repair:{src_name}"),
-                                        rec.build_parent(),
-                                    );
-                                    match &counters {
-                                        Some(c) => Box::new(SpanStream::new(
-                                            repaired.with_counters(c.clone()),
-                                            repair_guard,
-                                        )),
-                                        None => Box::new(SpanStream::new(repaired, repair_guard)),
-                                    }
-                                }
-                                None => {
-                                    let repaired =
-                                        StreamRepair::with_probe(channel, Arc::clone(&probe));
-                                    match &counters {
-                                        Some(c) => Box::new(repaired.with_counters(c.clone())),
-                                        None => Box::new(repaired),
-                                    }
-                                }
-                            },
-                        }
-                    });
-                }
-                // Archive-only sources: the replay IS the source — no
-                // live subscription exists for them at all.
-                for (name, route) in routes {
-                    let SourceRoute::ArchiveOnly(replay) = route else { continue };
-                    let Some(schema) = schemas.get(&name).cloned() else { continue };
-                    let probe = Arc::new(RepairProbe::default());
-                    probes.push((name.clone(), Arc::clone(&probe)));
-                    let slot = Arc::new(Mutex::new(Some(replay)));
-                    let counters = counters.clone();
-                    let recorder = recorder.clone();
-                    let src_name = name.clone();
-                    catalog.register(schema.clone(), move || {
-                        match lock_opt(&slot).take() {
-                            Some(r) => match &recorder {
-                                Some(rec) => {
-                                    let repair_id = rec.alloc_span();
-                                    let replay_guard =
-                                        rec.begin(&format!("replay:{src_name}"), repair_id);
-                                    let r = SpanStream::new(r, replay_guard);
-                                    let repaired = StreamRepair::with_probe(r, Arc::clone(&probe));
-                                    let repair_guard = rec.begin_with_id(
-                                        repair_id,
-                                        &format!("repair:{src_name}"),
-                                        rec.build_parent(),
-                                    );
-                                    match &counters {
-                                        Some(c) => Box::new(SpanStream::new(
-                                            repaired.with_counters(c.clone()),
-                                            repair_guard,
-                                        )),
-                                        None => Box::new(SpanStream::new(repaired, repair_guard)),
-                                    }
-                                }
-                                None => {
-                                    let repaired = StreamRepair::with_probe(r, Arc::clone(&probe));
-                                    match &counters {
-                                        Some(c) => Box::new(repaired.with_counters(c.clone())),
-                                        None => Box::new(repaired),
-                                    }
-                                }
-                            },
-                            // Later opens of a single-consumer source
-                            // get an exhausted stream.
-                            None => Box::new(ChannelLike::new(schema.clone(), || None)),
-                        }
-                    });
-                }
-                let run = || -> Result<QueryResult> {
-                    let planner = Planner::new(&catalog);
-                    // Counting queries whose plan ends in a
-                    // partitionable operator suffix run it on the
-                    // runtime's worker pool, morsel by morsel, merged
-                    // back in lattice order (byte-identical to the
-                    // serial pipeline). Plans with no such suffix —
-                    // and image deliveries, whose PNG sink is
-                    // inherently ordered — keep the legacy path.
-                    let split = split_parallel(&expr);
-                    let counting = matches!(format, OutputFormat::Stats | OutputFormat::Json);
-                    let mut result = if counting && !split.stages.is_empty() {
-                        let report = match (&metrics, &recorder) {
-                            (Some(m), Some(rec)) => {
-                                // Traced morsel run: the inner chain is
-                                // span-traced exactly like a serial
-                                // plan; the deliver span and the
-                                // frame-hook freshness accounting the
-                                // legacy root `SpanStream` provided
-                                // are replicated around the merged
-                                // (serial-order) output.
-                                let deliver_id = rec.alloc_span();
-                                let obs = PipelineObs::for_query(qid as u32)
-                                    .with_trace(Arc::clone(&m.trace))
-                                    .with_recorder(Arc::clone(rec))
-                                    .under(deliver_id);
-                                let mut inner = planner.build_traced(&split.inner, &obs)?;
-                                let stages =
-                                    Arc::new(compile_stages(&split.stages, inner.schema())?);
-                                let mut deliver = rec.begin_with_id(deliver_id, "deliver", 0);
-                                let m2 = Arc::clone(m);
-                                let mr = run_morsels(
-                                    &mut inner,
-                                    &stages,
-                                    &exec_pool,
-                                    &obs,
-                                    DEFAULT_CHUNK_BUDGET,
-                                    |item| {
-                                        if let Some(Marker::FrameStart(fi)) = item.marker() {
-                                            m2.note_frame(qid as u32, fi);
-                                        }
-                                    },
-                                );
-                                deliver.add_points(mr.run.points_delivered);
-                                deliver.finish(SpanOutcome::Ok);
-                                mr.run
-                            }
-                            _ => {
-                                let mut inner = planner.build(&split.inner)?;
-                                let stages =
-                                    Arc::new(compile_stages(&split.stages, inner.schema())?);
-                                run_morsels(
-                                    &mut inner,
-                                    &stages,
-                                    &exec_pool,
-                                    &PipelineObs::default(),
-                                    DEFAULT_CHUNK_BUDGET,
-                                    |_| {},
-                                )
-                                .run
-                            }
-                        };
-                        let points = report.points_delivered;
-                        // Debug-build runtime validator: any marker
-                        // bracketing or chunk-edge violation the merge
-                        // stage observed becomes a counted alarm
-                        // (always 0 in release builds).
-                        if report.protocol_violations > 0 {
-                            if let Some(m) = &metrics {
-                                m.protocol_violations.add(report.protocol_violations);
-                            }
-                        }
-                        QueryResult {
-                            id: qid as u32,
-                            frames: Vec::new(),
-                            report: Some(report),
-                            points,
-                            repair: Vec::new(),
-                            cancelled: false,
-                        }
-                    } else {
-                        let pipeline: BoxedF32Stream = match (&metrics, &recorder) {
-                            (Some(m), Some(rec)) => {
-                                // Traced build: one span per operator,
-                                // chained under a root delivery span whose
-                                // frame hook feeds watermark and e2e-lag
-                                // accounting at the moment of delivery.
-                                let deliver_id = rec.alloc_span();
-                                let obs = PipelineObs::for_query(qid as u32)
-                                    .with_trace(Arc::clone(&m.trace))
-                                    .with_recorder(Arc::clone(rec))
-                                    .under(deliver_id);
-                                let built = planner.build_traced(&expr, &obs)?;
-                                let deliver = rec.begin_with_id(deliver_id, "deliver", 0);
-                                let m2 = Arc::clone(m);
-                                Box::new(
-                                    SpanStream::new(built, deliver)
-                                        .with_frame_hook(move |fi| m2.note_frame(qid as u32, fi)),
-                                )
-                            }
-                            _ => planner.build(&expr)?,
-                        };
-                        match format {
-                            OutputFormat::Stats | OutputFormat::Json => {
-                                let mut pipeline = pipeline;
-                                let report = geostreams_core::exec::run_to_end(&mut pipeline);
-                                let points = report.points_delivered;
-                                // Debug-build runtime validator: any marker
-                                // bracketing or chunk-edge violation the
-                                // driver observed becomes a counted alarm
-                                // (always 0 in release builds).
-                                if report.protocol_violations > 0 {
-                                    if let Some(m) = &metrics {
-                                        m.protocol_violations.add(report.protocol_violations);
-                                    }
-                                }
-                                QueryResult {
-                                    id: qid as u32,
-                                    frames: Vec::new(),
-                                    report: Some(report),
-                                    points,
-                                    repair: Vec::new(),
-                                    cancelled: false,
-                                }
-                            }
-                            _ => {
-                                let mut sink = PngSink::new(pipeline, None, PngOptions::default());
-                                let mut frames = Vec::new();
-                                while let Some(f) = sink.next_frame() {
-                                    frames.push(f);
-                                }
-                                let points = frames.len() as u64;
-                                QueryResult {
-                                    id: qid as u32,
-                                    frames,
-                                    report: None,
-                                    points,
-                                    repair: Vec::new(),
-                                    cancelled: false,
-                                }
-                            }
-                        }
-                    };
-                    result.repair = probes
-                        .iter()
-                        .map(|(source, p)| SourceRepair {
-                            source: source.clone(),
-                            stats: p.stats(),
-                            sectors: p.sectors(),
-                        })
-                        .collect();
-                    result.cancelled = fired.load(Ordering::SeqCst);
-                    Ok(result)
-                };
-                let result = run();
-                let was_cancelled = fired.load(Ordering::SeqCst);
-                if let Some(m) = &metrics {
-                    let state = if was_cancelled {
-                        "cancelled"
-                    } else if result.is_err() {
-                        "failed"
-                    } else {
-                        "done"
-                    };
-                    let (points, completeness) = match &result {
-                        Ok(r) => (
-                            r.points,
-                            r.repair.iter().map(|s| s.stats.completeness()).fold(1.0_f64, f64::min),
-                        ),
-                        Err(_) => (0, 0.0),
-                    };
-                    m.finish_query(qid as u32, state, points, completeness);
-                }
-                (result, was_cancelled)
-            },
-        )));
-    }
-
-    let mut cancellations = 0u64;
-    let results: Vec<Result<QueryResult>> = query_slots
-        .into_iter()
-        .map(|slot| match slot {
-            QuerySlot::Rejected(e) => Err(e),
-            QuerySlot::Running(h) => match h.join() {
-                Ok((res, fired)) => {
-                    if fired {
-                        cancellations += 1;
+        // Subscribers start node by node, in the order their tree wakes
+        // them, then the queries with a pipeline of their own. Started
+        // interleaved across nodes, 256 subscribers on 2 cores cost 8 %
+        // more CPU per point, all futex wake-ups and context switches.
+        let mut slots: Vec<_> = slots.into_iter().enumerate().collect();
+        slots.sort_by_key(|(_, slot)| match slot {
+            Ok(Slot::Member(node, ..)) => *node,
+            _ => usize::MAX,
+        });
+        let mut queries: Vec<_> = slots
+            .into_iter()
+            .map(|(qid, slot)| {
+                let handle = slot.map(|slot| match slot {
+                    Slot::Member(_, rx, probes) => {
+                        rt.ledger.spawn(s, move || run_member(rt, qid, &rx, &probes))
                     }
-                    res
-                }
-                Err(_) => Err(CoreError::Unsupported("query thread panicked".into())),
-            },
-        })
-        .collect();
+                    Slot::Own(expr, format, sources) => {
+                        rt.ledger.spawn(s, move || run_own(rt, qid, &expr, format, sources))
+                    }
+                });
+                (qid, handle)
+            })
+            .collect();
+        queries.sort_by_key(|(qid, _)| *qid);
+        let results: Vec<Result<QueryResult>> = queries
+            .into_iter()
+            .map(|(_, q)| {
+                rt.ledger
+                    .join(q?)
+                    .unwrap_or_else(|_| Err(CoreError::Unsupported("query thread panicked".into())))
+            })
+            .collect();
+        let band_reports: Vec<_> =
+            ingest.into_iter().filter_map(|h| rt.ledger.join(h).ok()).collect();
+        for evaluator in evaluators {
+            let _ = rt.ledger.join(evaluator);
+        }
+        (results, band_reports)
+    });
+
     let mut stats = IngestStats::default();
-    for h in ingest_handles {
-        if let Ok(report) = h.join() {
-            stats.elements_per_band.push((report.band_id, report.elements));
-            if report.restarts > 0 {
-                stats.restarts_per_band.push((report.band_id, report.restarts));
-                stats.restarts += u64::from(report.restarts);
-            }
-            if let Some(f) = report.faults {
-                stats.faults_per_band.push((report.band_id, f));
-            }
+    band_reports.sort_unstable_by_key(|report| report.band_id);
+    for report in band_reports {
+        stats.elements_per_band.push((report.band_id, report.elements));
+        if report.restarts > 0 {
+            stats.restarts_per_band.push((report.band_id, report.restarts));
+            stats.restarts += u64::from(report.restarts);
+        }
+        if let Some(f) = report.faults {
+            stats.faults_per_band.push((report.band_id, f));
         }
     }
-    for subs in band_sub_arcs {
-        let guard = subs.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        stats.shed_elements += guard.iter().map(|s| s.shed).sum::<u64>();
+    for band in &bands {
+        stats.shed_elements += band.tree.shed_per_tenant().iter().map(|(_, n)| n).sum::<u64>();
     }
-    // Shared-plan accounting: evaluator reports (protocol checking ran
-    // once per distinct plan), multicast volume and per-tenant shed
-    // from the trees, and the run-wide payload-copy count.
-    for h in node_handles {
-        if let Ok(report) = h.join() {
-            if report.protocol_violations > 0 {
-                if let Some(m) = &config.metrics {
-                    m.protocol_violations.add(report.protocol_violations);
-                }
-            }
+    stats.watchdog_cancellations =
+        results.iter().filter(|r| r.as_ref().is_ok_and(|r| r.cancelled)).count() as u64;
+    // Shared-plan accounting, from the trees and the run's copy count.
+    stats.shared_plans = nodes.len() as u64;
+    let mut shed_per_tenant: BTreeMap<String, u64> = BTreeMap::new();
+    for node in &nodes {
+        stats.shared_chunks_multicast += node.tree.chunks_multicast();
+        for (tenant, n) in node.tree.shed_per_tenant() {
+            *shed_per_tenant.entry(tenant).or_insert(0) += n;
         }
     }
-    stats.shared_plans = share_plan.nodes.len() as u64;
-    for tree in &trees {
-        stats.shared_chunks_multicast += tree.chunks_multicast();
-        for (tenant, n) in tree.shed_per_tenant() {
-            match stats.shed_per_tenant.iter_mut().find(|(t, _)| *t == tenant) {
-                Some(e) => e.1 += n,
-                None => stats.shed_per_tenant.push((tenant, n)),
-            }
-        }
-    }
-    stats.shed_per_tenant.sort();
-    stats.payload_copies = payload_copies.load(Ordering::Relaxed);
+    stats.shed_per_tenant = shed_per_tenant.into_iter().collect();
+    stats.payload_copies = rt.copies.load(Ordering::Relaxed);
+    stats.threads_spawned = rt.ledger.spawned.load(Ordering::Relaxed);
+    stats.threads_joined = rt.ledger.joined.load(Ordering::Relaxed);
     if let Some(m) = &config.metrics {
         m.share_distinct_plans.set(stats.shared_plans);
         if stats.payload_copies > 0 {
             m.share_payload_copies.add(stats.payload_copies);
         }
-        m.record_exec_workers(&exec_pool.stats());
+        m.record_exec_workers(&rt.pool.stats());
     }
-    stats.watchdog_cancellations = cancellations;
-    stats.elements_per_band.sort_unstable();
-    stats.restarts_per_band.sort_unstable();
-    stats.faults_per_band.sort_unstable_by_key(|(id, _)| *id);
     Ok((results, stats))
 }
 
-/// Poison-tolerant lock (metrics/state stay usable after a panic).
-fn lock_opt<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+/// Archive context of a run: retention knobs and metric handles are
+/// applied before any query is admitted.
+fn prepare_archive(config: &RuntimeConfig) -> Result<()> {
+    let Some(archive) = &config.archive else { return Ok(()) };
+    if config.archive_max_bytes.is_some() || config.archive_max_frames.is_some() {
+        archive.set_retention(config.archive_max_bytes, config.archive_max_frames)?;
+    }
+    if let Some(m) = &config.metrics {
+        archive.attach_metrics(StoreMetrics::register(m.registry()));
+    }
+    // Surface what crash recovery did at open, including the
+    // WAL-committed per-band watermarks hybrid splices hand off at.
+    let report = archive.recovery_report();
+    if !report.clean() {
+        eprintln!(
+            "archive recovery: {} frames restored, {} frames lost (uncommitted), \
+             {} bytes discarded, {} segments repaired, {} truncated, {} removed; \
+             resuming at watermarks {:?}",
+            report.frames_recovered,
+            report.frames_discarded,
+            report.bytes_discarded,
+            report.segments_repaired,
+            report.segments_truncated,
+            report.segments_removed,
+            report.watermarks,
+        );
+    }
+    Ok(())
+}
+
+/// Stage 1: parse, optimize and admit every request. A plan whose
+/// analysis carries errors (e.g. a wholly-past window the archive does
+/// not cover: it would silently deliver nothing) gets a `PlanRejected`
+/// slot; a parse error or an unknown source fails the whole run.
+fn admit(rt: &Runtime<'_>, requests: &[ClientRequest]) -> Result<Vec<Result<Admitted>>> {
+    let (config, catalog) = (rt.config, &rt.schemas);
+    // "Now" is the first live sector.
+    let now = config.start_sector as i64;
+    let analyze_opts = AnalyzeOptions {
+        now: Some(now),
+        replay: config.archive.as_deref().map(|a| a as &dyn ReplayProvider),
+    };
+    let mut admitted = Vec::new();
+    for (qid, req) in requests.iter().enumerate() {
+        // Directory entry + flight recorder, minted at admission: the
+        // query shows on `GET /queries` and `/trace/<id>` from then on.
+        if let Some(m) = &config.metrics {
+            m.register_query(qid as u32, &req.query);
+        }
+        // The run's length is `n_sectors`: a request's own `sectors=`
+        // (a one-shot parameter) is not applied here.
+        let (_, expr) = plan_request(&req.query, 0, catalog)?;
+        if let Err(e) = certify(&analyze_with(&expr, catalog, &analyze_opts)) {
+            if let Some(m) = &config.metrics {
+                m.set_query_state(qid as u32, "rejected");
+            }
+            admitted.push(Err(e));
+            continue;
+        }
+        // Route each temporally-restricted source: wholly-past windows
+        // replay from the archive alone; windows that start in the past
+        // backfill `[lo, now)` and splice into the live feed.
+        let mut routes = HashMap::new();
+        if let Some(archive) = &config.archive {
+            for (name, sw) in merged_source_windows(&expr, catalog) {
+                let w = sw.window;
+                if w == TimeWindow::unbounded() || w.is_empty() {
+                    continue;
+                }
+                let Some(band) = archive.band_of(&name) else { continue };
+                let replay = |hi| -> Result<ArchiveReplay> {
+                    Ok(archive
+                        .replay(band, w.lo, hi, sw.region.as_ref())?
+                        .with_decode_pool(Arc::clone(&rt.pool)))
+                };
+                if w.wholly_before(now) {
+                    routes.insert(name, Feed::Archive(replay(w.hi)?));
+                } else if w.starts_before(now) {
+                    let watermark = archive.watermark(band).map(|(s, _)| s);
+                    let replay = replay(Some(now))?;
+                    routes.insert(name, Feed::Hybrid { replay, watermark, live: () });
+                }
+            }
+        }
+        admitted.push(Ok(Admitted { expr, format: req.format, routes }));
+    }
+    Ok(admitted)
+}
+
+/// Stage 2: decide sharing, then create every channel and tree edge.
+///
+/// Plan sharing (DESIGN.md §16) groups eligible plans by canonical key
+/// and detects subplans shared across them; eligibility is conservative
+/// — counting formats, no archive routes, no watchdog — so sharing
+/// never changes a result. A query with its own pipeline subscribes
+/// once per live-served source (an archive-only source's band need not
+/// be ingested at all); a node once per referenced band, its members
+/// to its tree instead of any band.
+fn wire(rt: &mut Runtime<'_>, admitted: Vec<Result<Admitted>>) -> Result<Wiring> {
+    let (config, scanner, catalog) = (rt.config, rt.scanner, &mut rt.schemas);
+    let metrics = config.metrics.as_ref();
+    let depth_of = |qid: usize| metrics.and_then(|m| m.query_depth_gauge(qid as u32));
+    let tenant_of = |qid: usize| {
+        config.tenants.iter().find(|(i, _)| *i == qid).map_or("default", |(_, t)| t.as_str())
+    };
+
+    let sharing = config.share_plans && config.watchdog.is_none();
+    let eligible = admitted.iter().enumerate().filter_map(|(qid, a)| {
+        let a = a.as_ref().ok()?;
+        (sharing && a.format.is_counting() && a.routes.is_empty()).then(|| (qid, a.expr.clone()))
+    });
+    let plan = plan_sharing(&eligible.collect::<Vec<_>>());
+    let key_of: HashMap<String, usize> =
+        plan.nodes.iter().enumerate().map(|(i, n)| (share_source_name(n.key), i)).collect();
+    let deps: Vec<Vec<usize>> = plan
+        .nodes
+        .iter()
+        .map(|n| share_refs(&n.expr).iter().filter_map(|r| key_of.get(r).copied()).collect())
+        .collect();
+    let member_of: HashMap<usize, usize> = plan
+        .nodes
+        .iter()
+        .enumerate()
+        .flat_map(|(i, n)| n.members.iter().map(move |&qid| (qid, i)))
+        .collect();
+    // One repair probe per (node, band): members report the probes of
+    // their node and of every upstream node it consumes.
+    let node_probes: Vec<Probes> = plan
+        .nodes
+        .iter()
+        .map(|n| band_refs(&n.expr).into_iter().map(|b| (b, Arc::default())).collect())
+        .collect();
+    let probes_of = |start: usize| -> Probes {
+        let mut seen = vec![false; deps.len()];
+        let mut stack = vec![start];
+        let mut out = Vec::new();
+        while let Some(i) = stack.pop() {
+            if !std::mem::replace(&mut seen[i], true) {
+                out.extend(node_probes[i].iter().cloned());
+                stack.extend(deps[i].iter().copied());
+            }
+        }
+        out
+    };
+
+    // One tree per node, for its member queries and for the interior
+    // (node → node) edges of the DAG.
+    let multicast_counter = metrics.map(|m| m.share_chunks_multicast.clone());
+    let trees: Vec<SubscriptionTree> = plan
+        .nodes
+        .iter()
+        .map(|_| SubscriptionTree::new().with_counter(multicast_counter.clone()))
+        .collect();
+    let mut band_trees: BTreeMap<String, SubscriptionTree> = BTreeMap::new();
+    let shed_counter = metrics.map(|m| m.fanout_shed.clone());
+    let mut subscribe = |band: &str, tenant: &str, depth: Option<Gauge>| -> Rx {
+        let tree = band_trees.entry(band.to_string()).or_default();
+        tree.subscribe_query(config.channel_cap, tenant, depth, shed_counter.clone())
+    };
+    let mut slots = Vec::new();
+    for (qid, admitted) in admitted.into_iter().enumerate() {
+        let Admitted { expr, format, mut routes } = match admitted {
+            Ok(a) => a,
+            Err(e) => {
+                slots.push(Err(e));
+                continue;
+            }
+        };
+        if let Some(&i) = member_of.get(&qid) {
+            let tenant = tenant_of(qid);
+            let shed = metrics.map(|m| m.share_shed_counter(tenant));
+            let rx = trees[i].subscribe_query(config.channel_cap, tenant, depth_of(qid), shed);
+            slots.push(Ok(Slot::Member(i, rx, probes_of(i))));
+            continue;
+        }
+        let mut sources = Vec::new();
+        for name in expr.source_names() {
+            let feed = match routes.remove(&name) {
+                Some(Feed::Archive(replay)) => Feed::Archive(replay),
+                Some(Feed::Hybrid { replay, watermark, .. }) => {
+                    let live = subscribe(&name, tenant_of(qid), depth_of(qid));
+                    Feed::Hybrid { replay, watermark, live }
+                }
+                _ => Feed::Live(subscribe(&name, tenant_of(qid), depth_of(qid))),
+            };
+            sources.push(Source { name, feed, probe: Some(Arc::default()) });
+        }
+        slots.push(Ok(Slot::Own(expr, format, sources)));
+    }
+
+    // Each node's output schema is registered under its `@share:*`
+    // source name, producers before consumers (the DAG is acyclic: a
+    // cut's body references only strictly smaller subexpressions).
+    let mut placed = vec![false; plan.nodes.len()];
+    while let Some(i) =
+        (0..placed.len()).find(|&i| !placed[i] && deps[i].iter().all(|&d| placed[d]))
+    {
+        placed[i] = true;
+        let node = &plan.nodes[i];
+        let mut schema = Planner::new(catalog).build(&node.expr)?.schema().clone();
+        schema.name = share_source_name(node.key);
+        let exhausted = schema.clone();
+        catalog.register(schema, move || Box::new(ChannelLike::new(exhausted.clone(), || None)));
+    }
+    let mut node_sources = Vec::new();
+    for (node, probes) in plan.nodes.iter().zip(node_probes) {
+        if let Some(m) = metrics {
+            m.share_subscribers_gauge(&key_hex(node.key)).set(node.members.len() as u64);
+        }
+        let mut sources = Vec::new();
+        for (name, probe) in probes {
+            let feed = Feed::Live(subscribe(&name, "default", None));
+            sources.push(Source { name, feed, probe: Some(probe) });
+        }
+        for name in share_refs(&node.expr) {
+            if let Some(&producer) = key_of.get(&name) {
+                let feed = Feed::Live(trees[producer].subscribe_interior(config.channel_cap));
+                sources.push(Source { name, feed, probe: None });
+            }
+        }
+        node_sources.push(sources);
+    }
+    let nodes = plan.nodes.into_iter().zip(trees).map(|(n, tree)| Node { expr: n.expr, tree });
+    let nodes = nodes.collect();
+
+    let bands = band_trees
+        .into_iter()
+        .map(|(name, tree)| {
+            let idx = scanner
+                .instrument
+                .bands
+                .iter()
+                .position(|b| format!("{}.{}", scanner.instrument.name, b.name) == name)
+                .ok_or_else(|| CoreError::UnknownSource(name.clone()))?;
+            let id = scanner.instrument.bands[idx].id;
+            Ok(Band { name, idx, id, tree })
+        })
+        .collect::<Result<Vec<_>>>()?;
+    Ok(Wiring { bands, slots, nodes, node_sources })
+}
+
+/// What the source stacks of one evaluation share: the pull side of
+/// its live channels (watchdog deadline and flag, simulated client
+/// stall, depth gauge, copy count) and what the optional layers report to.
+#[derive(Clone)]
+struct SourceCtx {
+    deadline: Option<Instant>,
+    stall: Option<Duration>,
+    cancelled: Arc<AtomicBool>,
+    depth: Option<Gauge>,
+    copies: Arc<AtomicU64>,
+    metrics: Option<Arc<ServerMetrics>>,
+    /// Source stacks are span-traced iff a recorder is present.
+    recorder: Option<Arc<FlightRecorder>>,
+}
+
+impl SourceCtx {
+    /// The context of query `qid` — its watchdog clock starts here —
+    /// or, with no query, of a shared-plan node: no deadline, no
+    /// stall, no gauge, no spans.
+    fn new(rt: &Runtime<'_>, qid: Option<usize>) -> SourceCtx {
+        let config = rt.config;
+        let of_query = config.metrics.as_ref().zip(qid);
+        SourceCtx {
+            deadline: qid.and(config.watchdog).map(|d| Instant::now() + d),
+            stall: qid.and_then(|q| stall_of(config, q)),
+            cancelled: Arc::default(),
+            depth: of_query.and_then(|(m, q)| m.query_depth_gauge(q as u32)),
+            copies: Arc::clone(&rt.copies),
+            metrics: config.metrics.clone(),
+            recorder: of_query.map(|(m, q)| m.recorder(q as u32)),
+        }
+    }
+
+    /// True once the deadline has passed. The first observer counts the
+    /// cancellation and freezes the flight recorder for the postmortem.
+    fn cancelled(&self) -> bool {
+        if expired(self.deadline) && !self.cancelled.swap(true, Ordering::SeqCst) {
+            if let Some(m) = &self.metrics {
+                m.watchdog_cancellations.inc();
+            }
+            if let Some(rec) = &self.recorder {
+                let t = now_ns();
+                rec.record_span("watchdog", 0, t, t, 0, SpanOutcome::Cancelled);
+                rec.freeze("watchdog");
+            }
+        }
+        self.cancelled.load(Ordering::SeqCst)
+    }
+
+    /// The chunk pull over one live channel: polls when a deadline has
+    /// to cut through an idle channel and blocks otherwise, ends on
+    /// disconnect, and takes each payload copy-on-write — owned
+    /// outright as the last reference (single-subscriber channels
+    /// always are), deep-copied (counted) otherwise.
+    fn pull(self, rx: Rx) -> impl FnMut() -> Option<ChunkOrMarker<f32>> + Send + 'static {
+        let mut rx = Some(rx);
+        move || loop {
+            if self.cancelled() {
+                return None;
+            }
+            let next = match self.deadline {
+                Some(_) => rx.as_ref()?.recv_timeout(POLL),
+                None => rx.as_ref()?.recv().map_err(|_| RecvTimeoutError::Disconnected),
+            };
+            match next {
+                Ok(item) => {
+                    if let Some(g) = &self.depth {
+                        g.sub(1);
+                    }
+                    // Simulated slow client; sliced so the watchdog can
+                    // cut through it.
+                    if self.stall.is_some_and(|d| !stall_sliced(d, self.deadline)) {
+                        continue;
+                    }
+                    return Some(Arc::try_unwrap(item).unwrap_or_else(|shared| {
+                        self.copies.fetch_add(1, Ordering::Relaxed);
+                        (*shared).clone()
+                    }));
+                }
+                Err(RecvTimeoutError::Timeout) => {}
+                Err(RecvTimeoutError::Disconnected) => rx = None,
+            }
+        }
+    }
+}
+
+fn stall_of(config: &RuntimeConfig, qid: usize) -> Option<Duration> {
+    config.query_stall.iter().find(|(i, _)| *i == qid).map(|(_, d)| *d)
+}
+
+/// Wraps `stream` in a span when the run is traced.
+fn spanned<S>(stream: S, guard: Option<SpanGuard>, capture_link: bool) -> BoxedF32Stream
+where
+    S: GeoStream<V = f32> + Send + 'static,
+{
+    match guard {
+        Some(g) if capture_link => Box::new(SpanStream::new(stream, g).with_link_capture()),
+        Some(g) => Box::new(SpanStream::new(stream, g)),
+        None => Box::new(stream),
+    }
+}
+
+/// The one source stack: channel or replay → [splice] → [repair
+/// (+ counters)], each layer under its own span when traced. Spans
+/// chain repair ← splice ← scan under the planner's source span
+/// (`build_parent`), ids reserved up front because the stack is built
+/// inside-out; the scan span captures the first chunk-carried pump
+/// context as its cross-trace link.
+fn open_source(src: Source, schema: &StreamSchema, cx: &SourceCtx) -> BoxedF32Stream {
+    let Source { name, feed, probe } = src;
+    let rec = cx.recorder.as_ref();
+    let repair_id = rec.map(|r| r.alloc_span());
+    let scan = |rx: Rx, parent: Option<u64>| {
+        let guard = rec.zip(parent).map(|(r, p)| r.begin(&format!("scan:{name}"), p));
+        spanned(ChunkChannel::new(schema.clone(), cx.clone().pull(rx)), guard, true)
+    };
+    let stream = match feed {
+        Feed::Live(rx) => scan(rx, repair_id),
+        Feed::Archive(replay) => {
+            let guard = rec.zip(repair_id).map(|(r, p)| r.begin(&format!("replay:{name}"), p));
+            spanned(replay, guard, false)
+        }
+        Feed::Hybrid { replay, watermark, live } => {
+            let splice_id = rec.map(|r| r.alloc_span());
+            let live = scan(live, splice_id);
+            // The backfill phase is timed, and is a span of its own,
+            // closed at the splice switch when its duration is known.
+            let store_metrics = cx.metrics.as_ref().map(|m| StoreMetrics::register(m.registry()));
+            let backfill = rec.cloned().zip(splice_id).map(|(r, id)| (r, id, now_ns()));
+            let label = format!("backfill:{name}");
+            let on_switch = (store_metrics.is_some() || backfill.is_some()).then(|| {
+                Box::new(move |ns: u64| {
+                    if let Some(sm) = &store_metrics {
+                        sm.backfill_ns.record(ns);
+                    }
+                    if let Some((rec, splice_id, start)) = &backfill {
+                        let end = start.saturating_add(ns);
+                        rec.record_span(&label, *splice_id, *start, end, 0, SpanOutcome::Ok);
+                    }
+                }) as Box<dyn FnOnce(u64) + Send>
+            });
+            let spliced = SpliceStream::new(replay, live, watermark, on_switch);
+            let guard = rec
+                .zip(splice_id)
+                .zip(repair_id)
+                .map(|((r, id), parent)| r.begin_with_id(id, &format!("splice:{name}"), parent));
+            spanned(spliced, guard, false)
+        }
+    };
+    let Some(probe) = probe else { return stream };
+    let repaired = StreamRepair::with_probe(stream, probe);
+    let repaired = match &cx.metrics {
+        Some(m) => repaired.with_counters(RepairCounters {
+            gaps: m.gaps_detected.clone(),
+            duplicates: m.duplicates_dropped.clone(),
+            disorder: m.disorder_detected.clone(),
+            partial_frames: m.partial_frames.clone(),
+        }),
+        None => repaired,
+    };
+    let guard = rec
+        .zip(repair_id)
+        .map(|(r, id)| r.begin_with_id(id, &format!("repair:{name}"), r.build_parent()));
+    spanned(repaired, guard, false)
+}
+
+/// A catalog (schemas from `schemas`) whose factories open each wired
+/// source once — a later open gets an exhausted stream — plus the
+/// repair probes the sources report into.
+fn source_catalog(sources: Vec<Source>, schemas: &Catalog, cx: &SourceCtx) -> (Catalog, Probes) {
+    let mut catalog = Catalog::new();
+    let mut probes = Vec::new();
+    for src in sources {
+        let Some(schema) = schemas.schema(&src.name).cloned() else { continue };
+        if let Some(p) = &src.probe {
+            probes.push((src.name.clone(), Arc::clone(p)));
+        }
+        let slot = Mutex::new(Some(src));
+        let cx = cx.clone();
+        catalog.register(schema.clone(), move || match lock(&slot).take() {
+            Some(src) => open_source(src, &schema, &cx),
+            None => Box::new(ChannelLike::new(schema.clone(), || None)),
+        });
+    }
+    (catalog, probes)
+}
+
+/// Stage 4a: one evaluator per shared-plan node, multicasting each
+/// item Arc-shared: evaluation and protocol checking happen once per
+/// chunk however many queries subscribe.
+fn run_node(rt: &Runtime<'_>, node: &Node, sources: Vec<Source>) {
+    let (catalog, _) = source_catalog(sources, &rt.schemas, &SourceCtx::new(rt, None));
+    let eval = Evaluator { qid: 0, catalog: &catalog, pool: &rt.pool, metrics: None };
+    let run = eval.count(&node.expr, |item| {
+        node.tree.multicast(Arc::new(item.clone()), rt.config.fanout, rt.config.marker_patience);
+    });
+    // Members terminate when the tree closes, evaluated or not.
+    node.tree.close();
+    match (run, &rt.config.metrics) {
+        (Ok(report), Some(m)) if report.protocol_violations > 0 => {
+            m.protocol_violations.add(report.protocol_violations);
+        }
+        // Cannot happen for admitted plans: all sources are wired.
+        (Err(e), _) => eprintln!("shared plan evaluation failed: {e}"),
+        _ => {}
+    }
+}
+
+/// Stage 4b: one lightweight subscriber per member of a shared plan,
+/// counting what the shared evaluation delivers — the stream its own
+/// pipeline root would have produced — payloads left in their `Arc`.
+fn run_member(rt: &Runtime<'_>, qid: usize, rx: &Rx, probes: &Probes) -> Result<QueryResult> {
+    let metrics = rt.config.metrics.as_deref();
+    let depth = metrics.and_then(|m| m.query_depth_gauge(qid as u32));
+    let stall = stall_of(rt.config, qid);
+    if let Some(m) = metrics {
+        m.set_query_state(qid as u32, "running");
+    }
+    let started = Instant::now();
+    let (mut elements, mut points, mut sectors) = (0u64, 0u64, 0u64);
+    while let Ok(item) = rx.recv() {
+        if let Some(g) = &depth {
+            g.sub(1);
+        }
+        if let Some(d) = stall {
+            // Simulated slow client: backpressure builds in this
+            // subscriber's own channel, where the tree sheds per
+            // tenant instead of stalling the shared evaluation.
+            std::thread::sleep(d);
+        }
+        elements += item.element_count();
+        points += item.point_count() as u64;
+        sectors += u64::from(matches!(item.marker(), Some(Marker::SectorEnd(_))));
+    }
+    let report = RunReport {
+        wall: started.elapsed(),
+        elements,
+        points_delivered: points,
+        sectors,
+        per_op: Vec::new(),
+        pull_latency: HistogramSnapshot::default(),
+        protocol_violations: 0,
+    };
+    conclude(qid as u32, metrics, Ok(Delivered::counted(report)), probes, false)
+}
+
+/// Stage 4c: a query evaluating its own pipeline over channel-backed,
+/// repaired sources.
+fn run_own(
+    rt: &Runtime<'_>,
+    qid: usize,
+    expr: &Expr,
+    format: OutputFormat,
+    sources: Vec<Source>,
+) -> Result<QueryResult> {
+    let metrics = rt.config.metrics.as_ref();
+    let cx = SourceCtx::new(rt, Some(qid));
+    if let Some(m) = metrics {
+        m.set_query_state(qid as u32, "running");
+    }
+    let (catalog, probes) = source_catalog(sources, &rt.schemas, &cx);
+    let eval = Evaluator { qid: qid as u32, catalog: &catalog, pool: &rt.pool, metrics };
+    // Two known divergences from `Dsms::run_query`, frozen because the
+    // benchmark's oracles and `chaos_run`'s digest pin them (see
+    // ROADMAP.md): every image format renders in gray here (`false`;
+    // the one-shot path applies the NDVI/thermal color ramps), and an
+    // image run returns no report.
+    let run = eval.run(expr, format, false);
+    let cancelled = cx.cancelled.load(Ordering::SeqCst);
+    let mut result = conclude(qid as u32, metrics.map(Arc::as_ref), run, &probes, cancelled)?;
+    if !format.is_counting() {
+        result.report = None;
+    }
+    Ok(result)
+}
+
+/// Stage 3: one band's supervised ingest. Each attempt runs the pump
+/// on a thread of its own (panic isolation); the supervisor inspects
+/// its fate and restarts with capped exponential backoff, resuming at
+/// the sector after the last one started.
+fn supervise_band(rt: &Runtime<'_>, band: &Band) -> BandReport {
+    let config = rt.config;
+    let metrics = config.metrics.as_ref();
+    let name = &band.name;
+    // Ingest observability: the shared-ingest runtime records into the
+    // reserved `u32::MAX` flight recorder, and each band exports how
+    // long its pump has made no progress.
+    let rec = metrics.map(|m| m.recorder(u32::MAX));
+    let staleness =
+        metrics.map(|m| m.registry().gauge("geostreams_band_staleness_ns", &[("band", name)]));
+    let mut attempt: u32 = 0;
+    let mut start_sector = config.start_sector;
+    let mut elements: u64 = 0;
+    let mut faults: Option<FaultStats> = None;
+    loop {
+        let base = rt.scanner.band_stream_from(band.idx, config.start_sector, rt.n_sectors);
+        let plan = config.fault_plan.as_ref().map(|p| p.for_attempt(attempt));
+        let (probe, stream): (_, BoxedF32Stream) = match plan {
+            Some(p) if !p.is_benign() => {
+                // Salt by band and attempt: bands sharing a seed
+                // degrade independently, and a restarted feed sees a
+                // fresh (still deterministic) fault pattern.
+                let salt = (u64::from(attempt) << 32) | u64::from(band.id);
+                let chaos = ChaosStream::new(base, p, salt);
+                (Some(chaos.probe()), Box::new(chaos))
+            }
+            _ => (None, Box::new(base)),
+        };
+        // Span chain for this attempt: scan ← chaos ← pump. The pump
+        // guard travels into the pump thread, counts points and stamps
+        // its context onto every chunk fanned out.
+        let span = |stage: &str, parent: Option<&SpanGuard>| {
+            let parent = parent.map_or(0, SpanGuard::span_id);
+            rec.as_ref().map(|r| r.begin(&format!("{stage}:{name}#{attempt}"), parent))
+        };
+        let scan = span("scan", None);
+        let chaos = probe.as_ref().and_then(|_| span("chaos", scan.as_ref()));
+        let pump_span = span("pump", chaos.as_ref().or(scan.as_ref()));
+        let progress = PumpProgress::default();
+        let panicked = std::thread::scope(|s| {
+            let pump = rt.ledger.spawn(s, || {
+                pump(stream, &band.tree, &progress, start_sector, config, band.id, pump_span);
+            });
+            // With metrics attached, the supervisor watches the pump
+            // instead of blocking on it, to feed the staleness gauge.
+            if let Some(g) = &staleness {
+                let mut last_seen = progress.elements.load(Ordering::Relaxed);
+                let mut last_progress_ns = now_ns();
+                while !pump.is_finished() {
+                    std::thread::sleep(POLL);
+                    let seen = progress.elements.load(Ordering::Relaxed);
+                    if seen != last_seen {
+                        last_seen = seen;
+                        last_progress_ns = now_ns();
+                    }
+                    g.set(now_ns().saturating_sub(last_progress_ns));
+                }
+                g.set(0);
+            }
+            rt.ledger.join(pump).is_err()
+        });
+        let attempt_faults = probe.as_ref().map(|p| p.stats());
+        elements += progress.elements.load(Ordering::Relaxed);
+        let crashed = panicked || attempt_faults.as_ref().is_some_and(|f| f.died || f.truncated);
+        if let Some(f) = attempt_faults {
+            faults.get_or_insert_with(FaultStats::default).merge(&f);
+        }
+        for span in [chaos, scan].into_iter().flatten() {
+            span.finish(if crashed { SpanOutcome::Error } else { SpanOutcome::Ok });
+        }
+        if !crashed || attempt >= config.max_restarts {
+            break;
+        }
+        // Supervised restart: resume at the sector after the last one
+        // the dead attempt began delivering (the partial sector is
+        // lost; queries see it finalized partial by their repair
+        // stage).
+        attempt += 1;
+        start_sector = start_sector.max(progress.last_sector.load(Ordering::Relaxed));
+        let backoff = restart_backoff(config, band.id, attempt);
+        if let Some(m) = metrics {
+            m.ingest_restarts.inc();
+            m.ingest_backoff_ms.add(backoff.as_millis() as u64);
+        }
+        if let Some(rec) = &rec {
+            // Failure edge: leave a restart marker span and freeze the
+            // ring for postmortem inspection.
+            let t = now_ns();
+            let reason = if panicked { "panic" } else { "restart" };
+            rec.record_span(&format!("{reason}:{name}#{attempt}"), 0, t, t, 0, SpanOutcome::Error);
+            rec.freeze(&format!("{reason}:{name}"));
+        }
+        std::thread::sleep(backoff);
+    }
+    // Unsubscribe everyone: queries see end-of-stream.
+    band.tree.close();
+    BandReport { band_id: band.id, elements, restarts: attempt, faults }
+}
+
+/// Capped exponential backoff with bounded jitter: SplitMix64 over
+/// (band, attempt) maps to a factor in [0.5, 1.5), so bands killed by
+/// the same fault burst fan their restarts out instead of hammering
+/// the shared archive lock in lockstep — while staying deterministic
+/// for replayable supervision tests.
+fn restart_backoff(config: &RuntimeConfig, band_id: u16, attempt: u32) -> Duration {
+    let exp = attempt.saturating_sub(1).min(16);
+    let mut z =
+        ((u64::from(band_id) << 32) | u64::from(attempt)).wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^= z >> 31;
+    let jitter = 0.5 + (z >> 11) as f64 / (1u64 << 53) as f64;
+    config.backoff_base.saturating_mul(1u32 << exp).min(config.backoff_cap).mul_f64(jitter)
 }
 
 /// True when a deadline exists and has passed.
@@ -1520,11 +1098,11 @@ fn expired(deadline: Option<Instant>) -> bool {
 }
 
 /// Sleeps `total` in watchdog-sized slices; returns `false` when the
-/// deadline passed or the query was cancelled mid-stall.
-fn stall_sliced(total: Duration, deadline: Option<Instant>, cancelled: &AtomicBool) -> bool {
+/// deadline passed mid-stall.
+fn stall_sliced(total: Duration, deadline: Option<Instant>) -> bool {
     let until = Instant::now() + total;
     while Instant::now() < until {
-        if expired(deadline) || cancelled.load(Ordering::SeqCst) {
+        if expired(deadline) {
             return false;
         }
         std::thread::sleep(POLL.min(until.saturating_duration_since(Instant::now())));
@@ -1536,23 +1114,20 @@ fn stall_sliced(total: Duration, deadline: Option<Instant>, cancelled: &AtomicBo
 /// skipping sectors before `start_sector` (restart resume). When an
 /// archive is attached, every delivered element (post-chaos, i.e. what
 /// the downlink actually produced) is also persisted.
-#[allow(clippy::too_many_arguments)]
 fn pump(
     mut stream: BoxedF32Stream,
-    subs: &Mutex<Vec<SubSlot>>,
+    subscribers: &SubscriptionTree,
     progress: &PumpProgress,
     start_sector: u64,
-    fanout: FanoutPolicy,
-    marker_patience: Duration,
-    shed_counter: Option<Counter>,
-    points_counter: Option<Counter>,
-    mut archive: Option<Arc<Archive>>,
+    config: &RuntimeConfig,
     band_id: u16,
     mut span: Option<SpanGuard>,
 ) {
+    let points_counter = config.metrics.as_ref().map(|m| m.points_ingested.clone());
     // Causal identity stamped onto every chunk this pump fans out, so
     // subscribing queries can link their scan span back to this pump.
     let ctx: Option<TraceContext> = span.as_ref().map(SpanGuard::ctx);
+    let mut archive = config.archive.clone();
     if let Some(a) = &archive {
         if let Err(e) = a.bind_band(stream.schema()) {
             eprintln!("archive: bind band {band_id} failed, persistence disabled: {e}");
@@ -1609,156 +1184,12 @@ fn pump(
                 archive = None;
             }
         }
-        let has_marker = item.marker().is_some();
         // One Arc wrap per item: subscribers share the payload and the
         // consumer side takes ownership copy-on-write.
-        fanout_all(subs, Arc::new(item), has_marker, fanout, marker_patience, &shed_counter);
+        subscribers.multicast(Arc::new(item), config.fanout, config.marker_patience);
     }
     if let Some(a) = &archive {
         let _ = a.flush();
-    }
-}
-
-/// Delivers one chunked item to every subscriber under the fan-out
-/// policy — without ever blocking or sleeping while the `subs` guard is
-/// held. A bounded `send` can stall until a subscriber drains; holding
-/// the lock across it would wedge subscribe/unsubscribe and the
-/// supervisor's bookkeeping for the whole band (the geolint
-/// `lock-across-send` rule exists because an earlier version of this
-/// function did exactly that).
-/// A live subscriber snapshot: slot index, sender, fan-out depth gauge.
-type LiveSub = (usize, SyncSender<Arc<ChunkOrMarker<f32>>>, Option<Gauge>);
-
-fn fanout_all(
-    subs: &Mutex<Vec<SubSlot>>,
-    item: Arc<ChunkOrMarker<f32>>,
-    has_marker: bool,
-    fanout: FanoutPolicy,
-    marker_patience: Duration,
-    shed_counter: &Option<Counter>,
-) {
-    match fanout {
-        FanoutPolicy::Blocking => {
-            // Snapshot the live senders under the lock, send unlocked
-            // (SyncSender clones share the same channel), then re-lock
-            // only to null out receivers that turned out closed (a
-            // finished/failed query is fine). The last subscriber gets
-            // the pump's own Arc moved in, so a single subscriber holds
-            // the only reference at receive time and owns the payload
-            // without a copy.
-            let mut live: Vec<LiveSub> = {
-                let guard = lock_opt(subs);
-                guard
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(i, s)| s.tx.clone().map(|tx| (i, tx, s.depth.clone())))
-                    .collect()
-            };
-            let mut dead = Vec::new();
-            let last = live.pop();
-            for (i, tx, depth) in live {
-                if tx.send(Arc::clone(&item)).is_err() {
-                    dead.push(i);
-                } else if let Some(g) = depth {
-                    g.add(1);
-                }
-            }
-            if let Some((i, tx, depth)) = last {
-                if tx.send(item).is_err() {
-                    dead.push(i);
-                } else if let Some(g) = depth {
-                    g.add(1);
-                }
-            }
-            if !dead.is_empty() {
-                let mut guard = lock_opt(subs);
-                for i in dead {
-                    if let Some(slot) = guard.get_mut(i) {
-                        slot.tx = None;
-                    }
-                }
-            }
-        }
-        FanoutPolicy::Shed => {
-            // Non-blocking delivery pass under the lock; subscribers
-            // that are full on a *marker* are retried with the guard
-            // dropped between attempts (the 1 ms naps happen unlocked),
-            // until the marker patience runs out.
-            let mut delivered: Vec<bool> = Vec::new();
-            loop {
-                let mut pending = false;
-                {
-                    let mut guard = lock_opt(subs);
-                    delivered.resize(guard.len().max(delivered.len()), false);
-                    for (i, slot) in guard.iter_mut().enumerate() {
-                        if delivered[i] {
-                            continue;
-                        }
-                        if shed_try_one(slot, &item, has_marker, marker_patience, shed_counter) {
-                            delivered[i] = true;
-                        } else {
-                            pending = true;
-                        }
-                    }
-                }
-                if !pending {
-                    break;
-                }
-                std::thread::sleep(Duration::from_millis(1));
-            }
-        }
-    }
-}
-
-/// One non-blocking delivery attempt to one subscriber. Returns `true`
-/// when the item is settled for this slot (delivered, shed, or the
-/// subscriber was declared dead) and `false` when the caller should
-/// retry after an unlocked nap.
-fn shed_try_one(
-    slot: &mut SubSlot,
-    item: &Arc<ChunkOrMarker<f32>>,
-    has_marker: bool,
-    marker_patience: Duration,
-    shed_counter: &Option<Counter>,
-) -> bool {
-    let Some(tx) = &slot.tx else { return true };
-    match tx.try_send(Arc::clone(item)) {
-        Ok(()) => {
-            slot.full_since = None;
-            if let Some(g) = &slot.depth {
-                g.add(1);
-            }
-            true
-        }
-        Err(TrySendError::Disconnected(_)) => {
-            slot.tx = None;
-            true
-        }
-        Err(TrySendError::Full(_)) => {
-            let since = *slot.full_since.get_or_insert_with(Instant::now);
-            if !has_marker {
-                // Pure point runs are expendable: shed the whole run
-                // immediately rather than stall the band.
-                let n = item.point_count() as u64;
-                slot.shed += n;
-                if let Some(c) = shed_counter {
-                    c.add(n);
-                }
-                return true;
-            }
-            if since.elapsed() >= marker_patience {
-                // A subscriber that cannot even accept framing markers
-                // is wedged: unsubscribe it.
-                slot.tx = None;
-                let n = item.element_count();
-                slot.shed += n;
-                if let Some(c) = shed_counter {
-                    c.add(n);
-                }
-                return true;
-            }
-            false
-        }
     }
 }
 
@@ -1771,6 +1202,11 @@ mod tests {
         ClientRequest { query: q.to_string(), format, sectors: 0 }
     }
 
+    /// Lossless delivery, no watchdog, a clean feed.
+    fn lossless() -> RuntimeConfig {
+        RuntimeConfig { fanout: FanoutPolicy::Blocking, ..RuntimeConfig::default() }
+    }
+
     #[test]
     fn shared_ingest_runs_multiple_queries() {
         let scanner = goes_like(32, 16, 5);
@@ -1779,7 +1215,7 @@ mod tests {
             req("scale(goes-sim.b4-ir, 2, 0)", OutputFormat::Stats),
             req("goes-sim.b3-wv", OutputFormat::PngGray),
         ];
-        let (results, stats) = run_continuous(&scanner, 2, &requests).unwrap();
+        let (results, stats) = run_supervised(&scanner, 2, &requests, &lossless()).unwrap();
         assert_eq!(results.len(), 3);
         let r0 = results[0].as_ref().unwrap();
         assert_eq!(r0.report.as_ref().unwrap().points_delivered, 2 * 8 * 4);
@@ -1802,7 +1238,7 @@ mod tests {
             "ndvi(goes-sim.b2-nir, downsample(goes-sim.b1-vis, 4))",
             OutputFormat::PngNdvi,
         )];
-        let (results, _) = run_continuous(&scanner, 1, &requests).unwrap();
+        let (results, _) = run_supervised(&scanner, 1, &requests, &lossless()).unwrap();
         let r = results[0].as_ref().unwrap();
         assert_eq!(r.frames.len(), 1);
         assert!(geostreams_raster::png::decode(&r.frames[0].png).is_ok());
@@ -1811,7 +1247,8 @@ mod tests {
     #[test]
     fn unknown_source_fails_before_spawning() {
         let scanner = goes_like(8, 4, 1);
-        let err = run_continuous(&scanner, 1, &[req("nosuch.band", OutputFormat::Stats)]);
+        let err =
+            run_supervised(&scanner, 1, &[req("nosuch.band", OutputFormat::Stats)], &lossless());
         assert!(matches!(err, Err(CoreError::UnknownSource(_))));
     }
 
@@ -1823,52 +1260,9 @@ mod tests {
             req("scale(goes-sim.b4-ir, 2, 0)", OutputFormat::Stats),
             req("goes-sim.b5-ir", OutputFormat::Stats),
         ];
-        let (results, _) = run_continuous(&scanner, 1, &requests).unwrap();
+        let (results, _) = run_supervised(&scanner, 1, &requests, &lossless()).unwrap();
         let ids: Vec<u32> = results.iter().map(|r| r.as_ref().unwrap().id).collect();
         assert_eq!(ids, vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn exec_workers_leave_counting_results_identical() {
-        // The morsel pool must be invisible in results: same requests,
-        // worker counts {0 (inline), 1, 4}, identical per-query points
-        // and sector counts. The stacked plan exercises a two-stage
-        // suffix (scale → restrict_value); the bare source exercises
-        // the empty-suffix delegation.
-        let requests = vec![
-            req("restrict_value(scale(goes-sim.b4-ir, 2, 0), 0, 500)", OutputFormat::Stats),
-            req("goes-sim.b3-wv", OutputFormat::Stats),
-        ];
-        let mut seen: Vec<Vec<(u64, u64)>> = Vec::new();
-        for workers in [0usize, 1, 4] {
-            let scanner = goes_like(32, 16, 5);
-            let metrics = Arc::new(ServerMetrics::new());
-            let config = RuntimeConfig {
-                exec_workers: workers,
-                metrics: Some(Arc::clone(&metrics)),
-                ..RuntimeConfig::default()
-            };
-            let (results, _) = run_supervised(&scanner, 2, &requests, &config).unwrap();
-            let facts: Vec<(u64, u64)> = results
-                .iter()
-                .map(|r| {
-                    let r = r.as_ref().unwrap();
-                    (r.points, r.report.as_ref().unwrap().sectors)
-                })
-                .collect();
-            seen.push(facts);
-            if workers > 0 {
-                // The pool must have executed the stacked query's
-                // morsels (worker counters are published as gauges).
-                let rendered = metrics.render_prometheus();
-                assert!(
-                    rendered.contains("geostreams_exec_worker_jobs"),
-                    "pool counters missing from /metrics"
-                );
-            }
-        }
-        assert_eq!(seen[0], seen[1], "inline vs 1 worker diverged");
-        assert_eq!(seen[1], seen[2], "1 vs 4 workers diverged");
     }
 
     #[test]

@@ -25,6 +25,7 @@
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod continuous;
+mod eval;
 pub mod frontend;
 pub mod metrics;
 pub mod net;
@@ -32,7 +33,7 @@ pub mod protocol;
 pub mod server;
 pub mod share;
 
-pub use continuous::{run_continuous, run_supervised, FanoutPolicy, IngestStats, RuntimeConfig};
+pub use continuous::{run_supervised, FanoutPolicy, IngestStats, RuntimeConfig};
 pub use frontend::{FrontEndStats, MultiQueryFrontEnd};
 pub use metrics::{QueryStatus, ServerMetrics};
 pub use net::HttpServer;

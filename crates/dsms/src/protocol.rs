@@ -29,6 +29,13 @@ pub enum OutputFormat {
     Json,
 }
 
+impl OutputFormat {
+    /// Counting formats deliver a run report instead of PNG frames.
+    pub(crate) fn is_counting(self) -> bool {
+        matches!(self, OutputFormat::Stats | OutputFormat::Json)
+    }
+}
+
 /// A parsed client request.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ClientRequest {

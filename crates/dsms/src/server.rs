@@ -1,20 +1,18 @@
 //! The DSMS server: query registration and execution.
 
+use crate::eval::{conclude, Evaluator};
 use crate::metrics::ServerMetrics;
 use crate::protocol::{ClientRequest, OutputFormat};
-use crate::share::{ShareRegistry, TenantQuota};
-use geostreams_core::exec::RunReport;
+use crate::share::{lock, ShareRegistry, TenantQuota};
+use geostreams_core::exec::{RunReport, WorkerPool};
 use geostreams_core::model::GeoStream;
-use geostreams_core::obs::{PipelineObs, SpanStream};
-use geostreams_core::ops::delivery::{DeliveredFrame, PngSink, Rendering};
+use geostreams_core::ops::delivery::DeliveredFrame;
 use geostreams_core::query::{
     analyze_with, canonical_key, key_hex, optimize, parse_query, AnalyzeOptions, Catalog, Expr,
-    PlanReport, Planner, ReplayProvider,
+    PlanReport, ReplayProvider,
 };
 use geostreams_core::stats::OpReport;
 use geostreams_core::{CoreError, Result};
-use geostreams_raster::colormap::ColorMap;
-use geostreams_raster::png::PngOptions;
 use geostreams_satsim::Scanner;
 use geostreams_store::{Archive, StoreMetrics};
 use serde::Serialize;
@@ -90,11 +88,12 @@ pub struct SourceRepair {
 #[derive(Debug)]
 pub struct QueryResult {
     /// The query that ran (request-order index under
-    /// [`crate::continuous::run_continuous`], server id otherwise).
+    /// [`crate::continuous::run_supervised`], server id otherwise).
     pub id: u32,
     /// Delivered PNG frames (empty for `Stats` format).
     pub frames: Vec<DeliveredFrame>,
-    /// Executor report (per-operator stats).
+    /// Executor report (per-operator stats); `None` for an image run
+    /// under [`crate::continuous::run_supervised`].
     pub report: Option<RunReport>,
     /// Points delivered by the pipeline root.
     pub points: u64,
@@ -128,22 +127,7 @@ impl Dsms {
     /// catalog source named `<instrument>.<band>`, streaming `n_sectors`
     /// scan sectors per query execution.
     pub fn over_scanner(scanner: &Scanner, n_sectors: u64) -> Self {
-        let mut catalog = Catalog::new();
-        for band_idx in 0..scanner.instrument.bands.len() {
-            let template = scanner.band_stream(band_idx, n_sectors);
-            let schema = template.schema().clone();
-            let scanner = scanner.clone();
-            catalog.register(schema, move || Box::new(scanner.band_stream(band_idx, n_sectors)));
-        }
-        Dsms {
-            catalog: Arc::new(catalog),
-            queries: Mutex::new(Vec::new()),
-            next_id: Mutex::new(1),
-            budget_bytes: AtomicU64::new(DEFAULT_MEMORY_BUDGET_BYTES),
-            archive: Mutex::new(None),
-            metrics: Arc::new(ServerMetrics::new()),
-            share: ShareRegistry::new(),
-        }
+        Self::over_catalog(scanner_catalog(scanner, n_sectors))
     }
 
     /// Builds a server over an existing catalog.
@@ -194,8 +178,7 @@ impl Dsms {
     /// this server's `/metrics` endpoint.
     pub fn attach_archive(&self, archive: Arc<Archive>, now: i64) {
         archive.attach_metrics(StoreMetrics::register(self.metrics.registry()));
-        *self.archive.lock().unwrap_or_else(std::sync::PoisonError::into_inner) =
-            Some((archive, now));
+        *lock(&self.archive) = Some((archive, now));
         // The analysis context changed: cached reports (replay
         // classification, completeness) are stale. Subscriptions
         // survive; the next registration per key re-analyzes.
@@ -204,18 +187,14 @@ impl Dsms {
 
     /// The attached archive, if any.
     pub fn archive(&self) -> Option<Arc<Archive>> {
-        self.archive
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .as_ref()
-            .map(|(a, _)| Arc::clone(a))
+        lock(&self.archive).as_ref().map(|(a, _)| Arc::clone(a))
     }
 
     /// Analyzes an optimized plan in the server's temporal context:
     /// with an archive attached, replay classification runs against its
     /// coverage; without one, the analysis is context-free.
     fn analyze_plan(&self, optimized: &Expr) -> PlanReport {
-        let ctx = self.archive.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let ctx = lock(&self.archive);
         match ctx.as_ref() {
             Some((archive, now)) => analyze_with(
                 optimized,
@@ -226,6 +205,22 @@ impl Dsms {
                 },
             ),
             None => analyze_with(optimized, &self.catalog, &AnalyzeOptions::default()),
+        }
+    }
+
+    /// The canonical key of a plan, its analysis, and whether that
+    /// came from the plan cache: a structurally-equal plan that is live
+    /// serves its admission-time report — certificate included, so the
+    /// protocol verifier runs once per distinct plan, not once per
+    /// subscriber — anything else is analyzed now.
+    fn analysis(&self, optimized: &Expr) -> (u64, Arc<PlanReport>, bool) {
+        let key = canonical_key(optimized);
+        match self.share.cached_report(key) {
+            Some(cached) => {
+                self.metrics.plan_cache_hits.inc();
+                (key, cached, true)
+            }
+            None => (key, Arc::new(self.analyze_plan(optimized)), false),
         }
     }
 
@@ -253,45 +248,13 @@ impl Dsms {
     }
 
     fn register_inner(&self, tenant: &str, request: &ClientRequest) -> Result<QueryHandle> {
-        let expr = parse_query(&request.query)?;
-        // Validate sources now so registration fails fast.
-        for name in expr.source_names() {
-            if self.catalog.schema(&name).is_none() {
-                return Err(CoreError::UnknownSource(name));
-            }
-        }
-        // The `sectors=` parameter is realized as a temporal restriction
-        // `[0, sectors)` — the algebra's own mechanism (the optimizer
-        // pushes it to the sources).
-        let expr = if request.sectors > 0 {
-            Expr::RestrictTime {
-                input: Box::new(expr),
-                times: geostreams_core::model::TimeSet::Interval {
-                    lo: None,
-                    hi: Some(request.sectors as i64),
-                },
-            }
-        } else {
-            expr
-        };
-        let optimized = optimize(&expr, &self.catalog);
+        let (expr, optimized) = plan_request(&request.query, request.sectors, &self.catalog)?;
         // Admission control (§3's cost analysis, enforced): reject plans
         // with error diagnostics, no static buffer bound, or a bound
-        // over the server's per-query memory budget. The analysis is
-        // keyed by the plan's canonical form: a structurally-equal plan
-        // registered (or explained) earlier serves its cached report —
-        // certificate included, so the protocol verifier runs once per
-        // distinct plan, not once per subscriber.
-        let key = canonical_key(&optimized);
-        let report = match self.share.cached_report(key) {
-            Some(cached) => {
-                self.metrics.plan_cache_hits.inc();
-                cached
-            }
-            None => Arc::new(self.analyze_plan(&optimized)),
-        };
+        // over the server's per-query memory budget.
+        let (key, report, _) = self.analysis(&optimized);
         self.admission_check(&report)?;
-        let mut id_guard = self.next_id.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut id_guard = lock(&self.next_id);
         let id = *id_guard;
         *id_guard += 1;
         drop(id_guard);
@@ -311,7 +274,7 @@ impl Dsms {
             canonical_key: key_hex(key),
             tenant: tenant.to_string(),
         };
-        self.queries.lock().unwrap_or_else(std::sync::PoisonError::into_inner).push(handle.clone());
+        lock(&self.queries).push(handle.clone());
         // Observability: directory entry plus flight recorder, so the
         // query shows on `GET /queries` and is traceable via
         // `GET /trace/<id>` from registration on.
@@ -319,22 +282,10 @@ impl Dsms {
         Ok(handle)
     }
 
-    /// The admission decision for an analyzed plan.
+    /// The admission decision for an analyzed plan: [`certify`], then
+    /// the static buffer bound against the per-query memory budget.
     fn admission_check(&self, plan: &PlanReport) -> Result<()> {
-        if plan.has_errors() {
-            return Err(CoreError::PlanRejected(plan.render_errors()));
-        }
-        if !plan.certificate.certified {
-            // An analyzer-composed plan that fails certification also
-            // carries `protocol-uncertified` error diagnostics, so this
-            // arm guards the other way in: a report that never ran the
-            // verifier at all (e.g. deserialized from an older peer)
-            // must not slip past admission.
-            return Err(CoreError::PlanRejected(format!(
-                "plan carries no valid protocol certificate: {}",
-                plan.certificate.violations.join("; ")
-            )));
-        }
+        certify(plan)?;
         let budget = self.memory_budget();
         match plan.peak_buffer_bytes {
             None => Err(CoreError::PlanRejected("plan has no static buffer bound".to_string())),
@@ -348,33 +299,13 @@ impl Dsms {
 
     /// Statically explains a query without running it: parse, optimize,
     /// analyze, and report the admission verdict against the current
-    /// budget. Fails only when the query does not parse or names
-    /// unknown sources with no analyzable plan at all.
+    /// budget. Fails only when the query does not parse; an unknown
+    /// source is a diagnostic of the report.
     pub fn explain(&self, request: &ClientRequest) -> Result<Explanation> {
-        let expr = parse_query(&request.query)?;
-        let expr = if request.sectors > 0 {
-            Expr::RestrictTime {
-                input: Box::new(expr),
-                times: geostreams_core::model::TimeSet::Interval {
-                    lo: None,
-                    hi: Some(request.sectors as i64),
-                },
-            }
-        } else {
-            expr
-        };
+        let expr = parse_request(&request.query, request.sectors)?;
         let optimized = optimize(&expr, &self.catalog);
-        // Serve the admission-time cached analysis when a
-        // structurally-equal plan is live; re-analyze otherwise.
-        let key = canonical_key(&optimized);
-        let (report, cache_hit) = match self.share.cached_report(key) {
-            Some(cached) => {
-                self.metrics.plan_cache_hits.inc();
-                ((*cached).clone(), true)
-            }
-            None => (self.analyze_plan(&optimized), false),
-        };
-        let mut report = report;
+        let (key, report, cache_hit) = self.analysis(&optimized);
+        let mut report = (*report).clone();
         report.sharing.shared_with = self.share.subscribers_of(key);
         let shared_with = report.sharing.shared_with;
         let admitted = self.admission_check(&report).is_ok();
@@ -396,15 +327,22 @@ impl Dsms {
     /// subscriber remains), and marks its directory entry. Returns
     /// `false` for unknown ids.
     pub fn unregister(&self, id: u32) -> bool {
-        let mut queries = self.queries.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let known = self.forget(id);
+        if known {
+            self.metrics.set_query_state(id, "released");
+        }
+        known
+    }
+
+    /// Drops a query's handle and sharing subscription, leaving its
+    /// directory entry as it stands.
+    fn forget(&self, id: u32) -> bool {
+        let mut queries = lock(&self.queries);
         let before = queries.len();
         queries.retain(|h| h.id != id);
         let known = queries.len() != before;
         drop(queries);
         self.share.release(id);
-        if known {
-            self.metrics.set_query_state(id, "released");
-        }
         known
     }
 
@@ -420,92 +358,49 @@ impl Dsms {
 
     /// Currently registered queries.
     pub fn registered(&self) -> Vec<QueryHandle> {
-        self.queries.lock().unwrap_or_else(std::sync::PoisonError::into_inner).clone()
+        lock(&self.queries).clone()
     }
 
-    /// Runs one registered query to completion (synchronously).
+    /// Runs one registered query to completion (synchronously), on
+    /// private instances of its sources: the same evaluator as the
+    /// supervised runtime, inline on the calling thread.
     ///
-    /// The pipeline runs with every operator traced: the returned
-    /// report carries per-op pull/frame latency histograms, boundary
-    /// events land in `metrics.trace`, and the query's wall time is
-    /// recorded in the `geostreams_query_wall_ns` histogram.
+    /// The run is traced, every operator in place: the returned report
+    /// carries per-op pull/frame latency histograms, boundary events
+    /// land in `metrics.trace`, and the query's wall time is recorded
+    /// in the `geostreams_query_wall_ns` histogram.
     pub fn run_query(&self, handle: &QueryHandle) -> Result<QueryResult> {
-        let planner = Planner::new(&self.catalog);
-        // Spans: every operator chains under a root delivery span whose
-        // frame hook stamps watermark/e2e-lag freshness at the moment a
-        // frame reaches the client side of the pipeline.
-        let rec = self.metrics.recorder(handle.id);
-        let deliver_id = rec.alloc_span();
-        let obs = PipelineObs::for_query(handle.id)
-            .with_trace(Arc::clone(&self.metrics.trace))
-            .with_recorder(Arc::clone(&rec))
-            .under(deliver_id);
-        let pipeline = match planner.build_traced(&handle.optimized, &obs) {
-            Ok(p) => p,
-            Err(e) => {
-                self.metrics.set_query_state(handle.id, "failed");
-                return Err(e);
-            }
+        let pool = WorkerPool::new(0);
+        let metrics = &self.metrics;
+        let eval = Evaluator {
+            qid: handle.id,
+            catalog: &self.catalog,
+            pool: &pool,
+            metrics: Some(metrics),
         };
-        let deliver = rec.begin_with_id(deliver_id, "deliver", 0);
-        let hook_metrics = Arc::clone(&self.metrics);
-        let qid = handle.id;
-        let pipeline: geostreams_core::model::BoxedF32Stream = Box::new(
-            SpanStream::new(pipeline, deliver)
-                .with_frame_hook(move |fi| hook_metrics.note_frame(qid, fi)),
-        );
-        self.metrics.set_query_state(handle.id, "running");
+        metrics.set_query_state(handle.id, "running");
         let started = Instant::now();
-        let result = match handle.format {
-            OutputFormat::Stats | OutputFormat::Json => {
-                let mut pipeline = pipeline;
-                let report = geostreams_core::exec::run_observed(&mut pipeline, &obs, |_| {});
-                self.metrics.points_ingested.add(source_points(&report.per_op));
-                let points = report.points_delivered;
-                QueryResult {
-                    id: handle.id,
-                    frames: Vec::new(),
-                    report: Some(report),
-                    points,
-                    repair: Vec::new(),
-                    cancelled: false,
-                }
+        // `true`: NDVI/thermal frames get their color ramps here, while
+        // `run_supervised` renders every image format in gray (and
+        // returns no report for one): known divergences, frozen because
+        // `bench/` pins both sides (see ROADMAP.md).
+        let run = eval.run(&handle.optimized, handle.format, true);
+        if let Ok(delivered) = &run {
+            let per_op = &delivered.report.per_op;
+            metrics.frames_delivered.add(delivered.frames.len() as u64);
+            metrics.bytes_delivered.add(delivered.frames.iter().map(|f| f.png.len() as u64).sum());
+            // Sources are private to this run, so what they emitted is
+            // what the server ingested for it.
+            metrics.points_ingested.add(source_points(per_op));
+            // Observed buffering over the static bound means the
+            // analyzer's cost model under-estimated.
+            if handle.plan.buffer_overrun(delivered.report.peak_buffered_bytes()) {
+                metrics.plan_buffer_overruns.inc();
             }
-            format => {
-                let rendering = rendering_for(format, pipeline.schema().value_range);
-                let mut sink = PngSink::new(pipeline, Some(rendering), PngOptions::default());
-                let mut frames = Vec::new();
-                while let Some(frame) = sink.next_frame() {
-                    self.metrics.frames_delivered.inc();
-                    self.metrics.bytes_delivered.add(frame.png.len() as u64);
-                    frames.push(frame);
-                }
-                let mut per_op = Vec::new();
-                sink.inner().collect_stats(&mut per_op);
-                self.metrics.points_ingested.add(source_points(&per_op));
-                let report = report_from_per_op(started.elapsed(), per_op);
-                let points = frames.len() as u64;
-                QueryResult {
-                    id: handle.id,
-                    frames,
-                    report: Some(report),
-                    points,
-                    repair: Vec::new(),
-                    cancelled: false,
-                }
-            }
-        };
-        // Cross-check observed buffering against the static bound; an
-        // overrun means the analyzer's cost model under-estimated.
-        if let Some(report) = &result.report {
-            if handle.plan.buffer_overrun(report.peak_buffered_bytes()) {
-                self.metrics.plan_buffer_overruns.inc();
-            }
+            metrics.query_wall_ns.record(started.elapsed().as_nanos() as u64);
         }
-        self.metrics.query_wall_ns.record(started.elapsed().as_nanos() as u64);
-        // Unsupervised runs have no repair stage: completeness is 1.
-        self.metrics.finish_query(handle.id, "done", result.points, 1.0);
-        Ok(result)
+        // No repair stage on private sources: completeness is 1.
+        conclude(handle.id, Some(metrics), run, &[], false)
     }
 
     /// Runs every registered query, one OS thread per query (the
@@ -594,28 +489,21 @@ impl Dsms {
             Err(e) => return crate::protocol::error_response(400, &e.to_string()),
         };
         let response = match self.run_query(&handle) {
-            Ok(result) => {
-                if handle.format == OutputFormat::Json {
-                    let body = result
-                        .report
-                        .as_ref()
-                        .map(|r| serde_json::to_vec(&r.summary()).unwrap_or_default())
-                        .unwrap_or_default();
-                    crate::protocol::json_response(&body)
-                } else {
-                    match result.frames.first() {
-                        Some(frame) => crate::protocol::png_response(&frame.png),
-                        None => crate::protocol::error_response(204, "no frames produced"),
-                    }
-                }
+            Ok(QueryResult { report: Some(report), .. }) if handle.format.is_counting() => {
+                let body = serde_json::to_vec(&report.summary()).unwrap_or_default();
+                crate::protocol::json_response(&body)
             }
+            Ok(result) => match result.frames.first() {
+                Some(frame) => crate::protocol::png_response(&frame.png),
+                None => crate::protocol::error_response(204, "no frames produced"),
+            },
             Err(e) => crate::protocol::error_response(500, &e.to_string()),
         };
-        // A one-shot `/query` has finished by the time the response is
-        // built: release its shared-plan reference so ad-hoc traffic
-        // neither pins plans in `/share` nor accumulates tenant quota
-        // charges. The query directory entry stays for `/queries`.
-        self.share.release(handle.id);
+        // A one-shot `/query` is finished once its response is built:
+        // drop its handle and shared-plan reference, so ad-hoc traffic
+        // neither re-runs under `run_all_parallel`, pins plans in
+        // `/share` nor piles up quota charges; `/queries` keeps its entry.
+        self.forget(handle.id);
         response
     }
 
@@ -631,36 +519,60 @@ fn source_points(per_op: &[OpReport]) -> u64 {
     per_op.iter().filter(|r| r.stats.points_in == 0).map(|r| r.stats.points_out).sum()
 }
 
-/// Builds a [`RunReport`] for a sink-driven (PNG) run from collected
-/// per-op stats; the pipeline root is the last entry.
-fn report_from_per_op(wall: std::time::Duration, per_op: Vec<OpReport>) -> RunReport {
-    let root = per_op.last();
-    let points_delivered = root.map_or(0, |r| r.stats.points_out);
-    let pull_latency = root.and_then(|r| r.pull_latency.clone()).unwrap_or_default();
-    // The root histogram sees one pull per element plus the final None.
-    let elements = pull_latency.count.saturating_sub(1);
-    // OpStats does not count sector markers; 0 means "not observed".
-    RunReport {
-        wall,
-        elements,
-        points_delivered,
-        sectors: 0,
-        per_op,
-        pull_latency,
-        protocol_violations: 0,
+/// A catalog with one source per instrument band, named
+/// `<instrument>.<band>`, each open streaming `n_sectors` scan sectors.
+pub(crate) fn scanner_catalog(scanner: &Scanner, n_sectors: u64) -> Catalog {
+    let mut catalog = Catalog::new();
+    for band_idx in 0..scanner.instrument.bands.len() {
+        let schema = scanner.band_stream(band_idx, n_sectors).schema().clone();
+        let scanner = scanner.clone();
+        catalog.register(schema, move || Box::new(scanner.band_stream(band_idx, n_sectors)));
     }
+    catalog
 }
 
-/// Chooses the PNG rendering for a format.
-fn rendering_for(format: OutputFormat, value_range: (f64, f64)) -> Rendering {
-    let (lo, hi) = value_range;
-    match format {
-        OutputFormat::PngGray | OutputFormat::Stats | OutputFormat::Json => {
-            Rendering::Gray { lo, hi }
-        }
-        OutputFormat::PngNdvi => Rendering::Mapped { lo: -1.0, hi: 1.0, map: ColorMap::ndvi() },
-        OutputFormat::PngThermal => Rendering::Mapped { lo, hi, map: ColorMap::thermal() },
+/// Parses a query and realizes a `sectors=` parameter (0 = none) as a
+/// temporal restriction `[0, sectors)` — the algebra's own mechanism,
+/// which the optimizer pushes to the sources.
+fn parse_request(query: &str, sectors: u64) -> Result<Expr> {
+    let expr = parse_query(query)?;
+    if sectors == 0 {
+        return Ok(expr);
     }
+    let times = geostreams_core::model::TimeSet::Interval { lo: None, hi: Some(sectors as i64) };
+    Ok(Expr::RestrictTime { input: Box::new(expr), times })
+}
+
+/// The admission prelude of everything that runs a query (`register`,
+/// `run_supervised`): parse, fail fast on unknown sources, optimize.
+/// Returns the expression as requested and as it will run.
+pub(crate) fn plan_request(query: &str, sectors: u64, catalog: &Catalog) -> Result<(Expr, Expr)> {
+    let expr = parse_request(query, sectors)?;
+    if let Some(name) = expr.source_names().into_iter().find(|n| catalog.schema(n).is_none()) {
+        return Err(CoreError::UnknownSource(name));
+    }
+    let optimized = optimize(&expr, catalog);
+    Ok((expr, optimized))
+}
+
+/// The plan-level admission verdict: error diagnostics or a missing
+/// protocol certificate reject the plan.
+pub(crate) fn certify(plan: &PlanReport) -> Result<()> {
+    if plan.has_errors() {
+        return Err(CoreError::PlanRejected(plan.render_errors()));
+    }
+    if !plan.certificate.certified {
+        // An analyzer-composed plan that fails certification also
+        // carries `protocol-uncertified` error diagnostics, so this arm
+        // guards the other way in: a report that never ran the verifier
+        // at all (e.g. deserialized from an older peer) must not slip
+        // past admission.
+        return Err(CoreError::PlanRejected(format!(
+            "plan carries no valid protocol certificate: {}",
+            plan.certificate.violations.join("; ")
+        )));
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -699,6 +611,14 @@ mod tests {
         let err = s.register_text("scale(nosuch.band, 1, 0)", OutputFormat::PngGray, 1);
         assert!(matches!(err, Err(CoreError::UnknownSource(_))));
         assert_eq!(s.metrics.queries_rejected.get(), 1);
+        // `explain` answers for the same query, with a diagnostic.
+        let request = ClientRequest {
+            query: "scale(nosuch.band, 1, 0)".into(),
+            format: OutputFormat::PngGray,
+            sectors: 1,
+        };
+        let explained = s.explain(&request).unwrap();
+        assert!(!explained.admitted && explained.report.has_errors());
     }
 
     #[test]
@@ -744,7 +664,7 @@ mod tests {
     }
 
     #[test]
-    fn http_round_trip_delivers_png() {
+    fn http_round_trip_delivers_png_and_run_summaries() {
         let s = server();
         let response = s.handle_http("GET /query?q=goes-sim.b4-ir&format=png&sectors=1 HTTP/1.1");
         let text = String::from_utf8_lossy(&response[..64.min(response.len())]).to_string();
@@ -752,6 +672,35 @@ mod tests {
         // Body is a valid PNG.
         let body_start = response.windows(4).position(|w| w == b"\r\n\r\n").unwrap() + 4;
         assert!(geostreams_raster::png::decode(&response[body_start..]).is_ok());
+        // Both counting formats answer with the run summary as JSON: a
+        // counting query has no frames, but it did run.
+        for format in ["stats", "json"] {
+            let raw = format!("GET /query?q=goes-sim.b4-ir&format={format}&sectors=1 HTTP/1.1");
+            let text = String::from_utf8_lossy(&s.handle_http(&raw)).to_string();
+            assert!(text.starts_with("HTTP/1.1 200 OK"), "{format}: {text}");
+            let body = &text[text.find("\r\n\r\n").unwrap() + 4..];
+            let summary: geostreams_core::exec::RunSummary = serde_json::from_str(body).unwrap();
+            assert_eq!(summary.points_delivered, 8 * 4, "{format}");
+        }
+    }
+
+    #[test]
+    fn one_shot_http_queries_leave_no_handle_behind() {
+        let s = server();
+        for _ in 0..3 {
+            let response = s.handle_http("GET /query?q=goes-sim.b4-ir&format=json HTTP/1.1");
+            assert!(String::from_utf8_lossy(&response).starts_with("HTTP/1.1 200 OK"));
+        }
+        // Ad-hoc traffic must not accumulate handles (`run_all_parallel`
+        // would re-run every query ever served) or pin shared plans...
+        assert!(s.registered().is_empty());
+        assert_eq!(s.share().topology().distinct_plans, 0);
+        // ...while the directory still lists what was served.
+        let text = String::from_utf8_lossy(&s.handle_http("GET /queries HTTP/1.1")).to_string();
+        let statuses: Vec<crate::QueryStatus> =
+            serde_json::from_str(&text[text.find("\r\n\r\n").unwrap() + 4..]).unwrap();
+        assert_eq!(statuses.len(), 3);
+        assert!(statuses.iter().all(|q| q.state == "done"), "{statuses:?}");
     }
 
     #[test]

@@ -60,7 +60,7 @@ pub fn band_refs(expr: &Expr) -> Vec<String> {
 }
 
 /// Poison-tolerant lock (the tree stays usable after a panic).
-fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+pub(crate) fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
@@ -87,12 +87,10 @@ pub struct ShareNode {
 /// The sharing decision for a batch of admitted plans.
 #[derive(Debug, Clone, Default)]
 pub struct SharePlan {
-    /// Evaluation nodes; producers always precede their consumers.
+    /// Evaluation nodes. Requests that are members of none gain
+    /// nothing from sharing (singleton plans with no shared cuts) and
+    /// evaluate their own pipeline unchanged.
     pub nodes: Vec<ShareNode>,
-    /// Request indices that gain nothing from sharing (singleton plans
-    /// with no shared cuts) and should run on the legacy per-query
-    /// path unchanged.
-    pub legacy: Vec<usize>,
 }
 
 impl SharePlan {
@@ -196,9 +194,9 @@ impl DagBuilder {
 /// A subexpression becomes a shared cut when it (a) contains at least
 /// one operator (bare band sources are already shared by the ingest
 /// fan-out) and (b) occurs in at least two *distinct* plans. Queries
-/// whose plan is a singleton with no shared cut go to
-/// [`SharePlan::legacy`]: the sharing runtime must never make an
-/// unshared query slower or observably different.
+/// whose plan is a singleton with no shared cut join no node: the
+/// sharing runtime must never make an unshared query slower or
+/// observably different.
 pub fn plan_sharing(roots: &[(usize, Expr)]) -> SharePlan {
     // Group by canonical key, preserving first-appearance order.
     let mut order: Vec<u64> = Vec::new();
@@ -234,7 +232,6 @@ pub fn plan_sharing(roots: &[(usize, Expr)]) -> SharePlan {
     let shared: HashSet<u64> =
         occurs.into_iter().filter(|(_, n)| *n >= 2).map(|(k, _)| k).collect();
     let mut b = DagBuilder { shared, nodes: Vec::new(), index: HashMap::new() };
-    let mut legacy = Vec::new();
     for k in &order {
         let (canonical, members) = &by_key[k];
         if b.shared.contains(k) {
@@ -249,12 +246,11 @@ pub fn plan_sharing(roots: &[(usize, Expr)]) -> SharePlan {
         let rewritten = b.rewrite_below(canonical);
         let uses_cuts = rewritten.source_names().iter().any(|n| n.starts_with(SHARE_SOURCE_PREFIX));
         if members.len() == 1 && !uses_cuts {
-            legacy.push(members[0]);
             continue;
         }
         b.nodes.push(ShareNode { key: *k, expr: rewritten, members: members.clone() });
     }
-    SharePlan { nodes: b.nodes, legacy }
+    SharePlan { nodes: b.nodes }
 }
 
 // ---------------------------------------------------------------------------
@@ -279,7 +275,12 @@ struct TreeSub {
     shed_counter: Option<Counter>,
 }
 
-/// Multicasts one node's output to its subscribers (DESIGN.md §16).
+/// A snapshot of one lossless-pass subscriber: slot index, sender,
+/// depth gauge, and whether it is a query-tier edge.
+type LosslessSub = (usize, SyncSender<SharedItem>, Option<Gauge>, bool);
+
+/// Multicasts one producer's output — a shared-plan node's, or a band
+/// pump's — to its subscribers (DESIGN.md §16).
 ///
 /// Two delivery tiers share one tree: interior edges feed downstream
 /// DAG nodes and are always blocking (losing data *inside* the DAG
@@ -287,7 +288,7 @@ struct TreeSub {
 /// runtime's [`FanoutPolicy`] — under [`FanoutPolicy::Shed`] a slow
 /// subscriber loses point runs (counted against its tenant) and a
 /// subscriber that cannot accept framing markers within the patience
-/// window is declared dead, exactly like the band fan-out.
+/// window is declared dead.
 #[derive(Default)]
 pub struct SubscriptionTree {
     subs: Mutex<Vec<TreeSub>>,
@@ -310,16 +311,7 @@ impl SubscriptionTree {
 
     /// Subscribes a downstream DAG node (lossless interior edge).
     pub fn subscribe_interior(&self, cap: usize) -> Receiver<SharedItem> {
-        let (tx, rx) = sync_channel(cap);
-        lock(&self.subs).push(TreeSub {
-            tx: Some(tx),
-            tenant: None,
-            shed: 0,
-            full_since: None,
-            depth: None,
-            shed_counter: None,
-        });
-        rx
+        self.subscribe(cap, None, None, None)
     }
 
     /// Subscribes a query (policy-governed edge, shed accounted to
@@ -331,15 +323,19 @@ impl SubscriptionTree {
         depth: Option<Gauge>,
         shed_counter: Option<Counter>,
     ) -> Receiver<SharedItem> {
+        self.subscribe(cap, Some(tenant.to_string()), depth, shed_counter)
+    }
+
+    fn subscribe(
+        &self,
+        cap: usize,
+        tenant: Option<String>,
+        depth: Option<Gauge>,
+        shed_counter: Option<Counter>,
+    ) -> Receiver<SharedItem> {
         let (tx, rx) = sync_channel(cap);
-        lock(&self.subs).push(TreeSub {
-            tx: Some(tx),
-            tenant: Some(tenant.to_string()),
-            shed: 0,
-            full_since: None,
-            depth,
-            shed_counter,
-        });
+        let sub = TreeSub { tx: Some(tx), tenant, shed: 0, full_since: None, depth, shed_counter };
+        lock(&self.subs).push(sub);
         rx
     }
 
@@ -376,15 +372,19 @@ impl SubscriptionTree {
     }
 
     /// Delivers one item to every subscriber — never blocking or
-    /// sleeping while the subscriber lock is held (same discipline as
-    /// the band fan-out; see the geolint `lock-across-send` rule).
-    pub fn multicast(&self, item: &SharedItem, policy: FanoutPolicy, marker_patience: Duration) {
+    /// sleeping while the subscriber lock is held. A bounded `send` can
+    /// stall until a subscriber drains; holding the lock across it
+    /// would wedge subscribe/unsubscribe and the caller's bookkeeping
+    /// (the geolint `lock-across-send` rule exists because an earlier
+    /// fan-out did exactly that).
+    pub fn multicast(&self, item: SharedItem, policy: FanoutPolicy, marker_patience: Duration) {
         let has_marker = item.marker().is_some();
         let has_points = item.point_count() > 0;
         // Lossless pass: interior edges always; query edges too under
         // the blocking policy. Snapshot senders under the lock, send
-        // unlocked, re-lock only to null out closed receivers.
-        let lossless: Vec<(usize, SyncSender<SharedItem>, Option<Gauge>, bool)> = {
+        // unlocked, re-lock only to null out closed receivers (a
+        // finished or failed query is fine).
+        let mut lossless: Vec<LosslessSub> = {
             let guard = lock(&self.subs);
             guard
                 .iter()
@@ -397,8 +397,8 @@ impl SubscriptionTree {
         };
         let mut delivered_to_queries = 0u64;
         let mut dead = Vec::new();
-        for (i, tx, depth, is_query) in lossless {
-            if tx.send(Arc::clone(item)).is_err() {
+        let mut send = |(i, tx, depth, is_query): LosslessSub, item: SharedItem| {
+            if tx.send(item).is_err() {
                 dead.push(i);
             } else {
                 if let Some(g) = depth {
@@ -408,6 +408,52 @@ impl SubscriptionTree {
                     delivered_to_queries += 1;
                 }
             }
+        };
+        // Under the blocking policy the last subscriber gets the
+        // caller's own Arc moved in, so a single subscriber holds the
+        // only reference at receive time and owns the payload without
+        // a copy.
+        let last = if policy == FanoutPolicy::Blocking { lossless.pop() } else { None };
+        for sub in lossless {
+            send(sub, Arc::clone(&item));
+        }
+        match last {
+            Some(sub) => send(sub, item),
+            // Shed pass: query edges under the shed policy.
+            // Non-blocking delivery attempts under the lock;
+            // full-on-a-marker subscribers are retried with the guard
+            // dropped between attempts until the marker patience runs
+            // out.
+            None if policy == FanoutPolicy::Shed => {
+                let mut settled: Vec<bool> = Vec::new();
+                loop {
+                    let mut pending = false;
+                    {
+                        let mut guard = lock(&self.subs);
+                        settled.resize(guard.len().max(settled.len()), false);
+                        for (i, slot) in guard.iter_mut().enumerate() {
+                            if settled[i] || slot.tenant.is_none() {
+                                continue;
+                            }
+                            match shed_try_sub(slot, &item, has_marker, marker_patience) {
+                                SubOutcome::Delivered => {
+                                    settled[i] = true;
+                                    if has_points {
+                                        delivered_to_queries += 1;
+                                    }
+                                }
+                                SubOutcome::Settled => settled[i] = true,
+                                SubOutcome::Retry => pending = true,
+                            }
+                        }
+                    }
+                    if !pending {
+                        break;
+                    }
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+            }
+            None => {}
         }
         if !dead.is_empty() {
             let mut guard = lock(&self.subs);
@@ -415,39 +461,6 @@ impl SubscriptionTree {
                 if let Some(slot) = guard.get_mut(i) {
                     slot.tx = None;
                 }
-            }
-        }
-        // Shed pass: query edges under the shed policy. Non-blocking
-        // delivery attempts under the lock; full-on-a-marker
-        // subscribers are retried with the guard dropped between
-        // attempts until the marker patience runs out.
-        if policy == FanoutPolicy::Shed {
-            let mut settled: Vec<bool> = Vec::new();
-            loop {
-                let mut pending = false;
-                {
-                    let mut guard = lock(&self.subs);
-                    settled.resize(guard.len().max(settled.len()), false);
-                    for (i, slot) in guard.iter_mut().enumerate() {
-                        if settled[i] || slot.tenant.is_none() {
-                            continue;
-                        }
-                        match shed_try_sub(slot, item, has_marker, marker_patience) {
-                            SubOutcome::Delivered => {
-                                settled[i] = true;
-                                if has_points {
-                                    delivered_to_queries += 1;
-                                }
-                            }
-                            SubOutcome::Settled => settled[i] = true,
-                            SubOutcome::Retry => pending = true,
-                        }
-                    }
-                }
-                if !pending {
-                    break;
-                }
-                std::thread::sleep(Duration::from_millis(1));
             }
         }
         if delivered_to_queries > 0 {
@@ -470,8 +483,7 @@ enum SubOutcome {
     Retry,
 }
 
-/// One non-blocking delivery attempt to one query-tier subscriber
-/// (the subscription tree's analog of the band fan-out's shed tier).
+/// One non-blocking delivery attempt to one query-tier subscriber.
 fn shed_try_sub(
     slot: &mut TreeSub,
     item: &SharedItem,
@@ -792,12 +804,18 @@ mod tests {
         parse_query(q).unwrap()
     }
 
+    /// The requests no node serves: they evaluate their own pipeline.
+    fn unshared(plan: &SharePlan, roots: &[(usize, Expr)]) -> Vec<usize> {
+        let served = |qid: &usize| plan.nodes.iter().any(|n| n.members.contains(qid));
+        roots.iter().map(|(qid, _)| *qid).filter(|qid| !served(qid)).collect()
+    }
+
     #[test]
     fn identical_plans_collapse_into_one_node() {
         let roots: Vec<(usize, Expr)> = (0..100).map(|i| (i, e("scale(g1, 2, 0)"))).collect();
         let plan = plan_sharing(&roots);
         assert_eq!(plan.node_count(), 1);
-        assert!(plan.legacy.is_empty());
+        assert!(unshared(&plan, &roots).is_empty());
         assert_eq!(plan.nodes[0].members.len(), 100);
         assert!(share_refs(&plan.nodes[0].expr).is_empty());
     }
@@ -818,7 +836,7 @@ mod tests {
             (1, e("scale(downsample(g1, 4), 2, 0)")),
         ];
         let plan = plan_sharing(&roots);
-        assert!(plan.legacy.is_empty());
+        assert!(unshared(&plan, &roots).is_empty());
         assert_eq!(plan.node_count(), 3, "{:?}", plan.nodes);
         // Node 0 is the cut (no members of its own), nodes 1..2 consume it.
         let cut = &plan.nodes[0];
@@ -843,11 +861,11 @@ mod tests {
     }
 
     #[test]
-    fn disjoint_singletons_stay_legacy() {
+    fn disjoint_singletons_stay_unshared() {
         let roots = vec![(0, e("g1")), (1, e("scale(g2, 2, 0)")), (2, e("downsample(g1, 2)"))];
         let plan = plan_sharing(&roots);
         assert_eq!(plan.node_count(), 0);
-        assert_eq!(plan.legacy, vec![0, 1, 2]);
+        assert_eq!(unshared(&plan, &roots), vec![0, 1, 2]);
     }
 
     #[test]
@@ -858,7 +876,7 @@ mod tests {
         let plan = plan_sharing(&roots);
         assert_eq!(plan.node_count(), 1);
         assert_eq!(plan.nodes[0].members, vec![0, 1]);
-        assert_eq!(plan.legacy, vec![2]);
+        assert_eq!(unshared(&plan, &roots), vec![2]);
     }
 
     #[test]
@@ -872,7 +890,7 @@ mod tests {
             (2, e(&format!("threshold({d}, 0.5)"))),
         ];
         let plan = plan_sharing(&roots);
-        assert!(plan.legacy.is_empty());
+        assert!(unshared(&plan, &roots).is_empty());
         let clamp_node = plan
             .nodes
             .iter()
@@ -903,7 +921,7 @@ mod tests {
         let rx2 = tree.subscribe_query(8, "b", None, None);
         assert_eq!(tree.subscribers(), 2);
         let item = chunk_of(2);
-        tree.multicast(&item, FanoutPolicy::Shed, Duration::from_millis(50));
+        tree.multicast(item, FanoutPolicy::Shed, Duration::from_millis(50));
         assert_eq!(tree.chunks_multicast(), 2);
         let a = rx1.recv().unwrap();
         let b = rx2.recv().unwrap();
@@ -921,7 +939,7 @@ mod tests {
         let _rx_slow = tree.subscribe_query(1, "slow", None, None);
         let rx_fast = tree.subscribe_query(64, "fast", None, None);
         for _ in 0..5 {
-            tree.multicast(&chunk_of(10), FanoutPolicy::Shed, Duration::from_millis(10));
+            tree.multicast(chunk_of(10), FanoutPolicy::Shed, Duration::from_millis(10));
         }
         // The slow tenant's 1-slot channel absorbed one item and shed
         // the rest; the fast sibling got everything.

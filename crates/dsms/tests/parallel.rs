@@ -6,13 +6,19 @@
 //! single-threaded plan at every worker count and chunk budget,
 //! including over a faulty downlink (`ChaosStream` repaired below the
 //! split, mirroring the runtime's source wiring) and through the
-//! shared-plan runtime with `share_plans` on.
+//! shared-plan runtime with `share_plans` on. And the DSMS's entry
+//! points — `Dsms::run_query`, `run_supervised` unshared at two worker
+//! counts, `run_supervised` shared — must agree on every plan class ×
+//! delivery format.
 
 use geostreams_core::exec::{compile_stages, run_morsels, split_parallel, WorkerPool};
 use geostreams_core::model::{drain_chunked, Element, GeoStream, StreamRepair};
 use geostreams_core::obs::PipelineObs;
 use geostreams_core::query::{optimize, parse_query, Catalog, Planner};
-use geostreams_dsms::{run_supervised, ClientRequest, OutputFormat, RuntimeConfig};
+use geostreams_dsms::{
+    run_supervised, ClientRequest, Dsms, FanoutPolicy, OutputFormat, QueryResult, RuntimeConfig,
+    ServerMetrics,
+};
 use geostreams_satsim::{goes_like, ChaosStream, FaultPlan};
 use std::sync::Arc;
 
@@ -165,10 +171,10 @@ fn operators_stay_byte_identical_under_chaos() {
 }
 
 #[test]
-fn shared_plans_on_the_pool_match_the_legacy_serial_runtime() {
+fn shared_plans_on_the_pool_match_the_unshared_inline_runtime() {
     // Two structurally-equal counting queries (shared when
     // `share_plans` is on) plus a distinct one, over a chaotic feed.
-    // The per-query facts must be invariant across {legacy serial,
+    // The per-query facts must be invariant across {unshared + inline,
     // shared + inline, shared + 4 workers, unshared + 4 workers}.
     let requests = vec![
         req("restrict_value(scale(goes-sim.b4-ir, 2, 0), 0, 700)"),
@@ -192,9 +198,122 @@ fn shared_plans_on_the_pool_match_the_legacy_serial_runtime() {
             })
             .collect()
     };
-    let legacy = run(false, 0);
+    let inline = run(false, 0);
     for (share, workers) in [(true, 0), (true, 4), (false, 4)] {
-        assert_eq!(run(share, workers), legacy, "share={share} workers={workers}");
+        assert_eq!(run(share, workers), inline, "share={share} workers={workers}");
+    }
+}
+
+/// One plan per operator class: a bare source (empty stage suffix), a
+/// frame-granular and a sector-granular partitionable suffix, an
+/// order-sensitive operator alone and under a partitionable suffix,
+/// and two blocking merges (one over two bands).
+const CLASS_PLANS: [&str; 7] = [
+    "goes-sim.b4-ir",
+    "restrict_value(scale(goes-sim.b4-ir, 2, 0), 0, 500)",
+    "focal(goes-sim.b4-ir, \"mean\", 3)",
+    "downsample(goes-sim.b1-vis, 4)",
+    "scale(downsample(goes-sim.b1-vis, 4), 2, 0)",
+    "agg_time(goes-sim.b4-ir, \"mean\", 2)",
+    "ndvi(goes-sim.b2-nir, downsample(goes-sim.b1-vis, 4))",
+];
+
+const FORMATS: [OutputFormat; 5] = [
+    OutputFormat::Stats,
+    OutputFormat::Json,
+    OutputFormat::PngGray,
+    OutputFormat::PngNdvi,
+    OutputFormat::PngThermal,
+];
+
+/// What an entry point delivered for one (plan, format) cell: points,
+/// sectors the report saw, and each frame's dimensions and bytes.
+#[derive(Debug, PartialEq)]
+struct Cell {
+    points: u64,
+    sectors: Option<u64>,
+    frames: Vec<(u32, u32, Vec<u8>)>,
+}
+
+fn cell(result: &QueryResult) -> Cell {
+    Cell {
+        points: result.points,
+        sectors: result.report.as_ref().map(|r| r.sectors),
+        frames: result.frames.iter().map(|f| (f.width, f.height, f.png.clone())).collect(),
+    }
+}
+
+#[test]
+fn entry_points_agree_on_every_plan_class_and_format() {
+    let scanner = goes_like(32, 16, 5);
+    let table: Vec<(&str, OutputFormat)> =
+        CLASS_PLANS.iter().flat_map(|q| FORMATS.iter().map(move |f| (*q, *f))).collect();
+    let requests: Vec<ClientRequest> = table
+        .iter()
+        .map(|(q, format)| ClientRequest { query: q.to_string(), format: *format, sectors: 0 })
+        .collect();
+    // Returns the cells and how many shared-plan nodes evaluated them.
+    let supervised = |requests: &[ClientRequest], config: RuntimeConfig| -> (Vec<Cell>, u64) {
+        let config = RuntimeConfig { fanout: FanoutPolicy::Blocking, ..config };
+        let (results, stats) = run_supervised(&scanner, SECTORS, requests, &config).expect("run");
+        assert_eq!(stats.threads_joined, stats.threads_spawned);
+        let cells = results.iter().map(|r| cell(r.as_ref().expect("query result"))).collect();
+        (cells, stats.shared_plans)
+    };
+
+    let (inline, nodes) =
+        supervised(&requests, RuntimeConfig { exec_workers: 0, ..Default::default() });
+    assert_eq!(nodes, 0);
+    for (row, (q, format)) in inline.iter().zip(&table) {
+        let counting = matches!(format, OutputFormat::Stats | OutputFormat::Json);
+        assert!(row.points > 0, "{q} {format:?}");
+        // Supervised image runs return no report (frozen, see below).
+        assert_eq!(row.sectors, counting.then_some(SECTORS), "{q} {format:?}");
+        assert_eq!(row.frames.len() as u64, if counting { 0 } else { SECTORS }, "{q} {format:?}");
+    }
+
+    // The worker pool is invisible in results, and publishes its
+    // counters as gauges.
+    let metrics = Arc::new(ServerMetrics::new());
+    let (pooled, _) = supervised(
+        &requests,
+        RuntimeConfig {
+            exec_workers: 2,
+            metrics: Some(Arc::clone(&metrics)),
+            ..Default::default()
+        },
+    );
+    assert_eq!(pooled, inline, "2 workers diverged from inline");
+    assert!(metrics.render_prometheus().contains("geostreams_exec_worker_jobs"));
+
+    // Every request twice, so each counting plan has two members and
+    // runs as a shared node; image formats evaluate their own pipeline.
+    let doubled: Vec<ClientRequest> =
+        requests.iter().flat_map(|r| [r.clone(), r.clone()]).collect();
+    let (shared, nodes) =
+        supervised(&doubled, RuntimeConfig { share_plans: true, ..Default::default() });
+    assert!(nodes >= CLASS_PLANS.len() as u64, "{nodes} shared nodes");
+    for (pair, row) in shared.chunks(2).zip(&inline) {
+        assert_eq!(&pair[0], row, "shared member diverged");
+        assert_eq!(&pair[1], row, "shared member diverged");
+    }
+
+    // The one-shot path: same points, sectors, frame count and frame
+    // dimensions everywhere; same PNG bytes wherever it renders in gray
+    // too (it applies the NDVI/thermal color ramps, `run_supervised`
+    // renders every image format in gray). It reports on image runs as
+    // well, `sectors` counting the `SectorEnd` markers the sink pulled.
+    let dsms = Dsms::over_scanner(&scanner, SECTORS);
+    for ((q, format), row) in table.iter().zip(&inline) {
+        let handle = dsms.register_text(q, *format, 0).expect("registers");
+        let one_shot = cell(&dsms.run_query(&handle).expect("runs"));
+        assert_eq!(one_shot.points, row.points, "{q} {format:?}");
+        assert_eq!(one_shot.sectors, Some(SECTORS), "{q} {format:?}");
+        let dims = |c: &Cell| c.frames.iter().map(|(w, h, _)| (*w, *h)).collect::<Vec<_>>();
+        assert_eq!(dims(&one_shot), dims(row), "{q} {format:?}");
+        if *format == OutputFormat::PngGray {
+            assert_eq!(one_shot.frames, row.frames, "{q}: gray bytes");
+        }
     }
 }
 

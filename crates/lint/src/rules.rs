@@ -615,7 +615,6 @@ const HOT_FNS: &[&str] = &[
     "run_chunked",
     "ingest_chunk",
     "pump",
-    "fanout_all",
     "multicast",
     "shed_try_sub",
     // Morsel driver and worker pool (DESIGN.md §17): called once per

@@ -13,7 +13,9 @@
 
 use geostreams_core::query::cascade::{CascadeTree, NaiveRegionIndex, RegionIndex};
 use geostreams_dsms::protocol::ClientRequest;
-use geostreams_dsms::{run_continuous, Dsms, HttpServer, MultiQueryFrontEnd, OutputFormat};
+use geostreams_dsms::{
+    run_supervised, Dsms, FanoutPolicy, HttpServer, MultiQueryFrontEnd, OutputFormat, RuntimeConfig,
+};
 use geostreams_geo::Rect;
 use geostreams_satsim::goes_like;
 use std::sync::Arc;
@@ -117,7 +119,9 @@ fn main() {
         },
     ];
     let start = Instant::now();
-    let (results, stats) = run_continuous(&scanner, 2, &requests).expect("continuous run");
+    let lossless = RuntimeConfig { fanout: FanoutPolicy::Blocking, ..RuntimeConfig::default() };
+    let (results, stats) =
+        run_supervised(&scanner, 2, &requests, &lossless).expect("continuous run");
     println!(
         "3 queries over shared ingest: {:?}; bands ingested once each: {:?}",
         start.elapsed(),

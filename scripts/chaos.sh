@@ -10,17 +10,9 @@
 # gate. Also runs the seeded chaos acceptance tests (tests/chaos.rs).
 set -euo pipefail
 cd "$(dirname "$0")/.."
+source scripts/lib.sh
 
 cargo test -q --offline --test chaos
 
-cargo build --release --offline -p geostreams-bench --bin chaos_run
-out_a=$(mktemp)
-out_b=$(mktemp)
-trap 'rm -f "$out_a" "$out_b"' EXIT
-./target/release/chaos_run > "$out_a"
-./target/release/chaos_run > "$out_b"
-if ! diff -u "$out_a" "$out_b"; then
-  echo "chaos suite is nondeterministic: same seed produced different digests" >&2
-  exit 1
-fi
-echo "chaos suite OK: $(wc -l < "$out_a") scenarios byte-identical across runs"
+run_twice_diff chaos_run
+echo "chaos suite OK: $(wc -l < "$RUN_TWICE_OUT") scenarios byte-identical across runs"

@@ -8,7 +8,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cargo build --release --offline --workspace
-cargo test -q --offline --workspace
+cargo test -q --offline --workspace --no-fail-fast
 cargo clippy --offline --all-targets -- -D warnings
 cargo fmt --check
 
@@ -51,3 +51,10 @@ scripts/swarm_gate.sh
 # under chaos and with share_plans on), parallel digest determinism,
 # and the >= 2x 4-worker speedup bar (skipped loudly below 4 cores).
 scripts/par_gate.sh
+
+# The benchmark package (bench/, its own workspace) reaches the system
+# only through public items: building it and running its oracle check
+# here means a break of that surface fails locally, not in the
+# pipeline that runs BENCHMARK.json.
+cargo build --release --offline --manifest-path bench/Cargo.toml
+bench/target/release/geobench verify --seed 1

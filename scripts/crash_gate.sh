@@ -12,20 +12,12 @@
 # crash-recovery acceptance tests (tests/crash_recovery.rs).
 set -euo pipefail
 cd "$(dirname "$0")/.."
+source scripts/lib.sh
 
 cargo test -q --offline --test crash_recovery
 
-cargo build --release --offline -p geostreams-bench --bin crash_run
-out_a=$(mktemp)
-out_b=$(mktemp)
-trap 'rm -f "$out_a" "$out_b"' EXIT
-./target/release/crash_run > "$out_a"
-./target/release/crash_run > "$out_b"
-if ! diff -u "$out_a" "$out_b"; then
-  echo "crash recovery is nondeterministic: same seed produced different reports" >&2
-  exit 1
-fi
-points=$(grep -c '"run":"kill"' "$out_a")
+run_twice_diff crash_run
+points=$(grep -c '"run":"kill"' "$RUN_TWICE_OUT")
 if [ "$points" -lt 10 ]; then
   echo "kill-point sweep too small: $points points" >&2
   exit 1

@@ -12,20 +12,12 @@
 # microbenchmarks (one retry, since the box is a single shared vCPU).
 set -euo pipefail
 cd "$(dirname "$0")/.."
+source scripts/lib.sh
 
 cargo test -q --offline --test vectorized
 
-cargo build --release --offline -p geostreams-bench --bin exec_bench
-out_a=$(mktemp)
-out_b=$(mktemp)
-report=$(mktemp)
-trap 'rm -f "$out_a" "$out_b" "$report"' EXIT
-./target/release/exec_bench --digest > "$out_a"
-./target/release/exec_bench --digest > "$out_b"
-if ! diff -u "$out_a" "$out_b"; then
-  echo "chunked execution is nondeterministic: same seed produced different digests" >&2
-  exit 1
-fi
+run_twice_diff exec_bench --digest
+report="$GATE_TMP/report.json"
 
 check_speedups() {
   ./target/release/exec_bench "$report" > /dev/null

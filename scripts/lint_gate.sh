@@ -11,20 +11,15 @@
 #   3. Engine suite: the rule fixtures and the self-lint test.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+source scripts/lib.sh
 
 cargo build -q --release --offline -p geostreams-lint
 
-GEOLINT=target/release/geolint
-
 echo "== geolint self-run (allowlist: geolint.allow) =="
-"$GEOLINT" --root . --allow geolint.allow
+target/release/geolint --root . --allow geolint.allow
 
 echo "== geolint determinism (run-twice JSON diff) =="
-tmpdir=$(mktemp -d)
-trap 'rm -rf "$tmpdir"' EXIT
-"$GEOLINT" --root . --allow geolint.allow --json > "$tmpdir/run1.json"
-"$GEOLINT" --root . --allow geolint.allow --json > "$tmpdir/run2.json"
-diff -u "$tmpdir/run1.json" "$tmpdir/run2.json"
+run_twice_diff geolint --root . --allow geolint.allow --json
 echo "byte-identical across runs"
 
 echo "== geolint engine suite =="

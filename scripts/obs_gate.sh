@@ -15,21 +15,13 @@
 # exposition: every geostreams_* family must carry HELP and TYPE lines.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+source scripts/lib.sh
 
 cargo test -q --offline --test tracing
 
-cargo build --release --offline -p geostreams-bench --bin obs_bench
-out_a=$(mktemp)
-out_b=$(mktemp)
-report=$(mktemp)
-expo=$(mktemp)
-trap 'rm -f "$out_a" "$out_b" "$report" "$expo"' EXIT
-./target/release/obs_bench --digest > "$out_a"
-./target/release/obs_bench --digest > "$out_b"
-if ! diff -u "$out_a" "$out_b"; then
-  echo "traced execution is nondeterministic: same seed produced different digests" >&2
-  exit 1
-fi
+run_twice_diff obs_bench --digest
+report="$GATE_TMP/report.json"
+expo="$GATE_TMP/exposition.txt"
 
 check_overhead() {
   ./target/release/obs_bench "$report" > /dev/null

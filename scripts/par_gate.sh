@@ -15,20 +15,12 @@
 # determinism and byte-identity checks always run.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+source scripts/lib.sh
 
 cargo test -q --offline -p geostreams-dsms --test parallel
 
-cargo build --release --offline -p geostreams-bench --bin par_bench
-out_a=$(mktemp)
-out_b=$(mktemp)
-report=$(mktemp)
-trap 'rm -f "$out_a" "$out_b" "$report"' EXIT
-./target/release/par_bench --digest > "$out_a"
-./target/release/par_bench --digest > "$out_b"
-if ! diff -u "$out_a" "$out_b"; then
-  echo "parallel execution is nondeterministic: same seed produced different digests" >&2
-  exit 1
-fi
+run_twice_diff par_bench --digest
+report="$GATE_TMP/report.json"
 
 cores=$(nproc 2>/dev/null || echo 1)
 if [ "$cores" -lt 4 ]; then

@@ -11,20 +11,12 @@
 # and runs the archive acceptance tests (tests/store.rs).
 set -euo pipefail
 cd "$(dirname "$0")/.."
+source scripts/lib.sh
 
 cargo test -q --offline --test store
 
-cargo build --release --offline -p geostreams-bench --bin store_bench
-out_a=$(mktemp)
-out_b=$(mktemp)
-trap 'rm -f "$out_a" "$out_b"' EXIT
-./target/release/store_bench --digest > "$out_a"
-./target/release/store_bench --digest > "$out_b"
-if ! diff -u "$out_a" "$out_b"; then
-  echo "store path is nondeterministic: same seed produced different digests" >&2
-  exit 1
-fi
-permille=$(sed -n 's/.*"compression_permille":\([0-9]*\).*/\1/p' "$out_a")
+run_twice_diff store_bench --digest
+permille=$(sed -n 's/.*"compression_permille":\([0-9]*\).*/\1/p' "$RUN_TWICE_OUT")
 if [ -z "$permille" ] || [ "$permille" -lt 2000 ]; then
   echo "compression ratio below 2x: ${permille:-?} permille" >&2
   exit 1

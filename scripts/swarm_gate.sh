@@ -15,23 +15,15 @@
 # retry, since the box is a single shared vCPU).
 set -euo pipefail
 cd "$(dirname "$0")/.."
+source scripts/lib.sh
 
 cargo test -q --offline --test sharing
 
-cargo build --release --offline -p geostreams-bench --bin swarm_bench
-out_a=$(mktemp)
-out_b=$(mktemp)
-report=$(mktemp)
-trap 'rm -f "$out_a" "$out_b" "$report"' EXIT
-./target/release/swarm_bench --digest > "$out_a"
-./target/release/swarm_bench --digest > "$out_b"
-if ! diff -u "$out_a" "$out_b"; then
-  echo "shared multicast is nondeterministic: same swarm produced different digests" >&2
-  exit 1
-fi
+run_twice_diff swarm_bench --digest
+report="$GATE_TMP/report.json"
 for field in '"distinct_plans":1' '"payload_copies":0' '"identical":true'; do
-  if ! grep -q "$field" "$out_a"; then
-    echo "swarm digest missing invariant ${field}: $(cat "$out_a")" >&2
+  if ! grep -q "$field" "$RUN_TWICE_OUT"; then
+    echo "swarm digest missing invariant ${field}: $(cat "$RUN_TWICE_OUT")" >&2
     exit 1
   fi
 done

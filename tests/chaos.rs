@@ -30,13 +30,6 @@ fn chaos_plan(seed: u64) -> FaultPlan {
         .with_reordering(0.05)
 }
 
-/// Threads of this process (Linux); used to prove the runtime joins
-/// everything it spawns.
-fn thread_count() -> Option<u64> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    status.lines().find(|l| l.starts_with("Threads:"))?.split_whitespace().nth(1)?.parse().ok()
-}
-
 #[test]
 fn degraded_downlink_completes_with_partial_frames() {
     let scanner = goes_like(64, 32, 11);
@@ -52,7 +45,6 @@ fn degraded_downlink_completes_with_partial_frames() {
         req("stretch(goes-sim.b4-ir, \"linear\")", OutputFormat::Stats),
         req("goes-sim.b1-vis", OutputFormat::PngGray),
     ];
-    let threads_before = thread_count();
     let started = Instant::now();
     let (results, stats) = run_supervised(&scanner, 4, &requests, &config).unwrap();
     let elapsed = started.elapsed();
@@ -104,10 +96,11 @@ fn degraded_downlink_completes_with_partial_frames() {
     assert_eq!(metrics.protocol_violations.get(), 0);
     assert!(rendered.contains("geostreams_partial_frames_total"));
 
-    // No thread leaks: everything the runtime spawned was joined.
-    if let (Some(before), Some(after)) = (threads_before, thread_count()) {
-        assert!(after <= before, "thread leak: {before} -> {after}");
-    }
+    // No thread leaks: everything the runtime spawned was joined. The
+    // runtime keeps its own ledger — the process-wide thread count
+    // moves with whatever sibling tests are running.
+    assert!(stats.threads_spawned > 0);
+    assert_eq!(stats.threads_joined, stats.threads_spawned, "thread leak");
 }
 
 #[test]

@@ -2,7 +2,9 @@
 //! JSON stats delivery, and plan explanation — the full §4 surface.
 
 use geostreams::dsms::protocol::ClientRequest;
-use geostreams::dsms::{run_continuous, Dsms, HttpServer, OutputFormat};
+use geostreams::dsms::{
+    run_supervised, Dsms, FanoutPolicy, HttpServer, OutputFormat, RuntimeConfig,
+};
 use geostreams::satsim::{goes_like, modis_like};
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -19,10 +21,11 @@ fn continuous_mode_matches_per_query_mode() {
     let h = server.register_text(q, OutputFormat::Stats, 2).unwrap();
     let solo = server.run_query(&h).unwrap().report.unwrap().points_delivered;
 
-    let (results, _) = run_continuous(
+    let (results, _) = run_supervised(
         &scanner,
         2,
         &[ClientRequest { query: q.into(), format: OutputFormat::Stats, sectors: 0 }],
+        &RuntimeConfig { fanout: FanoutPolicy::Blocking, ..RuntimeConfig::default() },
     )
     .unwrap();
     let shared = results[0].as_ref().unwrap().report.as_ref().unwrap().points_delivered;
