@@ -12,8 +12,10 @@ use geostreams_core::model::{
     ChunkOrMarker, Element, GeoStream, StreamSchema, VecStream, DEFAULT_CHUNK_BUDGET,
 };
 use geostreams_core::obs::{FlightRecorder, PipelineObs, SpanStream, TraceLog};
+use geostreams_core::ops::delivery::PngSink;
 use geostreams_core::query::{parse_query, Catalog, Planner};
 use geostreams_geo::{Crs, LatticeGeoref, Rect};
+use geostreams_raster::png::PngOptions;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
@@ -152,17 +154,20 @@ pub struct ObsBenchReport {
     pub trace_events: u64,
     /// Trace events dropped by the bounded ring.
     pub trace_dropped: u64,
-    /// Instrumentation-overhead measurement on the chunked hot path
-    /// (absent in reports written before the tracing layer existed).
+    /// Instrumentation-overhead measurements, one per plan of
+    /// [`OVERHEAD_PLANS`] (empty in reports written before the tracing
+    /// layer existed).
     #[serde(default)]
-    pub overhead: Option<OverheadReport>,
+    pub overhead: Vec<OverheadReport>,
 }
 
 /// Cost of full causal tracing (per-operator spans + flight recorder +
-/// trace log + delivery span) on the chunked hot path, measured as
-/// traced vs untraced throughput over the same pipeline and data.
+/// trace log + delivery span) on one plan, measured as traced vs
+/// untraced throughput over the same pipeline and data.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct OverheadReport {
+    /// The plan's name in [`OVERHEAD_PLANS`].
+    pub plan: String,
     /// Points/s through the plain (untraced) chunked driver.
     pub untraced_pps: f64,
     /// Points/s with the full instrumentation stack attached.
@@ -172,7 +177,8 @@ pub struct OverheadReport {
     pub traced_throughput_permille: u64,
     /// Points delivered per run (identical on both sides).
     pub points: u64,
-    /// FNV-1a hash over every delivered pixel (identical on both sides).
+    /// FNV-1a hash over every delivered pixel — for the PNG plan, every
+    /// delivered byte (identical on both sides).
     pub fnv: u64,
     /// Spans the flight recorder captured during one traced run.
     pub spans: u64,
@@ -188,29 +194,84 @@ fn fnv1a_u32(v: u32, mut hash: u64) -> u64 {
     hash
 }
 
-/// One chunked drain with per-pixel hashing: wall seconds, points, FNV.
-fn drain_chunked<S: GeoStream<V = f32>>(stream: &mut S, obs: &PipelineObs) -> (f64, u64, u64) {
-    let mut fnv = FNV_OFFSET;
-    let start = std::time::Instant::now();
-    let report = geostreams_core::exec::run_chunked(stream, obs, DEFAULT_CHUNK_BUDGET, |item| {
-        if let ChunkOrMarker::Chunk(c) = item {
-            for p in &c.points {
-                fnv = fnv1a_u32(p.value.to_bits(), fnv);
-            }
-        }
-    });
-    (start.elapsed().as_secs_f64(), report.points_delivered, fnv)
+/// How a plan of the overhead bench is delivered.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Delivery {
+    /// `exec::run_chunked`, hashing every delivered pixel.
+    Chunks,
+    /// [`PngSink`], hashing every PNG byte.
+    Png,
 }
 
-/// Measures the cost of the full tracing stack on the chunked hot path:
-/// the same planner-built pipeline over the same materialized ramp is
-/// drained untraced (plain `build`, default obs) and traced
-/// (`build_traced` with a trace log, a flight recorder chaining one
-/// span per operator, and a root delivery [`SpanStream`]); each side is
-/// best-of-`runs` and both must deliver identical points and pixel
-/// hashes.
-pub fn run_overhead_bench(w: u32, h: u32, sectors: u64, runs: usize) -> OverheadReport {
-    let query = "scale(ramp, 2, 0)";
+/// A plan the instrumentation bar is held on.
+#[derive(Debug, Clone, Copy)]
+pub struct OverheadPlan {
+    /// Name in reports and gate output.
+    pub name: &'static str,
+    query: &'static str,
+    delivery: Delivery,
+}
+
+/// The point-wise hot path, a plan with a buffering operator above it
+/// (its input used to drop to the per-element traced path), and the
+/// same hot path delivered as PNG (the sink used to pull per element).
+pub const OVERHEAD_PLANS: [OverheadPlan; 3] = [
+    OverheadPlan { name: "pointwise", query: "scale(ramp, 2, 0)", delivery: Delivery::Chunks },
+    OverheadPlan {
+        name: "buffering",
+        query: r#"focal(scale(ramp, 2, 0), "mean", 3)"#,
+        delivery: Delivery::Chunks,
+    },
+    OverheadPlan { name: "png", query: "scale(ramp, 2, 0)", delivery: Delivery::Png },
+];
+
+/// One timed drain of a plan: wall seconds, points, FNV.
+fn drain<S: GeoStream<V = f32>>(
+    mut stream: S,
+    obs: &PipelineObs,
+    delivery: Delivery,
+) -> (f64, u64, u64) {
+    let mut fnv = FNV_OFFSET;
+    let start = std::time::Instant::now();
+    let points = match delivery {
+        Delivery::Chunks => {
+            geostreams_core::exec::run_chunked(&mut stream, obs, DEFAULT_CHUNK_BUDGET, |item| {
+                if let ChunkOrMarker::Chunk(c) = item {
+                    for p in &c.points {
+                        fnv = fnv1a_u32(p.value.to_bits(), fnv);
+                    }
+                }
+            })
+            .points_delivered
+        }
+        Delivery::Png => {
+            let mut sink = PngSink::new(stream, None, PngOptions::default());
+            let mut pixels = 0u64;
+            while let Some(frame) = sink.next_frame() {
+                pixels += u64::from(frame.width) * u64::from(frame.height);
+                for b in &frame.png {
+                    fnv = fnv1a_u32(u32::from(*b), fnv);
+                }
+            }
+            pixels
+        }
+    };
+    (start.elapsed().as_secs_f64(), points, fnv)
+}
+
+/// Measures the cost of the full tracing stack on one plan: the same planner-built pipeline over the same
+/// materialized ramp is drained untraced (plain `build`, default obs)
+/// and traced (`build_traced` with a trace log, a flight recorder
+/// chaining one span per operator, and a root delivery [`SpanStream`]);
+/// both sides must deliver identical points and hashes.
+pub fn run_overhead_bench(
+    plan: &OverheadPlan,
+    w: u32,
+    h: u32,
+    sectors: u64,
+    runs: usize,
+) -> OverheadReport {
+    let OverheadPlan { name, query, delivery } = *plan;
     let (schema, elements) = ramp_elements(w, h, sectors);
     let mut catalog = Catalog::new();
     let factory_schema = schema.clone();
@@ -229,7 +290,7 @@ pub fn run_overhead_bench(w: u32, h: u32, sectors: u64, runs: usize) -> Overhead
     let mut reference: Option<(u64, u64)> = None;
     let mut spans = 0u64;
     for run in 0..runs.max(1) {
-        let mut untraced_pipeline = planner.build(&expr).expect("overhead bench query plans");
+        let untraced_pipeline = planner.build(&expr).expect("overhead bench query plans");
 
         let trace = Arc::new(TraceLog::new(4096));
         let rec = Arc::new(FlightRecorder::for_query(1));
@@ -240,18 +301,17 @@ pub fn run_overhead_bench(w: u32, h: u32, sectors: u64, runs: usize) -> Overhead
             .under(deliver_id);
         let built = planner.build_traced(&expr, &obs).expect("overhead bench query plans");
         let deliver = rec.begin_with_id(deliver_id, "deliver", 0);
-        let mut traced_pipeline = SpanStream::new(built, deliver);
+        let traced_pipeline = SpanStream::new(built, deliver);
 
         let (u, t) = if run % 2 == 0 {
-            let u = drain_chunked(&mut untraced_pipeline, &PipelineObs::default());
-            let t = drain_chunked(&mut traced_pipeline, &obs);
+            let u = drain(untraced_pipeline, &PipelineObs::default(), delivery);
+            let t = drain(traced_pipeline, &obs, delivery);
             (u, t)
         } else {
-            let t = drain_chunked(&mut traced_pipeline, &obs);
-            let u = drain_chunked(&mut untraced_pipeline, &PipelineObs::default());
+            let t = drain(traced_pipeline, &obs, delivery);
+            let u = drain(untraced_pipeline, &PipelineObs::default(), delivery);
             (u, t)
         };
-        drop(traced_pipeline);
         spans = rec.len() as u64;
 
         assert_eq!(u.1, t.1, "tracing changed the point count");
@@ -270,6 +330,7 @@ pub fn run_overhead_bench(w: u32, h: u32, sectors: u64, runs: usize) -> Overhead
     let untraced_pps = points as f64 / untraced_secs.max(1e-9);
     let traced_pps = points as f64 / traced_secs.max(1e-9);
     OverheadReport {
+        plan: name.to_string(),
         untraced_pps,
         traced_pps,
         traced_throughput_permille: (traced_pps * 1000.0 / untraced_pps.max(1e-9)) as u64,
@@ -314,7 +375,7 @@ pub fn run_obs_bench(w: u32, h: u32, sectors: u64) -> ObsBenchReport {
         op_latency_ns,
         trace_events: trace.len() as u64,
         trace_dropped: trace.dropped(),
-        overhead: None,
+        overhead: Vec::new(),
     }
 }
 
@@ -357,16 +418,17 @@ mod tests {
 
     #[test]
     fn overhead_bench_is_deterministic_and_records_spans() {
-        let a = run_overhead_bench(32, 32, 2, 2);
-        let b = run_overhead_bench(32, 32, 2, 2);
-        assert_eq!(a.points, b.points);
-        assert_eq!(a.fnv, b.fnv);
-        assert_eq!(a.spans, b.spans);
-        assert!(a.points > 0);
-        // scale(ramp) plans as two wrapped operators plus the delivery
-        // span; all of them must have closed into the ring.
-        assert!(a.spans >= 3, "expected source+op+deliver spans, got {}", a.spans);
-        assert!(a.traced_throughput_permille > 0);
+        for plan in &OVERHEAD_PLANS {
+            let a = run_overhead_bench(plan, 32, 32, 2, 2);
+            let b = run_overhead_bench(plan, 32, 32, 2, 2);
+            assert_eq!((a.points, a.fnv, a.spans), (b.points, b.fnv, b.spans), "{}", plan.name);
+            // Both sectors' points, or both delivered frames' pixels.
+            assert_eq!(a.points, 2 * 32 * 32, "{}", plan.name);
+            // scale(ramp) plans as two wrapped operators plus the
+            // delivery span; all of them must have closed into the ring.
+            assert!(a.spans >= 3, "expected source+op+deliver spans, got {}", a.spans);
+            assert!(a.traced_throughput_permille > 0);
+        }
     }
 
     #[test]

@@ -23,6 +23,9 @@
 //! * Point buffers come from a thread-local pool keyed by the pixel
 //!   type; call [`Chunk::recycle`] (or [`ChunkOrMarker::recycle`]) when
 //!   done so steady-state execution allocates nothing.
+//! * A consumer whose logic is per element reads through
+//!   [`ChunkInput`], which stages one chunk at a time; nothing on a
+//!   production path calls `next_element` on its input.
 
 use std::any::{Any, TypeId};
 use std::cell::RefCell;
@@ -397,6 +400,56 @@ pub fn pack_queue<V: Pixel>(
         }
     }
     Some(ChunkOrMarker::Chunk(chunk))
+}
+
+/// The input side of an operator whose state machine consumes one
+/// element at a time (the buffering operators of §3.3, image assembly):
+/// it pulls whole chunks and serves their elements in place, so the
+/// subtree below always runs its chunk path — one virtual call, one
+/// clock sample and one repair pass per run instead of per point —
+/// whatever the shape of the consumer.
+///
+/// The element sequence is exactly the flattening of the input's chunk
+/// protocol. A consumer reads its input through this cursor only; what
+/// it has staged is not visible to a direct pull of the wrapped stream.
+pub struct ChunkInput<S: GeoStream> {
+    stream: S,
+    /// The run being served; `points[..idx]` are consumed.
+    staged: Chunk<S::V>,
+    idx: usize,
+}
+
+impl<S: GeoStream> ChunkInput<S> {
+    /// Wraps an input stream; nothing is pulled until the first read.
+    pub fn new(stream: S) -> Self {
+        ChunkInput { stream, staged: Chunk { points: Vec::new(), end: None, ctx: None }, idx: 0 }
+    }
+
+    /// The next element in stream order; `None` once the input ended.
+    #[inline]
+    pub fn pull(&mut self) -> Option<Element<S::V>> {
+        loop {
+            if let Some(p) = self.staged.points.get(self.idx) {
+                self.idx += 1;
+                return Some(Element::Point(*p));
+            }
+            if let Some(m) = self.staged.end.take() {
+                return Some(m.into_element());
+            }
+            match self.stream.next_chunk(DEFAULT_CHUNK_BUDGET)? {
+                ChunkOrMarker::Marker(m) => return Some(m.into_element()),
+                ChunkOrMarker::Chunk(c) => {
+                    std::mem::replace(&mut self.staged, c).recycle();
+                    self.idx = 0;
+                }
+            }
+        }
+    }
+
+    /// The wrapped stream (schema and statistics).
+    pub fn stream(&self) -> &S {
+        &self.stream
+    }
 }
 
 /// Drains a stream through the chunked interface and returns the

@@ -20,7 +20,8 @@ mod timestamp;
 mod validate;
 
 pub use chunk::{
-    drain_chunked, pack_queue, pool_counts, Chunk, ChunkOrMarker, Marker, DEFAULT_CHUNK_BUDGET,
+    drain_chunked, pack_queue, pool_counts, Chunk, ChunkInput, ChunkOrMarker, Marker,
+    DEFAULT_CHUNK_BUDGET,
 };
 pub use element::{Element, FrameEnd, FrameInfo, PointRecord, SectorEnd, SectorInfo};
 pub use repair::{RepairCounters, RepairProbe, RepairStats, SectorCompleteness, StreamRepair};

@@ -26,15 +26,15 @@
 //! degradation quantified in [`RepairStats`] and per-sector
 //! [`SectorCompleteness`] records instead of silently wrong output.
 
-use super::chunk::{pack_queue, ChunkOrMarker};
-use super::element::{Element, FrameEnd, FrameInfo, SectorEnd};
+use super::chunk::{pack_queue, ChunkOrMarker, Marker};
+use super::element::{Element, FrameEnd, FrameInfo, PointRecord, SectorEnd};
 use super::stream::GeoStream;
 use crate::model::StreamSchema;
 use crate::obs::Counter;
 use crate::stats::{OpReport, OpStats};
-use geostreams_geo::Cell;
+use geostreams_geo::{Cell, CellBox};
 use serde::{Deserialize, Serialize};
-use std::collections::{HashSet, VecDeque};
+use std::collections::{BTreeSet, HashSet, VecDeque};
 use std::sync::{Arc, Mutex};
 
 /// Counters of everything [`StreamRepair`] detected and fixed.
@@ -172,7 +172,85 @@ pub struct RepairCounters {
 struct OpenFrame {
     info: FrameInfo,
     expected: u64,
-    cells: HashSet<Cell>,
+}
+
+/// Largest frame box tracked by bitmap (32 MiB of bits; a full-scale
+/// 20 840 × 10 820 GOES image frame fits). A header declaring more —
+/// only a corrupt one does — is tracked cell by cell in the set.
+const MAX_BITMAP_CELLS: u64 = 1 << 28;
+
+/// The distinct cells delivered in the open frame: one bit per cell of
+/// the frame's declared box, and a set for cells outside it. `insert`
+/// behaves as `HashSet::insert` over both.
+#[derive(Default)]
+struct SeenCells {
+    col_min: u32,
+    row_min: u32,
+    /// Extent of the bitmapped box; `0 × 0` when nothing is mapped.
+    width: u32,
+    height: u32,
+    bits: Vec<u64>,
+    stray: HashSet<Cell>,
+    len: u64,
+}
+
+impl SeenCells {
+    /// Empties the set and maps the bitmap onto `cells`.
+    fn reset(&mut self, cells: CellBox) {
+        let extent = |min: u32, max: u32| max.checked_sub(min).map(|d| u64::from(d) + 1);
+        let (w, h) =
+            match (extent(cells.col_min, cells.col_max), extent(cells.row_min, cells.row_max)) {
+                (Some(w), Some(h)) if w.saturating_mul(h) <= MAX_BITMAP_CELLS => (w, h),
+                _ => (0, 0),
+            };
+        (self.col_min, self.row_min) = (cells.col_min, cells.row_min);
+        (self.width, self.height) = (w as u32, h as u32);
+        self.bits.clear();
+        self.bits.resize((w * h).div_ceil(64) as usize, 0);
+        self.stray.clear();
+        self.len = 0;
+    }
+
+    /// Adds `cell`; `false` when it was already present.
+    fn insert(&mut self, cell: Cell) -> bool {
+        self.insert_run(std::iter::once(cell)) == 1
+    }
+
+    /// Adds `cells` in order up to the first one already present;
+    /// returns how many were added. Consecutive cells of a scan line
+    /// share a bitmap word, which stays in a register until the run
+    /// moves on.
+    fn insert_run(&mut self, cells: impl Iterator<Item = Cell>) -> usize {
+        let (mut held, mut word) = (usize::MAX, 0u64);
+        let mut added = 0;
+        for cell in cells {
+            let (dc, dr) =
+                (cell.col.wrapping_sub(self.col_min), cell.row.wrapping_sub(self.row_min));
+            if dc < self.width && dr < self.height {
+                let i = dr as usize * self.width as usize + dc as usize;
+                if i >> 6 != held {
+                    if let Some(w) = self.bits.get_mut(held) {
+                        *w = word;
+                    }
+                    held = i >> 6;
+                    word = self.bits[held];
+                }
+                let bit = 1u64 << (i & 63);
+                if word & bit != 0 {
+                    break;
+                }
+                word |= bit;
+            } else if !self.stray.insert(cell) {
+                break;
+            }
+            added += 1;
+        }
+        if let Some(w) = self.bits.get_mut(held) {
+            *w = word;
+        }
+        self.len += added as u64;
+        added
+    }
 }
 
 /// An open sector being tracked.
@@ -182,6 +260,8 @@ struct OpenSector {
     expected: u64,
     received: u64,
     frames_seen: u64,
+    /// Lowest frame id delivered in this sector.
+    first_frame_id: Option<u64>,
     last_frame_id: Option<u64>,
     last_row: Option<u32>,
 }
@@ -194,8 +274,13 @@ pub struct StreamRepair<S: GeoStream> {
     stats: RepairStats,
     sector: Option<OpenSector>,
     frame: Option<OpenFrame>,
-    /// Frame ids already delivered (duplicate suppression).
-    seen_frames: HashSet<u64>,
+    /// Cells delivered in the open frame (buffers reused across frames).
+    seen_cells: SeenCells,
+    /// Frame ids delivered in the open sector and the one before it
+    /// (duplicate suppression): a retransmission trails its original by
+    /// less than a sector, and a continuous query must not grow with
+    /// the length of the stream.
+    seen_frames: BTreeSet<u64>,
     /// Inside a duplicate frame whose elements are being discarded.
     dup_skip: Option<u64>,
     last_sector_id: Option<u64>,
@@ -231,7 +316,8 @@ impl<S: GeoStream> StreamRepair<S> {
             stats: RepairStats::default(),
             sector: None,
             frame: None,
-            seen_frames: HashSet::new(),
+            seen_cells: SeenCells::default(),
+            seen_frames: BTreeSet::new(),
             dup_skip: None,
             last_sector_id: None,
             ended: false,
@@ -288,7 +374,7 @@ impl<S: GeoStream> StreamRepair<S> {
     /// when `synthesize` is set, and accounts its completeness.
     fn close_frame(&mut self, synthesize: bool) {
         let Some(open) = self.frame.take() else { return };
-        let seen = open.cells.len() as u64;
+        let seen = self.seen_cells.len;
         if seen < open.expected {
             self.stats.partial_frames += 1;
             self.stats.gap_points += open.expected - seen;
@@ -357,6 +443,7 @@ impl<S: GeoStream> StreamRepair<S> {
                     expected: area,
                     received: 0,
                     frames_seen: 0,
+                    first_frame_id: None,
                     last_frame_id: None,
                     last_row: None,
                 });
@@ -388,6 +475,8 @@ impl<S: GeoStream> StreamRepair<S> {
                 let mut disorders = 0u32;
                 if let Some(open) = &mut self.sector {
                     open.frames_seen += 1;
+                    open.first_frame_id =
+                        Some(open.first_frame_id.map_or(fi.frame_id, |f| f.min(fi.frame_id)));
                     if let Some(prev) = open.last_frame_id {
                         if fi.frame_id > prev + 1 {
                             // Whole frames (scan rows) missing.
@@ -410,7 +499,8 @@ impl<S: GeoStream> StreamRepair<S> {
                 for _ in 0..disorders {
                     self.note_disorder();
                 }
-                self.frame = Some(OpenFrame { info: fi, expected, cells: HashSet::new() });
+                self.seen_cells.reset(fi.cells);
+                self.frame = Some(OpenFrame { info: fi, expected });
                 self.out.push_back(Element::FrameStart(fi));
             }
             Element::Point(p) => {
@@ -419,11 +509,11 @@ impl<S: GeoStream> StreamRepair<S> {
                     self.note_duplicate();
                     return;
                 }
-                let Some(open) = &mut self.frame else {
+                if self.frame.is_none() {
                     self.stats.orphans += 1;
                     return;
-                };
-                if !open.cells.insert(p.cell) {
+                }
+                if !self.seen_cells.insert(p.cell) {
                     self.stats.duplicate_points += 1;
                     self.note_duplicate();
                     return;
@@ -477,6 +567,23 @@ impl<S: GeoStream> StreamRepair<S> {
         }
     }
 
+    /// Accounts the longest prefix of `points` that continues the open
+    /// frame cleanly — every cell new to it — exactly as
+    /// [`process_one`](Self::process_one) would one by one, and returns
+    /// its length. Nothing is queued: the caller owns the points.
+    fn admit_run(&mut self, points: &[PointRecord<S::V>]) -> usize {
+        if self.frame.is_none() || self.dup_skip.is_some() {
+            return 0;
+        }
+        let n = self.seen_cells.insert_run(points.iter().map(|p| p.cell)) as u64;
+        self.stats.elements_in += n;
+        self.stats.received_points += n;
+        if let Some(sec) = &mut self.sector {
+            sec.received += n;
+        }
+        n as usize
+    }
+
     /// Finalizes the open sector (if any); `synthesize` emits the
     /// missing `SectorEnd`.
     fn close_sector(&mut self, synthesize: bool) {
@@ -488,6 +595,9 @@ impl<S: GeoStream> StreamRepair<S> {
             self.stats.synthesized_sector_ends += 1;
         }
         self.out.push_back(Element::SectorEnd(SectorEnd { sector_id: open.id }));
+        if let Some(first) = open.first_frame_id {
+            self.seen_frames = self.seen_frames.split_off(&first);
+        }
         let record = SectorCompleteness {
             sector_id: open.id,
             band: open.band,
@@ -533,10 +643,26 @@ impl<S: GeoStream> GeoStream for StreamRepair<S> {
             match self.input.next_chunk(budget.max(1)) {
                 Some(ChunkOrMarker::Marker(m)) => self.process_one(m.into_element()),
                 Some(ChunkOrMarker::Chunk(mut c)) => {
-                    for p in c.points.drain(..) {
+                    // Nothing is queued here (`pack_queue` came back
+                    // empty), so a run that is clean throughout goes
+                    // downstream in the buffer it arrived in; what its
+                    // end marker turns into rides along.
+                    let clean = self.admit_run(&c.points);
+                    let end = c.end.take();
+                    if clean > 0 && clean == c.points.len() {
+                        if let Some(m) = end {
+                            self.process_one(m.into_element());
+                            c.end =
+                                self.out.pop_front().and_then(|el| Marker::from_element(el).ok());
+                        }
+                        return Some(ChunkOrMarker::Chunk(c));
+                    }
+                    let mut points = c.points.drain(..);
+                    self.out.extend(points.by_ref().take(clean).map(Element::Point));
+                    for p in points {
                         self.process_one(Element::Point(p));
                     }
-                    if let Some(m) = c.end.take() {
+                    if let Some(m) = end {
                         self.process_one(m.into_element());
                     }
                     c.recycle();
@@ -790,5 +916,162 @@ mod tests {
         let out = op.drain_elements();
         assert!(out.iter().filter(|e| e.is_point()).count() > 0);
         assert_valid(&out);
+    }
+
+    /// Repairs `els` through the chunk path at `budget`.
+    fn repair_chunked(
+        els: Vec<Element<f32>>,
+        budget: usize,
+    ) -> (Vec<Element<f32>>, RepairStats, Vec<SectorCompleteness>) {
+        let mut r = StreamRepair::new(VecStream::new(StreamSchema::new("x", Crs::LatLon), els));
+        let out = crate::model::drain_chunked(&mut r, budget);
+        let probe = r.probe();
+        (out, probe.stats(), probe.sectors())
+    }
+
+    #[test]
+    fn chunk_path_equals_scalar_path_on_clean_and_damaged_runs() {
+        let clean = clean_elements(3);
+        let first_point = clean.iter().position(Element::is_point).unwrap();
+        let mut cases = vec![("clean", clean.clone())];
+        let mut edit = |label, f: &dyn Fn(&mut Vec<Element<f32>>)| {
+            let mut els = clean.clone();
+            f(&mut els);
+            cases.push((label, els));
+        };
+        edit("duplicate point mid-run", &|els| {
+            els.insert(first_point + 2, els[first_point + 1].clone())
+        });
+        edit("out-of-order points", &|els| els.swap(first_point, first_point + 3));
+        edit("cell outside the frame box, twice", &|els| {
+            let stray = Element::point(geostreams_geo::Cell::new(2, 3), 9.0f32);
+            els.insert(first_point + 1, stray.clone());
+            els.insert(first_point + 3, stray);
+        });
+        edit("cell outside the lattice", &|els| {
+            els.insert(
+                first_point,
+                Element::point(geostreams_geo::Cell::new(70_000, 70_000), 1.0f32),
+            );
+        });
+        edit("duplicate frame", &|els| {
+            let start = els.iter().position(|e| matches!(e, Element::FrameStart(_))).unwrap();
+            let end = els.iter().position(|e| matches!(e, Element::FrameEnd(_))).unwrap();
+            let block = els[start..=end].to_vec();
+            els.splice(end + 1..end + 1, block);
+        });
+        edit("lost end markers", &|els| {
+            els.retain(|e| !matches!(e, Element::FrameEnd(_) | Element::SectorEnd(_)));
+        });
+        edit("orphan points before any sector", &|els| {
+            els.insert(0, Element::point(geostreams_geo::Cell::new(0, 0), 1.0f32));
+        });
+        for (label, els) in cases {
+            let expected = repair(els.clone());
+            // Reordered and out-of-box cells are delivered as long as
+            // each is new to its frame; only the rest counts as damage.
+            let passes = ["clean", "out-of-order points", "cell outside the lattice"];
+            assert_eq!(expected.1.is_clean(), passes.contains(&label), "{label}");
+            // Rows are 4 points wide: at budget 4 every end marker lands
+            // exactly on the budget edge, at 3 and 5 runs straddle it.
+            for budget in [1, 3, 4, 5, 1024] {
+                assert_eq!(
+                    repair_chunked(els.clone(), budget),
+                    expected,
+                    "{label} at budget {budget}"
+                );
+            }
+        }
+    }
+
+    /// Hands out prepared chunk items as they are.
+    struct Handoff(StreamSchema, VecDeque<ChunkOrMarker<f32>>);
+
+    impl GeoStream for Handoff {
+        type V = f32;
+        fn schema(&self) -> &StreamSchema {
+            &self.0
+        }
+        fn next_element(&mut self) -> Option<Element<f32>> {
+            unreachable!("the repair stage pulls chunks")
+        }
+        fn next_chunk(&mut self, _budget: usize) -> Option<ChunkOrMarker<f32>> {
+            self.1.pop_front()
+        }
+    }
+
+    #[test]
+    fn clean_runs_pass_through_in_the_buffer_they_arrived_in() {
+        let mut src = VecStream::new(StreamSchema::new("x", Crs::LatLon), clean_elements(2));
+        let items: VecDeque<_> = std::iter::from_fn(|| src.next_chunk(3)).collect();
+        let buffers = |items: &VecDeque<ChunkOrMarker<f32>>| -> Vec<(usize, usize, bool)> {
+            items
+                .iter()
+                .filter_map(|it| match it {
+                    ChunkOrMarker::Chunk(c) => {
+                        Some((c.points.as_ptr() as usize, c.points.len(), c.end.is_some()))
+                    }
+                    ChunkOrMarker::Marker(_) => None,
+                })
+                .collect()
+        };
+        let sent = buffers(&items);
+        assert!(sent.len() >= 16, "rows of 4 at budget 3 split into two runs each");
+        let mut r = StreamRepair::new(Handoff(src.schema().clone(), items));
+        // The outputs are held until the end so no buffer is recycled
+        // and handed out again while addresses are being compared.
+        let out: VecDeque<_> = std::iter::from_fn(|| r.next_chunk(3)).collect();
+        assert_eq!(buffers(&out), sent, "same allocations, same lengths, markers riding along");
+        let flat: Vec<_> = {
+            let mut v = Vec::new();
+            out.into_iter().for_each(|it| it.into_elements(&mut |el| v.push(el)));
+            v
+        };
+        assert_eq!(flat, clean_elements(2));
+        assert!(r.repair_stats().is_clean());
+    }
+
+    #[test]
+    fn a_thousand_clean_sectors_leave_retained_state_constant() {
+        let mut r =
+            StreamRepair::new(VecStream::<f32>::sectors("x", lattice(), 1000, |s, c, r| {
+                f64::from(c + r) + s as f64
+            }));
+        let mut retained = Vec::new();
+        while let Some(item) = r.next_chunk(64) {
+            if let Some(Marker::SectorEnd(_)) = item.marker() {
+                retained.push((
+                    r.seen_frames.len(),
+                    r.seen_cells.bits.len(),
+                    r.seen_cells.stray.len(),
+                    r.out.len(),
+                ));
+            }
+            item.recycle();
+        }
+        assert_eq!(retained.len(), 1000);
+        // One sector's frame ids (the lattice has 4 rows), one row's bits.
+        assert_eq!(retained[0], (4, 1, 0, 0));
+        assert!(retained.iter().all(|s| *s == retained[0]), "state grew: {:?}", retained.last());
+        assert!(r.repair_stats().is_clean());
+        assert_eq!(r.probe().sectors().len(), 1000);
+    }
+
+    #[test]
+    fn duplicate_frames_are_still_dropped_a_sector_later() {
+        // The frame-id memory spans the open sector and the one before.
+        let mut els = clean_elements(3);
+        let start = els.iter().position(|e| matches!(e, Element::FrameStart(_))).unwrap();
+        let end = els.iter().position(|e| matches!(e, Element::FrameEnd(_))).unwrap();
+        let block = els[start..=end].to_vec();
+        let second_sector = els
+            .iter()
+            .position(|e| matches!(e, Element::SectorStart(si) if si.sector_id == 1))
+            .unwrap();
+        els.splice(second_sector + 1..second_sector + 1, block);
+        let (out, stats, _) = repair(els);
+        assert_valid(&out);
+        assert_eq!(stats.duplicate_frames, 1);
+        assert_eq!(out, clean_elements(3));
     }
 }

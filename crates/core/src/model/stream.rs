@@ -36,6 +36,12 @@ pub trait GeoStream {
     /// A stream instance should be driven through *one* of the two pull
     /// interfaces; interleaving `next_element` and `next_chunk` calls on
     /// the same instance is allowed but may split runs arbitrarily.
+    ///
+    /// Consumers pull chunks. `next_element` is called by this adapter,
+    /// by the scalar arm of an operator that implements both, and by
+    /// the differential tests that compare the two; a consumer that
+    /// wants elements reads its input through
+    /// [`ChunkInput`](super::chunk::ChunkInput).
     fn next_chunk(&mut self, budget: usize) -> Option<ChunkOrMarker<Self::V>> {
         let budget = budget.max(1);
         let first = self.next_element()?;

@@ -13,7 +13,8 @@
 //!   algebra stays closed.
 
 use crate::model::{
-    Element, FrameEnd, FrameInfo, GeoStream, SectorEnd, SectorInfo, StreamSchema, Timestamp,
+    ChunkInput, Element, FrameEnd, FrameInfo, GeoStream, SectorEnd, SectorInfo, StreamSchema,
+    Timestamp,
 };
 use crate::stats::{OpReport, OpStats};
 use geostreams_geo::{Cell, CellBox, LatticeGeoref, Region};
@@ -74,7 +75,7 @@ struct WindowImage {
 /// (sector), emits an image whose cell values aggregate the last `W`
 /// images at that cell.
 pub struct TemporalAggregate<S: GeoStream> {
-    input: S,
+    input: ChunkInput<S>,
     func: AggFunc,
     window: usize,
     lattice: Option<LatticeGeoref>,
@@ -93,7 +94,7 @@ impl<S: GeoStream> TemporalAggregate<S> {
         assert!(window >= 1, "window must hold at least one image");
         let schema = input.schema().renamed(format!("agg_time[{func:?} w={window}]"));
         TemporalAggregate {
-            input,
+            input: ChunkInput::new(input),
             func,
             window,
             lattice: None,
@@ -157,7 +158,7 @@ impl<S: GeoStream> GeoStream for TemporalAggregate<S> {
             if let Some(el) = self.queue.pop_front() {
                 return Some(el);
             }
-            let el = self.input.next_element()?;
+            let el = self.input.pull()?;
             match el {
                 Element::SectorStart(si) => {
                     // Lattice changes reset the window (different geometry
@@ -217,7 +218,7 @@ impl<S: GeoStream> GeoStream for TemporalAggregate<S> {
     }
 
     fn collect_stats(&self, out: &mut Vec<OpReport>) {
-        self.input.collect_stats(out);
+        self.input.stream().collect_stats(out);
         out.push(OpReport::new(self.schema.name.clone(), self.op_stats()));
     }
 }
@@ -261,7 +262,7 @@ impl ScalarAcc {
 /// Per-sector spatial aggregate over a region of interest: emits one
 /// point per sector on a 1×1 lattice centered at the region.
 pub struct SpatialAggregate<S: GeoStream> {
-    input: S,
+    input: ChunkInput<S>,
     func: AggFunc,
     region: Region,
     footprint: Option<geostreams_geo::CellBox>,
@@ -281,7 +282,7 @@ impl<S: GeoStream> SpatialAggregate<S> {
         let schema = input.schema().renamed(format!("agg_space[{func:?}]"));
         let exact = !region.is_rectangular();
         SpatialAggregate {
-            input,
+            input: ChunkInput::new(input),
             func,
             region,
             footprint: None,
@@ -309,7 +310,7 @@ impl<S: GeoStream> GeoStream for SpatialAggregate<S> {
             if let Some(el) = self.queue.pop_front() {
                 return Some(el);
             }
-            let el = self.input.next_element()?;
+            let el = self.input.pull()?;
             match el {
                 Element::SectorStart(si) => {
                     self.footprint = si.lattice.footprint_of_region(&self.region);
@@ -376,7 +377,7 @@ impl<S: GeoStream> GeoStream for SpatialAggregate<S> {
     }
 
     fn collect_stats(&self, out: &mut Vec<OpReport>) {
-        self.input.collect_stats(out);
+        self.input.stream().collect_stats(out);
         out.push(OpReport::new(self.schema.name.clone(), self.op_stats()));
     }
 }

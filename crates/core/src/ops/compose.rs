@@ -17,8 +17,7 @@
 
 use crate::error::{CoreError, Result};
 use crate::model::{
-    Chunk, ChunkOrMarker, Element, FrameEnd, FrameInfo, GeoStream, SectorEnd, StreamSchema,
-    Timestamp,
+    ChunkInput, Element, FrameEnd, FrameInfo, GeoStream, SectorEnd, StreamSchema, Timestamp,
 };
 use crate::stats::{OpReport, OpStats};
 use geostreams_geo::{Cell, CellBox};
@@ -130,8 +129,8 @@ fn cell_key(c: Cell) -> u64 {
 
 /// The stream composition operator `G₁ γ G₂`.
 pub struct Compose<L: GeoStream, R: GeoStream<V = L::V>> {
-    left: L,
-    right: R,
+    left: ChunkInput<L>,
+    right: ChunkInput<R>,
     op: GammaOp,
     strategy: JoinStrategy,
 
@@ -159,44 +158,8 @@ pub struct Compose<L: GeoStream, R: GeoStream<V = L::V>> {
     pub unmatched_dropped: u64,
 
     queue: VecDeque<Element<L::V>>,
-    /// Set on the first `next_chunk` call: side pulls are then staged
-    /// through whole input chunks (amortizing upstream dispatch) while
-    /// the element-level join schedule stays exactly the scalar one.
-    chunked: bool,
-    left_stage: StageCursor<L::V>,
-    right_stage: StageCursor<L::V>,
     stats: OpStats,
     schema: StreamSchema,
-}
-
-/// A staged input chunk consumed element-at-a-time by the join
-/// schedule: points are read in place through a cursor instead of being
-/// copied into an intermediate queue.
-struct StageCursor<V: Pixel> {
-    chunk: Chunk<V>,
-    idx: usize,
-}
-
-impl<V: Pixel> StageCursor<V> {
-    fn empty() -> Self {
-        StageCursor { chunk: Chunk { points: Vec::new(), end: None, ctx: None }, idx: 0 }
-    }
-
-    /// The next staged element, if any remains in the current chunk.
-    fn next(&mut self) -> Option<Element<V>> {
-        if self.idx < self.chunk.points.len() {
-            let p = self.chunk.points[self.idx];
-            self.idx += 1;
-            return Some(Element::Point(p));
-        }
-        self.chunk.end.take().map(|m| m.into_element())
-    }
-
-    /// Replaces the staged chunk, recycling the consumed one.
-    fn refill(&mut self, chunk: Chunk<V>) {
-        std::mem::replace(&mut self.chunk, chunk).recycle();
-        self.idx = 0;
-    }
 }
 
 impl<L: GeoStream, R: GeoStream<V = L::V>> Compose<L, R> {
@@ -222,8 +185,8 @@ impl<L: GeoStream, R: GeoStream<V = L::V>> Compose<L, R> {
             _ => (llo.min(rlo), lhi.max(rhi)),
         };
         Ok(Compose {
-            left,
-            right,
+            left: ChunkInput::new(left),
+            right: ChunkInput::new(right),
             op,
             strategy,
             left_buf: HashMap::new(),
@@ -244,45 +207,9 @@ impl<L: GeoStream, R: GeoStream<V = L::V>> Compose<L, R> {
             next_frame_id: 0,
             unmatched_dropped: 0,
             queue: VecDeque::new(),
-            chunked: false,
-            left_stage: StageCursor::empty(),
-            right_stage: StageCursor::empty(),
             stats: OpStats::default(),
             schema,
         })
-    }
-
-    /// Pulls one element from the left input — directly in scalar mode,
-    /// via whole staged chunks in chunked mode.
-    fn left_next(&mut self) -> Option<Element<L::V>> {
-        if !self.chunked {
-            return self.left.next_element();
-        }
-        loop {
-            if let Some(el) = self.left_stage.next() {
-                return Some(el);
-            }
-            match self.left.next_chunk(crate::model::DEFAULT_CHUNK_BUDGET)? {
-                ChunkOrMarker::Marker(m) => return Some(m.into_element()),
-                ChunkOrMarker::Chunk(c) => self.left_stage.refill(c),
-            }
-        }
-    }
-
-    /// Pulls one element from the right input (see [`Self::left_next`]).
-    fn right_next(&mut self) -> Option<Element<L::V>> {
-        if !self.chunked {
-            return self.right.next_element();
-        }
-        loop {
-            if let Some(el) = self.right_stage.next() {
-                return Some(el);
-            }
-            match self.right.next_chunk(crate::model::DEFAULT_CHUNK_BUDGET)? {
-                ChunkOrMarker::Marker(m) => return Some(m.into_element()),
-                ChunkOrMarker::Chunk(c) => self.right_stage.refill(c),
-            }
-        }
     }
 
     /// Opens/continues the output frame for timestamp `ts`, emitting
@@ -461,7 +388,7 @@ impl<L: GeoStream, R: GeoStream<V = L::V>> Compose<L, R> {
                 // Pull a whole left frame, then a whole right frame.
                 if !self.left_done {
                     loop {
-                        match self.left_next() {
+                        match self.left.pull() {
                             Some(el) => {
                                 let end =
                                     matches!(el, Element::FrameEnd(_) | Element::SectorEnd(_));
@@ -484,7 +411,7 @@ impl<L: GeoStream, R: GeoStream<V = L::V>> Compose<L, R> {
                 }
                 if !self.right_done {
                     loop {
-                        match self.right_next() {
+                        match self.right.pull() {
                             Some(el) => {
                                 let end =
                                     matches!(el, Element::FrameEnd(_) | Element::SectorEnd(_));
@@ -521,7 +448,7 @@ impl<L: GeoStream, R: GeoStream<V = L::V>> Compose<L, R> {
             self.left_pos <= self.right_pos
         };
         if pull_left {
-            match self.left_next() {
+            match self.left.pull() {
                 Some(el) => {
                     self.left_pos.elements += 1;
                     if matches!(el, Element::SectorEnd(_)) {
@@ -537,7 +464,7 @@ impl<L: GeoStream, R: GeoStream<V = L::V>> Compose<L, R> {
                 }
             }
         } else if !self.right_done {
-            match self.right_next() {
+            match self.right.pull() {
                 Some(el) => {
                     self.right_pos.elements += 1;
                     if matches!(el, Element::SectorEnd(_)) {
@@ -577,10 +504,6 @@ impl<L: GeoStream, R: GeoStream<V = L::V>> GeoStream for Compose<L, R> {
     }
 
     fn next_chunk(&mut self, budget: usize) -> Option<crate::model::ChunkOrMarker<L::V>> {
-        // Switch side pulls to chunk staging; the join schedule itself
-        // is element-granular either way, so output is byte-identical
-        // to the scalar path.
-        self.chunked = true;
         loop {
             // Fill the output queue past one full run before packing, so
             // chunk size is set by the budget rather than by how little a
@@ -604,8 +527,8 @@ impl<L: GeoStream, R: GeoStream<V = L::V>> GeoStream for Compose<L, R> {
     }
 
     fn collect_stats(&self, out: &mut Vec<OpReport>) {
-        self.left.collect_stats(out);
-        self.right.collect_stats(out);
+        self.left.stream().collect_stats(out);
+        self.right.stream().collect_stats(out);
         out.push(OpReport::new(self.schema.name.clone(), self.op_stats()));
     }
 }

@@ -11,7 +11,8 @@
 //! style of analysis applies: the state is images, not the stream).
 
 use crate::model::{
-    Element, FrameEnd, FrameInfo, GeoStream, SectorEnd, SectorInfo, StreamSchema, Timestamp,
+    ChunkInput, Element, FrameEnd, FrameInfo, GeoStream, SectorEnd, SectorInfo, StreamSchema,
+    Timestamp,
 };
 use crate::stats::{OpReport, OpStats};
 use geostreams_geo::{Cell, CellBox, LatticeGeoref};
@@ -26,7 +27,7 @@ struct Held<V> {
 
 /// The delay operator `delay(G, d)`.
 pub struct Delay<S: GeoStream> {
-    input: S,
+    input: ChunkInput<S>,
     d: usize,
     /// Delay line: front = oldest.
     line: VecDeque<Held<S::V>>,
@@ -44,7 +45,7 @@ impl<S: GeoStream> Delay<S> {
         assert!(d >= 1, "delay must be at least one sector");
         let schema = input.schema().renamed(format!("delay[{d}]"));
         Delay {
-            input,
+            input: ChunkInput::new(input),
             d: d as usize,
             line: VecDeque::new(),
             current: None,
@@ -103,7 +104,7 @@ impl<S: GeoStream> GeoStream for Delay<S> {
             if let Some(el) = self.queue.pop_front() {
                 return Some(el);
             }
-            let el = self.input.next_element()?;
+            let el = self.input.pull()?;
             match el {
                 Element::SectorStart(si) => {
                     let n = (si.lattice.width as usize) * (si.lattice.height as usize);
@@ -151,7 +152,7 @@ impl<S: GeoStream> GeoStream for Delay<S> {
     }
 
     fn collect_stats(&self, out: &mut Vec<OpReport>) {
-        self.input.collect_stats(out);
+        self.input.stream().collect_stats(out);
         out.push(OpReport::new(self.schema.name.clone(), self.op_stats()));
     }
 }

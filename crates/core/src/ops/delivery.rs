@@ -8,7 +8,7 @@
 //! assembled image into PNG bytes, either grayscale (scaled by the
 //! schema's value range) or through a [`ColorMap`].
 
-use crate::model::{Element, GeoStream};
+use crate::model::{ChunkInput, Element, GeoStream};
 use crate::stats::OpStats;
 use geostreams_raster::colormap::ColorMap;
 use geostreams_raster::png::{self, PngOptions};
@@ -17,7 +17,7 @@ use geostreams_raster::{Grid2D, Pixel, RasterImage, Rgb8};
 /// Collects each sector of a stream into a dense raster image. Cells
 /// never delivered (restricted away or unmappable) keep `V::default()`.
 pub struct ImageAssembler<S: GeoStream> {
-    input: S,
+    input: ChunkInput<S>,
     current: Option<PartialImage<S::V>>,
     stats: OpStats,
 }
@@ -33,13 +33,13 @@ struct PartialImage<V> {
 impl<S: GeoStream> ImageAssembler<S> {
     /// Wraps a stream for image assembly.
     pub fn new(input: S) -> Self {
-        ImageAssembler { input, current: None, stats: OpStats::default() }
+        ImageAssembler { input: ChunkInput::new(input), current: None, stats: OpStats::default() }
     }
 
     /// Pulls until the next complete image (sector) is available.
     pub fn next_image(&mut self) -> Option<RasterImage<S::V>> {
         loop {
-            let el = self.input.next_element()?;
+            let el = self.input.pull()?;
             match el {
                 Element::SectorStart(si) => {
                     self.current = Some(PartialImage {
@@ -93,7 +93,7 @@ impl<S: GeoStream> ImageAssembler<S> {
 
     /// Access to the wrapped stream (for stats collection).
     pub fn inner(&self) -> &S {
-        &self.input
+        self.input.stream()
     }
 }
 

@@ -9,7 +9,7 @@
 //! completed, using the scan-sector metadata to flush the trailing rows
 //! at `SectorEnd` with clamped borders.
 
-use crate::model::{Element, FrameEnd, FrameInfo, GeoStream, SectorEnd, StreamSchema};
+use crate::model::{ChunkInput, Element, FrameEnd, FrameInfo, GeoStream, SectorEnd, StreamSchema};
 use crate::stats::{OpReport, OpStats};
 use geostreams_geo::{Cell, CellBox, LatticeGeoref};
 use geostreams_raster::resample::SampleSource;
@@ -130,7 +130,7 @@ impl<V: Pixel> SampleSource for RowBand<V> {
 
 /// The streaming focal operator.
 pub struct FocalTransform<S: GeoStream> {
-    input: S,
+    input: ChunkInput<S>,
     func: FocalFunc,
     /// Kernel size (odd; ≥ 3).
     k: u32,
@@ -162,7 +162,7 @@ impl<S: GeoStream> FocalTransform<S> {
             schema.value_range = (-4.0 * span, 4.0 * span);
         }
         FocalTransform {
-            input,
+            input: ChunkInput::new(input),
             func,
             k,
             band: None,
@@ -298,7 +298,7 @@ impl<S: GeoStream> GeoStream for FocalTransform<S> {
             if let Some(el) = self.queue.pop_front() {
                 return Some(el);
             }
-            let el = self.input.next_element()?;
+            let el = self.input.pull()?;
             match el {
                 Element::SectorStart(si) => {
                     self.lattice = Some(si.lattice);
@@ -369,7 +369,7 @@ impl<S: GeoStream> GeoStream for FocalTransform<S> {
     }
 
     fn collect_stats(&self, out: &mut Vec<OpReport>) {
-        self.input.collect_stats(out);
+        self.input.stream().collect_stats(out);
         out.push(OpReport::new(self.schema.name.clone(), self.op_stats()));
     }
 }

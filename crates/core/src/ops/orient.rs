@@ -10,7 +10,7 @@
 //! on the image, not the georeference; quarter-turns therefore swap the
 //! lattice dimensions).
 
-use crate::model::{Element, FrameInfo, GeoStream, SectorInfo, StreamSchema};
+use crate::model::{ChunkInput, Element, FrameInfo, GeoStream, SectorInfo, StreamSchema};
 use crate::stats::{OpReport, OpStats};
 use geostreams_geo::{Cell, CellBox, LatticeGeoref, Rect};
 use serde::{Deserialize, Serialize};
@@ -91,7 +91,7 @@ impl Orientation {
 
 /// The orientation operator: per-point cell remapping, zero buffering.
 pub struct Orient<S: GeoStream> {
-    input: S,
+    input: ChunkInput<S>,
     orientation: Orientation,
     in_dims: (u32, u32),
     stats: OpStats,
@@ -102,7 +102,13 @@ impl<S: GeoStream> Orient<S> {
     /// Creates the orientation transform.
     pub fn new(input: S, orientation: Orientation) -> Self {
         let schema = input.schema().renamed(format!("orient[{}]", orientation.name()));
-        Orient { input, orientation, in_dims: (0, 0), stats: OpStats::default(), schema }
+        Orient {
+            input: ChunkInput::new(input),
+            orientation,
+            in_dims: (0, 0),
+            stats: OpStats::default(),
+            schema,
+        }
     }
 
     fn map_box(&self, cells: CellBox) -> CellBox {
@@ -121,7 +127,7 @@ impl<S: GeoStream> GeoStream for Orient<S> {
     }
 
     fn next_element(&mut self) -> Option<Element<S::V>> {
-        let el = self.input.next_element()?;
+        let el = self.input.pull()?;
         Some(match el {
             Element::SectorStart(si) => {
                 self.in_dims = (si.lattice.width, si.lattice.height);
@@ -155,7 +161,7 @@ impl<S: GeoStream> GeoStream for Orient<S> {
     }
 
     fn collect_stats(&self, out: &mut Vec<OpReport>) {
-        self.input.collect_stats(out);
+        self.input.stream().collect_stats(out);
         out.push(OpReport::new(self.schema.name.clone(), self.op_stats()));
     }
 }

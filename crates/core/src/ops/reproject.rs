@@ -19,7 +19,9 @@
 //!   rows until `SectorEnd`, the behavior the paper warns about; the F2
 //!   experiment contrasts the two buffer profiles.
 
-use crate::model::{Element, FrameEnd, FrameInfo, GeoStream, SectorEnd, SectorInfo, StreamSchema};
+use crate::model::{
+    ChunkInput, Element, FrameEnd, FrameInfo, GeoStream, SectorEnd, SectorInfo, StreamSchema,
+};
 use crate::stats::{OpReport, OpStats};
 use geostreams_geo::{Cell, CellBox, Crs, LatticeGeoref, Projection, Rect};
 use geostreams_raster::resample::{sample_source, Kernel, SampleSource};
@@ -152,7 +154,7 @@ struct SectorPlan {
 
 /// The re-projection operator `G ∘ f_spat` across coordinate systems.
 pub struct Reproject<S: GeoStream> {
-    input: S,
+    input: ChunkInput<S>,
     config: ReprojectConfig,
     from_proj: Box<dyn Projection>,
     to_proj: Box<dyn Projection>,
@@ -174,7 +176,7 @@ impl<S: GeoStream> Reproject<S> {
         schema.crs = config.to;
         schema.sector_lattice = None;
         Ok(Reproject {
-            input,
+            input: ChunkInput::new(input),
             config,
             from_proj,
             to_proj,
@@ -345,7 +347,7 @@ impl<S: GeoStream> GeoStream for Reproject<S> {
             if let Some(el) = self.queue.pop_front() {
                 return Some(el);
             }
-            let el = self.input.next_element()?;
+            let el = self.input.pull()?;
             match el {
                 Element::SectorStart(si) => {
                     let out_lattice = match self.derive_out_lattice(&si.lattice) {
@@ -450,7 +452,7 @@ impl<S: GeoStream> GeoStream for Reproject<S> {
     }
 
     fn collect_stats(&self, out: &mut Vec<OpReport>) {
-        self.input.collect_stats(out);
+        self.input.stream().collect_stats(out);
         out.push(OpReport::new(self.schema.name.clone(), self.op_stats()));
     }
 }

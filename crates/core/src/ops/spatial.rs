@@ -10,7 +10,9 @@
 //!   sums; for a row-by-row stream its buffer is proportional to the row
 //!   width (never the frame height), which experiment F2 verifies.
 
-use crate::model::{Element, FrameEnd, FrameInfo, GeoStream, SectorEnd, SectorInfo, StreamSchema};
+use crate::model::{
+    ChunkInput, Element, FrameEnd, FrameInfo, GeoStream, SectorEnd, SectorInfo, StreamSchema,
+};
 use crate::stats::{OpReport, OpStats};
 use geostreams_geo::{Cell, CellBox, LatticeGeoref};
 use geostreams_raster::Pixel;
@@ -19,7 +21,7 @@ use std::collections::{HashMap, VecDeque};
 /// k× magnification: each input point becomes a `k × k` block of output
 /// points with the same value. Non-blocking; per-point cost O(k²).
 pub struct Magnify<S: GeoStream> {
-    input: S,
+    input: ChunkInput<S>,
     k: u32,
     queue: VecDeque<Element<S::V>>,
     stats: OpStats,
@@ -31,7 +33,13 @@ impl<S: GeoStream> Magnify<S> {
     pub fn new(input: S, k: u32) -> Self {
         assert!(k >= 1, "magnification factor must be >= 1");
         let schema = input.schema().renamed(format!("magnify[x{k}]"));
-        Magnify { input, k, queue: VecDeque::new(), stats: OpStats::default(), schema }
+        Magnify {
+            input: ChunkInput::new(input),
+            k,
+            queue: VecDeque::new(),
+            stats: OpStats::default(),
+            schema,
+        }
     }
 }
 
@@ -47,7 +55,7 @@ impl<S: GeoStream> GeoStream for Magnify<S> {
             if let Some(el) = self.queue.pop_front() {
                 return Some(el);
             }
-            let el = self.input.next_element()?;
+            let el = self.input.pull()?;
             let k = self.k;
             match el {
                 Element::SectorStart(si) => {
@@ -88,7 +96,7 @@ impl<S: GeoStream> GeoStream for Magnify<S> {
     }
 
     fn collect_stats(&self, out: &mut Vec<OpReport>) {
-        self.input.collect_stats(out);
+        self.input.stream().collect_stats(out);
         out.push(OpReport::new(self.schema.name.clone(), self.op_stats()));
     }
 }
@@ -108,7 +116,7 @@ struct BlockAcc {
 /// point interpolations" §3.2 prescribes when sector metadata signals
 /// that no more neighbors will arrive.
 pub struct Downsample<S: GeoStream> {
-    input: S,
+    input: ChunkInput<S>,
     k: u32,
     out_lattice: Option<LatticeGeoref>,
     acc: HashMap<(u32, u32), BlockAcc>,
@@ -128,7 +136,7 @@ impl<S: GeoStream> Downsample<S> {
         assert!(k >= 1, "downsampling factor must be >= 1");
         let schema = input.schema().renamed(format!("downsample[/{k}]"));
         Downsample {
-            input,
+            input: ChunkInput::new(input),
             k,
             out_lattice: None,
             acc: HashMap::new(),
@@ -159,7 +167,7 @@ impl<S: GeoStream> GeoStream for Downsample<S> {
             if let Some(el) = self.queue.pop_front() {
                 return Some(el);
             }
-            let el = self.input.next_element()?;
+            let el = self.input.pull()?;
             let k = self.k;
             match el {
                 Element::SectorStart(si) => {
@@ -233,7 +241,7 @@ impl<S: GeoStream> GeoStream for Downsample<S> {
     }
 
     fn collect_stats(&self, out: &mut Vec<OpReport>) {
-        self.input.collect_stats(out);
+        self.input.stream().collect_stats(out);
         out.push(OpReport::new(self.schema.name.clone(), self.op_stats()));
     }
 }

@@ -16,7 +16,7 @@
 //! ≈280 MB buffer the paper cites. Experiment E2 measures exactly this
 //! buffer growth.
 
-use crate::model::{Element, GeoStream, StreamSchema};
+use crate::model::{ChunkInput, Element, GeoStream, StreamSchema};
 use crate::stats::{OpReport, OpStats};
 use geostreams_raster::{Histogram, Pixel, RangeTracker};
 use serde::{Deserialize, Serialize};
@@ -59,7 +59,7 @@ pub enum StretchScope {
 
 /// The frame/image-scoped stretch operator. Output pixels are `f32`.
 pub struct StretchTransform<S: GeoStream> {
-    input: S,
+    input: ChunkInput<S>,
     mode: StretchMode,
     scope: StretchScope,
     /// Elements of the current scope held until its statistics complete.
@@ -93,7 +93,7 @@ impl<S: GeoStream> StretchTransform<S> {
             _ => None,
         };
         StretchTransform {
-            input,
+            input: ChunkInput::new(input),
             mode,
             scope,
             held: Vec::new(),
@@ -163,7 +163,7 @@ impl<S: GeoStream> GeoStream for StretchTransform<S> {
             if let Some(el) = self.queue.pop_front() {
                 return Some(el);
             }
-            let Some(el) = self.input.next_element() else {
+            let Some(el) = self.input.pull() else {
                 // End of stream: flush whatever is pending (partial scope).
                 if self.held.is_empty() {
                     return None;
@@ -212,7 +212,7 @@ impl<S: GeoStream> GeoStream for StretchTransform<S> {
     }
 
     fn collect_stats(&self, out: &mut Vec<OpReport>) {
-        self.input.collect_stats(out);
+        self.input.stream().collect_stats(out);
         out.push(OpReport::new(self.schema.name.clone(), self.op_stats()));
     }
 }

@@ -81,6 +81,16 @@ impl GeoStream for Pulled {
         }
         Some(el)
     }
+
+    fn next_chunk(&mut self, budget: usize) -> Option<ChunkOrMarker<f32>> {
+        let item = self.inner.next_chunk(budget)?;
+        self.elements += item.element_count();
+        self.points += item.point_count() as u64;
+        if let Some(Marker::SectorEnd(_)) = item.marker() {
+            self.sectors += 1;
+        }
+        Some(item)
+    }
 }
 
 impl Evaluator<'_> {

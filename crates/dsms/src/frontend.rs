@@ -12,7 +12,7 @@
 //! image per sector. Experiment E5 sweeps the number of registered
 //! clients over both index implementations.
 
-use geostreams_core::model::{Element, GeoStream};
+use geostreams_core::model::{ChunkInput, Element, GeoStream};
 use geostreams_core::query::cascade::{QueryId, RegionIndex};
 use geostreams_geo::{LatticeGeoref, Rect};
 use geostreams_raster::{Grid2D, RasterImage};
@@ -91,7 +91,8 @@ impl<I: RegionIndex> MultiQueryFrontEnd<I> {
         stream: &mut S,
         mut deliver: impl FnMut(QueryId, RasterImage<f32>),
     ) {
-        while let Some(el) = stream.next_element() {
+        let mut input = ChunkInput::new(stream);
+        while let Some(el) = input.pull() {
             match el {
                 Element::SectorStart(si) => {
                     self.lattice = Some(si.lattice);

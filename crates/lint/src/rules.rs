@@ -193,6 +193,7 @@ pub fn run_all(files: &[SourceFile], out: &mut Vec<Finding>) {
     rule_relaxed_strong_mix(files, out);
     rule_raw_file_io_in_store(files, out);
     rule_detached_thread_spawn(files, out);
+    rule_scalar_pull(files, out);
 }
 
 /// True for library source files (skips `src/bin/` entry points, which
@@ -1103,6 +1104,95 @@ fn rule_detached_thread_spawn(files: &[SourceFile], out: &mut Vec<Finding>) {
                         .to_string(),
                 }),
             }
+        }
+    }
+}
+
+/// Token range of the innermost brace block around `idx` (between, not
+/// including, its braces); the whole file at module scope.
+fn enclosing_block(toks: &[Tok], idx: usize) -> Range<usize> {
+    let mut start = 0usize;
+    let mut depth = 0usize;
+    for j in (0..idx).rev() {
+        if toks[j].is_punct('}') {
+            depth += 1;
+        } else if toks[j].is_punct('{') {
+            if depth == 0 {
+                start = j + 1;
+                break;
+            }
+            depth -= 1;
+        }
+    }
+    let mut end = toks.len();
+    depth = 0;
+    for (j, t) in toks.iter().enumerate().skip(idx) {
+        if t.is_punct('{') {
+            depth += 1;
+        } else if t.is_punct('}') {
+            if depth == 0 {
+                end = j;
+                break;
+            }
+            depth -= 1;
+        }
+    }
+    start..end
+}
+
+/// `scalar-pull`: `.next_element()` on an input stream in runtime
+/// library code. A scalar pull drags the whole upstream subtree onto
+/// the element-at-a-time path — a virtual call, two clock reads when
+/// traced and a repair pass per point — so consumers read their input
+/// through `ChunkInput::pull` (or `next_chunk`). Two shapes are the
+/// scalar protocol itself and stay legal: a stream calling its own
+/// `self.next_element()`, and the scalar arm of an operator whose
+/// `impl` also has a chunk arm (`fn next_element` delegating beside a
+/// `fn next_chunk` — the differential oracle). An operator with only a
+/// scalar arm is flagged: the default `next_chunk` adapter would run
+/// that arm in production.
+fn rule_scalar_pull(files: &[SourceFile], out: &mut Vec<Finding>) {
+    let in_scope = |p: &str| {
+        p.starts_with("crates/core/src/")
+            || p.starts_with("crates/dsms/src/")
+            || p.starts_with("crates/store/src/")
+            || p == "crates/satsim/src/scanner.rs"
+    };
+    for f in files.iter().filter(|f| in_scope(&f.path) && is_lib_file(&f.path)) {
+        let toks = &f.toks;
+        for i in 2..toks.len() {
+            if !(toks[i].is_ident("next_element") && is_call(toks, i) && prev_is_dot(toks, i)) {
+                continue;
+            }
+            let own = toks[i - 2].is_ident("self") && !(i >= 3 && toks[i - 3].is_punct('.'));
+            if own {
+                continue;
+            }
+            let Some(fun) = innermost(&f.fns, i).map(|fi| &f.fns[fi]) else { continue };
+            if fun.is_test {
+                continue;
+            }
+            if fun.name == "next_element" {
+                // The `{` that opens this fn's body sits just before it.
+                let block = enclosing_block(toks, fun.body.start.saturating_sub(1));
+                let paired = f.fns.iter().any(|g| {
+                    g.name == "next_chunk" && block.start <= g.body.start && g.body.end <= block.end
+                });
+                if paired {
+                    continue;
+                }
+            }
+            out.push(Finding {
+                rule: "scalar-pull",
+                file: f.path.clone(),
+                line: toks[i].line,
+                function: fun.name.clone(),
+                message: "`.next_element()` on an input stream moves one point per virtual call \
+                          and puts everything upstream on the scalar path; read the input through \
+                          `ChunkInput::pull` or `next_chunk` (a scalar arm is allowed only as \
+                          `fn next_element` beside a `fn next_chunk` in the same impl)"
+                    .to_string(),
+            });
         }
     }
 }

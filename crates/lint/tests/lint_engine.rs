@@ -137,3 +137,17 @@ fn raw_io_rule_guards_the_store_behind_vfs() {
     let as_core = lint_files(&[("crates/core/src/store_io.rs".to_string(), src)]);
     assert!(rules_hit(&as_core, "raw-file-io-in-store").is_empty());
 }
+
+#[test]
+fn scalar_pull_rule_allows_only_the_scalar_protocol_itself() {
+    let src = include_str!("fixtures/scalar_pull.rs").to_string();
+    let findings = lint_fixture("scalar_pull.rs", &src);
+    let hits = rules_hit(&findings, "scalar-pull");
+    let fns: Vec<&str> = hits.iter().map(|f| f.function.as_str()).collect();
+    assert_eq!(fns, vec!["bad_sink", "next_element", "bad_fill"], "{hits:?}");
+    // The scanner is the only simulator file on the production path.
+    let as_scanner = lint_files(&[("crates/satsim/src/scanner.rs".to_string(), src.clone())]);
+    assert_eq!(rules_hit(&as_scanner, "scalar-pull").len(), 3);
+    let as_trace = lint_files(&[("crates/satsim/src/trace.rs".to_string(), src)]);
+    assert!(rules_hit(&as_trace, "scalar-pull").is_empty());
+}

@@ -9,7 +9,7 @@
 //! value noise — deterministic, continuous, and cheap to sample at any
 //! geographic coordinate and logical time.
 
-use crate::noise::fbm;
+use crate::noise::{fbm, FbmCursor};
 use geostreams_geo::Coord;
 use serde::{Deserialize, Serialize};
 
@@ -144,6 +144,103 @@ impl EarthModel {
 
 /// Sub-seed salt for the vegetation field.
 const VEG_SEED: u64 = 0x7E6E;
+
+/// [`EarthModel::sample`] for a scanner: one band, one logical time at
+/// a time, sampled along scan lines. Each noise field is read through
+/// an [`FbmCursor`] and what `t` contributes is worked out once per
+/// [`set_time`](Self::set_time) instead of per point; the arithmetic on
+/// top is [`EarthModel`]'s, term for term, so the values are its values
+/// bit for bit (the model stays the oracle the tests compare against).
+#[derive(Debug, Clone)]
+pub struct EarthSampler {
+    kind: BandKind,
+    vegetation: FbmCursor,
+    soil: FbmCursor,
+    cloud: FbmCursor,
+    humidity: FbmCursor,
+    cloud_speed: f64,
+    /// `cloud_speed * t`.
+    drift: f64,
+    /// `t * 0.002`, the cloud field's evolution term.
+    cloud_dy: f64,
+    /// `t * 0.01`, the humidity field's advection term.
+    humidity_dx: f64,
+    /// `0.04 * sin(t * 0.26)`.
+    diurnal: f64,
+}
+
+impl EarthSampler {
+    /// A sampler of `kind` over `model` at logical time `t`.
+    pub fn new(model: &EarthModel, kind: BandKind, t: i64) -> Self {
+        let mut sampler = EarthSampler {
+            kind,
+            vegetation: FbmCursor::new(model.seed ^ VEG_SEED, 5),
+            soil: FbmCursor::new(model.seed ^ 0x5011, 3),
+            cloud: FbmCursor::new(model.seed ^ 0xC10D, 4),
+            humidity: FbmCursor::new(model.seed ^ 0x1120, 4),
+            cloud_speed: model.cloud_speed,
+            drift: 0.0,
+            cloud_dy: 0.0,
+            humidity_dx: 0.0,
+            diurnal: 0.0,
+        };
+        sampler.set_time(t);
+        sampler
+    }
+
+    /// Moves the sampler to logical time `t`.
+    pub fn set_time(&mut self, t: i64) {
+        let t = t as f64;
+        self.drift = self.cloud_speed * t;
+        self.cloud_dy = t * 0.002;
+        self.humidity_dx = t * 0.01;
+        self.diurnal = 0.04 * (t * 0.26).sin();
+    }
+
+    /// `model.sample(kind, lonlat, t)`.
+    pub fn sample(&mut self, lonlat: Coord) -> f64 {
+        let raw =
+            self.cloud.sample((lonlat.x - self.drift) * 0.08, lonlat.y * 0.08 + self.cloud_dy);
+        let cloud = ((raw - 0.55) * 3.0).clamp(0.0, 1.0);
+        match self.kind {
+            BandKind::Visible => {
+                let ground = 0.08 + 0.25 * self.soil(lonlat) - 0.10 * self.vegetation(lonlat);
+                (ground * (1.0 - cloud) + 0.85 * cloud).clamp(0.0, 1.0)
+            }
+            BandKind::NearInfrared => {
+                let ground = 0.12 + 0.18 * self.soil(lonlat) + 0.45 * self.vegetation(lonlat);
+                (ground * (1.0 - cloud) + 0.80 * cloud).clamp(0.0, 1.0)
+            }
+            BandKind::WaterVapor => self.water_vapor(lonlat, cloud),
+            BandKind::ThermalIr => self.thermal_ir(lonlat, cloud),
+            BandKind::ThermalIrDirty => {
+                let clean = self.thermal_ir(lonlat, cloud);
+                (clean - 0.06 * self.water_vapor(lonlat, cloud)).clamp(0.0, 1.0)
+            }
+        }
+    }
+
+    fn vegetation(&mut self, lonlat: Coord) -> f64 {
+        let base = self.vegetation.sample(lonlat.x * 0.05, lonlat.y * 0.05);
+        let lat_factor = (1.0 - (lonlat.y.abs() / 90.0).powi(2)).max(0.0);
+        (base * 1.3 - 0.15).clamp(0.0, 1.0) * lat_factor
+    }
+
+    fn soil(&mut self, lonlat: Coord) -> f64 {
+        self.soil.sample(lonlat.x * 0.11, lonlat.y * 0.11)
+    }
+
+    fn water_vapor(&mut self, lonlat: Coord, cloud: f64) -> f64 {
+        let humid = self.humidity.sample(lonlat.x * 0.06 + self.humidity_dx, lonlat.y * 0.06);
+        (0.3 + 0.5 * humid + 0.2 * cloud).clamp(0.0, 1.0)
+    }
+
+    fn thermal_ir(&mut self, lonlat: Coord, cloud: f64) -> f64 {
+        let lat_cool = (lonlat.y.abs() / 90.0).powi(2) * 0.35;
+        let surface = 0.78 - lat_cool + self.diurnal + 0.05 * self.soil(lonlat);
+        (surface * (1.0 - cloud) + 0.25 * cloud).clamp(0.0, 1.0)
+    }
+}
 
 #[cfg(test)]
 mod tests {

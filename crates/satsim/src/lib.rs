@@ -34,7 +34,7 @@ pub mod scanner;
 pub mod trace;
 
 pub use faults::{ChaosStream, FaultPlan, FaultProbe, FaultStats};
-pub use field::{BandKind, EarthModel};
+pub use field::{BandKind, EarthModel, EarthSampler};
 pub use goes::goes_like;
 pub use instrument::{BandSpec, Instrument};
 pub use modis::modis_like;

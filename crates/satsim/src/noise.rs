@@ -58,6 +58,102 @@ pub fn fbm(seed: u64, x: f64, y: f64, octaves: u32) -> f64 {
     total / norm
 }
 
+/// `(x.floor(), x.floor() as i64)` without the libm call: truncate,
+/// then step down where truncation rounded up (`copysign` keeps
+/// `floor(-0.0) = -0.0`). Exact wherever the cast is (`|x| < 2^52`
+/// leaves room for the `- 1`); anything else, NaN included, takes
+/// `floor` itself.
+#[inline]
+fn floor_split(x: f64) -> (f64, i64) {
+    if x.abs() < 4.5e15 {
+        let i = x as i64;
+        let f = i as f64;
+        if f > x {
+            (f - 1.0, i - 1)
+        } else {
+            (f.copysign(x), i)
+        }
+    } else {
+        let f = x.floor();
+        (f, f as i64)
+    }
+}
+
+/// The four corner hashes of one noise cell of one octave.
+#[derive(Debug, Clone, Copy)]
+struct CellCorners {
+    /// The octave's seed.
+    seed: u64,
+    ix: i64,
+    iy: i64,
+    v00: f64,
+    v10: f64,
+    v01: f64,
+    v11: f64,
+}
+
+impl CellCorners {
+    fn at(seed: u64, ix: i64, iy: i64) -> Self {
+        CellCorners {
+            seed,
+            ix,
+            iy,
+            v00: lattice_hash(seed, ix, iy),
+            v10: lattice_hash(seed, ix + 1, iy),
+            v01: lattice_hash(seed, ix, iy + 1),
+            v11: lattice_hash(seed, ix + 1, iy + 1),
+        }
+    }
+}
+
+/// [`fbm`] for a caller that samples along a path: the corner hashes of
+/// the noise cell the previous sample fell in are kept per octave and
+/// reused while the next one stays in it — some twenty consecutive
+/// pixels of a scan line at every octave the Earth model uses. Memory
+/// is one cell per octave whatever the size of the image, and
+/// [`sample`](Self::sample) returns [`fbm`]'s value bit for bit.
+#[derive(Debug, Clone)]
+pub struct FbmCursor {
+    /// One memoised cell per octave.
+    cells: Vec<CellCorners>,
+}
+
+impl FbmCursor {
+    /// A cursor over `fbm(seed, ·, ·, octaves)`.
+    pub fn new(seed: u64, octaves: u32) -> Self {
+        let cells = (0..octaves.max(1))
+            .map(|o| CellCorners::at(seed.wrapping_add(u64::from(o) * 0x51F3), 0, 0))
+            .collect();
+        FbmCursor { cells }
+    }
+
+    /// `fbm(seed, x, y, octaves)`.
+    pub fn sample(&mut self, x: f64, y: f64) -> f64 {
+        let mut total = 0.0;
+        let mut amplitude = 0.5;
+        let mut fx = x;
+        let mut fy = y;
+        let mut norm = 0.0;
+        for cell in &mut self.cells {
+            let (x0, ix) = floor_split(fx);
+            let (y0, iy) = floor_split(fy);
+            if (cell.ix, cell.iy) != (ix, iy) {
+                *cell = CellCorners::at(cell.seed, ix, iy);
+            }
+            let tx = fade(fx - x0);
+            let ty = fade(fy - y0);
+            let top = cell.v00 + (cell.v10 - cell.v00) * tx;
+            let bot = cell.v01 + (cell.v11 - cell.v01) * tx;
+            total += amplitude * (top + (bot - top) * ty);
+            norm += amplitude;
+            amplitude *= 0.5;
+            fx *= 2.0;
+            fy *= 2.0;
+        }
+        total / norm
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -127,5 +223,55 @@ mod tests {
     fn negative_coordinates_work() {
         let v = value_noise(3, -10.25, -0.5);
         assert!((0.0..=1.0).contains(&v));
+    }
+
+    /// A small deterministic generator for the walks below.
+    fn next_unit(state: &mut u64) -> f64 {
+        *state =
+            state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+        (*state >> 11) as f64 / (1u64 << 53) as f64
+    }
+
+    #[test]
+    fn floor_split_is_floor() {
+        let mut cases =
+            vec![0.0, -0.0, 0.5, -0.5, 1.0, -1.0, -1.0000000000000002, 2.9999999999999996];
+        cases.extend([4.4e15, -4.4e15, 4.6e15, -4.6e15, 1e300, -1e300, f64::INFINITY, f64::NAN]);
+        let mut rng = 9u64;
+        cases.extend((0..2000).map(|_| (next_unit(&mut rng) - 0.5) * 1e4));
+        for x in cases {
+            let (f, i) = floor_split(x);
+            assert_eq!(f.to_bits(), x.floor().to_bits(), "{x}");
+            assert_eq!(i, x.floor() as i64, "{x}");
+        }
+    }
+
+    #[test]
+    fn cursor_equals_fbm_bit_for_bit() {
+        for (seed, octaves) in [(7u64, 1u32), (42, 3), (20_060_330, 5), (1, 0)] {
+            let mut cursor = FbmCursor::new(seed, octaves);
+            let mut rng = seed ^ 0xABCD;
+            // A random walk across both signs, with steps from a
+            // fraction of a noise cell (memo hits) to several cells.
+            let (mut x, mut y) = (-3.7, 2.2);
+            for step in 0..20_000 {
+                let scale = if step % 97 == 0 { 5.0 } else { 0.04 };
+                x += (next_unit(&mut rng) - 0.5) * scale;
+                y += (next_unit(&mut rng) - 0.5) * scale;
+                assert_eq!(
+                    cursor.sample(x, y).to_bits(),
+                    fbm(seed, x, y, octaves).to_bits(),
+                    "seed {seed} octaves {octaves} at ({x}, {y})"
+                );
+            }
+            // A scan line that lands exactly on cell boundaries of
+            // every octave, crossing zero.
+            for i in -64..=64 {
+                let x = f64::from(i) * 0.125;
+                for y in [-1.0, -0.0, 0.0, 0.5] {
+                    assert_eq!(cursor.sample(x, y).to_bits(), fbm(seed, x, y, octaves).to_bits());
+                }
+            }
+        }
     }
 }

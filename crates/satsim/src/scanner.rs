@@ -9,11 +9,11 @@
 //! is what the composition-buffering experiment consumes through
 //! [`geostreams_core::model::split2`].
 
-use crate::field::EarthModel;
+use crate::field::{EarthModel, EarthSampler};
 use crate::instrument::Instrument;
 use geostreams_core::model::{
-    Chunk, ChunkOrMarker, Element, FrameEnd, FrameInfo, GeoStream, Marker, Organization,
-    PointRecord, SectorEnd, SectorInfo, StreamSchema, TimeSemantics, Timestamp,
+    Chunk, ChunkInput, ChunkOrMarker, Element, FrameEnd, FrameInfo, GeoStream, Marker,
+    Organization, PointRecord, SectorEnd, SectorInfo, StreamSchema, TimeSemantics, Timestamp,
 };
 use geostreams_core::stats::OpStats;
 use geostreams_geo::{Cell, CellBox, Coord, LatticeGeoref, Projection};
@@ -80,6 +80,7 @@ impl Scanner {
         let projection = ins.crs.projection().expect("instrument CRS must project");
         SyntheticStream {
             scanner: self.clone(),
+            sampler: EarthSampler::new(&self.model, band.kind, 0),
             band_idx,
             n_sectors: first_sector + n_sectors,
             projection,
@@ -170,7 +171,8 @@ impl Scanner {
 fn sector_elements(stream: &mut SyntheticStream, sector: u64) -> Vec<Element<f32>> {
     let mut out = Vec::new();
     let mut in_target = false;
-    while let Some(el) = stream.next_element() {
+    let mut input = ChunkInput::new(stream);
+    while let Some(el) = input.pull() {
         match &el {
             Element::SectorStart(si) if si.sector_id == sector => {
                 in_target = true;
@@ -218,6 +220,8 @@ enum Phase {
 /// A lazily-generated band stream (implements [`GeoStream`]).
 pub struct SyntheticStream {
     scanner: Scanner,
+    /// The band's radiance at the open sector's logical time.
+    sampler: EarthSampler,
     band_idx: usize,
     n_sectors: u64,
     projection: Box<dyn Projection>,
@@ -244,12 +248,9 @@ impl SyntheticStream {
         }
     }
 
-    fn sample(&self, lattice: &LatticeGeoref, cell: Cell) -> f32 {
-        let w = lattice.cell_to_world(cell);
-        let kind = self.scanner.instrument.bands[self.band_idx].kind;
-        let t = self.sector as i64 * self.scanner.instrument.sector_period;
-        match self.projection.inverse(w) {
-            Ok(lonlat) => self.scanner.model.sample(kind, lonlat, t) as f32,
+    fn sample(&mut self, lattice: &LatticeGeoref, cell: Cell) -> f32 {
+        match self.projection.inverse(lattice.cell_to_world(cell)) {
+            Ok(lonlat) => self.sampler.sample(lonlat) as f32,
             Err(_) => 0.0, // off-Earth view (e.g. beyond the limb)
         }
     }
@@ -288,6 +289,8 @@ impl GeoStream for SyntheticStream {
                     }
                     let lattice = self.scanner.sector_lattice(self.band_idx, self.sector);
                     self.lattice = Some(lattice);
+                    self.sampler
+                        .set_time(self.sector as i64 * self.scanner.instrument.sector_period);
                     self.row = 0;
                     self.col = 0;
                     self.phase = Phase::FrameStart;
@@ -638,5 +641,58 @@ mod tests {
         let l2 = sc.sector_lattice(0, 2);
         assert!((l2.origin.x - l0.origin.x - 2.0).abs() < 1e-12);
         assert!((l2.origin.y - l0.origin.y - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn preset_streams_equal_the_model_point_for_point() {
+        // The stream samples through `EarthSampler`; the oracle is one
+        // `EarthModel::sample` per point. Sectors > 0 move `t`; the
+        // airborne preset drifts its lattice; a full-disk GOES view has
+        // cells beyond the limb (value 0).
+        let presets = [
+            ("goes", crate::goes_like(96, 48, 11)),
+            ("modis", crate::modis_like(40, 24, -110.0, 20.0, 12)),
+            (
+                "lidar",
+                crate::lidar::lidar_profiler(Rect::new(-100.0, 30.0, -99.0, 31.0), 40, 6, 13),
+            ),
+            (
+                "airborne",
+                crate::airborne::airborne_camera(Rect::new(-122.0, 37.0, -121.5, 37.4), 24, 16, 14),
+            ),
+        ];
+        for (name, sc) in presets {
+            assert!(name != "airborne" || sc.instrument.drift_per_sector != (0.0, 0.0));
+            for band_idx in 0..sc.instrument.bands.len() {
+                let kind = sc.instrument.bands[band_idx].kind;
+                let projection = sc.instrument.crs.projection().unwrap();
+                let scalar = sc.band_stream(band_idx, 3).drain_elements();
+                let chunked =
+                    geostreams_core::model::drain_chunked(&mut sc.band_stream(band_idx, 3), 7);
+                assert_eq!(scalar, chunked, "{name} band {band_idx}");
+                let (mut lattice, mut t, mut off_earth) = (None, 0, 0);
+                for el in &scalar {
+                    match el {
+                        Element::SectorStart(si) => {
+                            lattice = Some(si.lattice);
+                            t = si.sector_id as i64 * sc.instrument.sector_period;
+                        }
+                        Element::Point(p) => {
+                            let world = lattice.unwrap().cell_to_world(p.cell);
+                            let expect = match projection.inverse(world) {
+                                Ok(lonlat) => sc.model.sample(kind, lonlat, t) as f32,
+                                Err(_) => {
+                                    off_earth += 1;
+                                    0.0
+                                }
+                            };
+                            assert_eq!(p.value.to_bits(), expect.to_bits(), "{name} {kind:?}");
+                        }
+                        _ => {}
+                    }
+                }
+                assert!(name != "goes" || off_earth > 0, "the GOES disk has off-limb cells");
+            }
+        }
     }
 }

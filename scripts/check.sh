@@ -16,7 +16,8 @@ cargo fmt --check
 # forbidden-pattern pass with a comment/string-aware tokenizer and the
 # full rule catalog of DESIGN.md §14 — panic-in-lib, lock-across-
 # blocking, lock-order-cycle, unbounded-growth, instant-in-chunk-loop,
-# relaxed-strong-mix — gated through the justified allowlist in
+# relaxed-strong-mix, raw-file-io-in-store, detached-thread-spawn,
+# scalar-pull — gated through the justified allowlist in
 # geolint.allow (stale entries fail the gate too).
 scripts/lint_gate.sh
 

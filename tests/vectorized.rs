@@ -8,16 +8,25 @@
 //! markers, same order), and `OpStats` totals must match exactly
 //! (per-chunk batched accounting vs per-element accounting).
 
-use geostreams::core::model::{drain_chunked, GeoStream, StreamRepair, TimeSet, VecStream};
+use geostreams::core::model::{
+    drain_chunked, ChunkInput, ChunkOrMarker, Element, GeoStream, StreamRepair, StreamSchema,
+    TimeSet, VecStream,
+};
 use geostreams::core::obs::{PipelineObs, TracedStream};
 use geostreams::core::ops::{
-    CastTransform, ChunkProtocolChecker, Compose, GammaOp, JoinStrategy, MapTransform, Shed,
-    ShedPolicy, SpatialRestrict, TemporalRestrict, ValueFunc, ValueRestrict,
+    AggFunc, CastTransform, ChunkProtocolChecker, Compose, Delay, Downsample, FocalFunc,
+    FocalTransform, GammaOp, ImageAssembler, JoinStrategy, Magnify, MapTransform, Orient,
+    Orientation, PngSink, Reproject, ReprojectConfig, RgbComposite, Shed, ShedPolicy,
+    SpatialAggregate, SpatialRestrict, StretchMode, StretchScope, StretchTransform,
+    TemporalAggregate, TemporalRestrict, ValueFunc, ValueRestrict,
 };
 use geostreams::geo::{Coord, Crs, LatticeGeoref, Polygon, Rect, Region};
+use geostreams::raster::png::{self, PngOptions};
+use geostreams::raster::{Grid2D, RasterImage, Rgb8};
 use geostreams::satsim::airborne::airborne_camera;
 use geostreams::satsim::lidar::lidar_profiler;
 use geostreams::satsim::{goes_like, ChaosStream, FaultPlan, SyntheticStream};
+use geostreams::store::{Archive, ArchiveConfig};
 
 /// Fixture width; the last budget equals one full row so chunk
 /// boundaries land exactly on frame boundaries in row-by-row streams.
@@ -258,6 +267,216 @@ fn stream_repair_over_damage_matches_scalar() {
         assert_eq!(got, expected, "repair elements diverge at budget {budget}");
         assert_eq!(stats, expected_stats, "RepairStats diverge at budget {budget}");
     }
+}
+
+// ---------------------------------------------------------------------
+// The chunk-staging input cursor, and every consumer that reads through it
+// ---------------------------------------------------------------------
+
+/// Serves `inner` in runs of at most `budget` points whatever the
+/// consumer asks for, so the cursor (which always asks for the default
+/// budget) is exercised across every run split.
+struct Rebudget<S> {
+    inner: S,
+    budget: usize,
+}
+
+impl<S: GeoStream> GeoStream for Rebudget<S> {
+    type V = S::V;
+
+    fn schema(&self) -> &StreamSchema {
+        self.inner.schema()
+    }
+
+    fn next_element(&mut self) -> Option<Element<S::V>> {
+        self.inner.next_element()
+    }
+
+    fn next_chunk(&mut self, _budget: usize) -> Option<ChunkOrMarker<S::V>> {
+        self.inner.next_chunk(self.budget)
+    }
+}
+
+/// `ChunkInput` over `make()` must serve exactly `make().drain_elements()`.
+fn assert_cursor_is_the_scalar_sequence<S: GeoStream, F: Fn() -> S>(label: &str, make: F)
+where
+    S::V: std::fmt::Debug + PartialEq,
+{
+    let expected = make().drain_elements();
+    assert!(!expected.is_empty(), "{label}: scalar oracle produced nothing");
+    for &budget in BUDGETS {
+        let mut input = ChunkInput::new(Rebudget { inner: make(), budget });
+        let got: Vec<_> = std::iter::from_fn(|| input.pull()).collect();
+        assert_eq!(got, expected, "{label}: cursor diverges at budget {budget}");
+        assert!(input.pull().is_none(), "{label}: the cursor stays ended");
+    }
+}
+
+#[test]
+fn chunk_input_serves_the_scalar_sequence_of_every_source() {
+    assert_cursor_is_the_scalar_sequence("scanner/RowByRow", goes_fixture);
+    assert_cursor_is_the_scalar_sequence("scanner/ImageByImage", || {
+        airborne_camera(Rect::new(-100.0, 30.0, -99.0, 31.0), W, H, 5).band_stream(0, 2)
+    });
+    assert_cursor_is_the_scalar_sequence("scanner/PointByPoint", || {
+        lidar_profiler(Rect::new(0.0, 0.0, 1.0, 1.0), W, H, 9).band_stream(0, 2)
+    });
+    assert_cursor_is_the_scalar_sequence("chaos", || {
+        ChaosStream::new(goes_fixture(), nasty_plan(), 42)
+    });
+    assert_cursor_is_the_scalar_sequence("repair-over-chaos", damaged_then_repaired);
+
+    // Archive replay of three persisted sectors.
+    let dir = std::env::temp_dir().join(format!("gs-vectorized-replay-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let archive = Archive::create(ArchiveConfig::new(&dir)).unwrap();
+    let mut live = goes_like(W, H, 7).band_stream(0, 3);
+    let band = live.schema().band;
+    archive.bind_band(live.schema()).unwrap();
+    while let Some(item) = live.next_chunk(64) {
+        archive.ingest_chunk(band, &item).unwrap();
+    }
+    archive.flush().unwrap();
+    assert_cursor_is_the_scalar_sequence("archive-replay", || {
+        archive.replay(band, None, None, None).unwrap()
+    });
+    drop(archive);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// What every operator below is fed: a damaged downlink after repair
+/// (partial frames, synthesized markers, missing sectors).
+fn damaged_then_repaired() -> StreamRepair<ChaosStream<SyntheticStream>> {
+    StreamRepair::new(ChaosStream::new(goes_like(W, H, 7).band_stream(0, 4), nasty_plan(), 1234))
+}
+
+#[test]
+fn buffering_operators_match_scalar_over_repaired_damage() {
+    // `OpStats` equality covers `buffered_bytes_peak`: what an operator
+    // reports as its own buffer excludes the input cursor's staged run.
+    let src = damaged_then_repaired;
+    assert_scalar_chunked_identical("Delay", || Delay::new(src(), 1));
+    for func in [FocalFunc::Mean, FocalFunc::Median, FocalFunc::Sobel] {
+        assert_scalar_chunked_identical("Focal", || FocalTransform::new(src(), func, 3));
+    }
+    for o in [Orientation::Rot90, Orientation::FlipH, Orientation::Transpose] {
+        assert_scalar_chunked_identical("Orient", || Orient::new(src(), o));
+    }
+    for use_sector_metadata in [true, false] {
+        assert_scalar_chunked_identical("Reproject", || {
+            let cfg = ReprojectConfig { use_sector_metadata, ..ReprojectConfig::new(Crs::LatLon) };
+            Reproject::new(src(), cfg).unwrap()
+        });
+    }
+    for scope in [StretchScope::Frame, StretchScope::Image] {
+        assert_scalar_chunked_identical("Stretch/Linear", || {
+            StretchTransform::new(src(), StretchMode::Linear { out_lo: 0.0, out_hi: 1.0 }, scope)
+        });
+        assert_scalar_chunked_identical("Stretch/HistEq", || {
+            StretchTransform::new(src(), StretchMode::HistEq { bins: 16 }, scope)
+        });
+    }
+    assert_scalar_chunked_identical("TemporalAggregate", || {
+        TemporalAggregate::new(src(), AggFunc::Mean, 2)
+    });
+    assert_scalar_chunked_identical("SpatialAggregate", || {
+        let region = Region::Rect(goes_like(W, H, 7).sector_lattice(0, 0).world_bbox());
+        SpatialAggregate::new(src(), AggFunc::Max, region)
+    });
+    assert_scalar_chunked_identical("Magnify", || Magnify::new(src(), 2));
+    assert_scalar_chunked_identical("Downsample", || Downsample::new(src(), 2));
+    for strategy in [JoinStrategy::Hash, JoinStrategy::FrameMerge] {
+        assert_scalar_chunked_identical("Compose", || {
+            let right = MapTransform::<_, f32>::new(
+                damaged_then_repaired(),
+                ValueFunc::Linear { scale: 0.5, offset: 1.0 },
+            );
+            Compose::new(src(), right, GammaOp::Sub, strategy).unwrap()
+        });
+    }
+    assert_scalar_chunked_identical("Shed/Points over Focal", || {
+        Shed::new(FocalTransform::new(src(), FocalFunc::Max, 3), ShedPolicy::Points, 2)
+    });
+}
+
+/// The reference image assembler, one scalar pull per element: what
+/// `ImageAssembler` must produce however its input is chunked.
+fn reference_images<S: GeoStream<V = f32>>(mut s: S) -> Vec<RasterImage<f32>> {
+    let (mut out, mut cur) = (Vec::new(), None);
+    while let Some(el) = s.next_element() {
+        match el {
+            Element::SectorStart(si) => {
+                cur = Some((Grid2D::new(si.lattice.width, si.lattice.height), si, 0u64));
+            }
+            Element::Point(p) => {
+                if let Some((grid, _, filled)) = &mut cur {
+                    if p.cell.col < grid.width() && p.cell.row < grid.height() {
+                        grid.set(p.cell.col, p.cell.row, p.value);
+                        *filled += 1;
+                    }
+                }
+            }
+            Element::SectorEnd(_) => {
+                if let Some((grid, si, filled)) = cur.take() {
+                    if filled > 0 {
+                        out.push(RasterImage::new(grid, si.lattice, si.timestamp.value(), si.band));
+                    }
+                }
+            }
+            _ => {}
+        }
+    }
+    out
+}
+
+#[test]
+fn image_sinks_match_the_scalar_reference_assembler() {
+    // Whole, partial (damaged) and empty (restricted away) sectors.
+    let nothing = || ValueRestrict::range(goes_fixture(), 5.0, 6.0);
+    let third_sector_only =
+        || TemporalRestrict::new(vec_fixture(), TimeSet::Interval { lo: Some(2), hi: None });
+    assert!(reference_images(nothing()).is_empty());
+    assert_eq!(reference_images(third_sector_only()).len(), 1);
+    assert!(reference_images(damaged_then_repaired()).len() >= 2);
+    for &budget in BUDGETS {
+        let chunked = |inner| Rebudget { inner, budget };
+        let images = ImageAssembler::new(chunked(damaged_then_repaired())).collect_images();
+        assert_eq!(images, reference_images(damaged_then_repaired()), "budget {budget}");
+        assert!(ImageAssembler::new(Rebudget { inner: nothing(), budget }).next_image().is_none());
+        let mut some = ImageAssembler::new(Rebudget { inner: third_sector_only(), budget });
+        assert_eq!(some.collect_images(), reference_images(third_sector_only()));
+
+        // PNG bytes: the sinks over chunked input against the reference
+        // images rendered and encoded here.
+        let range = damaged_then_repaired().schema().value_range;
+        let mut sink = PngSink::new(chunked(damaged_then_repaired()), None, PngOptions::default());
+        let frames: Vec<_> = std::iter::from_fn(|| sink.next_frame()).collect();
+        let expected = reference_images(damaged_then_repaired());
+        assert_eq!(frames.len(), expected.len());
+        for (got, want) in frames.iter().zip(&expected) {
+            let gray: Grid2D<u8> = want.grid.map(|v| reference_byte(v, range));
+            assert_eq!(got.png, png::encode_gray(&gray, PngOptions::default()), "budget {budget}");
+            assert_eq!((got.timestamp, got.band), (want.timestamp, want.band));
+        }
+
+        let band = || Rebudget { inner: goes_fixture(), budget };
+        let mut rgb = RgbComposite::new(band(), band(), band(), PngOptions::default());
+        for want in reference_images(goes_fixture()) {
+            let pixels: Grid2D<Rgb8> = want.grid.map(|v| {
+                let b = reference_byte(v, goes_fixture().schema().value_range);
+                Rgb8::new(b, b, b)
+            });
+            let got = rgb.next_frame().expect("one composite per sector");
+            assert_eq!(got.png, png::encode_rgb(&pixels, PngOptions::default()), "budget {budget}");
+        }
+        assert!(rgb.next_frame().is_none());
+    }
+}
+
+/// The display scaling of the PNG sinks.
+fn reference_byte(v: f32, (lo, hi): (f64, f64)) -> u8 {
+    let span = if hi > lo { hi - lo } else { 1.0 };
+    (((f64::from(v) - lo) / span).clamp(0.0, 1.0) * 255.0).round() as u8
 }
 
 // ---------------------------------------------------------------------
