@@ -29,7 +29,7 @@ pub mod pool;
 
 pub use morsel::{
     compile_stages, run_morsels, split_and_compile, split_parallel, CompiledStages, MorselReport,
-    ParallelSplit, StageSpec,
+    ParallelSplit,
 };
 pub use pool::{OrderedCollector, WorkerPool, WorkerStatsSnapshot};
 
@@ -37,11 +37,12 @@ use crate::model::{ChunkOrMarker, Element, GeoStream, Marker, DEFAULT_CHUNK_BUDG
 use crate::obs::{Histogram, HistogramSnapshot, PipelineObs, SampledClock, TraceKind};
 use crate::ops::ChunkProtocolChecker;
 use crate::stats::OpReport;
+use geostreams_raster::Pixel;
 use serde::{Deserialize, Serialize};
 use std::time::{Duration, Instant};
 
 /// Result of draining a pipeline.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct RunReport {
     /// Wall-clock time spent pulling the pipeline.
     pub wall: Duration,
@@ -191,6 +192,85 @@ where
     })
 }
 
+/// What [`run_chunked`] and [`run_morsels`] share: the query's start
+/// and end in `obs.trace`, timed pulls, and delivery — count the item,
+/// cross-check it, hand it to the consumer, recycle its buffer — all
+/// accumulated into the run's [`RunReport`].
+struct Drive<'a, F> {
+    obs: &'a PipelineObs,
+    name: String,
+    on_item: F,
+    start: Instant,
+    pull_ns: Histogram,
+    clock: SampledClock,
+    /// Live protocol cross-check: observes every delivered item in
+    /// debug builds; compiles to a no-op in release builds (the static
+    /// certificate already carries the proof).
+    checker: ChunkProtocolChecker,
+    report: RunReport,
+}
+
+impl<'a, F> Drive<'a, F> {
+    fn begin(name: &str, obs: &'a PipelineObs, on_item: F) -> Self {
+        if let Some(trace) = &obs.trace {
+            trace.record(obs.query_id, name, TraceKind::QueryStart, "");
+        }
+        Drive {
+            obs,
+            name: name.to_string(),
+            on_item,
+            start: Instant::now(),
+            pull_ns: Histogram::new(),
+            clock: SampledClock::new(),
+            checker: ChunkProtocolChecker::new(),
+            report: RunReport::default(),
+        }
+    }
+
+    /// [`GeoStream::next_chunk`], timed.
+    fn next_chunk<S: GeoStream>(
+        &mut self,
+        stream: &mut S,
+        budget: usize,
+    ) -> Option<ChunkOrMarker<S::V>> {
+        let t0 = self.clock.begin();
+        let item = stream.next_chunk(budget)?;
+        self.clock.end(t0, item.element_count().max(1), &self.pull_ns);
+        Some(item)
+    }
+
+    fn deliver<V: Pixel>(&mut self, item: ChunkOrMarker<V>)
+    where
+        F: FnMut(&ChunkOrMarker<V>),
+    {
+        self.report.elements += item.element_count().max(1);
+        self.report.points_delivered += item.point_count() as u64;
+        if let Some(Marker::SectorEnd(_)) = item.marker() {
+            self.report.sectors += 1;
+        }
+        self.checker.observe(&item);
+        (self.on_item)(&item);
+        item.recycle();
+    }
+
+    fn finish(mut self, per_op: Vec<OpReport>) -> RunReport {
+        self.clock.flush(&self.pull_ns);
+        let RunReport { points_delivered: points, sectors, .. } = self.report;
+        let wall = self.start.elapsed();
+        if let Some(trace) = &self.obs.trace {
+            let detail = format!("{points} points, {sectors} sectors, {} µs", wall.as_micros());
+            trace.record(self.obs.query_id, &self.name, TraceKind::QueryEnd, detail);
+        }
+        RunReport {
+            wall,
+            per_op,
+            pull_latency: self.pull_ns.snapshot(),
+            protocol_violations: self.checker.violations(),
+            ..self.report
+        }
+    }
+}
+
 /// The chunk-native driver: drains the pipeline pulling up to `budget`
 /// points per call, invoking `on_item` once per run. Pull timing uses
 /// the [`SampledClock`] discipline — a clock read only every
@@ -198,65 +278,18 @@ where
 /// charged at the last measured per-element cost — so
 /// [`RunReport::pull_latency`] stays element-denominated (`count` equals
 /// `elements`) without an `Instant` pair per chunk.
-pub fn run_chunked<S, F>(
-    stream: &mut S,
-    obs: &PipelineObs,
-    budget: usize,
-    mut on_item: F,
-) -> RunReport
+pub fn run_chunked<S, F>(stream: &mut S, obs: &PipelineObs, budget: usize, on_item: F) -> RunReport
 where
     S: GeoStream,
     F: FnMut(&ChunkOrMarker<S::V>),
 {
-    let name = stream.schema().name.clone();
-    if let Some(trace) = &obs.trace {
-        trace.record(obs.query_id, &name, TraceKind::QueryStart, "");
+    let mut drive = Drive::begin(&stream.schema().name, obs, on_item);
+    while let Some(item) = drive.next_chunk(stream, budget) {
+        drive.deliver(item);
     }
-    let pull_ns = Histogram::new();
-    // Live protocol cross-check: observes every pulled item in debug
-    // builds; compiles to a no-op in release builds (the static
-    // certificate already carries the proof).
-    let mut checker = ChunkProtocolChecker::new();
-    let mut clock = SampledClock::new();
-    let start = Instant::now();
-    let mut elements = 0u64;
-    let mut points = 0u64;
-    let mut sectors = 0u64;
-    loop {
-        let t0 = clock.begin();
-        let Some(item) = stream.next_chunk(budget) else { break };
-        let n = item.element_count().max(1);
-        clock.end(t0, n, &pull_ns);
-        elements += n;
-        points += item.point_count() as u64;
-        if let Some(Marker::SectorEnd(_)) = item.marker() {
-            sectors += 1;
-        }
-        checker.observe(&item);
-        on_item(&item);
-        item.recycle();
-    }
-    clock.flush(&pull_ns);
-    let wall = start.elapsed();
     let mut per_op = Vec::new();
     stream.collect_stats(&mut per_op);
-    if let Some(trace) = &obs.trace {
-        trace.record(
-            obs.query_id,
-            &name,
-            TraceKind::QueryEnd,
-            format!("{points} points, {sectors} sectors, {} µs", wall.as_micros()),
-        );
-    }
-    RunReport {
-        wall,
-        elements,
-        points_delivered: points,
-        sectors,
-        per_op,
-        pull_latency: pull_ns.snapshot(),
-        protocol_violations: checker.violations(),
-    }
+    drive.finish(per_op)
 }
 
 /// Drains the pipeline, discarding elements (pure measurement run).

@@ -1,157 +1,79 @@
-//! Morsel-driven parallel execution of the partitionable plan suffix.
+//! Morsel-driven parallel execution of the partitionable plan suffix —
+//! a thin layer over the chunk protocol, not a second executor.
 //!
 //! The split follows each operator's declared [`Parallelism`] contract
-//! (see [`crate::ops::ProtocolContract`]): starting at the query root,
+//! (see [`Expr::contract`]): starting at the query root,
 //! [`split_parallel`] peels off the longest suffix of `Partitionable`
 //! unary operators — restriction, value transform, stretch, focal,
 //! orient — leaving everything below (sources, shedding, delays,
 //! compositions, aggregates: the `OrderSensitive` / `BlockingMerge`
-//! operators) on the single-threaded *inner* pipeline.
+//! operators) on the single-threaded *inner* pipeline. A stage is the
+//! plan's own [`Expr`] node; its operator is built by the planner's one
+//! constructor, `query::plan::build_operator`.
 //!
 //! [`run_morsels`] then drives the inner pipeline from the consumer
-//! thread, slices its output into **morsels** at the split's
+//! thread and cuts its output into **morsels** at the split's
 //! [`Granularity`] — whole `SectorStart..SectorEnd` brackets when any
 //! stage is sector-scoped (focal, image-scope stretch, orient), single
-//! frames otherwise — and dispatches each morsel, tagged with a
-//! submission sequence number, to a [`WorkerPool`]. Each worker runs a
-//! *fresh* instance of the stage operators over its morsel (frame
-//! morsels get a synthetic copy of the enclosing `SectorStart` so
-//! georeferencing context travels with the work; it is stripped from
-//! the output). An [`OrderedCollector`] then merges results back in
-//! submission order, so the flattened element sequence is
-//! **byte-identical** to the serial pipeline at every chunk budget and
-//! worker count — the contracts guarantee a fresh per-unit instance
-//! reproduces the serial operator exactly.
+//! frames otherwise. A morsel is a `Vec` of the [`ChunkOrMarker`] items
+//! the inner pipeline produced: nothing is flattened, queued per
+//! element or re-packed on the way in or out. The cut always falls
+//! between two items, because the markers that open a unit
+//! (`SectorStart`, `FrameStart`) normally travel alone; a run whose
+//! [`Chunk::end`](crate::model::Chunk::end) is such a marker (the
+//! closing marker before it was lost and nothing below repaired it) is
+//! handed on as its points and the marker, separately, so the flattened
+//! sequence is what it was. Each morsel, tagged with a submission
+//! sequence number, goes to a [`WorkerPool`]; the worker builds a
+//! *fresh* instance of the stage operators over it, pulls that chain at
+//! the run's `budget` and returns the items it got (frame morsels are
+//! given a synthetic copy of the enclosing `SectorStart` so
+//! georeferencing context travels with the work; its echo is stripped
+//! from the output). An [`OrderedCollector`] merges results back in
+//! submission order, and delivery is [`run_chunked`]'s: count,
+//! cross-check, hand over, recycle. A chunk keeps its
+//! [`ctx`](crate::model::Chunk::ctx) across the hand-off wherever the
+//! stage operators keep it.
 //!
-//! Byte-identity is defined on the flattened element sequence (what
-//! [`ChunkOrMarker::into_elements`] yields); chunk *boundaries* may
-//! differ from the serial driver near morsel edges. The guarantee
-//! requires protocol-clean inner output (`SectorStart..SectorEnd`
-//! bracketing, `FrameStart..FrameEnd` nesting); faulty transports
-//! should be routed through
+//! The flattened element sequence is **byte-identical** to the serial
+//! pipeline at every chunk budget and worker count — the contracts
+//! guarantee a fresh per-unit instance reproduces the serial operator
+//! exactly; chunk *boundaries* may differ from the serial driver near
+//! morsel edges. The guarantee requires protocol-clean inner output
+//! (`SectorStart..SectorEnd` bracketing, `FrameStart..FrameEnd`
+//! nesting); faulty transports should be routed through
 //! [`StreamRepair`](crate::model::StreamRepair) *below* the split,
 //! where it runs order-sensitively, exactly as in the serial plan.
 
 use super::pool::{OrderedCollector, WorkerPool};
-use super::{run_chunked, RunReport};
+use super::{run_chunked, Drive, RunReport};
 use crate::error::Result;
 use crate::model::{
-    pack_queue, BoxedF32Stream, ChunkOrMarker, Element, GeoStream, Marker, SectorInfo,
-    StreamSchema, TimeSet, VecStream, DEFAULT_CHUNK_BUDGET,
+    BoxedF32Stream, ChunkChannel, ChunkOrMarker, GeoStream, Marker, SectorInfo, StreamSchema,
+    VecStream,
 };
-use crate::obs::{Histogram, PipelineObs, SampledClock, SpanOutcome, TraceKind};
-use crate::ops::{
-    ChunkProtocolChecker, FocalFunc, FocalTransform, Granularity, MapTransform, Orient,
-    Orientation, Parallelism, ProtocolContract, SpatialRestrict, StretchMode, StretchScope,
-    StretchTransform, TemporalRestrict, ValueFunc, ValueRestrict,
-};
+use crate::obs::{PipelineObs, SpanOutcome};
+use crate::ops::{Granularity, Parallelism};
+use crate::query::plan::{build_operator, region_in};
 use crate::query::{Expr, Planner};
 use crate::stats::{OpReport, OpStats};
-use geostreams_geo::{map_region, Crs, Region};
-use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
-use std::time::Instant;
-
-/// One data-parallel stage peeled off the plan root: the operator's
-/// parameters, detached from its input expression.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum StageSpec {
-    /// Spatial restriction `E|R` (region in `crs` coordinates).
-    RestrictSpace {
-        /// Restriction region.
-        region: Region,
-        /// CRS the region coordinates are expressed in.
-        crs: Crs,
-    },
-    /// Temporal restriction `E|T`.
-    RestrictTime {
-        /// Accepted timestamp set.
-        times: TimeSet,
-    },
-    /// Value restriction `E|V`.
-    RestrictValue {
-        /// Accepted value ranges (inclusive).
-        ranges: Vec<(f64, f64)>,
-    },
-    /// Point-wise value transform `f_val ∘ E`.
-    MapValue {
-        /// The function.
-        func: ValueFunc,
-    },
-    /// Frame/image-scoped contrast stretch.
-    Stretch {
-        /// Stretch mode.
-        mode: StretchMode,
-        /// Buffering scope.
-        scope: StretchScope,
-    },
-    /// `k × k` focal (neighborhood) operation.
-    Focal {
-        /// Focal function.
-        func: FocalFunc,
-        /// Kernel size (odd).
-        k: u32,
-    },
-    /// Exact orientation change.
-    Orient {
-        /// The orientation.
-        orientation: Orientation,
-    },
-}
-
-impl StageSpec {
-    /// The operator's textual algebra keyword.
-    pub fn name(&self) -> &'static str {
-        match self {
-            StageSpec::RestrictSpace { .. } => "restrict_space",
-            StageSpec::RestrictTime { .. } => "restrict_time",
-            StageSpec::RestrictValue { .. } => "restrict_value",
-            StageSpec::MapValue { .. } => "map_value",
-            StageSpec::Stretch { .. } => "stretch",
-            StageSpec::Focal { .. } => "focal",
-            StageSpec::Orient { .. } => "orient",
-        }
-    }
-
-    /// The operator's declared protocol contract — the same one
-    /// [`query::analyze`](crate::query) folds into the plan's
-    /// certificate; its [`Parallelism`] and [`Granularity`] fields
-    /// drive the split.
-    pub fn contract(&self) -> ProtocolContract {
-        match self {
-            StageSpec::RestrictSpace { .. } => {
-                crate::ops::restrict::restriction_contract("restrict_space")
-            }
-            StageSpec::RestrictTime { .. } => {
-                crate::ops::restrict::restriction_contract("restrict_time")
-            }
-            StageSpec::RestrictValue { .. } => {
-                crate::ops::restrict::restriction_contract("restrict_value")
-            }
-            StageSpec::MapValue { .. } => {
-                crate::ops::value_transform::value_transform_contract("map_value")
-            }
-            StageSpec::Stretch { scope, .. } => crate::ops::stretch::stretch_contract(*scope),
-            StageSpec::Focal { .. } => crate::ops::focal::focal_contract(),
-            StageSpec::Orient { .. } => crate::ops::orient::orient_contract(),
-        }
-    }
-}
 
 /// The outcome of [`split_parallel`]: the order-sensitive residue and
-/// the partitionable stage suffix (upstream first).
+/// the partitionable stage suffix (upstream first), both borrowed from
+/// the plan. A stage is the operator node as the plan spells it; only
+/// its parameters are read — its input is the stage before it.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ParallelSplit {
+pub struct ParallelSplit<'a> {
     /// The expression that stays on the single-threaded inner pipeline.
-    pub inner: Expr,
+    pub inner: &'a Expr,
     /// Partitionable stages to run per-morsel, upstream first.
-    pub stages: Vec<StageSpec>,
+    pub stages: Vec<&'a Expr>,
 }
 
-impl ParallelSplit {
+impl ParallelSplit<'_> {
     /// Morsel granularity: the coarsest granularity any stage demands
     /// ([`Granularity::Sector`] dominates [`Granularity::Frame`]).
     pub fn granularity(&self) -> Granularity {
@@ -163,80 +85,47 @@ impl ParallelSplit {
 /// operators off the plan root. Operators whose contracts are
 /// order-sensitive or blocking bound the parallel region and stay in
 /// `inner` together with everything beneath them.
-pub fn split_parallel(expr: &Expr) -> ParallelSplit {
-    let mut rev: Vec<StageSpec> = Vec::new();
-    let mut cur = expr;
-    loop {
-        let peeled = match cur {
-            Expr::RestrictSpace { input, region, crs } => {
-                Some((input, StageSpec::RestrictSpace { region: region.clone(), crs: *crs }))
-            }
-            Expr::RestrictTime { input, times } => {
-                Some((input, StageSpec::RestrictTime { times: times.clone() }))
-            }
-            Expr::RestrictValue { input, ranges } => {
-                Some((input, StageSpec::RestrictValue { ranges: ranges.clone() }))
-            }
-            Expr::MapValue { input, func } => Some((input, StageSpec::MapValue { func: *func })),
-            Expr::Stretch { input, mode, scope } => {
-                Some((input, StageSpec::Stretch { mode: *mode, scope: *scope }))
-            }
-            Expr::Focal { input, func, k } => {
-                Some((input, StageSpec::Focal { func: *func, k: *k }))
-            }
-            Expr::Orient { input, orientation } => {
-                Some((input, StageSpec::Orient { orientation: *orientation }))
-            }
-            _ => None,
-        };
-        match peeled {
-            Some((input, spec)) if spec.contract().parallelism == Parallelism::Partitionable => {
-                rev.push(spec);
-                cur = input;
-            }
-            _ => break,
+pub fn split_parallel(expr: &Expr) -> ParallelSplit<'_> {
+    let mut stages = Vec::new();
+    let mut inner = expr;
+    while let [input] = inner.inputs()[..] {
+        if inner.contract().parallelism != Parallelism::Partitionable {
+            break;
         }
+        stages.push(inner);
+        inner = input;
     }
-    rev.reverse();
-    ParallelSplit { inner: cur.clone(), stages: rev }
+    stages.reverse();
+    ParallelSplit { inner, stages }
 }
 
-type StageBuilder = Arc<dyn Fn(BoxedF32Stream) -> BoxedF32Stream + Send + Sync>;
-
-/// Compiled form of a stage suffix: thread-safe constructors that build
-/// a fresh operator chain per morsel, plus the probed operator names
+/// Compiled form of a stage suffix: the stage nodes a worker builds a
+/// fresh operator chain from per morsel, plus the probed operator names
 /// (for per-op stats) and the morsel granularity.
-#[derive(Clone)]
+#[derive(Debug, Clone)]
 pub struct CompiledStages {
-    builders: Vec<StageBuilder>,
+    /// Upstream first; restriction regions are already in the stream's
+    /// coordinate system.
+    nodes: Vec<Expr>,
     names: Vec<String>,
     granularity: Granularity,
-}
-
-impl std::fmt::Debug for CompiledStages {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CompiledStages")
-            .field("names", &self.names)
-            .field("granularity", &self.granularity)
-            .finish()
-    }
 }
 
 impl CompiledStages {
     /// A suffix with no stages (the driver degenerates to
     /// [`run_chunked`]).
     pub fn empty() -> CompiledStages {
-        CompiledStages { builders: Vec::new(), names: Vec::new(), granularity: Granularity::Frame }
+        CompiledStages { nodes: Vec::new(), names: Vec::new(), granularity: Granularity::Frame }
     }
 
     /// True when there is nothing to parallelize.
     pub fn is_empty(&self) -> bool {
-        self.builders.is_empty()
+        self.nodes.is_empty()
     }
 
     /// Number of stages.
     pub fn len(&self) -> usize {
-        self.builders.len()
+        self.nodes.len()
     }
 
     /// Morsel granularity of the compiled suffix.
@@ -250,68 +139,34 @@ impl CompiledStages {
         &self.names
     }
 
-    fn build_chain(&self, input: BoxedF32Stream) -> BoxedF32Stream {
-        let mut chain = input;
-        for b in &self.builders {
-            chain = b(chain);
-        }
-        chain
+    fn build_chain(&self, input: BoxedF32Stream) -> Result<BoxedF32Stream> {
+        self.nodes
+            .iter()
+            .try_fold(input, |chain, node| build_operator(node, &mut std::iter::once(Ok(chain))))
     }
 }
 
-/// Compiles stage specs against the inner stream's schema. Fallible
-/// work (cross-CRS region mapping, exactly as
-/// [`Planner::build`] does it) happens once here, not per morsel.
-pub fn compile_stages(stages: &[StageSpec], schema: &StreamSchema) -> Result<CompiledStages> {
-    let mut builders: Vec<StageBuilder> = Vec::with_capacity(stages.len());
-    let mut granularity = Granularity::Frame;
-    for spec in stages {
-        granularity = granularity.max(spec.contract().granularity);
-        let b: StageBuilder = match spec {
-            StageSpec::RestrictSpace { region, crs } => {
-                let stream_crs = schema.crs;
-                let region = if *crs == stream_crs {
-                    region.clone()
-                } else {
-                    Region::Rect(map_region(region, crs, &stream_crs, 16)?)
-                };
-                Arc::new(move |s| Box::new(SpatialRestrict::new(s, region.clone())))
-            }
-            StageSpec::RestrictTime { times } => {
-                let times = times.clone();
-                Arc::new(move |s| Box::new(TemporalRestrict::new(s, times.clone())))
-            }
-            StageSpec::RestrictValue { ranges } => {
-                let ranges = ranges.clone();
-                Arc::new(move |s| Box::new(ValueRestrict::ranges(s, ranges.clone())))
-            }
-            StageSpec::MapValue { func } => {
-                let func = *func;
-                Arc::new(move |s| Box::new(MapTransform::<_, f32>::new(s, func)))
-            }
-            StageSpec::Stretch { mode, scope } => {
-                let (mode, scope) = (*mode, *scope);
-                Arc::new(move |s| Box::new(StretchTransform::new(s, mode, scope)))
-            }
-            StageSpec::Focal { func, k } => {
-                let (func, k) = (*func, *k);
-                Arc::new(move |s| Box::new(FocalTransform::new(s, func, k)))
-            }
-            StageSpec::Orient { orientation } => {
-                let orientation = *orientation;
-                Arc::new(move |s| Box::new(Orient::new(s, orientation)))
-            }
-        };
-        builders.push(b);
+/// Compiles the stages against the inner stream's schema. Fallible work
+/// happens once here, not per morsel: a cross-CRS restriction region is
+/// mapped now (the planner's own rule, `region_in`), and the probe
+/// chain below proves the suffix builds.
+pub fn compile_stages(stages: &[&Expr], schema: &StreamSchema) -> Result<CompiledStages> {
+    let mut compiled = CompiledStages::empty();
+    for stage in stages {
+        let mut node = (*stage).clone();
+        if let Expr::RestrictSpace { region, crs, .. } = &mut node {
+            *region = region_in(region, crs, &schema.crs)?;
+            *crs = schema.crs;
+        }
+        compiled.granularity = compiled.granularity.max(node.contract().granularity);
+        compiled.nodes.push(node);
     }
-    let compiled = CompiledStages { builders, names: Vec::new(), granularity };
     // Probe operator names by building one chain over an empty stream.
-    let probe: BoxedF32Stream = Box::new(VecStream::new(schema.clone(), Vec::new()));
-    let chain = compiled.build_chain(probe);
+    let probe = compiled.build_chain(Box::new(VecStream::new(schema.clone(), Vec::new())))?;
     let mut reports = Vec::new();
-    chain.collect_stats(&mut reports);
-    let names = reports.into_iter().skip(1).map(|r| r.name).collect();
-    Ok(CompiledStages { names, ..compiled })
+    probe.collect_stats(&mut reports);
+    compiled.names = reports.into_iter().skip(1).map(|r| r.name).collect();
+    Ok(compiled)
 }
 
 /// Splits `expr`, builds the inner pipeline through `planner` (traced
@@ -323,87 +178,70 @@ pub fn split_and_compile(
     obs: &PipelineObs,
 ) -> Result<(BoxedF32Stream, CompiledStages)> {
     let split = split_parallel(expr);
-    let inner = planner.build_traced(&split.inner, obs)?;
+    let inner = planner.build_traced(split.inner, obs)?;
     let compiled = compile_stages(&split.stages, inner.schema())?;
     Ok((inner, compiled))
 }
 
-/// A morsel's elements replayed as a [`GeoStream`] for the fresh stage
-/// chain a worker builds: pops are `pop_front`, chunked pulls pack the
-/// queue with the shared budget logic, so the kernel sees exactly the
-/// serial element protocol.
-struct MorselSource {
-    schema: Arc<StreamSchema>,
-    queue: VecDeque<Element<f32>>,
-}
-
-impl GeoStream for MorselSource {
-    type V = f32;
-
-    fn schema(&self) -> &StreamSchema {
-        &self.schema
-    }
-
-    fn next_element(&mut self) -> Option<Element<f32>> {
-        self.queue.pop_front()
-    }
-
-    fn next_chunk(&mut self, budget: usize) -> Option<ChunkOrMarker<f32>> {
-        pack_queue(&mut self.queue, budget)
-    }
-}
+/// A morsel: the inner pipeline's items for one unit of work, and
+/// whether the kernel must strip the echo of a synthesized leading
+/// `SectorStart` from its output.
+type Unit = (Vec<ChunkOrMarker<f32>>, bool);
 
 struct KernelOut {
-    elements: Vec<Element<f32>>,
+    items: Vec<ChunkOrMarker<f32>>,
     stage_stats: Vec<OpStats>,
 }
 
-/// Runs one morsel through a fresh stage chain. `strip_synthetic`
-/// removes the first `SectorStart` of the output — the echo of the
-/// synthesized sector context prepended to frame-granularity morsels.
+/// Runs one morsel through a fresh stage chain, pulled at the run's
+/// `budget`. The source hands the staged items over as they are: they
+/// were pulled at that same budget, and a stage that asks for less
+/// (`ChunkInput`'s fixed budget) reads a longer run just as well.
 fn run_kernel(
     stages: &CompiledStages,
-    schema: &Arc<StreamSchema>,
-    unit: Vec<Element<f32>>,
-    strip_synthetic: bool,
-) -> KernelOut {
-    let src = MorselSource { schema: Arc::clone(schema), queue: unit.into() };
-    let mut chain = stages.build_chain(Box::new(src));
-    let mut out = Vec::new();
-    while let Some(item) = chain.next_chunk(DEFAULT_CHUNK_BUDGET) {
-        item.into_elements(&mut |el| out.push(el));
+    schema: &StreamSchema,
+    (unit, strip_synthetic): Unit,
+    budget: usize,
+) -> Result<KernelOut> {
+    let mut staged = unit.into_iter();
+    let src = ChunkChannel::new(schema.clone(), move || staged.next());
+    let mut chain = stages.build_chain(Box::new(src))?;
+    let mut items = Vec::new();
+    while let Some(item) = chain.next_chunk(budget) {
+        items.push(item);
     }
     let mut reports = Vec::new();
     chain.collect_stats(&mut reports);
     let stage_stats = reports.into_iter().skip(1).map(|r| r.stats).collect();
     if strip_synthetic {
-        if let Some(pos) = out.iter().position(|e| matches!(e, Element::SectorStart(_))) {
-            out.remove(pos);
+        let is_start = |i: &ChunkOrMarker<f32>| matches!(i.marker(), Some(Marker::SectorStart(_)));
+        if let Some(pos) = items.iter().position(is_start) {
+            match &mut items[pos] {
+                ChunkOrMarker::Chunk(c) => c.end = None,
+                ChunkOrMarker::Marker(_) => drop(items.remove(pos)),
+            }
         }
     }
-    KernelOut { elements: out, stage_stats }
+    Ok(KernelOut { items, stage_stats })
 }
 
-/// Slices the inner pipeline's flattened element sequence into morsel
-/// units at the split granularity. Frame-granularity units use a
-/// one-element lookahead so a trailing `SectorEnd` joins the sector's
-/// last frame unit instead of travelling alone.
+/// Cuts the inner pipeline's item sequence into morsel units at the
+/// split granularity. A frame unit stays open after its `FrameEnd`
+/// until the next `FrameStart`, so a trailing `SectorEnd` joins the
+/// sector's last frame unit instead of travelling alone.
 struct Assembler {
-    granularity: Granularity,
+    by_frame: bool,
+    /// The enclosing sector (frame granularity only).
     ctx: Option<SectorInfo>,
-    pending: Vec<Element<f32>>,
+    pending: Vec<ChunkOrMarker<f32>>,
     pending_synthetic: bool,
     frame_done: bool,
 }
 
-/// A complete unit: its elements, and whether the kernel must strip a
-/// synthesized leading `SectorStart` from the output.
-type Unit = (Vec<Element<f32>>, bool);
-
 impl Assembler {
     fn new(granularity: Granularity) -> Assembler {
         Assembler {
-            granularity,
+            by_frame: granularity == Granularity::Frame,
             ctx: None,
             pending: Vec::new(),
             pending_synthetic: false,
@@ -413,86 +251,52 @@ impl Assembler {
 
     fn take_pending(&mut self) -> Option<Unit> {
         self.frame_done = false;
-        let strip = self.pending_synthetic;
-        self.pending_synthetic = false;
+        let strip = std::mem::take(&mut self.pending_synthetic);
         if self.pending.is_empty() {
             return None;
         }
         Some((std::mem::take(&mut self.pending), strip))
     }
 
-    /// Opens a frame-granularity unit with a synthesized copy of the
-    /// enclosing sector context, if one is known.
-    fn ensure_open(&mut self) {
-        if self.pending.is_empty() {
+    /// Feeds one item; returns at most one completed unit.
+    fn push_item(&mut self, mut item: ChunkOrMarker<f32>) -> Option<Unit> {
+        if let ChunkOrMarker::Chunk(c) = &mut item {
+            if matches!(c.end, Some(Marker::SectorStart(_) | Marker::FrameStart(_))) {
+                // The run's points close this unit and the marker may
+                // open the next: a chunk never spans two units.
+                let opener = c.end.take().map(ChunkOrMarker::Marker);
+                self.push_item(item);
+                return opener.and_then(|m| self.push_item(m));
+            }
+        }
+        let marker = item.marker();
+        let opens_sector = matches!(marker, Some(Marker::SectorStart(_)));
+        let opens_frame = matches!(marker, Some(Marker::FrameStart(_)));
+        let ends_frame = matches!(marker, Some(Marker::FrameEnd(_)));
+        let ends_sector = matches!(marker, Some(Marker::SectorEnd(_)));
+        if let (true, Some(Marker::SectorStart(si))) = (self.by_frame, marker) {
+            self.ctx = Some(si.clone());
+        }
+        let cut = opens_sector || (opens_frame && self.frame_done);
+        let done = if cut { self.take_pending() } else { None };
+        if self.pending.is_empty() && !opens_sector {
+            // Open the frame unit with a synthesized copy of the
+            // enclosing sector context, if one is known.
             if let Some(si) = &self.ctx {
-                self.pending.push(Element::SectorStart(si.clone()));
+                self.pending.push(ChunkOrMarker::Marker(Marker::SectorStart(si.clone())));
                 self.pending_synthetic = true;
             }
         }
-    }
-
-    /// Feeds one element; returns at most one completed unit.
-    fn push(&mut self, el: Element<f32>) -> Option<Unit> {
-        match self.granularity {
-            Granularity::Sector => self.push_sector(el),
-            Granularity::Frame => self.push_frame(el),
+        // Points (and any stray item) ride in the open unit; after a
+        // FrameEnd they stay with that frame so the kernel sees the
+        // serial sequence.
+        self.pending.push(item);
+        self.frame_done |= self.by_frame && ends_frame;
+        if ends_sector {
+            self.ctx = None;
+            return self.take_pending();
         }
-    }
-
-    fn push_sector(&mut self, el: Element<f32>) -> Option<Unit> {
-        match &el {
-            Element::SectorStart(_) => {
-                let prev = self.take_pending();
-                self.pending.push(el);
-                prev
-            }
-            Element::SectorEnd(_) => {
-                self.pending.push(el);
-                self.take_pending()
-            }
-            _ => {
-                self.pending.push(el);
-                None
-            }
-        }
-    }
-
-    fn push_frame(&mut self, el: Element<f32>) -> Option<Unit> {
-        match el {
-            Element::SectorStart(si) => {
-                let prev = self.take_pending();
-                self.ctx = Some(si.clone());
-                self.pending.push(Element::SectorStart(si));
-                prev
-            }
-            Element::FrameStart(_) => {
-                let prev = if self.frame_done { self.take_pending() } else { None };
-                self.ensure_open();
-                self.pending.push(el);
-                prev
-            }
-            Element::FrameEnd(_) => {
-                self.ensure_open();
-                self.pending.push(el);
-                self.frame_done = true;
-                None
-            }
-            Element::SectorEnd(_) => {
-                self.ensure_open();
-                self.pending.push(el);
-                self.ctx = None;
-                self.take_pending()
-            }
-            other => {
-                // Points (and any stray element) ride in the open unit;
-                // after a FrameEnd they stay with that frame so the
-                // kernel sees the serial sequence.
-                self.ensure_open();
-                self.pending.push(other);
-                None
-            }
-        }
+        done
     }
 
     fn finish(&mut self) -> Option<Unit> {
@@ -518,23 +322,13 @@ pub struct MorselReport {
 /// blocks on the collector (bounds reorder-buffer memory).
 const IN_FLIGHT_PER_WORKER: u64 = 4;
 
+/// Delivers one merged unit, in order.
 fn deliver_unit<F: FnMut(&ChunkOrMarker<f32>)>(
-    unit: Vec<Element<f32>>,
-    budget: usize,
-    checker: &mut ChunkProtocolChecker,
-    counts: &mut (u64, u64, u64),
-    on_item: &mut F,
+    unit: Vec<ChunkOrMarker<f32>>,
+    drive: &mut Drive<'_, F>,
 ) {
-    let mut q: VecDeque<Element<f32>> = unit.into();
-    while let Some(item) = pack_queue(&mut q, budget) {
-        counts.0 += item.element_count().max(1);
-        counts.1 += item.point_count() as u64;
-        if let Some(Marker::SectorEnd(_)) = item.marker() {
-            counts.2 += 1;
-        }
-        checker.observe(&item);
-        on_item(&item);
-        item.recycle();
+    for item in unit {
+        drive.deliver(item);
     }
 }
 
@@ -556,7 +350,7 @@ pub fn run_morsels<S, F>(
     pool: &WorkerPool,
     obs: &PipelineObs,
     budget: usize,
-    mut on_item: F,
+    on_item: F,
 ) -> MorselReport
 where
     S: GeoStream<V = f32>,
@@ -566,21 +360,15 @@ where
         let run = run_chunked(inner, obs, budget, on_item);
         return MorselReport { run, morsels: 0, kernel_panics: 0 };
     }
-    let name = inner.schema().name.clone();
-    if let Some(trace) = &obs.trace {
-        trace.record(obs.query_id, &name, TraceKind::QueryStart, "");
-    }
+    let mut drive = Drive::begin(&inner.schema().name, obs, on_item);
     let schema = Arc::new(inner.schema().clone());
-    let pull_ns = Histogram::new();
-    let mut clock = SampledClock::new();
-    let mut checker = ChunkProtocolChecker::new();
-    let collector: Arc<OrderedCollector<Vec<Element<f32>>>> = Arc::new(OrderedCollector::new());
+    let collector: Arc<OrderedCollector<Vec<ChunkOrMarker<f32>>>> =
+        Arc::new(OrderedCollector::new());
     let stage_stats: Arc<Vec<Mutex<OpStats>>> =
         Arc::new((0..stages.len()).map(|_| Mutex::new(OpStats::default())).collect());
     let panics = Arc::new(AtomicU64::new(0));
-    let start = Instant::now();
 
-    let dispatch = |unit: Vec<Element<f32>>, strip: bool, seq: u64| {
+    let dispatch = |unit: Unit, seq: u64| {
         let stages = Arc::clone(stages);
         let schema = Arc::clone(&schema);
         let collector = Arc::clone(&collector);
@@ -590,23 +378,23 @@ where
         let parent = obs.parent;
         pool.submit(move |worker| {
             let result =
-                catch_unwind(AssertUnwindSafe(|| run_kernel(&stages, &schema, unit, strip)));
+                catch_unwind(AssertUnwindSafe(|| run_kernel(&stages, &schema, unit, budget)));
             match result {
-                Ok(out) => {
+                Ok(Ok(out)) => {
                     for (slot, s) in stats.iter().zip(&out.stage_stats) {
                         let mut g = slot.lock().unwrap_or_else(PoisonError::into_inner);
                         g.merge(s);
                     }
                     if let Some(rec) = &recorder {
                         let mut span = rec.begin(&format!("morsel.w{worker}"), parent);
-                        let pts =
-                            out.elements.iter().filter(|e| matches!(e, Element::Point(_))).count();
-                        span.add_points(pts as u64);
+                        span.add_points(out.items.iter().map(|i| i.point_count() as u64).sum());
                         span.finish(SpanOutcome::Ok);
                     }
-                    collector.push(seq, out.elements);
+                    collector.push(seq, out.items);
                 }
-                Err(_) => {
+                // A chain that `compile_stages` built cannot fail to
+                // build again; if it does, it is contained like a panic.
+                Ok(Err(_)) | Err(_) => {
                     panics.fetch_add(1, Ordering::Relaxed);
                     collector.push(seq, Vec::new());
                 }
@@ -617,82 +405,64 @@ where
     let mut asm = Assembler::new(stages.granularity());
     let mut submitted = 0u64;
     let mut delivered = 0u64;
-    // (elements, points, sectors) of the merged output.
-    let mut counts = (0u64, 0u64, 0u64);
     let high_water = (pool.workers().max(1) as u64) * IN_FLIGHT_PER_WORKER;
-    loop {
-        let t0 = clock.begin();
-        let Some(item) = inner.next_chunk(budget) else { break };
-        let n = item.element_count().max(1);
-        clock.end(t0, n, &pull_ns);
-        item.into_elements(&mut |el| {
-            if let Some((unit, strip)) = asm.push(el) {
-                dispatch(unit, strip, submitted);
-                submitted += 1;
-            }
-        });
+    while let Some(item) = drive.next_chunk(inner, budget) {
+        if let Some(unit) = asm.push_item(item) {
+            dispatch(unit, submitted);
+            submitted += 1;
+        }
         while submitted - delivered >= high_water {
-            let unit = collector.wait_next();
-            deliver_unit(unit, budget, &mut checker, &mut counts, &mut on_item);
+            deliver_unit(collector.wait_next(), &mut drive);
             delivered += 1;
         }
     }
-    clock.flush(&pull_ns);
-    if let Some((unit, strip)) = asm.finish() {
-        dispatch(unit, strip, submitted);
+    if let Some(unit) = asm.finish() {
+        dispatch(unit, submitted);
         submitted += 1;
     }
     while delivered < submitted {
-        let unit = collector.wait_next();
-        deliver_unit(unit, budget, &mut checker, &mut counts, &mut on_item);
+        deliver_unit(collector.wait_next(), &mut drive);
         delivered += 1;
     }
-    let wall = start.elapsed();
-    let (elements, points, sectors) = counts;
     let mut per_op = Vec::new();
     inner.collect_stats(&mut per_op);
-    for (i, stage_name) in stages.names().iter().enumerate() {
-        let stats = {
-            let g = stage_stats[i].lock().unwrap_or_else(PoisonError::into_inner);
-            g.clone()
-        };
-        per_op.push(OpReport {
-            name: stage_name.clone(),
-            stats,
-            pull_latency: None,
-            frame_latency: None,
-        });
-    }
-    if let Some(trace) = &obs.trace {
-        trace.record(
-            obs.query_id,
-            &name,
-            TraceKind::QueryEnd,
-            format!("{points} points, {sectors} sectors, {} µs", wall.as_micros()),
-        );
+    for (stage_name, stats) in stages.names().iter().zip(stage_stats.iter()) {
+        let stats = stats.lock().unwrap_or_else(PoisonError::into_inner).clone();
+        per_op.push(OpReport::new(stage_name.clone(), stats));
     }
     let kernel_panics = panics.load(Ordering::Relaxed);
-    let run = RunReport {
-        wall,
-        elements,
-        points_delivered: points,
-        sectors,
-        per_op,
-        pull_latency: pull_ns.snapshot(),
-        protocol_violations: checker.violations() + kernel_panics,
-    };
+    let mut run = drive.finish(per_op);
+    run.protocol_violations += kernel_panics;
     MorselReport { run, morsels: submitted, kernel_panics }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::drain_chunked;
+    use crate::model::chunk::{POOL_MAX_VECS, SHARED_POOL_MAX_VECS};
+    use crate::model::{pool_counts, Element, DEFAULT_CHUNK_BUDGET};
+    use crate::ops::{FocalFunc, StretchMode, StretchScope, ValueFunc};
+    use crate::query::{parse_query, Catalog};
     use geostreams_geo::{Crs, LatticeGeoref, Rect};
+    use std::collections::HashSet;
+
+    fn source_of(sectors: u64) -> VecStream<f32> {
+        let lattice = LatticeGeoref::north_up(Crs::LatLon, Rect::new(0.0, 0.0, 10.0, 10.0), 10, 10);
+        VecStream::sectors("src", lattice, sectors, |s, c, r| f64::from(c + r) + s as f64)
+    }
 
     fn source() -> VecStream<f32> {
-        let lattice = LatticeGeoref::north_up(Crs::LatLon, Rect::new(0.0, 0.0, 10.0, 10.0), 10, 10);
-        VecStream::sectors("src", lattice, 3, |s, c, r| f64::from(c + r) + s as f64)
+        source_of(3)
+    }
+
+    /// A catalog whose one source, `src`, replays `elements`.
+    fn catalog_of(elements: Vec<Element<f32>>) -> Catalog {
+        let schema = source().schema().clone();
+        let mut catalog = Catalog::new();
+        catalog.register(schema.clone(), move || {
+            Box::new(VecStream::new(schema.clone(), elements.clone()))
+        });
+        catalog
     }
 
     fn map_expr(inner: Expr) -> Expr {
@@ -710,8 +480,8 @@ mod tests {
         };
         let split = split_parallel(&expr);
         assert_eq!(split.stages.len(), 2);
-        assert!(matches!(split.stages[0], StageSpec::MapValue { .. }), "upstream first");
-        assert!(matches!(split.stages[1], StageSpec::RestrictValue { .. }));
+        assert!(matches!(split.stages[0], Expr::MapValue { .. }), "upstream first");
+        assert!(matches!(split.stages[1], Expr::RestrictValue { .. }));
         assert!(matches!(split.inner, Expr::Downsample { .. }));
         assert_eq!(split.granularity(), Granularity::Frame);
     }
@@ -721,7 +491,7 @@ mod tests {
         let expr = Expr::Downsample { input: Box::new(Expr::Source("g".into())), k: 2 };
         let split = split_parallel(&expr);
         assert!(split.stages.is_empty());
-        assert_eq!(split.inner, expr);
+        assert_eq!(split.inner, &expr);
     }
 
     #[test]
@@ -737,35 +507,6 @@ mod tests {
     }
 
     #[test]
-    fn morsel_run_matches_serial_chain_bytes() {
-        let specs = [
-            StageSpec::MapValue { func: ValueFunc::Linear { scale: 2.0, offset: 1.0 } },
-            StageSpec::RestrictValue { ranges: vec![(0.0, 20.0)] },
-        ];
-        let schema = source().schema().clone();
-        let stages = Arc::new(compile_stages(&specs, &schema).expect("compile"));
-        let mut serial_chain = ValueRestrict::ranges(
-            MapTransform::<_, f32>::new(source(), ValueFunc::Linear { scale: 2.0, offset: 1.0 }),
-            vec![(0.0, 20.0)],
-        );
-        let serial = drain_chunked(&mut serial_chain, 64);
-        for workers in [1usize, 3] {
-            let pool = WorkerPool::new(workers);
-            let mut inner = source();
-            let mut merged = Vec::new();
-            let report =
-                run_morsels(&mut inner, &stages, &pool, &PipelineObs::default(), 64, |item| {
-                    item.for_each_element(&mut |el| merged.push(el.clone()))
-                });
-            assert_eq!(merged, serial, "workers {workers}");
-            assert_eq!(report.run.protocol_violations, 0);
-            assert!(report.morsels > 0);
-            assert_eq!(report.run.per_op.len(), 1 + 2, "inner source + two stages");
-            assert_eq!(report.run.per_op[1].name, "map_value");
-        }
-    }
-
-    #[test]
     fn empty_stage_suffix_degenerates_to_run_chunked() {
         let stages = Arc::new(CompiledStages::empty());
         let pool = WorkerPool::new(2);
@@ -778,19 +519,206 @@ mod tests {
     }
 
     #[test]
-    fn compile_probes_stage_names() {
-        let specs = [
-            StageSpec::MapValue { func: ValueFunc::Abs },
-            StageSpec::Stretch {
-                mode: StretchMode::Linear { out_lo: 0.0, out_hi: 1.0 },
-                scope: StretchScope::Frame,
-            },
-        ];
-        let schema = source().schema().clone();
-        let stages = compile_stages(&specs, &schema).expect("compile");
+    fn compile_probes_stage_names_and_maps_regions_once() {
+        let utm = Crs::utm(31, true);
+        let expr = Expr::Stretch {
+            input: Box::new(Expr::RestrictSpace {
+                input: Box::new(Expr::Source("src".into())),
+                region: geostreams_geo::Region::Rect(Rect::new(2e5, 1e5, 8e5, 9e5)),
+                crs: utm,
+            }),
+            mode: StretchMode::Linear { out_lo: 0.0, out_hi: 1.0 },
+            scope: StretchScope::Frame,
+        };
+        let split = split_parallel(&expr);
+        let stages = compile_stages(&split.stages, source().schema()).expect("compile");
         assert_eq!(stages.len(), 2);
-        assert_eq!(stages.names().len(), 2);
+        assert_eq!(stages.names(), ["restrict_space", "stretch[frame]"]);
         assert_eq!(stages.granularity(), Granularity::Frame);
         assert!(!stages.is_empty());
+        // The compiled node tests the stream's own coordinates: a worker
+        // builds it without mapping anything.
+        assert!(matches!(&stages.nodes[0], Expr::RestrictSpace { crs: Crs::LatLon, .. }));
+    }
+
+    /// Everything a run delivers that must not depend on the driver:
+    /// the flattened elements, the exact `f32` bits, and per stage the
+    /// counters a morsel run merges.
+    type Outcome = (Vec<Element<f32>>, Vec<u32>, Vec<(String, [u64; 7])>);
+
+    fn outcome(merged: Vec<Element<f32>>, run: &RunReport, stages: usize) -> Outcome {
+        let bits = merged
+            .iter()
+            .filter_map(|el| match el {
+                Element::Point(p) => Some(p.value.to_bits()),
+                _ => None,
+            })
+            .collect();
+        let per_stage = run.per_op[run.per_op.len() - stages..]
+            .iter()
+            .map(|r| {
+                let s = &r.stats;
+                let merged = [
+                    s.points_in,
+                    s.points_out,
+                    s.frames_in,
+                    s.frames_out,
+                    s.buffered_points_peak,
+                    s.buffered_bytes_peak,
+                    s.stalls,
+                ];
+                (r.name.clone(), merged)
+            })
+            .collect();
+        (merged, bits, per_stage)
+    }
+
+    /// Runs `query` over `elements` serially and through the morsel
+    /// driver at every budget and worker count, and asserts the
+    /// outcomes agree.
+    fn assert_matches_serial(label: &str, elements: &[Element<f32>], query: &str) {
+        let catalog = catalog_of(elements.to_vec());
+        let planner = Planner::new(&catalog);
+        let expr = parse_query(query).expect("parse");
+        let n_stages = split_parallel(&expr).stages.len();
+        assert!(n_stages > 0, "{query} has a partitionable suffix");
+        let obs = PipelineObs::default();
+        for budget in [1usize, 64, DEFAULT_CHUNK_BUDGET + 904] {
+            let mut flat = Vec::new();
+            let mut serial = planner.build(&expr).expect("build");
+            let run = run_chunked(&mut serial, &obs, budget, |item| {
+                item.for_each_element(&mut |el| flat.push(el.clone()))
+            });
+            let want = outcome(flat, &run, n_stages);
+            for workers in [0usize, 1, 3] {
+                let pool = WorkerPool::new(workers);
+                let (mut inner, stages) = split_and_compile(&planner, &expr, &obs).expect("split");
+                let mut flat = Vec::new();
+                let report = run_morsels(&mut inner, &Arc::new(stages), &pool, &obs, budget, |i| {
+                    i.for_each_element(&mut |el| flat.push(el.clone()))
+                });
+                assert_eq!(report.kernel_panics, 0, "{label}: {query}");
+                let got = outcome(flat, &report.run, n_stages);
+                assert_eq!(got, want, "{label}: {query}, budget {budget}, workers {workers}");
+            }
+        }
+    }
+
+    /// One stage suffix per granularity — frame units (with a synthetic
+    /// sector context wherever one is known) and sector units — of
+    /// operators that ask nothing of their input's bracketing, so the
+    /// serial chain itself is well defined on a damaged stream.
+    const FRAME_QUERY: &str = "restrict_value(scale(src, 2, 1), 0, 30)";
+    const SECTOR_QUERY: &str = "scale(orient(src, \"flipv\"), 2, 1)";
+
+    fn assert_both_granularities(label: &str, elements: &[Element<f32>]) {
+        assert_matches_serial(label, elements, FRAME_QUERY);
+        assert_matches_serial(label, elements, SECTOR_QUERY);
+    }
+
+    #[test]
+    fn morsel_runs_match_the_serial_chain_at_small_and_oversized_budgets() {
+        let clean = source().drain_elements();
+        assert_both_granularities("clean", &clean);
+        // Operators that hold state between markers, one per granularity.
+        let held = "restrict_value(stretch(scale(src, 2, 1), \"linear\", \"frame\"), 0, 0.9)";
+        assert_matches_serial("clean", &clean, held);
+        assert_matches_serial("clean", &clean, "scale(focal(src, \"mean\", 3), 2, 1)");
+        // Rows wider than `DEFAULT_CHUNK_BUDGET`: at the oversized
+        // budget a staged run is longer than what `ChunkInput` asks for.
+        let lattice =
+            LatticeGeoref::north_up(Crs::LatLon, Rect::new(0.0, 0.0, 10.0, 10.0), 1500, 3);
+        let wide =
+            VecStream::<f32>::sectors("src", lattice, 2, |s, c, r| f64::from(c + r) + s as f64)
+                .drain_elements();
+        assert_both_granularities("wide rows", &wide);
+        assert_matches_serial("wide rows", &wide, held);
+    }
+
+    #[test]
+    fn a_run_ending_in_an_opening_marker_is_cut_between_points_and_marker() {
+        // With no repair below, a lost FrameEnd leaves the points of a
+        // frame running into the next FrameStart, and a lost
+        // FrameEnd + SectorEnd pair into the next SectorStart: the
+        // source folds either marker into the run's `end`.
+        let mut lost = source().drain_elements();
+        let frame_ends: Vec<usize> =
+            (0..lost.len()).filter(|&i| matches!(lost[i], Element::FrameEnd(_))).collect();
+        // Sector 0's last FrameEnd and its SectorEnd, then one FrameEnd
+        // in the middle of sector 1 (back to front, indices stay valid).
+        for i in [frame_ends[14], frame_ends[9] + 1, frame_ends[9]] {
+            lost.remove(i);
+        }
+        let mut probe = VecStream::new(source().schema().clone(), lost.clone());
+        let ends: Vec<Marker> = std::iter::from_fn(|| probe.next_chunk(64))
+            .filter_map(|item| match item {
+                ChunkOrMarker::Chunk(c) => c.end,
+                ChunkOrMarker::Marker(_) => None,
+            })
+            .collect();
+        assert!(
+            ends.iter().any(|m| matches!(m, Marker::SectorStart(_))),
+            "run ends in SectorStart"
+        );
+        assert!(ends.iter().any(|m| matches!(m, Marker::FrameStart(_))), "run ends in FrameStart");
+        assert_both_granularities("lost end markers", &lost);
+    }
+
+    #[test]
+    fn unusual_brackets_match_the_serial_chain() {
+        let clean = source().drain_elements();
+        let sector_len = clean.len() / 3;
+
+        // A sector with no frames between two full ones.
+        let mut hollow = clean.clone();
+        hollow.drain(sector_len + 1..2 * sector_len - 1);
+        assert_eq!(hollow.len(), 2 * sector_len + 2);
+        assert_both_granularities("sector with no frames", &hollow);
+
+        // The stream stops in the middle of a frame.
+        assert_both_granularities("ends mid-frame", &clean[..sector_len + 6]);
+
+        // The stream stops after a FrameEnd, its SectorEnd never sent.
+        let cut = &clean[..clean.len() - 1];
+        assert!(matches!(cut.last(), Some(Element::FrameEnd(_))));
+        assert_both_granularities("ends without SectorEnd", cut);
+
+        // Frames arrive before the first SectorStart: frame units with
+        // no sector context to synthesize (`orient` cannot place a cell
+        // without one, so the sector suffix has no serial answer here).
+        assert_matches_serial("frames before the first SectorStart", &clean[1..], FRAME_QUERY);
+        assert_matches_serial("points before any marker", &clean[2..], FRAME_QUERY);
+    }
+
+    #[test]
+    fn the_point_buffer_pool_stays_bounded_and_buffers_come_back() {
+        // restrict_value filters a run in place, so the buffer the
+        // source filled is the buffer delivered: recycled on this
+        // thread, it is the next one the source takes.
+        let catalog = catalog_of(source_of(16).drain_elements());
+        let planner = Planner::new(&catalog);
+        let expr = parse_query("restrict_value(src, 0, 1000)").expect("parse");
+        let obs = PipelineObs::default();
+        let pool = WorkerPool::new(2);
+        let mut halves = Vec::new();
+        for _ in 0..2 {
+            let (mut inner, stages) = split_and_compile(&planner, &expr, &obs).expect("split");
+            let mut buffers = HashSet::new();
+            let report = run_morsels(&mut inner, &Arc::new(stages), &pool, &obs, 64, |item| {
+                if let ChunkOrMarker::Chunk(c) = item {
+                    buffers.insert(c.points.as_ptr() as usize);
+                }
+            });
+            assert_eq!(report.run.points_delivered, 16 * 100);
+            let (local, shared) = pool_counts::<f32>();
+            assert!((1..=POOL_MAX_VECS).contains(&local), "delivered runs were recycled: {local}");
+            assert!(shared <= SHARED_POOL_MAX_VECS, "{shared}");
+            halves.push((buffers, local));
+        }
+        // Sectors 17..32 ran on the buffers of sectors 1..16: nothing
+        // new was needed and nothing piled up.
+        assert!(halves[1].0.iter().any(|b| halves[0].0.contains(b)), "buffers are reused");
+        assert!(halves[1].0.len() <= halves[0].0.len() + POOL_MAX_VECS);
+        assert!(halves[1].1 <= POOL_MAX_VECS);
     }
 }

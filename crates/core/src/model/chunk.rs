@@ -80,11 +80,11 @@ impl Marker {
 
 /// How many pooled buffers to retain per pixel type per worker thread
 /// (bounds idle memory).
-const POOL_MAX_VECS: usize = 64;
+pub(crate) const POOL_MAX_VECS: usize = 64;
 
 /// How many buffers the process-wide shared pool retains per pixel type
 /// (overflow from and hand-off between worker threads).
-const SHARED_POOL_MAX_VECS: usize = 256;
+pub(crate) const SHARED_POOL_MAX_VECS: usize = 256;
 
 /// The shared tier of the chunk pool: a process-wide, mutex-guarded
 /// stack of type-erased buffers per pixel type. Every entry is a

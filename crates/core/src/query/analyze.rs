@@ -620,11 +620,7 @@ impl Analyzer<'_> {
                     }
                 }
                 self.record(&path, "restrict_space", BlockingClass::NonBlocking, 0, &d);
-                d.proto = self.cert.apply(
-                    &path,
-                    &crate::ops::restrict::restriction_contract("restrict_space"),
-                    d.proto,
-                );
+                d.proto = self.cert.apply(&path, &expr.contract(), d.proto);
                 d
             }
             Expr::RestrictTime { input, times } => {
@@ -650,11 +646,7 @@ impl Analyzer<'_> {
                 }
                 self.record(&path, "restrict_time", BlockingClass::NonBlocking, 0, &d);
                 let mut d = d;
-                d.proto = self.cert.apply(
-                    &path,
-                    &crate::ops::restrict::restriction_contract("restrict_time"),
-                    d.proto,
-                );
+                d.proto = self.cert.apply(&path, &expr.contract(), d.proto);
                 d
             }
             Expr::RestrictValue { input, ranges } => {
@@ -671,11 +663,7 @@ impl Analyzer<'_> {
                 }
                 self.record(&path, "restrict_value", BlockingClass::NonBlocking, 0, &d);
                 let mut d = d;
-                d.proto = self.cert.apply(
-                    &path,
-                    &crate::ops::restrict::restriction_contract("restrict_value"),
-                    d.proto,
-                );
+                d.proto = self.cert.apply(&path, &expr.contract(), d.proto);
                 d
             }
             Expr::MapValue { input, .. } => {
@@ -683,11 +671,7 @@ impl Analyzer<'_> {
                 let d = self.walk(input, &path);
                 self.record(&path, "map_value", BlockingClass::NonBlocking, 0, &d);
                 let mut d = d;
-                d.proto = self.cert.apply(
-                    &path,
-                    &crate::ops::value_transform::value_transform_contract("map_value"),
-                    d.proto,
-                );
+                d.proto = self.cert.apply(&path, &expr.contract(), d.proto);
                 d
             }
             Expr::Stretch { input, scope, .. } => {
@@ -714,8 +698,7 @@ impl Analyzer<'_> {
                 };
                 self.record(&path, "stretch", class, bytes, &d);
                 let mut d = d;
-                d.proto =
-                    self.cert.apply(&path, &crate::ops::stretch::stretch_contract(*scope), d.proto);
+                d.proto = self.cert.apply(&path, &expr.contract(), d.proto);
                 d
             }
             Expr::Focal { input, k, .. } => {
@@ -725,7 +708,7 @@ impl Analyzer<'_> {
                 let bytes = u64::from(*k) * d.row_bytes();
                 self.record(&path, "focal", class, bytes, &d);
                 let mut d = d;
-                d.proto = self.cert.apply(&path, &crate::ops::focal::focal_contract(), d.proto);
+                d.proto = self.cert.apply(&path, &expr.contract(), d.proto);
                 d
             }
             Expr::Orient { input, orientation } => {
@@ -739,7 +722,7 @@ impl Analyzer<'_> {
                     }
                 }
                 self.record(&path, "orient", BlockingClass::NonBlocking, 0, &d);
-                d.proto = self.cert.apply(&path, &crate::ops::orient::orient_contract(), d.proto);
+                d.proto = self.cert.apply(&path, &expr.contract(), d.proto);
                 d
             }
             Expr::Magnify { input, k } => {
@@ -757,7 +740,7 @@ impl Analyzer<'_> {
                     d.lattice = Some(lat.magnified(*k));
                 }
                 self.record(&path, "magnify", BlockingClass::NonBlocking, 0, &d);
-                d.proto = self.cert.apply(&path, &crate::ops::spatial::magnify_contract(), d.proto);
+                d.proto = self.cert.apply(&path, &expr.contract(), d.proto);
                 d
             }
             Expr::Downsample { input, k } => {
@@ -772,11 +755,7 @@ impl Analyzer<'_> {
                         "§3.2",
                     );
                     self.record(&path, "downsample", BlockingClass::NonBlocking, 0, &d);
-                    d.proto = self.cert.apply(
-                        &path,
-                        &crate::ops::spatial::downsample_contract(),
-                        d.proto,
-                    );
+                    d.proto = self.cert.apply(&path, &expr.contract(), d.proto);
                     return d;
                 }
                 // One output row of block accumulators spans k input rows.
@@ -786,8 +765,7 @@ impl Analyzer<'_> {
                     d.lattice = Some(lat.reduced(*k));
                 }
                 self.record(&path, "downsample", BlockingClass::BoundedRows(*k), bytes, &d);
-                d.proto =
-                    self.cert.apply(&path, &crate::ops::spatial::downsample_contract(), d.proto);
+                d.proto = self.cert.apply(&path, &expr.contract(), d.proto);
                 d
             }
             Expr::Reproject { input, to, kernel } => {
@@ -840,21 +818,20 @@ impl Analyzer<'_> {
                         self.record(&path, "reproject", BlockingClass::Unbounded, 0, &d);
                     }
                 }
-                d.proto =
-                    self.cert.apply(&path, &crate::ops::reproject::reproject_contract(), d.proto);
+                d.proto = self.cert.apply(&path, &expr.contract(), d.proto);
                 d
             }
             Expr::Compose { left, right, op } => {
                 let path = format!("{parent}/compose[{}]", op.symbol());
                 let l = self.walk(left, &path);
                 let r = self.walk(right, &path);
-                self.compose_like(&path, "compose", l, r)
+                self.compose_like(&path, expr.contract(), l, r)
             }
             Expr::Ndvi { nir, vis } => {
                 let path = format!("{parent}/ndvi");
                 let l = self.walk(nir, &path);
                 let r = self.walk(vis, &path);
-                self.compose_like(&path, "ndvi", l, r)
+                self.compose_like(&path, expr.contract(), l, r)
             }
             Expr::Shed { input, stride, .. } => {
                 let path = format!("{parent}/shed");
@@ -870,7 +847,7 @@ impl Analyzer<'_> {
                 }
                 self.record(&path, "shed", BlockingClass::NonBlocking, 0, &d);
                 let mut d = d;
-                d.proto = self.cert.apply(&path, &crate::ops::shed::shed_contract(), d.proto);
+                d.proto = self.cert.apply(&path, &expr.contract(), d.proto);
                 d
             }
             Expr::Delay { input, d: shift } => {
@@ -894,7 +871,7 @@ impl Analyzer<'_> {
                 let bytes = u64::from(shift + 1) * d.image_bytes();
                 self.record(&path, "delay", BlockingClass::BoundedFrame, bytes, &d);
                 let mut d = d;
-                d.proto = self.cert.apply(&path, &crate::ops::delay::delay_contract(), d.proto);
+                d.proto = self.cert.apply(&path, &expr.contract(), d.proto);
                 d
             }
             Expr::AggTime { input, window, .. } => {
@@ -912,11 +889,7 @@ impl Analyzer<'_> {
                 let bytes = u64::from(*window) * d.points() * AGG_CELL_BYTES;
                 self.record(&path, "agg_time", BlockingClass::BoundedFrame, bytes, &d);
                 let mut d = d;
-                d.proto = self.cert.apply(
-                    &path,
-                    &crate::ops::aggregate::aggregate_contract("agg_time"),
-                    d.proto,
-                );
+                d.proto = self.cert.apply(&path, &expr.contract(), d.proto);
                 d
             }
             Expr::AggSpace { input, region, .. } => {
@@ -934,11 +907,7 @@ impl Analyzer<'_> {
                 // The output is a 1×1-lattice scalar stream.
                 d.lattice = Some(LatticeGeoref::north_up(d.crs, region.bbox(), 1, 1));
                 self.record(&path, "agg_space", BlockingClass::NonBlocking, 0, &d);
-                d.proto = self.cert.apply(
-                    &path,
-                    &crate::ops::aggregate::aggregate_contract("agg_space"),
-                    d.proto,
-                );
+                d.proto = self.cert.apply(&path, &expr.contract(), d.proto);
                 d
             }
         }
@@ -947,7 +916,13 @@ impl Analyzer<'_> {
     /// Shared classification for `Compose` and the fused NDVI macro
     /// (§3.3): buffering depends on the point organization, and the
     /// timestamp semantics decide whether points can match at all.
-    fn compose_like(&mut self, path: &str, operator: &str, l: Derived, r: Derived) -> Derived {
+    fn compose_like(
+        &mut self,
+        path: &str,
+        contract: ProtocolContract,
+        l: Derived,
+        r: Derived,
+    ) -> Derived {
         if l.crs != r.crs {
             self.diag(
                 Severity::Error,
@@ -1003,13 +978,9 @@ impl Analyzer<'_> {
             lattice: l.lattice.or(r.lattice),
             proto: meet(l.proto, r.proto),
         };
-        self.record(path, operator, class, bytes, &out);
+        self.record(path, &contract.operator, class, bytes, &out);
         // The merge sees the weaker of what each side guarantees.
-        out.proto = self.cert.apply(
-            path,
-            &crate::ops::compose::compose_contract(operator),
-            meet(l.proto, r.proto),
-        );
+        out.proto = self.cert.apply(path, &contract, meet(l.proto, r.proto));
         out
     }
 }
@@ -1067,7 +1038,7 @@ pub fn analyze_with(expr: &Expr, catalog: &Catalog, opts: &AnalyzeOptions<'_>) -
     let split = crate::exec::split_parallel(expr);
     let parallelism = ParallelismReport {
         granularity: if split.stages.is_empty() { None } else { Some(split.granularity()) },
-        stages: split.stages.iter().map(|s| s.name().to_string()).collect(),
+        stages: split.stages.iter().map(|s| s.contract().operator).collect(),
     };
     PlanReport {
         per_op: a.per_op,

@@ -19,7 +19,8 @@
 
 use crate::model::TimeSet;
 use crate::ops::{
-    AggFunc, FocalFunc, GammaOp, Orientation, ShedPolicy, StretchMode, StretchScope, ValueFunc,
+    AggFunc, FocalFunc, GammaOp, Orientation, ProtocolContract, ShedPolicy, StretchMode,
+    StretchScope, ValueFunc,
 };
 use geostreams_geo::{Crs, Region};
 use geostreams_raster::resample::Kernel;
@@ -181,11 +182,10 @@ impl Expr {
         out
     }
 
-    /// Pre-order traversal.
-    pub fn visit(&self, f: &mut impl FnMut(&Expr)) {
-        f(self);
+    /// The node's direct inputs, left to right (none for a source).
+    pub fn inputs(&self) -> Vec<&Expr> {
         match self {
-            Expr::Source(_) => {}
+            Expr::Source(_) => Vec::new(),
             Expr::RestrictSpace { input, .. }
             | Expr::RestrictTime { input, .. }
             | Expr::RestrictValue { input, .. }
@@ -199,15 +199,51 @@ impl Expr {
             | Expr::Shed { input, .. }
             | Expr::Delay { input, .. }
             | Expr::AggTime { input, .. }
-            | Expr::AggSpace { input, .. } => input.visit(f),
-            Expr::Compose { left, right, .. } => {
-                left.visit(f);
-                right.visit(f);
-            }
-            Expr::Ndvi { nir, vis } => {
-                nir.visit(f);
-                vis.visit(f);
-            }
+            | Expr::AggSpace { input, .. } => vec![input],
+            Expr::Compose { left, right, .. } => vec![left, right],
+            Expr::Ndvi { nir, vis } => vec![nir, vis],
+        }
+    }
+
+    /// The protocol contract of the operator at this node. This is the
+    /// one `Expr → ProtocolContract` mapping: `query::analyze` folds it
+    /// into the plan's certificate, and its
+    /// [`Parallelism`](crate::ops::Parallelism) and
+    /// [`Granularity`](crate::ops::Granularity) fields decide what
+    /// [`split_parallel`](crate::exec::split_parallel) peels. A source
+    /// answers the plain `source` contract; the analyzer substitutes the
+    /// replay variants where a leaf is served from the archive.
+    pub fn contract(&self) -> ProtocolContract {
+        use crate::ops::{
+            aggregate, compose, delay, focal, orient, reproject, restrict, shed, spatial, stretch,
+            value_transform,
+        };
+        match self {
+            Expr::Source(_) => ProtocolContract::source("source"),
+            Expr::RestrictSpace { .. } => restrict::restriction_contract("restrict_space"),
+            Expr::RestrictTime { .. } => restrict::restriction_contract("restrict_time"),
+            Expr::RestrictValue { .. } => restrict::restriction_contract("restrict_value"),
+            Expr::MapValue { .. } => value_transform::value_transform_contract("map_value"),
+            Expr::Stretch { scope, .. } => stretch::stretch_contract(*scope),
+            Expr::Focal { .. } => focal::focal_contract(),
+            Expr::Orient { .. } => orient::orient_contract(),
+            Expr::Magnify { .. } => spatial::magnify_contract(),
+            Expr::Downsample { .. } => spatial::downsample_contract(),
+            Expr::Reproject { .. } => reproject::reproject_contract(),
+            Expr::Compose { .. } => compose::compose_contract("compose"),
+            Expr::Ndvi { .. } => compose::compose_contract("ndvi"),
+            Expr::Shed { .. } => shed::shed_contract(),
+            Expr::Delay { .. } => delay::delay_contract(),
+            Expr::AggTime { .. } => aggregate::aggregate_contract("agg_time"),
+            Expr::AggSpace { .. } => aggregate::aggregate_contract("agg_space"),
+        }
+    }
+
+    /// Pre-order traversal.
+    pub fn visit(&self, f: &mut impl FnMut(&Expr)) {
+        f(self);
+        for input in self.inputs() {
+            input.visit(f);
         }
     }
 

@@ -77,23 +77,95 @@ impl Catalog {
                 .map(|s| s.crs)
                 .ok_or_else(|| CoreError::UnknownSource(name.clone())),
             Expr::Reproject { to, .. } => Ok(*to),
-            Expr::Compose { left, .. } => self.crs_of(left),
-            Expr::Ndvi { nir, .. } => self.crs_of(nir),
-            Expr::RestrictSpace { input, .. }
-            | Expr::RestrictTime { input, .. }
-            | Expr::RestrictValue { input, .. }
-            | Expr::MapValue { input, .. }
-            | Expr::Stretch { input, .. }
-            | Expr::Focal { input, .. }
-            | Expr::Orient { input, .. }
-            | Expr::Magnify { input, .. }
-            | Expr::Downsample { input, .. }
-            | Expr::Shed { input, .. }
-            | Expr::Delay { input, .. }
-            | Expr::AggTime { input, .. }
-            | Expr::AggSpace { input, .. } => self.crs_of(input),
+            // Every other operator keeps its (first) input's CRS; a
+            // composition's inputs share one.
+            _ => self.crs_of(expr.inputs()[0]),
         }
     }
+}
+
+/// `region`, given in `crs` coordinates, as a stream in `stream_crs`
+/// tests it: unchanged in the same system, otherwise mapped there as a
+/// conservative bounding box (§3.4: "R needs to be mapped to the
+/// coordinate system C").
+pub(crate) fn region_in(region: &Region, crs: &Crs, stream_crs: &Crs) -> Result<Region> {
+    if crs == stream_crs {
+        return Ok(region.clone());
+    }
+    Ok(Region::Rect(map_region(region, crs, stream_crs, 16)?))
+}
+
+/// The one operator constructor: builds the operator at `node` over its
+/// already-built input streams, which `inputs` yields left to right.
+/// The planner's recursion hands it the node's subplans (built lazily,
+/// so a parameter check still fails before any source is opened); the
+/// morsel driver hands it the stage chain built so far, once per morsel
+/// (`exec::morsel`). A source leaf is not an operator: it stands for the
+/// stream it is given.
+pub(crate) fn build_operator(
+    node: &Expr,
+    inputs: &mut dyn Iterator<Item = Result<BoxedF32Stream>>,
+) -> Result<BoxedF32Stream> {
+    let mut input = || {
+        inputs.next().unwrap_or_else(|| {
+            Err(CoreError::InvalidParameter(format!("{node} is missing an input stream")))
+        })
+    };
+    let nonzero = |v: u32, what: &str| match v {
+        0 => Err(CoreError::InvalidParameter(what.into())),
+        v => Ok(v),
+    };
+    Ok(match node {
+        Expr::Source(_) => input()?,
+        Expr::RestrictSpace { region, crs, .. } => {
+            let stream = input()?;
+            let region = region_in(region, crs, &stream.schema().crs)?;
+            Box::new(SpatialRestrict::new(stream, region))
+        }
+        Expr::RestrictTime { times, .. } => {
+            Box::new(TemporalRestrict::new(input()?, times.clone()))
+        }
+        Expr::RestrictValue { ranges, .. } => {
+            Box::new(ValueRestrict::ranges(input()?, ranges.clone()))
+        }
+        Expr::MapValue { func, .. } => Box::new(MapTransform::<_, f32>::new(input()?, *func)),
+        Expr::Stretch { mode, scope, .. } => {
+            Box::new(StretchTransform::new(input()?, *mode, *scope))
+        }
+        Expr::Focal { func, k, .. } => Box::new(FocalTransform::new(input()?, *func, *k)),
+        Expr::Orient { orientation, .. } => Box::new(Orient::new(input()?, *orientation)),
+        Expr::Magnify { k, .. } => {
+            let k = nonzero(*k, "magnify factor 0")?;
+            Box::new(Magnify::new(input()?, k))
+        }
+        Expr::Downsample { k, .. } => {
+            let k = nonzero(*k, "downsample factor 0")?;
+            Box::new(Downsample::new(input()?, k))
+        }
+        Expr::Reproject { to, kernel, .. } => {
+            let cfg = ReprojectConfig::new(*to).kernel(*kernel);
+            Box::new(Reproject::new(input()?, cfg)?)
+        }
+        Expr::Compose { op, .. } => {
+            Box::new(Compose::new(input()?, input()?, *op, JoinStrategy::Hash)?)
+        }
+        Expr::Ndvi { .. } => Box::new(crate::ops::macro_ops::ndvi(input()?, input()?)?),
+        Expr::Shed { policy, stride, .. } => {
+            let stride = nonzero(*stride, "shed stride 0")?;
+            Box::new(Shed::new(input()?, *policy, stride))
+        }
+        Expr::Delay { d, .. } => {
+            let d = nonzero(*d, "delay of 0 sectors")?;
+            Box::new(Delay::new(input()?, d))
+        }
+        Expr::AggTime { func, window, .. } => {
+            let window = nonzero(*window, "aggregate window 0")?;
+            Box::new(TemporalAggregate::new(input()?, *func, window as usize))
+        }
+        Expr::AggSpace { func, region, .. } => {
+            Box::new(SpatialAggregate::new(input()?, *func, region.clone()))
+        }
+    })
 }
 
 /// Physical planner over a catalog.
@@ -152,85 +224,13 @@ impl<'a> Planner<'a> {
     }
 
     fn build_node(&self, expr: &Expr, obs: Option<&PipelineObs>) -> Result<BoxedF32Stream> {
-        let build = |input: &Expr| self.build_inner(input, obs);
-        Ok(match expr {
-            Expr::Source(name) => self.catalog.open(name)?,
-            Expr::RestrictSpace { input, region, crs } => {
-                let stream = build(input)?;
-                let stream_crs = stream.schema().crs;
-                let region = if *crs == stream_crs {
-                    region.clone()
-                } else {
-                    // Map the region into the stream's CRS (conservative
-                    // bbox; §3.4: "R needs to be mapped to the coordinate
-                    // system C").
-                    let rect = map_region(region, crs, &stream_crs, 16)?;
-                    Region::Rect(rect)
-                };
-                Box::new(SpatialRestrict::new(stream, region))
-            }
-            Expr::RestrictTime { input, times } => {
-                Box::new(TemporalRestrict::new(build(input)?, times.clone()))
-            }
-            Expr::RestrictValue { input, ranges } => {
-                Box::new(ValueRestrict::ranges(build(input)?, ranges.clone()))
-            }
-            Expr::MapValue { input, func } => {
-                Box::new(MapTransform::<_, f32>::new(build(input)?, *func))
-            }
-            Expr::Stretch { input, mode, scope } => {
-                Box::new(StretchTransform::new(build(input)?, *mode, *scope))
-            }
-            Expr::Focal { input, func, k } => {
-                Box::new(FocalTransform::new(build(input)?, *func, *k))
-            }
-            Expr::Orient { input, orientation } => {
-                Box::new(Orient::new(build(input)?, *orientation))
-            }
-            Expr::Magnify { input, k } => {
-                if *k == 0 {
-                    return Err(CoreError::InvalidParameter("magnify factor 0".into()));
-                }
-                Box::new(Magnify::new(build(input)?, *k))
-            }
-            Expr::Downsample { input, k } => {
-                if *k == 0 {
-                    return Err(CoreError::InvalidParameter("downsample factor 0".into()));
-                }
-                Box::new(Downsample::new(build(input)?, *k))
-            }
-            Expr::Reproject { input, to, kernel } => {
-                let cfg = ReprojectConfig::new(*to).kernel(*kernel);
-                Box::new(Reproject::new(build(input)?, cfg)?)
-            }
-            Expr::Compose { left, right, op } => {
-                Box::new(Compose::new(build(left)?, build(right)?, *op, JoinStrategy::Hash)?)
-            }
-            Expr::Ndvi { nir, vis } => {
-                Box::new(crate::ops::macro_ops::ndvi(build(nir)?, build(vis)?)?)
-            }
-            Expr::Shed { input, policy, stride } => {
-                if *stride == 0 {
-                    return Err(CoreError::InvalidParameter("shed stride 0".into()));
-                }
-                Box::new(Shed::new(build(input)?, *policy, *stride))
-            }
-            Expr::Delay { input, d } => {
-                if *d == 0 {
-                    return Err(CoreError::InvalidParameter("delay of 0 sectors".into()));
-                }
-                Box::new(Delay::new(build(input)?, *d))
-            }
-            Expr::AggTime { input, func, window } => {
-                if *window == 0 {
-                    return Err(CoreError::InvalidParameter("aggregate window 0".into()));
-                }
-                Box::new(TemporalAggregate::new(build(input)?, *func, *window as usize))
-            }
-            Expr::AggSpace { input, func, region } => {
-                Box::new(SpatialAggregate::new(build(input)?, *func, region.clone()))
-            }
-        })
+        match expr {
+            Expr::Source(name) => self.catalog.open(name),
+            _ => build_operator(
+                expr,
+                &mut expr.inputs().into_iter().map(|input| self.build_inner(input, obs)),
+            ),
+        }
     }
 
     /// Renders a human-readable plan tree with per-node cost estimates —
@@ -276,30 +276,8 @@ impl<'a> Planner<'a> {
             "{indent}{label}  [out≈{:.0} pts/sector, work≈{:.0}, buf≈{:.0} B]",
             est.points_out, est.work, est.buffer_bytes
         );
-        match expr {
-            Expr::Source(_) => {}
-            Expr::Compose { left, right, .. } => {
-                self.explain_rec(left, depth + 1, out)?;
-                self.explain_rec(right, depth + 1, out)?;
-            }
-            Expr::Ndvi { nir, vis } => {
-                self.explain_rec(nir, depth + 1, out)?;
-                self.explain_rec(vis, depth + 1, out)?;
-            }
-            Expr::RestrictSpace { input, .. }
-            | Expr::RestrictTime { input, .. }
-            | Expr::RestrictValue { input, .. }
-            | Expr::MapValue { input, .. }
-            | Expr::Stretch { input, .. }
-            | Expr::Focal { input, .. }
-            | Expr::Orient { input, .. }
-            | Expr::Magnify { input, .. }
-            | Expr::Downsample { input, .. }
-            | Expr::Reproject { input, .. }
-            | Expr::Shed { input, .. }
-            | Expr::Delay { input, .. }
-            | Expr::AggTime { input, .. }
-            | Expr::AggSpace { input, .. } => self.explain_rec(input, depth + 1, out)?,
+        for input in expr.inputs() {
+            self.explain_rec(input, depth + 1, out)?;
         }
         Ok(())
     }

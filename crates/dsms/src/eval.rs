@@ -133,10 +133,10 @@ impl Evaluator<'_> {
         mut sink: impl FnMut(&ChunkOrMarker<f32>),
     ) -> Result<RunReport> {
         let split = match self.pool.workers() {
-            0 => ParallelSplit { inner: expr.clone(), stages: Vec::new() },
+            0 => ParallelSplit { inner: expr, stages: Vec::new() },
             _ => split_parallel(expr),
         };
-        let (mut inner, obs) = self.build(&split.inner)?;
+        let (mut inner, obs) = self.build(split.inner)?;
         let stages = Arc::new(compile_stages(&split.stages, inner.schema())?);
         let deliver = deliver_span(&obs);
         let report =

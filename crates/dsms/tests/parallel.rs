@@ -92,7 +92,7 @@ fn morsel_run(
     let split = split_parallel(&expr);
     assert!(!split.stages.is_empty(), "query must have a partitionable suffix: {query}");
     let planner = Planner::new(catalog);
-    let mut inner = planner.build(&split.inner).expect("build inner");
+    let mut inner = planner.build(split.inner).expect("build inner");
     let stages = Arc::new(compile_stages(&split.stages, inner.schema()).expect("compile"));
     let mut merged = Vec::new();
     let report = run_morsels(&mut inner, &stages, pool, &PipelineObs::default(), budget, |item| {

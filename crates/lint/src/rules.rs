@@ -619,10 +619,13 @@ const HOT_FNS: &[&str] = &[
     "multicast",
     "shed_try_sub",
     // Morsel driver and worker pool (DESIGN.md §17): called once per
-    // morsel, per delivered unit, or per pool job.
+    // inner item (`push_item`), per delivered item (`deliver`, which
+    // `run_chunked` shares), per morsel or per pool job.
     "run_morsels",
     "run_kernel",
+    "push_item",
     "deliver_unit",
+    "deliver",
     "worker_loop",
     "submit",
     "wait_next",

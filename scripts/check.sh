@@ -44,14 +44,15 @@ scripts/obs_gate.sh
 
 # Shared-plan multicast gate: sharing acceptance suite, swarm digest
 # determinism (one plan, zero payload copies, oracle-identical
-# results), and the >= 5x per-subscriber cost-collapse bar.
+# results); the per-subscriber cost collapse is printed, not gated.
 scripts/swarm_gate.sh
 
-# Morsel-parallel gate: the worker-count differential suite (operators
-# and stacked pipelines byte-identical across workers and budgets,
-# under chaos and with share_plans on), parallel digest determinism,
-# and the >= 2x 4-worker speedup bar (skipped loudly below 4 cores).
-scripts/par_gate.sh
+# The morsel driver has no gate of its own: its differential suite
+# (crates/dsms/tests/parallel.rs and the unit tests of exec/morsel.rs —
+# byte-identical to the serial plan across workers, budgets and
+# granularities, under chaos and with share_plans on) ran with the
+# workspace tests above, and its speed is a geobench figure
+# (`exec.morsel_w2_efficiency`, reported at any core count).
 
 # The benchmark package (bench/, its own workspace) reaches the system
 # only through public items: building it and running its oracle check

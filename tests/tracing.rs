@@ -99,12 +99,20 @@ fn body_of(resp: &[u8]) -> String {
 
 /// A stacked pipeline under a chaotic downlink still produces a
 /// complete, acyclic span tree rooted at the delivery span, and the
-/// scan span links back to the ingest pump's trace.
+/// scan span links back to the ingest pump's trace — with the operator
+/// suffix inline and fanned out to one or two morsel workers alike.
 #[test]
 fn chaotic_pipeline_span_tree_is_complete_and_acyclic() {
+    for exec_workers in [0, 1, 2] {
+        chaotic_pipeline_span_tree(exec_workers);
+    }
+}
+
+fn chaotic_pipeline_span_tree(exec_workers: usize) {
     let scanner = goes_like(64, 32, 11);
     let metrics = Arc::new(ServerMetrics::new());
     let config = RuntimeConfig {
+        exec_workers,
         fault_plan: Some(
             FaultPlan::seeded(42)
                 .with_dropped_rows(0.08)
