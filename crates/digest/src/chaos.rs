@@ -1,4 +1,4 @@
-//! Fixed-seed chaos suite with a deterministic digest on stdout.
+//! `chaos`: the fixed-seed chaos suite.
 //!
 //! Runs the supervised DSMS runtime over three degraded GOES-like
 //! downlinks — row loss + duplication + disorder, a mid-sector decoder
@@ -10,10 +10,10 @@
 //!
 //! The digest deliberately excludes anything timing-dependent (shed
 //! counts, wall clock, watchdog state; channels are sized so shedding
-//! cannot trigger), so `scripts/chaos.sh` can run this binary twice and
-//! `diff` the outputs: any nondeterminism in fault injection, repair,
+//! cannot trigger): any nondeterminism in fault injection, repair,
 //! supervision, or delivery shows up as a diff and fails the gate.
 
+use crate::{fnv1a, FNV_OFFSET};
 use geostreams_dsms::protocol::{ClientRequest, OutputFormat};
 use geostreams_dsms::{run_supervised, QueryResult, RuntimeConfig};
 use geostreams_satsim::{goes_like, FaultPlan};
@@ -23,12 +23,9 @@ fn req(q: &str, format: OutputFormat) -> ClientRequest {
     ClientRequest { query: q.to_string(), format, sectors: 0 }
 }
 
-fn fnv1a(bytes: &[u8], mut hash: u64) -> u64 {
-    for b in bytes {
-        hash ^= u64::from(*b);
-        hash = hash.wrapping_mul(0x100_0000_01b3);
-    }
-    hash
+/// A JSON array body: `f` of every item, comma-separated.
+fn list<T>(items: impl IntoIterator<Item = T>, f: impl Fn(T) -> String) -> String {
+    items.into_iter().map(f).collect::<Vec<_>>().join(",")
 }
 
 /// Serializes one scenario's outcome with stable field order.
@@ -39,20 +36,10 @@ fn digest(
     faults: &[(u16, geostreams_satsim::FaultStats)],
     restarts: u64,
 ) -> String {
-    let mut out = String::new();
-    out.push_str(&format!("{{\"scenario\":\"{name}\",\"restarts\":{restarts},\"bands\":["));
-    for (i, (band, elements)) in bands.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!("{{\"band\":{band},\"elements\":{elements}}}"));
-    }
-    out.push_str("],\"faults\":[");
-    for (i, (band, f)) in faults.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
+    let bands =
+        list(bands, |(band, elements)| format!("{{\"band\":{band},\"elements\":{elements}}}"));
+    let faults = list(faults, |(band, f)| {
+        format!(
             "{{\"band\":{band},\"in\":{},\"points_dropped\":{},\"frames_dropped\":{},\"markers_dropped\":{},\"duplicated\":{},\"reordered\":{},\"corrupted\":{},\"died\":{}}}",
             f.elements_in,
             f.points_dropped,
@@ -62,58 +49,40 @@ fn digest(
             f.reordered,
             f.corrupted,
             f.died,
-        ));
-    }
-    out.push_str("],\"queries\":[");
-    for (i, r) in results.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
+        )
+    });
+    let queries = list(results.iter().enumerate(), |(i, r)| match r {
+        Err(e) => format!("{{\"id\":{i},\"error\":\"{e}\"}}"),
+        Ok(r) => {
+            let png_hash = r.frames.iter().fold(FNV_OFFSET, |h, f| fnv1a(&f.png, h));
+            let points = r.report.as_ref().map_or(0, |rep| rep.points_delivered);
+            let repair = list(&r.repair, |s| {
+                let sectors = list(&s.sectors, |sec| {
+                    format!("{{\"sector\":{},\"ratio\":\"{:.6}\"}}", sec.sector_id, sec.ratio())
+                });
+                format!(
+                    "{{\"source\":\"{}\",\"gaps\":{},\"dup_frames\":{},\"dup_points\":{},\"disorder\":{},\"partial_frames\":{},\"expected\":{},\"received\":{},\"completeness\":\"{:.6}\",\"sectors\":[{sectors}]}}",
+                    s.source,
+                    s.stats.gaps,
+                    s.stats.duplicate_frames,
+                    s.stats.duplicate_points,
+                    s.stats.disorder,
+                    s.stats.partial_frames,
+                    s.stats.expected_points,
+                    s.stats.received_points,
+                    s.stats.completeness(),
+                )
+            });
+            format!(
+                "{{\"id\":{},\"points\":{points},\"frames\":{},\"png_fnv\":\"{png_hash:016x}\",\"repair\":[{repair}]}}",
+                r.id,
+                r.frames.len(),
+            )
         }
-        match r {
-            Err(e) => out.push_str(&format!("{{\"id\":{i},\"error\":\"{e}\"}}")),
-            Ok(r) => {
-                let png_hash =
-                    r.frames.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, f| fnv1a(&f.png, h));
-                let points = r.report.as_ref().map_or(0, |rep| rep.points_delivered);
-                out.push_str(&format!(
-                    "{{\"id\":{},\"points\":{points},\"frames\":{},\"png_fnv\":\"{png_hash:016x}\",\"repair\":[",
-                    r.id,
-                    r.frames.len(),
-                ));
-                for (j, s) in r.repair.iter().enumerate() {
-                    if j > 0 {
-                        out.push(',');
-                    }
-                    out.push_str(&format!(
-                        "{{\"source\":\"{}\",\"gaps\":{},\"dup_frames\":{},\"dup_points\":{},\"disorder\":{},\"partial_frames\":{},\"expected\":{},\"received\":{},\"completeness\":\"{:.6}\",\"sectors\":[",
-                        s.source,
-                        s.stats.gaps,
-                        s.stats.duplicate_frames,
-                        s.stats.duplicate_points,
-                        s.stats.disorder,
-                        s.stats.partial_frames,
-                        s.stats.expected_points,
-                        s.stats.received_points,
-                        s.stats.completeness(),
-                    ));
-                    for (k, sec) in s.sectors.iter().enumerate() {
-                        if k > 0 {
-                            out.push(',');
-                        }
-                        out.push_str(&format!(
-                            "{{\"sector\":{},\"ratio\":\"{:.6}\"}}",
-                            sec.sector_id,
-                            sec.ratio()
-                        ));
-                    }
-                    out.push_str("]}");
-                }
-                out.push_str("]}");
-            }
-        }
-    }
-    out.push_str("]}");
-    out
+    });
+    format!(
+        "{{\"scenario\":\"{name}\",\"restarts\":{restarts},\"bands\":[{bands}],\"faults\":[{faults}],\"queries\":[{queries}]}}"
+    )
 }
 
 fn run_scenario(name: &str, plan: FaultPlan, requests: &[ClientRequest], sectors: u64) -> String {
@@ -132,7 +101,7 @@ fn run_scenario(name: &str, plan: FaultPlan, requests: &[ClientRequest], sectors
     digest(name, &results, &stats.elements_per_band, &stats.faults_per_band, stats.restarts)
 }
 
-fn main() {
+pub fn run() {
     let requests = vec![
         req("goes-sim.b1-vis", OutputFormat::PngGray),
         req("stretch(goes-sim.b4-ir, \"linear\")", OutputFormat::Stats),

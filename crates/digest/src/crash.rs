@@ -1,4 +1,4 @@
-//! Crash-recovery kill-point sweep over the tiled raster archive.
+//! `crash`: the kill-point sweep over the tiled raster archive.
 //!
 //! A clean seeded ingest establishes (a) the total number of bytes the
 //! archive writes to disk and (b) a per-frame-prefix digest of the full
@@ -15,27 +15,19 @@
 //!   corrupt tile.
 //!
 //! Output is one deterministic JSON line per kill point (including the
-//! serialized `RecoveryReport`), so `scripts/crash_gate.sh` runs the
-//! sweep twice and `diff`s the transcripts to prove recovery itself is
-//! deterministic.
+//! serialized `RecoveryReport`): two sweeps that differ show recovery
+//! itself to be nondeterministic.
 
+use crate::{fnv1a, scratch_dir, FNV_OFFSET};
 use geostreams_core::model::{Element, GeoStream};
 use geostreams_satsim::goes_like;
 use geostreams_store::{Archive, ArchiveConfig, ChaosVfs, DiskFaultPlan};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::Arc;
 
 const SECTORS: u64 = 4;
 const GROUP: u32 = 4;
 const KILL_POINTS: u64 = 12;
-
-fn fnv1a_u32(v: u32, mut hash: u64) -> u64 {
-    for b in v.to_le_bytes() {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x100_0000_01b3);
-    }
-    hash
-}
 
 /// Small segments force several rolls (and therefore WAL rotations)
 /// inside the sweep window; a small group keeps the loss bound tight.
@@ -80,8 +72,8 @@ fn ingest_until_death(archive: &Archive) -> u64 {
 /// `digests[k]` hashes every point value of the first `k` frames.
 fn replay_digests(archive: &Archive) -> (u64, Vec<u64>, bool) {
     let band = scanner().band_stream(0, 1).schema().band;
-    let mut digests = vec![0xcbf2_9ce4_8422_2325u64];
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    let mut digests = vec![FNV_OFFSET];
+    let mut hash = FNV_OFFSET;
     let mut frames = 0u64;
     let mut replay = match archive.replay(band, None, None, None) {
         Ok(r) => r,
@@ -90,7 +82,7 @@ fn replay_digests(archive: &Archive) -> (u64, Vec<u64>, bool) {
     };
     while let Some(el) = replay.next_element() {
         match el {
-            Element::Point(p) => hash = fnv1a_u32(p.value.to_bits(), hash),
+            Element::Point(p) => hash = fnv1a(&p.value.to_bits().to_le_bytes(), hash),
             Element::FrameEnd(_) => {
                 frames += 1;
                 digests.push(hash);
@@ -101,15 +93,9 @@ fn replay_digests(archive: &Archive) -> (u64, Vec<u64>, bool) {
     (frames, digests, replay.failed())
 }
 
-fn fresh_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("gs-crash-run-{}-{tag}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
-fn main() {
+pub fn run() {
     // Clean run: byte budget + reference prefix digests.
-    let clean_dir = fresh_dir("clean");
+    let clean_dir = scratch_dir("crash-clean");
     let chaos = ChaosVfs::new(DiskFaultPlan::seeded(7));
     let probe = chaos.probe();
     let mut cfg = config(&clean_dir);
@@ -131,7 +117,7 @@ fn main() {
     // Kill-point sweep: die at evenly spaced byte offsets.
     for i in 1..=KILL_POINTS {
         let kill_at = (total_bytes * i / (KILL_POINTS + 1)).max(1);
-        let dir = fresh_dir(&format!("kill-{i}"));
+        let dir = scratch_dir(&format!("crash-kill-{i}"));
         let mut cfg = config(&dir);
         cfg.vfs = Arc::new(ChaosVfs::new(DiskFaultPlan::seeded(7).with_crash_at(kill_at)));
         let fed = match Archive::create(cfg) {

@@ -11,6 +11,8 @@
 //! counts, `run_supervised` shared — must agree on every plan class ×
 //! delivery format.
 
+#![allow(clippy::unwrap_used, clippy::expect_used)]
+
 use geostreams_core::exec::{compile_stages, run_morsels, split_parallel, WorkerPool};
 use geostreams_core::model::{drain_chunked, Element, GeoStream, StreamRepair};
 use geostreams_core::obs::PipelineObs;

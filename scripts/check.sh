@@ -1,16 +1,21 @@
 #!/usr/bin/env bash
 # Full local gate: release build, tests, and lints.
 #
-# Offline-safe: the workspace has no crates.io dependencies (serde/
-# serde_json/criterion are in-repo shims), so everything below runs
-# without network access.
+# Offline-safe: the workspace has no crates.io dependencies (serde and
+# serde_json are in-repo shims), so everything below runs without
+# network access.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cargo build --release --offline --workspace
 cargo test -q --offline --workspace --no-fail-fast
-cargo clippy --offline --all-targets -- -D warnings
+cargo clippy --offline --workspace --all-targets -- -D warnings
 cargo fmt --check
+
+# Every experiment of EXPERIMENTS.md at reduced size: the one step that
+# runs each experiment's code path (the §4 cascade tree of E5 included)
+# outside unit tests.
+cargo run --quiet --offline --release --example experiments -- --quick > /dev/null
 
 # Static analysis: geolint (crates/lint) replaces the old awk
 # forbidden-pattern pass with a comment/string-aware tokenizer and the
@@ -21,31 +26,12 @@ cargo fmt --check
 # geolint.allow (stale entries fail the gate too).
 scripts/lint_gate.sh
 
-# Seeded chaos suite: acceptance tests plus a run-twice-and-diff
-# determinism check over the fault-injected runtime.
-scripts/chaos.sh
-
-# Archive gate: acceptance tests, run-twice-and-diff determinism over
-# the persist/replay path, and the >= 2x compression bar.
-scripts/store_gate.sh
-
-# Crash gate: seeded kill-point sweep (WAL recovery, checksum
-# verification, bounded loss) run twice and diffed.
-scripts/crash_gate.sh
-
-# Chunked-execution gate: scalar/chunked differential suite, digest
-# determinism, and the >= 3x microbench speedup bar.
-scripts/exec_gate.sh
-
-# Observability gate: tracing acceptance suite, traced-path digest
-# determinism, the <= 5% instrumentation-overhead bar, and the
-# HELP/TYPE exposition lint.
-scripts/obs_gate.sh
-
-# Shared-plan multicast gate: sharing acceptance suite, swarm digest
-# determinism (one plan, zero payload copies, oracle-identical
-# results); the per-subscriber cost collapse is printed, not gated.
-scripts/swarm_gate.sh
+# Determinism gate: every seeded digest of crates/digest (chaos, crash,
+# store, swarm, obs) run twice and diffed, plus the deterministic facts
+# they carry (>= 10 kill points recovered, >= 2x compression, one
+# shared plan, zero payload copies, oracle-identical results). No
+# wall-clock bar: speed is scripts/perf_pairs.sh against the parent.
+scripts/determinism_gate.sh
 
 # The morsel driver has no gate of its own: its differential suite
 # (crates/dsms/tests/parallel.rs and the unit tests of exec/morsel.rs —

@@ -1,4 +1,5 @@
-# Shared by the gate scripts (source it after `cd` to the repo root).
+# Shared by lint_gate.sh and determinism_gate.sh (source it after `cd`
+# to the repo root).
 #
 # GATE_TMP is a scratch directory removed when the gate exits.
 GATE_TMP=$(mktemp -d)

@@ -22,6 +22,13 @@
 #   level       none of the above
 #
 # trace=1 compares the per-layer metrics of the traced run instead.
+#
+# Each invocation also appends one line to BENCH_history.jsonl at the
+# repository root — commit, parent, core count, workload, seed and, per
+# metric, both sides' median and quartiles, the wins and the verdict —
+# so the trajectory across PRs is a file. Every figure in it is
+# relative to a parent measured in the same session on the same
+# machine; there is no absolute bar.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -74,12 +81,17 @@ metrics() {
 }
 failed() { sed -n 's/.*"failed": *\([0-9]*\).*/\1/p' "$1"; }
 
+history="$work/runs/history"
+: > "$history"
+
 echo
 echo "$workload seed=$seed seconds=$seconds trace=$trace pairs=$pairs  parent=$parent_ref ($(git rev-parse --short "$parent_ref"))"
+declare -A failures
 for side in parent change; do
   total=0
   for i in $(seq 1 "$pairs"); do total=$((total + $(failed "$work/runs/$side.$i"))); done
   echo "$side: failed operations over all runs = $total"
+  failures[$side]=$total
 done
 printf '%-34s %-6s %14s %25s %14s %25s %8s %6s  %s\n' \
   metric better parent_median "[q1, q3]" change_median "[q1, q3]" delta wins verdict
@@ -92,7 +104,7 @@ for name in $(metrics "$work/runs/parent.1" | cut -d' ' -f1); do
     p=$(metrics "$work/runs/parent.$i" | awk -v n="$name" '$1 == n { print $2 }')
     c=$(metrics "$work/runs/change.$i" | awk -v n="$name" '$1 == n { print $2 }')
     echo "$p $c"
-  done | awk -v name="$name" -v better="${better:-higher}" -v bound="${bound:-0}" '
+  done | awk -v name="$name" -v better="${better:-higher}" -v bound="${bound:-0}" -v history="$history" '
     function quart(a, n, q,   k) { k = int(q * n + 0.999999); if (k < 1) k = 1; return a[k] }
     function med(a, n) { return n % 2 ? a[(n + 1) / 2] : (a[n / 2] + a[n / 2 + 1]) / 2 }
     function sorted(src, dst, n,   i, j, t) {
@@ -121,5 +133,13 @@ for name in $(metrics "$work/runs/parent.1" | cut -d' ' -f1); do
       printf "%-34s %-6s %14.6g %25s %14.6g %25s %+7.1f%% %3d/%-2d  %s\n", name, better, pm,
         sprintf("[%.6g, %.6g]", pq1, pq3), cm, sprintf("[%.6g, %.6g]", cq1, cq3),
         100 * delta, wins, n, verdict
+      printf "\"%s\":{\"parent\":{\"median\":%.6g,\"q1\":%.6g,\"q3\":%.6g},\"change\":{\"median\":%.6g,\"q1\":%.6g,\"q3\":%.6g},\"wins\":%d,\"verdict\":\"%s\"}\n",
+        name, pm, pq1, pq3, cm, cq1, cq3, wins, verdict >> history
     }'
 done
+
+printf '{"commit":"%s","parent":"%s","cores":%d,"workload":"%s","seed":%d,"seconds":%d,"trace":%d,"pairs":%d,"failed":{"parent":%d,"change":%d},"metrics":{%s}}\n' \
+  "$(git describe --always --dirty)" "$(git rev-parse --short "$parent_ref")" "$(nproc)" \
+  "$workload" "$seed" "$seconds" "$trace" "$pairs" "${failures[parent]}" "${failures[change]}" \
+  "$(paste -sd, "$history")" >> BENCH_history.jsonl
+echo "appended to BENCH_history.jsonl"

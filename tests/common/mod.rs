@@ -1,9 +1,26 @@
-//! Shared deterministic PRNG for the property-test suites.
+//! Shared by the integration suites: a deterministic PRNG and scratch
+//! directories.
 //!
 //! The build environment has no crates.io access, so the former
 //! proptest suites run as fixed-case loops over this SplitMix64
 //! generator: same properties, reproducible inputs, zero dependencies.
 #![allow(dead_code)]
+
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
+
+/// An absent directory under the system's temporary directory, unique
+/// to this process and call; the caller removes it when done.
+pub fn tmp_dir(tag: &str) -> PathBuf {
+    static SEQ: AtomicU64 = AtomicU64::new(0);
+    let dir = std::env::temp_dir().join(format!(
+        "gs-test-{tag}-{}-{}",
+        std::process::id(),
+        SEQ.fetch_add(1, Ordering::Relaxed)
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
 
 pub struct Rng(u64);
 

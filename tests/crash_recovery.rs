@@ -2,32 +2,23 @@
 //! archive's durability contract under kill-point crashes, recovery
 //! idempotence, and read-time corruption detection.
 //!
-//! The wide seeded sweep (and its run-twice determinism diff) lives in
-//! `crates/bench/src/bin/crash_run.rs` behind `scripts/crash_gate.sh`;
-//! this suite keeps a small always-on version in `cargo test`.
+//! The wide seeded sweep (and its run-twice determinism diff) is
+//! `geostreams-digest crash` behind `scripts/determinism_gate.sh`; this
+//! suite keeps a small always-on version in `cargo test`.
 
+mod common;
+
+use common::tmp_dir;
 use geostreams::core::model::{Element, GeoStream};
 use geostreams::core::obs::Registry;
 use geostreams::satsim::goes_like;
 use geostreams::store::segment::{scan_segment, segment_path, Record};
 use geostreams::store::{Archive, ArchiveConfig, ChaosVfs, DiskFaultPlan, StdVfs, StoreMetrics};
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::path::Path;
 use std::sync::Arc;
 
 const SECTORS: u64 = 2;
 const GROUP: u32 = 4;
-
-fn tmp_dir(tag: &str) -> PathBuf {
-    static SEQ: AtomicU64 = AtomicU64::new(0);
-    let dir = std::env::temp_dir().join(format!(
-        "gs-crashtest-{tag}-{}-{}",
-        std::process::id(),
-        SEQ.fetch_add(1, Ordering::Relaxed)
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
 
 fn config(dir: &Path) -> ArchiveConfig {
     let mut cfg = ArchiveConfig::new(dir);

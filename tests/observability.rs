@@ -10,7 +10,8 @@
 use geostreams::core::obs::TraceKind;
 use geostreams::dsms::{Dsms, HttpServer, OutputFormat};
 use geostreams::satsim::goes_like;
-use std::collections::BTreeMap;
+use geostreams::store::StoreMetrics;
+use std::collections::{BTreeMap, BTreeSet};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
@@ -143,4 +144,32 @@ fn metrics_endpoint_serves_parseable_prometheus_exposition() {
     assert_eq!(settled["geostreams_requests_handled_total"], 4.0);
     assert_eq!(dsms.metrics.requests_errored.get(), 0);
     assert!(dsms.metrics.summary().contains("errored=0"));
+
+    // Exposition hygiene over every family the server can export —
+    // the archive's metrics, the per-query freshness series and a
+    // per-band staleness gauge included: each `geostreams_*` sample
+    // belongs to a family that declares both HELP and TYPE.
+    let _store = StoreMetrics::register(dsms.metrics.registry());
+    let _rec = dsms.metrics.register_query(0, "goes-sim.b4-ir");
+    let _ = dsms
+        .metrics
+        .registry()
+        .gauge("geostreams_band_staleness_ns", &[("band", "goes-sim.b4-ir")]);
+    let full = dsms.metrics.render_prometheus();
+    assert!(
+        full.lines().any(|l| l.starts_with("geostreams_e2e_lag_ns_count{query=\"0\"}")),
+        "exposition is missing the per-query freshness series:\n{full}"
+    );
+    let declared = |kind: &str| -> BTreeSet<&str> {
+        full.lines().filter_map(|l| l.strip_prefix(kind)?.split(' ').next()).collect()
+    };
+    let (help, types) = (declared("# HELP "), declared("# TYPE "));
+    for sample in full.lines().filter(|l| l.starts_with("geostreams_")) {
+        let mut family = sample.split(['{', ' ']).next().unwrap();
+        for suffix in ["_bucket", "_sum", "_count"] {
+            family = family.strip_suffix(suffix).unwrap_or(family);
+        }
+        assert!(help.contains(family), "missing HELP for {family}");
+        assert!(types.contains(family), "missing TYPE for {family}");
+    }
 }

@@ -4,6 +4,9 @@
 //! and splicing into the live downlink at a recorded watermark — no
 //! gap, no duplicate frame, honest completeness accounting throughout.
 
+mod common;
+
+use common::tmp_dir;
 use geostreams::core::model::{Element, GeoStream, RepairProbe, StreamRepair};
 use geostreams::core::CoreError;
 use geostreams::dsms::protocol::{ClientRequest, OutputFormat};
@@ -11,7 +14,6 @@ use geostreams::dsms::{run_supervised, RuntimeConfig, ServerMetrics};
 use geostreams::satsim::{goes_like, ChaosStream, FaultPlan, Scanner};
 use geostreams::store::{Archive, ArchiveConfig, SpliceStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Index of `goes-sim.b4-ir` in the GOES-like instrument (reduction 4:
@@ -20,17 +22,6 @@ const B4: usize = 3;
 
 fn req(q: &str, format: OutputFormat) -> ClientRequest {
     ClientRequest { query: q.to_string(), format, sectors: 0 }
-}
-
-fn tmp_dir(tag: &str) -> PathBuf {
-    static SEQ: AtomicU64 = AtomicU64::new(0);
-    let dir = std::env::temp_dir().join(format!(
-        "gs-storetest-{tag}-{}-{}",
-        std::process::id(),
-        SEQ.fetch_add(1, Ordering::Relaxed)
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
 }
 
 /// Persists sectors `[0, n_sectors)` of one band, as the live ingest

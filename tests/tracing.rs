@@ -5,6 +5,9 @@
 //! `/trace/<id>` surfaces round-trip as JSON, and failure edges
 //! (watchdog cancellation) leave recorder entries and frozen dumps.
 
+mod common;
+
+use common::tmp_dir;
 use geostreams::core::obs::{RecorderSnapshot, Span, SpanOutcome};
 use geostreams::dsms::protocol::{ClientRequest, OutputFormat};
 use geostreams::dsms::{run_supervised, Dsms, QueryStatus, RuntimeConfig, ServerMetrics};
@@ -12,7 +15,6 @@ use geostreams::satsim::{goes_like, FaultPlan, Scanner};
 use geostreams::store::{Archive, ArchiveConfig};
 use std::collections::{HashMap, HashSet};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -21,17 +23,6 @@ const B4: usize = 3;
 
 fn req(q: &str, format: OutputFormat) -> ClientRequest {
     ClientRequest { query: q.to_string(), format, sectors: 0 }
-}
-
-fn tmp_dir(tag: &str) -> PathBuf {
-    static SEQ: AtomicU64 = AtomicU64::new(0);
-    let dir = std::env::temp_dir().join(format!(
-        "gs-tracetest-{tag}-{}-{}",
-        std::process::id(),
-        SEQ.fetch_add(1, Ordering::Relaxed)
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
 }
 
 /// Persists sectors `[0, n_sectors)` of one band, as the live ingest

@@ -8,6 +8,8 @@
 //! markers, same order), and `OpStats` totals must match exactly
 //! (per-chunk batched accounting vs per-element accounting).
 
+mod common;
+
 use geostreams::core::model::{
     drain_chunked, ChunkInput, ChunkOrMarker, Element, GeoStream, StreamRepair, StreamSchema,
     TimeSet, VecStream,
@@ -327,8 +329,7 @@ fn chunk_input_serves_the_scalar_sequence_of_every_source() {
     assert_cursor_is_the_scalar_sequence("repair-over-chaos", damaged_then_repaired);
 
     // Archive replay of three persisted sectors.
-    let dir = std::env::temp_dir().join(format!("gs-vectorized-replay-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = common::tmp_dir("vectorized-replay");
     let archive = Archive::create(ArchiveConfig::new(&dir)).unwrap();
     let mut live = goes_like(W, H, 7).band_stream(0, 3);
     let band = live.schema().band;
