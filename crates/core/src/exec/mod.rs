@@ -3,7 +3,7 @@
 //! The §4 prototype's "Execution" box: drives an operator pipeline to
 //! completion (or sector by sector), collecting the per-operator
 //! statistics that the experiment suite reports. Every run also times
-//! root pulls into a lock-free [`obs::Histogram`] so reports carry
+//! root pulls into a lock-free [`Histogram`] so reports carry
 //! latency percentiles alongside the paper's buffered-points peaks.
 //!
 //! The driver is chunk-native: it pulls whole point runs via
@@ -34,7 +34,7 @@ pub use morsel::{
 pub use pool::{OrderedCollector, WorkerPool, WorkerStatsSnapshot};
 
 use crate::model::{ChunkOrMarker, Element, GeoStream, Marker, DEFAULT_CHUNK_BUDGET};
-use crate::obs::{Histogram, HistogramSnapshot, PipelineObs, SampledClock, TraceKind};
+use crate::obs::{Histogram, HistogramSnapshot, PipelineObs, SampledClock};
 use crate::ops::ChunkProtocolChecker;
 use crate::stats::OpReport;
 use geostreams_raster::Pixel;
@@ -174,10 +174,7 @@ where
     run_observed(stream, &PipelineObs::default(), on_element)
 }
 
-/// Drains the pipeline under an observation config: root pull latency
-/// is always histogrammed; query start/end (and any operator-level
-/// events from [`TracedStream`](crate::obs::TracedStream) wrappers in
-/// the pipeline) land in `obs.trace` when present.
+/// [`run_chunked`] at the default budget, for a per-element consumer.
 ///
 /// Elements are pulled in chunks of [`DEFAULT_CHUNK_BUDGET`] points and
 /// flattened for the callback, so `on_element` still sees the exact
@@ -192,13 +189,10 @@ where
     })
 }
 
-/// What [`run_chunked`] and [`run_morsels`] share: the query's start
-/// and end in `obs.trace`, timed pulls, and delivery — count the item,
-/// cross-check it, hand it to the consumer, recycle its buffer — all
-/// accumulated into the run's [`RunReport`].
-struct Drive<'a, F> {
-    obs: &'a PipelineObs,
-    name: String,
+/// What [`run_chunked`] and [`run_morsels`] share: timed pulls, and
+/// delivery — count the item, cross-check it, hand it to the consumer,
+/// recycle its buffer — all accumulated into the run's [`RunReport`].
+struct Drive<F> {
     on_item: F,
     start: Instant,
     pull_ns: Histogram,
@@ -210,14 +204,9 @@ struct Drive<'a, F> {
     report: RunReport,
 }
 
-impl<'a, F> Drive<'a, F> {
-    fn begin(name: &str, obs: &'a PipelineObs, on_item: F) -> Self {
-        if let Some(trace) = &obs.trace {
-            trace.record(obs.query_id, name, TraceKind::QueryStart, "");
-        }
+impl<F> Drive<F> {
+    fn begin(on_item: F) -> Self {
         Drive {
-            obs,
-            name: name.to_string(),
             on_item,
             start: Instant::now(),
             pull_ns: Histogram::new(),
@@ -255,14 +244,8 @@ impl<'a, F> Drive<'a, F> {
 
     fn finish(mut self, per_op: Vec<OpReport>) -> RunReport {
         self.clock.flush(&self.pull_ns);
-        let RunReport { points_delivered: points, sectors, .. } = self.report;
-        let wall = self.start.elapsed();
-        if let Some(trace) = &self.obs.trace {
-            let detail = format!("{points} points, {sectors} sectors, {} µs", wall.as_micros());
-            trace.record(self.obs.query_id, &self.name, TraceKind::QueryEnd, detail);
-        }
         RunReport {
-            wall,
+            wall: self.start.elapsed(),
             per_op,
             pull_latency: self.pull_ns.snapshot(),
             protocol_violations: self.checker.violations(),
@@ -277,13 +260,15 @@ impl<'a, F> Drive<'a, F> {
 /// [`PULL_SAMPLE_EVERY`](crate::obs::PULL_SAMPLE_EVERY)th pull, backlog
 /// charged at the last measured per-element cost — so
 /// [`RunReport::pull_latency`] stays element-denominated (`count` equals
-/// `elements`) without an `Instant` pair per chunk.
-pub fn run_chunked<S, F>(stream: &mut S, obs: &PipelineObs, budget: usize, on_item: F) -> RunReport
+/// `elements`) without an `Instant` pair per chunk. The driver records
+/// nothing into the observation config the pipeline was built under:
+/// operator spans are the planner's, the delivery span the caller's.
+pub fn run_chunked<S, F>(stream: &mut S, _obs: &PipelineObs, budget: usize, on_item: F) -> RunReport
 where
     S: GeoStream,
     F: FnMut(&ChunkOrMarker<S::V>),
 {
-    let mut drive = Drive::begin(&stream.schema().name, obs, on_item);
+    let mut drive = Drive::begin(on_item);
     while let Some(item) = drive.next_chunk(stream, budget) {
         drive.deliver(item);
     }
@@ -302,10 +287,8 @@ pub fn run_to_end<S: GeoStream>(stream: &mut S) -> RunReport {
 mod tests {
     use super::*;
     use crate::model::VecStream;
-    use crate::obs::TraceLog;
     use crate::ops::SpatialRestrict;
     use geostreams_geo::{Crs, LatticeGeoref, Rect, Region};
-    use std::sync::Arc;
 
     fn source() -> VecStream<f32> {
         let lattice = LatticeGeoref::north_up(Crs::LatLon, Rect::new(0.0, 0.0, 10.0, 10.0), 10, 10);
@@ -342,19 +325,6 @@ mod tests {
         let report = run_to_end(&mut s);
         assert_eq!(report.pull_latency.count, report.elements);
         assert!(report.pull_p99_ns() >= report.pull_p50_ns());
-    }
-
-    #[test]
-    fn observed_run_traces_query_boundaries() {
-        let log = Arc::new(TraceLog::new(64));
-        let obs = PipelineObs::for_query(3).with_trace(Arc::clone(&log));
-        let mut s = source();
-        let report = run_observed(&mut s, &obs, |_| {});
-        assert_eq!(report.points_delivered, 200);
-        let evs = log.drain();
-        assert_eq!(evs.first().map(|e| e.kind), Some(TraceKind::QueryStart));
-        assert_eq!(evs.last().map(|e| e.kind), Some(TraceKind::QueryEnd));
-        assert!(evs.iter().all(|e| e.query_id == 3));
     }
 
     #[test]

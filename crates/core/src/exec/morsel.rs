@@ -101,24 +101,21 @@ pub fn split_parallel(expr: &Expr) -> ParallelSplit<'_> {
 
 /// Compiled form of a stage suffix: the stage nodes a worker builds a
 /// fresh operator chain from per morsel, plus the probed operator names
-/// (for per-op stats) and the morsel granularity.
+/// (for per-op stats), the schema of what the suffix delivers and the
+/// morsel granularity.
 #[derive(Debug, Clone)]
 pub struct CompiledStages {
     /// Upstream first; restriction regions are already in the stream's
     /// coordinate system.
     nodes: Vec<Expr>,
     names: Vec<String>,
+    schema: StreamSchema,
     granularity: Granularity,
 }
 
 impl CompiledStages {
-    /// A suffix with no stages (the driver degenerates to
-    /// [`run_chunked`]).
-    pub fn empty() -> CompiledStages {
-        CompiledStages { nodes: Vec::new(), names: Vec::new(), granularity: Granularity::Frame }
-    }
-
-    /// True when there is nothing to parallelize.
+    /// True when there is nothing to parallelize (the driver
+    /// degenerates to [`run_chunked`]).
     pub fn is_empty(&self) -> bool {
         self.nodes.is_empty()
     }
@@ -139,6 +136,12 @@ impl CompiledStages {
         &self.names
     }
 
+    /// Schema of the run's output: the last stage's, or the inner
+    /// stream's when there is no stage.
+    pub fn schema(&self) -> &StreamSchema {
+        &self.schema
+    }
+
     fn build_chain(&self, input: BoxedF32Stream) -> Result<BoxedF32Stream> {
         self.nodes
             .iter()
@@ -151,7 +154,12 @@ impl CompiledStages {
 /// mapped now (the planner's own rule, `region_in`), and the probe
 /// chain below proves the suffix builds.
 pub fn compile_stages(stages: &[&Expr], schema: &StreamSchema) -> Result<CompiledStages> {
-    let mut compiled = CompiledStages::empty();
+    let mut compiled = CompiledStages {
+        nodes: Vec::new(),
+        names: Vec::new(),
+        schema: schema.clone(),
+        granularity: Granularity::Frame,
+    };
     for stage in stages {
         let mut node = (*stage).clone();
         if let Expr::RestrictSpace { region, crs, .. } = &mut node {
@@ -161,11 +169,13 @@ pub fn compile_stages(stages: &[&Expr], schema: &StreamSchema) -> Result<Compile
         compiled.granularity = compiled.granularity.max(node.contract().granularity);
         compiled.nodes.push(node);
     }
-    // Probe operator names by building one chain over an empty stream.
+    // Probe operator names and the output schema by building one chain
+    // over an empty stream.
     let probe = compiled.build_chain(Box::new(VecStream::new(schema.clone(), Vec::new())))?;
     let mut reports = Vec::new();
     probe.collect_stats(&mut reports);
     compiled.names = reports.into_iter().skip(1).map(|r| r.name).collect();
+    compiled.schema = probe.schema().clone();
     Ok(compiled)
 }
 
@@ -325,7 +335,7 @@ const IN_FLIGHT_PER_WORKER: u64 = 4;
 /// Delivers one merged unit, in order.
 fn deliver_unit<F: FnMut(&ChunkOrMarker<f32>)>(
     unit: Vec<ChunkOrMarker<f32>>,
-    drive: &mut Drive<'_, F>,
+    drive: &mut Drive<F>,
 ) {
     for item in unit {
         drive.deliver(item);
@@ -360,7 +370,7 @@ where
         let run = run_chunked(inner, obs, budget, on_item);
         return MorselReport { run, morsels: 0, kernel_panics: 0 };
     }
-    let mut drive = Drive::begin(&inner.schema().name, obs, on_item);
+    let mut drive = Drive::begin(on_item);
     let schema = Arc::new(inner.schema().clone());
     let collector: Arc<OrderedCollector<Vec<ChunkOrMarker<f32>>>> =
         Arc::new(OrderedCollector::new());
@@ -508,9 +518,9 @@ mod tests {
 
     #[test]
     fn empty_stage_suffix_degenerates_to_run_chunked() {
-        let stages = Arc::new(CompiledStages::empty());
-        let pool = WorkerPool::new(2);
         let mut inner = source();
+        let stages = Arc::new(compile_stages(&[], inner.schema()).expect("compile"));
+        let pool = WorkerPool::new(2);
         let report = run_morsels(&mut inner, &stages, &pool, &PipelineObs::default(), 128, |_| {});
         assert_eq!(report.morsels, 0);
         assert_eq!(report.run.points_delivered, 300);

@@ -27,8 +27,6 @@ pub use element::{Element, FrameEnd, FrameInfo, PointRecord, SectorEnd, SectorIn
 pub use repair::{RepairCounters, RepairProbe, RepairStats, SectorCompleteness, StreamRepair};
 pub use schema::{Organization, StreamSchema};
 pub use split::{split2, tee2, SideStream, TeeStream};
-pub use stream::{
-    drain_points_of, BoxedF32Stream, ChannelLike, ChunkChannel, GeoStream, VecStream,
-};
+pub use stream::{drain_points_of, BoxedF32Stream, ChunkChannel, GeoStream, VecStream};
 pub use timestamp::{TimeSemantics, TimeSet, Timestamp};
 pub use validate::{Validator, Violation};

@@ -302,7 +302,7 @@ impl<S: GeoStream> StreamRepair<S> {
         Self::with_probe(input, Arc::new(RepairProbe::default()))
     }
 
-    /// Protocol contract (see [`repair_contract`]).
+    /// Protocol contract (`repair_contract`).
     pub fn declared_contract(&self) -> crate::ops::ProtocolContract {
         repair_contract()
     }

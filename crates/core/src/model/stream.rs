@@ -332,49 +332,10 @@ impl<V: Pixel> GeoStream for VecStream<V> {
     }
 }
 
-/// A source that pulls elements from a caller-supplied closure — the
-/// adapter the DSMS uses to feed operator pipelines from ingest channels.
-pub struct ChannelLike<V> {
-    schema: StreamSchema,
-    pull: Box<dyn FnMut() -> Option<Element<V>> + Send>,
-    stats: OpStats,
-}
-
-impl<V: Pixel> ChannelLike<V> {
-    /// Creates a source from a pull closure (return `None` to end the
-    /// stream).
-    pub fn new(
-        schema: StreamSchema,
-        pull: impl FnMut() -> Option<Element<V>> + Send + 'static,
-    ) -> Self {
-        ChannelLike { schema, pull: Box::new(pull), stats: OpStats::default() }
-    }
-}
-
-impl<V: Pixel> GeoStream for ChannelLike<V> {
-    type V = V;
-
-    fn schema(&self) -> &StreamSchema {
-        &self.schema
-    }
-
-    fn next_element(&mut self) -> Option<Element<V>> {
-        let el = (self.pull)()?;
-        if el.is_point() {
-            self.stats.points_out += 1;
-        }
-        Some(el)
-    }
-
-    fn op_stats(&self) -> OpStats {
-        self.stats.clone()
-    }
-}
-
 /// A source that pulls whole [`ChunkOrMarker`] items from a
-/// caller-supplied closure — the chunk-native counterpart of
-/// [`ChannelLike`], used by the DSMS so chunks cross ingest channels
-/// intact instead of being re-split into per-point sends.
+/// caller-supplied closure — the adapter the DSMS uses to feed operator
+/// pipelines from ingest channels, so chunks cross them intact instead
+/// of being re-split into per-point sends.
 pub struct ChunkChannel<V: Pixel> {
     schema: StreamSchema,
     pull: Box<dyn FnMut() -> Option<ChunkOrMarker<V>> + Send>,
@@ -501,18 +462,6 @@ mod tests {
         let _ = s.drain_elements();
         assert_eq!(s.op_stats().points_out, 25);
         assert_eq!(s.op_stats().frames_out, 5);
-    }
-
-    #[test]
-    fn channel_like_pulls_until_none() {
-        let mut vals =
-            vec![Element::point(Cell::new(0, 0), 1.0f32), Element::point(Cell::new(1, 0), 2.0f32)]
-                .into_iter();
-        let mut s = ChannelLike::new(StreamSchema::new("ch", Crs::LatLon), move || vals.next());
-        assert!(s.next_element().is_some());
-        assert!(s.next_element().is_some());
-        assert!(s.next_element().is_none());
-        assert_eq!(s.op_stats().points_out, 2);
     }
 
     #[test]

@@ -7,9 +7,9 @@
 //! [`SampledClock`] reads the clock on every [`PULL_SAMPLE_EVERY`]th
 //! pull only, charges the intervening pulls at the last measured
 //! per-element cost, and keeps the histogram element-denominated
-//! (`pull_latency.count == elements`), mirroring the discipline
-//! [`TracedStream`](crate::obs::TracedStream) already uses for per-op
-//! timing.
+//! (`pull_latency.count == elements`). The drivers time root pulls
+//! with it and [`TracedStream`](crate::obs::TracedStream) times each
+//! operator's.
 
 use std::time::Instant;
 

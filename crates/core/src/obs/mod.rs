@@ -10,8 +10,8 @@
 //! * [`Registry`] — named counters, gauges and histograms with label
 //!   sets, rendered as Prometheus text exposition v0.0.4 by hand
 //!   (std-only, scrape-ready);
-//! * [`TraceLog`] — a bounded ring of structured [`TraceEvent`]s
-//!   (query/sector boundaries, stalls, buffer peaks);
+//! * [`SampledClock`] — the one sampled pull timer: the drivers time
+//!   root pulls with it, [`TracedStream`] each operator's;
 //! * [`TracedStream`] — a [`GeoStream`](crate::model::GeoStream)
 //!   decorator the planner threads through every operator so
 //!   [`RunReport`](crate::exec::RunReport) can expose per-op pull/frame
@@ -27,15 +27,13 @@ mod clock;
 mod hist;
 mod registry;
 mod span;
-mod trace;
 mod traced;
 
 pub use clock::{SampledClock, PULL_SAMPLE_EVERY};
 pub use hist::{bucket_index, bucket_upper_bound, Histogram, HistogramSnapshot, NUM_BUCKETS};
 pub use registry::{Counter, Gauge, HistogramHandle, MetricKey, Registry};
 pub use span::{
-    now_ns, FlightRecorder, FrameHook, RecorderDump, RecorderSnapshot, Span, SpanGuard,
-    SpanOutcome, SpanStream, TraceContext, DEFAULT_SPAN_CAPACITY,
+    now_ns, FlightRecorder, RecorderDump, RecorderSnapshot, Span, SpanGuard, SpanOutcome,
+    SpanStream, TraceContext, DEFAULT_SPAN_CAPACITY,
 };
-pub use trace::{TraceEvent, TraceKind, TraceLog};
 pub use traced::{PipelineObs, TracedStream};

@@ -1,8 +1,7 @@
 //! Causal spans and the per-query flight recorder.
 //!
-//! PR 1's [`TraceLog`](super::TraceLog) answers "what happened
-//! recently"; it cannot answer "where did query 42's frame 907 stall",
-//! because its events carry no causal identity. This module adds one:
+//! Answering "where did query 42's frame 907 stall" takes events with
+//! a causal identity. This module provides one:
 //!
 //! * [`TraceContext`] — `{trace_id, span_id, parent}` minted per
 //!   registered query. It is `Copy` and rides on
@@ -18,11 +17,10 @@
 //! * [`SpanGuard`] — RAII handle that closes its span on drop or
 //!   explicit [`SpanGuard::finish`].
 //! * [`SpanStream`] — a transparent [`GeoStream`] decorator that
-//!   accounts points into a span, optionally captures the first
-//!   chunk-carried context as the span's link, and can observe
-//!   `FrameStart` markers for event-time freshness accounting.
+//!   accounts points into a span and optionally captures the first
+//!   chunk-carried context as the span's link.
 
-use crate::model::{ChunkOrMarker, Element, FrameInfo, GeoStream, Marker, StreamSchema};
+use crate::model::{ChunkOrMarker, Element, GeoStream, StreamSchema};
 use crate::stats::{OpReport, OpStats};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
@@ -275,7 +273,7 @@ impl FlightRecorder {
     }
 
     /// Freezes the current ring contents under `reason`. At most
-    /// [`MAX_DUMPS`] dumps are kept; later ones are dropped (the first
+    /// `MAX_DUMPS` (8) dumps are kept; later ones are dropped (the first
     /// failures of a run are the diagnostic ones).
     pub fn freeze(&self, reason: &str) {
         let spans = self.snapshot();
@@ -368,42 +366,29 @@ impl Drop for SpanGuard {
     }
 }
 
-/// Per-frame freshness observer: called with each `FrameStart` seen at
-/// the wrapped stage (used at delivery to compute synthesis→delivery
-/// lag and watermarks).
-pub type FrameHook = Box<dyn FnMut(&FrameInfo) + Send>;
-
 /// A transparent [`GeoStream`] decorator that accounts the wrapped
 /// stage into a [`Span`].
 ///
 /// Unlike [`TracedStream`](super::TracedStream) it takes no latency
 /// measurements of its own — it only counts points, closes the span
-/// when the stream ends, optionally captures the first chunk-carried
-/// [`TraceContext`] as the span's link, and optionally reports
-/// `FrameStart` markers to a [`FrameHook`]. It is invisible to
-/// `collect_stats`, so operator reports are unchanged.
+/// when the stream ends, and optionally captures the first
+/// chunk-carried [`TraceContext`] as the span's link. It is invisible
+/// to `collect_stats`, so operator reports are unchanged.
 pub struct SpanStream<S: GeoStream> {
     inner: S,
     guard: Option<SpanGuard>,
     capture_link: bool,
-    on_frame: Option<FrameHook>,
 }
 
 impl<S: GeoStream> SpanStream<S> {
     /// Wraps `inner`, accounting into `guard`.
     pub fn new(inner: S, guard: SpanGuard) -> Self {
-        SpanStream { inner, guard: Some(guard), capture_link: false, on_frame: None }
+        SpanStream { inner, guard: Some(guard), capture_link: false }
     }
 
     /// Capture the first chunk-carried context as the span's link.
     pub fn with_link_capture(mut self) -> Self {
         self.capture_link = true;
-        self
-    }
-
-    /// Observe every `FrameStart` marker (builder style).
-    pub fn with_frame_hook(mut self, hook: impl FnMut(&FrameInfo) + Send + 'static) -> Self {
-        self.on_frame = Some(Box::new(hook));
         self
     }
 
@@ -415,12 +400,6 @@ impl<S: GeoStream> SpanStream<S> {
     fn finish(&mut self, outcome: SpanOutcome) {
         if let Some(g) = self.guard.take() {
             g.finish(outcome);
-        }
-    }
-
-    fn note_frame(&mut self, fi: &FrameInfo) {
-        if let Some(hook) = &mut self.on_frame {
-            hook(fi);
         }
     }
 }
@@ -440,10 +419,6 @@ impl<S: GeoStream> GeoStream for SpanStream<S> {
                     g.add_points(1);
                 }
             }
-            Some(Element::FrameStart(fi)) => {
-                let fi = *fi;
-                self.note_frame(&fi);
-            }
             None => self.finish(SpanOutcome::Ok),
             _ => {}
         }
@@ -462,14 +437,6 @@ impl<S: GeoStream> GeoStream for SpanStream<S> {
                         }
                     }
                 }
-                if let Some(Marker::FrameStart(fi)) = &c.end {
-                    let fi = *fi;
-                    self.note_frame(&fi);
-                }
-            }
-            Some(ChunkOrMarker::Marker(Marker::FrameStart(fi))) => {
-                let fi = *fi;
-                self.note_frame(&fi);
             }
             None => self.finish(SpanOutcome::Ok),
             _ => {}

@@ -1,14 +1,16 @@
 //! Per-operator tracing wrapper.
 //!
-//! [`TracedStream`] decorates any [`GeoStream`] with latency histograms
-//! and coarse trace events. The per-point hot path is two `Instant`
-//! reads and one atomic histogram record — no locks, no allocation.
-//! Boundary events (sectors, stalls, buffer peaks) additionally go to
-//! an optional shared [`TraceLog`].
+//! [`TracedStream`] decorates any [`GeoStream`] with latency
+//! histograms. The chunked hot path times pulls with the
+//! [`SampledClock`] discipline the driver uses; the scalar path is two
+//! `Instant` reads and one atomic histogram record per element — no
+//! locks, no allocation. Stalls and buffer peaks are the operator's own
+//! [`OpStats`], reported per operator in
+//! [`RunReport::per_op`](crate::exec::RunReport::per_op).
 
+use super::clock::{SampledClock, PULL_SAMPLE_EVERY};
 use super::hist::Histogram;
 use super::span::{FlightRecorder, SpanGuard, SpanOutcome};
-use super::trace::{TraceKind, TraceLog};
 use crate::model::{ChunkOrMarker, Element, GeoStream, Marker, StreamSchema};
 use crate::stats::{OpReport, OpStats};
 use std::sync::Arc;
@@ -17,10 +19,6 @@ use std::time::Instant;
 /// Shared configuration for instrumenting a pipeline.
 #[derive(Debug, Clone, Default)]
 pub struct PipelineObs {
-    /// Query id stamped on trace events.
-    pub query_id: u32,
-    /// Optional shared event log (sector boundaries, stalls, peaks).
-    pub trace: Option<Arc<TraceLog>>,
     /// Optional per-query flight recorder; when set, the planner opens
     /// one span per operator and chains them by parentage.
     pub recorder: Option<Arc<FlightRecorder>>,
@@ -29,17 +27,6 @@ pub struct PipelineObs {
 }
 
 impl PipelineObs {
-    /// Observation config for a query, without an event log.
-    pub fn for_query(query_id: u32) -> Self {
-        PipelineObs { query_id, trace: None, recorder: None, parent: 0 }
-    }
-
-    /// Attaches a shared event log (builder style).
-    pub fn with_trace(mut self, trace: Arc<TraceLog>) -> Self {
-        self.trace = Some(trace);
-        self
-    }
-
     /// Attaches a per-query flight recorder (builder style).
     pub fn with_recorder(mut self, recorder: Arc<FlightRecorder>) -> Self {
         self.recorder = Some(recorder);
@@ -53,61 +40,37 @@ impl PipelineObs {
     }
 }
 
-/// Chunked pulls are clock-sampled at this rate (must be a power of
-/// two): one timed pull amortizes its latency over the elements of the
-/// untimed pulls since the previous sample. Reading the monotonic
-/// clock twice per pull is the single largest instrumentation cost on
-/// cheap pipelines — sampling keeps the traced chunked hot path within
-/// the gate's 5% overhead budget while histogram counts stay
-/// element-denominated.
-const PULL_SAMPLE_EVERY: u64 = 16;
-
 /// A [`GeoStream`] decorator that measures its inner operator.
 pub struct TracedStream<S: GeoStream> {
     inner: S,
     pull_ns: Arc<Histogram>,
     frame_ns: Arc<Histogram>,
     frame_open: Option<Instant>,
-    last_stalls: u64,
-    last_buffer_peak: u64,
-    obs: PipelineObs,
     span: Option<SpanGuard>,
-    /// Chunked pulls issued so far (sampling phase).
-    pull_seq: u64,
+    /// Pull timer of the chunked path.
+    clock: SampledClock,
     /// Frames opened so far on the chunked path (frame-latency
     /// sampling phase).
     frame_seq: u64,
-    /// Elements delivered by untimed chunked pulls since the last
-    /// clock sample, waiting to be recorded at the next one.
-    unsampled_elements: u64,
-    /// Per-element latency of the last clock sample, used to flush
-    /// [`unsampled_elements`](Self::unsampled_elements) at end of
-    /// stream.
-    last_unit_ns: u64,
 }
 
 impl<S: GeoStream> TracedStream<S> {
     /// Wraps `inner` with fresh histograms.
-    pub fn new(inner: S, obs: PipelineObs) -> Self {
-        TracedStream::with_span(inner, obs, None)
+    pub fn new(inner: S) -> Self {
+        TracedStream::with_span(inner, None)
     }
 
     /// Wraps `inner`, additionally accounting into `span` (opened by
     /// the planner with the operator's causal parentage).
-    pub fn with_span(inner: S, obs: PipelineObs, span: Option<SpanGuard>) -> Self {
+    pub fn with_span(inner: S, span: Option<SpanGuard>) -> Self {
         TracedStream {
             inner,
             pull_ns: Arc::new(Histogram::new()),
             frame_ns: Arc::new(Histogram::new()),
             frame_open: None,
-            last_stalls: 0,
-            last_buffer_peak: 0,
-            obs,
             span,
-            pull_seq: 0,
+            clock: SampledClock::new(),
             frame_seq: 0,
-            unsampled_elements: 0,
-            last_unit_ns: 0,
         }
     }
 
@@ -126,40 +89,9 @@ impl<S: GeoStream> TracedStream<S> {
         Arc::clone(&self.frame_ns)
     }
 
-    /// Emits boundary trace events when the inner operator stalled or
-    /// grew its buffer past the previous peak. Called on frame/sector
-    /// edges only — off the per-point path.
-    fn check_pressure(&mut self) {
-        let Some(trace) = &self.obs.trace else { return };
-        let stats = self.inner.op_stats();
-        let name = &self.inner.schema().name;
-        if stats.stalls > self.last_stalls {
-            trace.record(
-                self.obs.query_id,
-                name,
-                TraceKind::Stall,
-                format!("+{} stalls ({} total)", stats.stalls - self.last_stalls, stats.stalls),
-            );
-            self.last_stalls = stats.stalls;
-        }
-        if stats.buffered_points_peak > self.last_buffer_peak {
-            trace.record(
-                self.obs.query_id,
-                name,
-                TraceKind::BufferPeak,
-                format!(
-                    "{} points / {} bytes buffered",
-                    stats.buffered_points_peak, stats.buffered_bytes_peak
-                ),
-            );
-            self.last_buffer_peak = stats.buffered_points_peak;
-        }
-    }
-
-    /// Boundary bookkeeping for a marker observed on the chunked path:
-    /// frame latency, sector trace events, pressure checks. `t0` is the
-    /// pull start of the item that carried the marker, when that pull
-    /// was clock-sampled. Frame latency is itself sampled: every
+    /// Frame latency for a marker observed on the chunked path. `t0` is
+    /// the pull start of the item that carried the marker, when that
+    /// pull was clock-sampled. Frame latency is itself sampled: every
     /// [`PULL_SAMPLE_EVERY`]th frame forces a clock read at its start
     /// so some frames always land in the histogram even when the pull
     /// sampling phase never lines up with a `FrameStart`.
@@ -174,32 +106,8 @@ impl<S: GeoStream> TracedStream<S> {
                 if let Some(opened) = self.frame_open.take() {
                     self.frame_ns.record(opened.elapsed().as_nanos() as u64);
                 }
-                // Pressure checks run on sector edges only here: one
-                // `op_stats()` walk per frame is measurable on the
-                // chunked hot path, and peaks/stalls are high-water
-                // marks that coalesce losslessly to the next check.
             }
-            Marker::SectorStart(si) => {
-                if let Some(trace) = &self.obs.trace {
-                    trace.record(
-                        self.obs.query_id,
-                        &self.inner.schema().name,
-                        TraceKind::Sector,
-                        format!("sector {} start", si.sector_id),
-                    );
-                }
-            }
-            Marker::SectorEnd(se) => {
-                if let Some(trace) = &self.obs.trace {
-                    trace.record(
-                        self.obs.query_id,
-                        &self.inner.schema().name,
-                        TraceKind::Sector,
-                        format!("sector {} end", se.sector_id),
-                    );
-                }
-                self.check_pressure();
-            }
+            Marker::SectorStart(_) | Marker::SectorEnd(_) => {}
         }
     }
 }
@@ -226,31 +134,9 @@ impl<S: GeoStream> GeoStream for TracedStream<S> {
             Some(Element::FrameEnd(_)) => {
                 let opened = self.frame_open.take().unwrap_or(t0);
                 self.frame_ns.record(opened.elapsed().as_nanos() as u64);
-                self.check_pressure();
             }
-            Some(Element::SectorStart(si)) => {
-                if let Some(trace) = &self.obs.trace {
-                    trace.record(
-                        self.obs.query_id,
-                        &self.inner.schema().name,
-                        TraceKind::Sector,
-                        format!("sector {} start", si.sector_id),
-                    );
-                }
-            }
-            Some(Element::SectorEnd(se)) => {
-                if let Some(trace) = &self.obs.trace {
-                    trace.record(
-                        self.obs.query_id,
-                        &self.inner.schema().name,
-                        TraceKind::Sector,
-                        format!("sector {} end", se.sector_id),
-                    );
-                }
-                self.check_pressure();
-            }
+            Some(Element::SectorStart(_) | Element::SectorEnd(_)) => {}
             None => {
-                self.check_pressure();
                 if let Some(span) = self.span.take() {
                     span.finish(SpanOutcome::Ok);
                 }
@@ -260,47 +146,25 @@ impl<S: GeoStream> GeoStream for TracedStream<S> {
     }
 
     fn next_chunk(&mut self, budget: usize) -> Option<ChunkOrMarker<Self::V>> {
-        let sampled = self.pull_seq & (PULL_SAMPLE_EVERY - 1) == 0;
-        self.pull_seq = self.pull_seq.wrapping_add(1);
-        let t0 = if sampled { Some(Instant::now()) } else { None };
+        let t0 = self.clock.begin();
         let item = self.inner.next_chunk(budget);
         match &item {
             Some(item) => {
-                let n = item.element_count().max(1);
-                self.unsampled_elements += n;
-                if let Some(t0) = t0 {
-                    // One amortized latency record per clock sample: the
-                    // per-element cost is this pull's time divided over
-                    // its own elements, recorded on behalf of everything
-                    // accumulated since the previous sample so histogram
-                    // counts still equal element counts.
-                    let unit = t0.elapsed().as_nanos() as u64 / n;
-                    self.last_unit_ns = unit;
-                    self.pull_ns.record_n(unit, self.unsampled_elements);
-                    self.unsampled_elements = 0;
-                }
+                self.clock.end(t0, item.element_count().max(1), &self.pull_ns);
                 if let Some(span) = &mut self.span {
-                    if let ChunkOrMarker::Chunk(c) = item {
-                        span.add_points(c.points.len() as u64);
-                    }
+                    span.add_points(item.point_count() as u64);
                 }
                 if let Some(m) = item.marker() {
-                    let m = m.clone();
-                    self.note_marker(&m, t0);
+                    self.note_marker(m, t0);
                 }
             }
             None => {
-                // Flush the elements still unaccounted since the last
-                // clock sample at its per-element latency, then record
+                // Account the backlog since the last clock sample, then
                 // the end-of-stream pull itself if it was sampled.
-                if self.unsampled_elements > 0 {
-                    self.pull_ns.record_n(self.last_unit_ns, self.unsampled_elements);
-                    self.unsampled_elements = 0;
-                }
+                self.clock.flush(&self.pull_ns);
                 if let Some(t0) = t0 {
                     self.pull_ns.record(t0.elapsed().as_nanos() as u64);
                 }
-                self.check_pressure();
                 if let Some(span) = self.span.take() {
                     span.finish(SpanOutcome::Ok);
                 }
@@ -340,7 +204,7 @@ mod tests {
     fn traced_stream_is_transparent() {
         let mut plain = source();
         let plain_pts = plain.drain_points();
-        let mut traced = TracedStream::new(source(), PipelineObs::for_query(1));
+        let mut traced = TracedStream::new(source());
         let traced_pts = traced.drain_points();
         assert_eq!(plain_pts, traced_pts);
     }
@@ -349,7 +213,7 @@ mod tests {
     fn latency_lands_in_the_report() {
         let region = Region::Rect(Rect::new(0.0, 0.0, 4.0, 4.0));
         let op = SpatialRestrict::new(source(), region);
-        let mut traced = TracedStream::new(op, PipelineObs::for_query(1));
+        let mut traced = TracedStream::new(op);
         while traced.next_element().is_some() {}
         let mut per_op = Vec::new();
         traced.collect_stats(&mut per_op);
@@ -361,15 +225,5 @@ mod tests {
         assert!(lat.count > 0);
         let frames = per_op[1].frame_latency.as_ref().expect("frame latency");
         assert!(frames.count > 0);
-    }
-
-    #[test]
-    fn sector_events_hit_the_trace_log() {
-        let log = Arc::new(TraceLog::new(64));
-        let obs = PipelineObs::for_query(9).with_trace(Arc::clone(&log));
-        let mut traced = TracedStream::new(source(), obs);
-        while traced.next_element().is_some() {}
-        let evs = log.drain();
-        assert!(evs.iter().any(|e| e.kind == TraceKind::Sector && e.query_id == 9));
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! §6 of the paper: "We are also investigating the full integration of a
 //! spatio-temporal aggregate operator for streaming image data. This
-//! operator has been proposed in [27] (Zhang, Gertz, Aksoy, ACM-GIS
+//! operator has been proposed in \[27\] (Zhang, Gertz, Aksoy, ACM-GIS
 //! 2004)." This module implements that extension:
 //!
 //! * [`TemporalAggregate`] — per-cell aggregates over a sliding window of
@@ -402,7 +402,7 @@ pub fn aggregate_contract(operator: &str) -> crate::ops::ProtocolContract {
 }
 
 impl<S: GeoStream> TemporalAggregate<S> {
-    /// A sliding window of `W` images is frame-scale buffering (§6 / [27]).
+    /// A sliding window of `W` images is frame-scale buffering (§6 / \[27\]).
     pub fn declared_blocking(&self) -> crate::ops::BlockingClass {
         crate::ops::BlockingClass::BoundedFrame
     }

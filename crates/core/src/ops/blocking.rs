@@ -3,7 +3,7 @@
 //!
 //! Every operator in this module tree exposes a `declared_blocking()`
 //! method returning the class it promises to respect at runtime;
-//! [`crate::query::analyze`] re-derives the same classification
+//! [`crate::query::analyze()`] re-derives the same classification
 //! statically from an expression tree so plans can be admitted or
 //! refused *before* the pipeline pulls its first point (Aurora-style
 //! admission control).

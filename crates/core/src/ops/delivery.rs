@@ -2,23 +2,27 @@
 //!
 //! §4 of the paper: the DSMS "streams the point data to a specialized
 //! stream delivery operator that ships stream results back to clients
-//! using the PNG image format". [`ImageAssembler`] realizes Definition 4
-//! (an *image* is the same-timestamp subset of a stream) by collecting a
-//! sector's points into a dense [`RasterImage`]; [`PngSink`] turns each
-//! assembled image into PNG bytes, either grayscale (scaled by the
-//! schema's value range) or through a [`ColorMap`].
+//! using the PNG image format". The delivery core is push-fed and owns
+//! no stream: [`SectorAssembly`] realizes Definition 4 (an *image* is
+//! the same-timestamp subset of a stream) by collecting the points of
+//! the [`ChunkOrMarker`] items it is handed into a dense
+//! [`RasterImage`] per sector, and [`FrameSink`] encodes each assembled
+//! image as PNG bytes, either grayscale (scaled by a display range) or
+//! through a [`ColorMap`]. A driver that already delivers items (the
+//! DSMS's query evaluator) pushes them in; [`ImageAssembler`] and
+//! [`PngSink`] are the same cores behind a pull loop over a stream.
 
-use crate::model::{ChunkInput, Element, GeoStream};
+use crate::model::{ChunkOrMarker, GeoStream, Marker, PointRecord, DEFAULT_CHUNK_BUDGET};
 use crate::stats::OpStats;
 use geostreams_raster::colormap::ColorMap;
 use geostreams_raster::png::{self, PngOptions};
 use geostreams_raster::{Grid2D, Pixel, RasterImage, Rgb8};
 
-/// Collects each sector of a stream into a dense raster image. Cells
-/// never delivered (restricted away or unmappable) keep `V::default()`.
-pub struct ImageAssembler<S: GeoStream> {
-    input: ChunkInput<S>,
-    current: Option<PartialImage<S::V>>,
+/// Collects each sector of the items pushed into it into a dense raster
+/// image. Cells never delivered (restricted away or unmappable) keep
+/// `V::default()`.
+pub struct SectorAssembly<V> {
+    current: Option<PartialImage<V>>,
     stats: OpStats,
 }
 
@@ -30,74 +34,107 @@ struct PartialImage<V> {
     filled: u64,
 }
 
-impl<S: GeoStream> ImageAssembler<S> {
-    /// Wraps a stream for image assembly.
-    pub fn new(input: S) -> Self {
-        ImageAssembler { input: ChunkInput::new(input), current: None, stats: OpStats::default() }
+impl<V: Pixel> Default for SectorAssembly<V> {
+    fn default() -> Self {
+        SectorAssembly { current: None, stats: OpStats::default() }
     }
+}
 
-    /// Pulls until the next complete image (sector) is available.
-    pub fn next_image(&mut self) -> Option<RasterImage<S::V>> {
-        loop {
-            let el = self.input.pull()?;
-            match el {
-                Element::SectorStart(si) => {
-                    self.current = Some(PartialImage {
-                        grid: Grid2D::new(si.lattice.width, si.lattice.height),
-                        georef: si.lattice,
-                        timestamp: si.timestamp.value(),
-                        band: si.band,
-                        filled: 0,
-                    });
+impl<V: Pixel> SectorAssembly<V> {
+    /// Takes the next item of a stream, in stream order: its points
+    /// land in the open sector's image, and the `SectorEnd` of a sector
+    /// that received any point completes that image.
+    pub fn push(&mut self, item: &ChunkOrMarker<V>) -> Option<RasterImage<V>> {
+        let (points, marker): (&[PointRecord<V>], _) = match item {
+            ChunkOrMarker::Chunk(c) => (&c.points, c.end.as_ref()),
+            ChunkOrMarker::Marker(m) => (&[], Some(m)),
+        };
+        self.stats.points_in += points.len() as u64;
+        if let Some(cur) = &mut self.current {
+            let (width, height) = (cur.grid.width(), cur.grid.height());
+            for p in points {
+                if p.cell.col < width && p.cell.row < height {
+                    cur.grid.set(p.cell.col, p.cell.row, p.value);
+                    cur.filled += 1;
                 }
-                Element::Point(p) => {
-                    self.stats.points_in += 1;
-                    if let Some(cur) = &mut self.current {
-                        if p.cell.col < cur.grid.width() && p.cell.row < cur.grid.height() {
-                            cur.grid.set(p.cell.col, p.cell.row, p.value);
-                            cur.filled += 1;
-                        }
-                    }
-                }
-                Element::SectorEnd(_) => {
-                    if let Some(cur) = self.current.take() {
-                        if cur.filled > 0 {
-                            self.stats.frames_out += 1;
-                            return Some(RasterImage::new(
-                                cur.grid,
-                                cur.georef,
-                                cur.timestamp,
-                                cur.band,
-                            ));
-                        }
-                    }
-                }
-                _ => {}
             }
         }
-    }
-
-    /// Drains the stream into all remaining images.
-    pub fn collect_images(&mut self) -> Vec<RasterImage<S::V>> {
-        let mut out = Vec::new();
-        while let Some(img) = self.next_image() {
-            out.push(img);
+        match marker? {
+            Marker::SectorStart(si) => {
+                self.current = Some(PartialImage {
+                    grid: Grid2D::new(si.lattice.width, si.lattice.height),
+                    georef: si.lattice,
+                    timestamp: si.timestamp.value(),
+                    band: si.band,
+                    filled: 0,
+                });
+                None
+            }
+            Marker::SectorEnd(_) => {
+                let cur = self.current.take().filter(|cur| cur.filled > 0)?;
+                self.stats.frames_out += 1;
+                Some(RasterImage::new(cur.grid, cur.georef, cur.timestamp, cur.band))
+            }
+            Marker::FrameStart(_) | Marker::FrameEnd(_) => None,
         }
-        out
     }
 
     /// Assembly statistics.
     pub fn stats(&self) -> OpStats {
         self.stats.clone()
     }
+}
 
-    /// Access to the wrapped stream (for stats collection).
-    pub fn inner(&self) -> &S {
-        self.input.stream()
+/// Pulls `input` item by item into `push` until it completes something.
+fn pull_until<S: GeoStream, T>(
+    input: &mut S,
+    mut push: impl FnMut(&ChunkOrMarker<S::V>) -> Option<T>,
+) -> Option<T> {
+    loop {
+        let item = input.next_chunk(DEFAULT_CHUNK_BUDGET)?;
+        let done = push(&item);
+        item.recycle();
+        if done.is_some() {
+            return done;
+        }
     }
 }
 
-/// How [`PngSink`] renders pixel values.
+/// Collects each sector of a stream into a dense raster image: a
+/// [`SectorAssembly`] fed by pulling the stream.
+pub struct ImageAssembler<S: GeoStream> {
+    input: S,
+    assembly: SectorAssembly<S::V>,
+}
+
+impl<S: GeoStream> ImageAssembler<S> {
+    /// Wraps a stream for image assembly.
+    pub fn new(input: S) -> Self {
+        ImageAssembler { input, assembly: SectorAssembly::default() }
+    }
+
+    /// Pulls until the next complete image (sector) is available.
+    pub fn next_image(&mut self) -> Option<RasterImage<S::V>> {
+        pull_until(&mut self.input, |item| self.assembly.push(item))
+    }
+
+    /// Drains the stream into all remaining images.
+    pub fn collect_images(&mut self) -> Vec<RasterImage<S::V>> {
+        std::iter::from_fn(|| self.next_image()).collect()
+    }
+
+    /// Assembly statistics.
+    pub fn stats(&self) -> OpStats {
+        self.assembly.stats()
+    }
+
+    /// Access to the wrapped stream (for stats collection).
+    pub fn inner(&self) -> &S {
+        &self.input
+    }
+}
+
+/// How a [`FrameSink`] renders pixel values.
 #[derive(Debug, Clone)]
 pub enum Rendering {
     /// 8-bit grayscale, scaling `[lo, hi]` to `0..=255`.
@@ -133,32 +170,23 @@ pub struct DeliveredFrame {
     pub height: u32,
 }
 
-/// Encodes each assembled image of a stream as a PNG.
-pub struct PngSink<S: GeoStream> {
-    assembler: ImageAssembler<S>,
+/// Encodes each sector of the items pushed into it as a PNG.
+pub struct FrameSink<V> {
+    assembly: SectorAssembly<V>,
     rendering: Rendering,
     options: PngOptions,
-    /// Total PNG bytes produced so far.
-    pub bytes_delivered: u64,
 }
 
-impl<S: GeoStream> PngSink<S> {
-    /// Creates a sink with the given rendering; display range defaults to
-    /// the stream schema's value range.
-    pub fn new(input: S, rendering: Option<Rendering>, options: PngOptions) -> Self {
-        let (lo, hi) = input.schema().value_range;
-        let rendering = rendering.unwrap_or(Rendering::Gray { lo, hi });
-        PngSink { assembler: ImageAssembler::new(input), rendering, options, bytes_delivered: 0 }
+impl<V: Pixel> FrameSink<V> {
+    /// Creates a sink with the given rendering.
+    pub fn new(rendering: Rendering, options: PngOptions) -> Self {
+        FrameSink { assembly: SectorAssembly::default(), rendering, options }
     }
 
-    /// The stream feeding this sink (for post-run stats collection).
-    pub fn inner(&self) -> &S {
-        self.assembler.inner()
-    }
-
-    /// Pulls until the next delivered PNG frame.
-    pub fn next_frame(&mut self) -> Option<DeliveredFrame> {
-        let img = self.assembler.next_image()?;
+    /// Takes the next item of a stream, in stream order; the item that
+    /// completes a sector's image yields its encoded frame.
+    pub fn push(&mut self, item: &ChunkOrMarker<V>) -> Option<DeliveredFrame> {
+        let img = self.assembly.push(item)?;
         let png = match &self.rendering {
             Rendering::Gray { lo, hi } => {
                 let span = if hi > lo { hi - lo } else { 1.0 };
@@ -172,7 +200,6 @@ impl<S: GeoStream> PngSink<S> {
                 png::encode_rgb(&rgb, self.options)
             }
         };
-        self.bytes_delivered += png.len() as u64;
         Some(DeliveredFrame {
             timestamp: img.timestamp,
             band: img.band,
@@ -180,6 +207,37 @@ impl<S: GeoStream> PngSink<S> {
             width: img.width(),
             height: img.height(),
         })
+    }
+}
+
+/// Encodes each assembled image of a stream as a PNG: a [`FrameSink`]
+/// fed by pulling the stream.
+pub struct PngSink<S: GeoStream> {
+    input: S,
+    sink: FrameSink<S::V>,
+    /// Total PNG bytes produced so far.
+    pub bytes_delivered: u64,
+}
+
+impl<S: GeoStream> PngSink<S> {
+    /// Creates a sink with the given rendering; display range defaults to
+    /// the stream schema's value range.
+    pub fn new(input: S, rendering: Option<Rendering>, options: PngOptions) -> Self {
+        let (lo, hi) = input.schema().value_range;
+        let rendering = rendering.unwrap_or(Rendering::Gray { lo, hi });
+        PngSink { input, sink: FrameSink::new(rendering, options), bytes_delivered: 0 }
+    }
+
+    /// The stream feeding this sink (for post-run stats collection).
+    pub fn inner(&self) -> &S {
+        &self.input
+    }
+
+    /// Pulls until the next delivered PNG frame.
+    pub fn next_frame(&mut self) -> Option<DeliveredFrame> {
+        let frame = pull_until(&mut self.input, |item| self.sink.push(item))?;
+        self.bytes_delivered += frame.png.len() as u64;
+        Some(frame)
     }
 }
 

@@ -205,6 +205,52 @@ impl Expr {
         }
     }
 
+    /// Rebuilds the node over `f` of each of its direct inputs, left to
+    /// right (a source is returned as it is).
+    pub fn map_inputs(self, f: &mut impl FnMut(Expr) -> Expr) -> Expr {
+        match self {
+            Expr::Source(_) => self,
+            Expr::RestrictSpace { input, region, crs } => {
+                Expr::RestrictSpace { input: Box::new(f(*input)), region, crs }
+            }
+            Expr::RestrictTime { input, times } => {
+                Expr::RestrictTime { input: Box::new(f(*input)), times }
+            }
+            Expr::RestrictValue { input, ranges } => {
+                Expr::RestrictValue { input: Box::new(f(*input)), ranges }
+            }
+            Expr::MapValue { input, func } => Expr::MapValue { input: Box::new(f(*input)), func },
+            Expr::Stretch { input, mode, scope } => {
+                Expr::Stretch { input: Box::new(f(*input)), mode, scope }
+            }
+            Expr::Focal { input, func, k } => Expr::Focal { input: Box::new(f(*input)), func, k },
+            Expr::Orient { input, orientation } => {
+                Expr::Orient { input: Box::new(f(*input)), orientation }
+            }
+            Expr::Delay { input, d } => Expr::Delay { input: Box::new(f(*input)), d },
+            Expr::Shed { input, policy, stride } => {
+                Expr::Shed { input: Box::new(f(*input)), policy, stride }
+            }
+            Expr::Magnify { input, k } => Expr::Magnify { input: Box::new(f(*input)), k },
+            Expr::Downsample { input, k } => Expr::Downsample { input: Box::new(f(*input)), k },
+            Expr::Reproject { input, to, kernel } => {
+                Expr::Reproject { input: Box::new(f(*input)), to, kernel }
+            }
+            Expr::Compose { left, right, op } => {
+                Expr::Compose { left: Box::new(f(*left)), right: Box::new(f(*right)), op }
+            }
+            Expr::Ndvi { nir, vis } => {
+                Expr::Ndvi { nir: Box::new(f(*nir)), vis: Box::new(f(*vis)) }
+            }
+            Expr::AggTime { input, func, window } => {
+                Expr::AggTime { input: Box::new(f(*input)), func, window }
+            }
+            Expr::AggSpace { input, func, region } => {
+                Expr::AggSpace { input: Box::new(f(*input)), func, region }
+            }
+        }
+    }
+
     /// The protocol contract of the operator at this node. This is the
     /// one `Expr → ProtocolContract` mapping: `query::analyze` folds it
     /// into the plan's certificate, and its

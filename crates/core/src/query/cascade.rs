@@ -1,7 +1,7 @@
 //! Multi-query spatial-restriction indexing (§4).
 //!
 //! "Multiple queries against a single GeoStream are optimized using a
-//! dynamic cascade tree structure [10], which acts as a single spatial
+//! dynamic cascade tree structure \[10\], which acts as a single spatial
 //! restriction operator and efficiently streams only the point data of
 //! interest to current continuous queries to subsequent operators."
 //!

@@ -66,7 +66,7 @@ pub fn optimize(expr: &Expr, catalog: &Catalog) -> Expr {
 /// * double application of an involutive orientation cancels.
 fn simplify(e: Expr) -> Expr {
     use crate::ops::ValueFunc;
-    let e = map_children(e, &mut simplify);
+    let e = e.map_inputs(&mut simplify);
     match e {
         Expr::MapValue { input, func: ValueFunc::Linear { scale: s2, offset: o2 } } => match *input
         {
@@ -101,52 +101,9 @@ fn simplify(e: Expr) -> Expr {
     }
 }
 
-/// Rebuilds a node with rewritten children using `f`.
-fn map_children(e: Expr, f: &mut impl FnMut(Expr) -> Expr) -> Expr {
-    match e {
-        Expr::Source(_) => e,
-        Expr::RestrictSpace { input, region, crs } => {
-            Expr::RestrictSpace { input: Box::new(f(*input)), region, crs }
-        }
-        Expr::RestrictTime { input, times } => {
-            Expr::RestrictTime { input: Box::new(f(*input)), times }
-        }
-        Expr::RestrictValue { input, ranges } => {
-            Expr::RestrictValue { input: Box::new(f(*input)), ranges }
-        }
-        Expr::MapValue { input, func } => Expr::MapValue { input: Box::new(f(*input)), func },
-        Expr::Stretch { input, mode, scope } => {
-            Expr::Stretch { input: Box::new(f(*input)), mode, scope }
-        }
-        Expr::Focal { input, func, k } => Expr::Focal { input: Box::new(f(*input)), func, k },
-        Expr::Orient { input, orientation } => {
-            Expr::Orient { input: Box::new(f(*input)), orientation }
-        }
-        Expr::Delay { input, d } => Expr::Delay { input: Box::new(f(*input)), d },
-        Expr::Shed { input, policy, stride } => {
-            Expr::Shed { input: Box::new(f(*input)), policy, stride }
-        }
-        Expr::Magnify { input, k } => Expr::Magnify { input: Box::new(f(*input)), k },
-        Expr::Downsample { input, k } => Expr::Downsample { input: Box::new(f(*input)), k },
-        Expr::Reproject { input, to, kernel } => {
-            Expr::Reproject { input: Box::new(f(*input)), to, kernel }
-        }
-        Expr::Compose { left, right, op } => {
-            Expr::Compose { left: Box::new(f(*left)), right: Box::new(f(*right)), op }
-        }
-        Expr::Ndvi { nir, vis } => Expr::Ndvi { nir: Box::new(f(*nir)), vis: Box::new(f(*vis)) },
-        Expr::AggTime { input, func, window } => {
-            Expr::AggTime { input: Box::new(f(*input)), func, window }
-        }
-        Expr::AggSpace { input, func, region } => {
-            Expr::AggSpace { input: Box::new(f(*input)), func, region }
-        }
-    }
-}
-
 /// Bottom-up macro fusion: recognize `(a − b) ⊘ (b + a)` as NDVI.
 fn fuse_macros(e: Expr) -> Expr {
-    let e = map_children(e, &mut fuse_macros);
+    let e = e.map_inputs(&mut fuse_macros);
     if let Expr::Compose { left, right, op: GammaOp::Div } = &e {
         if let (
             Expr::Compose { left: a1, right: b1, op: GammaOp::Sub },
@@ -166,7 +123,7 @@ fn fuse_macros(e: Expr) -> Expr {
 
 /// Top-level restriction-pushing pass.
 fn push_restrictions(e: Expr, catalog: &Catalog) -> Expr {
-    let e = map_children(e, &mut |c| push_restrictions(c, catalog));
+    let e = e.map_inputs(&mut |c| push_restrictions(c, catalog));
     match e {
         Expr::RestrictSpace { input, region, crs } => {
             let (pushed, exact) = push_space(*input, &region, &crs, catalog);
@@ -405,7 +362,7 @@ fn push_time(e: Expr, times: &TimeSet) -> Expr {
 
 /// Merges directly-nested rectangular spatial restrictions of one CRS.
 fn merge_restricts(e: Expr) -> Expr {
-    let e = map_children(e, &mut merge_restricts);
+    let e = e.map_inputs(&mut merge_restricts);
     if let Expr::RestrictSpace { input, region: Region::Rect(outer), crs } = &e {
         if let Expr::RestrictSpace { input: inner_input, region: Region::Rect(inner), crs: crs2 } =
             &**input

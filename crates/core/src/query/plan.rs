@@ -188,7 +188,7 @@ impl<'a> Planner<'a> {
     /// Builds a pipeline with every operator (sources included) wrapped
     /// in a [`TracedStream`], so the resulting
     /// [`RunReport`](crate::exec::RunReport) carries per-op pull/frame
-    /// latency histograms and `obs.trace` receives boundary events.
+    /// latency histograms.
     ///
     /// When `obs.recorder` is set, every wrapper additionally opens a
     /// [`Span`](crate::obs::Span) chained under `obs.parent`, giving the
@@ -214,11 +214,11 @@ impl<'a> Planner<'a> {
                 rec.set_build_parent(span_id);
                 let stream = self.build_node(expr, Some(&child_obs))?;
                 let guard = rec.begin_with_id(span_id, &stream.schema().name, obs.parent);
-                Ok(Box::new(TracedStream::with_span(stream, obs.clone(), Some(guard))))
+                Ok(Box::new(TracedStream::with_span(stream, Some(guard))))
             }
             None => {
                 let stream = self.build_node(expr, Some(obs))?;
-                Ok(Box::new(TracedStream::new(stream, obs.clone())))
+                Ok(Box::new(TracedStream::new(stream)))
             }
         }
     }

@@ -13,7 +13,7 @@
 //!   temporal window against the live feed's start ("now"), and hands
 //!   the spatial extent to the archive so replay decodes only
 //!   intersecting tiles (restriction pushdown into the store);
-//! * the static analyzer ([`super::analyze`]) classifies replay
+//! * the static analyzer ([`super::analyze()`]) classifies replay
 //!   sources as bounded and flags wholly-past windows that no archive
 //!   can serve.
 

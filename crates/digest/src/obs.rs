@@ -2,8 +2,9 @@
 //!
 //! The same planner-built point-wise pipeline over the same
 //! materialized ramp is drained untraced (plain `build`, default obs)
-//! and traced (`build_traced` with a trace log, a flight recorder
-//! chaining one span per operator, and a root delivery [`SpanStream`]).
+//! and traced (`build_traced` with a flight recorder chaining one span
+//! per operator under a root `deliver` span, opened and closed around
+//! the run the way the DSMS's evaluator does).
 //! Both sides must deliver identical points and pixel hashes; the
 //! digest is that count, that hash and the number of spans the flight
 //! recorder captured. What tracing costs is geobench's
@@ -12,7 +13,7 @@
 use crate::{fnv1a, FNV_OFFSET};
 use geostreams_core::exec::run_chunked;
 use geostreams_core::model::{ChunkOrMarker, GeoStream, VecStream, DEFAULT_CHUNK_BUDGET};
-use geostreams_core::obs::{FlightRecorder, PipelineObs, SpanStream, TraceLog};
+use geostreams_core::obs::{FlightRecorder, PipelineObs, SpanOutcome};
 use geostreams_core::query::{parse_query, Catalog, Planner};
 use geostreams_geo::{Crs, LatticeGeoref, Rect};
 use std::sync::Arc;
@@ -48,18 +49,17 @@ pub fn digest(w: u32, h: u32, sectors: u64) -> String {
     let expr = parse_query("scale(ramp, 2, 0)").expect("query parses");
 
     let untraced = planner.build(&expr).expect("query plans");
-    let trace = Arc::new(TraceLog::new(4096));
     let rec = Arc::new(FlightRecorder::for_query(1));
     let deliver_id = rec.alloc_span();
-    let obs = PipelineObs::for_query(1)
-        .with_trace(trace)
-        .with_recorder(Arc::clone(&rec))
-        .under(deliver_id);
-    let built = planner.build_traced(&expr, &obs).expect("query plans");
-    let traced = SpanStream::new(built, rec.begin_with_id(deliver_id, "deliver", 0));
+    let obs = PipelineObs::default().with_recorder(Arc::clone(&rec)).under(deliver_id);
+    let traced = planner.build_traced(&expr, &obs).expect("query plans");
 
     let (points, fnv) = drain(untraced, &PipelineObs::default());
-    assert_eq!(drain(traced, &obs), (points, fnv), "tracing changed what was delivered");
+    let mut deliver = rec.begin_with_id(deliver_id, "deliver", 0);
+    let delivered = drain(traced, &obs);
+    deliver.add_points(delivered.0);
+    deliver.finish(SpanOutcome::Ok);
+    assert_eq!(delivered, (points, fnv), "tracing changed what was delivered");
     format!(
         "{{\"bench\":\"obs\",\"points\":{points},\"fnv\":\"{fnv:016x}\",\"spans\":{}}}",
         rec.len()

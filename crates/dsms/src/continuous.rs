@@ -23,17 +23,16 @@
 //!   `geostreams_fanout_shed_total`) instead of head-of-line-blocking
 //!   every sibling query through the bounded channels, and a subscriber
 //!   that stays wedged past a patience window is declared dead;
-//! * each query's sources are wrapped in
-//!   [`StreamRepair`](geostreams_core::model::StreamRepair), so frame-
-//!   scoped operators emit *partial* frames with completeness ratios
-//!   instead of blocking forever on rows the downlink lost;
+//! * each query's sources are wrapped in [`StreamRepair`], so
+//!   frame-scoped operators emit *partial* frames with completeness
+//!   ratios instead of blocking forever on rows the downlink lost;
 //! * an optional per-query watchdog cancels (not hangs) a query that
 //!   exceeds its deadline — e.g. one wedged on a stalled client — and
 //!   counts into `geostreams_watchdog_cancellations_total`.
 //!
-//! Degradation is injected deterministically via
-//! [`FaultPlan`](geostreams_satsim::FaultPlan): same seed, same faults,
-//! byte-identical results (`scripts/chaos.sh` diffs two runs).
+//! Degradation is injected deterministically via [`FaultPlan`]: same
+//! seed, same faults, byte-identical results (`geostreams-digest chaos`,
+//! run twice and diffed by `scripts/determinism_gate.sh`).
 
 use crate::eval::{conclude, Delivered, Evaluator};
 use crate::metrics::ServerMetrics;
@@ -44,8 +43,8 @@ use crate::share::{
 };
 use geostreams_core::exec::{RunReport, WorkerPool};
 use geostreams_core::model::{
-    BoxedF32Stream, ChannelLike, ChunkChannel, ChunkOrMarker, GeoStream, Marker, RepairCounters,
-    RepairProbe, StreamRepair, StreamSchema, DEFAULT_CHUNK_BUDGET,
+    BoxedF32Stream, ChunkChannel, ChunkOrMarker, GeoStream, Marker, RepairCounters, RepairProbe,
+    StreamRepair, StreamSchema, DEFAULT_CHUNK_BUDGET,
 };
 use geostreams_core::obs::{
     now_ns, FlightRecorder, Gauge, HistogramSnapshot, SpanGuard, SpanOutcome, SpanStream,
@@ -72,6 +71,9 @@ const CHANNEL_CAP: usize = 8192;
 
 /// Poll interval for watchdog-aware channel reads and stall slicing.
 const POLL: Duration = Duration::from_millis(20);
+
+/// Ceiling of the supervised-restart backoff.
+const BACKOFF_CAP: Duration = Duration::from_millis(250);
 
 /// How the per-band ingest pump treats a subscriber whose bounded
 /// channel is full.
@@ -105,8 +107,6 @@ pub struct RuntimeConfig {
     pub max_restarts: u32,
     /// First restart backoff; doubles per consecutive restart.
     pub backoff_base: Duration,
-    /// Backoff ceiling.
-    pub backoff_cap: Duration,
     /// How long the shed policy retries a framing marker into a full
     /// buffer before declaring the subscriber dead.
     pub marker_patience: Duration,
@@ -127,12 +127,6 @@ pub struct RuntimeConfig {
     /// First live scan sector — the runtime's "now". Live feeds join
     /// the downlink here; earlier sectors exist only in the archive.
     pub start_sector: u64,
-    /// Retention knob applied to the attached archive at run start:
-    /// maximum archive bytes (`None` keeps the archive's own setting).
-    pub archive_max_bytes: Option<u64>,
-    /// Retention knob: maximum archived frames (`None` keeps the
-    /// archive's own setting). Eviction is segment-granular.
-    pub archive_max_frames: Option<u64>,
     /// Multi-query plan sharing (DESIGN.md §16): when enabled, admitted
     /// counting queries with structurally-equal canonical plans — or
     /// common subplans across different plans — are evaluated once per
@@ -147,12 +141,12 @@ pub struct RuntimeConfig {
     /// belong to the `"default"` tenant.
     pub tenants: Vec<(usize, String)>,
     /// Morsel-execution workers (DESIGN.md §17). The runtime owns one
-    /// work-stealing pool of this many threads; counting queries
-    /// (`Stats`/`Json`) and shared-plan evaluators fan their
-    /// data-parallel operator suffix out to it, morsel by morsel, and
-    /// merge back in lattice order — output is byte-identical at every
-    /// worker count. `0` executes kernels inline on the driver thread
-    /// (same code path, no extra threads).
+    /// work-stealing pool of this many threads; every query and
+    /// shared-plan evaluator fans its data-parallel operator suffix
+    /// out to it, morsel by morsel, and merges back in lattice order —
+    /// output is byte-identical at every worker count. `0` executes
+    /// kernels inline on the driver thread (same code path, no extra
+    /// threads).
     pub exec_workers: usize,
 }
 
@@ -164,15 +158,12 @@ impl Default for RuntimeConfig {
             watchdog: None,
             max_restarts: 3,
             backoff_base: Duration::from_millis(10),
-            backoff_cap: Duration::from_millis(250),
             marker_patience: Duration::from_secs(2),
             fault_plan: None,
             query_stall: Vec::new(),
             metrics: None,
             archive: None,
             start_sector: 0,
-            archive_max_bytes: None,
-            archive_max_frames: None,
             share_plans: false,
             tenants: Vec::new(),
             exec_workers: 1,
@@ -354,7 +345,7 @@ pub fn run_supervised(
     requests: &[ClientRequest],
     config: &RuntimeConfig,
 ) -> Result<(Vec<Result<QueryResult>>, IngestStats)> {
-    prepare_archive(config)?;
+    prepare_archive(config);
     let mut rt = Runtime {
         scanner,
         n_sectors,
@@ -456,13 +447,10 @@ pub fn run_supervised(
     Ok((results, stats))
 }
 
-/// Archive context of a run: retention knobs and metric handles are
-/// applied before any query is admitted.
-fn prepare_archive(config: &RuntimeConfig) -> Result<()> {
-    let Some(archive) = &config.archive else { return Ok(()) };
-    if config.archive_max_bytes.is_some() || config.archive_max_frames.is_some() {
-        archive.set_retention(config.archive_max_bytes, config.archive_max_frames)?;
-    }
+/// Archive context of a run: metric handles are attached before any
+/// query is admitted.
+fn prepare_archive(config: &RuntimeConfig) {
+    let Some(archive) = &config.archive else { return };
     if let Some(m) = &config.metrics {
         archive.attach_metrics(StoreMetrics::register(m.registry()));
     }
@@ -483,7 +471,6 @@ fn prepare_archive(config: &RuntimeConfig) -> Result<()> {
             report.watermarks,
         );
     }
-    Ok(())
 }
 
 /// Stage 1: parse, optimize and admit every request. A plan whose
@@ -658,7 +645,7 @@ fn wire(rt: &mut Runtime<'_>, admitted: Vec<Result<Admitted>>) -> Result<Wiring>
         let mut schema = Planner::new(catalog).build(&node.expr)?.schema().clone();
         schema.name = share_source_name(node.key);
         let exhausted = schema.clone();
-        catalog.register(schema, move || Box::new(ChannelLike::new(exhausted.clone(), || None)));
+        catalog.register(schema, move || Box::new(ChunkChannel::new(exhausted.clone(), || None)));
     }
     let mut node_sources = Vec::new();
     for (node, probes) in plan.nodes.iter().zip(node_probes) {
@@ -878,7 +865,7 @@ fn source_catalog(sources: Vec<Source>, schemas: &Catalog, cx: &SourceCtx) -> (C
         let cx = cx.clone();
         catalog.register(schema.clone(), move || match lock(&slot).take() {
             Some(src) => open_source(src, &schema, &cx),
-            None => Box::new(ChannelLike::new(schema.clone(), || None)),
+            None => Box::new(ChunkChannel::new(schema.clone(), || None)),
         });
     }
     (catalog, probes)
@@ -1089,7 +1076,7 @@ fn restart_backoff(config: &RuntimeConfig, band_id: u16, attempt: u32) -> Durati
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^= z >> 31;
     let jitter = 0.5 + (z >> 11) as f64 / (1u64 << 53) as f64;
-    config.backoff_base.saturating_mul(1u32 << exp).min(config.backoff_cap).mul_f64(jitter)
+    config.backoff_base.saturating_mul(1u32 << exp).min(BACKOFF_CAP).mul_f64(jitter)
 }
 
 /// True when a deadline exists and has passed.

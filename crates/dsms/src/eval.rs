@@ -3,10 +3,12 @@
 //! [`Dsms::run_query`](crate::server::Dsms::run_query), the query
 //! threads of [`run_supervised`](crate::continuous::run_supervised) and
 //! its shared-plan nodes all run plans through [`Evaluator`], and every
-//! [`QueryResult`] is assembled by [`conclude`]. Callers differ in what
-//! they pass in: the catalog (private sources, or channel-backed
-//! repaired ones), the pool (inline, or the runtime's), whether the run
-//! is traced, and the sink.
+//! [`QueryResult`] is assembled by [`conclude`]. There is one path from
+//! plan to delivery, whatever the format. Callers differ in what they
+//! pass in: the catalog (private sources, or channel-backed repaired
+//! ones), the pool (inline, or the runtime's), whether the run is
+//! traced, and the sink — count, push into a PNG [`FrameSink`], or
+//! multicast.
 
 use crate::metrics::ServerMetrics;
 use crate::protocol::OutputFormat;
@@ -15,17 +17,15 @@ use geostreams_core::exec::{
     compile_stages, run_morsels, split_parallel, ParallelSplit, RunReport, WorkerPool,
 };
 use geostreams_core::model::{
-    BoxedF32Stream, ChunkOrMarker, Element, GeoStream, Marker, RepairProbe, StreamSchema,
-    DEFAULT_CHUNK_BUDGET,
+    ChunkOrMarker, Marker, RepairProbe, StreamSchema, DEFAULT_CHUNK_BUDGET,
 };
-use geostreams_core::obs::{PipelineObs, SpanGuard, SpanOutcome, SpanStream};
-use geostreams_core::ops::delivery::{DeliveredFrame, PngSink, Rendering};
+use geostreams_core::obs::{PipelineObs, SpanOutcome};
+use geostreams_core::ops::delivery::{DeliveredFrame, FrameSink, Rendering};
 use geostreams_core::query::{Catalog, Expr, Planner};
 use geostreams_core::Result;
 use geostreams_raster::colormap::ColorMap;
 use geostreams_raster::png::PngOptions;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Evaluates plans over `catalog`: the partitionable operator suffix
 /// fans out to `pool` (inline when it has no workers), everything else
@@ -55,90 +55,65 @@ impl Delivered {
     }
 }
 
-/// The plan root as an image sink pulls it, counting what a counting
-/// run's driver counts for its report.
-struct Pulled {
-    inner: BoxedF32Stream,
-    elements: u64,
-    points: u64,
-    sectors: u64,
-}
-
-impl GeoStream for Pulled {
-    type V = f32;
-
-    fn schema(&self) -> &StreamSchema {
-        self.inner.schema()
-    }
-
-    fn next_element(&mut self) -> Option<Element<f32>> {
-        let el = self.inner.next_element()?;
-        self.elements += 1;
-        match el {
-            Element::Point(_) => self.points += 1,
-            Element::SectorEnd(_) => self.sectors += 1,
-            _ => {}
-        }
-        Some(el)
-    }
-
-    fn next_chunk(&mut self, budget: usize) -> Option<ChunkOrMarker<f32>> {
-        let item = self.inner.next_chunk(budget)?;
-        self.elements += item.element_count();
-        self.points += item.point_count() as u64;
-        if let Some(Marker::SectorEnd(_)) = item.marker() {
-            self.sectors += 1;
-        }
-        Some(item)
-    }
-}
-
 impl Evaluator<'_> {
-    /// Builds `expr` and its observation config. With metrics attached
-    /// the run is traced: operators chain under the reserved id of the
-    /// root delivery span (`obs.parent`).
-    fn build(&self, expr: &Expr) -> Result<(BoxedF32Stream, PipelineObs)> {
-        let planner = Planner::new(self.catalog);
-        let Some(m) = self.metrics else {
-            return Ok((planner.build(expr)?, PipelineObs::default()));
-        };
-        let rec = m.recorder(self.qid);
-        let deliver_id = rec.alloc_span();
-        let obs = PipelineObs::for_query(self.qid)
-            .with_trace(Arc::clone(&m.trace))
-            .with_recorder(rec)
-            .under(deliver_id);
-        Ok((planner.build_traced(expr, &obs)?, obs))
-    }
-
-    /// Picks the arm from the delivery format. `color_ramps` applies
-    /// the NDVI/thermal color maps to the image formats that name them;
-    /// without it every image is gray over the plan's value range.
+    /// Runs `expr` to the end and delivers it in `format`: an image
+    /// format adds a PNG sink that the driver pushes every item into,
+    /// nothing else differs. `color_ramps` applies the NDVI/thermal
+    /// color maps to the image formats that name them; without it every
+    /// image is gray over the plan's value range.
     pub fn run(&self, expr: &Expr, format: OutputFormat, color_ramps: bool) -> Result<Delivered> {
-        if !format.is_counting() {
-            return self.render(expr, format, color_ramps);
+        if format.is_counting() {
+            return Ok(Delivered::counted(self.count(expr, |_| {})?));
         }
-        Ok(Delivered::counted(self.count(expr, |_| {})?))
+        let mut frames = Vec::new();
+        let delivered = &mut frames;
+        let report = self.drive(expr, |schema| {
+            let rendering = rendering_for(format, color_ramps, schema.value_range);
+            let mut sink = FrameSink::new(rendering, PngOptions::default());
+            move |item| delivered.extend(sink.push(item))
+        })?;
+        Ok(Delivered { points: frames.len() as u64, frames, report })
     }
 
-    /// The counting arm: the order-sensitive inner plan is drained on
-    /// this thread, the partitionable suffix runs morsel by morsel on
-    /// the pool, and `sink` sees the merged output in serial order.
-    /// With no workers to fan out to nothing is peeled — the whole plan
-    /// is the inner pipeline, every operator traced in place — and on
-    /// an empty suffix `run_morsels` is the serial chunk driver.
-    pub fn count(
+    /// Runs `expr` to the end, `sink` seeing every delivered item.
+    pub fn count(&self, expr: &Expr, sink: impl FnMut(&ChunkOrMarker<f32>)) -> Result<RunReport> {
+        self.drive(expr, |_| sink)
+    }
+
+    /// The one path from plan to report: the order-sensitive inner plan
+    /// is drained on this thread, the partitionable suffix runs morsel
+    /// by morsel on the pool, and the sink — made once the schema of
+    /// the run's output is known — sees the merged output in serial
+    /// order. With no workers to fan out to nothing is peeled — the
+    /// whole plan is the inner pipeline, every operator traced in place
+    /// — and on an empty suffix `run_morsels` is the serial chunk
+    /// driver. A traced run (metrics attached) chains its operator
+    /// spans under a root `deliver` span and notes every delivered
+    /// `FrameStart`.
+    fn drive<F: FnMut(&ChunkOrMarker<f32>)>(
         &self,
         expr: &Expr,
-        mut sink: impl FnMut(&ChunkOrMarker<f32>),
+        sink_for: impl FnOnce(&StreamSchema) -> F,
     ) -> Result<RunReport> {
         let split = match self.pool.workers() {
             0 => ParallelSplit { inner: expr, stages: Vec::new() },
             _ => split_parallel(expr),
         };
-        let (mut inner, obs) = self.build(split.inner)?;
+        let planner = Planner::new(self.catalog);
+        // A traced run reserves the delivery span's id before the build,
+        // so the operators (built inside-out) chain under it.
+        let (mut inner, obs) = match self.metrics {
+            Some(m) => {
+                let rec = m.recorder(self.qid);
+                let deliver_id = rec.alloc_span();
+                let obs = PipelineObs::default().with_recorder(rec).under(deliver_id);
+                (planner.build_traced(split.inner, &obs)?, obs)
+            }
+            None => (planner.build(split.inner)?, PipelineObs::default()),
+        };
         let stages = Arc::new(compile_stages(&split.stages, inner.schema())?);
-        let deliver = deliver_span(&obs);
+        let mut sink = sink_for(stages.schema());
+        let deliver = obs.recorder.as_ref().map(|rec| rec.begin_with_id(obs.parent, "deliver", 0));
         let report =
             run_morsels(&mut inner, &stages, self.pool, &obs, DEFAULT_CHUNK_BUDGET, |item| {
                 if let (Some(m), Some(Marker::FrameStart(fi))) = (self.metrics, item.marker()) {
@@ -152,41 +127,6 @@ impl Evaluator<'_> {
             deliver.finish(SpanOutcome::Ok);
         }
         Ok(report)
-    }
-
-    /// The image arm: a PNG sink assembles whole sectors, so it pulls
-    /// the full plan in order on this thread. Its report counts what
-    /// the sink pulled — `sectors` is the `SectorEnd` markers seen.
-    fn render(&self, expr: &Expr, format: OutputFormat, color_ramps: bool) -> Result<Delivered> {
-        let (built, obs) = self.build(expr)?;
-        let pipeline: BoxedF32Stream = match (deliver_span(&obs), self.metrics) {
-            (Some(deliver), Some(m)) => {
-                let (m, qid) = (Arc::clone(m), self.qid);
-                Box::new(
-                    SpanStream::new(built, deliver)
-                        .with_frame_hook(move |fi| m.note_frame(qid, fi)),
-                )
-            }
-            _ => built,
-        };
-        let rendering = color_ramps.then(|| rendering_for(format, pipeline.schema().value_range));
-        let pulled = Pulled { inner: pipeline, elements: 0, points: 0, sectors: 0 };
-        let started = Instant::now();
-        let mut sink = PngSink::new(pulled, rendering, PngOptions::default());
-        let frames: Vec<DeliveredFrame> = std::iter::from_fn(|| sink.next_frame()).collect();
-        let pulled = sink.inner();
-        let mut per_op = Vec::new();
-        pulled.inner.collect_stats(&mut per_op);
-        let report = RunReport {
-            wall: started.elapsed(),
-            elements: pulled.elements,
-            points_delivered: pulled.points,
-            sectors: pulled.sectors,
-            pull_latency: per_op.last().and_then(|r| r.pull_latency.clone()).unwrap_or_default(),
-            per_op,
-            protocol_violations: 0,
-        };
-        Ok(Delivered { points: frames.len() as u64, frames, report })
     }
 }
 
@@ -231,17 +171,45 @@ pub(crate) fn conclude(
     result
 }
 
-/// Opens the root delivery span of a traced run.
-fn deliver_span(obs: &PipelineObs) -> Option<SpanGuard> {
-    obs.recorder.as_ref().map(|rec| rec.begin_with_id(obs.parent, "deliver", 0))
+/// Chooses the PNG rendering for an image format: gray over the plan's
+/// value range unless `color_ramps` applies the format's color map.
+fn rendering_for(format: OutputFormat, color_ramps: bool, (lo, hi): (f64, f64)) -> Rendering {
+    match format {
+        OutputFormat::PngNdvi if color_ramps => {
+            Rendering::Mapped { lo: -1.0, hi: 1.0, map: ColorMap::ndvi() }
+        }
+        OutputFormat::PngThermal if color_ramps => {
+            Rendering::Mapped { lo, hi, map: ColorMap::thermal() }
+        }
+        _ => Rendering::Gray { lo, hi },
+    }
 }
 
-/// Chooses the PNG rendering for an image format.
-fn rendering_for(format: OutputFormat, value_range: (f64, f64)) -> Rendering {
-    let (lo, hi) = value_range;
-    match format {
-        OutputFormat::PngNdvi => Rendering::Mapped { lo: -1.0, hi: 1.0, map: ColorMap::ndvi() },
-        OutputFormat::PngThermal => Rendering::Mapped { lo, hi, map: ColorMap::thermal() },
-        _ => Rendering::Gray { lo, hi },
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use geostreams_core::model::{GeoStream, VecStream};
+    use geostreams_core::query::parse_query;
+    use geostreams_geo::{Crs, LatticeGeoref, Rect};
+
+    #[test]
+    fn an_image_run_reports_what_the_driver_counted() {
+        let lattice = LatticeGeoref::north_up(Crs::LatLon, Rect::new(0.0, 0.0, 8.0, 8.0), 8, 8);
+        let mut catalog = Catalog::new();
+        let make = move || {
+            VecStream::<f32>::sectors("src", lattice, 3, |s, c, r| f64::from(c + r) + s as f64)
+        };
+        catalog.register(make().schema().clone(), move || Box::new(make()));
+        let expr = parse_query("scale(src, 2, 0)").expect("parses");
+        for workers in [0, 2] {
+            let pool = WorkerPool::new(workers);
+            let eval = Evaluator { qid: 1, catalog: &catalog, pool: &pool, metrics: None };
+            let Delivered { frames, report, points } =
+                eval.run(&expr, OutputFormat::PngGray, false).expect("runs");
+            assert_eq!((frames.len(), points), (3, 3), "{workers} workers");
+            assert_eq!(report.sectors, 3, "{workers} workers: one per SectorEnd");
+            assert_eq!(report.points_delivered, 3 * 64, "{workers} workers");
+            assert_eq!(report.pull_latency.count, report.elements, "{workers} workers");
+        }
     }
 }

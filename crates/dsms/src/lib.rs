@@ -16,7 +16,7 @@
 //!   sequentially or one thread per query;
 //! * **multi-query optimization** is the [`frontend::MultiQueryFrontEnd`]:
 //!   a single pass over each GeoStream routes every point through a
-//!   region index (the dynamic cascade tree of [10], or the naive scan
+//!   region index (the dynamic cascade tree of \[10\], or the naive scan
 //!   baseline) to all subscribed clients;
 //! * **delivery** ships PNG frames per client session.
 

@@ -7,9 +7,7 @@
 //! whole registry as Prometheus text exposition v0.0.4.
 
 use geostreams_core::model::FrameInfo;
-use geostreams_core::obs::{
-    now_ns, Counter, FlightRecorder, Gauge, HistogramHandle, Registry, TraceLog,
-};
+use geostreams_core::obs::{now_ns, Counter, FlightRecorder, Gauge, HistogramHandle, Registry};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
@@ -107,8 +105,8 @@ pub struct ServerMetrics {
     /// sector edges). Always 0 in release builds, where the validator
     /// compiles out.
     pub protocol_violations: Counter,
-    /// Trace events and spans evicted from bounded rings (the trace
-    /// log plus every flight recorder), synced at scrape time.
+    /// Spans evicted from the flight recorders' bounded rings, synced
+    /// at scrape time.
     pub trace_dropped: Counter,
     /// Cumulative supervised-restart backoff, milliseconds.
     pub ingest_backoff_ms: Counter,
@@ -131,8 +129,6 @@ pub struct ServerMetrics {
     /// End-to-end synthesis→delivery lag, nanoseconds (all queries;
     /// per-query series carry a `query` label).
     pub e2e_lag_ns: HistogramHandle,
-    /// Structured event log (query/sector boundaries, stalls, peaks).
-    pub trace: Arc<TraceLog>,
     /// Per-query flight recorders, keyed by query id.
     recorders: Mutex<BTreeMap<u32, Arc<FlightRecorder>>>,
     /// Live query directory, keyed by query id.
@@ -140,13 +136,8 @@ pub struct ServerMetrics {
 }
 
 impl ServerMetrics {
-    /// Creates zeroed metrics with the default trace capacity (4096).
+    /// Creates zeroed metrics.
     pub fn new() -> Self {
-        Self::with_trace_capacity(4096)
-    }
-
-    /// Creates zeroed metrics with an explicit trace-ring capacity.
-    pub fn with_trace_capacity(trace_capacity: usize) -> Self {
         let registry = Arc::new(Registry::new());
         let help: &[(&str, &str)] = &[
             ("geostreams_queries_registered_total", "Continuous queries registered."),
@@ -191,7 +182,7 @@ impl ServerMetrics {
             ),
             (
                 "geostreams_trace_dropped_total",
-                "Trace events and spans evicted from bounded rings.",
+                "Spans evicted from the flight recorders' bounded rings.",
             ),
             (
                 "geostreams_ingest_backoff_ms_total",
@@ -260,7 +251,6 @@ impl ServerMetrics {
             query_wall_ns: registry.histogram("geostreams_query_wall_ns", &[]),
             request_ns: registry.histogram("geostreams_request_ns", &[]),
             e2e_lag_ns: registry.histogram("geostreams_e2e_lag_ns", &[]),
-            trace: Arc::new(TraceLog::new(trace_capacity)),
             recorders: Mutex::new(BTreeMap::new()),
             queries: Mutex::new(BTreeMap::new()),
             registry,
@@ -423,13 +413,13 @@ impl ServerMetrics {
 
     /// Scrape-time sync of derived series: the `trace_dropped` counter
     /// (the registry `Counter` is monotone, so the delta against the
-    /// rings' own drop counts is added) and per-query staleness gauges.
+    /// flight recorders' own drop counts is added) and per-query
+    /// staleness gauges.
     pub fn refresh(&self) {
-        let mut total = self.trace.dropped();
-        {
+        let total: u64 = {
             let recs = self.recorders.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-            total += recs.values().map(|r| r.dropped()).sum::<u64>();
-        }
+            recs.values().map(|r| r.dropped()).sum()
+        };
         self.trace_dropped.add(total.saturating_sub(self.trace_dropped.get()));
         let now = now_ns();
         let dir = self.queries.lock().unwrap_or_else(std::sync::PoisonError::into_inner);

@@ -366,9 +366,9 @@ impl Dsms {
     /// supervised runtime, inline on the calling thread.
     ///
     /// The run is traced, every operator in place: the returned report
-    /// carries per-op pull/frame latency histograms, boundary events
-    /// land in `metrics.trace`, and the query's wall time is recorded
-    /// in the `geostreams_query_wall_ns` histogram.
+    /// carries per-op pull/frame latency histograms, the query's spans
+    /// land in its flight recorder (`GET /trace/<id>`), and its wall
+    /// time is recorded in the `geostreams_query_wall_ns` histogram.
     pub fn run_query(&self, handle: &QueryHandle) -> Result<QueryResult> {
         let pool = WorkerPool::new(0);
         let metrics = &self.metrics;

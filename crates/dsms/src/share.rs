@@ -100,50 +100,6 @@ impl SharePlan {
     }
 }
 
-/// Rebuilds an expression from transformed children (structural
-/// identity for `Source`). Mirrors the optimizer's helper.
-fn map_children(e: Expr, f: &mut impl FnMut(Expr) -> Expr) -> Expr {
-    match e {
-        Expr::Source(_) => e,
-        Expr::RestrictSpace { input, region, crs } => {
-            Expr::RestrictSpace { input: Box::new(f(*input)), region, crs }
-        }
-        Expr::RestrictTime { input, times } => {
-            Expr::RestrictTime { input: Box::new(f(*input)), times }
-        }
-        Expr::RestrictValue { input, ranges } => {
-            Expr::RestrictValue { input: Box::new(f(*input)), ranges }
-        }
-        Expr::MapValue { input, func } => Expr::MapValue { input: Box::new(f(*input)), func },
-        Expr::Stretch { input, mode, scope } => {
-            Expr::Stretch { input: Box::new(f(*input)), mode, scope }
-        }
-        Expr::Focal { input, func, k } => Expr::Focal { input: Box::new(f(*input)), func, k },
-        Expr::Orient { input, orientation } => {
-            Expr::Orient { input: Box::new(f(*input)), orientation }
-        }
-        Expr::Delay { input, d } => Expr::Delay { input: Box::new(f(*input)), d },
-        Expr::Shed { input, policy, stride } => {
-            Expr::Shed { input: Box::new(f(*input)), policy, stride }
-        }
-        Expr::Magnify { input, k } => Expr::Magnify { input: Box::new(f(*input)), k },
-        Expr::Downsample { input, k } => Expr::Downsample { input: Box::new(f(*input)), k },
-        Expr::Reproject { input, to, kernel } => {
-            Expr::Reproject { input: Box::new(f(*input)), to, kernel }
-        }
-        Expr::Compose { left, right, op } => {
-            Expr::Compose { left: Box::new(f(*left)), right: Box::new(f(*right)), op }
-        }
-        Expr::Ndvi { nir, vis } => Expr::Ndvi { nir: Box::new(f(*nir)), vis: Box::new(f(*vis)) },
-        Expr::AggTime { input, func, window } => {
-            Expr::AggTime { input: Box::new(f(*input)), func, window }
-        }
-        Expr::AggSpace { input, func, region } => {
-            Expr::AggSpace { input: Box::new(f(*input)), func, region }
-        }
-    }
-}
-
 /// Builds cut nodes on demand while rewriting plans top-down: the
 /// outermost shared subexpression wins (maximal cuts), and a cut's own
 /// body is rewritten recursively so cuts can consume other cuts.
@@ -157,7 +113,7 @@ impl DagBuilder {
     /// Rewrites the *children* of `e`, leaving `e` itself in place
     /// (used at node roots, which must not collapse into themselves).
     fn rewrite_below(&mut self, e: &Expr) -> Expr {
-        map_children(e.clone(), &mut |child| self.rewrite_at(&child))
+        e.clone().map_inputs(&mut |child| self.rewrite_at(&child))
     }
 
     /// Rewrites `e`: replaced by a `@share:*` reference when its key is

@@ -19,7 +19,7 @@ pub type Result<T> = std::result::Result<T, Error>;
 /// Serializes `value` to a JSON string.
 pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String> {
     let mut out = String::new();
-    render(&value.to_value(), &mut out);
+    render_value(&value.to_value(), &mut out);
     Ok(out)
 }
 
@@ -41,7 +41,7 @@ pub fn from_slice<T: Deserialize>(bytes: &[u8]) -> Result<T> {
 
 // ------------------------------------------------------------- rendering
 
-fn render(v: &Value, out: &mut String) {
+fn render_value(v: &Value, out: &mut String) {
     match v {
         Value::Null => out.push_str("null"),
         Value::Bool(true) => out.push_str("true"),
@@ -67,7 +67,7 @@ fn render(v: &Value, out: &mut String) {
                 if i > 0 {
                     out.push(',');
                 }
-                render(item, out);
+                render_value(item, out);
             }
             out.push(']');
         }
@@ -79,7 +79,7 @@ fn render(v: &Value, out: &mut String) {
                 }
                 render_string(k, out);
                 out.push(':');
-                render(v, out);
+                render_value(v, out);
             }
             out.push('}');
         }

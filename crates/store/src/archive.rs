@@ -185,9 +185,6 @@ struct Inner {
     frames_indexed: u64,
     totals: Totals,
     recovery: RecoveryReport,
-    /// Live retention budget `(max_bytes, max_frames)`; starts from the
-    /// config and may be re-tuned at runtime ([`Archive::set_retention`]).
-    retention: (Option<u64>, Option<u64>),
 }
 
 /// What [`Archive::open`] had to do to bring the directory back to a
@@ -309,7 +306,6 @@ impl Archive {
 
     fn empty(cfg: ArchiveConfig) -> Archive {
         let cache = Arc::new(Mutex::new(TileCache::new(cfg.tile_cache_tiles)));
-        let retention = (cfg.retention_max_bytes, cfg.retention_max_frames);
         Archive {
             cfg,
             inner: Mutex::new(Inner {
@@ -327,7 +323,6 @@ impl Archive {
                 frames_indexed: 0,
                 totals: Totals::default(),
                 recovery: RecoveryReport::default(),
-                retention,
             }),
             cache,
             metrics: OnceLock::new(),
@@ -363,16 +358,6 @@ impl Archive {
                 m.corruption_detected.add(r.corrupt_records);
             }
         }
-    }
-
-    /// Re-tunes the retention budget at runtime (e.g. from
-    /// `RuntimeConfig` knobs) and enforces it immediately: segments are
-    /// evicted oldest-first, whole segments at a time, until the
-    /// archive fits. `None` means unlimited on that axis.
-    pub fn set_retention(&self, max_bytes: Option<u64>, max_frames: Option<u64>) -> Result<()> {
-        let mut inner = lock(&self.inner);
-        inner.retention = (max_bytes, max_frames);
-        self.enforce_retention(&mut inner)
     }
 
     pub(crate) fn metrics(&self) -> Option<&StoreMetrics> {
@@ -881,9 +866,9 @@ impl Archive {
     fn enforce_retention(&self, inner: &mut Inner) -> Result<()> {
         loop {
             let live_bytes: u64 = inner.segments.values().map(|s| s.bytes).sum();
-            let (max_bytes, max_frames) = inner.retention;
-            let over_bytes = max_bytes.is_some_and(|max| live_bytes > max);
-            let over_frames = max_frames.is_some_and(|max| inner.frames_indexed > max);
+            let over_bytes = self.cfg.retention_max_bytes.is_some_and(|max| live_bytes > max);
+            let over_frames =
+                self.cfg.retention_max_frames.is_some_and(|max| inner.frames_indexed > max);
             if !over_bytes && !over_frames {
                 return Ok(());
             }

@@ -11,6 +11,9 @@ cargo build --release --offline --workspace
 cargo test -q --offline --workspace --no-fail-fast
 cargo clippy --offline --workspace --all-targets -- -D warnings
 cargo fmt --check
+# Doc links rot when a public item is deleted: every intra-doc link of
+# the workspace must resolve.
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
 
 # Every experiment of EXPERIMENTS.md at reduced size: the one step that
 # runs each experiment's code path (the §4 cascade tree of E5 included)

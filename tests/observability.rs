@@ -3,11 +3,11 @@
 //!
 //! The unified observability layer claims that (1) every operator in a
 //! planned query pipeline reports real pull-latency percentiles, (2)
-//! query boundaries land in the structured trace ring, and (3) the TCP
-//! front end exposes the whole registry as parseable Prometheus text
+//! the query's run is a closed `deliver` span in what `GET /trace/<id>`
+//! serves, and (3) the TCP front end exposes the whole registry as parseable Prometheus text
 //! exposition with self-consistent histogram bucket counts.
 
-use geostreams::core::obs::TraceKind;
+use geostreams::core::obs::RecorderSnapshot;
 use geostreams::dsms::{Dsms, HttpServer, OutputFormat};
 use geostreams::satsim::goes_like;
 use geostreams::store::StoreMetrics;
@@ -42,13 +42,49 @@ fn traced_query_reports_per_op_latency_percentiles() {
         assert!(op.pull_p99_ns() >= op.pull_p95_ns(), "{} percentiles out of order", op.name);
     }
 
-    // Query wall time landed in the server histogram, and the trace ring
-    // saw the query boundaries.
+    // Query wall time landed in the server histogram, and the served
+    // trace holds the run: a closed root `deliver` span with its points.
     let prom = server.metrics.render_prometheus();
     assert!(prom.contains("geostreams_query_wall_ns_count 1"), "{prom}");
-    let events = server.metrics.trace.snapshot();
-    assert!(events.iter().any(|e| e.kind == TraceKind::QueryStart && e.query_id == h.id));
-    assert!(events.iter().any(|e| e.kind == TraceKind::QueryEnd && e.query_id == h.id));
+    let resp = server.handle_http(&format!("GET /trace/{} HTTP/1.1", h.id));
+    let resp = String::from_utf8_lossy(&resp);
+    let (head, body) = resp.split_once("\r\n\r\n").expect("header/body split");
+    assert!(head.starts_with("HTTP/1.1 200"), "{head}");
+    let snap: RecorderSnapshot = serde_json::from_str(body).unwrap();
+    let deliver = snap.spans.iter().find(|s| s.stage == "deliver").expect("deliver span");
+    assert_eq!((deliver.query_id, deliver.parent), (h.id, 0));
+    assert!(deliver.end_ns >= deliver.start_ns && deliver.end_ns > 0, "span is closed");
+    assert_eq!(deliver.points, report.points_delivered);
+}
+
+/// Every delivery format runs under the driver's debug-build protocol
+/// checker: a source that loses a `FrameEnd` is counted for an image
+/// run as it is for a counting one.
+#[cfg(debug_assertions)]
+#[test]
+fn protocol_violations_are_counted_for_image_and_counting_runs() {
+    use geostreams::core::model::{Element, GeoStream, VecStream};
+    use geostreams::core::query::Catalog;
+    use geostreams::geo::{Crs, LatticeGeoref, Rect};
+
+    let lattice = LatticeGeoref::north_up(Crs::LatLon, Rect::new(0.0, 0.0, 8.0, 8.0), 8, 8);
+    let mut clean: VecStream<f32> =
+        VecStream::single_sector("src", lattice, 0, |c, r| f64::from(c + r));
+    let schema = clean.schema().clone();
+    let mut elements = clean.drain_elements();
+    let lost = elements.iter().position(|el| matches!(el, Element::FrameEnd(_))).unwrap();
+    elements.remove(lost);
+    let mut catalog = Catalog::new();
+    let replayed = schema.clone();
+    catalog.register(schema, move || Box::new(VecStream::new(replayed.clone(), elements.clone())));
+
+    let server = Dsms::over_catalog(catalog);
+    for format in [OutputFormat::PngGray, OutputFormat::Stats] {
+        let before = server.metrics.protocol_violations.get();
+        let h = server.register_text("src", format, 0).unwrap();
+        server.run_query(&h).unwrap();
+        assert!(server.metrics.protocol_violations.get() > before, "{format:?} went unchecked");
+    }
 }
 
 fn fetch(addr: std::net::SocketAddr, target: &str) -> String {

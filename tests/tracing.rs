@@ -265,10 +265,7 @@ fn http_surfaces_serve_hybrid_trace_with_splice_and_backfill() {
 #[test]
 fn watchdog_cancellation_freezes_the_flight_recorder() {
     let scanner = goes_like(32, 16, 5);
-    // Tiny trace ring (smaller than the four sector-boundary events of
-    // a single traced node) so the drop counter provably syncs into
-    // the exposition.
-    let metrics = Arc::new(ServerMetrics::with_trace_capacity(2));
+    let metrics = Arc::new(ServerMetrics::new());
     let config = RuntimeConfig {
         watchdog: Some(Duration::from_millis(300)),
         query_stall: vec![(1, Duration::from_secs(10))],
@@ -295,6 +292,15 @@ fn watchdog_cancellation_freezes_the_flight_recorder() {
     assert!(!snap.dumps.is_empty(), "cancellation must freeze a dump");
     assert_eq!(snap.dumps[0].reason, "watchdog");
 
+    // Overfill the cancelled query's span ring by three, so the drop
+    // counter provably syncs from the flight recorders at scrape time.
+    for _ in 0..rec.capacity() + 3 {
+        rec.begin("filler", 0).finish(SpanOutcome::Ok);
+    }
+    let evicted: u64 =
+        [0, 1, u32::MAX].iter().filter_map(|&q| metrics.try_recorder(q)).map(|r| r.dropped()).sum();
+    assert!(evicted >= 3, "{evicted}");
+
     let prom = metrics.render_prometheus();
     assert!(prom.contains("geostreams_watchdog_cancellations_total 1"), "{prom}");
     assert!(prom.contains("# TYPE geostreams_trace_dropped_total counter"), "{prom}");
@@ -306,6 +312,6 @@ fn watchdog_cancellation_freezes_the_flight_recorder() {
         .trim()
         .parse()
         .unwrap();
-    assert!(dropped > 0, "tiny trace ring must have dropped events:\n{prom}");
+    assert_eq!(dropped, evicted, "the counter is the recorders' evictions:\n{prom}");
     assert!(prom.contains("# TYPE geostreams_e2e_lag_ns histogram"), "{prom}");
 }

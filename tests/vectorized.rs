@@ -14,7 +14,7 @@ use geostreams::core::model::{
     drain_chunked, ChunkInput, ChunkOrMarker, Element, GeoStream, StreamRepair, StreamSchema,
     TimeSet, VecStream,
 };
-use geostreams::core::obs::{PipelineObs, TracedStream};
+use geostreams::core::obs::TracedStream;
 use geostreams::core::ops::{
     AggFunc, CastTransform, ChunkProtocolChecker, Compose, Delay, Downsample, FocalFunc,
     FocalTransform, GammaOp, ImageAssembler, JoinStrategy, Magnify, MapTransform, Orient,
@@ -488,11 +488,9 @@ fn reference_byte(v: f32, (lo, hi): (f64, f64)) -> u8 {
 fn traced_stream_is_transparent_in_chunked_mode() {
     // The decorator must not alter the element sequence, scalar or
     // chunked, and must count every element in its latency histogram.
-    assert_scalar_chunked_identical("TracedStream", || {
-        TracedStream::new(vec_fixture(), PipelineObs::for_query(1))
-    });
+    assert_scalar_chunked_identical("TracedStream", || TracedStream::new(vec_fixture()));
     let raw = vec_fixture().drain_elements();
-    let mut traced = TracedStream::new(vec_fixture(), PipelineObs::for_query(2));
+    let mut traced = TracedStream::new(vec_fixture());
     let got = drain_chunked(&mut traced, 7);
     assert_eq!(got, raw, "TracedStream altered the stream");
 }
