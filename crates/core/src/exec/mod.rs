@@ -178,7 +178,7 @@ where
 ///
 /// Elements are pulled in chunks of [`DEFAULT_CHUNK_BUDGET`] points and
 /// flattened for the callback, so `on_element` still sees the exact
-/// scalar element sequence.
+/// element sequence.
 pub fn run_observed<S, F>(stream: &mut S, obs: &PipelineObs, mut on_element: F) -> RunReport
 where
     S: GeoStream,
@@ -205,13 +205,14 @@ struct Drive<F> {
 }
 
 impl<F> Drive<F> {
-    fn begin(on_item: F) -> Self {
+    /// Starts a run whose items are pulled at `budget`.
+    fn begin(on_item: F, budget: usize) -> Self {
         Drive {
             on_item,
             start: Instant::now(),
             pull_ns: Histogram::new(),
             clock: SampledClock::new(),
-            checker: ChunkProtocolChecker::new(),
+            checker: ChunkProtocolChecker::with_budget(budget),
             report: RunReport::default(),
         }
     }
@@ -268,7 +269,7 @@ where
     S: GeoStream,
     F: FnMut(&ChunkOrMarker<S::V>),
 {
-    let mut drive = Drive::begin(on_item);
+    let mut drive = Drive::begin(on_item, budget);
     while let Some(item) = drive.next_chunk(stream, budget) {
         drive.deliver(item);
     }
@@ -350,8 +351,9 @@ mod tests {
     #[test]
     fn chunked_driver_matches_scalar_element_order() {
         // The chunk-native driver must present the callback with the
-        // exact element sequence the scalar pull loop produced.
-        let scalar = source().drain_elements();
+        // exact element sequence of one-element pulls.
+        let mut one_by_one = source();
+        let scalar: Vec<_> = std::iter::from_fn(|| one_by_one.next_element()).collect();
         let mut replayed = Vec::new();
         let mut s = source();
         let report = run_with(&mut s, |el| replayed.push(el.clone()));

@@ -1,31 +1,32 @@
-//! Chunked (vectorized) element transport.
+//! Chunked (vectorized) element transport — the stream protocol.
 //!
-//! The scalar [`GeoStream::next_element`] protocol moves one element per
-//! virtual call — for a GOES frame of 20 840 × 10 820 points that is
-//! hundreds of millions of dynamic dispatches per frame. This module
-//! introduces a batch carrier, [`Chunk`], holding a **contiguous run of
-//! points from a single frame**, and the [`ChunkOrMarker`] item type
-//! returned by [`GeoStream::next_chunk`].
+//! Moving one element per virtual call costs hundreds of millions of
+//! dynamic dispatches for one GOES frame of 20 840 × 10 820 points, so
+//! [`GeoStream::next_chunk`] is the one pull every stream implements.
+//! It returns a [`ChunkOrMarker`]: either a [`Chunk`], a **contiguous
+//! run of points from a single frame**, or a standalone marker.
 //!
 //! The chunk contract (DESIGN.md §12):
 //!
 //! * A chunk's `points` never cross a framing marker: every point in one
 //!   chunk belongs to the same frame of the same sector.
-//! * The marker that *terminated* the run rides along in [`Chunk::end`];
-//!   `end == None` means the pull budget was exhausted mid-frame and the
-//!   next item continues the same frame.
+//! * A run holds at least one and at most `budget` points.
+//! * The marker that *cut the run short* rides along in [`Chunk::end`]:
+//!   a marker rides on a run only when the run holds fewer than `budget`
+//!   points. `end == None` means the budget was exhausted (or the stream
+//!   ended) and the next item continues.
 //! * A marker with no preceding points is delivered standalone as
 //!   [`ChunkOrMarker::Marker`].
-//! * Flattening an item (points first, then its trailing marker) must
-//!   reproduce the scalar element sequence byte for byte; the
-//!   `tests/vectorized.rs` differential suite enforces this for every
-//!   operator against the scalar oracle.
+//! * Flattening an item (points first, then its trailing marker) gives
+//!   the element sequence; it is the same at every budget. The budget
+//!   rule makes a budget-1 pull exactly one element, which is all
+//!   [`GeoStream::next_element`] is.
 //! * Point buffers come from a thread-local pool keyed by the pixel
 //!   type; call [`Chunk::recycle`] (or [`ChunkOrMarker::recycle`]) when
 //!   done so steady-state execution allocates nothing.
 //! * A consumer whose logic is per element reads through
-//!   [`ChunkInput`], which stages one chunk at a time; nothing on a
-//!   production path calls `next_element` on its input.
+//!   [`ChunkInput`], which stages one chunk at a time; a producer whose
+//!   logic is per element packs its output with [`pack_elements`].
 
 use std::any::{Any, TypeId};
 use std::cell::RefCell;
@@ -271,6 +272,18 @@ impl<V: Pixel> Chunk<V> {
     pub fn recycle(self) {
         pool_put(self.points);
     }
+
+    /// The item this run makes with `end` as its trailing marker: the
+    /// run itself, or — when no point is left in it — the bare marker,
+    /// if any.
+    pub fn into_item(mut self, end: Option<Marker>) -> Option<ChunkOrMarker<V>> {
+        if self.points.is_empty() {
+            self.recycle();
+            return end.map(ChunkOrMarker::Marker);
+        }
+        self.end = end;
+        Some(ChunkOrMarker::Chunk(self))
+    }
 }
 
 /// One item of the chunked pull protocol: either a point run (with an
@@ -351,21 +364,20 @@ impl<V: Pixel> ChunkOrMarker<V> {
     }
 }
 
-/// Packs the front of a scalar element queue into one chunk item:
-/// a leading marker is returned standalone; otherwise up to `budget`
-/// points are drained, folding an immediately following marker into
-/// [`Chunk::end`]. Returns `None` when the queue is empty.
+/// Packs the elements a per-element `step` yields into one chunk item:
+/// a leading marker is returned standalone; otherwise points are taken
+/// until the run holds `budget` of them or a marker cuts it short, that
+/// marker riding in [`Chunk::end`]. Returns `None` once `step` does.
 ///
-/// Operators that batch output through an internal `VecDeque<Element>`
-/// (chaos injection, stream repair, composition, archive replay) use
-/// this to speak the chunked protocol without reshaping their logic.
-pub fn pack_queue<V: Pixel>(
-    queue: &mut VecDeque<Element<V>>,
+/// Operators whose state machine emits one element at a time (the
+/// buffering operators of §3.3, the scanner's marker phases) implement
+/// [`GeoStream::next_chunk`] as one call of this.
+pub fn pack_elements<V: Pixel>(
     budget: usize,
+    mut step: impl FnMut() -> Option<Element<V>>,
 ) -> Option<ChunkOrMarker<V>> {
     let budget = budget.max(1);
-    let first = queue.pop_front()?;
-    let mut chunk = match Marker::from_element(first) {
+    let mut chunk = match Marker::from_element(step()?) {
         Ok(m) => return Some(ChunkOrMarker::Marker(m)),
         Err(p) => {
             let mut c = Chunk::with_budget(budget);
@@ -374,32 +386,28 @@ pub fn pack_queue<V: Pixel>(
         }
     };
     while chunk.points.len() < budget {
-        match queue.front() {
-            Some(Element::Point(_)) => {
-                if let Some(Element::Point(p)) = queue.pop_front() {
-                    chunk.points.push(p);
-                }
-            }
-            Some(_) => {
-                if let Some(el) = queue.pop_front() {
-                    chunk.end = Marker::from_element(el).ok();
-                }
+        match step().map(Marker::from_element) {
+            None => break,
+            Some(Ok(m)) => {
+                chunk.end = Some(m);
                 break;
             }
-            None => break,
-        }
-    }
-    if chunk.end.is_none() {
-        // A marker right at the budget boundary still belongs to this run.
-        if let Some(el) = queue.front() {
-            if !matches!(el, Element::Point(_)) {
-                if let Some(el) = queue.pop_front() {
-                    chunk.end = Marker::from_element(el).ok();
-                }
-            }
+            Some(Err(p)) => chunk.points.push(p),
         }
     }
     Some(ChunkOrMarker::Chunk(chunk))
+}
+
+/// Packs the front of an element queue into one chunk item (see
+/// [`pack_elements`]). Operators that batch output through an internal
+/// `VecDeque<Element>` (chaos injection, stream repair, composition,
+/// archive replay) use this to speak the chunked protocol without
+/// reshaping their logic.
+pub fn pack_queue<V: Pixel>(
+    queue: &mut VecDeque<Element<V>>,
+    budget: usize,
+) -> Option<ChunkOrMarker<V>> {
+    pack_elements(budget, || queue.pop_front())
 }
 
 /// The input side of an operator whose state machine consumes one
@@ -452,9 +460,8 @@ impl<S: GeoStream> ChunkInput<S> {
     }
 }
 
-/// Drains a stream through the chunked interface and returns the
-/// flattened element sequence — the differential-test and bench helper
-/// for comparing against [`GeoStream::drain_elements`].
+/// Drains a stream at `budget` and returns the flattened element
+/// sequence — the same at every budget (the differential-test helper).
 pub fn drain_chunked<S: GeoStream + ?Sized>(stream: &mut S, budget: usize) -> Vec<Element<S::V>> {
     let mut out = Vec::new();
     while let Some(item) = stream.next_chunk(budget) {
@@ -475,15 +482,6 @@ mod tests {
     }
 
     #[test]
-    fn default_adapter_matches_scalar_flattening() {
-        for budget in [1usize, 3, 8, 1024] {
-            let scalar = source(8, 4).drain_elements();
-            let chunked = drain_chunked(&mut source(8, 4), budget);
-            assert_eq!(scalar, chunked, "budget {budget}");
-        }
-    }
-
-    #[test]
     fn chunks_never_cross_markers() {
         let mut s = source(8, 4);
         while let Some(item) = s.next_chunk(5) {
@@ -491,7 +489,8 @@ mod tests {
                 assert!(!c.points.is_empty(), "chunks carry at least one point");
                 let row = c.points[0].cell.row;
                 assert!(c.points.iter().all(|p| p.cell.row == row), "run stays in one frame");
-                assert!(c.points.len() <= 5 || c.end.is_some());
+                assert!(c.points.len() <= 5, "a run holds at most the budget");
+                assert!(c.points.len() < 5 || c.end.is_none(), "a full run carries no marker");
             }
             item.recycle();
         }
@@ -527,6 +526,12 @@ mod tests {
             }
             assert_eq!(out, els, "budget {budget}");
         }
+        // A row of 6 at budget 3: the FrameEnd after a full run is its
+        // own item, not folded into the run.
+        let mut q: VecDeque<Element<f32>> = els.iter().cloned().collect();
+        let items: Vec<_> = std::iter::from_fn(|| pack_queue(&mut q, 3)).collect();
+        assert!(items.iter().all(|i| i.point_count() < 3 || i.marker().is_none()));
+        assert!(matches!(items[4], ChunkOrMarker::Marker(Marker::FrameEnd(_))));
     }
 
     #[test]

@@ -20,13 +20,13 @@ mod timestamp;
 mod validate;
 
 pub use chunk::{
-    drain_chunked, pack_queue, pool_counts, Chunk, ChunkInput, ChunkOrMarker, Marker,
-    DEFAULT_CHUNK_BUDGET,
+    drain_chunked, pack_elements, pack_queue, pool_counts, Chunk, ChunkInput, ChunkOrMarker,
+    Marker, DEFAULT_CHUNK_BUDGET,
 };
 pub use element::{Element, FrameEnd, FrameInfo, PointRecord, SectorEnd, SectorInfo};
 pub use repair::{RepairCounters, RepairProbe, RepairStats, SectorCompleteness, StreamRepair};
 pub use schema::{Organization, StreamSchema};
 pub use split::{split2, tee2, SideStream, TeeStream};
-pub use stream::{drain_points_of, BoxedF32Stream, ChunkChannel, GeoStream, VecStream};
+pub use stream::{BoxedF32Stream, ChunkChannel, GeoStream, VecStream};
 pub use timestamp::{TimeSemantics, TimeSet, Timestamp};
 pub use validate::{Validator, Violation};

@@ -406,9 +406,9 @@ impl<S: GeoStream> StreamRepair<S> {
     }
 
     /// Runs one input element through the repair state machine, queueing
-    /// whatever survives onto `self.out`. This is the shared body of the
-    /// scalar and chunked paths, so both produce identical output and
-    /// identical [`RepairStats`].
+    /// whatever survives onto `self.out`. Markers and every point of a run
+    /// that is not clean throughout take this path; a clean run is
+    /// accounted in one step by [`admit_run`](Self::admit_run).
     fn process_one(&mut self, el: Element<S::V>) {
         self.stats.elements_in += 1;
         match el {
@@ -617,21 +617,6 @@ impl<S: GeoStream> GeoStream for StreamRepair<S> {
         self.input.schema()
     }
 
-    fn next_element(&mut self) -> Option<Element<S::V>> {
-        loop {
-            if let Some(el) = self.out.pop_front() {
-                return Some(el);
-            }
-            if self.ended {
-                return None;
-            }
-            match self.input.next_element() {
-                Some(el) => self.process_one(el),
-                None => self.finish_input(),
-            }
-        }
-    }
-
     fn next_chunk(&mut self, budget: usize) -> Option<ChunkOrMarker<S::V>> {
         loop {
             if let Some(item) = pack_queue(&mut self.out, budget) {
@@ -697,9 +682,17 @@ mod tests {
         s.drain_elements()
     }
 
+    /// Repairs `els` one element at a time through `process_one` alone:
+    /// the oracle of the chunk path's whole-run admission.
     fn repair(els: Vec<Element<f32>>) -> (Vec<Element<f32>>, RepairStats, Vec<SectorCompleteness>) {
-        let mut r = StreamRepair::new(VecStream::new(StreamSchema::new("x", Crs::LatLon), els));
-        let out = r.drain_elements();
+        let mut r = StreamRepair::new(VecStream::new(StreamSchema::new("x", Crs::LatLon), vec![]));
+        let mut out = Vec::new();
+        for el in els {
+            r.process_one(el);
+            out.extend(r.out.drain(..));
+        }
+        r.finish_input();
+        out.extend(r.out.drain(..));
         let probe = r.probe();
         (out, probe.stats(), probe.sectors())
     }
@@ -930,7 +923,7 @@ mod tests {
     }
 
     #[test]
-    fn chunk_path_equals_scalar_path_on_clean_and_damaged_runs() {
+    fn chunk_path_equals_element_path_on_clean_and_damaged_runs() {
         let clean = clean_elements(3);
         let first_point = clean.iter().position(Element::is_point).unwrap();
         let mut cases = vec![("clean", clean.clone())];
@@ -991,9 +984,6 @@ mod tests {
         type V = f32;
         fn schema(&self) -> &StreamSchema {
             &self.0
-        }
-        fn next_element(&mut self) -> Option<Element<f32>> {
-            unreachable!("the repair stage pulls chunks")
         }
         fn next_chunk(&mut self, _budget: usize) -> Option<ChunkOrMarker<f32>> {
             self.1.pop_front()

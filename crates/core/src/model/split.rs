@@ -16,6 +16,7 @@
 //! has to buffer a single row." Experiment E3 measures these queues (plus
 //! the composition operator's own match buffer).
 
+use super::chunk::{pack_elements, ChunkInput, ChunkOrMarker};
 use super::element::Element;
 use super::schema::StreamSchema;
 use super::stream::GeoStream;
@@ -74,8 +75,9 @@ impl<V: Pixel> GeoStream for SideStream<V> {
         &self.schema
     }
 
-    fn next_element(&mut self) -> Option<Element<V>> {
-        self.state.lock().unwrap_or_else(std::sync::PoisonError::into_inner).pull(self.side)
+    fn next_chunk(&mut self, budget: usize) -> Option<ChunkOrMarker<V>> {
+        let mut state = self.state.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        pack_elements(budget, || state.pull(self.side))
     }
 
     fn op_stats(&self) -> OpStats {
@@ -110,7 +112,7 @@ pub fn split2<V: Pixel>(
 
 /// Shared state of a [`tee2`] duplication.
 struct TeeState<S: GeoStream> {
-    input: S,
+    input: ChunkInput<S>,
     queues: [VecDeque<Element<S::V>>; 2],
     stats: [OpStats; 2],
     done: bool,
@@ -123,14 +125,9 @@ pub struct TeeStream<S: GeoStream> {
     schema: StreamSchema,
 }
 
-impl<S: GeoStream> GeoStream for TeeStream<S> {
-    type V = S::V;
-
-    fn schema(&self) -> &StreamSchema {
-        &self.schema
-    }
-
-    fn next_element(&mut self) -> Option<Element<S::V>> {
+impl<S: GeoStream> TeeStream<S> {
+    /// The next output element; `next_chunk` packs these into runs.
+    fn step(&mut self) -> Option<Element<S::V>> {
         let mut st = self.state.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
         let si = self.side as usize;
         if let Some(el) = st.queues[si].pop_front() {
@@ -142,7 +139,7 @@ impl<S: GeoStream> GeoStream for TeeStream<S> {
         if st.done {
             return None;
         }
-        match st.input.next_element() {
+        match st.input.pull() {
             Some(el) => {
                 let oi = 1 - si;
                 if el.is_point() {
@@ -156,6 +153,18 @@ impl<S: GeoStream> GeoStream for TeeStream<S> {
                 None
             }
         }
+    }
+}
+
+impl<S: GeoStream> GeoStream for TeeStream<S> {
+    type V = S::V;
+
+    fn schema(&self) -> &StreamSchema {
+        &self.schema
+    }
+
+    fn next_chunk(&mut self, budget: usize) -> Option<ChunkOrMarker<S::V>> {
+        pack_elements(budget, || self.step())
     }
 
     fn op_stats(&self) -> OpStats {
@@ -172,6 +181,7 @@ impl<S: GeoStream> GeoStream for TeeStream<S> {
                 .lock()
                 .unwrap_or_else(std::sync::PoisonError::into_inner)
                 .input
+                .stream()
                 .collect_stats(out);
         }
         out.push(OpReport::new(format!("{}[tee{}]", self.schema.name, self.side), self.op_stats()));
@@ -186,7 +196,7 @@ pub fn tee2<S: GeoStream>(input: S) -> (TeeStream<S>, TeeStream<S>) {
     let schema0 = input.schema().clone();
     let schema1 = schema0.clone();
     let state = Arc::new(Mutex::new(TeeState {
-        input,
+        input: ChunkInput::new(input),
         queues: [VecDeque::new(), VecDeque::new()],
         stats: [OpStats::default(), OpStats::default()],
         done: false,

@@ -1,6 +1,8 @@
-//! The `GeoStream` trait and basic sources.
+//! The `GeoStream` trait — one required pull, `next_chunk`; the
+//! one-element `next_element` and the drains are built on it — and the
+//! basic sources.
 
-use super::chunk::{Chunk, ChunkOrMarker, Marker};
+use super::chunk::{drain_chunked, Chunk, ChunkOrMarker, Marker, DEFAULT_CHUNK_BUDGET};
 use super::element::{Element, FrameEnd, FrameInfo, PointRecord, SectorEnd, SectorInfo};
 use super::schema::{Organization, StreamSchema};
 use super::timestamp::Timestamp;
@@ -22,50 +24,24 @@ pub trait GeoStream {
     /// Static schema.
     fn schema(&self) -> &StreamSchema;
 
-    /// Pulls the next element; `None` means the stream has ended.
-    fn next_element(&mut self) -> Option<Element<Self::V>>;
+    /// Pulls the next run of up to `budget` points, or a standalone
+    /// marker; `None` means the stream has ended. This is the stream
+    /// protocol: see [`crate::model::chunk`] for the chunk contract.
+    fn next_chunk(&mut self, budget: usize) -> Option<ChunkOrMarker<Self::V>>;
 
-    /// Pulls the next run of up to `budget` points (or a standalone
-    /// marker). See [`crate::model::chunk`] for the chunk contract.
-    ///
-    /// The default implementation adapts any element-at-a-time operator
-    /// by accumulating its scalar output, so the algebra stays closed:
-    /// legacy operators keep working unmodified inside chunked
-    /// pipelines. Hot operators override this with a batch-native path.
-    ///
-    /// A stream instance should be driven through *one* of the two pull
-    /// interfaces; interleaving `next_element` and `next_chunk` calls on
-    /// the same instance is allowed but may split runs arbitrarily.
-    ///
-    /// Consumers pull chunks. `next_element` is called by this adapter,
-    /// by the scalar arm of an operator that implements both, and by
-    /// the differential tests that compare the two; a consumer that
-    /// wants elements reads its input through
-    /// [`ChunkInput`](super::chunk::ChunkInput).
-    fn next_chunk(&mut self, budget: usize) -> Option<ChunkOrMarker<Self::V>> {
-        let budget = budget.max(1);
-        let first = self.next_element()?;
-        let mut chunk = match Marker::from_element(first) {
-            Ok(m) => return Some(ChunkOrMarker::Marker(m)),
-            Err(p) => {
-                let mut c = Chunk::with_budget(budget);
-                c.points.push(p);
-                c
-            }
-        };
-        while chunk.points.len() < budget {
-            match self.next_element() {
-                None => break,
-                Some(el) => match Marker::from_element(el) {
-                    Ok(m) => {
-                        chunk.end = Some(m);
-                        break;
-                    }
-                    Err(p) => chunk.points.push(p),
-                },
+    /// Pulls the next element: a budget-1 [`next_chunk`](Self::next_chunk),
+    /// whose item is exactly one element under the contract's budget
+    /// rule. For tests, examples and one-off readers; an operator reads
+    /// its input through [`ChunkInput`](super::chunk::ChunkInput).
+    fn next_element(&mut self) -> Option<Element<Self::V>> {
+        match self.next_chunk(1)? {
+            ChunkOrMarker::Marker(m) => Some(m.into_element()),
+            ChunkOrMarker::Chunk(c) => {
+                let p = c.points.first().copied();
+                c.recycle();
+                p.map(Element::Point)
             }
         }
-        Some(ChunkOrMarker::Chunk(chunk))
     }
 
     /// This operator's own counters (sources may return zeros).
@@ -80,29 +56,20 @@ pub trait GeoStream {
     }
 
     /// Drains the stream, returning only the point records (test helper).
-    fn drain_points(&mut self) -> Vec<PointRecord<Self::V>>
-    where
-        Self: Sized,
-    {
+    fn drain_points(&mut self) -> Vec<PointRecord<Self::V>> {
         let mut out = Vec::new();
-        while let Some(el) = self.next_element() {
-            if let Element::Point(p) = el {
-                out.push(p);
+        while let Some(item) = self.next_chunk(DEFAULT_CHUNK_BUDGET) {
+            if let ChunkOrMarker::Chunk(c) = &item {
+                out.extend_from_slice(&c.points);
             }
+            item.recycle();
         }
         out
     }
 
     /// Drains the stream, returning every element (test helper).
-    fn drain_elements(&mut self) -> Vec<Element<Self::V>>
-    where
-        Self: Sized,
-    {
-        let mut out = Vec::new();
-        while let Some(el) = self.next_element() {
-            out.push(el);
-        }
-        out
+    fn drain_elements(&mut self) -> Vec<Element<Self::V>> {
+        drain_chunked(self, DEFAULT_CHUNK_BUDGET)
     }
 }
 
@@ -111,27 +78,11 @@ pub trait GeoStream {
 /// adapter).
 pub type BoxedF32Stream = Box<dyn GeoStream<V = f32> + Send>;
 
-/// Free-function form of [`GeoStream::drain_points`], callable on boxed
-/// trait objects.
-pub fn drain_points_of<S: GeoStream>(s: &mut S) -> Vec<PointRecord<S::V>> {
-    let mut out = Vec::new();
-    while let Some(el) = s.next_element() {
-        if let Element::Point(p) = el {
-            out.push(p);
-        }
-    }
-    out
-}
-
 impl<S: GeoStream + ?Sized> GeoStream for Box<S> {
     type V = S::V;
 
     fn schema(&self) -> &StreamSchema {
         (**self).schema()
-    }
-
-    fn next_element(&mut self) -> Option<Element<Self::V>> {
-        (**self).next_element()
     }
 
     fn next_chunk(&mut self, budget: usize) -> Option<ChunkOrMarker<Self::V>> {
@@ -152,10 +103,6 @@ impl<S: GeoStream + ?Sized> GeoStream for &mut S {
 
     fn schema(&self) -> &StreamSchema {
         (**self).schema()
-    }
-
-    fn next_element(&mut self) -> Option<Element<Self::V>> {
-        (**self).next_element()
     }
 
     fn next_chunk(&mut self, budget: usize) -> Option<ChunkOrMarker<Self::V>> {
@@ -279,17 +226,6 @@ impl<V: Pixel> GeoStream for VecStream<V> {
         &self.schema
     }
 
-    fn next_element(&mut self) -> Option<Element<V>> {
-        let el = self.elements.get(self.idx)?.clone();
-        self.idx += 1;
-        match &el {
-            Element::Point(_) => self.stats.points_out += 1,
-            Element::FrameStart(_) => self.stats.frames_out += 1,
-            _ => {}
-        }
-        Some(el)
-    }
-
     /// Batch-native pull: the backing sequence is already materialized,
     /// so a whole run of points is copied straight off the slice with no
     /// per-element dispatch.
@@ -335,12 +271,13 @@ impl<V: Pixel> GeoStream for VecStream<V> {
 /// A source that pulls whole [`ChunkOrMarker`] items from a
 /// caller-supplied closure — the adapter the DSMS uses to feed operator
 /// pipelines from ingest channels, so chunks cross them intact instead
-/// of being re-split into per-point sends.
+/// of being re-split into per-point sends. An item whose run is longer
+/// than the pull's budget is served in budget-sized pieces.
 pub struct ChunkChannel<V: Pixel> {
     schema: StreamSchema,
     pull: Box<dyn FnMut() -> Option<ChunkOrMarker<V>> + Send>,
-    /// Flattening buffer serving legacy `next_element` consumers.
-    buf: std::collections::VecDeque<Element<V>>,
+    /// What is left of an item cut down to an earlier pull's budget.
+    rest: Option<ChunkOrMarker<V>>,
     stats: OpStats,
 }
 
@@ -351,12 +288,7 @@ impl<V: Pixel> ChunkChannel<V> {
         schema: StreamSchema,
         pull: impl FnMut() -> Option<ChunkOrMarker<V>> + Send + 'static,
     ) -> Self {
-        ChunkChannel {
-            schema,
-            pull: Box::new(pull),
-            buf: std::collections::VecDeque::new(),
-            stats: OpStats::default(),
-        }
+        ChunkChannel { schema, pull: Box::new(pull), rest: None, stats: OpStats::default() }
     }
 }
 
@@ -367,30 +299,22 @@ impl<V: Pixel> GeoStream for ChunkChannel<V> {
         &self.schema
     }
 
-    fn next_element(&mut self) -> Option<Element<V>> {
-        loop {
-            if let Some(el) = self.buf.pop_front() {
-                if el.is_point() {
-                    self.stats.points_out += 1;
-                }
-                return Some(el);
-            }
-            let item = (self.pull)()?;
-            item.into_elements(&mut |el| self.buf.push_back(el));
-        }
-    }
-
     fn next_chunk(&mut self, budget: usize) -> Option<ChunkOrMarker<V>> {
-        // Serve any scalar leftovers first so mixed-mode callers never
-        // observe reordering.
-        if !self.buf.is_empty() {
-            let item = super::chunk::pack_queue(&mut self.buf, budget);
-            if let Some(it) = &item {
-                self.stats.points_out += it.point_count() as u64;
+        let budget = budget.max(1);
+        let mut item = match self.rest.take() {
+            Some(rest) => rest,
+            None => (self.pull)()?,
+        };
+        if let ChunkOrMarker::Chunk(c) = &mut item {
+            if c.points.len() > budget || (c.points.len() == budget && c.end.is_some()) {
+                // Keep the points past the budget, and the marker, for
+                // the next pull: a full run carries no marker.
+                let mut tail = Chunk::with_budget(c.points.len() - budget);
+                tail.points.extend(c.points.drain(budget..));
+                tail.ctx = c.ctx;
+                self.rest = tail.into_item(c.end.take());
             }
-            return item;
         }
-        let item = (self.pull)()?;
         self.stats.points_out += item.point_count() as u64;
         Some(item)
     }

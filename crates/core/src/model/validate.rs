@@ -7,6 +7,7 @@
 //! runtime — used in tests, at ingest boundaries of the DSMS, and as a
 //! debugging aid — recording violations without disturbing the stream.
 
+use super::chunk::{pack_elements, ChunkInput, ChunkOrMarker};
 use super::element::Element;
 use super::stream::GeoStream;
 use crate::model::StreamSchema;
@@ -42,7 +43,7 @@ pub enum Violation {
 
 /// Transparent protocol checker.
 pub struct Validator<S: GeoStream> {
-    input: S,
+    input: ChunkInput<S>,
     /// Violations recorded so far, with the element ordinal they
     /// occurred at.
     pub violations: Vec<(u64, Violation)>,
@@ -58,7 +59,7 @@ impl<S: GeoStream> Validator<S> {
     /// Wraps a stream.
     pub fn new(input: S) -> Self {
         Validator {
-            input,
+            input: ChunkInput::new(input),
             violations: Vec::new(),
             position: 0,
             sector: None,
@@ -77,17 +78,10 @@ impl<S: GeoStream> Validator<S> {
     fn record(&mut self, v: Violation) {
         self.violations.push((self.position, v));
     }
-}
 
-impl<S: GeoStream> GeoStream for Validator<S> {
-    type V = S::V;
-
-    fn schema(&self) -> &StreamSchema {
-        self.input.schema()
-    }
-
-    fn next_element(&mut self) -> Option<Element<S::V>> {
-        let el = match self.input.next_element() {
+    /// The next output element; `next_chunk` packs these into runs.
+    fn step(&mut self) -> Option<Element<S::V>> {
+        let el = match self.input.pull() {
             Some(el) => el,
             None => {
                 if !self.ended {
@@ -168,13 +162,25 @@ impl<S: GeoStream> GeoStream for Validator<S> {
         }
         Some(el)
     }
+}
+
+impl<S: GeoStream> GeoStream for Validator<S> {
+    type V = S::V;
+
+    fn schema(&self) -> &StreamSchema {
+        self.input.stream().schema()
+    }
+
+    fn next_chunk(&mut self, budget: usize) -> Option<ChunkOrMarker<S::V>> {
+        pack_elements(budget, || self.step())
+    }
 
     fn op_stats(&self) -> OpStats {
-        self.input.op_stats()
+        self.input.stream().op_stats()
     }
 
     fn collect_stats(&self, out: &mut Vec<OpReport>) {
-        self.input.collect_stats(out);
+        self.input.stream().collect_stats(out);
     }
 }
 
@@ -291,10 +297,6 @@ mod tests {
         let base = clean_elements();
         let mut v =
             Validator::new(VecStream::new(StreamSchema::new("x", Crs::LatLon), base.clone()));
-        let mut passed = Vec::new();
-        while let Some(el) = v.next_element() {
-            passed.push(el);
-        }
-        assert_eq!(passed, base);
+        assert_eq!(v.drain_elements(), base);
     }
 }

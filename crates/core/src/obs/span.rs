@@ -20,7 +20,7 @@
 //!   accounts points into a span and optionally captures the first
 //!   chunk-carried context as the span's link.
 
-use crate::model::{ChunkOrMarker, Element, GeoStream, StreamSchema};
+use crate::model::{ChunkOrMarker, GeoStream, StreamSchema};
 use crate::stats::{OpReport, OpStats};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
@@ -409,20 +409,6 @@ impl<S: GeoStream> GeoStream for SpanStream<S> {
 
     fn schema(&self) -> &StreamSchema {
         self.inner.schema()
-    }
-
-    fn next_element(&mut self) -> Option<Element<Self::V>> {
-        let el = self.inner.next_element();
-        match &el {
-            Some(Element::Point(_)) => {
-                if let Some(g) = &mut self.guard {
-                    g.add_points(1);
-                }
-            }
-            None => self.finish(SpanOutcome::Ok),
-            _ => {}
-        }
-        el
     }
 
     fn next_chunk(&mut self, budget: usize) -> Option<ChunkOrMarker<Self::V>> {

@@ -1,17 +1,16 @@
 //! Per-operator tracing wrapper.
 //!
 //! [`TracedStream`] decorates any [`GeoStream`] with latency
-//! histograms. The chunked hot path times pulls with the
-//! [`SampledClock`] discipline the driver uses; the scalar path is two
-//! `Instant` reads and one atomic histogram record per element — no
-//! locks, no allocation. Stalls and buffer peaks are the operator's own
+//! histograms. Pulls are timed with the [`SampledClock`] discipline the
+//! driver uses — no locks, no allocation. Stalls and buffer peaks are the
+//! operator's own
 //! [`OpStats`], reported per operator in
 //! [`RunReport::per_op`](crate::exec::RunReport::per_op).
 
 use super::clock::{SampledClock, PULL_SAMPLE_EVERY};
 use super::hist::Histogram;
 use super::span::{FlightRecorder, SpanGuard, SpanOutcome};
-use crate::model::{ChunkOrMarker, Element, GeoStream, Marker, StreamSchema};
+use crate::model::{ChunkOrMarker, GeoStream, Marker, StreamSchema};
 use crate::stats::{OpReport, OpStats};
 use std::sync::Arc;
 use std::time::Instant;
@@ -117,32 +116,6 @@ impl<S: GeoStream> GeoStream for TracedStream<S> {
 
     fn schema(&self) -> &StreamSchema {
         self.inner.schema()
-    }
-
-    fn next_element(&mut self) -> Option<Element<Self::V>> {
-        let t0 = Instant::now();
-        let el = self.inner.next_element();
-        let dt = t0.elapsed().as_nanos() as u64;
-        self.pull_ns.record(dt);
-        match &el {
-            Some(Element::Point(_)) => {
-                if let Some(span) = &mut self.span {
-                    span.add_points(1);
-                }
-            }
-            Some(Element::FrameStart(_)) => self.frame_open = Some(t0),
-            Some(Element::FrameEnd(_)) => {
-                let opened = self.frame_open.take().unwrap_or(t0);
-                self.frame_ns.record(opened.elapsed().as_nanos() as u64);
-            }
-            Some(Element::SectorStart(_) | Element::SectorEnd(_)) => {}
-            None => {
-                if let Some(span) = self.span.take() {
-                    span.finish(SpanOutcome::Ok);
-                }
-            }
-        }
-        el
     }
 
     fn next_chunk(&mut self, budget: usize) -> Option<ChunkOrMarker<Self::V>> {

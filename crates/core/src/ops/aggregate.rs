@@ -13,8 +13,8 @@
 //!   algebra stays closed.
 
 use crate::model::{
-    ChunkInput, Element, FrameEnd, FrameInfo, GeoStream, SectorEnd, SectorInfo, StreamSchema,
-    Timestamp,
+    pack_elements, ChunkInput, ChunkOrMarker, Element, FrameEnd, FrameInfo, GeoStream, SectorEnd,
+    SectorInfo, StreamSchema, Timestamp,
 };
 use crate::stats::{OpReport, OpStats};
 use geostreams_geo::{Cell, CellBox, LatticeGeoref, Region};
@@ -144,16 +144,9 @@ impl<S: GeoStream> TemporalAggregate<S> {
             .push_back(Element::FrameEnd(FrameEnd { frame_id, sector_id: si_template.sector_id }));
         self.queue.push_back(Element::SectorEnd(SectorEnd { sector_id: si_template.sector_id }));
     }
-}
 
-impl<S: GeoStream> GeoStream for TemporalAggregate<S> {
-    type V = f32;
-
-    fn schema(&self) -> &StreamSchema {
-        &self.schema
-    }
-
-    fn next_element(&mut self) -> Option<Element<f32>> {
+    /// The next output element; `next_chunk` packs these into runs.
+    fn step(&mut self) -> Option<Element<f32>> {
         loop {
             if let Some(el) = self.queue.pop_front() {
                 return Some(el);
@@ -211,6 +204,18 @@ impl<S: GeoStream> GeoStream for TemporalAggregate<S> {
                 }
             }
         }
+    }
+}
+
+impl<S: GeoStream> GeoStream for TemporalAggregate<S> {
+    type V = f32;
+
+    fn schema(&self) -> &StreamSchema {
+        &self.schema
+    }
+
+    fn next_chunk(&mut self, budget: usize) -> Option<ChunkOrMarker<f32>> {
+        pack_elements(budget, || self.step())
     }
 
     fn op_stats(&self) -> OpStats {
@@ -296,16 +301,9 @@ impl<S: GeoStream> SpatialAggregate<S> {
             schema,
         }
     }
-}
 
-impl<S: GeoStream> GeoStream for SpatialAggregate<S> {
-    type V = f32;
-
-    fn schema(&self) -> &StreamSchema {
-        &self.schema
-    }
-
-    fn next_element(&mut self) -> Option<Element<f32>> {
+    /// The next output element; `next_chunk` packs these into runs.
+    fn step(&mut self) -> Option<Element<f32>> {
         loop {
             if let Some(el) = self.queue.pop_front() {
                 return Some(el);
@@ -370,6 +368,18 @@ impl<S: GeoStream> GeoStream for SpatialAggregate<S> {
                 }
             }
         }
+    }
+}
+
+impl<S: GeoStream> GeoStream for SpatialAggregate<S> {
+    type V = f32;
+
+    fn schema(&self) -> &StreamSchema {
+        &self.schema
+    }
+
+    fn next_chunk(&mut self, budget: usize) -> Option<ChunkOrMarker<f32>> {
+        pack_elements(budget, || self.step())
     }
 
     fn op_stats(&self) -> OpStats {

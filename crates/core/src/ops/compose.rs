@@ -492,17 +492,6 @@ impl<L: GeoStream, R: GeoStream<V = L::V>> GeoStream for Compose<L, R> {
         &self.schema
     }
 
-    fn next_element(&mut self) -> Option<Element<L::V>> {
-        loop {
-            if let Some(el) = self.queue.pop_front() {
-                return Some(el);
-            }
-            if !self.advance() {
-                return None;
-            }
-        }
-    }
-
     fn next_chunk(&mut self, budget: usize) -> Option<crate::model::ChunkOrMarker<L::V>> {
         loop {
             // Fill the output queue past one full run before packing, so

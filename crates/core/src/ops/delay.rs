@@ -11,8 +11,8 @@
 //! style of analysis applies: the state is images, not the stream).
 
 use crate::model::{
-    ChunkInput, Element, FrameEnd, FrameInfo, GeoStream, SectorEnd, SectorInfo, StreamSchema,
-    Timestamp,
+    pack_elements, ChunkInput, ChunkOrMarker, Element, FrameEnd, FrameInfo, GeoStream, SectorEnd,
+    SectorInfo, StreamSchema,
 };
 use crate::stats::{OpReport, OpStats};
 use geostreams_geo::{Cell, CellBox, LatticeGeoref};
@@ -90,16 +90,9 @@ impl<S: GeoStream> Delay<S> {
     pub fn delay_sectors(&self) -> usize {
         self.d
     }
-}
 
-impl<S: GeoStream> GeoStream for Delay<S> {
-    type V = S::V;
-
-    fn schema(&self) -> &StreamSchema {
-        &self.schema
-    }
-
-    fn next_element(&mut self) -> Option<Element<S::V>> {
+    /// The next output element; `next_chunk` packs these into runs.
+    fn step(&mut self) -> Option<Element<S::V>> {
         loop {
             if let Some(el) = self.queue.pop_front() {
                 return Some(el);
@@ -141,10 +134,21 @@ impl<S: GeoStream> GeoStream for Delay<S> {
                             self.stats.buffer_shrink(n, n * S::V::BYTES as u64);
                         }
                     }
-                    let _ = Timestamp::default(); // keep import honest
                 }
             }
         }
+    }
+}
+
+impl<S: GeoStream> GeoStream for Delay<S> {
+    type V = S::V;
+
+    fn schema(&self) -> &StreamSchema {
+        &self.schema
+    }
+
+    fn next_chunk(&mut self, budget: usize) -> Option<ChunkOrMarker<S::V>> {
+        pack_elements(budget, || self.step())
     }
 
     fn op_stats(&self) -> OpStats {

@@ -9,7 +9,10 @@
 //! completed, using the scan-sector metadata to flush the trailing rows
 //! at `SectorEnd` with clamped borders.
 
-use crate::model::{ChunkInput, Element, FrameEnd, FrameInfo, GeoStream, SectorEnd, StreamSchema};
+use crate::model::{
+    pack_elements, ChunkInput, ChunkOrMarker, Element, FrameEnd, FrameInfo, GeoStream, SectorEnd,
+    StreamSchema,
+};
 use crate::stats::{OpReport, OpStats};
 use geostreams_geo::{Cell, CellBox, LatticeGeoref};
 use geostreams_raster::resample::SampleSource;
@@ -284,16 +287,9 @@ impl<S: GeoStream> FocalTransform<S> {
             }
         }
     }
-}
 
-impl<S: GeoStream> GeoStream for FocalTransform<S> {
-    type V = S::V;
-
-    fn schema(&self) -> &StreamSchema {
-        &self.schema
-    }
-
-    fn next_element(&mut self) -> Option<Element<S::V>> {
+    /// The next output element; `next_chunk` packs these into runs.
+    fn step(&mut self) -> Option<Element<S::V>> {
         loop {
             if let Some(el) = self.queue.pop_front() {
                 return Some(el);
@@ -362,6 +358,18 @@ impl<S: GeoStream> GeoStream for FocalTransform<S> {
                 }
             }
         }
+    }
+}
+
+impl<S: GeoStream> GeoStream for FocalTransform<S> {
+    type V = S::V;
+
+    fn schema(&self) -> &StreamSchema {
+        &self.schema
+    }
+
+    fn next_chunk(&mut self, budget: usize) -> Option<ChunkOrMarker<S::V>> {
+        pack_elements(budget, || self.step())
     }
 
     fn op_stats(&self) -> OpStats {

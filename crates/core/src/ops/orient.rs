@@ -10,7 +10,10 @@
 //! on the image, not the georeference; quarter-turns therefore swap the
 //! lattice dimensions).
 
-use crate::model::{ChunkInput, Element, FrameInfo, GeoStream, SectorInfo, StreamSchema};
+use crate::model::{
+    pack_elements, ChunkInput, ChunkOrMarker, Element, FrameInfo, GeoStream, SectorInfo,
+    StreamSchema,
+};
 use crate::stats::{OpReport, OpStats};
 use geostreams_geo::{Cell, CellBox, LatticeGeoref, Rect};
 use serde::{Deserialize, Serialize};
@@ -117,16 +120,9 @@ impl<S: GeoStream> Orient<S> {
         let b = self.orientation.map_cell(Cell::new(cells.col_max, cells.row_max), w, h);
         CellBox::new(a.col.min(b.col), a.row.min(b.row), a.col.max(b.col), a.row.max(b.row))
     }
-}
 
-impl<S: GeoStream> GeoStream for Orient<S> {
-    type V = S::V;
-
-    fn schema(&self) -> &StreamSchema {
-        &self.schema
-    }
-
-    fn next_element(&mut self) -> Option<Element<S::V>> {
+    /// The next output element; `next_chunk` packs these into runs.
+    fn step(&mut self) -> Option<Element<S::V>> {
         let el = self.input.pull()?;
         Some(match el {
             Element::SectorStart(si) => {
@@ -154,6 +150,18 @@ impl<S: GeoStream> GeoStream for Orient<S> {
             }
             other => other,
         })
+    }
+}
+
+impl<S: GeoStream> GeoStream for Orient<S> {
+    type V = S::V;
+
+    fn schema(&self) -> &StreamSchema {
+        &self.schema
+    }
+
+    fn next_chunk(&mut self, budget: usize) -> Option<ChunkOrMarker<S::V>> {
+        pack_elements(budget, || self.step())
     }
 
     fn op_stats(&self) -> OpStats {

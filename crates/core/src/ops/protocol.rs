@@ -444,7 +444,9 @@ pub fn meet(a: StreamGuarantees, b: StreamGuarantees) -> StreamGuarantees {
 /// state machine over every item a driver pulls and verifies the §12
 /// chunk-boundary invariant (a point run may only be terminated by its
 /// own frame's `FrameEnd`, never by a sector edge or a new opening
-/// marker). In release builds `observe` is an empty inline function:
+/// marker) and, given the pull budget, the budget rule (a run holds at
+/// most `budget` points, and a marker rides only on a run it cut
+/// short). In release builds `observe` is an empty inline function:
 /// the validator is compiled out entirely, as the certificate already
 /// carries the static proof.
 #[derive(Debug, Default)]
@@ -452,6 +454,8 @@ pub fn meet(a: StreamGuarantees, b: StreamGuarantees) -> StreamGuarantees {
 // struct survives (stable API) but most of it is never touched.
 #[cfg_attr(not(debug_assertions), allow(dead_code))]
 pub struct ChunkProtocolChecker {
+    /// The budget the observed items were pulled at, if known.
+    budget: Option<usize>,
     sector_open: bool,
     frame_open: bool,
     violations: u64,
@@ -459,9 +463,15 @@ pub struct ChunkProtocolChecker {
 }
 
 impl ChunkProtocolChecker {
-    /// A fresh checker (no sector open).
+    /// A fresh checker (no sector open) that does not know the pull budget.
     pub fn new() -> Self {
         ChunkProtocolChecker::default()
+    }
+
+    /// A fresh checker for items pulled at `budget`: it also checks the
+    /// budget rule.
+    pub fn with_budget(budget: usize) -> Self {
+        ChunkProtocolChecker { budget: Some(budget.max(1)), ..ChunkProtocolChecker::default() }
     }
 
     /// Violations observed so far (always 0 in release builds).
@@ -498,6 +508,16 @@ impl ChunkProtocolChecker {
             ChunkOrMarker::Chunk(c) => {
                 if !self.frame_open {
                     self.fail("point run outside an open frame".to_string());
+                }
+                let n = c.points.len();
+                match self.budget {
+                    Some(budget) if n > budget => {
+                        self.fail(format!("point run of {n} exceeds the pull budget {budget}"));
+                    }
+                    Some(budget) if n == budget && c.end.is_some() => {
+                        self.fail(format!("marker rides on a full run of {budget} points"));
+                    }
+                    _ => {}
                 }
                 match &c.end {
                     None | Some(Marker::FrameEnd(_)) => {}
@@ -676,7 +696,7 @@ mod tests {
         // anything our sources produce.
         for budget in [1usize, 5, 64, 1024] {
             let mut s = source(2);
-            let mut checker = ChunkProtocolChecker::new();
+            let mut checker = ChunkProtocolChecker::with_budget(budget);
             while let Some(item) = s.next_chunk(budget) {
                 checker.observe(&item);
                 item.recycle();
@@ -719,6 +739,32 @@ mod tests {
         checker.observe(&ChunkOrMarker::Chunk(bad));
         assert!(checker.violations() > 0);
         assert!(checker.first_violation().unwrap().contains("crosses"));
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    fn checker_flags_budget_rule_breaches() {
+        use crate::model::{FrameEnd, PointRecord};
+        let run = |n: usize, end: Option<Marker>| {
+            let mut c = Chunk::<f32>::with_budget(n);
+            c.points.resize(n, PointRecord { cell: geostreams_geo::Cell::new(0, 0), value: 1.0 });
+            c.end = end;
+            ChunkOrMarker::Chunk(c)
+        };
+        let frame_end = || Some(Marker::FrameEnd(FrameEnd { frame_id: 0, sector_id: 0 }));
+        let mut checker = ChunkProtocolChecker::with_budget(4);
+        let mut s = source(1);
+        for _ in 0..2 {
+            // SectorStart, FrameStart.
+            checker.observe(&s.next_chunk(4).unwrap());
+        }
+        checker.observe(&run(4, None));
+        checker.observe(&run(3, None));
+        assert_eq!(checker.violations(), 0, "{:?}", checker.first_violation());
+        checker.observe(&run(5, None));
+        assert!(checker.first_violation().unwrap().contains("exceeds the pull budget"));
+        checker.observe(&run(4, frame_end()));
+        assert_eq!(checker.violations(), 2, "and a marker on a full run");
     }
 
     #[cfg(debug_assertions)]

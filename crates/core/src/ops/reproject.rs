@@ -20,7 +20,8 @@
 //!   experiment contrasts the two buffer profiles.
 
 use crate::model::{
-    ChunkInput, Element, FrameEnd, FrameInfo, GeoStream, SectorEnd, SectorInfo, StreamSchema,
+    pack_elements, ChunkInput, ChunkOrMarker, Element, FrameEnd, FrameInfo, GeoStream, SectorEnd,
+    SectorInfo, StreamSchema,
 };
 use crate::stats::{OpReport, OpStats};
 use geostreams_geo::{Cell, CellBox, Crs, LatticeGeoref, Projection, Rect};
@@ -333,16 +334,9 @@ impl<S: GeoStream> Reproject<S> {
                 .push_back(Element::FrameEnd(FrameEnd { frame_id, sector_id: plan.sector_id }));
         }
     }
-}
 
-impl<S: GeoStream> GeoStream for Reproject<S> {
-    type V = S::V;
-
-    fn schema(&self) -> &StreamSchema {
-        &self.schema
-    }
-
-    fn next_element(&mut self) -> Option<Element<S::V>> {
+    /// The next output element; `next_chunk` packs these into runs.
+    fn step(&mut self) -> Option<Element<S::V>> {
         loop {
             if let Some(el) = self.queue.pop_front() {
                 return Some(el);
@@ -445,6 +439,18 @@ impl<S: GeoStream> GeoStream for Reproject<S> {
                 }
             }
         }
+    }
+}
+
+impl<S: GeoStream> GeoStream for Reproject<S> {
+    type V = S::V;
+
+    fn schema(&self) -> &StreamSchema {
+        &self.schema
+    }
+
+    fn next_chunk(&mut self, budget: usize) -> Option<ChunkOrMarker<S::V>> {
+        pack_elements(budget, || self.step())
     }
 
     fn op_stats(&self) -> OpStats {

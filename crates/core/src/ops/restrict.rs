@@ -9,9 +9,10 @@
 //! per-frame metadata), and experiment E1 verifies the flat per-point
 //! cost.
 
-use crate::model::{ChunkOrMarker, Element, FrameInfo, GeoStream, Marker, StreamSchema, TimeSet};
+use crate::model::{ChunkOrMarker, FrameInfo, GeoStream, Marker, StreamSchema, TimeSet};
 use crate::stats::{OpReport, OpStats};
 use geostreams_geo::{CellBox, LatticeGeoref, Region};
+use geostreams_raster::Pixel;
 use std::collections::VecDeque;
 
 /// Lazily-opened output frame: restrictions drop entire frames that end
@@ -28,20 +29,22 @@ impl LazyFrame {
         self.open = false;
     }
 
-    /// Called before emitting a point; returns the `FrameStart` to emit
-    /// first, if the frame is not open yet.
-    fn ensure_open<V>(&mut self) -> Option<Element<V>> {
-        self.ensure_open_info().map(Element::FrameStart)
-    }
-
-    /// Marker-typed form of [`LazyFrame::ensure_open`] for chunked paths.
-    fn ensure_open_info(&mut self) -> Option<FrameInfo> {
-        if self.open {
-            return None;
+    /// Accounts a run of `kept` surviving points; the first such run of
+    /// a frame queues the frame's `FrameStart` ahead of itself.
+    fn admit<V: Pixel>(
+        &mut self,
+        kept: usize,
+        stats: &mut OpStats,
+        queue: &mut VecDeque<ChunkOrMarker<V>>,
+    ) {
+        stats.points_out += kept as u64;
+        if kept > 0 && !self.open {
+            if let Some(fi) = self.pending.take() {
+                self.open = true;
+                stats.frames_out += 1;
+                queue.push_back(ChunkOrMarker::Marker(Marker::FrameStart(fi)));
+            }
         }
-        let info = self.pending.take()?;
-        self.open = true;
-        Some(info)
     }
 
     /// Called on input `FrameEnd`; returns whether the end should be
@@ -69,8 +72,9 @@ pub struct SpatialRestrict<S: GeoStream> {
     exact: bool,
     lattice: Option<LatticeGeoref>,
     frame: LazyFrame,
-    queue: VecDeque<Element<S::V>>,
-    cqueue: VecDeque<ChunkOrMarker<S::V>>,
+    /// Items ready to hand out: a lazily opened `FrameStart` precedes
+    /// the first surviving run of its frame.
+    queue: VecDeque<ChunkOrMarker<S::V>>,
     stats: OpStats,
     schema: StreamSchema,
 }
@@ -88,7 +92,6 @@ impl<S: GeoStream> SpatialRestrict<S> {
             lattice: None,
             frame: LazyFrame::default(),
             queue: VecDeque::new(),
-            cqueue: VecDeque::new(),
             stats: OpStats::default(),
             schema,
         }
@@ -99,8 +102,7 @@ impl<S: GeoStream> SpatialRestrict<S> {
         &self.region
     }
 
-    /// Marker transition shared by the scalar and chunked paths; returns
-    /// the marker to forward, if any.
+    /// Marker transition; returns the marker to forward, if any.
     fn chunk_marker(&mut self, m: Marker) -> Option<Marker> {
         match m {
             Marker::SectorStart(si) => {
@@ -142,70 +144,9 @@ impl<S: GeoStream> GeoStream for SpatialRestrict<S> {
         &self.schema
     }
 
-    fn next_element(&mut self) -> Option<Element<S::V>> {
-        loop {
-            if let Some(el) = self.queue.pop_front() {
-                return Some(el);
-            }
-            let el = self.input.next_element()?;
-            match el {
-                Element::SectorStart(si) => {
-                    self.footprint = si.lattice.footprint_of_region(&self.region);
-                    self.lattice = Some(si.lattice);
-                    return Some(Element::SectorStart(si));
-                }
-                Element::FrameStart(mut fi) => {
-                    self.stats.frames_in += 1;
-                    match self.footprint.and_then(|fp| fp.intersect(&fi.cells)) {
-                        Some(isect) => {
-                            fi.cells = isect;
-                            self.frame.begin(fi);
-                        }
-                        None => {
-                            // Whole frame outside the region: swallow it.
-                            self.frame.pending = None;
-                            self.frame.open = false;
-                        }
-                    }
-                }
-                Element::Point(p) => {
-                    self.stats.points_in += 1;
-                    let Some(fp) = self.footprint else { continue };
-                    if !fp.contains(p.cell) {
-                        continue;
-                    }
-                    if self.frame.pending.is_none() && !self.frame.open {
-                        // Point of a swallowed frame (shouldn't pass the
-                        // footprint test, but stay safe).
-                        continue;
-                    }
-                    if self.exact {
-                        let Some(lat) = &self.lattice else { continue };
-                        if !self.region.contains(lat.cell_to_world(p.cell)) {
-                            continue;
-                        }
-                    }
-                    if let Some(fs) = self.frame.ensure_open() {
-                        self.stats.frames_out += 1;
-                        self.queue.push_back(fs);
-                    }
-                    self.stats.points_out += 1;
-                    self.queue.push_back(Element::Point(p));
-                }
-                Element::FrameEnd(fe) => {
-                    if self.frame.close() {
-                        return Some(Element::FrameEnd(fe));
-                    }
-                    self.stats.stalls += 1;
-                }
-                Element::SectorEnd(se) => return Some(Element::SectorEnd(se)),
-            }
-        }
-    }
-
     fn next_chunk(&mut self, budget: usize) -> Option<ChunkOrMarker<S::V>> {
         loop {
-            if let Some(item) = self.cqueue.pop_front() {
+            if let Some(item) = self.queue.pop_front() {
                 return Some(item);
             }
             match self.input.next_chunk(budget)? {
@@ -236,25 +177,11 @@ impl<S: GeoStream> GeoStream for SpatialRestrict<S> {
                         Some(fp) => c.points.retain(|p| fp.contains(p.cell)),
                         None => c.points.clear(),
                     }
-                    if !c.points.is_empty() {
-                        self.stats.points_out += c.points.len() as u64;
-                        if let Some(fi) = self.frame.ensure_open_info() {
-                            self.stats.frames_out += 1;
-                            self.cqueue.push_back(ChunkOrMarker::Marker(Marker::FrameStart(fi)));
-                        }
-                    }
+                    self.frame.admit(c.points.len(), &mut self.stats, &mut self.queue);
                     // The trailing marker is processed *after* the run's
-                    // points, exactly as the scalar path orders it.
+                    // points, in element order.
                     let end_keep = end.and_then(|m| self.chunk_marker(m));
-                    if c.points.is_empty() {
-                        c.recycle();
-                        if let Some(m) = end_keep {
-                            self.cqueue.push_back(ChunkOrMarker::Marker(m));
-                        }
-                    } else {
-                        c.end = end_keep;
-                        self.cqueue.push_back(ChunkOrMarker::Chunk(c));
-                    }
+                    self.queue.extend(c.into_item(end_keep));
                 }
             }
         }
@@ -289,7 +216,7 @@ impl<S: GeoStream> TemporalRestrict<S> {
         TemporalRestrict { input, times, passing: false, stats: OpStats::default(), schema }
     }
 
-    /// Marker transition shared by the scalar and chunked paths.
+    /// Marker transition; returns the marker to forward, if any.
     fn chunk_marker(&mut self, m: Marker) -> Option<Marker> {
         match m {
             Marker::FrameStart(fi) => {
@@ -323,37 +250,6 @@ impl<S: GeoStream> GeoStream for TemporalRestrict<S> {
         &self.schema
     }
 
-    fn next_element(&mut self) -> Option<Element<S::V>> {
-        loop {
-            let el = self.input.next_element()?;
-            match el {
-                Element::FrameStart(fi) => {
-                    self.stats.frames_in += 1;
-                    self.passing = self.times.contains(fi.timestamp);
-                    if self.passing {
-                        self.stats.frames_out += 1;
-                        return Some(Element::FrameStart(fi));
-                    }
-                    self.stats.stalls += 1;
-                }
-                Element::Point(p) => {
-                    self.stats.points_in += 1;
-                    if self.passing {
-                        self.stats.points_out += 1;
-                        return Some(Element::Point(p));
-                    }
-                }
-                Element::FrameEnd(fe) => {
-                    if self.passing {
-                        self.passing = false;
-                        return Some(Element::FrameEnd(fe));
-                    }
-                }
-                other => return Some(other),
-            }
-        }
-    }
-
     fn next_chunk(&mut self, budget: usize) -> Option<ChunkOrMarker<S::V>> {
         loop {
             match self.input.next_chunk(budget)? {
@@ -374,14 +270,8 @@ impl<S: GeoStream> GeoStream for TemporalRestrict<S> {
                         c.points.clear();
                     }
                     let end_keep = end.and_then(|m| self.chunk_marker(m));
-                    if c.points.is_empty() {
-                        c.recycle();
-                        if let Some(m) = end_keep {
-                            return Some(ChunkOrMarker::Marker(m));
-                        }
-                    } else {
-                        c.end = end_keep;
-                        return Some(ChunkOrMarker::Chunk(c));
+                    if let Some(item) = c.into_item(end_keep) {
+                        return Some(item);
                     }
                 }
             }
@@ -404,8 +294,9 @@ pub struct ValueRestrict<S: GeoStream> {
     input: S,
     ranges: Vec<(f64, f64)>,
     frame: LazyFrame,
-    queue: VecDeque<Element<S::V>>,
-    cqueue: VecDeque<ChunkOrMarker<S::V>>,
+    /// Items ready to hand out: a lazily opened `FrameStart` precedes
+    /// the first surviving run of its frame.
+    queue: VecDeque<ChunkOrMarker<S::V>>,
     stats: OpStats,
     schema: StreamSchema,
 }
@@ -424,13 +315,12 @@ impl<S: GeoStream> ValueRestrict<S> {
             ranges,
             frame: LazyFrame::default(),
             queue: VecDeque::new(),
-            cqueue: VecDeque::new(),
             stats: OpStats::default(),
             schema,
         }
     }
 
-    /// Marker transition shared by the scalar and chunked paths.
+    /// Marker transition; returns the marker to forward, if any.
     fn chunk_marker(&mut self, m: Marker) -> Option<Marker> {
         match m {
             Marker::FrameStart(fi) => {
@@ -458,45 +348,9 @@ impl<S: GeoStream> GeoStream for ValueRestrict<S> {
         &self.schema
     }
 
-    fn next_element(&mut self) -> Option<Element<S::V>> {
-        use geostreams_raster::Pixel;
-        loop {
-            if let Some(el) = self.queue.pop_front() {
-                return Some(el);
-            }
-            let el = self.input.next_element()?;
-            match el {
-                Element::FrameStart(fi) => {
-                    self.stats.frames_in += 1;
-                    self.frame.begin(fi);
-                }
-                Element::Point(p) => {
-                    self.stats.points_in += 1;
-                    let v = p.value.to_f64();
-                    if self.ranges.iter().any(|&(lo, hi)| v >= lo && v <= hi) {
-                        if let Some(fs) = self.frame.ensure_open() {
-                            self.stats.frames_out += 1;
-                            self.queue.push_back(fs);
-                        }
-                        self.stats.points_out += 1;
-                        self.queue.push_back(Element::Point(p));
-                    }
-                }
-                Element::FrameEnd(fe) => {
-                    if self.frame.close() {
-                        return Some(Element::FrameEnd(fe));
-                    }
-                    self.stats.stalls += 1;
-                }
-                other => return Some(other),
-            }
-        }
-    }
-
     fn next_chunk(&mut self, budget: usize) -> Option<ChunkOrMarker<S::V>> {
-        use geostreams_raster::Pixel;
         loop {
-            if let Some(item) = self.cqueue.pop_front() {
+            if let Some(item) = self.queue.pop_front() {
                 return Some(item);
             }
             match self.input.next_chunk(budget)? {
@@ -513,23 +367,9 @@ impl<S: GeoStream> GeoStream for ValueRestrict<S> {
                         let v = p.value.to_f64();
                         ranges.iter().any(|&(lo, hi)| v >= lo && v <= hi)
                     });
-                    if !c.points.is_empty() {
-                        self.stats.points_out += c.points.len() as u64;
-                        if let Some(fi) = self.frame.ensure_open_info() {
-                            self.stats.frames_out += 1;
-                            self.cqueue.push_back(ChunkOrMarker::Marker(Marker::FrameStart(fi)));
-                        }
-                    }
+                    self.frame.admit(c.points.len(), &mut self.stats, &mut self.queue);
                     let end_keep = end.and_then(|m| self.chunk_marker(m));
-                    if c.points.is_empty() {
-                        c.recycle();
-                        if let Some(m) = end_keep {
-                            self.cqueue.push_back(ChunkOrMarker::Marker(m));
-                        }
-                    } else {
-                        c.end = end_keep;
-                        self.cqueue.push_back(ChunkOrMarker::Chunk(c));
-                    }
+                    self.queue.extend(c.into_item(end_keep));
                 }
             }
         }
@@ -591,7 +431,7 @@ impl<S: GeoStream> ValueRestrict<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::{Timestamp, VecStream};
+    use crate::model::{Element, Timestamp, VecStream};
     use geostreams_geo::{Cell, Crs, LatticeGeoref, Polygon, Rect};
 
     fn lattice() -> LatticeGeoref {

@@ -9,7 +9,7 @@
 //! pipeline falls behind the downlink, and every dropped point is
 //! counted.
 
-use crate::model::{ChunkOrMarker, Element, GeoStream, Marker, StreamSchema};
+use crate::model::{ChunkOrMarker, GeoStream, Marker, StreamSchema};
 use crate::stats::{OpReport, OpStats};
 use serde::{Deserialize, Serialize};
 
@@ -59,7 +59,7 @@ impl<S: GeoStream> Shed<S> {
         1.0 / f64::from(self.stride)
     }
 
-    /// Marker transition shared by the scalar and chunked paths.
+    /// Marker transition; returns the marker to forward, if any.
     fn chunk_marker(&mut self, m: Marker) -> Option<Marker> {
         match (m, self.policy) {
             (Marker::FrameStart(fi), ShedPolicy::Rows) => {
@@ -98,53 +98,6 @@ impl<S: GeoStream> GeoStream for Shed<S> {
         &self.schema
     }
 
-    fn next_element(&mut self) -> Option<Element<S::V>> {
-        loop {
-            let el = self.input.next_element()?;
-            match (&el, self.policy) {
-                (Element::FrameStart(_), ShedPolicy::Rows) => {
-                    self.stats.frames_in += 1;
-                    self.keeping_frame = self.frame_counter.is_multiple_of(u64::from(self.stride));
-                    self.frame_counter += 1;
-                    if self.keeping_frame {
-                        self.stats.frames_out += 1;
-                        return Some(el);
-                    }
-                    self.stats.stalls += 1;
-                }
-                (Element::Point(p), ShedPolicy::Rows) => {
-                    self.stats.points_in += 1;
-                    if self.keeping_frame {
-                        self.stats.points_out += 1;
-                        return Some(el);
-                    }
-                    self.dropped += 1;
-                    let _ = p;
-                }
-                (Element::FrameEnd(_), ShedPolicy::Rows) => {
-                    if self.keeping_frame {
-                        return Some(el);
-                    }
-                }
-                (Element::Point(p), ShedPolicy::Points) => {
-                    self.stats.points_in += 1;
-                    let keep = p.cell.col % self.stride == 0 && p.cell.row % self.stride == 0;
-                    if keep {
-                        self.stats.points_out += 1;
-                        return Some(el);
-                    }
-                    self.dropped += 1;
-                }
-                (Element::FrameStart(_), ShedPolicy::Points) => {
-                    self.stats.frames_in += 1;
-                    self.stats.frames_out += 1;
-                    return Some(el);
-                }
-                _ => return Some(el),
-            }
-        }
-    }
-
     fn next_chunk(&mut self, budget: usize) -> Option<ChunkOrMarker<S::V>> {
         loop {
             match self.input.next_chunk(budget)? {
@@ -177,14 +130,8 @@ impl<S: GeoStream> GeoStream for Shed<S> {
                         }
                     }
                     let end_keep = end.and_then(|m| self.chunk_marker(m));
-                    if c.points.is_empty() {
-                        c.recycle();
-                        if let Some(m) = end_keep {
-                            return Some(ChunkOrMarker::Marker(m));
-                        }
-                    } else {
-                        c.end = end_keep;
-                        return Some(ChunkOrMarker::Chunk(c));
+                    if let Some(item) = c.into_item(end_keep) {
+                        return Some(item);
                     }
                 }
             }
@@ -227,7 +174,7 @@ impl<S: GeoStream> Shed<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::VecStream;
+    use crate::model::{Element, VecStream};
     use geostreams_geo::{Crs, LatticeGeoref, Rect};
 
     fn source(w: u32, h: u32) -> VecStream<f32> {
@@ -289,7 +236,7 @@ mod tests {
     fn keep_ratio_holds_under_bursty_input() {
         // Frames arriving in uneven bursts (many short rows, then long
         // ones) must still converge on the declared keep ratio.
-        use crate::model::{Element, FrameEnd, FrameInfo, SectorInfo, StreamSchema};
+        use crate::model::{FrameEnd, FrameInfo, SectorInfo, StreamSchema};
         use crate::model::{Organization, Timestamp};
         use geostreams_geo::{Cell, CellBox};
         let lattice = LatticeGeoref::north_up(Crs::LatLon, Rect::new(0.0, 0.0, 8.0, 8.0), 64, 32);

@@ -11,7 +11,8 @@
 //!   width (never the frame height), which experiment F2 verifies.
 
 use crate::model::{
-    ChunkInput, Element, FrameEnd, FrameInfo, GeoStream, SectorEnd, SectorInfo, StreamSchema,
+    pack_elements, ChunkInput, ChunkOrMarker, Element, FrameEnd, FrameInfo, GeoStream, SectorEnd,
+    SectorInfo, StreamSchema,
 };
 use crate::stats::{OpReport, OpStats};
 use geostreams_geo::{Cell, CellBox, LatticeGeoref};
@@ -41,16 +42,9 @@ impl<S: GeoStream> Magnify<S> {
             schema,
         }
     }
-}
 
-impl<S: GeoStream> GeoStream for Magnify<S> {
-    type V = S::V;
-
-    fn schema(&self) -> &StreamSchema {
-        &self.schema
-    }
-
-    fn next_element(&mut self) -> Option<Element<S::V>> {
+    /// The next output element; `next_chunk` packs these into runs.
+    fn step(&mut self) -> Option<Element<S::V>> {
         loop {
             if let Some(el) = self.queue.pop_front() {
                 return Some(el);
@@ -89,6 +83,18 @@ impl<S: GeoStream> GeoStream for Magnify<S> {
                 other => return Some(other),
             }
         }
+    }
+}
+
+impl<S: GeoStream> GeoStream for Magnify<S> {
+    type V = S::V;
+
+    fn schema(&self) -> &StreamSchema {
+        &self.schema
+    }
+
+    fn next_chunk(&mut self, budget: usize) -> Option<ChunkOrMarker<S::V>> {
+        pack_elements(budget, || self.step())
     }
 
     fn op_stats(&self) -> OpStats {
@@ -153,16 +159,9 @@ impl<S: GeoStream> Downsample<S> {
         self.stats.points_out += 1;
         self.queue.push_back(Element::point(Cell::new(key.0, key.1), v));
     }
-}
 
-impl<S: GeoStream> GeoStream for Downsample<S> {
-    type V = S::V;
-
-    fn schema(&self) -> &StreamSchema {
-        &self.schema
-    }
-
-    fn next_element(&mut self) -> Option<Element<S::V>> {
+    /// The next output element; `next_chunk` packs these into runs.
+    fn step(&mut self) -> Option<Element<S::V>> {
         loop {
             if let Some(el) = self.queue.pop_front() {
                 return Some(el);
@@ -234,6 +233,18 @@ impl<S: GeoStream> GeoStream for Downsample<S> {
                 }
             }
         }
+    }
+}
+
+impl<S: GeoStream> GeoStream for Downsample<S> {
+    type V = S::V;
+
+    fn schema(&self) -> &StreamSchema {
+        &self.schema
+    }
+
+    fn next_chunk(&mut self, budget: usize) -> Option<ChunkOrMarker<S::V>> {
+        pack_elements(budget, || self.step())
     }
 
     fn op_stats(&self) -> OpStats {

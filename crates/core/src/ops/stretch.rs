@@ -16,7 +16,7 @@
 //! ≈280 MB buffer the paper cites. Experiment E2 measures exactly this
 //! buffer growth.
 
-use crate::model::{ChunkInput, Element, GeoStream, StreamSchema};
+use crate::model::{pack_elements, ChunkInput, ChunkOrMarker, Element, GeoStream, StreamSchema};
 use crate::stats::{OpReport, OpStats};
 use geostreams_raster::{Histogram, Pixel, RangeTracker};
 use serde::{Deserialize, Serialize};
@@ -149,16 +149,9 @@ impl<S: GeoStream> StretchTransform<S> {
         }
         self.reset_scope_stats();
     }
-}
 
-impl<S: GeoStream> GeoStream for StretchTransform<S> {
-    type V = f32;
-
-    fn schema(&self) -> &StreamSchema {
-        &self.schema
-    }
-
-    fn next_element(&mut self) -> Option<Element<f32>> {
+    /// The next output element; `next_chunk` packs these into runs.
+    fn step(&mut self) -> Option<Element<f32>> {
         loop {
             if let Some(el) = self.queue.pop_front() {
                 return Some(el);
@@ -205,6 +198,18 @@ impl<S: GeoStream> GeoStream for StretchTransform<S> {
                 }
             }
         }
+    }
+}
+
+impl<S: GeoStream> GeoStream for StretchTransform<S> {
+    type V = f32;
+
+    fn schema(&self) -> &StreamSchema {
+        &self.schema
+    }
+
+    fn next_chunk(&mut self, budget: usize) -> Option<ChunkOrMarker<f32>> {
+        pack_elements(budget, || self.step())
     }
 
     fn op_stats(&self) -> OpStats {

@@ -6,7 +6,7 @@
 //! operators hold no state and cost O(1) per point; the frame-scoped
 //! stretches that *do* buffer live in [`crate::ops::stretch`].
 
-use crate::model::{Chunk, ChunkOrMarker, Element, GeoStream, Marker, PointRecord, StreamSchema};
+use crate::model::{Chunk, ChunkOrMarker, GeoStream, Marker, PointRecord, StreamSchema};
 use crate::stats::{OpReport, OpStats};
 use geostreams_raster::Pixel;
 use serde::{Deserialize, Serialize};
@@ -135,18 +135,6 @@ impl<S: GeoStream, W: Pixel> GeoStream for MapTransform<S, W> {
         &self.schema
     }
 
-    fn next_element(&mut self) -> Option<Element<W>> {
-        let el = self.input.next_element()?;
-        if el.is_point() {
-            self.stats.points_in += 1;
-            self.stats.points_out += 1;
-        } else if matches!(el, Element::FrameStart(_)) {
-            self.stats.frames_in += 1;
-            self.stats.frames_out += 1;
-        }
-        Some(el.map_value(|v| W::from_f64(self.func.apply(v.to_f64()))))
-    }
-
     fn next_chunk(&mut self, budget: usize) -> Option<ChunkOrMarker<W>> {
         match self.input.next_chunk(budget)? {
             ChunkOrMarker::Marker(m) => {
@@ -218,15 +206,6 @@ impl<S: GeoStream, W: Pixel> GeoStream for CastTransform<S, W> {
         &self.schema
     }
 
-    fn next_element(&mut self) -> Option<Element<W>> {
-        let el = self.input.next_element()?;
-        if el.is_point() {
-            self.stats.points_in += 1;
-            self.stats.points_out += 1;
-        }
-        Some(el.map_value(|v| W::from_f64(v.to_f64())))
-    }
-
     fn next_chunk(&mut self, budget: usize) -> Option<ChunkOrMarker<W>> {
         match self.input.next_chunk(budget)? {
             ChunkOrMarker::Marker(m) => Some(ChunkOrMarker::Marker(m)),
@@ -291,7 +270,7 @@ impl<S: GeoStream, W: Pixel> CastTransform<S, W> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::VecStream;
+    use crate::model::{Element, VecStream};
     use geostreams_geo::{Crs, LatticeGeoref, Rect};
 
     fn source() -> VecStream<f32> {
@@ -353,7 +332,7 @@ mod tests {
     }
 
     #[test]
-    fn chunked_lane_path_is_bit_identical_to_scalar() {
+    fn chunked_lane_path_is_bit_identical_to_per_point_apply() {
         let funcs = [
             ValueFunc::Linear { scale: 0.37, offset: -2.25 },
             ValueFunc::Normalize { lo: 0.0, hi: 15.0 },
@@ -362,18 +341,18 @@ mod tests {
             ValueFunc::Gamma { g: 2.2 },
             ValueFunc::Threshold { t: 7.0 },
         ];
+        let input = source().drain_points();
         for func in funcs {
-            let mut scalar_op: MapTransform<_, f32> = MapTransform::new(source(), func);
-            let scalar: Vec<_> = scalar_op.drain_points();
             for budget in [1usize, 3, 64] {
-                let mut chunked_op: MapTransform<_, f32> = MapTransform::new(source(), func);
-                let chunked: Vec<_> = crate::model::drain_chunked(&mut chunked_op, budget)
+                let mut op: MapTransform<_, f32> = MapTransform::new(source(), func);
+                let got: Vec<_> = crate::model::drain_chunked(&mut op, budget)
                     .into_iter()
                     .filter_map(|el| if let Element::Point(p) = el { Some(p) } else { None })
                     .collect();
-                assert_eq!(chunked.len(), scalar.len());
-                for (a, b) in chunked.iter().zip(&scalar) {
-                    assert_eq!(a.value.to_bits(), b.value.to_bits(), "{func:?} budget {budget}");
+                assert_eq!(got.len(), input.len());
+                for (a, p) in got.iter().zip(&input) {
+                    let want = f32::from_f64(func.apply(p.value.to_f64()));
+                    assert_eq!(a.value.to_bits(), want.to_bits(), "{func:?} budget {budget}");
                 }
             }
         }

@@ -594,8 +594,8 @@ mod tests {
             let o = optimize(&e, &cat);
             let mut base = planner.build(&e).unwrap();
             let mut opt = planner.build(&o).unwrap();
-            let mut a = crate::model::drain_points_of(&mut base);
-            let mut b = crate::model::drain_points_of(&mut opt);
+            let mut a = base.drain_points();
+            let mut b = opt.drain_points();
             a.sort_by_key(|p| (p.cell.row, p.cell.col));
             b.sort_by_key(|p| (p.cell.row, p.cell.col));
             assert_eq!(a.len(), b.len(), "{q}");

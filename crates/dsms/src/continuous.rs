@@ -134,7 +134,8 @@ pub struct RuntimeConfig {
     /// shared evaluation trades each query's own scan→deliver span
     /// chain for O(distinct plans) cost, so swarm mode is opt-in. With
     /// it off every query evaluates its own pipeline — the unshared
-    /// oracle `swarm_bench` and the sharing tests compare against.
+    /// oracle `geostreams-digest swarm` and the sharing tests compare
+    /// against.
     pub share_plans: bool,
     /// Tenant of each request (request index → tenant name), used for
     /// per-tenant shed accounting on shared plans. Unlisted requests
@@ -947,7 +948,7 @@ fn run_own(
     let (catalog, probes) = source_catalog(sources, &rt.schemas, &cx);
     let eval = Evaluator { qid: qid as u32, catalog: &catalog, pool: &rt.pool, metrics };
     // Two known divergences from `Dsms::run_query`, frozen because the
-    // benchmark's oracles and `chaos_run`'s digest pin them (see
+    // benchmark's oracles and `geostreams-digest chaos` pin them (see
     // ROADMAP.md): every image format renders in gray here (`false`;
     // the one-shot path applies the NDVI/thermal color ramps), and an
     // image run returns no report.

@@ -609,8 +609,11 @@ fn rule_lock_order_cycle(files: &[SourceFile], out: &mut Vec<Finding>) {
 /// continuous stream.
 const HOT_FNS: &[&str] = &[
     "next_chunk",
-    "next_element",
+    // The per-element state machine a buffering operator's `next_chunk`
+    // packs with `pack_elements`.
+    "step",
     "next_frame",
+    "pack_elements",
     "pack_queue",
     "drain_chunked",
     "run_chunked",
@@ -1111,49 +1114,13 @@ fn rule_detached_thread_spawn(files: &[SourceFile], out: &mut Vec<Finding>) {
     }
 }
 
-/// Token range of the innermost brace block around `idx` (between, not
-/// including, its braces); the whole file at module scope.
-fn enclosing_block(toks: &[Tok], idx: usize) -> Range<usize> {
-    let mut start = 0usize;
-    let mut depth = 0usize;
-    for j in (0..idx).rev() {
-        if toks[j].is_punct('}') {
-            depth += 1;
-        } else if toks[j].is_punct('{') {
-            if depth == 0 {
-                start = j + 1;
-                break;
-            }
-            depth -= 1;
-        }
-    }
-    let mut end = toks.len();
-    depth = 0;
-    for (j, t) in toks.iter().enumerate().skip(idx) {
-        if t.is_punct('{') {
-            depth += 1;
-        } else if t.is_punct('}') {
-            if depth == 0 {
-                end = j;
-                break;
-            }
-            depth -= 1;
-        }
-    }
-    start..end
-}
-
-/// `scalar-pull`: `.next_element()` on an input stream in runtime
-/// library code. A scalar pull drags the whole upstream subtree onto
-/// the element-at-a-time path — a virtual call, two clock reads when
-/// traced and a repair pass per point — so consumers read their input
-/// through `ChunkInput::pull` (or `next_chunk`). Two shapes are the
-/// scalar protocol itself and stay legal: a stream calling its own
-/// `self.next_element()`, and the scalar arm of an operator whose
-/// `impl` also has a chunk arm (`fn next_element` delegating beside a
-/// `fn next_chunk` — the differential oracle). An operator with only a
-/// scalar arm is flagged: the default `next_chunk` adapter would run
-/// that arm in production.
+/// `scalar-pull`: `.next_element()` in runtime library code. It is a
+/// budget-1 `next_chunk`: one point per virtual call, and it drags the
+/// whole upstream subtree into one-point runs — a clock sample and a
+/// repair pass per point — so consumers read their input through
+/// `ChunkInput::pull` (or `next_chunk`). No stream implements
+/// `next_element`; one that called it on itself would recurse through
+/// `next_chunk(1)`.
 fn rule_scalar_pull(files: &[SourceFile], out: &mut Vec<Finding>) {
     let in_scope = |p: &str| {
         p.starts_with("crates/core/src/")
@@ -1163,37 +1130,22 @@ fn rule_scalar_pull(files: &[SourceFile], out: &mut Vec<Finding>) {
     };
     for f in files.iter().filter(|f| in_scope(&f.path) && is_lib_file(&f.path)) {
         let toks = &f.toks;
-        for i in 2..toks.len() {
+        for i in 1..toks.len() {
             if !(toks[i].is_ident("next_element") && is_call(toks, i) && prev_is_dot(toks, i)) {
-                continue;
-            }
-            let own = toks[i - 2].is_ident("self") && !(i >= 3 && toks[i - 3].is_punct('.'));
-            if own {
                 continue;
             }
             let Some(fun) = innermost(&f.fns, i).map(|fi| &f.fns[fi]) else { continue };
             if fun.is_test {
                 continue;
             }
-            if fun.name == "next_element" {
-                // The `{` that opens this fn's body sits just before it.
-                let block = enclosing_block(toks, fun.body.start.saturating_sub(1));
-                let paired = f.fns.iter().any(|g| {
-                    g.name == "next_chunk" && block.start <= g.body.start && g.body.end <= block.end
-                });
-                if paired {
-                    continue;
-                }
-            }
             out.push(Finding {
                 rule: "scalar-pull",
                 file: f.path.clone(),
                 line: toks[i].line,
                 function: fun.name.clone(),
-                message: "`.next_element()` on an input stream moves one point per virtual call \
-                          and puts everything upstream on the scalar path; read the input through \
-                          `ChunkInput::pull` or `next_chunk` (a scalar arm is allowed only as \
-                          `fn next_element` beside a `fn next_chunk` in the same impl)"
+                message: "`.next_element()` pulls one point per virtual call and cuts \
+                          everything upstream into one-point runs; read the input through \
+                          `ChunkInput::pull` or `next_chunk`"
                     .to_string(),
             });
         }

@@ -139,12 +139,12 @@ fn raw_io_rule_guards_the_store_behind_vfs() {
 }
 
 #[test]
-fn scalar_pull_rule_allows_only_the_scalar_protocol_itself() {
+fn scalar_pull_rule_flags_every_library_next_element_call() {
     let src = include_str!("fixtures/scalar_pull.rs").to_string();
     let findings = lint_fixture("scalar_pull.rs", &src);
     let hits = rules_hit(&findings, "scalar-pull");
     let fns: Vec<&str> = hits.iter().map(|f| f.function.as_str()).collect();
-    assert_eq!(fns, vec!["bad_sink", "next_element", "bad_fill"], "{hits:?}");
+    assert_eq!(fns, vec!["bad_sink", "bad_fill", "next_chunk"], "{hits:?}");
     // The scanner is the only simulator file on the production path.
     let as_scanner = lint_files(&[("crates/satsim/src/scanner.rs".to_string(), src.clone())]);
     assert_eq!(rules_hit(&as_scanner, "scalar-pull").len(), 3);

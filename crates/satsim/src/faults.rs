@@ -357,9 +357,9 @@ impl<S: GeoStream> ChaosStream<S> {
     }
 
     /// Runs one input element through the fault machinery, queueing the
-    /// survivors onto `self.out`. Shared by the scalar and chunked
-    /// paths, so the RNG draw order — and therefore the injected fault
-    /// sequence for a given seed — is identical in both.
+    /// survivors onto `self.out`. Every element takes this path one at a
+    /// time, so the RNG draw order — and therefore the injected fault
+    /// sequence for a given seed — is the same at every pull budget.
     fn process_one(&mut self, el: Element<S::V>) {
         self.stats.elements_in += 1;
         if let Some(n) = self.plan.die_after {
@@ -476,21 +476,6 @@ impl<S: GeoStream> GeoStream for ChaosStream<S> {
         self.input.schema()
     }
 
-    fn next_element(&mut self) -> Option<Element<S::V>> {
-        loop {
-            if let Some(el) = self.out.pop_front() {
-                return Some(el);
-            }
-            if self.ended {
-                return None;
-            }
-            match self.input.next_element() {
-                Some(el) => self.process_one(el),
-                None => self.finish_input(),
-            }
-        }
-    }
-
     fn next_chunk(&mut self, budget: usize) -> Option<ChunkOrMarker<S::V>> {
         loop {
             if let Some(item) = pack_queue(&mut self.out, budget) {
@@ -505,8 +490,7 @@ impl<S: GeoStream> GeoStream for ChaosStream<S> {
                     for p in c.points.drain(..) {
                         if self.ended {
                             // Death/truncation fired mid-run: the rest of
-                            // the pulled input is never consumed, exactly
-                            // as the scalar path never pulls past it.
+                            // the pulled input is never consumed.
                             break;
                         }
                         self.process_one(Element::Point(p));

@@ -211,8 +211,9 @@ fn frame_groups(els: Vec<Element<f32>>) -> Vec<Vec<Element<f32>>> {
 enum Phase {
     SectorStart,
     FrameStart,
+    /// Inside a frame: `next_chunk` emits its points, and its `FrameEnd`
+    /// once they are exhausted.
     Points,
-    FrameEnd,
     SectorEnd,
     Done,
 }
@@ -269,16 +270,11 @@ impl SyntheticStream {
             }
         }
     }
-}
 
-impl GeoStream for SyntheticStream {
-    type V = f32;
-
-    fn schema(&self) -> &StreamSchema {
-        &self.schema
-    }
-
-    fn next_element(&mut self) -> Option<Element<f32>> {
+    /// The marker phases of the scan: the next framing marker, or `None`
+    /// once every sector is done. Called in the points phase, it closes
+    /// the frame whose cells are exhausted.
+    fn step(&mut self) -> Option<Marker> {
         loop {
             match self.phase {
                 Phase::Done => return None,
@@ -294,7 +290,7 @@ impl GeoStream for SyntheticStream {
                     self.row = 0;
                     self.col = 0;
                     self.phase = Phase::FrameStart;
-                    return Some(Element::SectorStart(SectorInfo {
+                    return Some(Marker::SectorStart(SectorInfo {
                         sector_id: self.sector,
                         lattice,
                         band: self.scanner.instrument.bands[self.band_idx].id,
@@ -321,38 +317,9 @@ impl GeoStream for SyntheticStream {
                     };
                     self.phase = Phase::Points;
                     self.stats.frames_out += 1;
-                    return Some(Element::FrameStart(info));
+                    return Some(Marker::FrameStart(info));
                 }
                 Phase::Points => {
-                    let lattice = self.lattice.expect("sector open");
-                    let org = self.scanner.instrument.organization;
-                    let frame_exhausted = match org {
-                        Organization::ImageByImage => self.row >= lattice.height,
-                        Organization::RowByRow => self.col >= lattice.width,
-                        Organization::PointByPoint => {
-                            self.burst_left == 0 || self.col >= lattice.width
-                        }
-                    };
-                    if frame_exhausted {
-                        self.phase = Phase::FrameEnd;
-                        continue;
-                    }
-                    let cell = Cell::new(self.col, self.row);
-                    let v = self.sample(&lattice, cell);
-                    self.points_emitted += 1;
-                    self.stats.points_out += 1;
-                    // Advance the raster cursor.
-                    self.col += 1;
-                    if self.burst_left > 0 {
-                        self.burst_left -= 1;
-                    }
-                    if self.col >= lattice.width && org == Organization::ImageByImage {
-                        self.col = 0;
-                        self.row += 1;
-                    }
-                    return Some(Element::Point(PointRecord { cell, value: v }));
-                }
-                Phase::FrameEnd => {
                     let lattice = self.lattice.expect("sector open");
                     let frame_id = self.next_frame_id;
                     self.next_frame_id += 1;
@@ -377,37 +344,35 @@ impl GeoStream for SyntheticStream {
                     } else {
                         Phase::FrameStart
                     };
-                    return Some(Element::FrameEnd(FrameEnd { frame_id, sector_id: self.sector }));
+                    return Some(Marker::FrameEnd(FrameEnd { frame_id, sector_id: self.sector }));
                 }
                 Phase::SectorEnd => {
                     let id = self.sector;
                     self.sector += 1;
                     self.phase = Phase::SectorStart;
-                    return Some(Element::SectorEnd(SectorEnd { sector_id: id }));
+                    return Some(Marker::SectorEnd(SectorEnd { sector_id: id }));
                 }
             }
         }
     }
+}
+
+impl GeoStream for SyntheticStream {
+    type V = f32;
+
+    fn schema(&self) -> &StreamSchema {
+        &self.schema
+    }
 
     fn next_chunk(&mut self, budget: usize) -> Option<ChunkOrMarker<f32>> {
-        let budget = budget.max(1);
-        let mut chunk = Chunk::with_budget(budget);
         if self.phase != Phase::Points {
-            // Marker phases emit exactly one element each; serve it
-            // standalone through the scalar state machine so all phase
-            // transitions stay in one place.
-            let el = self.next_element()?;
-            match Marker::from_element(el) {
-                Ok(m) => {
-                    chunk.recycle();
-                    return Some(ChunkOrMarker::Marker(m));
-                }
-                Err(p) => chunk.points.push(p),
-            }
+            return self.step().map(ChunkOrMarker::Marker);
         }
-        // Points phase: emit the rest of the frame's run inline with the
-        // exact scalar cursor semantics. `points_emitted` advances per
-        // point because MeasurementTime timestamps derive from it.
+        // Points phase: the rest of the frame's run. `points_emitted`
+        // advances per point because MeasurementTime timestamps derive
+        // from it.
+        let budget = budget.max(1);
+        let (mut chunk, mut end) = (Chunk::with_budget(budget), None);
         let lattice = self.lattice.expect("sector open");
         let org = self.scanner.instrument.organization;
         while chunk.points.len() < budget {
@@ -417,12 +382,8 @@ impl GeoStream for SyntheticStream {
                 Organization::PointByPoint => self.burst_left == 0 || self.col >= lattice.width,
             };
             if frame_exhausted {
-                self.phase = Phase::FrameEnd;
-                // The scalar FrameEnd phase repositions the cursor and
-                // picks the next phase; fold its marker into this run.
-                if let Some(Ok(m)) = self.next_element().map(Marker::from_element) {
-                    chunk.end = Some(m);
-                }
+                // The frame's end cuts the run short.
+                end = self.step();
                 break;
             }
             let cell = Cell::new(self.col, self.row);
@@ -439,15 +400,7 @@ impl GeoStream for SyntheticStream {
             }
             chunk.points.push(PointRecord { cell, value: v });
         }
-        if chunk.points.is_empty() {
-            let end = chunk.end.take();
-            chunk.recycle();
-            return match end {
-                Some(m) => Some(ChunkOrMarker::Marker(m)),
-                None => self.next_chunk(budget),
-            };
-        }
-        Some(ChunkOrMarker::Chunk(chunk))
+        chunk.into_item(end)
     }
 
     fn op_stats(&self) -> OpStats {
@@ -667,9 +620,6 @@ mod tests {
                 let kind = sc.instrument.bands[band_idx].kind;
                 let projection = sc.instrument.crs.projection().unwrap();
                 let scalar = sc.band_stream(band_idx, 3).drain_elements();
-                let chunked =
-                    geostreams_core::model::drain_chunked(&mut sc.band_stream(band_idx, 3), 7);
-                assert_eq!(scalar, chunked, "{name} band {band_idx}");
                 let (mut lattice, mut t, mut off_earth) = (None, 0, 0);
                 for el in &scalar {
                     match el {

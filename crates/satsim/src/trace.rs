@@ -19,12 +19,7 @@ pub struct Trace {
 impl Trace {
     /// Records a stream to completion.
     pub fn record<S: GeoStream<V = f32>>(stream: &mut S) -> Trace {
-        let schema = stream.schema().clone();
-        let mut elements = Vec::new();
-        while let Some(el) = stream.next_element() {
-            elements.push(el);
-        }
-        Trace { schema, elements }
+        Trace { schema: stream.schema().clone(), elements: stream.drain_elements() }
     }
 
     /// Serializes to JSON bytes.

@@ -116,11 +116,7 @@ mod tests {
         let live: Vec<Element<f32>> = ingest_band(&archive, &sc, 0, 3);
         let band = sc.band_stream(0, 1).schema().band;
 
-        let mut replay = archive.replay(band, None, None, None).unwrap();
-        let mut got = Vec::new();
-        while let Some(el) = replay.next_element() {
-            got.push(el);
-        }
+        let got = archive.replay(band, None, None, None).unwrap().drain_elements();
         assert_eq!(frame_ids(&got), frame_ids(&live));
         let (lp, gp) = (points(&live), points(&got));
         assert_eq!(lp.len(), gp.len());
@@ -141,11 +137,7 @@ mod tests {
         let sc = scanner();
         let live = ingest_band(&archive, &sc, 1, 2);
         let band = sc.band_stream(1, 1).schema().band;
-        let mut replay = archive.replay(band, None, None, None).unwrap();
-        let mut got = Vec::new();
-        while let Some(el) = replay.next_element() {
-            got.push(el);
-        }
+        let got = archive.replay(band, None, None, None).unwrap().drain_elements();
         let (lp, gp) = (points(&live), points(&got));
         assert_eq!(lp.len(), gp.len());
         for ((lc, lr, lv), (gc, gr, gv)) in lp.iter().zip(&gp) {
@@ -171,10 +163,7 @@ mod tests {
         ingest_band(&archive, &sc, 0, 3);
         let band = sc.band_stream(0, 1).schema().band;
         let drain = |mut r: ArchiveReplay| {
-            let mut got = Vec::new();
-            while let Some(el) = r.next_element() {
-                got.push(el);
-            }
+            let got = r.drain_elements();
             assert!(!r.failed());
             got
         };
@@ -306,11 +295,7 @@ mod tests {
         let (stats_before, ids_before) = {
             let archive = Archive::create(ArchiveConfig::new(&dir)).unwrap();
             ingest_band(&archive, &sc, 0, 3);
-            let mut r = archive.replay(band, None, None, None).unwrap();
-            let mut els = Vec::new();
-            while let Some(el) = r.next_element() {
-                els.push(el);
-            }
+            let els = archive.replay(band, None, None, None).unwrap().drain_elements();
             (archive.stats(), frame_ids(&els))
         };
         let archive = Archive::open(ArchiveConfig::new(&dir)).unwrap();
@@ -318,11 +303,7 @@ mod tests {
         assert_eq!(stats.frames, stats_before.frames);
         assert_eq!(stats.tiles, stats_before.tiles);
         assert_eq!(archive.band_of("goes-sim.b1-vis"), Some(band));
-        let mut r = archive.replay(band, None, None, None).unwrap();
-        let mut els = Vec::new();
-        while let Some(el) = r.next_element() {
-            els.push(el);
-        }
+        let els = archive.replay(band, None, None, None).unwrap().drain_elements();
         assert_eq!(frame_ids(&els), ids_before);
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -371,18 +352,9 @@ mod tests {
         let replay = archive.replay(band, Some(0), Some(3), None).unwrap();
         let live = Box::new(sc.band_stream_from(0, 3, 2));
         let wm = archive.watermark(band).map(|(s, _)| s);
-        let mut spliced = SpliceStream::new(replay, live, wm, None);
-        let mut seen = Vec::new();
-        while let Some(el) = spliced.next_element() {
-            seen.push(el);
-        }
+        let seen = SpliceStream::new(replay, live, wm, None).drain_elements();
         let ids = frame_ids(&seen);
-        let mut full = sc.band_stream(0, 5);
-        let mut full_els = Vec::new();
-        while let Some(el) = full.next_element() {
-            full_els.push(el);
-        }
-        let expected = frame_ids(&full_els);
+        let expected = frame_ids(&sc.band_stream(0, 5).drain_elements());
         assert_eq!(ids, expected, "splice must cover exactly the full run's frames");
         std::fs::remove_dir_all(&dir).unwrap();
     }

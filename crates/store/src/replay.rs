@@ -390,26 +390,6 @@ impl GeoStream for ArchiveReplay {
         &self.schema
     }
 
-    fn next_element(&mut self) -> Option<Element<f32>> {
-        if self.out.is_empty() && !self.done {
-            if let Err(e) = self.refill() {
-                // A torn replay must not masquerade as a clean end: the
-                // error is surfaced once, then the stream ends.
-                self.done = true;
-                self.failed = true;
-                self.out.clear();
-                self.stats.stalls += 1;
-                eprintln!("archive replay error: {e}");
-                return None;
-            }
-        }
-        let el = self.out.pop_front()?;
-        if el.is_point() {
-            self.stats.points_out += 1;
-        }
-        Some(el)
-    }
-
     fn next_chunk(&mut self, budget: usize) -> Option<ChunkOrMarker<f32>> {
         if self.out.is_empty() && !self.done {
             if let Err(e) = self.refill() {
@@ -520,44 +500,6 @@ impl GeoStream for SpliceStream {
 
     fn schema(&self) -> &StreamSchema {
         &self.schema
-    }
-
-    fn next_element(&mut self) -> Option<Element<f32>> {
-        if self.refused {
-            return None;
-        }
-        if let Some(replay) = self.replay.as_mut() {
-            if let Some(el) = replay.next_element() {
-                if el.is_point() {
-                    self.stats.points_out += 1;
-                }
-                return Some(el);
-            }
-            if self.finish_replay() {
-                return None;
-            }
-        }
-        loop {
-            let el = self.live.next_element()?;
-            match &el {
-                Element::SectorStart(info) => {
-                    self.skipping_live_sector =
-                        self.watermark_sector.is_some_and(|wm| info.sector_id <= wm);
-                }
-                Element::SectorEnd(_) if self.skipping_live_sector => {
-                    self.skipping_live_sector = false;
-                    continue;
-                }
-                _ => {}
-            }
-            if self.skipping_live_sector {
-                continue;
-            }
-            if el.is_point() {
-                self.stats.points_out += 1;
-            }
-            return Some(el);
-        }
     }
 
     fn next_chunk(&mut self, budget: usize) -> Option<ChunkOrMarker<f32>> {

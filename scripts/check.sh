@@ -44,8 +44,10 @@ scripts/determinism_gate.sh
 # (`exec.morsel_w2_efficiency`, reported at any core count).
 
 # The benchmark package (bench/, its own workspace) reaches the system
-# only through public items: building it and running its oracle check
-# here means a break of that surface fails locally, not in the
-# pipeline that runs BENCHMARK.json.
+# only through public items: building it, running its unit tests (its
+# in-memory source implements `GeoStream`) and its oracle check here
+# means a break of that surface fails locally, not in the pipeline that
+# runs BENCHMARK.json.
 cargo build --release --offline --manifest-path bench/Cargo.toml
+cargo test -q --offline --release --manifest-path bench/Cargo.toml
 bench/target/release/geobench verify --seed 1

@@ -6,7 +6,7 @@ mod common;
 
 use common::Rng;
 use geostreams::core::model::StreamSchema;
-use geostreams::core::model::{drain_points_of, GeoStream, PointRecord, VecStream};
+use geostreams::core::model::{GeoStream, PointRecord, VecStream};
 use geostreams::core::ops::{
     Compose, GammaOp, JoinStrategy, MapTransform, SpatialRestrict, ValueFunc, ValueRestrict,
 };
@@ -30,7 +30,7 @@ fn stream(seed: u64) -> VecStream<f32> {
 }
 
 fn sorted_points<S: GeoStream<V = f32>>(mut s: S) -> Vec<PointRecord<f32>> {
-    let mut pts = drain_points_of(&mut s);
+    let mut pts = s.drain_points();
     pts.sort_by_key(|p| (p.cell.row, p.cell.col));
     pts
 }
@@ -242,8 +242,8 @@ fn optimizer_preserves_semantics() {
         let optimized = optimize(&expr, &cat);
         let mut base = planner.build(&expr).unwrap();
         let mut opt = planner.build(&optimized).unwrap();
-        let mut a = drain_points_of(&mut base);
-        let mut b = drain_points_of(&mut opt);
+        let mut a = base.drain_points();
+        let mut b = opt.drain_points();
         a.sort_by_key(|p| (p.cell.row, p.cell.col));
         b.sort_by_key(|p| (p.cell.row, p.cell.col));
         assert_eq!(a.len(), b.len(), "{expr} vs {optimized}");

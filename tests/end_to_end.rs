@@ -65,8 +65,8 @@ fn optimizer_is_transparent_to_query_results() {
     let optimized = geostreams::core::query::optimize(&expr, server.catalog());
     let mut a = planner.build(&expr).unwrap();
     let mut b = planner.build(&optimized).unwrap();
-    let mut pa = geostreams::core::model::drain_points_of(&mut a);
-    let mut pb = geostreams::core::model::drain_points_of(&mut b);
+    let mut pa = a.drain_points();
+    let mut pb = b.drain_points();
     pa.sort_by_key(|p| (p.cell.row, p.cell.col));
     pb.sort_by_key(|p| (p.cell.row, p.cell.col));
     assert_eq!(pa.len(), pb.len());

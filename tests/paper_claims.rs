@@ -4,7 +4,7 @@
 
 use geostreams::core::exec::run_to_end;
 use geostreams::core::model::{
-    drain_points_of, split2, Element, GeoStream, StreamSchema, TimeSemantics, Timestamp, VecStream,
+    split2, Element, GeoStream, StreamSchema, TimeSemantics, Timestamp, VecStream,
 };
 use geostreams::core::ops::{
     AggFunc, Compose, Downsample, GammaOp, JoinStrategy, Magnify, Reproject, ReprojectConfig,
@@ -182,7 +182,7 @@ fn claim_measurement_timestamps_never_join() {
         VecStream::new(schema, els)
     };
     let mut op = Compose::new(mk(0), mk(1), GammaOp::Add, JoinStrategy::Hash).unwrap();
-    assert!(drain_points_of(&mut op).is_empty());
+    assert!(op.drain_points().is_empty());
     // Sector-id stamping (the practical fix the paper describes) joins.
     let mut op = Compose::new(
         VecStream::<f32>::single_sector("a", lattice(8, 8), 0, |c, _| f64::from(c)),
@@ -191,7 +191,7 @@ fn claim_measurement_timestamps_never_join() {
         JoinStrategy::Hash,
     )
     .unwrap();
-    assert_eq!(drain_points_of(&mut op).len(), 64);
+    assert_eq!(op.drain_points().len(), 64);
 }
 
 /// §6/[27]: the temporal aggregate's buffer is exactly W images.
@@ -227,7 +227,7 @@ fn claim_algebra_is_closed() {
         StretchScope::Image,
     );
     let mut s = Compose::new(s, t, GammaOp::Sub, JoinStrategy::Hash).unwrap();
-    let pts = drain_points_of(&mut s);
+    let pts = s.drain_points();
     assert!(!pts.is_empty());
     // Identical inputs: every difference is exactly zero.
     assert!(pts.iter().all(|p| p.value == 0.0));

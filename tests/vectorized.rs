@@ -1,20 +1,19 @@
-//! Differential suite for chunked (vectorized) execution.
-//!
-//! Every operator in the algebra — plus the fault injector and the
-//! observability decorator — is run twice from identical construction:
-//! once through the scalar `next_element` oracle and once through
-//! `next_chunk` at several pull budgets. The flattened chunked output
-//! must be byte-identical to the scalar sequence (same elements, same
-//! markers, same order), and `OpStats` totals must match exactly
-//! (per-chunk batched accounting vs per-element accounting).
+//! Differential suite for the chunk protocol. Every stream in the
+//! workspace is pulled from identical construction one element at a
+//! time (`next_element`, a budget-1 pull) and in runs at several
+//! budgets: the flattened output must be byte-identical, `OpStats` must
+//! match, and every item must obey the budget rule. Operators with
+//! per-point logic of their own also meet the references of
+//! `tests/common`.
 
 mod common;
 
+use common::reference;
 use geostreams::core::model::{
-    drain_chunked, ChunkInput, ChunkOrMarker, Element, GeoStream, StreamRepair, StreamSchema,
-    TimeSet, VecStream,
+    drain_chunked, split2, tee2, BoxedF32Stream, ChunkChannel, ChunkInput, ChunkOrMarker, Element,
+    GeoStream, StreamRepair, StreamSchema, TimeSet, Validator, VecStream,
 };
-use geostreams::core::obs::TracedStream;
+use geostreams::core::obs::{FlightRecorder, SpanStream, TracedStream};
 use geostreams::core::ops::{
     AggFunc, CastTransform, ChunkProtocolChecker, Compose, Delay, Downsample, FocalFunc,
     FocalTransform, GammaOp, ImageAssembler, JoinStrategy, Magnify, MapTransform, Orient,
@@ -28,49 +27,69 @@ use geostreams::raster::{Grid2D, RasterImage, Rgb8};
 use geostreams::satsim::airborne::airborne_camera;
 use geostreams::satsim::lidar::lidar_profiler;
 use geostreams::satsim::{goes_like, ChaosStream, FaultPlan, SyntheticStream};
-use geostreams::store::{Archive, ArchiveConfig};
+use geostreams::store::{Archive, ArchiveConfig, SpliceStream};
+use std::sync::Arc;
 
-/// Fixture width; the last budget equals one full row so chunk
-/// boundaries land exactly on frame boundaries in row-by-row streams.
+/// Fixture width: the budget `W` is one full row, so chunk boundaries
+/// land exactly on frame boundaries in row-by-row streams.
 const W: u32 = 16;
 const H: u32 = 8;
 
-/// Pull budgets exercised by every differential case: pathological
-/// (1 point per chunk), prime (misaligned with every row width),
-/// larger than a whole sector, and exactly one row.
-const BUDGETS: &[usize] = &[1, 7, 256, W as usize];
+/// Pull budgets exercised by every case: one element per pull, a run
+/// split in two, prime (misaligned with every row width), one row (a
+/// divisor of every image-by-image frame), a sector, the default.
+const BUDGETS: &[usize] = &[1, 2, 7, W as usize, 256, 1024];
 
-/// The differential oracle: scalar `drain_elements` output and final
-/// `op_stats` must match `drain_chunked` output and stats at every
-/// budget, for a fresh identically-constructed stream per run.
-fn assert_scalar_chunked_identical<S, F>(label: &str, make: F)
+/// Where `make()` breaks the chunk contract, one breach per budget at
+/// most: a run holds `1..=budget` points, a marker rides only on a run
+/// it cut short, and the flattened output and final `OpStats` equal
+/// those of one-element pulls — whose element sequence is returned.
+fn contract_breaches<S: GeoStream>(make: impl Fn() -> S) -> (Vec<Element<S::V>>, Vec<String>)
 where
-    S: GeoStream,
-    S::V: std::fmt::Debug + PartialEq,
-    F: Fn() -> S,
+    S::V: PartialEq,
 {
-    let mut scalar = make();
-    let expected = scalar.drain_elements();
-    let expected_stats = scalar.op_stats();
-    assert!(!expected.is_empty(), "{label}: scalar oracle produced nothing");
+    let mut one_by_one = make();
+    let expected: Vec<_> = std::iter::from_fn(|| one_by_one.next_element()).collect();
+    let mut breaches = Vec::new();
     for &budget in BUDGETS {
-        let mut chunked = make();
-        let got = drain_chunked(&mut chunked, budget);
-        assert_eq!(got, expected, "{label}: elements diverge at budget {budget}");
-        assert_eq!(
-            chunked.op_stats(),
-            expected_stats,
-            "{label}: OpStats diverge at budget {budget}"
-        );
+        let (mut s, mut got, mut breach) = (make(), Vec::new(), None);
+        while let Some(item) = s.next_chunk(budget) {
+            let n = item.point_count();
+            if matches!(item, ChunkOrMarker::Chunk(_)) && !(1..=budget).contains(&n) {
+                breach.get_or_insert(format!("a run of {n} points"));
+            } else if n == budget && item.marker().is_some() {
+                breach.get_or_insert("a marker on a full run".to_string());
+            }
+            item.into_elements(&mut |el| got.push(el));
+        }
+        if got != expected || s.op_stats() != one_by_one.op_stats() {
+            breach.get_or_insert("elements or OpStats differ from one-element pulls".to_string());
+        }
+        breaches.extend(breach.map(|b| format!("at budget {budget}: {b}")));
     }
+    (expected, breaches)
+}
+
+/// The differential oracle: `make()` keeps the chunk contract at every
+/// budget. Returns its element sequence.
+fn assert_scalar_chunked_identical<S: GeoStream>(
+    label: &str,
+    make: impl Fn() -> S,
+) -> Vec<Element<S::V>>
+where
+    S::V: PartialEq,
+{
+    let (expected, breaches) = contract_breaches(make);
+    assert!(!expected.is_empty(), "{label}: produced nothing");
+    assert!(breaches.is_empty(), "{label} {}", breaches.join("; "));
+    expected
 }
 
 fn lattice() -> LatticeGeoref {
     LatticeGeoref::north_up(Crs::LatLon, Rect::new(0.0, 0.0, W as f64, H as f64), W, H)
 }
 
-/// A deterministic multi-sector in-memory source (exercises the
-/// default `next_chunk` adapter, since `VecStream` has no override).
+/// A deterministic multi-sector in-memory source.
 fn vec_fixture() -> VecStream<f32> {
     VecStream::sectors("vec-fixture", lattice(), 3, |s, x, y| {
         (s as f64) * 100.0 + (y as f64) * 10.0 + (x as f64) * 0.5
@@ -114,62 +133,82 @@ fn scanner_point_by_point_matches_scalar() {
 // Operators
 // ---------------------------------------------------------------------
 
+/// The flattened input every reference case reads.
+fn vec_fixture_elements() -> Vec<Element<f32>> {
+    vec_fixture().drain_elements()
+}
+
 #[test]
 fn spatial_restrict_rect_matches_scalar() {
-    assert_scalar_chunked_identical("SpatialRestrict/Rect", || {
-        SpatialRestrict::new(vec_fixture(), Region::Rect(Rect::new(2.0, 1.0, 10.0, 6.0)))
+    let region = || Region::Rect(Rect::new(2.0, 1.0, 10.0, 6.0));
+    let got = assert_scalar_chunked_identical("SpatialRestrict/Rect", || {
+        SpatialRestrict::new(vec_fixture(), region())
     });
+    assert_eq!(got, reference::restrict_space(&vec_fixture_elements(), &region()));
 }
 
 #[test]
 fn spatial_restrict_polygon_matches_scalar() {
     let poly = || {
-        Polygon::new(vec![Coord::new(1.0, 0.5), Coord::new(14.0, 1.0), Coord::new(8.0, 7.5)])
-            .unwrap()
+        Region::Polygon(
+            Polygon::new(vec![Coord::new(1.0, 0.5), Coord::new(14.0, 1.0), Coord::new(8.0, 7.5)])
+                .unwrap(),
+        )
     };
-    assert_scalar_chunked_identical("SpatialRestrict/Polygon", move || {
-        SpatialRestrict::new(vec_fixture(), Region::Polygon(poly()))
+    let got = assert_scalar_chunked_identical("SpatialRestrict/Polygon", move || {
+        SpatialRestrict::new(vec_fixture(), poly())
     });
+    assert_eq!(got, reference::restrict_space(&vec_fixture_elements(), &poly()));
 }
 
 #[test]
 fn temporal_restrict_matches_scalar() {
-    assert_scalar_chunked_identical("TemporalRestrict/Interval", || {
-        TemporalRestrict::new(vec_fixture(), TimeSet::Interval { lo: Some(1), hi: None })
+    let times = || TimeSet::Interval { lo: Some(1), hi: None };
+    let got = assert_scalar_chunked_identical("TemporalRestrict/Interval", || {
+        TemporalRestrict::new(vec_fixture(), times())
     });
+    assert_eq!(got, reference::restrict_time(&vec_fixture_elements(), &times()));
 }
 
 #[test]
 fn value_restrict_matches_scalar() {
-    assert_scalar_chunked_identical("ValueRestrict", || {
+    let got = assert_scalar_chunked_identical("ValueRestrict", || {
         ValueRestrict::range(vec_fixture(), 50.0, 250.0)
     });
+    assert_eq!(got, reference::restrict_value(&vec_fixture_elements(), &[(50.0, 250.0)]));
 }
 
 #[test]
 fn map_transform_matches_scalar() {
-    assert_scalar_chunked_identical("MapTransform/Linear", || {
-        MapTransform::<_, f32>::new(vec_fixture(), ValueFunc::Linear { scale: 0.25, offset: -3.0 })
+    let func = ValueFunc::Linear { scale: 0.25, offset: -3.0 };
+    let got = assert_scalar_chunked_identical("MapTransform/Linear", || {
+        MapTransform::<_, f32>::new(vec_fixture(), func)
     });
+    assert_eq!(got, reference::map_value(&vec_fixture_elements(), func));
 }
 
 #[test]
 fn cast_transform_matches_scalar() {
-    assert_scalar_chunked_identical("CastTransform/f32→f64", || {
+    let got = assert_scalar_chunked_identical("CastTransform/f32→f64", || {
         CastTransform::<_, f64>::new(vec_fixture())
     });
+    assert_eq!(got, reference::cast::<f64>(&vec_fixture_elements()));
 }
 
 #[test]
 fn shed_rows_matches_scalar() {
-    assert_scalar_chunked_identical("Shed/Rows", || Shed::new(vec_fixture(), ShedPolicy::Rows, 2));
+    let got = assert_scalar_chunked_identical("Shed/Rows", || {
+        Shed::new(vec_fixture(), ShedPolicy::Rows, 2)
+    });
+    assert_eq!(got, reference::shed(&vec_fixture_elements(), ShedPolicy::Rows, 2));
 }
 
 #[test]
 fn shed_points_matches_scalar() {
-    assert_scalar_chunked_identical("Shed/Points", || {
+    let got = assert_scalar_chunked_identical("Shed/Points", || {
         Shed::new(vec_fixture(), ShedPolicy::Points, 3)
     });
+    assert_eq!(got, reference::shed(&vec_fixture_elements(), ShedPolicy::Points, 3));
 }
 
 #[test]
@@ -488,26 +527,121 @@ fn reference_byte(v: f32, (lo, hi): (f64, f64)) -> u8 {
 fn traced_stream_is_transparent_in_chunked_mode() {
     // The decorator must not alter the element sequence, scalar or
     // chunked, and must count every element in its latency histogram.
-    assert_scalar_chunked_identical("TracedStream", || TracedStream::new(vec_fixture()));
-    let raw = vec_fixture().drain_elements();
-    let mut traced = TracedStream::new(vec_fixture());
-    let got = drain_chunked(&mut traced, 7);
-    assert_eq!(got, raw, "TracedStream altered the stream");
+    let got = assert_scalar_chunked_identical("TracedStream", || TracedStream::new(vec_fixture()));
+    assert_eq!(got, vec_fixture().drain_elements(), "TracedStream altered the stream");
 }
 
 #[test]
 fn stacked_pipeline_matches_scalar() {
     // A realistic multi-operator stack: repair over chaos over a
     // scanner, restricted, transformed, shed — every layer chunked.
-    assert_scalar_chunked_identical("stacked-pipeline", || {
-        let chaos = ChaosStream::new(goes_fixture(), nasty_plan(), 7);
-        let repaired = StreamRepair::new(chaos);
-        let restricted =
-            SpatialRestrict::new(repaired, Region::Rect(Rect::new(-0.1, -0.1, 0.12, 0.12)));
-        let transformed =
-            MapTransform::<_, f32>::new(restricted, ValueFunc::Normalize { lo: 0.0, hi: 400.0 });
-        Shed::new(transformed, ShedPolicy::Rows, 2)
+    let region = || Region::Rect(Rect::new(-0.1, -0.1, 0.12, 0.12));
+    let func = ValueFunc::Normalize { lo: 0.0, hi: 400.0 };
+    let repaired = || StreamRepair::new(ChaosStream::new(goes_fixture(), nasty_plan(), 7));
+    let got = assert_scalar_chunked_identical("stacked-pipeline", || {
+        let restricted = SpatialRestrict::new(repaired(), region());
+        Shed::new(MapTransform::<_, f32>::new(restricted, func), ShedPolicy::Rows, 2)
     });
+    let restricted = reference::restrict_space(&repaired().drain_elements(), &region());
+    let want = reference::shed(&reference::map_value(&restricted, func), ShedPolicy::Rows, 2);
+    assert_eq!(got, want);
+}
+
+// ---------------------------------------------------------------------
+// The chunk contract (DESIGN.md §12) of every stream in the workspace
+// ---------------------------------------------------------------------
+
+type Case<'a> = (&'static str, Box<dyn Fn() -> BoxedF32Stream + 'a>);
+
+fn case<'a, S: GeoStream<V = f32> + Send + 'static>(
+    label: &'static str,
+    make: impl Fn() -> S + 'a,
+) -> Case<'a> {
+    (label, Box::new(move || Box::new(make())))
+}
+
+/// A `ChunkChannel` handing out the items `s` yields at the default
+/// budget: runs longer than the smaller budgets it is pulled at.
+fn channel_of<S: GeoStream<V = f32>>(mut s: S) -> ChunkChannel<f32> {
+    let schema = s.schema().clone();
+    let mut items = std::iter::from_fn(|| s.next_chunk(1024)).collect::<Vec<_>>().into_iter();
+    ChunkChannel::new(schema, move || items.next())
+}
+
+#[test]
+fn every_stream_obeys_the_chunk_contract_at_every_budget() {
+    // Image-by-image frames of 16 × 8 points, a multiple of the budgets
+    // 1, 2 and 16: a producer packing a queue meets a frame end right at
+    // the budget edge.
+    let camera =
+        || airborne_camera(Rect::new(-100.0, 30.0, -99.0, 31.0), W, H, 5).band_stream(0, 2);
+    let src = damaged_then_repaired;
+    let dir = common::tmp_dir("vectorized-contract");
+    let archive = Archive::create(ArchiveConfig::new(&dir)).unwrap();
+    let mut live = goes_like(W, H, 7).band_stream(0, 3);
+    let band = live.schema().band;
+    archive.bind_band(live.schema()).unwrap();
+    while let Some(item) = live.next_chunk(64) {
+        archive.ingest_chunk(band, &item).unwrap();
+    }
+    archive.flush().unwrap();
+    let recorder = Arc::new(FlightRecorder::new(1, 64));
+    let lat = goes_like(W, H, 7).sector_lattice(0, 0);
+    let tagged = |tag: u8| vec_fixture().drain_elements().into_iter().map(move |e| (tag, e));
+    let schema = || vec_fixture().schema().clone();
+    let right = || VecStream::sectors("rhs", lattice(), 3, |s, x, y| (s as f64) + (x * y) as f64);
+    let cases = [
+        case("VecStream", vec_fixture),
+        case("SyntheticStream", camera),
+        case("ChunkChannel/rows", || channel_of(vec_fixture())),
+        case("ChunkChannel/frames", || channel_of(camera())),
+        case("ArchiveReplay", || archive.replay(band, None, None, None).unwrap()),
+        case("SpliceStream", || {
+            let replay = archive.replay(band, Some(0), Some(2), None).unwrap();
+            SpliceStream::new(replay, Box::new(goes_like(W, H, 7).band_stream(0, 3)), Some(1), None)
+        }),
+        case("Box", || -> BoxedF32Stream { Box::new(vec_fixture()) }),
+        case("&mut", || Box::leak(Box::new(vec_fixture()))),
+        case("ChaosStream", || ChaosStream::new(camera(), FaultPlan::seeded(3), 1)),
+        case("StreamRepair", || StreamRepair::new(ChaosStream::new(camera(), nasty_plan(), 1))),
+        case("Validator", || Validator::new(vec_fixture())),
+        case("split2", || split2(tagged(0).chain(tagged(1)), schema(), schema()).1),
+        case("tee2", || tee2(vec_fixture()).1),
+        case("SpatialRestrict", || SpatialRestrict::new(src(), Region::Rect(lat.world_bbox()))),
+        case("TemporalRestrict", || TemporalRestrict::new(src(), TimeSet::Instants(vec![1]))),
+        case("ValueRestrict", || ValueRestrict::range(src(), 50.0, 250.0)),
+        case("MapTransform", || MapTransform::<_, f32>::new(src(), ValueFunc::Abs)),
+        case("CastTransform", || CastTransform::<_, f32>::new(src())),
+        case("Shed", || Shed::new(src(), ShedPolicy::Points, 2)),
+        case("Compose", || {
+            Compose::new(vec_fixture(), right(), GammaOp::Add, JoinStrategy::Hash).unwrap()
+        }),
+        case("Delay", || Delay::new(src(), 1)),
+        case("FocalTransform", || FocalTransform::new(src(), FocalFunc::Mean, 3)),
+        case("Orient", || Orient::new(src(), Orientation::Rot90)),
+        case("Reproject", || Reproject::new(src(), ReprojectConfig::new(Crs::LatLon)).unwrap()),
+        case("StretchTransform", || {
+            StretchTransform::new(src(), StretchMode::HistEq { bins: 16 }, StretchScope::Frame)
+        }),
+        case("TemporalAggregate", || TemporalAggregate::new(src(), AggFunc::Mean, 2)),
+        case("SpatialAggregate", || {
+            SpatialAggregate::new(src(), AggFunc::Max, Region::Rect(lat.world_bbox()))
+        }),
+        case("Magnify", || Magnify::new(camera(), 2)),
+        case("Downsample", || Downsample::new(camera(), 2)),
+        case("TracedStream", || TracedStream::new(src())),
+        case("SpanStream", || SpanStream::new(src(), recorder.begin("contract", 0))),
+    ];
+    let breaches: Vec<String> = cases
+        .iter()
+        .flat_map(|(label, make)| {
+            contract_breaches(make).1.into_iter().map(move |b| format!("{label} {b}"))
+        })
+        .collect();
+    drop(cases);
+    drop(archive);
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(breaches.is_empty(), "chunk contract breaches:\n{}", breaches.join("\n"));
 }
 
 // ---------------------------------------------------------------------
