@@ -32,8 +32,8 @@ pub enum CoreError {
     /// The tiled raster archive failed (I/O, corrupt segment record,
     /// or an unreadable replay slice).
     Storage(String),
-    /// Stored bytes failed an integrity check (CRC mismatch on a WAL
-    /// frame, segment record, or tile payload). Unlike [`Storage`],
+    /// Stored bytes failed an integrity check (CRC mismatch on a
+    /// segment record or tile payload). Unlike [`Storage`],
     /// this means the data on disk is provably not what was written —
     /// it must never be decoded into pixels.
     ///

@@ -1,10 +1,12 @@
 //! `crash`: the kill-point sweep over the tiled raster archive.
 //!
 //! A clean seeded ingest establishes (a) the total number of bytes the
-//! archive writes to disk and (b) a per-frame-prefix digest of the full
-//! replay. The sweep then re-runs the same ingest once per kill point
-//! under a `ChaosVfs` whose disk dies mid-write at byte `N`, reopens
-//! the torn directory with the real filesystem, and checks the
+//! archive writes to disk, (b) its write amplification — those bytes
+//! per tile-record byte, in permille; every archived byte is written
+//! once, so it stays near 1000 — and (c) a per-frame-prefix digest of
+//! the full replay. The sweep then re-runs the same ingest once per
+//! kill point under a `ChaosVfs` whose disk dies mid-write at byte `N`,
+//! reopens the torn directory with the real filesystem, and checks the
 //! durability contract at every point:
 //!
 //! * recovery restores every group-committed frame — at most one
@@ -19,7 +21,7 @@
 //! itself to be nondeterministic.
 
 use crate::{fnv1a, scratch_dir, FNV_OFFSET};
-use geostreams_core::model::{Element, GeoStream};
+use geostreams_core::model::{Element, GeoStream, Marker, DEFAULT_CHUNK_BUDGET};
 use geostreams_satsim::goes_like;
 use geostreams_store::{Archive, ArchiveConfig, ChaosVfs, DiskFaultPlan};
 use std::path::Path;
@@ -29,8 +31,9 @@ const SECTORS: u64 = 4;
 const GROUP: u32 = 4;
 const KILL_POINTS: u64 = 12;
 
-/// Small segments force several rolls (and therefore WAL rotations)
-/// inside the sweep window; a small group keeps the loss bound tight.
+/// Small segments force several rolls (each one commits and fsyncs the
+/// closing segment) inside the sweep window; a small group keeps the
+/// loss bound tight.
 fn config(dir: &Path) -> ArchiveConfig {
     let mut cfg = ArchiveConfig::new(dir);
     cfg.tile_width = 48;
@@ -53,14 +56,10 @@ fn ingest_until_death(archive: &Archive) -> u64 {
         return 0;
     }
     let mut frames_ok = 0u64;
-    while let Some(el) = stream.next_element() {
-        let is_frame_end = matches!(el, Element::FrameEnd(_));
-        match archive.ingest(band, &el) {
-            Ok(()) => {
-                if is_frame_end {
-                    frames_ok += 1;
-                }
-            }
+    while let Some(item) = stream.next_chunk(DEFAULT_CHUNK_BUDGET) {
+        let ends_frame = matches!(item.marker(), Some(Marker::FrameEnd(_)));
+        match archive.ingest_chunk(band, &item) {
+            Ok(()) => frames_ok += u64::from(ends_frame),
             Err(_) => return frames_ok,
         }
     }
@@ -103,6 +102,7 @@ pub fn run() {
     let archive = Archive::create(cfg).expect("create clean archive");
     let frames_fed = ingest_until_death(&archive);
     let (clean_frames, clean_digests, clean_failed) = replay_digests(&archive);
+    let tile_bytes = archive.stats().bytes_written;
     drop(archive);
     let total_bytes = probe.stats().bytes_written;
     assert!(!clean_failed, "clean replay must not fail");
@@ -110,7 +110,8 @@ pub fn run() {
     let _ = std::fs::remove_dir_all(&clean_dir);
     println!(
         "{{\"run\":\"clean\",\"frames\":{clean_frames},\"bytes\":{total_bytes},\
-         \"digest\":\"{:016x}\"}}",
+         \"write_amplification_permille\":{},\"digest\":\"{:016x}\"}}",
+        total_bytes * 1000 / tile_bytes.max(1),
         clean_digests[clean_frames as usize]
     );
 
@@ -126,7 +127,7 @@ pub fn run() {
                 drop(archive); // Drop flushes; on a dead disk that is a no-op.
                 fed
             }
-            Err(_) => 0, // died before the WAL was even born
+            Err(_) => 0, // died before the first segment was born
         };
 
         // Reopen the torn directory on the real filesystem.

@@ -8,7 +8,7 @@
 //! segment layout or replay is a diff.
 
 use crate::{fnv1a, scratch_dir, FNV_OFFSET};
-use geostreams_core::model::{Element, GeoStream};
+use geostreams_core::model::{Element, GeoStream, DEFAULT_CHUNK_BUDGET};
 use geostreams_satsim::goes_like;
 use geostreams_store::{Archive, ArchiveConfig};
 
@@ -26,8 +26,8 @@ pub fn run() {
     let mut stream = scanner.band_stream(0, SECTORS);
     let band = stream.schema().band;
     archive.bind_band(stream.schema()).expect("bind band");
-    while let Some(el) = stream.next_element() {
-        archive.ingest(band, &el).expect("ingest element");
+    while let Some(item) = stream.next_chunk(DEFAULT_CHUNK_BUDGET) {
+        archive.ingest_chunk(band, &item).expect("ingest run");
     }
     archive.flush().expect("flush archive");
     let stats = archive.stats();

@@ -456,17 +456,16 @@ fn prepare_archive(config: &RuntimeConfig) {
         archive.attach_metrics(StoreMetrics::register(m.registry()));
     }
     // Surface what crash recovery did at open, including the
-    // WAL-committed per-band watermarks hybrid splices hand off at.
+    // committed per-band watermarks hybrid splices hand off at.
     let report = archive.recovery_report();
     if !report.clean() {
         eprintln!(
-            "archive recovery: {} frames restored, {} frames lost (uncommitted), \
-             {} bytes discarded, {} segments repaired, {} truncated, {} removed; \
+            "archive recovery: {} frames kept in cut-back segments, {} frames lost \
+             (uncommitted), {} bytes discarded, {} segments truncated, {} removed; \
              resuming at watermarks {:?}",
             report.frames_recovered,
             report.frames_discarded,
             report.bytes_discarded,
-            report.segments_repaired,
             report.segments_truncated,
             report.segments_removed,
             report.watermarks,

@@ -13,31 +13,33 @@
 //!
 //! ## Durability
 //!
-//! Every byte destined for a segment is first logged to a write-ahead
-//! log ([`crate::wal`]): the frame is the atomic unit (one `FrameRedo`
-//! record, one segment append), groups of
-//! [`ArchiveConfig::group_commit_frames`] frames are sealed by a commit
-//! record, and the WAL rotates at every segment roll (the closing
-//! segment is fsynced before the WAL covering it is deleted, so sealed
-//! segments are durable without their log). [`Archive::open`] replays
-//! the newest WAL: committed frames are guaranteed recovered —
-//! rewritten from redo bytes if the segment tail was torn or corrupted
-//! — and anything after the last commit is discarded, bounding crash
-//! loss to at most one uncommitted group. The outcome is summarized in
-//! a [`RecoveryReport`].
+//! Each segment is its own write-ahead log. Every record is appended
+//! once, CRC-framed; a group of
+//! [`ArchiveConfig::group_commit_frames`] frames is sealed by a
+//! `Commit` record appended to the same segment, flushed, and fsynced
+//! under [`FsyncPolicy::OnCommit`]. A roll commits and fsyncs the
+//! closing segment under either policy. Because every record before a
+//! commit carries its own CRC, a write that never reached the medium
+//! ends the valid prefix ahead of that commit, so the commit is never
+//! trusted. [`Archive::open`] keeps each segment up to the end of its
+//! last valid commit and cuts the rest, bounding crash loss to at most
+//! one open group. Any failed append or sync poisons the writer until
+//! the archive is reopened: nothing written after a torn record could
+//! be trusted. The outcome of a reopen is summarized in a
+//! [`RecoveryReport`].
 
 use crate::codec::{encode_stripe, Codec};
 use crate::metrics::StoreMetrics;
 use crate::replay::TileCache;
 use crate::segment::{
-    encode_band_record, encode_sector_record, encode_tile_record, parse_segment_id, scan_segment,
-    segment_path, Record, SegmentWriter, TileHeader, MAGIC,
+    encode_band_record, encode_commit_record, encode_sector_record, encode_tile_record,
+    parse_segment_id, scan_segment, segment_path, BandWatermark, FsyncPolicy, Record,
+    SegmentWriter, TileHeader,
 };
 use crate::vfs::{crc32, StdVfs, Vfs, VfsFile};
-use crate::wal::{
-    parse_wal_id, scan_wal, wal_path, BandWatermark, FsyncPolicy, WalRecord, WalWriter,
+use geostreams_core::model::{
+    ChunkOrMarker, FrameInfo, Marker, PointRecord, SectorInfo, StreamSchema,
 };
-use geostreams_core::model::{ChunkOrMarker, Element, FrameInfo, SectorInfo, StreamSchema};
 use geostreams_core::query::{ReplayEstimate, ReplayProvider};
 use geostreams_core::{CoreError, Result};
 use geostreams_geo::{CellBox, Rect};
@@ -69,10 +71,12 @@ pub struct ArchiveConfig {
     pub codec: Codec,
     /// Decoded-tile cache capacity in tiles (default 4096).
     pub tile_cache_tiles: usize,
-    /// Frames per WAL commit group (default 8): a crash loses at most
-    /// this many acknowledged frames per band set.
+    /// Frames per commit group (default 8): every this many frames a
+    /// `Commit` record seals the group in the active segment, so a
+    /// crash loses fewer than this many acknowledged frames.
     pub group_commit_frames: u32,
-    /// When the WAL fsyncs (default [`FsyncPolicy::OnCommit`]).
+    /// Whether each commit fsyncs the segment (default
+    /// [`FsyncPolicy::OnCommit`]); a segment roll always does.
     pub fsync: FsyncPolicy,
     /// File system the archive talks through — [`StdVfs`] in
     /// production, [`crate::vfs::ChaosVfs`] under fault injection.
@@ -171,12 +175,14 @@ struct Totals {
 struct Inner {
     writer: Option<SegmentWriter>,
     next_segment: u64,
-    wal: Option<WalWriter>,
-    next_wal: u64,
-    /// Frames appended since the last WAL commit.
+    /// Set by the first failed append or sync: a torn record may end
+    /// the active segment, so no later write is accepted until reopen.
+    poisoned: bool,
+    /// Frames appended since the last commit.
     group_open_frames: u32,
-    /// True when the WAL holds records not yet sealed by a commit.
-    wal_dirty: bool,
+    /// True when the active segment holds records not yet sealed by a
+    /// commit.
+    dirty: bool,
     segments: BTreeMap<u64, SegmentMeta>,
     index: BTreeMap<(u16, u64), SectorEntry>,
     band_meta: HashMap<u16, StreamSchema>,
@@ -191,38 +197,33 @@ struct Inner {
 /// consistent state (all-zero on a clean open). Served on `/archive`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
 pub struct RecoveryReport {
-    /// Committed frames whose redo records were verified or re-applied.
+    /// Committed frames kept in the segments whose tail was truncated.
     pub frames_recovered: u64,
-    /// Uncommitted frames discarded (the open group at crash time).
+    /// Valid but uncommitted frames discarded (the open group at crash
+    /// time).
     pub frames_discarded: u64,
-    /// Bytes discarded across WAL tails, segment tails, and removed
-    /// files (torn, corrupt, or uncommitted).
+    /// Bytes discarded across truncated tails and removed segments
+    /// (torn, corrupt, or uncommitted).
     pub bytes_discarded: u64,
-    /// Segments whose damaged tail was rewritten from WAL redo bytes.
-    pub segments_repaired: u64,
-    /// Segments truncated to their last valid or committed byte.
+    /// Segments truncated to the end of their last commit.
     pub segments_truncated: u64,
-    /// Segment files removed outright (no committed byte survived).
+    /// Segment files removed outright (no commit survived, or torn
+    /// before their magic was complete).
     pub segments_removed: u64,
-    /// Committed redo records skipped because their segment file is
-    /// gone (evicted by retention after the commit).
-    pub missing_segments: u64,
-    /// Torn (incomplete trailing) records seen across WAL and segments.
+    /// Torn (incomplete trailing) records seen across segments.
     pub torn_tails: u64,
-    /// CRC-failed or unparseable records seen across WAL and segments.
+    /// CRC-failed or unparseable records seen across segments.
     pub corrupt_records: u64,
-    /// Commit records found in the replayed WAL.
-    pub wal_commits_seen: u64,
-    /// Per-band watermarks after recovery (committed WAL watermarks
-    /// merged with the rebuilt index) — what the runtime re-anchors to.
+    /// Per-band watermarks after recovery (the rebuilt index max-merged
+    /// with the watermarks the commits carry) — what the runtime
+    /// re-anchors to.
     pub watermarks: Vec<BandWatermark>,
 }
 
 impl RecoveryReport {
-    /// True when recovery found nothing to repair or discard.
+    /// True when recovery found nothing to discard.
     pub fn clean(&self) -> bool {
         self.bytes_discarded == 0
-            && self.segments_repaired == 0
             && self.segments_truncated == 0
             && self.segments_removed == 0
             && self.torn_tails == 0
@@ -237,8 +238,8 @@ pub struct ArchiveStats {
     pub segments: u64,
     /// Bytes currently on disk across live segments.
     pub live_bytes: u64,
-    /// Compressed bytes ever appended (monotone; segments only, the
-    /// WAL is accounted separately in `wal_bytes`).
+    /// Compressed tile-record bytes ever appended (monotone; commit
+    /// records are accounted separately in `wal_bytes`).
     pub bytes_written: u64,
     /// Raw pixel bytes represented by archived points (4 bytes each).
     pub raw_bytes: u64,
@@ -254,9 +255,11 @@ pub struct ArchiveStats {
     pub dropped_points: u64,
     /// Raw bytes / written bytes (0 when nothing written).
     pub compression_ratio: f64,
-    /// Write-ahead log bytes ever written (monotone).
+    /// Bytes of `Commit` records ever appended to segments (monotone;
+    /// the segment is the write-ahead log, so this is all the log costs
+    /// beyond the tiles and metadata themselves).
     pub wal_bytes: u64,
-    /// WAL group commits ever written (monotone).
+    /// `Commit` records ever appended (monotone).
     pub wal_commits: u64,
     /// What the last [`Archive::open`] recovered.
     pub recovery: RecoveryReport,
@@ -311,10 +314,9 @@ impl Archive {
             inner: Mutex::new(Inner {
                 writer: None,
                 next_segment: 0,
-                wal: None,
-                next_wal: 0,
+                poisoned: false,
                 group_open_frames: 0,
-                wal_dirty: false,
+                dirty: false,
                 segments: BTreeMap::new(),
                 index: BTreeMap::new(),
                 band_meta: HashMap::new(),
@@ -329,10 +331,11 @@ impl Archive {
         }
     }
 
-    /// Opens an existing archive directory: replays the write-ahead
-    /// log, repairs or truncates damaged segment tails (reporting every
-    /// discarded byte — nothing is thrown away silently), then rebuilds
-    /// the in-memory index from the now-clean segment files. The
+    /// Opens an existing archive directory: cuts every segment back to
+    /// the end of its last commit (reporting every discarded byte —
+    /// nothing is thrown away silently) and rebuilds the in-memory
+    /// index from the committed records. A segment file in another
+    /// format is refused with an error naming it and left on disk. The
     /// outcome is available via [`Archive::recovery_report`].
     pub fn open(cfg: ArchiveConfig) -> Result<Archive> {
         cfg.vfs
@@ -383,45 +386,65 @@ impl Archive {
             return Ok(());
         }
         inner.band_meta.insert(schema.band, schema.clone());
-        let rec = encode_band_record(schema)?;
-        self.append_covered(&mut inner, rec)?;
+        self.append_record(&mut inner, &encode_band_record(schema)?)?;
         Ok(())
-    }
-
-    /// Consumes one live stream element for `band`.
-    ///
-    /// Tolerates protocol damage from a faulty downlink: duplicate
-    /// frames are skipped, a missing `FrameEnd` is flushed by the next
-    /// boundary, orphan points are dropped and counted.
-    pub fn ingest(&self, band: u16, el: &Element<f32>) -> Result<()> {
-        let mut inner = lock(&self.inner);
-        self.ingest_locked(&mut inner, band, el)
     }
 
     /// Consumes one chunked item (a run of points with an optional
     /// trailing marker, or a standalone marker) for `band`, taking the
-    /// archive lock once per item instead of once per element.
+    /// archive lock once per item.
+    ///
+    /// Tolerates protocol damage from a faulty downlink: duplicate
+    /// frames are skipped, a missing `FrameEnd` is flushed by the next
+    /// boundary, orphan points are dropped and counted.
     pub fn ingest_chunk(&self, band: u16, item: &ChunkOrMarker<f32>) -> Result<()> {
         let mut inner = lock(&self.inner);
         match item {
-            ChunkOrMarker::Marker(m) => {
-                self.ingest_locked(&mut inner, band, &m.clone().into_element::<f32>())
-            }
+            ChunkOrMarker::Marker(m) => self.ingest_marker(&mut inner, band, m),
             ChunkOrMarker::Chunk(c) => {
-                for p in &c.points {
-                    self.ingest_locked(&mut inner, band, &Element::Point(*p))?;
+                self.ingest_points(&mut inner, band, &c.points);
+                match &c.end {
+                    Some(m) => self.ingest_marker(&mut inner, band, m),
+                    None => Ok(()),
                 }
-                if let Some(m) = &c.end {
-                    self.ingest_locked(&mut inner, band, &m.clone().into_element::<f32>())?;
-                }
-                Ok(())
             }
         }
     }
 
-    fn ingest_locked(&self, inner: &mut Inner, band: u16, el: &Element<f32>) -> Result<()> {
-        match el {
-            Element::SectorStart(info) => {
+    /// Sets a run's points into the band's open frame buffer; a point
+    /// outside it is dropped and counted.
+    fn ingest_points(&self, inner: &mut Inner, band: u16, points: &[PointRecord<f32>]) {
+        let bw = inner.writers.entry(band).or_default();
+        if bw.skipping.is_some() {
+            return;
+        }
+        let mut dropped = 0u64;
+        match &mut bw.frame {
+            Some(f) => {
+                let c = f.info.cells;
+                for p in points {
+                    if c.contains(p.cell) {
+                        let idx = (p.cell.row - c.row_min) as usize * c.width() as usize
+                            + (p.cell.col - c.col_min) as usize;
+                        f.values[idx] = Some(p.value);
+                    } else {
+                        dropped += 1;
+                    }
+                }
+            }
+            None => dropped = points.len() as u64,
+        }
+        if dropped > 0 {
+            inner.totals.dropped_points += dropped;
+            if let Some(m) = self.metrics() {
+                m.dropped_points.add(dropped);
+            }
+        }
+    }
+
+    fn ingest_marker(&self, inner: &mut Inner, band: u16, marker: &Marker) -> Result<()> {
+        match marker {
+            Marker::SectorStart(info) => {
                 self.flush_open_frame(inner, band)?;
                 let bw = inner.writers.entry(band).or_default();
                 bw.sector = Some(info.clone());
@@ -434,10 +457,9 @@ impl Archive {
                     .entry((band, info.sector_id))
                     .or_insert_with(|| SectorEntry { info: info.clone(), frames: BTreeMap::new() })
                     .info = info.clone();
-                let rec = encode_sector_record(info)?;
-                self.append_covered(inner, rec)?;
+                self.append_record(inner, &encode_sector_record(info)?)?;
             }
-            Element::FrameStart(fi) => {
+            Marker::FrameStart(fi) => {
                 self.flush_open_frame(inner, band)?;
                 let bw = inner.writers.entry(band).or_default();
                 bw.skipping = None;
@@ -452,36 +474,14 @@ impl Archive {
                     bw.frame = Some(FrameBuf { info: *fi, values: vec![None; n] });
                 }
             }
-            Element::Point(p) => {
-                let bw = inner.writers.entry(band).or_default();
-                if bw.skipping.is_some() {
-                    return Ok(());
-                }
-                let mut dropped = false;
-                match &mut bw.frame {
-                    Some(f) if f.info.cells.contains(p.cell) => {
-                        let c = f.info.cells;
-                        let idx = (p.cell.row - c.row_min) as usize * c.width() as usize
-                            + (p.cell.col - c.col_min) as usize;
-                        f.values[idx] = Some(p.value);
-                    }
-                    _ => dropped = true,
-                }
-                if dropped {
-                    inner.totals.dropped_points += 1;
-                    if let Some(m) = self.metrics() {
-                        m.dropped_points.inc();
-                    }
-                }
-            }
-            Element::FrameEnd(_) => {
+            Marker::FrameEnd(_) => {
                 let bw = inner.writers.entry(band).or_default();
                 if bw.skipping.take().is_some() {
                     return Ok(());
                 }
                 self.flush_open_frame(inner, band)?;
             }
-            Element::SectorEnd(_) => {
+            Marker::SectorEnd(_) => {
                 self.flush_open_frame(inner, band)?;
                 let bw = inner.writers.entry(band).or_default();
                 bw.sector = None;
@@ -491,170 +491,101 @@ impl Archive {
         Ok(())
     }
 
-    /// Flushes the active segment's buffered writes and seals the open
-    /// WAL group with a commit (a graceful flush is a durability point).
+    /// Seals the open group with a commit (a graceful flush is a
+    /// durability point).
     pub fn flush(&self) -> Result<()> {
         let mut inner = lock(&self.inner);
-        if let Some(w) = inner.writer.as_mut() {
-            w.flush()?;
-        }
-        self.commit_locked(&mut inner)
+        self.commit_locked(&mut inner, false)
     }
 
-    /// Ensures the write-ahead log exists. Only callable while no
-    /// segment writer is active: the new WAL's floor is the *next*
-    /// segment id, so an active segment would fall outside coverage.
-    fn ensure_wal(&self, inner: &mut Inner) -> Result<()> {
-        if inner.wal.is_some() {
-            return Ok(());
-        }
-        let id = inner.next_wal;
-        let w = WalWriter::create(
-            self.cfg.vfs.as_ref(),
-            &self.cfg.dir,
-            id,
-            inner.next_segment,
-            self.cfg.fsync,
-        )?;
-        inner.next_wal = id + 1;
-        inner.totals.wal_bytes += w.bytes();
-        if let Some(m) = self.metrics() {
-            m.wal_bytes.add(w.bytes());
-        }
-        inner.wal = Some(w);
-        Ok(())
-    }
-
-    /// Ensures an active segment writer exists, creating the next
-    /// segment on demand — its very first bytes (the magic) are covered
-    /// by a `MetaRedo` like everything else.
-    fn ensure_writer(&self, inner: &mut Inner) -> Result<()> {
-        if inner.writer.is_some() {
-            return Ok(());
-        }
-        self.ensure_wal(inner)?;
-        let id = inner.next_segment;
-        self.wal_append(inner, &WalRecord::MetaRedo { seg: id, off: 0, data: MAGIC.to_vec() })?;
-        let mut w = SegmentWriter::create_bare(self.cfg.vfs.as_ref(), &self.cfg.dir, id)?;
-        w.append_raw(MAGIC)?;
-        inner.next_segment = id + 1;
-        inner.segments.insert(
-            id,
-            SegmentMeta { path: segment_path(&self.cfg.dir, id), bytes: w.bytes(), frames: 0 },
-        );
-        inner.writer = Some(w);
-        Ok(())
-    }
-
-    /// Appends one record to the WAL, tracking bytes. On failure the
-    /// WAL is abandoned (a torn log record would hide every record
-    /// after it), leaving the archive refusing further writes until
-    /// reopened.
-    fn wal_append(&self, inner: &mut Inner, rec: &WalRecord) -> Result<()> {
-        let Some(w) = inner.wal.as_mut() else {
+    /// Runs one write on the active segment, creating the next segment
+    /// (magic first) when none is open. Any error poisons the writer:
+    /// a torn record may now end the segment, and a commit appended
+    /// after it would never be trusted, so the archive refuses every
+    /// later write until it is reopened.
+    fn write<T>(
+        &self,
+        inner: &mut Inner,
+        op: impl FnOnce(&mut SegmentWriter) -> Result<T>,
+    ) -> Result<T> {
+        if inner.poisoned {
             return Err(CoreError::Storage(
-                "write-ahead log unavailable (failed earlier); reopen the archive".into(),
+                "archive writer failed earlier; reopen the archive".into(),
             ));
-        };
-        let before = w.bytes();
-        match w.append(rec) {
-            Ok(()) => {
-                let delta = w.bytes() - before;
-                inner.totals.wal_bytes += delta;
-                inner.wal_dirty = true;
-                if let Some(m) = self.metrics() {
-                    m.wal_bytes.add(delta);
+        }
+        if inner.writer.is_none() {
+            let id = inner.next_segment;
+            match SegmentWriter::create(self.cfg.vfs.as_ref(), &self.cfg.dir, id) {
+                Ok(w) => {
+                    inner.next_segment = id + 1;
+                    let path = segment_path(&self.cfg.dir, id);
+                    inner.segments.insert(id, SegmentMeta { path, bytes: w.bytes(), frames: 0 });
+                    inner.writer = Some(w);
                 }
-                Ok(())
-            }
-            Err(e) => {
-                inner.wal = None;
-                Err(e)
-            }
-        }
-    }
-
-    /// Seals the open group: flushes the segment, writes a commit
-    /// record carrying the current per-band watermarks, and fsyncs the
-    /// WAL per policy.
-    fn commit_locked(&self, inner: &mut Inner) -> Result<()> {
-        if !inner.wal_dirty {
-            return Ok(());
-        }
-        if let Some(w) = inner.writer.as_mut() {
-            w.flush()?;
-        }
-        let mut wms: Vec<BandWatermark> = inner
-            .watermarks
-            .iter()
-            .map(|(&band, &(sector, frame))| BandWatermark { band, sector, frame })
-            .collect();
-        wms.sort_by_key(|w| w.band);
-        let Some(w) = inner.wal.as_mut() else {
-            return Err(CoreError::Storage(
-                "write-ahead log unavailable (failed earlier); reopen the archive".into(),
-            ));
-        };
-        let before = w.bytes();
-        match w.commit(wms) {
-            Ok(()) => {
-                let delta = w.bytes() - before;
-                inner.totals.wal_bytes += delta;
-                inner.totals.wal_commits += 1;
-                inner.wal_dirty = false;
-                inner.group_open_frames = 0;
-                if let Some(m) = self.metrics() {
-                    m.wal_bytes.add(delta);
-                    m.wal_commits.inc();
+                Err(e) => {
+                    inner.poisoned = true;
+                    return Err(e);
                 }
-                Ok(())
-            }
-            Err(e) => {
-                inner.wal = None;
-                Err(e)
             }
         }
-    }
-
-    /// Writes one pre-encoded metadata record to the active segment,
-    /// WAL-first.
-    fn append_covered(&self, inner: &mut Inner, rec: Vec<u8>) -> Result<u64> {
-        self.ensure_writer(inner)?;
-        let (seg, off) = match inner.writer.as_ref() {
-            Some(w) => (w.id(), w.bytes()),
-            None => return Err(CoreError::Storage("no active segment writer".into())),
-        };
-        let redo = WalRecord::MetaRedo { seg, off, data: rec };
-        self.wal_append(inner, &redo)?;
-        let WalRecord::MetaRedo { data, .. } = redo else {
-            return Err(CoreError::Storage("meta redo construction".into()));
-        };
-        self.append_to_segment(inner, &data)
-    }
-
-    /// Appends bytes to the active segment, abandoning the writer on
-    /// failure (a torn prefix may be on disk; offsets can no longer be
-    /// trusted — recovery rebuilds the tail from committed redos).
-    fn append_to_segment(&self, inner: &mut Inner, data: &[u8]) -> Result<u64> {
         let Some(w) = inner.writer.as_mut() else {
             return Err(CoreError::Storage("no active segment writer".into()));
         };
-        match w.append_raw(data) {
-            Ok(at) => {
-                let bytes = w.bytes();
-                note_active_bytes(inner, bytes);
-                Ok(at)
+        let res = op(w);
+        let (id, bytes) = (w.id(), w.bytes());
+        // Byte retention accounting sees the in-progress segment.
+        if let Some(meta) = inner.segments.get_mut(&id) {
+            meta.bytes = bytes;
+        }
+        inner.poisoned = res.is_err();
+        res
+    }
+
+    /// Appends one encoded record to the active segment, returning the
+    /// offset it starts at; it stays unsealed until the next commit.
+    fn append_record(&self, inner: &mut Inner, rec: &[u8]) -> Result<u64> {
+        let at = self.write(inner, |w| w.append_raw(rec))?;
+        inner.dirty = true;
+        Ok(at)
+    }
+
+    /// Seals the open group: appends a `Commit` carrying the current
+    /// per-band watermarks, flushes it, and fsyncs under
+    /// [`FsyncPolicy::OnCommit`]. `durable` (a segment roll) fsyncs
+    /// under either policy, even with nothing left to commit.
+    fn commit_locked(&self, inner: &mut Inner, durable: bool) -> Result<()> {
+        if !inner.dirty && !durable {
+            return Ok(());
+        }
+        let rec =
+            if inner.dirty { Some(encode_commit_record(&band_watermarks(inner))?) } else { None };
+        let sync = durable || self.cfg.fsync == FsyncPolicy::OnCommit;
+        self.write(inner, |w| {
+            if let Some(rec) = &rec {
+                w.append_raw(rec)?;
+                w.flush()?;
             }
-            Err(e) => {
-                inner.writer = None;
-                Err(e)
+            if sync {
+                w.sync()?;
+            }
+            Ok(())
+        })?;
+        if let Some(rec) = rec {
+            let n = rec.len() as u64;
+            inner.totals.wal_bytes += n;
+            inner.totals.wal_commits += 1;
+            inner.dirty = false;
+            inner.group_open_frames = 0;
+            if let Some(m) = self.metrics() {
+                m.wal_bytes.add(n);
+                m.wal_commits.inc();
             }
         }
+        Ok(())
     }
 
     /// Encodes and persists the band's open frame, if any. The whole
-    /// frame is encoded into one buffer, logged as one `FrameRedo`, and
-    /// appended in one write — the atomic unit of crash recovery.
+    /// frame is encoded into one buffer and appended in one write.
     fn flush_open_frame(&self, inner: &mut Inner, band: u16) -> Result<()> {
         let Some(bw) = inner.writers.get_mut(&band) else { return Ok(()) };
         let Some(frame) = bw.frame.take() else { return Ok(()) };
@@ -748,26 +679,10 @@ impl Archive {
             return Ok(());
         }
 
-        // Write-ahead: the redo record carries the frame bytes; only
-        // then do the same bytes land in the segment.
-        self.ensure_writer(inner)?;
-        let (seg_id, base) = match inner.writer.as_ref() {
-            Some(w) => (w.id(), w.bytes()),
-            None => return Err(CoreError::Storage("no active segment writer".into())),
+        let base = self.append_record(inner, &buf)?;
+        let Some(seg_id) = inner.writer.as_ref().map(SegmentWriter::id) else {
+            return Err(CoreError::Storage("no active segment writer".into()));
         };
-        let redo = WalRecord::FrameRedo {
-            seg: seg_id,
-            off: base,
-            band,
-            sector: sector.sector_id,
-            frame: fi.frame_id,
-            data: buf,
-        };
-        self.wal_append(inner, &redo)?;
-        let WalRecord::FrameRedo { data: buf, .. } = redo else {
-            return Err(CoreError::Storage("frame redo construction".into()));
-        };
-        self.append_to_segment(inner, &buf)?;
         let frame_bytes = buf.len() as u64;
         let mut tile_refs = Vec::with_capacity(staged.len());
         for (rel, mut t) in staged {
@@ -809,7 +724,7 @@ impl Archive {
         }
         inner.group_open_frames += 1;
         if inner.group_open_frames >= cfg.group_commit_frames.max(1) {
-            self.commit_locked(inner)?;
+            self.commit_locked(inner, false)?;
         }
         self.enforce_retention(inner)?;
         Ok(())
@@ -818,46 +733,22 @@ impl Archive {
     /// Closes the active segment and opens the next one, re-emitting
     /// band and open-sector metadata so the new segment is
     /// self-describing, and resetting every delta chain so chains never
-    /// cross segment boundaries. The WAL rotates here: the closing
-    /// segment is sealed (flush + fsync) *before* the old log — the
-    /// only thing that could rebuild it — is deleted.
+    /// cross segment boundaries. The closing segment ends on a commit
+    /// and is fsynced under either policy before the next one begins.
     fn roll_segment(&self, inner: &mut Inner) -> Result<()> {
-        // Seal the open group so the outgoing WAL ends on a commit.
-        self.commit_locked(inner)?;
-        if let Some(mut w) = inner.writer.take() {
-            w.flush()?;
-            w.sync()?;
-            let (id, bytes) = (w.id(), w.bytes());
-            if let Some(meta) = inner.segments.get_mut(&id) {
-                meta.bytes = bytes;
-            }
-        }
+        self.commit_locked(inner, true)?;
+        inner.writer = None;
         for bw in inner.writers.values_mut() {
             bw.chains.clear();
         }
-        // Rotate: create the successor WAL (fsynced, floor = the next
-        // segment id), then drop the old one.
-        let old = inner.wal.take();
-        self.ensure_wal(inner)?;
-        if let Some(old) = old {
-            let path = wal_path(&self.cfg.dir, old.id());
-            drop(old);
-            self.cfg
-                .vfs
-                .remove_file(&path)
-                .map_err(|e| CoreError::Storage(format!("remove {}: {e}", path.display())))?;
-        }
-        // Re-emit metadata under the new WAL's coverage.
         let metas: Vec<StreamSchema> = inner.band_meta.values().cloned().collect();
         let sectors: Vec<SectorInfo> =
             inner.writers.values().filter_map(|bw| bw.sector.clone()).collect();
         for schema in &metas {
-            let rec = encode_band_record(schema)?;
-            self.append_covered(inner, rec)?;
+            self.append_record(inner, &encode_band_record(schema)?)?;
         }
         for info in &sectors {
-            let rec = encode_sector_record(info)?;
-            self.append_covered(inner, rec)?;
+            self.append_record(inner, &encode_sector_record(info)?)?;
         }
         Ok(())
     }
@@ -1056,195 +947,51 @@ impl Archive {
         Ok(ReplayPlan { band, schema, sectors, files })
     }
 
-    /// Crash recovery, run by [`Archive::open`].
-    ///
-    /// 1. Pick the newest parseable WAL (there are two only in the
-    ///    crash-during-rotation window; the newest is authoritative)
-    ///    and delete every other WAL file.
-    /// 2. Scan it: the prefix up to the last commit record is trusted;
-    ///    everything after — uncommitted frames, torn or corrupt tail —
-    ///    is counted and discarded.
-    /// 3. Per governed segment (`id >= floor`): compare the CRC-valid
-    ///    prefix against the committed redo coverage. Longer: truncate
-    ///    to the committed end (uncommitted bytes). Shorter: truncate
-    ///    to the last committed redo boundary inside the valid prefix
-    ///    and re-append the remaining committed redo bytes (repair).
-    ///    No committed byte at all: remove the file.
-    /// 4. Per sealed segment (below the floor, or no WAL): truncate any
-    ///    damaged tail, counting and logging the discarded bytes.
-    /// 5. Fsync every surviving governed segment, then delete the WAL —
-    ///    its coverage is now sealed into the files, which makes a
-    ///    second recovery a no-op (idempotence).
-    /// 6. Rebuild the index from the now-clean segments and re-anchor
-    ///    per-band watermarks against the committed WAL watermarks.
+    /// Crash recovery, run by [`Archive::open`]. One rule per segment:
+    /// keep the CRC-valid prefix up to the end of its last `Commit`,
+    /// truncate the rest and fsync the cut; remove a segment with no
+    /// commit (born inside the open group, or torn before its magic was
+    /// complete). A file in another format fails the open and is left
+    /// untouched. The index is rebuilt from the committed records, and
+    /// per-band watermarks are max-merged with the commits' watermarks
+    /// (the newest dominates: they only grow). A second open finds
+    /// every segment ending on a commit, so recovery is idempotent.
     fn recover(&self) -> Result<()> {
-        let vfs: Arc<dyn Vfs> = Arc::clone(&self.cfg.vfs);
-        let vfs = vfs.as_ref();
-        let dir = self.cfg.dir.clone();
+        let vfs = self.cfg.vfs.as_ref();
         let mut inner = lock(&self.inner);
         let mut report = RecoveryReport::default();
-        let rm_err = |p: &Path, e: std::io::Error| {
-            CoreError::Storage(format!("recovery: remove {}: {e}", p.display()))
+        let err = |op: &str, p: &Path, e: std::io::Error| {
+            CoreError::Storage(format!("recovery: {op} {}: {e}", p.display()))
         };
-        let trunc_err = |p: &Path, e: std::io::Error| {
-            CoreError::Storage(format!("recovery: truncate {}: {e}", p.display()))
-        };
-
-        // 1. Choose the newest parseable WAL; delete the rest.
-        let mut wal_ids = existing_wals(vfs, &dir)?;
-        wal_ids.reverse();
-        let mut chosen_wal: Option<u64> = None;
-        let mut wal_scan: Option<crate::wal::WalScan> = None;
-        for id in wal_ids {
-            let path = wal_path(&dir, id);
-            if chosen_wal.is_none() {
-                if let Some(scan) = scan_wal(vfs, &path) {
-                    if scan.floor_seg.is_some() {
-                        chosen_wal = Some(id);
-                        wal_scan = Some(scan);
-                        inner.next_wal = inner.next_wal.max(id + 1);
-                        continue;
-                    }
-                }
-            }
-            // Superseded by a newer log, or torn at birth (no durable
-            // rotate record): its contents are not trusted.
-            report.bytes_discarded += vfs.len(&path).unwrap_or(0);
-            vfs.remove_file(&path).map_err(|e| rm_err(&path, e))?;
-        }
-
-        // 2. Extract the committed redo records, grouped per segment.
-        let mut floor = 0u64;
-        let mut per_seg: BTreeMap<u64, Vec<(u64, Vec<u8>, bool)>> = BTreeMap::new();
-        let mut committed_watermarks: Vec<BandWatermark> = Vec::new();
-        if let Some(scan) = wal_scan {
-            floor = scan.floor_seg.unwrap_or(0);
-            report.wal_commits_seen = scan.commits;
-            report.bytes_discarded += scan.discarded_bytes;
+        // Scan everything before touching anything: a refused file
+        // leaves the whole directory as it was.
+        let scans = existing_segments(vfs, &self.cfg.dir)?
+            .into_iter()
+            .map(|(id, path)| Ok((id, scan_segment(vfs, &path)?, path)))
+            .collect::<Result<Vec<_>>>()?;
+        for (id, scan, path) in scans {
+            let file_len = scan.valid_len + scan.discarded_bytes;
+            let mut records = scan.records;
+            let uncommitted = records.split_off(scan.committed_records);
+            report.frames_discarded += count_frames(&uncommitted);
             report.torn_tails += u64::from(scan.torn_tail);
             report.corrupt_records += scan.corrupt_records;
-            report.frames_discarded += scan.uncommitted_frames;
-            committed_watermarks = scan.watermarks;
-            for rec in scan.committed {
-                match rec {
-                    WalRecord::MetaRedo { seg, off, data } => {
-                        per_seg.entry(seg).or_default().push((off, data, false));
-                    }
-                    WalRecord::FrameRedo { seg, off, data, .. } => {
-                        per_seg.entry(seg).or_default().push((off, data, true));
-                    }
-                    _ => {}
-                }
+            report.bytes_discarded += file_len - scan.committed_len;
+            if scan.committed_len == 0 {
+                report.segments_removed += 1;
+                vfs.remove_file(&path).map_err(|e| err("remove", &path, e))?;
+                continue;
             }
-        }
-
-        // 3./4. Repair or truncate each segment on disk.
-        let mut governed_survivors: Vec<PathBuf> = Vec::new();
-        for (id, path) in existing_segments(vfs, &dir)? {
-            let scan = scan_segment(vfs, &path)?;
-            let file_len = vfs
-                .len(&path)
-                .map_err(|e| CoreError::Storage(format!("stat {}: {e}", path.display())))?;
-            let governed = chosen_wal.is_some() && id >= floor;
-            if governed {
-                let redos = per_seg.remove(&id).unwrap_or_default();
-                let committed_end =
-                    redos.iter().map(|(off, d, _)| off + d.len() as u64).max().unwrap_or(0);
-                if committed_end == 0 {
-                    // Born inside the uncommitted tail: nothing in this
-                    // file is trusted.
-                    report.bytes_discarded += file_len;
-                    report.segments_removed += 1;
-                    vfs.remove_file(&path).map_err(|e| rm_err(&path, e))?;
-                    continue;
-                }
-                report.frames_recovered += redos.iter().filter(|(_, _, f)| *f).count() as u64;
-                report.torn_tails += u64::from(scan.torn_tail);
-                report.corrupt_records += scan.corrupt_records;
-                if scan.valid_len >= committed_end {
-                    if file_len > committed_end {
-                        // Valid-but-uncommitted (or damaged) bytes past
-                        // the last commit: not trusted.
-                        report.bytes_discarded += file_len - committed_end;
-                        report.segments_truncated += 1;
-                        vfs.truncate(&path, committed_end).map_err(|e| trunc_err(&path, e))?;
-                    }
-                } else {
-                    // Damage inside the committed range: rewind to the
-                    // last committed redo boundary at or before the
-                    // valid prefix and re-apply the rest. Redo coverage
-                    // is contiguous from byte 0, so this closes every
-                    // hole.
-                    let mut cut = committed_end;
-                    let mut replay_from = redos.len();
-                    for (i, (off, data, _)) in redos.iter().enumerate() {
-                        if off + data.len() as u64 > scan.valid_len {
-                            cut = *off;
-                            replay_from = i;
-                            break;
-                        }
-                    }
-                    report.bytes_discarded += file_len.saturating_sub(cut);
-                    report.segments_repaired += 1;
-                    vfs.truncate(&path, cut).map_err(|e| trunc_err(&path, e))?;
-                    let mut f = vfs.open_append(&path).map_err(|e| {
-                        CoreError::Storage(format!("recovery: open {}: {e}", path.display()))
-                    })?;
-                    for (_, data, _) in &redos[replay_from..] {
-                        f.append(data).map_err(|e| {
-                            CoreError::Storage(format!("recovery: append {}: {e}", path.display()))
-                        })?;
-                    }
-                    f.flush().map_err(|e| {
-                        CoreError::Storage(format!("recovery: flush {}: {e}", path.display()))
-                    })?;
-                }
-                governed_survivors.push(path);
-            } else if !scan.clean() {
-                // Sealed (or WAL-less) segment with a damaged tail: the
-                // bytes are unrecoverable — truncate loudly, never
-                // silently.
-                report.torn_tails += u64::from(scan.torn_tail);
-                report.corrupt_records += scan.corrupt_records;
-                report.bytes_discarded += scan.discarded_bytes;
-                eprintln!(
-                    "archive recovery: segment {id}: discarding {} damaged trailing bytes \
-                     (torn_tail={}, corrupt_records={})",
-                    scan.discarded_bytes, scan.torn_tail, scan.corrupt_records
-                );
-                if scan.valid_len == 0 {
-                    report.segments_removed += 1;
-                    vfs.remove_file(&path).map_err(|e| rm_err(&path, e))?;
-                } else {
-                    report.segments_truncated += 1;
-                    vfs.truncate(&path, scan.valid_len).map_err(|e| trunc_err(&path, e))?;
-                }
+            if file_len > scan.committed_len {
+                report.segments_truncated += 1;
+                report.frames_recovered += count_frames(&records);
+                vfs.truncate(&path, scan.committed_len).map_err(|e| err("truncate", &path, e))?;
+                vfs.open_append(&path)
+                    .and_then(|mut f| f.sync())
+                    .map_err(|e| err("sync", &path, e))?;
             }
-        }
-        // Committed redos whose segment file is gone: evicted by
-        // retention after the commit — nothing to restore.
-        report.missing_segments = per_seg.values().filter(|redos| !redos.is_empty()).count() as u64;
-
-        // 5. Seal governed segments durable, then retire the WAL.
-        if let Some(wal_id) = chosen_wal {
-            for path in &governed_survivors {
-                let mut f = vfs.open_append(path).map_err(|e| {
-                    CoreError::Storage(format!("recovery: open {}: {e}", path.display()))
-                })?;
-                f.sync().map_err(|e| {
-                    CoreError::Storage(format!("recovery: sync {}: {e}", path.display()))
-                })?;
-            }
-            let path = wal_path(&dir, wal_id);
-            vfs.remove_file(&path).map_err(|e| rm_err(&path, e))?;
-        }
-
-        // 6. Rebuild the index from the clean files.
-        for (id, path) in existing_segments(vfs, &dir)? {
-            let scan = scan_segment(vfs, &path)?;
-            debug_assert!(scan.clean(), "segment {id} still damaged after recovery");
             let mut seg_frames = 0u64;
-            for rec in scan.records {
+            for rec in records {
                 match rec {
                     Record::Band(schema) => {
                         inner.band_meta.insert(schema.band, schema);
@@ -1296,31 +1043,28 @@ impl Archive {
                         let wm = inner.watermarks.entry(h.band).or_insert((0, 0));
                         *wm = (*wm).max((h.sector_id, h.frame_id));
                     }
+                    // A commit's watermark runs ahead of the rebuilt
+                    // index only when retention evicted the frames
+                    // after the commit; the max keeps splice handoff
+                    // monotone.
+                    Record::Commit(wms) => {
+                        for w in wms {
+                            let entry = inner.watermarks.entry(w.band).or_insert((0, 0));
+                            *entry = (*entry).max((w.sector, w.frame));
+                        }
+                    }
                 }
             }
-            inner.totals.bytes_written += scan.valid_len;
+            inner.totals.bytes_written += scan.committed_len;
             inner.frames_indexed += seg_frames;
             inner.totals.frames += seg_frames;
             inner
                 .segments
-                .insert(id, SegmentMeta { path, bytes: scan.valid_len, frames: seg_frames });
+                .insert(id, SegmentMeta { path, bytes: scan.committed_len, frames: seg_frames });
             inner.next_segment = inner.next_segment.max(id + 1);
         }
 
-        // Re-anchor watermarks: the committed WAL watermark can only
-        // run ahead of the rebuilt index when the frames were evicted
-        // after the commit; the max keeps splice handoff monotone.
-        for wm in &committed_watermarks {
-            let entry = inner.watermarks.entry(wm.band).or_insert((0, 0));
-            *entry = (*entry).max((wm.sector, wm.frame));
-        }
-        let mut final_wms: Vec<BandWatermark> = inner
-            .watermarks
-            .iter()
-            .map(|(&band, &(sector, frame))| BandWatermark { band, sector, frame })
-            .collect();
-        final_wms.sort_by_key(|w| w.band);
-        report.watermarks = final_wms;
+        report.watermarks = band_watermarks(&inner);
         inner.recovery = report;
         Ok(())
     }
@@ -1390,20 +1134,28 @@ fn existing_segments(vfs: &dyn Vfs, dir: &Path) -> Result<Vec<(u64, PathBuf)>> {
     Ok(out)
 }
 
-fn existing_wals(vfs: &dyn Vfs, dir: &Path) -> Result<Vec<u64>> {
-    let names = vfs
-        .read_dir_names(dir)
-        .map_err(|e| CoreError::Storage(format!("read {}: {e}", dir.display())))?;
-    let mut out: Vec<u64> = names.iter().filter_map(|n| parse_wal_id(n)).collect();
-    out.sort_unstable();
-    Ok(out)
+/// The per-band watermarks, in band order.
+fn band_watermarks(inner: &Inner) -> Vec<BandWatermark> {
+    let mut wms: Vec<BandWatermark> = inner
+        .watermarks
+        .iter()
+        .map(|(&band, &(sector, frame))| BandWatermark { band, sector, frame })
+        .collect();
+    wms.sort_by_key(|w| w.band);
+    wms
 }
 
-/// Mirrors the active writer's size into its segment metadata (so byte
-/// retention accounting sees in-progress segments).
-fn note_active_bytes(inner: &mut Inner, bytes: u64) {
-    let Some(id) = inner.writer.as_ref().map(SegmentWriter::id) else { return };
-    if let Some(meta) = inner.segments.get_mut(&id) {
-        meta.bytes = bytes;
+/// Distinct frames among a run of records (a frame's tiles are
+/// appended contiguously).
+fn count_frames(records: &[Record]) -> u64 {
+    let mut last = None;
+    let mut n = 0;
+    for rec in records {
+        if let Record::Tile { header: h, .. } = rec {
+            let key = (h.band, h.sector_id, h.frame_id);
+            n += u64::from(last != Some(key));
+            last = Some(key);
+        }
     }
+    n
 }

@@ -6,11 +6,15 @@
 //! spirit of compact raster-time-series representations and tiled image
 //! serving layers, built for the GeoStreams element protocol.
 //!
-//! * **Write path** — [`Archive::ingest`] consumes live stream elements
-//!   and persists frames as fixed-width column stripes (**tiles**),
+//! * **Write path** — [`Archive::ingest_chunk`] consumes live stream
+//!   runs and persists frames as fixed-width column stripes (**tiles**),
 //!   delta-compressed against the previous frame (quantization + byte
 //!   planes + PackBits, see [`codec`]), appended to segment files with a
 //!   sparse in-memory index `(band, sector, frame, tile) → offset`.
+//! * **Durability** — each segment is its own write-ahead log: every
+//!   byte is written once, a CRC-framed `Commit` record seals each group
+//!   of frames in the segment itself, and [`Archive::open`] keeps each
+//!   segment up to its last valid commit ([`segment`], [`archive`]).
 //! * **Read path** — [`ArchiveReplay`] replays any `[t0, t1) × region`
 //!   slice in lattice order as a standard `GeoStream`, decoding only
 //!   tiles that intersect the spatial restriction.
@@ -35,19 +39,18 @@ pub mod metrics;
 pub mod replay;
 pub mod segment;
 pub mod vfs;
-pub mod wal;
 
 pub use archive::{Archive, ArchiveConfig, ArchiveStats, RecoveryReport};
 pub use codec::Codec;
 pub use metrics::StoreMetrics;
 pub use replay::{ArchiveReplay, SpliceStream};
+pub use segment::{BandWatermark, FsyncPolicy};
 pub use vfs::{ChaosVfs, DiskFaultPlan, DiskFaultProbe, DiskFaultStats, StdVfs, Vfs, VfsFile};
-pub use wal::{BandWatermark, FsyncPolicy};
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use geostreams_core::model::{Element, GeoStream};
+    use geostreams_core::model::{Element, GeoStream, DEFAULT_CHUNK_BUDGET};
     use geostreams_core::query::ReplayProvider;
     use geostreams_satsim::{goes_like, Scanner};
     use std::path::PathBuf;
@@ -81,9 +84,9 @@ mod tests {
         let band = stream.schema().band;
         archive.bind_band(stream.schema()).unwrap();
         let mut seen = Vec::new();
-        while let Some(el) = stream.next_element() {
-            archive.ingest(band, &el).unwrap();
-            seen.push(el);
+        while let Some(item) = stream.next_chunk(DEFAULT_CHUNK_BUDGET) {
+            archive.ingest_chunk(band, &item).unwrap();
+            item.into_elements(&mut |el| seen.push(el));
         }
         seen
     }
@@ -263,8 +266,8 @@ mod tests {
         let mut stream = sc.band_stream(0, 6);
         archive.bind_band(stream.schema()).unwrap();
         let mut early_replay = None;
-        while let Some(el) = stream.next_element() {
-            archive.ingest(band, &el).unwrap();
+        while let Some(item) = stream.next_chunk(DEFAULT_CHUNK_BUDGET) {
+            archive.ingest_chunk(band, &item).unwrap();
             if early_replay.is_none() && archive.watermark(band).is_some_and(|(s, _)| s >= 1) {
                 early_replay = Some(archive.replay(band, Some(0), Some(1), None).unwrap());
             }

@@ -32,20 +32,20 @@ pub struct StoreMetrics {
     /// Backfill latency: nanoseconds from replay start to the live
     /// splice, one observation per hybrid query.
     pub backfill_ns: HistogramHandle,
-    /// Frames restored from the write-ahead log at recovery.
+    /// Committed frames kept in segments whose tail recovery cut.
     pub recovery_frames: Counter,
-    /// Bytes discarded at recovery (uncommitted tails, torn records,
-    /// superseded WAL files).
+    /// Bytes discarded at recovery (uncommitted or damaged segment
+    /// tails, removed segments).
     pub recovery_bytes_discarded: Counter,
-    /// Integrity-check failures: CRC mismatches on WAL frames, segment
-    /// records, or tile payloads served to readers.
+    /// Integrity-check failures: CRC mismatches on segment records or
+    /// tile payloads served to readers.
     pub corruption_detected: Counter,
-    /// Group-commit records written to the WAL.
+    /// `Commit` records appended to segments (one per sealed group).
     pub wal_commits: Counter,
-    /// Bytes appended to the WAL (kept separate from `bytes_written`,
-    /// which tracks segment bytes only).
+    /// Bytes of `Commit` records appended to segments (kept separate
+    /// from `bytes_written`, which tracks tile records only).
     pub wal_bytes: Counter,
-    /// Damaged segment/WAL tails truncated at recovery.
+    /// Torn segment tails truncated at recovery.
     pub truncated_tails: Counter,
     /// Splice handoffs refused because backfill replay failed (the gap
     /// between archive and live tail could not be verified).
@@ -88,7 +88,7 @@ impl StoreMetrics {
             ),
             (
                 "geostreams_store_recovery_frames_total",
-                "Frames restored from the write-ahead log at recovery.",
+                "Committed frames kept in segments whose tail recovery truncated.",
             ),
             (
                 "geostreams_store_recovery_bytes_discarded_total",
@@ -96,14 +96,14 @@ impl StoreMetrics {
             ),
             (
                 "geostreams_store_corruption_detected_total",
-                "CRC integrity failures on WAL, segment, or tile bytes.",
+                "CRC integrity failures on segment records or tile payloads.",
             ),
-            ("geostreams_store_wal_commits_total", "Group-commit records written to the WAL."),
-            ("geostreams_store_wal_bytes_total", "Bytes appended to the write-ahead log."),
             (
-                "geostreams_store_truncated_tail_total",
-                "Damaged segment/WAL tails truncated at recovery.",
+                "geostreams_store_wal_commits_total",
+                "Commit records appended to segments (one per sealed group).",
             ),
+            ("geostreams_store_wal_bytes_total", "Bytes of commit records appended to segments."),
+            ("geostreams_store_truncated_tail_total", "Torn segment tails truncated at recovery."),
             (
                 "geostreams_store_splice_refused_total",
                 "Splice handoffs refused after a failed backfill replay.",

@@ -346,9 +346,9 @@ impl ArchiveReplay {
                 sector_id,
                 timestamp: geostreams_core::model::Timestamp::new(frame.timestamp),
                 cells: emit_cells,
-                // The archive persists no synthesis tick (GSSTORE1 is
-                // format-frozen), so a replayed frame is "fresh as of
-                // replay": lag measures replay → delivery.
+                // The segment format persists no synthesis tick, so a
+                // replayed frame is "fresh as of replay": lag measures
+                // replay → delivery.
                 synth_ns: geostreams_core::obs::now_ns(),
             }));
             // Lattice (row-major) order across the frame's stripes.

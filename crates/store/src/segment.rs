@@ -1,10 +1,11 @@
 //! On-disk segment files: append-only record logs holding compressed
-//! tiles plus the metadata needed to rebuild the index from disk.
+//! tiles, the metadata needed to rebuild the index from disk, and the
+//! commit records that make each segment its own write-ahead log.
 //!
 //! Layout (all integers little-endian):
 //!
 //! ```text
-//! "GSSTORE1"                                  8-byte magic
+//! "GSSTORE2"                                  8-byte magic
 //! record*                                     until EOF
 //!
 //! record   := kind:u8 len:u32 crc:u32 body[len]
@@ -12,6 +13,7 @@
 //! kind 0   := SectorMeta — serde_json(SectorInfo)
 //! kind 1   := Tile       — TileHeader(60 bytes) ++ payload
 //! kind 2   := BandMeta   — serde_json(StreamSchema)
+//! kind 3   := Commit     — count:u16 (band:u16 sector:u64 frame:u64)*
 //! ```
 //!
 //! Every record is checksummed, and tile headers additionally carry a
@@ -22,24 +24,57 @@
 //! segment-granular eviction the surviving files still rebuild a
 //! complete index ([`scan_segment`]).
 //!
+//! A `Commit` seals every record before it in the same file: a write
+//! that never reached the medium ends the CRC-valid prefix ahead of
+//! any later commit, so recovery trusts a segment exactly up to the end
+//! of the last commit inside its valid prefix.
+//!
 //! [`scan_segment`] never fails on damaged bytes: it reads the longest
 //! valid prefix and reports what it had to stop at (torn tail, CRC
-//! mismatch), leaving the recovery policy to [`crate::archive`].
+//! mismatch), leaving the recovery policy to [`crate::archive`]. It
+//! does fail on a file whose magic is not this format's: such a file
+//! is refused, never truncated or removed.
 
 use crate::codec::Codec;
 use crate::vfs::{crc32, crc32_parts, Vfs, VfsFile};
 use geostreams_core::model::{SectorInfo, StreamSchema};
 use geostreams_core::{CoreError, Result};
 use geostreams_geo::CellBox;
+use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
 
 /// Magic bytes opening every segment file.
-pub const MAGIC: &[u8; 8] = b"GSSTORE1";
+pub const MAGIC: &[u8; 8] = b"GSSTORE2";
 
 /// Record kind tags.
 const KIND_SECTOR: u8 = 0;
 const KIND_TILE: u8 = 1;
 const KIND_BAND: u8 = 2;
+const KIND_COMMIT: u8 = 3;
+
+/// When a commit forces the segment to the medium.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub enum FsyncPolicy {
+    /// fsync the segment at every commit (default): a crash loses at
+    /// most the open group, even through power failure.
+    OnCommit,
+    /// fsync only when a segment rolls. Fastest; an OS crash can lose
+    /// any bytes still in the page cache, but recovery still never
+    /// serves a torn or corrupt record.
+    Never,
+}
+
+/// Per-band high-water mark carried by commit records: the last frame
+/// of `band` sealed by the commit.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+pub struct BandWatermark {
+    /// Spectral band.
+    pub band: u16,
+    /// Scan sector of the frame.
+    pub sector: u64,
+    /// Frame id.
+    pub frame: u64,
+}
 
 /// Bytes of record framing before the body: kind, length, CRC.
 pub const RECORD_HEADER_BYTES: usize = 9;
@@ -144,8 +179,7 @@ pub fn parse_segment_id(name: &str) -> Option<u64> {
 }
 
 /// Frames one record: `kind len crc body`, CRC over everything but the
-/// CRC field itself. Callers that need write-ahead coverage encode
-/// first, log the bytes, then [`SegmentWriter::append_raw`] them.
+/// CRC field itself.
 pub fn encode_record(kind: u8, body: &[&[u8]]) -> Result<Vec<u8>> {
     let len: usize = body.iter().map(|b| b.len()).sum();
     let len32 =
@@ -187,6 +221,35 @@ pub fn encode_tile_record(header: &TileHeader, payload: &[u8]) -> Result<(Vec<u8
     Ok((rec, (RECORD_HEADER_BYTES + TILE_HEADER_BYTES) as u64))
 }
 
+/// Encodes a commit record sealing every record before it.
+pub fn encode_commit_record(watermarks: &[BandWatermark]) -> Result<Vec<u8>> {
+    let count = u16::try_from(watermarks.len())
+        .map_err(|_| CoreError::Storage("commit record over 65535 bands".into()))?;
+    let mut body = Vec::with_capacity(2 + watermarks.len() * 18);
+    body.extend_from_slice(&count.to_le_bytes());
+    for w in watermarks {
+        body.extend_from_slice(&w.band.to_le_bytes());
+        body.extend_from_slice(&w.sector.to_le_bytes());
+        body.extend_from_slice(&w.frame.to_le_bytes());
+    }
+    encode_record(KIND_COMMIT, &[&body])
+}
+
+fn parse_commit(body: &[u8]) -> Option<Vec<BandWatermark>> {
+    let u16at = |i: usize| Some(u16::from_le_bytes(body.get(i..i + 2)?.try_into().ok()?));
+    let u64at = |i: usize| Some(u64::from_le_bytes(body.get(i..i + 8)?.try_into().ok()?));
+    let count = usize::from(u16at(0)?);
+    if body.len() != 2 + count * 18 {
+        return None;
+    }
+    (0..count)
+        .map(|i| {
+            let at = 2 + i * 18;
+            Some(BandWatermark { band: u16at(at)?, sector: u64at(at + 2)?, frame: u64at(at + 10)? })
+        })
+        .collect()
+}
+
 /// Appends records to one segment file through the [`Vfs`].
 pub struct SegmentWriter {
     file: Box<dyn VfsFile>,
@@ -196,19 +259,11 @@ pub struct SegmentWriter {
 }
 
 impl SegmentWriter {
-    /// Creates segment `id` in `dir` as an empty file — not even the
-    /// magic is written, so a write-ahead logger can cover every byte
-    /// (magic included) with redo records before they land.
-    pub fn create_bare(vfs: &dyn Vfs, dir: &Path, id: u64) -> Result<SegmentWriter> {
+    /// Creates segment `id` in `dir` and writes the magic.
+    pub fn create(vfs: &dyn Vfs, dir: &Path, id: u64) -> Result<SegmentWriter> {
         let path = segment_path(dir, id);
         let file = vfs.create_new(&path).map_err(|e| io_err("create", &path, e))?;
-        Ok(SegmentWriter { file, path, id, bytes: 0 })
-    }
-
-    /// Creates segment `id` in `dir` and writes the magic (stand-alone
-    /// use without a WAL, e.g. tests).
-    pub fn create(vfs: &dyn Vfs, dir: &Path, id: u64) -> Result<SegmentWriter> {
-        let mut w = SegmentWriter::create_bare(vfs, dir, id)?;
+        let mut w = SegmentWriter { file, path, id, bytes: 0 };
         w.append_raw(MAGIC)?;
         Ok(w)
     }
@@ -227,27 +282,6 @@ impl SegmentWriter {
                 Err(io_err("append", &self.path, e))
             }
         }
-    }
-
-    /// Appends sector metadata.
-    pub fn append_sector(&mut self, info: &SectorInfo) -> Result<()> {
-        let rec = encode_sector_record(info)?;
-        self.append_raw(&rec)?;
-        Ok(())
-    }
-
-    /// Appends band (stream schema) metadata.
-    pub fn append_band(&mut self, schema: &StreamSchema) -> Result<()> {
-        let rec = encode_band_record(schema)?;
-        self.append_raw(&rec)?;
-        Ok(())
-    }
-
-    /// Appends a tile record, returning the file offset of its payload.
-    pub fn append_tile(&mut self, header: &TileHeader, payload: &[u8]) -> Result<u64> {
-        let (rec, payload_in_rec) = encode_tile_record(header, payload)?;
-        let record_at = self.append_raw(&rec)?;
-        Ok(record_at + payload_in_rec)
     }
 
     /// Segment id.
@@ -284,15 +318,23 @@ pub enum Record {
         /// Offset of the payload within the segment file.
         payload_offset: u64,
     },
+    /// Seals every record before it; carries the per-band watermarks.
+    Commit(Vec<BandWatermark>),
 }
 
-/// What [`scan_segment`] found: the longest valid record prefix plus
-/// an account of any damage after it.
+/// What [`scan_segment`] found: the longest valid record prefix, the
+/// committed part of it, and an account of any damage after it.
 pub struct SegmentScan {
     /// Records of the valid prefix, in file order.
     pub records: Vec<Record>,
     /// Byte length of the valid prefix (magic + whole records).
     pub valid_len: u64,
+    /// Byte length up to the end of the last `Commit` in the valid
+    /// prefix (0 when it holds none): what recovery keeps.
+    pub committed_len: u64,
+    /// How many of `records` lie inside `committed_len` (the last one
+    /// is that commit).
+    pub committed_records: usize,
     /// Bytes after the valid prefix (torn or corrupt); `file length -
     /// valid_len`.
     pub discarded_bytes: u64,
@@ -304,37 +346,38 @@ pub struct SegmentScan {
     pub corrupt_records: u64,
 }
 
-impl SegmentScan {
-    /// True when the file held only valid records.
-    pub fn clean(&self) -> bool {
-        self.discarded_bytes == 0 && self.corrupt_records == 0 && !self.torn_tail
-    }
-}
-
 /// Reads the longest valid record prefix of a segment file. Damage
 /// never turns into an error: a torn tail, CRC mismatch, or
 /// unparseable body stops the scan and is reported in the returned
-/// [`SegmentScan`] so the archive can repair or truncate. Only a
-/// failure to read the file at all is an error. A file with a bad
-/// magic scans as an empty prefix with everything discarded.
+/// [`SegmentScan`] so the archive can truncate. A file shorter than the
+/// magic that is a prefix of it (torn at birth) scans as an empty
+/// prefix. A failure to read the file, or a magic that is not this
+/// format's (an older format or a foreign file), is an error naming
+/// the file.
 pub fn scan_segment(vfs: &dyn Vfs, path: &Path) -> Result<SegmentScan> {
     let data = vfs.read(path).map_err(|e| io_err("read", path, e))?;
-    if data.len() < MAGIC.len() || &data[..MAGIC.len()] != MAGIC {
-        return Ok(SegmentScan {
-            records: Vec::new(),
-            valid_len: 0,
-            discarded_bytes: data.len() as u64,
-            torn_tail: false,
-            corrupt_records: u64::from(!data.is_empty()),
-        });
-    }
     let mut scan = SegmentScan {
         records: Vec::new(),
         valid_len: MAGIC.len() as u64,
+        committed_len: 0,
+        committed_records: 0,
         discarded_bytes: 0,
         torn_tail: false,
         corrupt_records: 0,
     };
+    if data.len() < MAGIC.len() && MAGIC.starts_with(&data) {
+        scan.valid_len = 0;
+        scan.discarded_bytes = data.len() as u64;
+        scan.torn_tail = !data.is_empty();
+        return Ok(scan);
+    }
+    if !data.starts_with(MAGIC) {
+        return Err(CoreError::Storage(format!(
+            "{}: not a {} segment; refusing to open it (the file is left untouched)",
+            path.display(),
+            String::from_utf8_lossy(MAGIC)
+        )));
+    }
     let mut at = MAGIC.len();
     while at < data.len() {
         let Some(hdr) = data.get(at..at + RECORD_HEADER_BYTES) else {
@@ -353,18 +396,20 @@ pub fn scan_segment(vfs: &dyn Vfs, path: &Path) -> Result<SegmentScan> {
             scan.corrupt_records += 1;
             break;
         }
-        let parsed = parse_body(kind, body, body_at);
-        match parsed {
-            Some(rec) => scan.records.push(rec),
-            None => {
-                // CRC passed but the body does not parse — corruption
-                // beyond what framing can model (or a future format).
-                scan.corrupt_records += 1;
-                break;
-            }
-        }
+        let Some(rec) = parse_body(kind, body, body_at) else {
+            // CRC passed but the body does not parse — corruption
+            // beyond what framing can model (or a future format).
+            scan.corrupt_records += 1;
+            break;
+        };
+        let is_commit = matches!(rec, Record::Commit(_));
+        scan.records.push(rec);
         at = body_at + len;
         scan.valid_len = at as u64;
+        if is_commit {
+            scan.committed_len = scan.valid_len;
+            scan.committed_records = scan.records.len();
+        }
     }
     scan.discarded_bytes = data.len() as u64 - scan.valid_len;
     Ok(scan)
@@ -387,6 +432,7 @@ fn parse_body(kind: u8, body: &[u8], body_at: usize) -> Option<Record> {
             }
             Some(Record::Tile { header, payload_offset: (body_at + TILE_HEADER_BYTES) as u64 })
         }
+        KIND_COMMIT => parse_commit(body).map(Record::Commit),
         _ => None,
     }
 }
@@ -440,7 +486,7 @@ mod tests {
     }
 
     #[test]
-    fn write_then_scan_recovers_records() {
+    fn write_then_scan_recovers_records_up_to_the_last_commit() {
         let dir = tmp_dir("roundtrip");
         let lattice = LatticeGeoref::north_up(Crs::LatLon, Rect::new(0.0, 0.0, 1.0, 1.0), 8, 8);
         let sector = SectorInfo {
@@ -452,16 +498,27 @@ mod tests {
         };
         let schema = StreamSchema::new("t", Crs::LatLon);
         let header = sample_header();
+        let watermarks = vec![
+            BandWatermark { band: 1, sector: 4, frame: 9 },
+            BandWatermark { band: 2, sector: 5, frame: 40 },
+        ];
         let vfs = StdVfs;
         let mut w = SegmentWriter::create(&vfs, &dir, 0).unwrap();
-        w.append_band(&schema).unwrap();
-        w.append_sector(&sector).unwrap();
-        let payload_at = w.append_tile(&header, &[1, 2, 3, 4]).unwrap();
+        w.append_raw(&encode_band_record(&schema).unwrap()).unwrap();
+        w.append_raw(&encode_sector_record(&sector).unwrap()).unwrap();
+        let (tile, payload_in_rec) = encode_tile_record(&header, &[1, 2, 3, 4]).unwrap();
+        let payload_at = w.append_raw(&tile).unwrap() + payload_in_rec;
+        w.append_raw(&encode_commit_record(&watermarks).unwrap()).unwrap();
+        let committed_len = w.bytes();
+        // A valid record the next commit never sealed.
+        w.append_raw(&encode_band_record(&schema).unwrap()).unwrap();
         w.flush().unwrap();
 
         let scan = scan_segment(&vfs, &segment_path(&dir, 0)).unwrap();
-        assert!(scan.clean());
-        assert_eq!(scan.records.len(), 3);
+        assert_eq!((scan.discarded_bytes, scan.corrupt_records, scan.torn_tail), (0, 0, false));
+        assert_eq!(scan.valid_len, w.bytes());
+        assert_eq!((scan.committed_len, scan.committed_records), (committed_len, 4));
+        assert_eq!(scan.records.len(), 5);
         assert!(matches!(&scan.records[0], Record::Band(s) if s.name == "t"));
         assert!(matches!(&scan.records[1], Record::Sector(s) if s.sector_id == 4));
         match &scan.records[2] {
@@ -474,19 +531,28 @@ mod tests {
             }
             _ => unreachable!(),
         }
+        assert!(matches!(&scan.records[3], Record::Commit(wms) if *wms == watermarks));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
-    fn corrupt_magic_scans_as_fully_discarded() {
+    fn foreign_magic_is_refused_and_a_torn_magic_scans_empty() {
         let dir = tmp_dir("magic");
         let path = dir.join("segment-000000.seg");
-        std::fs::write(&path, b"NOTSTOREjunkjunk").unwrap();
-        let scan = scan_segment(&StdVfs, &path).unwrap();
-        assert_eq!(scan.valid_len, 0);
-        assert_eq!(scan.discarded_bytes, 16);
-        assert_eq!(scan.corrupt_records, 1);
-        assert!(scan.records.is_empty());
+        for foreign in [&b"GSSTORE1junkjunk"[..], b"NOTSTOREjunkjunk", b"GSX"] {
+            std::fs::write(&path, foreign).unwrap();
+            let Err(CoreError::Storage(msg)) = scan_segment(&StdVfs, &path) else {
+                panic!("{foreign:?} must be refused");
+            };
+            assert!(msg.contains("segment-000000.seg"), "{msg}");
+        }
+        for torn in [&b""[..], b"GSST"] {
+            std::fs::write(&path, torn).unwrap();
+            let scan = scan_segment(&StdVfs, &path).unwrap();
+            assert_eq!((scan.valid_len, scan.committed_len), (0, 0));
+            assert_eq!(scan.discarded_bytes, torn.len() as u64);
+            assert!(scan.records.is_empty());
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -495,11 +561,10 @@ mod tests {
         let dir = tmp_dir("torn");
         let vfs = StdVfs;
         let mut w = SegmentWriter::create(&vfs, &dir, 0).unwrap();
-        let schema = StreamSchema::new("t", Crs::LatLon);
-        w.append_band(&schema).unwrap();
+        let rec = encode_band_record(&StreamSchema::new("t", Crs::LatLon)).unwrap();
+        w.append_raw(&rec).unwrap();
         let good_len = w.bytes();
         // A second record, torn mid-body.
-        let rec = encode_band_record(&schema).unwrap();
         w.append_raw(&rec[..rec.len() - 3]).unwrap();
         w.flush().unwrap();
 
@@ -513,23 +578,27 @@ mod tests {
     }
 
     #[test]
-    fn bit_flip_fails_record_crc() {
+    fn bit_flip_fails_record_crc_and_unseals_the_commit_after_it() {
         let dir = tmp_dir("flip");
         let vfs = StdVfs;
         let mut w = SegmentWriter::create(&vfs, &dir, 0).unwrap();
-        w.append_tile(&sample_header(), &[9, 9, 9, 9]).unwrap();
+        let (tile, _) = encode_tile_record(&sample_header(), &[9, 9, 9, 9]).unwrap();
+        w.append_raw(&tile).unwrap();
+        let commit = encode_commit_record(&[]).unwrap();
+        w.append_raw(&commit).unwrap();
         w.flush().unwrap();
         drop(w);
         let path = segment_path(&dir, 0);
         let mut data = std::fs::read(&path).unwrap();
-        let n = data.len();
-        data[n - 2] ^= 0x40; // flip one payload bit
+        let at = data.len() - commit.len() - 2;
+        data[at] ^= 0x40; // flip one payload bit
         std::fs::write(&path, &data).unwrap();
 
         let scan = scan_segment(&vfs, &path).unwrap();
         assert!(scan.records.is_empty());
         assert_eq!(scan.corrupt_records, 1);
         assert_eq!(scan.valid_len, MAGIC.len() as u64);
+        assert_eq!(scan.committed_len, 0, "damage before a commit unseals it");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

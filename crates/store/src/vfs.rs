@@ -1,7 +1,6 @@
 //! The store's virtual file system: every byte the archive reads or
-//! writes — segments and WAL alike — goes through the [`Vfs`] trait,
-//! so the whole durability story is testable under injected disk
-//! faults.
+//! writes goes through the [`Vfs`] trait, so the whole durability story
+//! is testable under injected disk faults.
 //!
 //! Two implementations ship:
 //!
@@ -486,9 +485,9 @@ impl Vfs for ChaosVfs {
     }
 }
 
-/// CRC-32 (IEEE 802.3, reflected) — the checksum framing every WAL and
-/// segment record carries, and the per-tile payload checksum verified
-/// at read time.
+/// CRC-32 (IEEE 802.3, reflected) — the checksum framing every segment
+/// record carries, and the per-tile payload checksum verified at read
+/// time.
 pub fn crc32(data: &[u8]) -> u32 {
     // Nibble-driven table, built once.
     static TABLE: std::sync::OnceLock<[u32; 16]> = std::sync::OnceLock::new();

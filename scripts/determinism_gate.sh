@@ -8,7 +8,8 @@
 #   chaos  supervised runtime over three degraded downlinks
 #   crash  archive kill-point sweep: recovery loses at most one commit
 #          group, replays the clean prefix, is idempotent (asserted by
-#          the binary at every point)
+#          the binary at every point); the clean run writes each
+#          archived byte once (write amplification <= 1.15x)
 #   store  archive persist + full replay
 #   swarm  1000 shared subscribers against a 32-query unshared oracle
 #   obs    traced chunked driver against the untraced one
@@ -34,6 +35,8 @@ for sub in chaos crash store swarm obs; do
     crash)
       kills=$(grep -c '"run":"kill"' "$RUN_TWICE_OUT" || true)
       [ "$kills" -ge 10 ] || fail "crash: kill-point sweep too small ($kills points)"
+      amp=$(sed -n 's/.*"write_amplification_permille":\([0-9]*\).*/\1/p' "$RUN_TWICE_OUT")
+      [ "${amp:-9999}" -le 1150 ] || fail "crash: write amplification ${amp:-?} permille above 1150"
       ;;
     store)
       permille=$(sed -n 's/.*"compression_permille":\([0-9]*\).*/\1/p' "$RUN_TWICE_OUT")

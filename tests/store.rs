@@ -7,7 +7,9 @@
 mod common;
 
 use common::tmp_dir;
-use geostreams::core::model::{Element, GeoStream, RepairProbe, StreamRepair};
+use geostreams::core::model::{
+    Element, GeoStream, RepairProbe, StreamRepair, DEFAULT_CHUNK_BUDGET,
+};
 use geostreams::core::CoreError;
 use geostreams::dsms::protocol::{ClientRequest, OutputFormat};
 use geostreams::dsms::{run_supervised, RuntimeConfig, ServerMetrics};
@@ -36,8 +38,8 @@ fn seed_archive(
     let mut stream = scanner.band_stream(band_idx, n_sectors);
     let band = stream.schema().band;
     archive.bind_band(stream.schema()).unwrap();
-    while let Some(el) = stream.next_element() {
-        archive.ingest(band, &el).unwrap();
+    while let Some(item) = stream.next_chunk(DEFAULT_CHUNK_BUDGET) {
+        archive.ingest_chunk(band, &item).unwrap();
     }
     archive.flush().unwrap();
     (archive, band)

@@ -28,13 +28,13 @@ fn req(q: &str, format: OutputFormat) -> ClientRequest {
 /// Persists sectors `[0, n_sectors)` of one band, as the live ingest
 /// path would have.
 fn seed_archive(dir: &PathBuf, scanner: &Scanner, band_idx: usize, n_sectors: u64) -> Archive {
-    use geostreams::core::model::GeoStream;
+    use geostreams::core::model::{GeoStream, DEFAULT_CHUNK_BUDGET};
     let archive = Archive::create(ArchiveConfig::new(dir)).unwrap();
     let mut stream = scanner.band_stream(band_idx, n_sectors);
     let band = stream.schema().band;
     archive.bind_band(stream.schema()).unwrap();
-    while let Some(el) = stream.next_element() {
-        archive.ingest(band, &el).unwrap();
+    while let Some(item) = stream.next_chunk(DEFAULT_CHUNK_BUDGET) {
+        archive.ingest_chunk(band, &item).unwrap();
     }
     archive.flush().unwrap();
     archive
