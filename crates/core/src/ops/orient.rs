@@ -174,16 +174,19 @@ impl<S: GeoStream> GeoStream for Orient<S> {
     }
 }
 
-/// Orientation changes remap cells point-wise and re-interpret the
-/// georeference; markers and traversal order pass through untouched, so
-/// the contract is a pure forwarder.
+/// Orientation changes remap cells point-wise and pass markers through,
+/// but the points keep the input's scan order: flips and the half turn
+/// run right to left or bottom to top, quarter turns column by column.
+/// That breaks lattice order for every stage above that needs it.
 pub fn orient_contract() -> crate::ops::ProtocolContract {
-    use crate::ops::protocol::{Granularity, Parallelism};
+    use crate::ops::protocol::{Granularity, OrderEffect, Parallelism};
     // Point-wise, but the output lattice is derived from `SectorStart`
     // (quarter-turns swap its dimensions), so the morsel unit is the
     // sector bracket, not the frame.
-    crate::ops::ProtocolContract::forwarding("orient")
-        .with_parallelism(Parallelism::Partitionable, Granularity::Sector)
+    let mut contract = crate::ops::ProtocolContract::forwarding("orient")
+        .with_parallelism(Parallelism::Partitionable, Granularity::Sector);
+    contract.order = OrderEffect::Break;
+    contract
 }
 
 impl<S: GeoStream> Orient<S> {
@@ -192,7 +195,7 @@ impl<S: GeoStream> Orient<S> {
         crate::ops::BlockingClass::NonBlocking
     }
 
-    /// Protocol contract: transparent forwarder (see [`orient_contract`]).
+    /// Protocol contract: an order-breaking forwarder (see [`orient_contract`]).
     pub fn declared_contract(&self) -> crate::ops::ProtocolContract {
         orient_contract()
     }

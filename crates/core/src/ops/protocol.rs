@@ -287,7 +287,10 @@ pub struct StreamGuarantees {
     /// Markers are well bracketed
     /// (`SectorStart (FrameStart Point* FrameEnd)* SectorEnd`).
     pub bracketed: bool,
-    /// Points arrive in lattice order within each frame.
+    /// Points arrive in lattice order: frames start top to bottom, no
+    /// point lies above the first row of its frame, and each row is
+    /// scanned left to right. A frame may interleave the rows it covers
+    /// (magnification does).
     pub lattice_order: bool,
 }
 

@@ -17,7 +17,7 @@ use crate::model::{
 use crate::stats::{OpReport, OpStats};
 use geostreams_geo::{Cell, CellBox, LatticeGeoref};
 use geostreams_raster::Pixel;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// k× magnification: each input point becomes a `k × k` block of output
 /// points with the same value. Non-blocking; per-point cost O(k²).
@@ -114,18 +114,30 @@ struct BlockAcc {
     count: u32,
 }
 
+/// Accumulators of one output row, by output column.
+struct BlockRow {
+    acc: Vec<BlockAcc>,
+    /// Columns below this one are emitted.
+    next_col: u32,
+}
+
 /// 1/k downsampling by `k × k` block averaging.
 ///
 /// Emits one output frame per input sector (all output points share the
-/// sector timestamp). Blocks straddling the trailing edge of the sector
-/// are emitted at `SectorEnd` as partial-block averages — the "boundary
-/// point interpolations" §3.2 prescribes when sector metadata signals
-/// that no more neighbors will arrive.
+/// sector timestamp). A block that cannot reach `k²` points — its input
+/// was cut by a restriction or lost — is emitted as a partial-block
+/// average as soon as lattice order says no more of its points can
+/// arrive: when a later block of its output row completes, or when a
+/// frame starts below its last input row (a frame may interleave its
+/// rows, as magnification does). The §3.2 "boundary point
+/// interpolations", in lattice order.
 pub struct Downsample<S: GeoStream> {
     input: ChunkInput<S>,
     k: u32,
     out_lattice: Option<LatticeGeoref>,
-    acc: HashMap<(u32, u32), BlockAcc>,
+    /// Open output rows, the first of them output row `first_row`.
+    rows: VecDeque<BlockRow>,
+    first_row: u32,
     queue: VecDeque<Element<S::V>>,
     next_frame_id: u64,
     open_frame: Option<(u64, u64)>,
@@ -145,7 +157,8 @@ impl<S: GeoStream> Downsample<S> {
             input: ChunkInput::new(input),
             k,
             out_lattice: None,
-            acc: HashMap::new(),
+            rows: VecDeque::new(),
+            first_row: 0,
             queue: VecDeque::new(),
             next_frame_id: 0,
             open_frame: None,
@@ -154,10 +167,30 @@ impl<S: GeoStream> Downsample<S> {
         }
     }
 
-    fn emit_block(&mut self, key: (u32, u32), acc: BlockAcc) {
-        let v = S::V::from_f64(acc.sum / f64::from(acc.count.max(1)));
-        self.stats.points_out += 1;
-        self.queue.push_back(Element::point(Cell::new(key.0, key.1), v));
+    /// Emits, in column order, every open block in columns `from..to`
+    /// of the `i`-th open row.
+    fn flush(&mut self, i: usize, from: u32, to: u32) {
+        let row = self.first_row + i as u32;
+        for col in from..to {
+            let acc = std::mem::take(&mut self.rows[i].acc[col as usize]);
+            if acc.count == 0 {
+                continue;
+            }
+            self.stats.buffer_shrink(u64::from(acc.count), ACC_ENTRY_BYTES);
+            let v = S::V::from_f64(acc.sum / f64::from(acc.count));
+            self.stats.points_out += 1;
+            self.queue.push_back(Element::point(Cell::new(col, row), v));
+        }
+    }
+
+    /// Emits every open row above output row `end`, top to bottom.
+    fn flush_rows_above(&mut self, end: u32) {
+        while self.first_row < end && !self.rows.is_empty() {
+            let width = self.rows[0].acc.len() as u32;
+            self.flush(0, 0, width);
+            self.rows.pop_front();
+            self.first_row += 1;
+        }
     }
 
     /// The next output element; `next_chunk` packs these into runs.
@@ -172,6 +205,7 @@ impl<S: GeoStream> Downsample<S> {
                 Element::SectorStart(si) => {
                     let out_lat = si.lattice.reduced(k);
                     self.out_lattice = Some(out_lat);
+                    self.rows.clear();
                     let frame_id = self.next_frame_id;
                     self.next_frame_id += 1;
                     self.open_frame = Some((frame_id, si.sector_id));
@@ -190,42 +224,55 @@ impl<S: GeoStream> Downsample<S> {
                         }));
                     }
                 }
-                Element::FrameStart(_) => {
+                Element::FrameStart(fi) => {
                     self.stats.frames_in += 1;
                     self.stats.stalls += 1;
+                    // Frames start top to bottom: no later point lies
+                    // above this frame's first row.
+                    self.flush_rows_above(fi.cells.row_min / k);
                 }
                 Element::Point(p) => {
                     self.stats.points_in += 1;
-                    let Some(out) = &self.out_lattice else { continue };
-                    let oc = p.cell.col / k;
-                    let or = p.cell.row / k;
+                    let Some(out) = self.out_lattice else { continue };
+                    let (oc, or) = (p.cell.col / k, p.cell.row / k);
                     if oc >= out.width || or >= out.height {
                         continue; // trailing cells of a partial block edge
                     }
-                    let entry = self.acc.entry((oc, or)).or_default();
+                    if self.rows.is_empty() {
+                        self.first_row = or;
+                    }
+                    let new_row = || BlockRow {
+                        acc: vec![BlockAcc::default(); out.width as usize],
+                        next_col: 0,
+                    };
+                    while or < self.first_row {
+                        self.rows.push_front(new_row());
+                        self.first_row -= 1;
+                    }
+                    while or >= self.first_row + self.rows.len() as u32 {
+                        self.rows.push_back(new_row());
+                    }
+                    let i = (or - self.first_row) as usize;
+                    let entry = &mut self.rows[i].acc[oc as usize];
                     if entry.count == 0 {
                         self.stats.buffer_grow(0, ACC_ENTRY_BYTES);
                     }
-                    // Count every accumulated-but-unemitted input point.
-                    self.stats.buffer_grow(1, 0);
                     entry.sum += p.value.to_f64();
                     entry.count += 1;
-                    if entry.count == k * k {
-                        if let Some(acc) = self.acc.remove(&(oc, or)) {
-                            self.stats.buffer_shrink(u64::from(acc.count), ACC_ENTRY_BYTES);
-                            self.emit_block((oc, or), acc);
-                        }
+                    let complete = entry.count == k * k;
+                    // Count every accumulated-but-unemitted input point.
+                    self.stats.buffer_grow(1, 0);
+                    if complete {
+                        // Each row is scanned left to right: blocks left
+                        // of a complete one can receive no more points.
+                        let next = self.rows[i].next_col;
+                        self.flush(i, next.min(oc), oc + 1);
+                        self.rows[i].next_col = next.max(oc + 1);
                     }
                 }
                 Element::FrameEnd(_) => {}
                 Element::SectorEnd(se) => {
-                    // Boundary handling: flush partial blocks.
-                    let mut leftovers: Vec<((u32, u32), BlockAcc)> = self.acc.drain().collect();
-                    leftovers.sort_by_key(|(k, _)| (k.1, k.0));
-                    for (key, acc) in leftovers {
-                        self.stats.buffer_shrink(u64::from(acc.count), ACC_ENTRY_BYTES);
-                        self.emit_block(key, acc);
-                    }
+                    self.flush_rows_above(u32::MAX);
                     if let Some((frame_id, sector_id)) = self.open_frame.take() {
                         self.queue.push_back(Element::FrameEnd(FrameEnd { frame_id, sector_id }));
                     }
@@ -344,18 +391,6 @@ mod tests {
     }
 
     #[test]
-    fn downsample_block_averages() {
-        // 4x4 ramp downsampled by 2: block (0,0) = {0,1,4,5} -> 2.5.
-        let mut op = Downsample::new(source(4, 4), 2);
-        let pts = op.drain_points();
-        assert_eq!(pts.len(), 4);
-        let p00 = pts.iter().find(|p| p.cell == Cell::new(0, 0)).unwrap();
-        assert!((p00.value - 2.5).abs() < 1e-6);
-        let p11 = pts.iter().find(|p| p.cell == Cell::new(1, 1)).unwrap();
-        assert!((p11.value - 12.5).abs() < 1e-6);
-    }
-
-    #[test]
     fn downsample_buffer_scales_with_row_not_frame() {
         // Row-by-row input: the paper's claim is that only ~k rows of
         // state are needed, never the whole frame.
@@ -375,13 +410,65 @@ mod tests {
     }
 
     #[test]
-    fn downsample_partial_blocks_flush_at_sector_end() {
-        // 5x5 with k=2: output lattice 2x2; the 5th row/col are dropped
-        // (they fall outside the reduced lattice), no partials linger.
-        let mut op = Downsample::new(source(5, 5), 2);
+    fn downsample_flushes_partial_blocks_in_lattice_order() {
+        // Columns 1..=6 of an 8x8 ramp: the edge blocks of every output
+        // row never fill, and go out as soon as no point can reach them.
+        let mut full = source(8, 8);
+        let schema = full.schema().clone();
+        let cut = full.drain_elements().into_iter().filter(|el| match el {
+            Element::Point(p) => (1..=6).contains(&p.cell.col),
+            _ => true,
+        });
+        let mut op = Downsample::new(VecStream::new(schema, cut.collect()), 2);
         let pts = op.drain_points();
-        assert_eq!(pts.len(), 4);
-        assert_eq!(op.op_stats().buffered_points, 0, "all state released");
+        assert_eq!(pts.len(), 16);
+        let order: Vec<_> = pts.iter().map(|p| (p.cell.row, p.cell.col)).collect();
+        assert!(order.windows(2).all(|w| w[0] < w[1]), "{order:?}");
+        // Block (0, 0) holds input columns 1 only: rows 0 and 1 -> 1, 9.
+        assert!((pts[0].value - 5.0).abs() < 1e-6);
+        // One output row of accumulators, never more.
+        assert_eq!(op.op_stats().buffered_bytes_peak, 4 * ACC_ENTRY_BYTES);
+    }
+
+    #[test]
+    fn downsample_matches_order_free_block_averages() {
+        use crate::ops::{Orient, Orientation};
+        // Trailing cells past the reduced lattice are dropped (5x5 by 2).
+        // Magnification interleaves the rows of a frame, and a quarter
+        // turn scans column by column: neither may split a block.
+        let cases: [(Box<dyn GeoStream<V = f32>>, u32); 7] = [
+            (Box::new(source(4, 4)), 2),
+            (Box::new(source(5, 5)), 2),
+            (Box::new(Magnify::new(source(4, 4), 3)), 3),
+            (Box::new(Magnify::new(source(5, 4), 3)), 2),
+            (Box::new(Magnify::new(source(4, 4), 2)), 3),
+            (Box::new(Orient::new(source(6, 4), Orientation::Transpose)), 2),
+            (Box::new(Orient::new(source(6, 4), Orientation::Rot270)), 2),
+        ];
+        for (mut input, k) in cases {
+            let schema = input.schema().clone();
+            let els = input.drain_elements();
+            let Some(Element::SectorStart(si)) = els.first() else { panic!("no sector") };
+            let out = si.lattice.reduced(k);
+            let mut want = std::collections::BTreeMap::<_, (f64, u32)>::new();
+            for el in &els {
+                let Element::Point(p) = el else { continue };
+                let cell = (p.cell.row / k, p.cell.col / k);
+                if cell.0 < out.height && cell.1 < out.width {
+                    let e = want.entry(cell).or_default();
+                    (e.0, e.1) = (e.0 + f64::from(p.value), e.1 + 1);
+                }
+            }
+            let mut op = Downsample::new(VecStream::new(schema, els), k);
+            let mut got = op.drain_points();
+            assert_eq!(op.op_stats().buffered_points, 0, "all state released");
+            got.sort_by_key(|p| (p.cell.row, p.cell.col));
+            assert_eq!(got.len(), want.len(), "k = {k}");
+            for (p, (cell, (sum, n))) in got.iter().zip(want) {
+                assert_eq!((p.cell.row, p.cell.col), cell);
+                assert!((f64::from(p.value) - sum / f64::from(n)).abs() < 1e-4, "{cell:?}");
+            }
+        }
     }
 
     #[test]
@@ -396,18 +483,6 @@ mod tests {
         let fe_pos = els.iter().position(|e| matches!(e, Element::FrameEnd(_))).unwrap();
         let se_pos = els.iter().position(|e| matches!(e, Element::SectorEnd(_))).unwrap();
         assert!(fe_pos < se_pos);
-    }
-
-    #[test]
-    fn magnify_then_downsample_restores_values() {
-        let op = Magnify::new(source(4, 4), 3);
-        let mut round = Downsample::new(op, 3);
-        let pts = round.drain_points();
-        assert_eq!(pts.len(), 16);
-        for p in pts {
-            let expect = f64::from(p.cell.col + 4 * p.cell.row);
-            assert!((f64::from(p.value) - expect).abs() < 1e-6);
-        }
     }
 
     #[test]

@@ -39,7 +39,7 @@ use crate::ops::protocol::{
     meet, CertBuilder, ProtocolCertificate, ProtocolContract, StreamGuarantees,
 };
 use crate::ops::{BlockingClass, StretchScope};
-use geostreams_geo::{map_region, Coord, Crs, LatticeGeoref, Region};
+use geostreams_geo::{map_region, CellBox, Coord, Crs, LatticeGeoref, Region};
 use serde::{Deserialize, Serialize};
 
 /// Bytes per buffered stream value (pipelines are normalized to `f32`,
@@ -55,8 +55,8 @@ const AGG_CELL_BYTES: u64 = 8;
 
 /// Sector dimensions assumed when a source registers no
 /// `sector_lattice`: the byte bounds then describe a nominal
-/// 1000 × 1000-point sector (same default magnitude the cost model
-/// uses) and an info diagnostic marks the report as model-based.
+/// 1000 × 1000-point sector and an info diagnostic marks the report as
+/// model-based.
 const DEFAULT_SECTOR_WIDTH: u32 = 1000;
 const DEFAULT_SECTOR_HEIGHT: u32 = 1000;
 
@@ -158,7 +158,11 @@ pub struct OpAnalysis {
     pub blocking: BlockingClass,
     /// Worst-case buffered bytes for this operator alone.
     pub buffer_bytes: u64,
-    /// Estimated points flowing out of this operator per sector.
+    /// Upper bound on the points this operator emits per sector: the
+    /// cell count of its effective lattice (shrunk by restrictions,
+    /// resampled by resolution changes). Points the run drops — a value
+    /// restriction, shedding, a region cut short of its bounding box —
+    /// only lower the observed count.
     pub points_per_sector: u64,
     /// For source operators whose temporal window reaches into the
     /// past: the archive's bounded-replay estimate (see
@@ -313,6 +317,9 @@ struct Derived {
     /// Effective sector lattice (shrunk by restrictions, resampled by
     /// resolution changes); `None` when no scan-sector metadata exists.
     lattice: Option<LatticeGeoref>,
+    /// The lattice the stream's `SectorStart` carries: a restriction
+    /// drops points but keeps it, so it can be larger than `lattice`.
+    sector: Option<LatticeGeoref>,
     /// Stream-protocol guarantees at this point of the plan (threaded
     /// by the certificate builder).
     proto: StreamGuarantees,
@@ -341,10 +348,9 @@ impl Derived {
 }
 
 /// A restriction's effect on the effective lattice: the sub-lattice
-/// covered by `rect` (in lattice CRS), or `None` when disjoint.
-fn restricted_lattice(lat: &LatticeGeoref, rect: &geostreams_geo::Rect) -> Option<LatticeGeoref> {
-    let fp = lat.footprint(rect)?;
-    Some(LatticeGeoref::new(
+/// covered by `fp`.
+fn restricted_lattice(lat: &LatticeGeoref, fp: &CellBox) -> LatticeGeoref {
+    LatticeGeoref::new(
         lat.crs,
         Coord::new(
             lat.origin.x + f64::from(fp.col_min) * lat.step_x,
@@ -354,7 +360,16 @@ fn restricted_lattice(lat: &LatticeGeoref, rect: &geostreams_geo::Rect) -> Optio
         lat.step_y,
         fp.width(),
         fp.height(),
-    ))
+    )
+}
+
+/// Output blocks a k× downsampling of `n` consecutive cells can
+/// straddle: `n / k` rounded up, plus one when the run starts mid-block.
+fn blocks_straddled(n: u32, k: u32) -> u32 {
+    match n {
+        0 => 0,
+        n => (n + k - 2) / k + 1,
+    }
 }
 
 struct Analyzer<'a> {
@@ -509,65 +524,73 @@ impl Analyzer<'_> {
     }
 
     fn walk(&mut self, expr: &Expr, parent: &str) -> Derived {
-        match expr {
-            Expr::Source(name) => {
-                let path = format!("{parent}/source[{name}]");
-                match self.catalog.schema(name) {
-                    Some(schema) => {
-                        if schema.sector_lattice.is_none() {
-                            self.diag(
-                                Severity::Info,
-                                "source-no-scan-sector",
-                                &path,
-                                format!(
-                                    "source `{name}` registers no sector lattice; byte \
-                                     bounds use the default {DEFAULT_SECTOR_WIDTH}x\
-                                     {DEFAULT_SECTOR_HEIGHT} sector model"
-                                ),
-                                "§2",
-                            );
-                        }
-                        let mut d = Derived {
-                            crs: schema.crs,
-                            organization: schema.organization,
-                            time_semantics: schema.time_semantics,
-                            lattice: schema.sector_lattice,
-                            proto: StreamGuarantees::pristine(),
-                        };
-                        self.record(&path, "source", BlockingClass::NonBlocking, 0, &d);
-                        self.classify_replay(name, &path);
-                        d.proto = self.apply_source_contract(&path);
-                        d
-                    }
-                    None => {
-                        self.diag(
-                            Severity::Error,
-                            "unknown-source",
-                            &path,
-                            format!("source `{name}` is not registered in the catalog"),
-                            "§4",
-                        );
-                        let mut d = Derived {
-                            crs: Crs::LatLon,
-                            organization: Organization::RowByRow,
-                            time_semantics: TimeSemantics::SectorId,
-                            lattice: None,
-                            proto: StreamGuarantees::pristine(),
-                        };
-                        self.record(&path, "source", BlockingClass::NonBlocking, 0, &d);
-                        d.proto = self.apply_source_contract(&path);
-                        d
-                    }
-                }
+        let contract = expr.contract();
+        let path = match expr {
+            Expr::Source(name) => format!("{parent}/source[{name}]"),
+            Expr::Compose { op, .. } => format!("{parent}/compose[{}]", op.symbol()),
+            _ => format!("{parent}/{}", contract.operator),
+        };
+        let (mut d, class, bytes) = self.operator(expr, &path);
+        self.record(&path, &contract.operator, class, bytes, &d);
+        d.proto = match expr {
+            Expr::Source(name) if self.catalog.schema(name).is_some() => {
+                self.classify_replay(name, &path);
+                self.apply_source_contract(&path)
             }
+            Expr::Source(_) => self.apply_source_contract(&path),
+            _ => self.cert.apply(&path, &contract, d.proto),
+        };
+        d
+    }
+
+    /// A source leaf: the stream its schema describes.
+    fn source(&mut self, name: &str, path: &str) -> Derived {
+        let catalog = self.catalog;
+        let schema = catalog.schema(name);
+        match schema {
+            None => self.diag(
+                Severity::Error,
+                "unknown-source",
+                path,
+                format!("source `{name}` is not registered in the catalog"),
+                "§4",
+            ),
+            Some(s) if s.sector_lattice.is_none() => self.diag(
+                Severity::Info,
+                "source-no-scan-sector",
+                path,
+                format!(
+                    "source `{name}` registers no sector lattice; byte bounds use the default \
+                     {DEFAULT_SECTOR_WIDTH}x{DEFAULT_SECTOR_HEIGHT} sector model"
+                ),
+                "§2",
+            ),
+            Some(_) => {}
+        }
+        let lattice = schema.and_then(|s| s.sector_lattice);
+        Derived {
+            crs: schema.map_or(Crs::LatLon, |s| s.crs),
+            organization: schema.map_or(Organization::RowByRow, |s| s.organization),
+            time_semantics: schema.map_or(TimeSemantics::SectorId, |s| s.time_semantics),
+            lattice,
+            sector: lattice,
+            proto: StreamGuarantees::pristine(),
+        }
+    }
+
+    /// An operator node at `path`: walks its inputs and derives its
+    /// output stream, blocking class and buffer bound.
+    fn operator(&mut self, expr: &Expr, path: &str) -> (Derived, BlockingClass, u64) {
+        let none = BlockingClass::NonBlocking;
+        match expr {
+            Expr::Source(name) => (self.source(name, path), none, 0),
             Expr::RestrictSpace { input, region, crs } => {
-                let path = format!("{parent}/restrict_space");
-                let mut d = self.walk(input, &path);
+                let mut d = self.walk(input, path);
                 if region.bbox().area() <= 0.0 {
                     self.diag(
                         Severity::Warn,
                         "empty-region",
-                        &path,
+                        path,
                         "spatial restriction region has zero area; no point can pass".into(),
                         "§3.1",
                     );
@@ -578,7 +601,7 @@ impl Analyzer<'_> {
                     self.diag(
                         Severity::Info,
                         "region-cross-crs",
-                        &path,
+                        path,
                         format!(
                             "region given in {crs} over a {} stream; the planner maps it \
                              (conservative bounding box)",
@@ -592,7 +615,7 @@ impl Analyzer<'_> {
                             self.diag(
                                 Severity::Error,
                                 "region-unmappable",
-                                &path,
+                                path,
                                 format!("region cannot be mapped into the stream CRS: {e}"),
                                 "§3.4",
                             );
@@ -601,33 +624,30 @@ impl Analyzer<'_> {
                     }
                 };
                 if let (Some(lat), Some(rect)) = (d.lattice, rect_in_stream) {
-                    match restricted_lattice(&lat, &rect) {
-                        Some(sub) => d.lattice = Some(sub),
+                    match lat.footprint(&rect) {
+                        Some(fp) => {
+                            d.lattice = Some(restricted_lattice(&lat, &fp));
+                        }
                         None => {
                             self.diag(
                                 Severity::Warn,
                                 "region-disjoint",
-                                &path,
+                                path,
                                 "restriction region does not intersect the source sector; \
                                  the query selects no points"
                                     .into(),
                                 "§3.1",
                             );
-                            d.lattice = Some(LatticeGeoref::new(
-                                lat.crs, lat.origin, lat.step_x, lat.step_y, 0, 0,
-                            ));
+                            d.lattice = Some(LatticeGeoref { width: 0, height: 0, ..lat });
                         }
                     }
                 }
-                self.record(&path, "restrict_space", BlockingClass::NonBlocking, 0, &d);
-                d.proto = self.cert.apply(&path, &expr.contract(), d.proto);
-                d
+                (d, none, 0)
             }
             Expr::RestrictTime { input, times } => {
-                let path = format!("{parent}/restrict_time");
                 let narrowed = self.window().intersect(&time_set_window(times));
                 self.windows.push(narrowed);
-                let d = self.walk(input, &path);
+                let d = self.walk(input, path);
                 self.windows.pop();
                 let degenerate = match times {
                     TimeSet::Instants(v) => v.is_empty(),
@@ -639,53 +659,39 @@ impl Analyzer<'_> {
                     self.diag(
                         Severity::Warn,
                         "empty-time-set",
-                        &path,
+                        path,
                         "temporal restriction selects no timestamps; no sector can pass".into(),
                         "§3.1",
                     );
                 }
-                self.record(&path, "restrict_time", BlockingClass::NonBlocking, 0, &d);
-                let mut d = d;
-                d.proto = self.cert.apply(&path, &expr.contract(), d.proto);
-                d
+                (d, none, 0)
             }
             Expr::RestrictValue { input, ranges } => {
-                let path = format!("{parent}/restrict_value");
-                let d = self.walk(input, &path);
+                let d = self.walk(input, path);
                 if ranges.is_empty() || ranges.iter().all(|(lo, hi)| lo > hi) {
                     self.diag(
                         Severity::Warn,
                         "degenerate-value-range",
-                        &path,
+                        path,
                         "value restriction accepts no values; every point is dropped".into(),
                         "§3.1",
                     );
                 }
-                self.record(&path, "restrict_value", BlockingClass::NonBlocking, 0, &d);
-                let mut d = d;
-                d.proto = self.cert.apply(&path, &expr.contract(), d.proto);
-                d
+                (d, none, 0)
             }
-            Expr::MapValue { input, .. } => {
-                let path = format!("{parent}/map_value");
-                let d = self.walk(input, &path);
-                self.record(&path, "map_value", BlockingClass::NonBlocking, 0, &d);
-                let mut d = d;
-                d.proto = self.cert.apply(&path, &expr.contract(), d.proto);
-                d
-            }
+            Expr::MapValue { input, .. } => (self.walk(input, path), none, 0),
             Expr::Stretch { input, scope, .. } => {
-                let path = format!("{parent}/stretch");
-                let d = self.walk(input, &path);
-                let (class, bytes) = match (scope, d.organization) {
+                let d = self.walk(input, path);
+                match (scope, d.organization) {
                     (StretchScope::Frame, Organization::RowByRow | Organization::PointByPoint) => {
-                        (BlockingClass::BoundedRows(1), d.row_bytes())
+                        let bytes = d.row_bytes();
+                        (d, BlockingClass::BoundedRows(1), bytes)
                     }
                     _ => {
                         self.diag(
                             Severity::Info,
                             "stretch-buffers-image",
-                            &path,
+                            path,
                             format!(
                                 "image-scoped stretch must buffer the whole image \
                                  ({} bytes) before emitting",
@@ -693,222 +699,183 @@ impl Analyzer<'_> {
                             ),
                             "§3.2",
                         );
-                        (BlockingClass::BoundedFrame, d.image_bytes())
-                    }
-                };
-                self.record(&path, "stretch", class, bytes, &d);
-                let mut d = d;
-                d.proto = self.cert.apply(&path, &expr.contract(), d.proto);
-                d
-            }
-            Expr::Focal { input, k, .. } => {
-                let path = format!("{parent}/focal");
-                let d = self.walk(input, &path);
-                let class = BlockingClass::BoundedRows(*k);
-                let bytes = u64::from(*k) * d.row_bytes();
-                self.record(&path, "focal", class, bytes, &d);
-                let mut d = d;
-                d.proto = self.cert.apply(&path, &expr.contract(), d.proto);
-                d
-            }
-            Expr::Orient { input, orientation } => {
-                let path = format!("{parent}/orient");
-                let mut d = self.walk(input, &path);
-                if orientation.swaps_axes() {
-                    if let Some(lat) = d.lattice {
-                        d.lattice = Some(LatticeGeoref::new(
-                            lat.crs, lat.origin, lat.step_x, lat.step_y, lat.height, lat.width,
-                        ));
+                        let bytes = d.image_bytes();
+                        (d, BlockingClass::BoundedFrame, bytes)
                     }
                 }
-                self.record(&path, "orient", BlockingClass::NonBlocking, 0, &d);
-                d.proto = self.cert.apply(&path, &expr.contract(), d.proto);
-                d
+            }
+            Expr::Focal { input, k, .. } => {
+                let d = self.walk(input, path);
+                let bytes = u64::from(*k) * d.row_bytes();
+                (d, BlockingClass::BoundedRows(*k), bytes)
+            }
+            Expr::Orient { input, orientation } => {
+                let mut d = self.walk(input, path);
+                if orientation.swaps_axes() {
+                    let swap =
+                        |l: LatticeGeoref| LatticeGeoref { width: l.height, height: l.width, ..l };
+                    d.lattice = d.lattice.map(swap);
+                    d.sector = d.sector.map(swap);
+                }
+                (d, none, 0)
             }
             Expr::Magnify { input, k } => {
-                let path = format!("{parent}/magnify");
-                let mut d = self.walk(input, &path);
+                let mut d = self.walk(input, path);
                 if *k == 0 {
                     self.diag(
                         Severity::Error,
                         "invalid-parameter",
-                        &path,
+                        path,
                         "magnification factor must be at least 1".into(),
                         "§3.2",
                     );
                 } else if let Some(lat) = d.lattice {
                     d.lattice = Some(lat.magnified(*k));
+                    d.sector = d.sector.map(|s| s.magnified(*k));
                 }
-                self.record(&path, "magnify", BlockingClass::NonBlocking, 0, &d);
-                d.proto = self.cert.apply(&path, &expr.contract(), d.proto);
-                d
+                (d, none, 0)
             }
             Expr::Downsample { input, k } => {
-                let path = format!("{parent}/downsample");
-                let mut d = self.walk(input, &path);
+                let mut d = self.walk(input, path);
                 if *k == 0 {
                     self.diag(
                         Severity::Error,
                         "invalid-parameter",
-                        &path,
+                        path,
                         "downsampling factor must be at least 1".into(),
                         "§3.2",
                     );
-                    self.record(&path, "downsample", BlockingClass::NonBlocking, 0, &d);
-                    d.proto = self.cert.apply(&path, &expr.contract(), d.proto);
-                    return d;
+                    return (d, none, 0);
                 }
+                // Blocks sit on the sector's k-grid: a window cut by a
+                // restriction can straddle one more block per axis, and
+                // the partial blocks past the sector's edge are dropped.
+                let sector = d.sector.map(|s| s.reduced(*k));
+                let out_width =
+                    blocks_straddled(d.width(), *k).min(sector.map_or(u32::MAX, |s| s.width));
                 // One output row of block accumulators spans k input rows.
-                let out_width = u64::from(d.width() / *k);
-                let bytes = out_width.max(1) * ACC_ENTRY_BYTES;
+                let bytes = u64::from(out_width.max(1)) * ACC_ENTRY_BYTES;
                 if let Some(lat) = d.lattice {
-                    d.lattice = Some(lat.reduced(*k));
+                    let out_height =
+                        blocks_straddled(lat.height, *k).min(sector.map_or(u32::MAX, |s| s.height));
+                    d.lattice = Some(LatticeGeoref {
+                        width: out_width,
+                        height: out_height,
+                        ..lat.reduced(*k)
+                    });
                 }
-                self.record(&path, "downsample", BlockingClass::BoundedRows(*k), bytes, &d);
-                d.proto = self.cert.apply(&path, &expr.contract(), d.proto);
-                d
+                d.sector = sector;
+                (d, BlockingClass::BoundedRows(*k), bytes)
             }
             Expr::Reproject { input, to, kernel } => {
-                let path = format!("{parent}/reproject");
-                let mut d = self.walk(input, &path);
-                match d.lattice {
-                    Some(lat) => {
-                        let band = 2 * (kernel.support() + REPROJECT_SAFETY_ROWS) + 1;
-                        let bytes = u64::from(band) * d.row_bytes();
-                        // Derive the output lattice the way the streaming
-                        // operator does: same cell count over the mapped
-                        // world bbox.
-                        d.lattice = map_region(&Region::Rect(lat.world_bbox()), &lat.crs, to, 8)
-                            .ok()
-                            .map(|rect| LatticeGeoref::north_up(*to, rect, lat.width, lat.height));
-                        if d.lattice.is_none() {
-                            self.diag(
-                                Severity::Warn,
-                                "reproject-extent-unknown",
-                                &path,
-                                format!(
-                                    "sector extent cannot be mapped into {to}; downstream \
-                                     bounds fall back to the default sector model"
-                                ),
-                                "§3.2",
-                            );
-                        }
-                        d.crs = *to;
-                        self.record(
-                            &path,
-                            "reproject",
-                            BlockingClass::BoundedRows(band),
-                            bytes,
-                            &d,
-                        );
-                    }
-                    None => {
-                        self.diag(
-                            Severity::Error,
-                            "reproject-unbounded",
-                            &path,
-                            format!(
-                                "re-projection to {to} over a stream without scan-sector \
-                                 metadata may block arbitrarily; register the source with \
-                                 a sector lattice or restrict the stream first"
-                            ),
-                            "§3.2",
-                        );
-                        d.crs = *to;
-                        self.record(&path, "reproject", BlockingClass::Unbounded, 0, &d);
-                    }
+                let mut d = self.walk(input, path);
+                d.crs = *to;
+                let Some(lat) = d.lattice else {
+                    self.diag(
+                        Severity::Error,
+                        "reproject-unbounded",
+                        path,
+                        format!(
+                            "re-projection to {to} over a stream without scan-sector \
+                             metadata may block arbitrarily; register the source with \
+                             a sector lattice or restrict the stream first"
+                        ),
+                        "§3.2",
+                    );
+                    return (d, BlockingClass::Unbounded, 0);
+                };
+                let band = 2 * (kernel.support() + REPROJECT_SAFETY_ROWS) + 1;
+                let bytes = u64::from(band) * d.row_bytes();
+                // Derive the output lattice the way the streaming operator
+                // does: the sector's cell count over its mapped world
+                // bbox. It interpolates every output cell inside the
+                // sector, whatever its input dropped, so the whole lattice
+                // is effective.
+                let src = d.sector.unwrap_or(lat);
+                d.lattice = map_region(&Region::Rect(src.world_bbox()), &src.crs, to, 8)
+                    .ok()
+                    .map(|rect| LatticeGeoref::north_up(*to, rect, src.width, src.height));
+                d.sector = d.lattice;
+                if d.lattice.is_none() {
+                    self.diag(
+                        Severity::Warn,
+                        "reproject-extent-unknown",
+                        path,
+                        format!(
+                            "sector extent cannot be mapped into {to}; downstream bounds fall \
+                             back to the default sector model"
+                        ),
+                        "§3.2",
+                    );
                 }
-                d.proto = self.cert.apply(&path, &expr.contract(), d.proto);
-                d
+                (d, BlockingClass::BoundedRows(band), bytes)
             }
-            Expr::Compose { left, right, op } => {
-                let path = format!("{parent}/compose[{}]", op.symbol());
-                let l = self.walk(left, &path);
-                let r = self.walk(right, &path);
-                self.compose_like(&path, expr.contract(), l, r)
-            }
-            Expr::Ndvi { nir, vis } => {
-                let path = format!("{parent}/ndvi");
-                let l = self.walk(nir, &path);
-                let r = self.walk(vis, &path);
-                self.compose_like(&path, expr.contract(), l, r)
+            Expr::Compose { left: l, right: r, .. } | Expr::Ndvi { nir: l, vis: r } => {
+                let (l, r) = (self.walk(l, path), self.walk(r, path));
+                self.compose_like(path, l, r)
             }
             Expr::Shed { input, stride, .. } => {
-                let path = format!("{parent}/shed");
-                let d = self.walk(input, &path);
+                let d = self.walk(input, path);
                 if *stride == 0 {
                     self.diag(
                         Severity::Error,
                         "invalid-parameter",
-                        &path,
+                        path,
                         "shed stride must be at least 1".into(),
                         "§3.1",
                     );
                 }
-                self.record(&path, "shed", BlockingClass::NonBlocking, 0, &d);
-                let mut d = d;
-                d.proto = self.cert.apply(&path, &expr.contract(), d.proto);
-                d
+                (d, none, 0)
             }
             Expr::Delay { input, d: shift } => {
-                let path = format!("{parent}/delay");
                 // `delay(g, d)` re-stamps data from `d` sectors ago: an
                 // output window [lo, hi) consumes input from [lo-d, hi).
                 let w = self.window();
                 let shifted = TimeWindow { lo: w.shifted(-i64::from(*shift)).lo, hi: w.hi };
                 self.windows.push(shifted);
-                let d = self.walk(input, &path);
+                let d = self.walk(input, path);
                 self.windows.pop();
                 if *shift == 0 {
                     self.diag(
                         Severity::Error,
                         "invalid-parameter",
-                        &path,
+                        path,
                         "delay must shift by at least one sector".into(),
                         "§3.3",
                     );
                 }
                 let bytes = u64::from(shift + 1) * d.image_bytes();
-                self.record(&path, "delay", BlockingClass::BoundedFrame, bytes, &d);
-                let mut d = d;
-                d.proto = self.cert.apply(&path, &expr.contract(), d.proto);
-                d
+                (d, BlockingClass::BoundedFrame, bytes)
             }
             Expr::AggTime { input, window, .. } => {
-                let path = format!("{parent}/agg_time");
-                let d = self.walk(input, &path);
+                let d = self.walk(input, path);
                 if *window == 0 {
                     self.diag(
                         Severity::Error,
                         "invalid-parameter",
-                        &path,
+                        path,
                         "aggregate window must span at least one image".into(),
                         "§6",
                     );
                 }
                 let bytes = u64::from(*window) * d.points() * AGG_CELL_BYTES;
-                self.record(&path, "agg_time", BlockingClass::BoundedFrame, bytes, &d);
-                let mut d = d;
-                d.proto = self.cert.apply(&path, &expr.contract(), d.proto);
-                d
+                (d, BlockingClass::BoundedFrame, bytes)
             }
             Expr::AggSpace { input, region, .. } => {
-                let path = format!("{parent}/agg_space");
-                let mut d = self.walk(input, &path);
+                let mut d = self.walk(input, path);
                 if region.bbox().area() <= 0.0 {
                     self.diag(
                         Severity::Warn,
                         "empty-region",
-                        &path,
+                        path,
                         "aggregate region has zero area; the aggregate sees no points".into(),
                         "§6",
                     );
                 }
                 // The output is a 1×1-lattice scalar stream.
                 d.lattice = Some(LatticeGeoref::north_up(d.crs, region.bbox(), 1, 1));
-                self.record(&path, "agg_space", BlockingClass::NonBlocking, 0, &d);
-                d.proto = self.cert.apply(&path, &expr.contract(), d.proto);
-                d
+                d.sector = d.lattice;
+                (d, none, 0)
             }
         }
     }
@@ -919,10 +886,9 @@ impl Analyzer<'_> {
     fn compose_like(
         &mut self,
         path: &str,
-        contract: ProtocolContract,
         l: Derived,
         r: Derived,
-    ) -> Derived {
+    ) -> (Derived, BlockingClass, u64) {
         if l.crs != r.crs {
             self.diag(
                 Severity::Error,
@@ -971,17 +937,16 @@ impl Analyzer<'_> {
         } else {
             (BlockingClass::BoundedRows(1), l.row_bytes() + r.row_bytes())
         };
-        let mut out = Derived {
+        let out = Derived {
             crs: l.crs,
             organization: l.organization,
             time_semantics: l.time_semantics,
             lattice: l.lattice.or(r.lattice),
+            sector: l.sector.or(r.sector),
+            // The merge sees the weaker of what each side guarantees.
             proto: meet(l.proto, r.proto),
         };
-        self.record(path, &contract.operator, class, bytes, &out);
-        // The merge sees the weaker of what each side guarantees.
-        out.proto = self.cert.apply(path, &contract, meet(l.proto, r.proto));
-        out
+        (out, class, bytes)
     }
 }
 
@@ -1087,25 +1052,6 @@ mod tests {
     }
 
     #[test]
-    fn restrictions_are_non_blocking_with_zero_bytes() {
-        for q in [
-            "g1",
-            "restrict_space(g1, bbox(-123, 37, -122, 38), \"latlon\")",
-            "restrict_time(g1, interval(0, 5))",
-            "restrict_value(g1, 0, 1)",
-            "scale(g1, 2, 0)",
-            "orient(g1, \"rot90\")",
-            "magnify(g1, 2)",
-            "shed(g1, \"points\", 4)",
-        ] {
-            let r = report(q);
-            assert_eq!(r.blocking, BlockingClass::NonBlocking, "{q}");
-            assert_eq!(r.peak_buffer_bytes, Some(0), "{q}");
-            assert!(!r.has_errors(), "{q}: {:?}", r.diagnostics);
-        }
-    }
-
-    #[test]
     fn parallelism_report_composes_stage_contracts() {
         // Partitionable suffix above a shed: the shed stays serial, the
         // scale+restrict suffix parallelizes at frame granularity.
@@ -1119,20 +1065,6 @@ mod tests {
         let r = report("shed(scale(g1, 2, 0), \"points\", 4)");
         assert!(r.parallelism.stages.is_empty());
         assert_eq!(r.parallelism.granularity, None);
-    }
-
-    #[test]
-    fn reprojection_without_metadata_is_unbounded() {
-        let r = report("reproject(nolat, \"utm:10N\")");
-        assert_eq!(r.blocking, BlockingClass::Unbounded);
-        assert_eq!(r.peak_buffer_bytes, None);
-        assert!(r.has_errors());
-        assert!(r.diagnostics.iter().any(|d| d.code == "reproject-unbounded"));
-        // Same plan over a scan-sector source is a narrow row band.
-        let ok = report("reproject(g1, \"utm:10N\")");
-        assert!(matches!(ok.blocking, BlockingClass::BoundedRows(_)));
-        assert!(ok.peak_buffer_bytes.is_some());
-        assert!(!ok.has_errors());
     }
 
     #[test]
@@ -1276,6 +1208,7 @@ mod tests {
             "orient(g1, \"rot90\")",
             "magnify(g1, 2)",
             "downsample(g1, 2)",
+            "downsample(magnify(g1, 3), 2)",
             "reproject(g1, \"utm:10N\")",
             "compose(g1, \"+\", g2)",
             "ndvi(g1, g2)",
@@ -1289,9 +1222,20 @@ mod tests {
             let r = report(q);
             assert!(r.certificate.certified, "{q}: {:?}", r.certificate.violations);
             assert!(r.certificate.output.bracketed, "{q}");
-            assert!(r.certificate.output.lattice_order, "{q}");
+            // Orientation keeps the input's scan order (orient_contract).
+            assert_eq!(r.certificate.output.lattice_order, !q.starts_with("orient"), "{q}");
             assert_eq!(r.certificate.stages.len(), r.per_op.len(), "{q}");
             assert!(r.certificate.violations.is_empty(), "{q}");
+        }
+        // A stage that needs lattice order is refused over an orientation.
+        for q in [
+            "downsample(orient(g1, \"transpose\"), 2)",
+            "downsample(orient(g1, \"fliph\"), 2)",
+            "focal(orient(g1, \"rot90\"), \"mean\", 3)",
+        ] {
+            let r = report(q);
+            assert!(!r.certificate.certified, "{q}");
+            assert!(r.diagnostics.iter().any(|d| d.code == "protocol-uncertified"), "{q}");
         }
     }
 
@@ -1347,16 +1291,5 @@ mod tests {
         let c = report("scale(downsample(g1, 4), 2, 0)");
         assert_eq!(c.sharing.subplans.len(), 2);
         assert!(c.sharing.subplans.iter().any(|s| s.text == "downsample(g1, 4)"));
-    }
-
-    #[test]
-    fn buffer_overrun_compares_against_bound() {
-        let r = report("stretch(g1, \"linear\", \"image\")");
-        let bound = r.peak_buffer_bytes.unwrap();
-        assert!(bound >= 64 * 64 * 4);
-        assert!(!r.buffer_overrun(bound));
-        assert!(r.buffer_overrun(bound + 1));
-        let unbounded = report("reproject(nolat, \"utm:10N\")");
-        assert!(!unbounded.buffer_overrun(u64::MAX));
     }
 }

@@ -171,12 +171,19 @@ impl Expr {
 
     /// The names of all source streams referenced by the expression.
     pub fn source_names(&self) -> Vec<String> {
+        let mut out = self.source_leaves();
+        let mut seen = std::collections::HashSet::new();
+        out.retain(|name| seen.insert(name.clone()));
+        out
+    }
+
+    /// The source name of every leaf, left to right: a stream the plan
+    /// reads twice is listed twice, once per stream the planner opens.
+    pub fn source_leaves(&self) -> Vec<String> {
         let mut out = Vec::new();
         self.visit(&mut |e| {
             if let Expr::Source(name) = e {
-                if !out.contains(name) {
-                    out.push(name.clone());
-                }
+                out.push(name.clone());
             }
         });
         out
@@ -462,6 +469,7 @@ mod tests {
             op: GammaOp::Sub,
         };
         assert_eq!(e.source_names(), vec!["a".to_string(), "b".to_string()]);
+        assert_eq!(e.source_leaves(), ["a", "b", "a"]);
     }
 
     #[test]

@@ -4,7 +4,6 @@ pub mod analyze;
 pub mod ast;
 pub mod canon;
 pub mod cascade;
-pub mod cost;
 pub mod optimizer;
 pub mod parser;
 pub mod plan;

@@ -233,53 +233,28 @@ impl<'a> Planner<'a> {
         }
     }
 
-    /// Renders a human-readable plan tree with per-node cost estimates —
-    /// the "EXPLAIN" of the prototype.
-    pub fn explain(&self, expr: &Expr) -> Result<String> {
+    /// The "EXPLAIN" of the prototype: the static analyzer's
+    /// [`PlanReport`](super::PlanReport) as a tree, one line per
+    /// operator — its blocking class, its bound on points emitted per
+    /// sector and its worst-case buffer — root first, each input
+    /// indented under its consumer. Operator parameters are in the
+    /// plan's own text form (`expr.to_string()`), not repeated here.
+    pub fn explain(&self, expr: &Expr) -> String {
+        let report = super::analyze::analyze(expr, self.catalog);
         let mut out = String::new();
-        self.explain_rec(expr, 0, &mut out)?;
-        Ok(out)
-    }
-
-    fn explain_rec(&self, expr: &Expr, depth: usize, out: &mut String) -> Result<()> {
-        use std::fmt::Write as _;
-        let est = super::cost::estimate(expr, self.catalog)?;
-        let indent = "  ".repeat(depth);
-        let label = match expr {
-            Expr::Source(name) => format!("source {name}"),
-            Expr::RestrictSpace { region, crs, .. } => {
-                let b = region.bbox();
-                format!(
-                    "restrict_space [{:.6}, {:.6}] x [{:.6}, {:.6}] @ {crs}",
-                    b.x_min, b.x_max, b.y_min, b.y_max
-                )
-            }
-            Expr::RestrictTime { .. } => "restrict_time".to_string(),
-            Expr::RestrictValue { ranges, .. } => format!("restrict_value {ranges:?}"),
-            Expr::MapValue { func, .. } => format!("map_value {func:?}"),
-            Expr::Stretch { mode, scope, .. } => format!("stretch {mode:?} {scope:?}"),
-            Expr::Focal { func, k, .. } => format!("focal {} {k}x{k}", func.name()),
-            Expr::Orient { orientation, .. } => format!("orient {}", orientation.name()),
-            Expr::Magnify { k, .. } => format!("magnify x{k}"),
-            Expr::Downsample { k, .. } => format!("downsample 1/{k}"),
-            Expr::Reproject { to, kernel, .. } => format!("reproject -> {to} ({kernel:?})"),
-            Expr::Compose { op, .. } => format!("compose {}", op.symbol()),
-            Expr::Ndvi { .. } => "ndvi (fused macro)".to_string(),
-            Expr::Shed { policy, stride, .. } => format!("shed {policy:?} 1/{stride}"),
-            Expr::Delay { d, .. } => format!("delay {d}"),
-            Expr::AggTime { func, window, .. } => format!("agg_time {func:?} w={window}"),
-            Expr::AggSpace { func, .. } => format!("agg_space {func:?}"),
-        };
-        // Writing to a String cannot fail.
-        let _ = writeln!(
-            out,
-            "{indent}{label}  [out≈{:.0} pts/sector, work≈{:.0}, buf≈{:.0} B]",
-            est.points_out, est.work, est.buffer_bytes
-        );
-        for input in expr.inputs() {
-            self.explain_rec(input, depth + 1, out)?;
+        for op in report.per_op.iter().rev() {
+            let depth = op.path.matches('/').count();
+            let name = op.path.rsplit('/').next().unwrap_or(&op.operator);
+            out.push_str(&format!(
+                "{:indent$}{name}  [{}, ≤{} pts/sector, buf {} B]\n",
+                "",
+                op.blocking,
+                op.points_per_sector,
+                op.buffer_bytes,
+                indent = 2 * depth.saturating_sub(1)
+            ));
         }
-        Ok(())
+        out
     }
 
     /// Parses, optionally optimizes, and builds a query in one step.
@@ -390,14 +365,18 @@ mod tests {
             "restrict_space(reproject(ndvi(g1, g2), \"utm:10N\"), bbox(0, 0, 1, 1), \"utm:10N\")",
         )
         .unwrap();
-        let text = planner.explain(&e).unwrap();
-        assert!(text.contains("restrict_space"));
-        assert!(text.contains("reproject -> utm:10N"));
-        assert!(text.contains("ndvi (fused macro)"));
-        assert!(text.contains("source g1"));
+        let text = planner.explain(&e);
+        // One line per analyzed operator, root first.
+        assert_eq!(text.lines().count(), 5, "{text}");
+        assert!(text.starts_with("restrict_space  [non-blocking, ≤"), "{text}");
+        assert!(
+            text.contains("reproject  [bounded-rows(7), ≤256 pts/sector, buf 448 B]"),
+            "{text}"
+        );
+        assert!(text.contains("ndvi  [bounded-rows(1)"), "{text}");
         // Indentation shows nesting: source is deeper than the root.
         let root_line = text.lines().next().unwrap();
-        let src_line = text.lines().find(|l| l.contains("source g1")).unwrap();
+        let src_line = text.lines().find(|l| l.contains("source[g1]")).unwrap();
         assert!(
             src_line.len() - src_line.trim_start().len()
                 > root_line.len() - root_line.trim_start().len()

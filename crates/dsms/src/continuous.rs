@@ -57,7 +57,7 @@ use geostreams_core::query::{
 use geostreams_core::{CoreError, Result};
 use geostreams_satsim::{ChaosStream, FaultPlan, FaultStats, Scanner};
 use geostreams_store::{Archive, ArchiveReplay, SpliceStream, StoreMetrics};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError};
 use std::sync::{Arc, Mutex};
@@ -271,7 +271,8 @@ impl ThreadLedger {
 struct Admitted {
     expr: Expr,
     format: OutputFormat,
-    routes: HashMap<String, Feed<()>>,
+    /// Archive routes by source name, one per leaf reading it.
+    routes: HashMap<String, Vec<Feed<()>>>,
 }
 
 /// Where a source gets its elements; `L` is its live channel.
@@ -507,9 +508,11 @@ fn admit(rt: &Runtime<'_>, requests: &[ClientRequest]) -> Result<Vec<Result<Admi
         // backfill `[lo, now)` and splice into the live feed.
         let mut routes = HashMap::new();
         if let Some(archive) = &config.archive {
+            let leaves = expr.source_leaves();
             for (name, sw) in merged_source_windows(&expr, catalog) {
                 let w = sw.window;
-                if w == TimeWindow::unbounded() || w.is_empty() {
+                let past = w.wholly_before(now) || w.starts_before(now);
+                if w == TimeWindow::unbounded() || !past {
                     continue;
                 }
                 let Some(band) = archive.band_of(&name) else { continue };
@@ -518,13 +521,16 @@ fn admit(rt: &Runtime<'_>, requests: &[ClientRequest]) -> Result<Vec<Result<Admi
                         .replay(band, w.lo, hi, sw.region.as_ref())?
                         .with_decode_pool(Arc::clone(&rt.pool)))
                 };
-                if w.wholly_before(now) {
-                    routes.insert(name, Feed::Archive(replay(w.hi)?));
-                } else if w.starts_before(now) {
+                // Each leaf reads its own replay.
+                let reads = leaves.iter().filter(|leaf| **leaf == name).count();
+                let feed = |_| -> Result<Feed<()>> {
+                    if w.wholly_before(now) {
+                        return Ok(Feed::Archive(replay(w.hi)?));
+                    }
                     let watermark = archive.watermark(band).map(|(s, _)| s);
-                    let replay = replay(Some(now))?;
-                    routes.insert(name, Feed::Hybrid { replay, watermark, live: () });
-                }
+                    Ok(Feed::Hybrid { replay: replay(Some(now))?, watermark, live: () })
+                };
+                routes.insert(name, (0..reads).map(feed).collect::<Result<_>>()?);
             }
         }
         admitted.push(Ok(Admitted { expr, format: req.format, routes }));
@@ -538,9 +544,10 @@ fn admit(rt: &Runtime<'_>, requests: &[ClientRequest]) -> Result<Vec<Result<Admi
 /// and detects subplans shared across them; eligibility is conservative
 /// — counting formats, no archive routes, no watchdog — so sharing
 /// never changes a result. A query with its own pipeline subscribes
-/// once per live-served source (an archive-only source's band need not
-/// be ingested at all); a node once per referenced band, its members
-/// to its tree instead of any band.
+/// once per live-served source leaf (an archive-only source's band need
+/// not be ingested at all); a node once per band leaf, its members to
+/// its tree instead of any band. A plan that reads a band twice gets
+/// two feeds: each leaf is a stream of its own.
 fn wire(rt: &mut Runtime<'_>, admitted: Vec<Result<Admitted>>) -> Result<Wiring> {
     let (config, scanner, catalog) = (rt.config, rt.scanner, &mut rt.schemas);
     let metrics = config.metrics.as_ref();
@@ -619,8 +626,8 @@ fn wire(rt: &mut Runtime<'_>, admitted: Vec<Result<Admitted>>) -> Result<Wiring>
             continue;
         }
         let mut sources = Vec::new();
-        for name in expr.source_names() {
-            let feed = match routes.remove(&name) {
+        for name in expr.source_leaves() {
+            let feed = match routes.get_mut(&name).and_then(Vec::pop) {
                 Some(Feed::Archive(replay)) => Feed::Archive(replay),
                 Some(Feed::Hybrid { replay, watermark, .. }) => {
                     let live = subscribe(&name, tenant_of(qid), depth_of(qid));
@@ -851,19 +858,26 @@ fn open_source(src: Source, schema: &StreamSchema, cx: &SourceCtx) -> BoxedF32St
 }
 
 /// A catalog (schemas from `schemas`) whose factories open each wired
-/// source once — a later open gets an exhausted stream — plus the
-/// repair probes the sources report into.
+/// source once — a name wired for two leaves opens twice, each time on
+/// a feed of its own, and a later open gets an exhausted stream — plus
+/// the repair probes the sources report into.
 fn source_catalog(sources: Vec<Source>, schemas: &Catalog, cx: &SourceCtx) -> (Catalog, Probes) {
-    let mut catalog = Catalog::new();
     let mut probes = Vec::new();
+    let mut wired: BTreeMap<String, (StreamSchema, VecDeque<Source>)> = BTreeMap::new();
     for src in sources {
-        let Some(schema) = schemas.schema(&src.name).cloned() else { continue };
+        let Some(schema) = schemas.schema(&src.name) else { continue };
         if let Some(p) = &src.probe {
             probes.push((src.name.clone(), Arc::clone(p)));
         }
-        let slot = Mutex::new(Some(src));
+        let entry =
+            wired.entry(src.name.clone()).or_insert_with(|| (schema.clone(), VecDeque::new()));
+        entry.1.push_back(src);
+    }
+    let mut catalog = Catalog::new();
+    for (schema, feeds) in wired.into_values() {
+        let slot = Mutex::new(feeds);
         let cx = cx.clone();
-        catalog.register(schema.clone(), move || match lock(&slot).take() {
+        catalog.register(schema.clone(), move || match lock(&slot).pop_front() {
             Some(src) => open_source(src, &schema, &cx),
             None => Box::new(ChunkChannel::new(schema.clone(), || None)),
         });

@@ -48,15 +48,16 @@ pub fn share_source_name(key: u64) -> String {
     format!("{SHARE_SOURCE_PREFIX}{}", key_hex(key))
 }
 
-/// The `@share:*` sources an expression references, in first-use order.
+/// The `@share:*` sources an expression reads, one per leaf, left to
+/// right.
 pub fn share_refs(expr: &Expr) -> Vec<String> {
-    expr.source_names().into_iter().filter(|n| n.starts_with(SHARE_SOURCE_PREFIX)).collect()
+    expr.source_leaves().into_iter().filter(|n| n.starts_with(SHARE_SOURCE_PREFIX)).collect()
 }
 
-/// The instrument-band sources an expression references (everything
-/// that is not a `@share:*` reference), in first-use order.
+/// The instrument-band sources an expression reads (everything that is
+/// not a `@share:*` reference), one per leaf, left to right.
 pub fn band_refs(expr: &Expr) -> Vec<String> {
-    expr.source_names().into_iter().filter(|n| !n.starts_with(SHARE_SOURCE_PREFIX)).collect()
+    expr.source_leaves().into_iter().filter(|n| !n.starts_with(SHARE_SOURCE_PREFIX)).collect()
 }
 
 /// Poison-tolerant lock (the tree stays usable after a panic).

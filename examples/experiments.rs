@@ -17,7 +17,7 @@ use geostreams_core::ops::{
     StretchScope, StretchTransform, TemporalAggregate, ValueFunc,
 };
 use geostreams_core::query::cascade::{CascadeTree, NaiveRegionIndex, RegionIndex};
-use geostreams_core::query::{cost, optimize, parse_query, Planner};
+use geostreams_core::query::{analyze, optimize, parse_query, Planner};
 use geostreams_core::stats::OpReport;
 use geostreams_dsms::{Dsms, OutputFormat};
 use geostreams_geo::{Crs, LatticeGeoref, Rect, Region};
@@ -421,7 +421,7 @@ fn e4_rewriting(scale: u32) {
     let server = Dsms::over_scanner(&scanner, 1);
     let catalog = server.catalog();
     let planner = Planner::new(catalog);
-    println!("| region (% of UTM window) | naive points touched | optimized | ratio | naive wall | optimized wall | est. work ratio |");
+    println!("| region (% of UTM window) | naive points touched | optimized | ratio | bound ratio | naive wall | optimized wall |");
     println!("|---|---|---|---|---|---|---|");
     // Sweep the region size; coordinates in UTM 14N.
     let center = (450_000.0, 4_300_000.0);
@@ -442,8 +442,10 @@ fn e4_rewriting(scale: u32) {
         );
         let expr = parse_query(&q).expect("parses");
         let optimized = optimize(&expr, catalog);
-        let est_naive = cost::estimate(&expr, catalog).expect("estimate");
-        let est_opt = cost::estimate(&optimized, catalog).expect("estimate");
+        // The analyzer's bound on points touched: Σ per-op points/sector.
+        let bound =
+            |e| -> u64 { analyze(e, catalog).per_op.iter().map(|op| op.points_per_sector).sum() };
+        let (bound_naive, bound_opt) = (bound(&expr), bound(&optimized));
 
         let mut naive_pipe = planner.build(&expr).expect("plan");
         let t0 = Instant::now();
@@ -457,15 +459,15 @@ fn e4_rewriting(scale: u32) {
 
         assert_eq!(naive_rep.points_delivered, opt_rep.points_delivered, "same answer");
         println!(
-            "| {:.0}% | {} | {} | {:.2}x | {:.0?} | {:.0?} | {:.2}x |",
+            "| {:.0}% | {} | {} | {:.2}x | {:.2}x | {:.0?} | {:.0?} |",
             frac * 100.0,
             naive_rep.total_points_processed(),
             opt_rep.total_points_processed(),
             naive_rep.total_points_processed() as f64
                 / opt_rep.total_points_processed().max(1) as f64,
+            bound_naive as f64 / bound_opt.max(1) as f64,
             naive_wall,
-            opt_wall,
-            est_naive.work / est_opt.work.max(1.0)
+            opt_wall
         );
     }
     println!();

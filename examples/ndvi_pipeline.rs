@@ -15,7 +15,7 @@
 //! Run with `cargo run --release --example ndvi_pipeline`.
 
 use geostreams_core::exec::run_to_end;
-use geostreams_core::query::{cost, optimize, parse_query, Planner};
+use geostreams_core::query::{analyze, optimize, parse_query, Planner};
 use geostreams_dsms::Dsms;
 use geostreams_satsim::goes_like;
 use std::time::Instant;
@@ -43,30 +43,32 @@ fn main() {
     let planner = Planner::new(catalog);
     let mut rows = Vec::new();
     for (label, e) in [("naive", &expr), ("optimized", &optimized)] {
-        let est = cost::estimate(e, catalog).expect("estimate");
+        // The static bound on points touched per sector: every operator
+        // consumes what its inputs emit, each at most `points_per_sector`.
+        let bound: u64 = analyze(e, catalog).per_op.iter().map(|op| op.points_per_sector).sum();
         let mut pipeline = planner.build(e).expect("plans");
         let start = Instant::now();
         let report = run_to_end(&mut pipeline);
         let wall = start.elapsed();
-        rows.push((label, est, report, wall));
+        rows.push((label, bound, report, wall));
     }
 
     println!(
-        "{:<10} {:>12} {:>12} {:>14} {:>14} {:>10}",
-        "plan", "est. work", "points out", "points touched", "peak buffer", "wall"
+        "{:<10} {:>12} {:>14} {:>14} {:>14} {:>10}",
+        "plan", "points out", "touched bound", "points touched", "peak buffer", "wall"
     );
-    for (label, est, report, wall) in &rows {
+    for (label, bound, report, wall) in &rows {
         println!(
-            "{:<10} {:>12.0} {:>12} {:>14} {:>14} {:>9.1?}",
+            "{:<10} {:>12} {:>14} {:>14} {:>14} {:>9.1?}",
             label,
-            est.work,
             report.points_delivered,
+            bound * report.sectors,
             report.total_points_processed(),
             report.peak_buffered_points(),
             wall
         );
+        assert!(report.total_points_processed() <= bound * report.sectors, "{label}: bound");
     }
-
     let naive = &rows[0];
     let opt = &rows[1];
     assert_eq!(

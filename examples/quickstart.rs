@@ -35,17 +35,12 @@ fn main() {
     println!("parsed     : {}", handle.expr);
     println!("optimized  : {}", handle.optimized);
 
-    // 3. EXPLAIN: the optimized plan tree with per-node cost estimates.
+    // 3. EXPLAIN: the static analyzer's bounds for the naive and the
+    //    optimized plan — per operator, its blocking class, the points
+    //    it can emit per sector and its worst-case buffer.
     let planner = geostreams_core::query::Planner::new(server.catalog());
-    println!("\nplan:\n{}", planner.explain(&handle.optimized).expect("explainable"));
-
-    // 3b. Estimated cost of the naive vs optimized plan.
-    let naive = geostreams_core::query::cost::estimate(&handle.expr, server.catalog())
-        .expect("cost estimate");
-    let optim = geostreams_core::query::cost::estimate(&handle.optimized, server.catalog())
-        .expect("cost estimate");
-    println!("\nestimated work: {:>12.0} (naive plan)", naive.work);
-    println!("estimated work: {:>12.0} (optimized plan)", optim.work);
+    println!("\nnaive plan:\n{}", planner.explain(&handle.expr));
+    println!("optimized plan:\n{}", planner.explain(&handle.optimized));
 
     // 4. Execute and deliver.
     let result = server.run_query(&handle).expect("query runs");
@@ -65,4 +60,9 @@ fn main() {
     println!("\nserver metrics: {}", server.metrics.summary());
 
     assert!(!result.frames.is_empty(), "quickstart must deliver frames");
+    // The root's static bound covers what each sector delivered.
+    let run = result.report.as_ref().expect("one-shot runs report");
+    let bound = handle.plan.per_op.last().expect("analyzed").points_per_sector;
+    println!("points per sector: {} delivered, ≤{bound} bound", run.points_delivered / run.sectors);
+    assert!(run.points_delivered <= bound * run.sectors, "the root bound must hold");
 }

@@ -20,6 +20,14 @@ RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
 # outside unit tests.
 cargo run --quiet --offline --release --example experiments -- --quick > /dev/null
 
+# Every example that terminates (`serve` runs until killed): each
+# asserts what it demonstrates; quickstart prints the EXPLAIN and
+# ndvi_pipeline the analyzer's bound on points touched.
+for example in quickstart ndvi_pipeline change_detection fire_monitor \
+    reprojection_tour true_color multi_query_server; do
+    cargo run --quiet --offline --release --example "$example" > /dev/null
+done
+
 # Static analysis: geolint (crates/lint) replaces the old awk
 # forbidden-pattern pass with a comment/string-aware tokenizer and the
 # full rule catalog of DESIGN.md §14 — panic-in-lib, lock-across-
