@@ -12,22 +12,42 @@
 //!
 //! * **metadata-assisted** (default): on `SectorStart` it derives the
 //!   output lattice and, per output row, the input-row window required to
-//!   interpolate it; it then emits each output row as soon as its window
-//!   of input rows has arrived and evicts rows no longer needed. Peak
-//!   buffering is a narrow band of input rows.
+//!   interpolate it (its row schedule); it then emits each output row
+//!   as soon as its window of input rows has arrived and evicts rows no
+//!   longer needed. Peak buffering is a narrow band of input rows.
 //! * **blocking** (`use_sector_metadata = false`): it holds *all* input
 //!   rows until `SectorEnd`, the behavior the paper warns about; the F2
 //!   experiment contrasts the two buffer profiles.
+//!
+//! Everything derived from a sector's lattice — the output lattice, the
+//! row schedule and each output cell's fractional source coordinates —
+//! depends on that lattice and the configuration alone, so it is built
+//! once and reused while the next sector arrives on an equal lattice (a
+//! scanner repeats its sector geometry). A row's source coordinates are
+//! projected the first time the row is emitted, so a one-sector run
+//! projects no more than it emits. Input runs are written into a
+//! row-major ring of input rows; each output row leaves as one
+//! `FrameStart`, one run and one `FrameEnd`.
 
 use crate::model::{
-    pack_elements, ChunkInput, ChunkOrMarker, Element, FrameEnd, FrameInfo, GeoStream, SectorEnd,
-    SectorInfo, StreamSchema,
+    Chunk, ChunkOrMarker, FrameEnd, FrameInfo, GeoStream, Marker, PointRecord, SectorInfo,
+    StreamSchema, Timestamp, DEFAULT_CHUNK_BUDGET,
 };
 use crate::stats::{OpReport, OpStats};
 use geostreams_geo::{Cell, CellBox, Crs, LatticeGeoref, Projection, Rect};
 use geostreams_raster::resample::{sample_source, Kernel, SampleSource};
 use geostreams_raster::Pixel;
 use std::collections::VecDeque;
+use std::ops::Range;
+
+/// Bytes the mapping table holds per output cell: the cell's fractional
+/// source column and row, two `f64`s.
+pub(crate) const MAP_CELL_BYTES: u64 = 16;
+
+/// The mapping-table entry of an output cell without a source
+/// (unmappable, or off the input lattice). An infinite coordinate fails
+/// the lattice test as well, so the sentinel hides no cell that has one.
+const NO_SOURCE: [f64; 2] = [f64::INFINITY, f64::INFINITY];
 
 /// Configuration for [`Reproject`].
 #[derive(Debug, Clone)]
@@ -70,98 +90,412 @@ impl ReprojectConfig {
         self.use_sector_metadata = false;
         self
     }
+
+    /// The output lattice of a sector on `in_lattice`: the explicit one,
+    /// or [`CrsPair::out_lattice`]. `None` when the sector is invisible
+    /// in the target CRS.
+    pub(crate) fn out_lattice(
+        &self,
+        pair: &CrsPair,
+        in_lattice: &LatticeGeoref,
+    ) -> Option<LatticeGeoref> {
+        self.output_lattice.or_else(|| pair.out_lattice(in_lattice))
+    }
+
+    /// The row schedule of one sector: the sampled windows widened by
+    /// the kernel support and the safety rows or, blocking, the whole
+    /// sector for every output row.
+    pub(crate) fn schedule(
+        &self,
+        pair: &CrsPair,
+        in_lattice: &LatticeGeoref,
+        out_lattice: &LatticeGeoref,
+    ) -> RowSchedule {
+        if self.use_sector_metadata {
+            let margin = self.kernel.support() + self.safety_rows;
+            pair.sampled_schedule(in_lattice, out_lattice, margin)
+        } else {
+            let last = in_lattice.height.saturating_sub(1);
+            RowSchedule::new(vec![Some((0, last)); out_lattice.height as usize], in_lattice.height)
+        }
+    }
 }
 
-/// Streaming window of buffered input rows.
-struct RowWindow<V> {
-    /// `rows[i]` = input row `first_row + i`, when still buffered.
-    rows: VecDeque<Option<Vec<V>>>,
-    first_row: u32,
-    width: u32,
-    height: u32,
+/// The projections a re-projection maps through: an output cell is
+/// inverted out of the target CRS and projected into the source CRS.
+pub(crate) struct CrsPair {
+    from: Box<dyn Projection>,
+    to: Box<dyn Projection>,
+    to_crs: Crs,
 }
 
-impl<V: Pixel> RowWindow<V> {
-    fn new(width: u32, height: u32) -> Self {
-        RowWindow { rows: VecDeque::new(), first_row: 0, width, height }
+impl CrsPair {
+    /// The pair re-projecting `from` into `to`; fails if either CRS has
+    /// no projection.
+    pub(crate) fn new(from: Crs, to: Crs) -> crate::Result<Self> {
+        Ok(CrsPair { from: from.projection()?, to: to.projection()?, to_crs: to })
     }
 
-    fn ensure_row(&mut self, row: u32) -> &mut Vec<V> {
-        while self.first_row + (self.rows.len() as u32) <= row {
-            self.rows.push_back(None);
+    /// The derived output lattice of a sector: the input extent mapped
+    /// into the target CRS (16 samples per edge), gridded at the input
+    /// dimensions; `None` when no sample maps.
+    fn out_lattice(&self, in_lattice: &LatticeGeoref) -> Option<LatticeGeoref> {
+        let mut out = Rect::empty();
+        for s in in_lattice.world_bbox().boundary_samples(16) {
+            let Ok(ll) = self.from.inverse(s) else { continue };
+            let Ok(p) = self.to.forward(ll) else { continue };
+            out = out.union(&Rect::new(p.x, p.y, p.x, p.y));
         }
-        let idx = (row - self.first_row) as usize;
-        self.rows[idx].get_or_insert_with(|| vec![V::default(); self.width as usize])
-    }
-
-    fn set(&mut self, cell: Cell, v: V) {
-        if cell.row < self.first_row || cell.col >= self.width {
-            return; // row already evicted (out-of-order input) or OOB
+        if out.is_empty() || out.area() <= 0.0 {
+            return None;
         }
-        let col = cell.col as usize;
-        self.ensure_row(cell.row)[col] = v;
+        Some(LatticeGeoref::north_up(self.to_crs, out, in_lattice.width, in_lattice.height))
     }
 
-    /// Drops buffered rows strictly below `row`. Returns points freed.
-    fn evict_below(&mut self, row: u32) -> u64 {
-        let mut freed = 0u64;
-        while self.first_row < row {
-            match self.rows.pop_front() {
-                Some(Some(r)) => freed += r.len() as u64,
-                Some(None) => {}
-                None => break,
+    /// Fractional input-lattice coordinates of an output cell; `None`
+    /// when the point is unmappable (e.g. beyond the geostationary limb).
+    fn source_of(
+        &self,
+        in_lattice: &LatticeGeoref,
+        out_lattice: &LatticeGeoref,
+        cell: Cell,
+    ) -> Option<(f64, f64)> {
+        let ll = self.to.inverse(out_lattice.cell_to_world(cell)).ok()?;
+        let xy = self.from.forward(ll).ok()?;
+        Some(in_lattice.world_to_fractional(xy))
+    }
+
+    /// The mapping-table entry of an output cell: its source
+    /// coordinates, or [`NO_SOURCE`] outside the input lattice.
+    fn table_entry(
+        &self,
+        in_lattice: &LatticeGeoref,
+        out_lattice: &LatticeGeoref,
+        cell: Cell,
+    ) -> [f64; 2] {
+        let Some((fc, fr)) = self.source_of(in_lattice, out_lattice, cell) else {
+            return NO_SOURCE;
+        };
+        if fc < -0.5
+            || fr < -0.5
+            || fc > f64::from(in_lattice.width) - 0.5
+            || fr > f64::from(in_lattice.height) - 0.5
+        {
+            return NO_SOURCE;
+        }
+        [fc, fr]
+    }
+
+    /// The metadata-assisted schedule: per output row, the source rows
+    /// of 17 sampled columns (every `width / 16`-th and the last),
+    /// widened by `margin` rows each side and clamped to the input.
+    fn sampled_schedule(
+        &self,
+        in_lattice: &LatticeGeoref,
+        out_lattice: &LatticeGeoref,
+        margin: u32,
+    ) -> RowSchedule {
+        let (w, in_h) = (out_lattice.width, in_lattice.height);
+        let step = (w / 16).max(1) as usize;
+        let needed = (0..out_lattice.height)
+            .map(|row| {
+                let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
+                for col in (0..w).step_by(step).chain(w.checked_sub(1)) {
+                    if let Some((_, fr)) =
+                        self.source_of(in_lattice, out_lattice, Cell::new(col, row))
+                    {
+                        lo = lo.min(fr);
+                        hi = hi.max(fr);
+                    }
+                }
+                lo.is_finite().then(|| {
+                    let lo_row = (lo.floor() as i64 - i64::from(margin)).max(0) as u32;
+                    let hi_row = ((hi.ceil() as i64 + i64::from(margin)).max(0) as u32)
+                        .min(in_h.saturating_sub(1));
+                    (lo_row.min(in_h.saturating_sub(1)), hi_row)
+                })
+            })
+            .collect();
+        RowSchedule::new(needed, in_h)
+    }
+}
+
+/// Which input rows each output row of a sector reads: the emission and
+/// eviction schedule of a re-projection. The operator runs it; the
+/// static analyzer bounds the operator's buffer with
+/// [`peak_rows`](RowSchedule::peak_rows).
+pub(crate) struct RowSchedule {
+    /// Per output row, the inclusive input-row window `(lo, hi)` its
+    /// kernel reads, or `None` when no sampled column of the row maps
+    /// (the row is skipped).
+    needed: Vec<Option<(u32, u32)>>,
+    /// `min_needed_from[i]` is the smallest `lo` over output rows `i..`,
+    /// and the input height at `i` = the row count: the eviction
+    /// watermark once row `i` is next to emit.
+    min_needed_from: Vec<u32>,
+}
+
+impl RowSchedule {
+    fn new(needed: Vec<Option<(u32, u32)>>, in_height: u32) -> Self {
+        let mut min_needed_from = vec![in_height; needed.len() + 1];
+        let mut running = in_height;
+        for (i, window) in needed.iter().enumerate().rev() {
+            if let Some((lo, _)) = window {
+                running = running.min(*lo);
             }
-            self.first_row += 1;
+            min_needed_from[i] = running;
         }
-        freed
+        RowSchedule { needed, min_needed_from }
     }
 
-    fn buffered_points(&self) -> u64 {
-        self.rows.iter().flatten().map(|r| r.len() as u64).sum()
+    /// The most input rows the operator holds over one sector whose rows
+    /// `arriving` come in order, each complete and a frame of its own:
+    /// the schedule run the way the operator runs it. A row arrives
+    /// only after every row above it has, so when `arriving` starts
+    /// below row 0 nothing is emitted (or evicted) until a skipped
+    /// output row moves the watermark past the gap.
+    pub(crate) fn peak_rows(&self, arriving: Range<u32>) -> u32 {
+        let in_height = self.min_needed_from.last().copied().unwrap_or(0);
+        let (mut cursor, mut first, mut end, mut complete, mut peak) = (0, 0u32, 0u32, 0u32, 0u32);
+        for row in arriving.clone() {
+            if row >= first {
+                end = end.max(row + 1);
+                peak = peak.max(row + 1 - first.max(arriving.start));
+            }
+            // The frame ends: the completion watermark passes every row
+            // evicted or received.
+            while complete < in_height
+                && (complete < first || (arriving.start..=row).contains(&complete))
+            {
+                complete += 1;
+            }
+            while let Some(window) = self.needed.get(cursor) {
+                if window.is_some_and(|(_, hi)| complete <= hi) {
+                    break;
+                }
+                cursor += 1;
+                // Eviction never passes the last row seen.
+                first = first.max(self.min_needed_from[cursor].min(end));
+            }
+        }
+        peak
     }
 }
 
-impl<V: Pixel> SampleSource for RowWindow<V> {
-    fn at(&self, col: i64, row: i64) -> f64 {
-        let col = col.clamp(0, i64::from(self.width) - 1) as usize;
-        let row = row.clamp(0, i64::from(self.height) - 1) as u32;
-        // Clamp the row into the buffered window.
-        let last = self.first_row + (self.rows.len().max(1) as u32) - 1;
-        let row = row.clamp(self.first_row, last);
-        match self.rows.get((row - self.first_row) as usize) {
-            Some(Some(r)) => r[col].to_f64(),
-            _ => 0.0,
-        }
-    }
-}
-
-/// Per-sector plan for the metadata-assisted emission schedule.
-struct SectorPlan {
+/// Everything the operator derives from one sector lattice: a constant
+/// while the geometry repeats.
+struct Mapping {
+    /// The input lattice the mapping was built for (the cache key).
     in_lattice: LatticeGeoref,
     out_lattice: LatticeGeoref,
-    /// For each output row: inclusive input-row window `(lo, hi)` needed
-    /// to interpolate it, or `None` when the row is entirely unmappable.
-    needed: Vec<Option<(u32, u32)>>,
-    /// `min_needed_from[i]` = smallest `needed.lo` over output rows
-    /// `i..` — the eviction watermark once row `i` is next to emit.
-    min_needed_from: Vec<u32>,
+    schedule: RowSchedule,
+    /// Fractional source `[col, row]` of each output cell, row-major, or
+    /// [`NO_SOURCE`]: the rows emitted so far. Room for every output
+    /// cell is reserved, and counted, up front.
+    table: Vec<[f64; 2]>,
+}
+
+impl Mapping {
+    fn new(
+        config: &ReprojectConfig,
+        pair: &CrsPair,
+        in_lattice: LatticeGeoref,
+        out: LatticeGeoref,
+    ) -> Self {
+        Mapping {
+            in_lattice,
+            out_lattice: out,
+            schedule: config.schedule(pair, &in_lattice, &out),
+            table: Vec::with_capacity(out.len() as usize),
+        }
+    }
+
+    fn table_bytes(&self) -> u64 {
+        self.out_lattice.len() * MAP_CELL_BYTES
+    }
+
+    /// The table row of output row `row`, projecting the rows up to it
+    /// the first time. Rows the schedule skips are never read; they
+    /// hold [`NO_SOURCE`] without a projection.
+    fn table_row(&mut self, pair: &CrsPair, row: u32) -> &[[f64; 2]] {
+        let (in_lattice, out_lattice) = (self.in_lattice, self.out_lattice);
+        let w = out_lattice.width as usize;
+        while self.table.len() < (row as usize + 1) * w {
+            let r = (self.table.len() / w) as u32;
+            if self.schedule.needed[r as usize].is_some() {
+                self.table.extend(
+                    (0..w as u32)
+                        .map(|col| pair.table_entry(&in_lattice, &out_lattice, Cell::new(col, r))),
+                );
+            } else {
+                self.table.resize(self.table.len() + w, NO_SOURCE);
+            }
+        }
+        &self.table[row as usize * w..][..w]
+    }
+
+    /// The points of output row `row`: every cell with a source,
+    /// interpolated over the buffered input rows.
+    fn gather<V: Pixel>(
+        &mut self,
+        pair: &CrsPair,
+        ring: &RowRing<V>,
+        kernel: Kernel,
+        row: u32,
+    ) -> Chunk<V> {
+        let table = self.table_row(pair, row);
+        let mut run = Chunk::with_budget(table.len());
+        for (col, &[fc, fr]) in (0u32..).zip(table) {
+            if fc == NO_SOURCE[0] {
+                continue;
+            }
+            let value = V::from_f64(sample_source(ring, fc, fr, kernel));
+            run.points.push(PointRecord { cell: Cell::new(col, row), value });
+        }
+        run
+    }
+}
+
+/// The buffered input rows of the open sector: one row-major ring of
+/// row slots (a power of two of them) over input rows
+/// `first_row .. first_row + len`, with a flag per slot marking a row
+/// that has received a point. A row of the window that never arrived
+/// reads as `0.0`.
+struct RowRing<V> {
+    data: Vec<V>,
+    received: Vec<bool>,
+    width: u32,
+    height: u32,
+    first_row: u32,
+    len: u32,
+    /// Received rows in the window: the running count behind the
+    /// operator's buffered points.
+    held: u32,
+}
+
+impl<V: Pixel> RowRing<V> {
+    fn new() -> Self {
+        RowRing {
+            data: Vec::new(),
+            received: vec![false],
+            width: 0,
+            height: 0,
+            first_row: 0,
+            len: 0,
+            held: 0,
+        }
+    }
+
+    /// Empties the ring for a sector of `width × height` input cells,
+    /// keeping its slots.
+    fn reset(&mut self, width: u32, height: u32) {
+        if width != self.width {
+            self.data = vec![V::default(); self.received.len() * width as usize];
+        }
+        self.received.fill(false);
+        (self.width, self.height, self.first_row, self.len, self.held) = (width, height, 0, 0, 0);
+    }
+
+    #[inline]
+    fn slot(&self, row: u32) -> usize {
+        row as usize & (self.received.len() - 1)
+    }
+
+    /// Offset of `row` (at or past `first_row`) in `data`; the row's
+    /// first point receives it, zeroed.
+    fn receive(&mut self, row: u32) -> usize {
+        let span = row - self.first_row + 1;
+        if span as usize > self.received.len() {
+            self.grow(span as usize);
+        }
+        self.len = self.len.max(span);
+        let (slot, w) = (self.slot(row), self.width as usize);
+        if !self.received[slot] {
+            self.received[slot] = true;
+            self.held += 1;
+            self.data[slot * w..][..w].fill(V::default());
+        }
+        slot * w
+    }
+
+    /// Lays the window out again over at least `rows` slots.
+    fn grow(&mut self, rows: usize) {
+        let slots = rows.next_power_of_two();
+        let w = self.width as usize;
+        let mut data = vec![V::default(); slots * w];
+        let mut received = vec![false; slots];
+        for row in self.first_row..self.first_row + self.len {
+            let old = self.slot(row);
+            if self.received[old] {
+                let new = row as usize & (slots - 1);
+                received[new] = true;
+                data[new * w..][..w].copy_from_slice(&self.data[old * w..][..w]);
+            }
+        }
+        (self.data, self.received) = (data, received);
+    }
+
+    /// Whether input row `row` is evicted or received.
+    fn is_done(&self, row: u32) -> bool {
+        row < self.first_row || (row < self.first_row + self.len && self.received[self.slot(row)])
+    }
+
+    /// Drops the rows below `row`, never past the last row seen; returns
+    /// how many received rows went.
+    fn evict_below(&mut self, row: u32) -> u32 {
+        let mut freed = 0;
+        while self.first_row < row && self.len > 0 {
+            let slot = self.slot(self.first_row);
+            freed += u32::from(std::mem::take(&mut self.received[slot]));
+            self.first_row += 1;
+            self.len -= 1;
+        }
+        self.held -= freed;
+        freed
+    }
+}
+
+impl<V: Pixel> SampleSource for RowRing<V> {
+    #[inline]
+    fn at(&self, col: i64, row: i64) -> f64 {
+        let col = col.clamp(0, i64::from(self.width) - 1) as usize;
+        let row = (row.clamp(0, i64::from(self.height) - 1) as u32)
+            .clamp(self.first_row, self.first_row + self.len.max(1) - 1);
+        let slot = self.slot(row);
+        if self.received[slot] {
+            self.data[slot * self.width as usize + col].to_f64()
+        } else {
+            0.0
+        }
+    }
+}
+
+/// The sector being re-projected.
+struct OpenSector {
     /// Next output row to emit.
     cursor: u32,
     /// Number of leading input rows fully received.
     rows_complete: u32,
     sector_id: u64,
-    timestamp: crate::model::Timestamp,
+    timestamp: Timestamp,
 }
 
 /// The re-projection operator `G ∘ f_spat` across coordinate systems.
 pub struct Reproject<S: GeoStream> {
-    input: ChunkInput<S>,
+    input: S,
     config: ReprojectConfig,
-    from_proj: Box<dyn Projection>,
-    to_proj: Box<dyn Projection>,
-    plan: Option<SectorPlan>,
-    window: Option<RowWindow<S::V>>,
-    queue: VecDeque<Element<S::V>>,
+    pair: CrsPair,
+    /// The mapping of the last visible sector geometry.
+    mapping: Option<Mapping>,
+    /// The open sector, while it is visible in the target CRS.
+    sector: Option<OpenSector>,
+    /// The open sector is invisible in the target CRS: it is dropped
+    /// whole, `SectorEnd` included.
+    dropping: bool,
+    ring: RowRing<S::V>,
+    /// Output items; a run at the front is handed out from `offset` on.
+    queue: VecDeque<ChunkOrMarker<S::V>>,
+    offset: usize,
     next_frame_id: u64,
     stats: OpStats,
     schema: StreamSchema,
@@ -171,273 +505,172 @@ impl<S: GeoStream> Reproject<S> {
     /// Creates the re-projection; fails if either CRS has no projection.
     pub fn new(input: S, config: ReprojectConfig) -> crate::Result<Self> {
         let from_crs = input.schema().crs;
-        let from_proj = from_crs.projection()?;
-        let to_proj = config.to.projection()?;
+        let pair = CrsPair::new(from_crs, config.to)?;
         let mut schema = input.schema().renamed(format!("reproject[{}->{}]", from_crs, config.to));
         schema.crs = config.to;
         schema.sector_lattice = None;
         Ok(Reproject {
-            input: ChunkInput::new(input),
+            input,
             config,
-            from_proj,
-            to_proj,
-            plan: None,
-            window: None,
+            pair,
+            mapping: None,
+            sector: None,
+            dropping: false,
+            ring: RowRing::new(),
             queue: VecDeque::new(),
+            offset: 0,
             next_frame_id: 0,
             stats: OpStats::default(),
             schema,
         })
     }
 
-    /// Maps an output-lattice cell to fractional input-lattice
-    /// coordinates; `None` when the point is unmappable (e.g. beyond the
-    /// geostationary limb).
-    fn out_cell_to_in_frac(&self, plan: &SectorPlan, cell: Cell) -> Option<(f64, f64)> {
-        let w = plan.out_lattice.cell_to_world(cell);
-        let ll = self.to_proj.inverse(w).ok()?;
-        let xy = self.from_proj.forward(ll).ok()?;
-        Some(plan.in_lattice.world_to_fractional(xy))
-    }
-
-    /// Derives the output lattice for a sector: the input extent mapped
-    /// into the target CRS, gridded at the input dimensions.
-    fn derive_out_lattice(&self, in_lattice: &LatticeGeoref) -> Option<LatticeGeoref> {
-        if let Some(explicit) = self.config.output_lattice {
-            return Some(explicit);
-        }
-        let bbox = in_lattice.world_bbox();
-        let mut out = Rect::empty();
-        let samples = bbox.boundary_samples(16);
-        for s in samples {
-            let Ok(ll) = self.from_proj.inverse(s) else { continue };
-            let Ok(p) = self.to_proj.forward(ll) else { continue };
-            out = out.union(&Rect::new(p.x, p.y, p.x, p.y));
-        }
-        if out.is_empty() || out.area() <= 0.0 {
-            return None;
-        }
-        Some(LatticeGeoref::north_up(self.config.to, out, in_lattice.width, in_lattice.height))
-    }
-
-    /// Computes the per-output-row input windows.
-    fn compute_needed(&self, plan: &mut SectorPlan) {
-        let support = self.config.kernel.support() + self.config.safety_rows;
-        let w = plan.out_lattice.width;
-        let step = (w / 16).max(1);
-        let in_h = plan.in_lattice.height;
-        for out_row in 0..plan.out_lattice.height {
-            let mut lo = f64::INFINITY;
-            let mut hi = f64::NEG_INFINITY;
-            let mut col = 0;
-            while col < w {
-                if let Some((_, fr)) = self.out_cell_to_in_frac(plan, Cell::new(col, out_row)) {
-                    lo = lo.min(fr);
-                    hi = hi.max(fr);
-                }
-                col += step;
-            }
-            // Always include the last column.
-            if w > 0 {
-                if let Some((_, fr)) = self.out_cell_to_in_frac(plan, Cell::new(w - 1, out_row)) {
-                    lo = lo.min(fr);
-                    hi = hi.max(fr);
+    /// Consumes one input item: its run into the ring, then its marker.
+    fn ingest(&mut self, item: ChunkOrMarker<S::V>) {
+        match item {
+            ChunkOrMarker::Marker(m) => self.on_marker(m),
+            ChunkOrMarker::Chunk(mut c) => {
+                self.ingest_run(&c.points);
+                let end = c.end.take();
+                c.recycle();
+                if let Some(m) = end {
+                    self.on_marker(m);
                 }
             }
-            plan.needed.push(if lo.is_finite() {
-                let lo_row = (lo.floor() as i64 - i64::from(support)).max(0) as u32;
-                let hi_row = ((hi.ceil() as i64 + i64::from(support)).max(0) as u32)
-                    .min(in_h.saturating_sub(1));
-                Some((lo_row.min(in_h.saturating_sub(1)), hi_row))
-            } else {
-                None
-            });
         }
-        // Suffix minima for eviction.
-        plan.min_needed_from = vec![0; plan.needed.len() + 1];
-        let mut running = in_h; // nothing needed after the last row
-        plan.min_needed_from[plan.needed.len()] = running;
-        for i in (0..plan.needed.len()).rev() {
-            if let Some((lo, _)) = plan.needed[i] {
-                running = running.min(lo);
+    }
+
+    /// Writes a run of input points into their rows of the ring.
+    fn ingest_run(&mut self, points: &[PointRecord<S::V>]) {
+        self.stats.points_in += points.len() as u64;
+        if self.sector.is_none() {
+            return;
+        }
+        let ring = &mut self.ring;
+        let held = ring.held;
+        let mut row_at: Option<(u32, usize)> = None;
+        for p in points {
+            let Cell { col, row } = p.cell;
+            // Already evicted (out-of-order input), or off the lattice.
+            if row < ring.first_row || col >= ring.width {
+                continue;
             }
-            plan.min_needed_from[i] = running;
+            let base = match row_at {
+                Some((r, base)) if r == row => base,
+                _ => {
+                    let base = ring.receive(row);
+                    row_at = Some((row, base));
+                    base
+                }
+            };
+            ring.data[base + col as usize] = p.value;
         }
+        let grown = u64::from(ring.held - held) * u64::from(ring.width);
+        if grown > 0 {
+            self.stats.buffer_grow(grown, grown * S::V::BYTES as u64);
+        }
+    }
+
+    fn on_marker(&mut self, marker: Marker) {
+        match marker {
+            Marker::SectorStart(si) => self.open_sector(si),
+            Marker::FrameStart(_) => {
+                self.stats.frames_in += 1;
+                self.stats.stalls += 1;
+            }
+            Marker::FrameEnd(_) => {
+                if let Some(sector) = &mut self.sector {
+                    // Rows complete in arrival order: advance the
+                    // completion watermark to the highest prefix of
+                    // rows evicted or received.
+                    while sector.rows_complete < self.ring.height
+                        && self.ring.is_done(sector.rows_complete)
+                    {
+                        sector.rows_complete += 1;
+                    }
+                }
+                self.emit_ready_rows(false);
+            }
+            Marker::SectorEnd(se) => {
+                self.emit_ready_rows(true);
+                if self.sector.take().is_some() {
+                    let freed = u64::from(self.ring.held) * u64::from(self.ring.width);
+                    self.stats.buffer_shrink(freed, freed * S::V::BYTES as u64);
+                }
+                if !std::mem::take(&mut self.dropping) {
+                    self.queue.push_back(ChunkOrMarker::Marker(Marker::SectorEnd(se)));
+                }
+            }
+        }
+    }
+
+    /// Opens a sector, reusing the mapping when its lattice repeats.
+    fn open_sector(&mut self, si: SectorInfo) {
+        let cached = self.mapping.as_ref().is_some_and(|m| m.in_lattice == si.lattice);
+        if !cached {
+            let Some(out_lattice) = self.config.out_lattice(&self.pair, &si.lattice) else {
+                // Invisible in the target CRS: the sector is dropped.
+                self.sector = None;
+                self.dropping = true;
+                return;
+            };
+            if let Some(old) = self.mapping.take() {
+                self.stats.buffer_shrink(0, old.table_bytes());
+            }
+            let mapping = Mapping::new(&self.config, &self.pair, si.lattice, out_lattice);
+            self.stats.buffer_grow(0, mapping.table_bytes());
+            self.mapping = Some(mapping);
+        }
+        let Some(mapping) = &self.mapping else { return };
+        self.dropping = false;
+        self.ring.reset(si.lattice.width, si.lattice.height);
+        self.sector = Some(OpenSector {
+            cursor: 0,
+            rows_complete: 0,
+            sector_id: si.sector_id,
+            timestamp: si.timestamp,
+        });
+        let out = SectorInfo { lattice: mapping.out_lattice, ..si };
+        self.queue.push_back(ChunkOrMarker::Marker(Marker::SectorStart(out)));
     }
 
     /// Emits every output row whose input window is satisfied (or all
-    /// remaining rows when `force` at sector end).
+    /// remaining rows when `force` at sector end), each as `FrameStart`,
+    /// one run and `FrameEnd`, evicting the input rows no remaining
+    /// output row needs.
     fn emit_ready_rows(&mut self, force: bool) {
-        let Some(mut plan) = self.plan.take() else { return };
-        let Some(window) = self.window.take() else {
-            self.plan = Some(plan);
-            return;
-        };
-        let mut window = window;
-        while (plan.cursor as usize) < plan.needed.len() {
-            let idx = plan.cursor as usize;
-            let ready = match plan.needed[idx] {
-                None => true, // nothing mappable: emit an empty row (skip)
-                Some((_, hi)) => force || plan.rows_complete > hi,
-            };
-            if !ready {
-                break;
+        let (Some(sector), Some(mapping)) = (&mut self.sector, &mut self.mapping) else { return };
+        while let Some(&window) = mapping.schedule.needed.get(sector.cursor as usize) {
+            if let Some((_, hi)) = window {
+                if !force && sector.rows_complete <= hi {
+                    break;
+                }
+                let (row, frame_id) = (sector.cursor, self.next_frame_id);
+                self.next_frame_id += 1;
+                let run = mapping.gather(&self.pair, &self.ring, self.config.kernel, row);
+                if run.is_empty() {
+                    run.recycle();
+                } else {
+                    self.stats.frames_out += 1;
+                    self.stats.points_out += run.len() as u64;
+                    let sector_id = sector.sector_id;
+                    let width = mapping.out_lattice.width;
+                    self.queue.push_back(ChunkOrMarker::Marker(Marker::FrameStart(FrameInfo {
+                        frame_id,
+                        sector_id,
+                        timestamp: sector.timestamp,
+                        cells: CellBox::new(0, row, width.saturating_sub(1), row),
+                        synth_ns: crate::obs::now_ns(),
+                    })));
+                    self.queue.push_back(ChunkOrMarker::Chunk(run));
+                    let end = FrameEnd { frame_id, sector_id };
+                    self.queue.push_back(ChunkOrMarker::Marker(Marker::FrameEnd(end)));
+                }
             }
-            if let Some((_, _)) = plan.needed[idx] {
-                self.emit_out_row(&plan, &window, plan.cursor);
-            }
-            plan.cursor += 1;
-            // Evict input rows no longer needed by any remaining out row.
-            let watermark = plan.min_needed_from[plan.cursor as usize];
-            let freed = window.evict_below(watermark);
+            sector.cursor += 1;
+            let watermark = mapping.schedule.min_needed_from[sector.cursor as usize];
+            let freed = u64::from(self.ring.evict_below(watermark)) * u64::from(self.ring.width);
             self.stats.buffer_shrink(freed, freed * S::V::BYTES as u64);
-        }
-        self.plan = Some(plan);
-        self.window = Some(window);
-    }
-
-    /// Emits one output row as a frame.
-    fn emit_out_row(&mut self, plan: &SectorPlan, window: &RowWindow<S::V>, out_row: u32) {
-        let w = plan.out_lattice.width;
-        let frame_id = self.next_frame_id;
-        self.next_frame_id += 1;
-        let mut emitted_any = false;
-        let mut row_elems: Vec<Element<S::V>> = Vec::with_capacity(w as usize + 2);
-        for col in 0..w {
-            let Some((fc, fr)) = self.out_cell_to_in_frac(plan, Cell::new(col, out_row)) else {
-                continue;
-            };
-            // Outside the input lattice entirely: no data for this cell.
-            if fc < -0.5
-                || fr < -0.5
-                || fc > f64::from(plan.in_lattice.width) - 0.5
-                || fr > f64::from(plan.in_lattice.height) - 0.5
-            {
-                continue;
-            }
-            let v = sample_source(window, fc, fr, self.config.kernel);
-            row_elems.push(Element::point(Cell::new(col, out_row), S::V::from_f64(v)));
-            emitted_any = true;
-        }
-        if emitted_any {
-            self.stats.frames_out += 1;
-            self.queue.push_back(Element::FrameStart(FrameInfo {
-                frame_id,
-                sector_id: plan.sector_id,
-                timestamp: plan.timestamp,
-                cells: CellBox::new(0, out_row, w.saturating_sub(1), out_row),
-                synth_ns: crate::obs::now_ns(),
-            }));
-            self.stats.points_out += row_elems.len() as u64;
-            self.queue.extend(row_elems);
-            self.queue
-                .push_back(Element::FrameEnd(FrameEnd { frame_id, sector_id: plan.sector_id }));
-        }
-    }
-
-    /// The next output element; `next_chunk` packs these into runs.
-    fn step(&mut self) -> Option<Element<S::V>> {
-        loop {
-            if let Some(el) = self.queue.pop_front() {
-                return Some(el);
-            }
-            let el = self.input.pull()?;
-            match el {
-                Element::SectorStart(si) => {
-                    let out_lattice = match self.derive_out_lattice(&si.lattice) {
-                        Some(l) => l,
-                        None => {
-                            // Sector invisible in the target CRS.
-                            self.plan = None;
-                            self.window = None;
-                            continue;
-                        }
-                    };
-                    let mut plan = SectorPlan {
-                        in_lattice: si.lattice,
-                        out_lattice,
-                        needed: Vec::new(),
-                        min_needed_from: Vec::new(),
-                        cursor: 0,
-                        rows_complete: 0,
-                        sector_id: si.sector_id,
-                        timestamp: si.timestamp,
-                    };
-                    if self.config.use_sector_metadata {
-                        self.compute_needed(&mut plan);
-                    } else {
-                        // Blocking variant: every out row "needs" the
-                        // whole sector.
-                        let last = si.lattice.height.saturating_sub(1);
-                        plan.needed = vec![Some((0, last)); plan.out_lattice.height as usize];
-                        plan.min_needed_from = vec![0; plan.needed.len() + 1];
-                        if let Some(slot) = plan.min_needed_from.last_mut() {
-                            *slot = si.lattice.height;
-                        }
-                    }
-                    self.window = Some(RowWindow::new(si.lattice.width, si.lattice.height));
-                    self.queue.push_back(Element::SectorStart(SectorInfo {
-                        lattice: plan.out_lattice,
-                        ..si.clone()
-                    }));
-                    self.plan = Some(plan);
-                }
-                Element::FrameStart(_) => {
-                    self.stats.frames_in += 1;
-                    self.stats.stalls += 1;
-                }
-                Element::Point(p) => {
-                    self.stats.points_in += 1;
-                    if let Some(w) = &mut self.window {
-                        let before = w.buffered_points();
-                        w.set(p.cell, p.value);
-                        let after = w.buffered_points();
-                        if after > before {
-                            self.stats
-                                .buffer_grow(after - before, (after - before) * S::V::BYTES as u64);
-                        }
-                    }
-                }
-                Element::FrameEnd(fe) => {
-                    let _ = fe;
-                    if let Some(plan) = &mut self.plan {
-                        if let Some(w) = &self.window {
-                            // Rows complete in arrival order: advance the
-                            // completion watermark to the highest fully
-                            // buffered prefix.
-                            let mut complete = plan.rows_complete;
-                            while complete < plan.in_lattice.height {
-                                let idx = complete.checked_sub(w.first_row);
-                                match idx {
-                                    None => {
-                                        complete += 1; // already evicted
-                                    }
-                                    Some(i) => {
-                                        if w.rows.get(i as usize).map(|r| r.is_some()) == Some(true)
-                                        {
-                                            complete += 1;
-                                        } else {
-                                            break;
-                                        }
-                                    }
-                                }
-                            }
-                            plan.rows_complete = complete;
-                        }
-                    }
-                    self.emit_ready_rows(false);
-                }
-                Element::SectorEnd(se) => {
-                    self.emit_ready_rows(true);
-                    if let Some(w) = &mut self.window {
-                        let freed = w.buffered_points();
-                        self.stats.buffer_shrink(freed, freed * S::V::BYTES as u64);
-                    }
-                    self.plan = None;
-                    self.window = None;
-                    self.queue.push_back(Element::SectorEnd(SectorEnd { sector_id: se.sector_id }));
-                }
-            }
         }
     }
 }
@@ -450,7 +683,31 @@ impl<S: GeoStream> GeoStream for Reproject<S> {
     }
 
     fn next_chunk(&mut self, budget: usize) -> Option<ChunkOrMarker<S::V>> {
-        pack_elements(budget, || self.step())
+        let budget = budget.max(1);
+        while self.queue.is_empty() {
+            let item = self.input.next_chunk(DEFAULT_CHUNK_BUDGET)?;
+            self.ingest(item);
+        }
+        // A row longer than the budget leaves in budget-sized pieces.
+        if let Some(ChunkOrMarker::Chunk(run)) = self.queue.front() {
+            if run.len() - self.offset > budget {
+                let mut piece = Chunk::with_budget(budget);
+                piece.points.extend_from_slice(&run.points[self.offset..][..budget]);
+                self.offset += budget;
+                return Some(ChunkOrMarker::Chunk(piece));
+            }
+        }
+        let mut item = self.queue.pop_front()?;
+        if let ChunkOrMarker::Chunk(run) = &mut item {
+            run.points.drain(..std::mem::take(&mut self.offset));
+            // The row's `FrameEnd` rides on the run it cut short.
+            if run.len() < budget && matches!(self.queue.front(), Some(ChunkOrMarker::Marker(_))) {
+                if let Some(ChunkOrMarker::Marker(m)) = self.queue.pop_front() {
+                    run.end = Some(m);
+                }
+            }
+        }
+        Some(item)
     }
 
     fn op_stats(&self) -> OpStats {
@@ -458,7 +715,7 @@ impl<S: GeoStream> GeoStream for Reproject<S> {
     }
 
     fn collect_stats(&self, out: &mut Vec<OpReport>) {
-        self.input.stream().collect_stats(out);
+        self.input.collect_stats(out);
         out.push(OpReport::new(self.schema.name.clone(), self.op_stats()));
     }
 }
@@ -478,7 +735,9 @@ impl<S: GeoStream> Reproject<S> {
 
     /// §3.2: re-projection "may block arbitrarily" unless scan-sector
     /// metadata bounds the needed input neighborhood to a narrow row
-    /// band around the current scanline.
+    /// band around the current scanline. The band declared here is the
+    /// kernel's; the analyzer, which knows the sector geometry, bounds
+    /// the rows by running the sector's row schedule.
     pub fn declared_blocking(&self) -> crate::ops::BlockingClass {
         if self.config.use_sector_metadata {
             crate::ops::BlockingClass::BoundedRows(
@@ -493,7 +752,7 @@ impl<S: GeoStream> Reproject<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::VecStream;
+    use crate::model::{Element, VecStream};
     use geostreams_geo::Coord as GeoCoord;
 
     /// A lat/lon sector over Northern California.
@@ -648,13 +907,45 @@ mod tests {
 
     #[test]
     fn invisible_sector_is_dropped() {
-        // A lat/lon sector on the far side of the Earth from GOES-East.
+        // A lat/lon sector on the far side of the Earth from GOES-East:
+        // nothing of it comes out, not even its markers.
         let lattice =
             LatticeGeoref::north_up(Crs::LatLon, Rect::new(100.0, -5.0, 110.0, 5.0), 8, 8);
         let src = VecStream::<f32>::single_sector("src", lattice, 0, |_, _| 1.0);
         let mut op = Reproject::new(src, ReprojectConfig::new(Crs::geostationary(-75.0))).unwrap();
         let els = op.drain_elements();
-        assert!(els.iter().all(|e| !e.is_point()), "no points should map");
+        assert!(els.is_empty(), "the whole sector is dropped: {els:?}");
+    }
+
+    #[test]
+    fn repeated_geometry_reuses_the_mapping() {
+        // Three sectors on one lattice: the table is built once, counted
+        // once, and the output repeats sector for sector.
+        let lattice = latlon_lattice(24, 24);
+        let src = VecStream::<f32>::sectors("src", lattice, 3, |_, c, r| f64::from(c * r));
+        let mut op = Reproject::new(src, ReprojectConfig::new(Crs::utm(10, true))).unwrap();
+        let pts = op.drain_points();
+        assert_eq!(pts.len() % 3, 0);
+        let per_sector = pts.len() / 3;
+        assert_eq!(pts[..per_sector], pts[per_sector..2 * per_sector]);
+        let stats = op.op_stats();
+        let table = 24 * 24 * MAP_CELL_BYTES;
+        assert_eq!(stats.buffered_bytes, table, "the table outlives its sectors");
+        assert_eq!(stats.buffered_points, 0, "the window does not");
+        assert_eq!(stats.buffered_bytes_peak, table + stats.buffered_points_peak * 4);
+    }
+
+    #[test]
+    fn peak_rows_runs_the_schedule() {
+        // Output row i reads input rows i..=i+2 of an 8-row sector.
+        let schedule = RowSchedule::new((0..6).map(|i| Some((i, i + 2))).collect::<Vec<_>>(), 8);
+        assert_eq!(schedule.min_needed_from, vec![0, 1, 2, 3, 4, 5, 8]);
+        // Output row r leaves once row r + 2 is in, so rows r..=r + 2
+        // are held at most.
+        assert_eq!(schedule.peak_rows(0..8), 3);
+        // Row 0 never arrives: nothing completes, every row waits.
+        assert_eq!(schedule.peak_rows(1..8), 7);
+        assert_eq!(schedule.peak_rows(0..0), 0);
     }
 
     #[test]

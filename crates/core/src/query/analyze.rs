@@ -32,15 +32,17 @@
 
 use super::ast::Expr;
 use super::canon::{canonical_key, canonical_text, key_hex};
-use super::plan::Catalog;
+use super::plan::{region_in, Catalog};
 use super::pushdown::{time_set_window, TimeWindow};
 use crate::model::{Organization, TimeSemantics, TimeSet};
 use crate::ops::protocol::{
     meet, CertBuilder, ProtocolCertificate, ProtocolContract, StreamGuarantees,
 };
-use crate::ops::{BlockingClass, StretchScope};
-use geostreams_geo::{map_region, CellBox, Coord, Crs, LatticeGeoref, Region};
+use crate::ops::reproject::{CrsPair, MAP_CELL_BYTES};
+use crate::ops::{BlockingClass, ReprojectConfig, StretchScope};
+use geostreams_geo::{CellBox, Coord, Crs, LatticeGeoref};
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 
 /// Bytes per buffered stream value (pipelines are normalized to `f32`,
 /// and the executor's `OpStats` counts the same unit).
@@ -59,10 +61,6 @@ const AGG_CELL_BYTES: u64 = 8;
 /// model-based.
 const DEFAULT_SECTOR_WIDTH: u32 = 1000;
 const DEFAULT_SECTOR_HEIGHT: u32 = 1000;
-
-/// Safety rows the streaming re-projection keeps around the kernel
-/// support (mirrors `ReprojectConfig::new`).
-const REPROJECT_SAFETY_ROWS: u32 = 2;
 
 /// Diagnostic severity; `Error` diagnostics make a plan inadmissible.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -320,6 +318,10 @@ struct Derived {
     /// The lattice the stream's `SectorStart` carries: a restriction
     /// drops points but keeps it, so it can be larger than `lattice`.
     sector: Option<LatticeGeoref>,
+    /// Every row of `lattice` arrives complete, in order and as a frame
+    /// of its own: nothing upstream drops a row inside it or frames
+    /// several rows together.
+    row_frames: bool,
     /// Stream-protocol guarantees at this point of the plan (threaded
     /// by the certificate builder).
     proto: StreamGuarantees,
@@ -361,6 +363,12 @@ fn restricted_lattice(lat: &LatticeGeoref, fp: &CellBox) -> LatticeGeoref {
         fp.width(),
         fp.height(),
     )
+}
+
+/// The rows of `sector` that `lattice`, a restriction of it, covers.
+fn rows_within(sector: &LatticeGeoref, lattice: &LatticeGeoref) -> Range<u32> {
+    let first = ((lattice.origin.y - sector.origin.y) / sector.step_y).round().max(0.0) as u32;
+    first..(first + lattice.height).min(sector.height)
 }
 
 /// Output blocks a k× downsampling of `n` consecutive cells can
@@ -531,6 +539,15 @@ impl Analyzer<'_> {
             _ => format!("{parent}/{}", contract.operator),
         };
         let (mut d, class, bytes) = self.operator(expr, &path);
+        // Only these pass their input's frames on row for row.
+        d.row_frames &= matches!(
+            expr,
+            Expr::Source(_)
+                | Expr::RestrictSpace { .. }
+                | Expr::RestrictTime { .. }
+                | Expr::MapValue { .. }
+                | Expr::Stretch { .. }
+        );
         self.record(&path, &contract.operator, class, bytes, &d);
         d.proto = match expr {
             Expr::Source(name) if self.catalog.schema(name).is_some() => {
@@ -568,12 +585,14 @@ impl Analyzer<'_> {
             Some(_) => {}
         }
         let lattice = schema.and_then(|s| s.sector_lattice);
+        let organization = schema.map_or(Organization::RowByRow, |s| s.organization);
         Derived {
             crs: schema.map_or(Crs::LatLon, |s| s.crs),
-            organization: schema.map_or(Organization::RowByRow, |s| s.organization),
+            organization,
             time_semantics: schema.map_or(TimeSemantics::SectorId, |s| s.time_semantics),
             lattice,
             sector: lattice,
+            row_frames: organization == Organization::RowByRow,
             proto: StreamGuarantees::pristine(),
         }
     }
@@ -609,8 +628,8 @@ impl Analyzer<'_> {
                         ),
                         "§3.4",
                     );
-                    match map_region(region, crs, &d.crs, 8) {
-                        Ok(rect) => Some(rect),
+                    match region_in(region, crs, &d.crs) {
+                        Ok(mapped) => Some(mapped.bbox()),
                         Err(e) => {
                             self.diag(
                                 Severity::Error,
@@ -642,13 +661,18 @@ impl Analyzer<'_> {
                         }
                     }
                 }
+                // A polygon can miss every cell centre of a row of its box.
+                d.row_frames &= region.is_rectangular();
                 (d, none, 0)
             }
             Expr::RestrictTime { input, times } => {
                 let narrowed = self.window().intersect(&time_set_window(times));
                 self.windows.push(narrowed);
-                let d = self.walk(input, path);
+                let mut d = self.walk(input, path);
                 self.windows.pop();
+                // Frames pass whole sectors at a time only when every frame
+                // carries its sector's timestamp.
+                d.row_frames &= d.time_semantics == TimeSemantics::SectorId;
                 let degenerate = match times {
                     TimeSet::Instants(v) => v.is_empty(),
                     TimeSet::Interval { lo: Some(lo), hi: Some(hi) } => lo >= hi,
@@ -769,6 +793,7 @@ impl Analyzer<'_> {
             }
             Expr::Reproject { input, to, kernel } => {
                 let mut d = self.walk(input, path);
+                let from = d.crs;
                 d.crs = *to;
                 let Some(lat) = d.lattice else {
                     self.diag(
@@ -784,30 +809,50 @@ impl Analyzer<'_> {
                     );
                     return (d, BlockingClass::Unbounded, 0);
                 };
-                let band = 2 * (kernel.support() + REPROJECT_SAFETY_ROWS) + 1;
-                let bytes = u64::from(band) * d.row_bytes();
-                // Derive the output lattice the way the streaming operator
-                // does: the sector's cell count over its mapped world
-                // bbox. It interpolates every output cell inside the
-                // sector, whatever its input dropped, so the whole lattice
-                // is effective.
+                // What the operator derives from the lattice its
+                // `SectorStart` carries: the output lattice and the row
+                // schedule.
                 let src = d.sector.unwrap_or(lat);
-                d.lattice = map_region(&Region::Rect(src.world_bbox()), &src.crs, to, 8)
-                    .ok()
-                    .map(|rect| LatticeGeoref::north_up(*to, rect, src.width, src.height));
-                d.sector = d.lattice;
-                if d.lattice.is_none() {
+                let cfg = ReprojectConfig::new(*to).kernel(*kernel);
+                let geometry = CrsPair::new(from, *to).ok().and_then(|pair| {
+                    let out = cfg.out_lattice(&pair, &src)?;
+                    Some((out, cfg.schedule(&pair, &src, &out)))
+                });
+                let Some((out, schedule)) = geometry else {
                     self.diag(
                         Severity::Warn,
                         "reproject-extent-unknown",
                         path,
                         format!(
-                            "sector extent cannot be mapped into {to}; downstream bounds fall \
-                             back to the default sector model"
+                            "sector extent cannot be mapped into {to}, so the operator drops \
+                             every sector; downstream bounds fall back to the default sector \
+                             model"
                         ),
                         "§3.2",
                     );
-                }
+                    (d.lattice, d.sector) = (None, None);
+                    return (d, none, 0);
+                };
+                // The class is the band the schedule holds over a whole
+                // sector: a property of the geometry, which a restriction
+                // pushed below leaves alone.
+                let band = schedule.peak_rows(0..src.height);
+                // The bytes run the schedule over the rows that do arrive,
+                // when each comes complete as a frame of its own. A
+                // restriction starting below row 0 holds the completion
+                // watermark back, and so does a missing row or a frame
+                // spanning rows: then every row may wait for `SectorEnd`.
+                let rows = if d.row_frames {
+                    schedule.peak_rows(rows_within(&src, &lat))
+                } else {
+                    src.height
+                };
+                let bytes = u64::from(rows) * u64::from(src.width) * PIXEL_BYTES
+                    + out.len() * MAP_CELL_BYTES;
+                // It interpolates every output cell inside the sector,
+                // whatever its input dropped, so the whole output lattice
+                // is effective.
+                (d.lattice, d.sector) = (Some(out), Some(out));
                 (d, BlockingClass::BoundedRows(band), bytes)
             }
             Expr::Compose { left: l, right: r, .. } | Expr::Ndvi { nir: l, vis: r } => {
@@ -943,6 +988,7 @@ impl Analyzer<'_> {
             time_semantics: l.time_semantics,
             lattice: l.lattice.or(r.lattice),
             sector: l.sector.or(r.sector),
+            row_frames: false,
             // The merge sees the weaker of what each side guarantees.
             proto: meet(l.proto, r.proto),
         };

@@ -370,7 +370,7 @@ mod tests {
         assert_eq!(text.lines().count(), 5, "{text}");
         assert!(text.starts_with("restrict_space  [non-blocking, ≤"), "{text}");
         assert!(
-            text.contains("reproject  [bounded-rows(7), ≤256 pts/sector, buf 448 B]"),
+            text.contains("reproject  [bounded-rows(9), ≤256 pts/sector, buf 5120 B]"),
             "{text}"
         );
         assert!(text.contains("ndvi  [bounded-rows(1)"), "{text}");

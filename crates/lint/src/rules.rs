@@ -612,6 +612,10 @@ const HOT_FNS: &[&str] = &[
     // The per-element state machine a buffering operator's `next_chunk`
     // packs with `pack_elements`.
     "step",
+    // Re-projection: input runs into the row ring, output rows into the
+    // item queue (`ops/reproject.rs`).
+    "ingest_run",
+    "emit_ready_rows",
     "next_frame",
     "pack_elements",
     "pack_queue",

@@ -64,14 +64,18 @@ impl Rng {
 
 /// Reference semantics of the operators whose per-point logic used to
 /// live in a scalar arm of its own (the restrictions, the point-wise
-/// value maps, load shedding), written over the flattened input element
+/// value maps, load shedding) and of re-projection as it ran before its
+/// mapping was cached, written over the flattened input element
 /// sequence. The chunked operators are compared against these at every
 /// pull budget.
 pub mod reference {
-    use geostreams::core::model::{Element, FrameInfo, TimeSet};
-    use geostreams::core::ops::{ShedPolicy, ValueFunc};
-    use geostreams::geo::Region;
+    use geostreams::core::model::{Element, FrameEnd, FrameInfo, SectorInfo, TimeSet, Timestamp};
+    use geostreams::core::ops::{ReprojectConfig, ShedPolicy, ValueFunc};
+    use geostreams::core::stats::OpStats;
+    use geostreams::geo::{Cell, CellBox, Crs, LatticeGeoref, Rect, Region};
+    use geostreams::raster::resample::{sample_source, SampleSource};
     use geostreams::raster::Pixel;
+    use std::collections::VecDeque;
 
     type Els = Vec<Element<f32>>;
 
@@ -185,6 +189,228 @@ pub mod reference {
     /// `cast`: every point value converted through `f64`.
     pub fn cast<W: Pixel>(els: &[Element<f32>]) -> Vec<Element<W>> {
         els.iter().cloned().map(|el| el.map_value(|v| W::from_f64(v.to_f64()))).collect()
+    }
+
+    /// Buffered input rows of one sector: `rows[i]` is input row
+    /// `first_row + i`, once it has received a point.
+    struct RowWindow {
+        rows: VecDeque<Option<Vec<f32>>>,
+        first_row: u32,
+        width: u32,
+        height: u32,
+    }
+
+    impl RowWindow {
+        fn points(&self) -> u64 {
+            self.rows.iter().flatten().map(|r| r.len() as u64).sum()
+        }
+    }
+
+    impl SampleSource for RowWindow {
+        fn at(&self, col: i64, row: i64) -> f64 {
+            let col = col.clamp(0, i64::from(self.width) - 1) as usize;
+            let row = row.clamp(0, i64::from(self.height) - 1) as u32;
+            let last = self.first_row + (self.rows.len().max(1) as u32) - 1;
+            let row = row.clamp(self.first_row, last);
+            match self.rows.get((row - self.first_row) as usize) {
+                Some(Some(r)) => f64::from(r[col]),
+                _ => 0.0,
+            }
+        }
+    }
+
+    /// One visible sector in flight.
+    struct Plan {
+        in_lattice: LatticeGeoref,
+        out_lattice: LatticeGeoref,
+        /// Per output row, the inclusive input rows it reads.
+        needed: Vec<Option<(u32, u32)>>,
+        cursor: usize,
+        rows_complete: u32,
+        sector_id: u64,
+        timestamp: Timestamp,
+        window: RowWindow,
+    }
+
+    /// `reproject`, one element at a time: per sector, derive the output
+    /// lattice from 16 samples per edge of the input extent; bound each
+    /// output row's input rows by projecting 17 of its columns; buffer
+    /// input rows as they arrive; emit an output row — every cell
+    /// projected, then sampled — once the rows it reads are complete,
+    /// and drop the rows no later output row reads. A sector invisible
+    /// in the target CRS is dropped whole. Returns the elements and the
+    /// operator's counters; buffered bytes are the buffered points' only.
+    pub fn reproject(els: &[Element<f32>], from: Crs, cfg: &ReprojectConfig) -> (Els, OpStats) {
+        let (from_p, to_p) = (from.projection().unwrap(), cfg.to.projection().unwrap());
+        let source = |inl: &LatticeGeoref, outl: &LatticeGeoref, col: u32, row: u32| {
+            let ll = to_p.inverse(outl.cell_to_world(Cell::new(col, row))).ok()?;
+            Some(inl.world_to_fractional(from_p.forward(ll).ok()?))
+        };
+        let (mut out, mut stats) = (Vec::new(), OpStats::default());
+        let (mut plan, mut dropping, mut next_frame_id) = (None::<Plan>, false, 0u64);
+        for el in els.iter().cloned() {
+            match el {
+                Element::SectorStart(si) => {
+                    let inl = si.lattice;
+                    let mut bounds = Rect::empty();
+                    for s in inl.world_bbox().boundary_samples(16) {
+                        if let Some(p) = from_p.inverse(s).ok().and_then(|ll| to_p.forward(ll).ok())
+                        {
+                            bounds = bounds.union(&Rect::new(p.x, p.y, p.x, p.y));
+                        }
+                    }
+                    let outl = match cfg.output_lattice {
+                        Some(l) => l,
+                        None if bounds.is_empty() || bounds.area() <= 0.0 => {
+                            (plan, dropping) = (None, true);
+                            continue;
+                        }
+                        None => LatticeGeoref::north_up(cfg.to, bounds, inl.width, inl.height),
+                    };
+                    let last = inl.height.saturating_sub(1);
+                    let margin = i64::from(cfg.kernel.support() + cfg.safety_rows);
+                    let step = (outl.width / 16).max(1);
+                    let needed = (0..outl.height)
+                        .map(|row| {
+                            if !cfg.use_sector_metadata {
+                                return Some((0, last));
+                            }
+                            let mut cols: Vec<u32> =
+                                (0..outl.width).step_by(step as usize).collect();
+                            cols.extend(outl.width.checked_sub(1));
+                            let rows: Vec<f64> = cols
+                                .iter()
+                                .filter_map(|&c| source(&inl, &outl, c, row).map(|(_, fr)| fr))
+                                .collect();
+                            let lo = rows.iter().copied().fold(f64::INFINITY, f64::min);
+                            let hi = rows.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+                            lo.is_finite().then(|| {
+                                let lo = ((lo.floor() as i64 - margin).max(0) as u32).min(last);
+                                let hi = ((hi.ceil() as i64 + margin).max(0) as u32).min(last);
+                                (lo, hi)
+                            })
+                        })
+                        .collect();
+                    let window = RowWindow {
+                        rows: VecDeque::new(),
+                        first_row: 0,
+                        width: inl.width,
+                        height: inl.height,
+                    };
+                    plan = Some(Plan {
+                        in_lattice: inl,
+                        out_lattice: outl,
+                        needed,
+                        cursor: 0,
+                        rows_complete: 0,
+                        sector_id: si.sector_id,
+                        timestamp: si.timestamp,
+                        window,
+                    });
+                    dropping = false;
+                    out.push(Element::SectorStart(SectorInfo { lattice: outl, ..si }));
+                }
+                Element::FrameStart(_) => {
+                    stats.frames_in += 1;
+                    stats.stalls += 1;
+                }
+                Element::Point(p) => {
+                    stats.points_in += 1;
+                    let Some(w) = plan.as_mut().map(|pl| &mut pl.window) else { continue };
+                    if p.cell.row < w.first_row || p.cell.col >= w.width {
+                        continue;
+                    }
+                    while w.first_row + w.rows.len() as u32 <= p.cell.row {
+                        w.rows.push_back(None);
+                    }
+                    let width = w.width as usize;
+                    let row = &mut w.rows[(p.cell.row - w.first_row) as usize];
+                    if row.is_none() {
+                        stats.buffer_grow(width as u64, width as u64 * 4);
+                    }
+                    row.get_or_insert_with(|| vec![0.0; width])[p.cell.col as usize] = p.value;
+                }
+                Element::FrameEnd(_) | Element::SectorEnd(_) => {
+                    let force = matches!(el, Element::SectorEnd(_));
+                    if let Some(pl) = &mut plan {
+                        let w = &pl.window;
+                        while pl.rows_complete < pl.in_lattice.height {
+                            let r = pl.rows_complete;
+                            let done = r < w.first_row
+                                || matches!(w.rows.get((r - w.first_row) as usize), Some(Some(_)));
+                            if !done {
+                                break;
+                            }
+                            pl.rows_complete += 1;
+                        }
+                        while let Some(&need) = pl.needed.get(pl.cursor) {
+                            if let Some((_, hi)) = need {
+                                if !force && pl.rows_complete <= hi {
+                                    break;
+                                }
+                                let (row, frame_id) = (pl.cursor as u32, next_frame_id);
+                                next_frame_id += 1;
+                                let (inl, outl) = (pl.in_lattice, pl.out_lattice);
+                                let mut points = Vec::new();
+                                for col in 0..outl.width {
+                                    let Some((fc, fr)) = source(&inl, &outl, col, row) else {
+                                        continue;
+                                    };
+                                    if fc < -0.5
+                                        || fr < -0.5
+                                        || fc > f64::from(inl.width) - 0.5
+                                        || fr > f64::from(inl.height) - 0.5
+                                    {
+                                        continue;
+                                    }
+                                    let v = sample_source(&pl.window, fc, fr, cfg.kernel);
+                                    points.push(Element::point(Cell::new(col, row), v as f32));
+                                }
+                                if !points.is_empty() {
+                                    stats.frames_out += 1;
+                                    stats.points_out += points.len() as u64;
+                                    out.push(Element::FrameStart(FrameInfo {
+                                        frame_id,
+                                        sector_id: pl.sector_id,
+                                        timestamp: pl.timestamp,
+                                        cells: CellBox::new(0, row, outl.width - 1, row),
+                                        synth_ns: 0,
+                                    }));
+                                    out.extend(points);
+                                    let end = FrameEnd { frame_id, sector_id: pl.sector_id };
+                                    out.push(Element::FrameEnd(end));
+                                }
+                            }
+                            pl.cursor += 1;
+                            // Drop the rows below every later output row's window.
+                            let keep = pl.needed[pl.cursor..]
+                                .iter()
+                                .flatten()
+                                .map(|(lo, _)| *lo)
+                                .min()
+                                .unwrap_or(pl.in_lattice.height);
+                            let w = &mut pl.window;
+                            while w.first_row < keep {
+                                let Some(row) = w.rows.pop_front() else { break };
+                                let n = row.map_or(0, |r| r.len() as u64);
+                                stats.buffer_shrink(n, n * 4);
+                                w.first_row += 1;
+                            }
+                        }
+                    }
+                    if force {
+                        if let Some(pl) = plan.take() {
+                            let n = pl.window.points();
+                            stats.buffer_shrink(n, n * 4);
+                        }
+                        if !std::mem::take(&mut dropping) {
+                            out.push(el);
+                        }
+                    }
+                }
+            }
+        }
+        (out, stats)
     }
 
     /// `shed`: every `stride`-th frame (`Rows`), or the points on the

@@ -4,15 +4,15 @@
 //! memory budget, and the EXPLAIN surface (protocol + HTTP).
 
 use geostreams::core::exec::run_to_end;
-use geostreams::core::model::{StreamSchema, VecStream};
+use geostreams::core::model::{GeoStream, StreamSchema, VecStream};
 use geostreams::core::ops::BlockingClass;
 use geostreams::core::query::{
     analyze, optimize, parse_query, Catalog, Expr, PlanReport, Planner, Severity,
 };
 use geostreams::core::CoreError;
 use geostreams::dsms::{Dsms, OutputFormat, DEFAULT_MEMORY_BUDGET_BYTES};
-use geostreams::geo::{Crs, LatticeGeoref, Rect};
-use geostreams::satsim::goes_like;
+use geostreams::geo::{Cell, Crs, LatticeGeoref, Rect};
+use geostreams::satsim::{goes_like, Scanner};
 use std::sync::Arc;
 
 const W: u64 = 64;
@@ -20,8 +20,30 @@ const H: u64 = 64;
 const PX: u64 = 4; // bytes per f32 point
 const SECTORS: u64 = 3;
 
+/// The GOES-like instrument of the geostationary source: a 64x32
+/// visible band.
+fn goes() -> Scanner {
+    goes_like(64, 32, 2006)
+}
+
+/// A restriction of `source` to the cells `from..=to` of `lattice`, its
+/// box drawn halfway between cell centres.
+fn restrict_cells(source: &str, lattice: &LatticeGeoref, from: Cell, to: Cell) -> String {
+    let (a, b) = (lattice.cell_to_world(from), lattice.cell_to_world(to));
+    let (hx, hy) = (lattice.step_x.abs() / 2.0, lattice.step_y.abs() / 2.0);
+    format!(
+        "restrict_space({source}, bbox({}, {}, {}, {}), \"{}\")",
+        a.x.min(b.x) - hx,
+        a.y.min(b.y) - hy,
+        a.x.max(b.x) + hx,
+        a.y.max(b.y) + hy,
+        lattice.crs
+    )
+}
+
 /// A catalog with two 64x64 lat/lon scan-sector sources of three
-/// sectors each and one source registered without sector metadata.
+/// sectors each, one source registered without sector metadata, and the
+/// visible band of [`goes`].
 fn catalog() -> Catalog {
     let lattice =
         LatticeGeoref::north_up(Crs::LatLon, Rect::new(-124.0, 36.0, -120.0, 40.0), 64, 64);
@@ -38,6 +60,10 @@ fn catalog() -> Catalog {
     }
     cat.register(StreamSchema::new("nolat", Crs::LatLon), move || {
         Box::new(VecStream::<f32>::single_sector("nolat", lattice, 0, |_, _| 0.0))
+    });
+    let scanner = goes();
+    cat.register(scanner.band_stream(0, SECTORS).schema().clone(), move || {
+        Box::new(scanner.band_stream(0, SECTORS))
     });
     cat
 }
@@ -59,10 +85,7 @@ const QUICKSTART: &str = "restrict_space(ndvi(goes-sim.b2-nir, downsample(goes-s
 /// Operators whose observed buffer peak exceeds the analyzer's bound:
 /// (plan, operator path). The check below asserts they still overrun,
 /// so an entry goes when its bound is fixed.
-const KNOWN_UNDER_BOUNDS: [(&str, &str); 2] = [
-    // Peaks at 9 rows (2 304 B) against the 7-row band; the operator
-    // also keeps the source-row span of each output row.
-    ("reproject(g1, \"utm:10N\")", "/reproject"),
+const KNOWN_UNDER_BOUNDS: [(&str, &str); 1] = [
     // Differently restricted inputs: unmatched cells wait for the
     // timestamp watermark, a whole sector, not one row.
     (QUICKSTART, "/restrict_space/ndvi"),
@@ -111,6 +134,15 @@ fn every_variant_gets_a_blocking_class_and_bound() {
     // (query, root operator name, expected class, expected root bytes)
     let row = W * PX;
     let image = W * H * PX;
+    // Mapping-table bytes per re-projected cell.
+    let table = 16;
+    // Rows 8..=23 of the 32-row geostationary sector: the first arriving
+    // row is not row 0, so nothing completes before `SectorEnd` and all
+    // 16 rows are held.
+    let goes_lattice = goes().sector_lattice(0, 0);
+    let restricted =
+        restrict_cells("goes-sim.b1-vis", &goes_lattice, Cell::new(16, 8), Cell::new(47, 23));
+    let goes_to_latlon = format!("reproject({restricted}, \"latlon\", \"bilinear\")");
     let cases: &[(&str, &str, BlockingClass, u64)] = &[
         ("g1", "source", BlockingClass::NonBlocking, 0),
         (
@@ -135,8 +167,19 @@ fn every_variant_gets_a_blocking_class_and_bound() {
             BlockingClass::BoundedRows(4),
             9 * 24,
         ),
-        // Bilinear support 1 + 2 safety rows each side, plus the center.
-        ("reproject(g1, \"utm:10N\")", "reproject", BlockingClass::BoundedRows(7), 7 * row),
+        // The row schedule holds 9 input rows; the table maps every cell.
+        (
+            "reproject(g1, \"utm:10N\")",
+            "reproject",
+            BlockingClass::BoundedRows(9),
+            9 * row + W * H * table,
+        ),
+        (
+            &goes_to_latlon,
+            "reproject",
+            BlockingClass::BoundedRows(13),
+            16 * 64 * PX + 64 * 32 * table,
+        ),
         ("add(g1, g2)", "compose", BlockingClass::BoundedRows(1), 2 * row),
         ("ndvi(g1, g2)", "ndvi", BlockingClass::BoundedRows(1), 2 * row),
         ("shed(g1, \"points\", 2)", "shed", BlockingClass::NonBlocking, 0),
@@ -187,7 +230,7 @@ fn reproject_without_scan_sector_metadata_is_rejected() {
     assert!(diag.path.contains("reproject"), "{}", diag.path);
     // The identical plan over a scan-sector source is statically bounded.
     let ok = report("reproject(g1, \"utm:10N\")");
-    assert_eq!(ok.blocking, BlockingClass::BoundedRows(7));
+    assert_eq!(ok.blocking, BlockingClass::BoundedRows(9));
     assert!(!ok.has_errors());
 }
 
@@ -368,6 +411,29 @@ fn overrun_counter_stays_zero_when_bounds_hold() {
     // The counter is exposed on /metrics.
     let text = server.metrics.render_prometheus();
     assert!(text.contains("geostreams_plan_buffer_overrun_total 0"), "{text}");
+}
+
+#[test]
+fn oneshot_reprojection_stays_within_its_bound() {
+    // The one-shot HTTP reprojection shape: a half-size box of an
+    // infrared band, one sector, rendered to PNG. The box starts below
+    // row 0, so the operator holds every row it receives until
+    // `SectorEnd`; the bound must say so.
+    let scanner = goes_like(256, 128, 1);
+    let server = Dsms::over_scanner(&scanner, 1);
+    let ir = scanner.instrument.band_lattice(3);
+    let restricted = restrict_cells("goes-sim.b4-ir", &ir, Cell::new(9, 5), Cell::new(40, 20));
+    let q = format!("reproject({restricted}, \"latlon\", \"bilinear\")");
+    let h = server.register_text(&q, OutputFormat::PngGray, 1).unwrap();
+    let result = server.run_query(&h).unwrap();
+    let observed = result.report.unwrap().peak_buffered_bytes();
+    assert!(observed > 0, "reprojection must buffer");
+    assert!(
+        !h.plan.buffer_overrun(observed),
+        "static bound {:?} must cover observed {observed}",
+        h.plan.peak_buffer_bytes
+    );
+    assert_eq!(server.metrics.plan_buffer_overruns.get(), 0);
 }
 
 #[test]

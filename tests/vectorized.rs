@@ -21,8 +21,10 @@ use geostreams::core::ops::{
     SpatialAggregate, SpatialRestrict, StretchMode, StretchScope, StretchTransform,
     TemporalAggregate, TemporalRestrict, ValueFunc, ValueRestrict,
 };
-use geostreams::geo::{Coord, Crs, LatticeGeoref, Polygon, Rect, Region};
+use geostreams::core::stats::OpStats;
+use geostreams::geo::{Cell, Coord, Crs, LatticeGeoref, Polygon, Rect, Region};
 use geostreams::raster::png::{self, PngOptions};
+use geostreams::raster::resample::Kernel;
 use geostreams::raster::{Grid2D, RasterImage, Rgb8};
 use geostreams::satsim::airborne::airborne_camera;
 use geostreams::satsim::lidar::lidar_profiler;
@@ -437,6 +439,108 @@ fn buffering_operators_match_scalar_over_repaired_damage() {
     assert_scalar_chunked_identical("Shed/Points over Focal", || {
         Shed::new(FocalTransform::new(src(), FocalFunc::Max, 3), ShedPolicy::Points, 2)
     });
+}
+
+/// `Reproject` over `make()` against the per-element reference of
+/// `tests/common`, at every budget of the oracle and one past the output
+/// row: the same elements, the same `f32` bits, and the same `OpStats`
+/// but for the mapping table, whose bytes `buffered_bytes` adds.
+fn assert_reproject_matches_reference<S: GeoStream<V = f32>>(
+    label: &str,
+    make: impl Fn() -> S,
+    cfg: &ReprojectConfig,
+) {
+    let from = make().schema().crs;
+    let (want, want_stats) = reference::reproject(&make().drain_elements(), from, cfg);
+    assert!(want.iter().any(Element::is_point), "{label}: the reference emits no point");
+    let lattices: Vec<LatticeGeoref> = want
+        .iter()
+        .filter_map(|el| match el {
+            Element::SectorStart(si) => Some(si.lattice),
+            _ => None,
+        })
+        .collect();
+    // Every case maps to lattices of one size, so the table adds the
+    // same bytes from the first sector on.
+    let (width, cells) = (lattices[0].width as usize, lattices[0].len());
+    assert!(lattices.iter().all(|l| l.len() == cells), "{label}: one table size");
+    let table = cells * 16;
+    let bits = |els: &[Element<f32>]| -> Vec<(Cell, u32)> {
+        els.iter()
+            .filter_map(|el| match el {
+                Element::Point(p) => Some((p.cell, p.value.to_bits())),
+                _ => None,
+            })
+            .collect()
+    };
+    let without_bytes =
+        |s: &OpStats| OpStats { buffered_bytes: 0, buffered_bytes_peak: 0, ..s.clone() };
+    for budget in [1, 7, 256, 1024, width + 1] {
+        let mut op = Reproject::new(make(), cfg.clone()).unwrap();
+        let got = drain_chunked(&mut op, budget);
+        let stats = op.op_stats();
+        let at = format!(
+            "{label}, {:?}, metadata {}, budget {budget}",
+            cfg.kernel, cfg.use_sector_metadata
+        );
+        assert_eq!(got, want, "{at}: elements");
+        assert_eq!(bits(&got), bits(&want), "{at}: value bits");
+        assert_eq!(without_bytes(&stats), without_bytes(&want_stats), "{at}: OpStats");
+        assert_eq!(
+            (stats.buffered_bytes, stats.buffered_bytes_peak),
+            (want_stats.buffered_bytes + table, want_stats.buffered_bytes_peak + table),
+            "{at}: table bytes"
+        );
+    }
+}
+
+#[test]
+fn reproject_matches_the_per_element_reference() {
+    // Three sectors restricted to a box whose first row is not row 0.
+    let goes = goes_like(48, 24, 11);
+    let lat = goes.sector_lattice(0, 0);
+    let (a, b) = (lat.cell_to_world(Cell::new(6, 5)), lat.cell_to_world(Cell::new(40, 18)));
+    let boxed = Region::Rect(Rect::new(a.x.min(b.x), a.y.min(b.y), a.x.max(b.x), a.y.max(b.y)));
+    let restricted = || SpatialRestrict::new(goes.band_stream(0, 3), boxed.clone());
+    // Sectors on lattices A, B, A: a mapping reused across a change of
+    // lattice would give sector B the output lattice of A.
+    let shifted = |dx: f64| {
+        LatticeGeoref::north_up(
+            Crs::LatLon,
+            Rect::new(-124.0 + dx, 36.0, -121.0 + dx, 39.0),
+            20,
+            14,
+        )
+    };
+    let moving = || {
+        let elements = [shifted(0.0), shifted(0.5), shifted(0.0)]
+            .into_iter()
+            .zip(0u64..)
+            .flat_map(|(lattice, id)| {
+                VecStream::<f32>::single_sector("moving", lattice, id, move |c, r| {
+                    f64::from(c * 3 + r) + id as f64
+                })
+                .drain_elements()
+            })
+            .collect();
+        VecStream::new(StreamSchema::new("moving", Crs::LatLon), elements)
+    };
+    for kernel in [Kernel::Nearest, Kernel::Bilinear, Kernel::Bicubic] {
+        for use_sector_metadata in [true, false] {
+            let latlon = ReprojectConfig {
+                use_sector_metadata,
+                ..ReprojectConfig::new(Crs::LatLon).kernel(kernel)
+            };
+            let utm = ReprojectConfig { to: Crs::utm(10, true), ..latlon.clone() };
+            assert_reproject_matches_reference("restricted goes_like", restricted, &latlon);
+            assert_reproject_matches_reference(
+                "damaged_then_repaired",
+                damaged_then_repaired,
+                &latlon,
+            );
+            assert_reproject_matches_reference("moving lattice", moving, &utm);
+        }
+    }
 }
 
 /// The reference image assembler, one scalar pull per element: what
