@@ -24,8 +24,9 @@
 //! * Point buffers come from a thread-local pool keyed by the pixel
 //!   type; call [`Chunk::recycle`] (or [`ChunkOrMarker::recycle`]) when
 //!   done so steady-state execution allocates nothing.
-//! * A consumer whose logic is per element reads through
-//!   [`ChunkInput`], which stages one chunk at a time; a producer whose
+//! * A consumer reads through [`ChunkInput`], which stages one chunk at
+//!   a time and serves it element by element or, to a consumer that
+//!   works on runs, as a run it takes a prefix of; a producer whose
 //!   logic is per element packs its output with [`pack_elements`].
 
 use std::any::{Any, TypeId};
@@ -400,14 +401,89 @@ pub fn pack_elements<V: Pixel>(
 
 /// Packs the front of an element queue into one chunk item (see
 /// [`pack_elements`]). Operators that batch output through an internal
-/// `VecDeque<Element>` (chaos injection, stream repair, composition,
-/// archive replay) use this to speak the chunked protocol without
-/// reshaping their logic.
+/// `VecDeque<Element>` (chaos injection, stream repair, archive replay)
+/// use this to speak the chunked protocol without reshaping their logic.
 pub fn pack_queue<V: Pixel>(
     queue: &mut VecDeque<Element<V>>,
     budget: usize,
 ) -> Option<ChunkOrMarker<V>> {
     pack_elements(budget, || queue.pop_front())
+}
+
+/// The output of an operator that emits whole runs (re-projection,
+/// composition): items in stream order, handed out under the budget
+/// rule. A run longer than the budget leaves in budget-sized pieces,
+/// cut by an offset into the front run; a shorter one carries the
+/// marker that follows it. The last run may still grow.
+pub(crate) struct RunQueue<V: Pixel> {
+    items: VecDeque<ChunkOrMarker<V>>,
+    /// Points of the front run already handed out.
+    offset: usize,
+}
+
+impl<V: Pixel> RunQueue<V> {
+    pub(crate) fn new() -> Self {
+        RunQueue { items: VecDeque::new(), offset: 0 }
+    }
+
+    pub(crate) fn push(&mut self, item: ChunkOrMarker<V>) {
+        self.items.push_back(item);
+    }
+
+    /// The run points are appended to: the last item, or a fresh run
+    /// after a marker.
+    pub(crate) fn open_run(&mut self) -> &mut Vec<PointRecord<V>> {
+        let open_is_front = self.items.len() == 1;
+        match self.items.back_mut() {
+            // Partly handed out: keep only what is left.
+            Some(ChunkOrMarker::Chunk(run)) if open_is_front => {
+                run.points.drain(..std::mem::take(&mut self.offset));
+            }
+            Some(ChunkOrMarker::Chunk(_)) => {}
+            _ => {
+                self.items.push_back(ChunkOrMarker::Chunk(Chunk::with_budget(DEFAULT_CHUNK_BUDGET)))
+            }
+        }
+        let Some(ChunkOrMarker::Chunk(run)) = self.items.back_mut() else {
+            unreachable!("the queue ends in a run")
+        };
+        &mut run.points
+    }
+
+    /// Whether the front item can go out at `budget` as it is: a marker,
+    /// a run of `budget` points, or a run a marker follows.
+    pub(crate) fn ready(&self, budget: usize) -> bool {
+        match self.items.front() {
+            Some(ChunkOrMarker::Chunk(run)) => {
+                run.len() - self.offset >= budget || self.items.len() > 1
+            }
+            Some(ChunkOrMarker::Marker(_)) => true,
+            None => false,
+        }
+    }
+
+    /// The front item at `budget`, whether or not it is
+    /// [`ready`](Self::ready); `None` when the queue is empty.
+    pub(crate) fn pop(&mut self, budget: usize) -> Option<ChunkOrMarker<V>> {
+        if let Some(ChunkOrMarker::Chunk(run)) = self.items.front() {
+            if run.len() - self.offset > budget {
+                let mut piece = Chunk::with_budget(budget);
+                piece.points.extend_from_slice(&run.points[self.offset..][..budget]);
+                self.offset += budget;
+                return Some(ChunkOrMarker::Chunk(piece));
+            }
+        }
+        let mut item = self.items.pop_front()?;
+        if let ChunkOrMarker::Chunk(run) = &mut item {
+            run.points.drain(..std::mem::take(&mut self.offset));
+            if run.len() < budget && matches!(self.items.front(), Some(ChunkOrMarker::Marker(_))) {
+                if let Some(ChunkOrMarker::Marker(m)) = self.items.pop_front() {
+                    run.end = Some(m);
+                }
+            }
+        }
+        Some(item)
+    }
 }
 
 /// The input side of an operator whose state machine consumes one
@@ -420,38 +496,67 @@ pub fn pack_queue<V: Pixel>(
 /// The element sequence is exactly the flattening of the input's chunk
 /// protocol. A consumer reads its input through this cursor only; what
 /// it has staged is not visible to a direct pull of the wrapped stream.
+/// A consumer that works on runs peeks at the staged run with
+/// [`peek_run`](Self::peek_run) and takes a prefix of it with
+/// [`consume`](Self::consume).
 pub struct ChunkInput<S: GeoStream> {
     stream: S,
-    /// The run being served; `points[..idx]` are consumed.
+    /// The item being served: `points[..idx]` are consumed, then `end`.
     staged: Chunk<S::V>,
     idx: usize,
+    /// The wrapped stream has returned `None`.
+    ended: bool,
 }
 
 impl<S: GeoStream> ChunkInput<S> {
     /// Wraps an input stream; nothing is pulled until the first read.
     pub fn new(stream: S) -> Self {
-        ChunkInput { stream, staged: Chunk { points: Vec::new(), end: None, ctx: None }, idx: 0 }
+        ChunkInput {
+            stream,
+            staged: Chunk { points: Vec::new(), end: None, ctx: None },
+            idx: 0,
+            ended: false,
+        }
     }
 
-    /// The next element in stream order; `None` once the input ended.
+    /// The unconsumed points of the staged run, staging the next item
+    /// once the run and its marker are used up: empty when the next
+    /// element is a marker or the input has ended.
     #[inline]
-    pub fn pull(&mut self) -> Option<Element<S::V>> {
-        loop {
-            if let Some(p) = self.staged.points.get(self.idx) {
-                self.idx += 1;
-                return Some(Element::Point(*p));
-            }
-            if let Some(m) = self.staged.end.take() {
-                return Some(m.into_element());
-            }
-            match self.stream.next_chunk(DEFAULT_CHUNK_BUDGET)? {
-                ChunkOrMarker::Marker(m) => return Some(m.into_element()),
-                ChunkOrMarker::Chunk(c) => {
+    pub fn peek_run(&mut self) -> &[PointRecord<S::V>] {
+        while self.idx == self.staged.points.len() && self.staged.end.is_none() && !self.ended {
+            match self.stream.next_chunk(DEFAULT_CHUNK_BUDGET) {
+                None => self.ended = true,
+                Some(ChunkOrMarker::Marker(m)) => {
+                    self.staged.points.clear();
+                    self.staged.end = Some(m);
+                    self.idx = 0;
+                }
+                Some(ChunkOrMarker::Chunk(c)) => {
                     std::mem::replace(&mut self.staged, c).recycle();
                     self.idx = 0;
                 }
             }
         }
+        &self.staged.points[self.idx..]
+    }
+
+    /// Consumes the first `n` points [`peek_run`](Self::peek_run)
+    /// returned.
+    #[inline]
+    pub fn consume(&mut self, n: usize) {
+        debug_assert!(self.idx + n <= self.staged.points.len(), "consumed past the staged run");
+        self.idx += n;
+    }
+
+    /// The next element in stream order; `None` once the input ended.
+    #[inline]
+    pub fn pull(&mut self) -> Option<Element<S::V>> {
+        if let Some(&p) = self.peek_run().first() {
+            self.idx += 1;
+            return Some(Element::Point(p));
+        }
+        self.staged.end.take().map(Marker::into_element)
     }
 
     /// The wrapped stream (schema and statistics).

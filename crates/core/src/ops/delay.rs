@@ -196,7 +196,7 @@ impl<S: GeoStream> Delay<S> {
 mod tests {
     use super::*;
     use crate::model::{tee2, VecStream};
-    use crate::ops::{Compose, GammaOp, JoinStrategy};
+    use crate::ops::{Compose, GammaOp};
     use geostreams_geo::{Crs, Rect};
 
     fn lattice() -> LatticeGeoref {
@@ -234,7 +234,7 @@ mod tests {
         // (G − delay(G,1)) = +10 at every cell for our synthetic sectors.
         let (live, to_delay) = tee2(sectors(4));
         let delayed = Delay::new(to_delay, 1);
-        let mut diff = Compose::new(live, delayed, GammaOp::Sub, JoinStrategy::Hash).unwrap();
+        let mut diff = Compose::new(live, delayed, GammaOp::Sub).unwrap();
         let pts = diff.drain_points();
         // Sectors 1..3 join (sector 0 has no past): 3 × 16 points.
         assert_eq!(pts.len(), 3 * 16);
@@ -245,7 +245,7 @@ mod tests {
     fn deeper_delays_shift_further() {
         let (live, to_delay) = tee2(sectors(5));
         let delayed = Delay::new(to_delay, 2);
-        let mut diff = Compose::new(live, delayed, GammaOp::Sub, JoinStrategy::Hash).unwrap();
+        let mut diff = Compose::new(live, delayed, GammaOp::Sub).unwrap();
         let pts = diff.drain_points();
         assert_eq!(pts.len(), 3 * 16); // sectors 2..4
         assert!(pts.iter().all(|p| (p.value - 20.0).abs() < 1e-6));

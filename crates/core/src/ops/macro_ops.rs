@@ -9,12 +9,11 @@
 //! composition pass. [`ndvi`] computes the §3.4 example
 //! `(G₁ − G₂) ⊘ (G₂ + G₁)` — the normalized difference vegetation index
 //! over the near-infrared and visible bands — in one join instead of
-//! three ([`ndvi_unfused`] builds the literal three-join expression via
-//! stream tees; the A-series benches compare the two).
+//! three.
 
 use crate::error::Result;
-use crate::model::{tee2, GeoStream};
-use crate::ops::compose::{Compose, GammaOp, JoinStrategy};
+use crate::model::GeoStream;
+use crate::ops::compose::{Compose, GammaOp};
 
 /// Fused NDVI: `(nir − vis) / (nir + vis)` in a single composition.
 pub fn ndvi<L, R>(nir: L, vis: R) -> Result<Compose<L, R>>
@@ -22,7 +21,7 @@ where
     L: GeoStream,
     R: GeoStream<V = L::V>,
 {
-    Compose::new(nir, vis, GammaOp::NormDiff, JoinStrategy::Hash)
+    Compose::new(nir, vis, GammaOp::NormDiff)
 }
 
 /// Normalized-difference water index `(green − nir) / (green + nir)` —
@@ -32,22 +31,7 @@ where
     L: GeoStream,
     R: GeoStream<V = L::V>,
 {
-    Compose::new(green, nir, GammaOp::NormDiff, JoinStrategy::Hash)
-}
-
-/// The literal §3.4 expression `(G₁ − G₂) ⊘ (G₂ + G₁)` built from three
-/// compositions and two stream tees (each band is consumed twice). Used
-/// to quantify what the macro/fused form saves.
-pub fn ndvi_unfused<L, R>(nir: L, vis: R) -> Result<impl GeoStream<V = L::V>>
-where
-    L: GeoStream,
-    R: GeoStream<V = L::V>,
-{
-    let (nir_a, nir_b) = tee2(nir);
-    let (vis_a, vis_b) = tee2(vis);
-    let num = Compose::new(nir_a, vis_a, GammaOp::Sub, JoinStrategy::Hash)?;
-    let den = Compose::new(vis_b, nir_b, GammaOp::Add, JoinStrategy::Hash)?;
-    Compose::new(num, den, GammaOp::Div, JoinStrategy::Hash)
+    Compose::new(green, nir, GammaOp::NormDiff)
 }
 
 /// Brightness-temperature difference `a − b`, the classic split-window
@@ -57,7 +41,7 @@ where
     L: GeoStream,
     R: GeoStream<V = L::V>,
 {
-    Compose::new(a, b, GammaOp::Sub, JoinStrategy::Hash)
+    Compose::new(a, b, GammaOp::Sub)
 }
 
 #[cfg(test)]
@@ -92,41 +76,6 @@ mod tests {
         }
         // NDVI of these synthetic bands is strictly positive and ≤ 1.
         assert!(pts.iter().all(|p| p.value > 0.0 && p.value <= 1.0));
-    }
-
-    #[test]
-    fn unfused_expression_agrees_with_fused() {
-        let mut fused = ndvi(nir(), vis()).unwrap();
-        let mut unfused = ndvi_unfused(nir(), vis()).unwrap();
-        let mut a = fused.drain_points();
-        let mut b = unfused.drain_points();
-        a.sort_by_key(|p| (p.cell.row, p.cell.col));
-        b.sort_by_key(|p| (p.cell.row, p.cell.col));
-        assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.cell, y.cell);
-            assert!((x.value - y.value).abs() < 1e-6);
-        }
-    }
-
-    #[test]
-    fn fused_form_does_less_work() {
-        let mut fused = ndvi(nir(), vis()).unwrap();
-        let _ = fused.drain_points();
-        let mut fused_report = Vec::new();
-        fused.collect_stats(&mut fused_report);
-        let fused_points_in: u64 = fused_report.iter().map(|r| r.stats.points_in).sum();
-
-        let mut unfused = ndvi_unfused(nir(), vis()).unwrap();
-        let _ = unfused.drain_points();
-        let mut unfused_report = Vec::new();
-        unfused.collect_stats(&mut unfused_report);
-        let unfused_points_in: u64 = unfused_report.iter().map(|r| r.stats.points_in).sum();
-
-        assert!(
-            unfused_points_in >= 2 * fused_points_in,
-            "unfused {unfused_points_in} vs fused {fused_points_in}"
-        );
     }
 
     #[test]

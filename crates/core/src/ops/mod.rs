@@ -34,7 +34,7 @@ pub mod value_transform;
 
 pub use aggregate::{AggFunc, SpatialAggregate, TemporalAggregate};
 pub use blocking::BlockingClass;
-pub use compose::{Compose, GammaOp, JoinStrategy};
+pub use compose::{Compose, GammaOp};
 pub use delay::Delay;
 pub use delivery::{ImageAssembler, PngSink, RgbComposite};
 pub use focal::{FocalFunc, FocalTransform};

@@ -29,6 +29,7 @@
 //! row-major ring of input rows; each output row leaves as one
 //! `FrameStart`, one run and one `FrameEnd`.
 
+use crate::model::chunk::RunQueue;
 use crate::model::{
     Chunk, ChunkOrMarker, FrameEnd, FrameInfo, GeoStream, Marker, PointRecord, SectorInfo,
     StreamSchema, Timestamp, DEFAULT_CHUNK_BUDGET,
@@ -37,7 +38,6 @@ use crate::stats::{OpReport, OpStats};
 use geostreams_geo::{Cell, CellBox, Crs, LatticeGeoref, Projection, Rect};
 use geostreams_raster::resample::{sample_source, Kernel, SampleSource};
 use geostreams_raster::Pixel;
-use std::collections::VecDeque;
 use std::ops::Range;
 
 /// Bytes the mapping table holds per output cell: the cell's fractional
@@ -493,9 +493,7 @@ pub struct Reproject<S: GeoStream> {
     /// whole, `SectorEnd` included.
     dropping: bool,
     ring: RowRing<S::V>,
-    /// Output items; a run at the front is handed out from `offset` on.
-    queue: VecDeque<ChunkOrMarker<S::V>>,
-    offset: usize,
+    queue: RunQueue<S::V>,
     next_frame_id: u64,
     stats: OpStats,
     schema: StreamSchema,
@@ -517,8 +515,7 @@ impl<S: GeoStream> Reproject<S> {
             sector: None,
             dropping: false,
             ring: RowRing::new(),
-            queue: VecDeque::new(),
-            offset: 0,
+            queue: RunQueue::new(),
             next_frame_id: 0,
             stats: OpStats::default(),
             schema,
@@ -598,7 +595,7 @@ impl<S: GeoStream> Reproject<S> {
                     self.stats.buffer_shrink(freed, freed * S::V::BYTES as u64);
                 }
                 if !std::mem::take(&mut self.dropping) {
-                    self.queue.push_back(ChunkOrMarker::Marker(Marker::SectorEnd(se)));
+                    self.queue.push(ChunkOrMarker::Marker(Marker::SectorEnd(se)));
                 }
             }
         }
@@ -631,7 +628,7 @@ impl<S: GeoStream> Reproject<S> {
             timestamp: si.timestamp,
         });
         let out = SectorInfo { lattice: mapping.out_lattice, ..si };
-        self.queue.push_back(ChunkOrMarker::Marker(Marker::SectorStart(out)));
+        self.queue.push(ChunkOrMarker::Marker(Marker::SectorStart(out)));
     }
 
     /// Emits every output row whose input window is satisfied (or all
@@ -655,16 +652,16 @@ impl<S: GeoStream> Reproject<S> {
                     self.stats.points_out += run.len() as u64;
                     let sector_id = sector.sector_id;
                     let width = mapping.out_lattice.width;
-                    self.queue.push_back(ChunkOrMarker::Marker(Marker::FrameStart(FrameInfo {
+                    self.queue.push(ChunkOrMarker::Marker(Marker::FrameStart(FrameInfo {
                         frame_id,
                         sector_id,
                         timestamp: sector.timestamp,
                         cells: CellBox::new(0, row, width.saturating_sub(1), row),
                         synth_ns: crate::obs::now_ns(),
                     })));
-                    self.queue.push_back(ChunkOrMarker::Chunk(run));
+                    self.queue.push(ChunkOrMarker::Chunk(run));
                     let end = FrameEnd { frame_id, sector_id };
-                    self.queue.push_back(ChunkOrMarker::Marker(Marker::FrameEnd(end)));
+                    self.queue.push(ChunkOrMarker::Marker(Marker::FrameEnd(end)));
                 }
             }
             sector.cursor += 1;
@@ -684,30 +681,11 @@ impl<S: GeoStream> GeoStream for Reproject<S> {
 
     fn next_chunk(&mut self, budget: usize) -> Option<ChunkOrMarker<S::V>> {
         let budget = budget.max(1);
-        while self.queue.is_empty() {
-            let item = self.input.next_chunk(DEFAULT_CHUNK_BUDGET)?;
+        while !self.queue.ready(budget) {
+            let Some(item) = self.input.next_chunk(DEFAULT_CHUNK_BUDGET) else { break };
             self.ingest(item);
         }
-        // A row longer than the budget leaves in budget-sized pieces.
-        if let Some(ChunkOrMarker::Chunk(run)) = self.queue.front() {
-            if run.len() - self.offset > budget {
-                let mut piece = Chunk::with_budget(budget);
-                piece.points.extend_from_slice(&run.points[self.offset..][..budget]);
-                self.offset += budget;
-                return Some(ChunkOrMarker::Chunk(piece));
-            }
-        }
-        let mut item = self.queue.pop_front()?;
-        if let ChunkOrMarker::Chunk(run) = &mut item {
-            run.points.drain(..std::mem::take(&mut self.offset));
-            // The row's `FrameEnd` rides on the run it cut short.
-            if run.len() < budget && matches!(self.queue.front(), Some(ChunkOrMarker::Marker(_))) {
-                if let Some(ChunkOrMarker::Marker(m)) = self.queue.pop_front() {
-                    run.end = Some(m);
-                }
-            }
-        }
-        Some(item)
+        self.queue.pop(budget)
     }
 
     fn op_stats(&self) -> OpStats {

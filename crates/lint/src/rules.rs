@@ -616,6 +616,11 @@ const HOT_FNS: &[&str] = &[
     // item queue (`ops/reproject.rs`).
     "ingest_run",
     "emit_ready_rows",
+    // Composition: aligned input runs zipped, composed points into the
+    // output queue's last run (`ops/compose.rs`, `model::chunk::RunQueue`).
+    "zip_runs",
+    "emit_run",
+    "open_run",
     "next_frame",
     "pack_elements",
     "pack_queue",

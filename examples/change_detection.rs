@@ -18,7 +18,7 @@
 use geostreams_core::model::{tee2, Element, GeoStream};
 use geostreams_core::ops::delivery::{PngSink, Rendering};
 use geostreams_core::ops::{
-    AggFunc, Compose, Delay, GammaOp, JoinStrategy, MapTransform, SpatialAggregate, ValueFunc,
+    AggFunc, Compose, Delay, GammaOp, MapTransform, SpatialAggregate, ValueFunc,
 };
 use geostreams_geo::{Rect, Region};
 use geostreams_raster::colormap::ColorMap;
@@ -33,7 +33,7 @@ fn main() {
     // |G - delay(G, 1)| over the visible band.
     let (live, past) = tee2(scanner.band_stream_by_id(1, sectors).expect("band 1"));
     let delayed = Delay::new(past, 1);
-    let diff = Compose::new(live, delayed, GammaOp::Sub, JoinStrategy::Hash).expect("compose");
+    let diff = Compose::new(live, delayed, GammaOp::Sub).expect("compose");
     let change: MapTransform<_, f32> = MapTransform::new(diff, ValueFunc::Abs);
 
     // Sector-level change energy for a console report.
@@ -61,7 +61,7 @@ fn main() {
     // Change map PNG for the final sector.
     let (live, past) = tee2(scanner.band_stream_by_id(1, sectors).expect("band 1"));
     let delayed = Delay::new(past, 1);
-    let diff = Compose::new(live, delayed, GammaOp::Sub, JoinStrategy::Hash).expect("compose");
+    let diff = Compose::new(live, delayed, GammaOp::Sub).expect("compose");
     let change: MapTransform<_, f32> = MapTransform::new(diff, ValueFunc::Abs);
     let rendering = Rendering::Mapped { lo: 0.0, hi: 0.4, map: ColorMap::thermal() };
     let mut sink = PngSink::new(change, Some(rendering), PngOptions::default());

@@ -12,9 +12,9 @@
 use geostreams_core::exec::{run_to_end, RunReport};
 use geostreams_core::model::{split2, Element, GeoStream, StreamSchema, TimeSemantics, VecStream};
 use geostreams_core::ops::{
-    AggFunc, Compose, Downsample, FocalFunc, FocalTransform, GammaOp, JoinStrategy, Magnify,
-    MapTransform, Orient, Orientation, Reproject, ReprojectConfig, SpatialRestrict, StretchMode,
-    StretchScope, StretchTransform, TemporalAggregate, ValueFunc,
+    AggFunc, Compose, Downsample, FocalFunc, FocalTransform, GammaOp, Magnify, MapTransform,
+    Orient, Orientation, Reproject, ReprojectConfig, SpatialRestrict, StretchMode, StretchScope,
+    StretchTransform, TemporalAggregate, ValueFunc,
 };
 use geostreams_core::query::cascade::{CascadeTree, NaiveRegionIndex, RegionIndex};
 use geostreams_core::query::{analyze, optimize, parse_query, Planner};
@@ -46,7 +46,7 @@ fn main() {
     f3_dsms_pipeline(scale);
     x1_extension_operators(scale);
     a1_resample_kernels(scale);
-    a2_join_strategies(scale);
+    a2_compose_paths(scale);
     a3_png_encoders(scale);
 }
 
@@ -311,7 +311,7 @@ fn e3_composition(scale: u32) {
     // Row-interleaved (row-by-row downlink).
     let transport = interleave_rows(&a, &b);
     let (s0, s1) = split2(transport.into_iter(), schema_a.renamed("a"), schema_b.renamed("b"));
-    let op = Compose::new(s0, s1, GammaOp::Add, JoinStrategy::Hash).expect("compose");
+    let op = Compose::new(s0, s1, GammaOp::Add).expect("compose");
     let (_, rep, ops) = time_run(op);
     assert_eq!(rep.points_delivered, image * 2);
     println!(
@@ -324,7 +324,7 @@ fn e3_composition(scale: u32) {
     // then all of b.
     let transport = band_sequential(&a, &b);
     let (s0, s1) = split2(transport.into_iter(), schema_a.renamed("a"), schema_b.renamed("b"));
-    let op = Compose::new(s0, s1, GammaOp::Add, JoinStrategy::Hash).expect("compose");
+    let op = Compose::new(s0, s1, GammaOp::Add).expect("compose");
     let (_, rep, ops) = time_run(op);
     assert_eq!(rep.points_delivered, image * 2);
     println!(
@@ -336,7 +336,7 @@ fn e3_composition(scale: u32) {
     // Timestamp semantics: measurement-time streams never match.
     let mis_a = with_measurement_time(&schema_a, &a, 0);
     let mis_b = with_measurement_time(&schema_b, &b, 1);
-    let op = Compose::new(mis_a, mis_b, GammaOp::Add, JoinStrategy::Hash).expect("compose");
+    let op = Compose::new(mis_a, mis_b, GammaOp::Add).expect("compose");
     let (_, rep, _) = time_run(op);
     println!(
         "\nTimestamp semantics: sector-id join output = {} points; measurement-time join \
@@ -692,28 +692,51 @@ fn a1_resample_kernels(scale: u32) {
     println!();
 }
 
-/// A2: composition join strategies.
-fn a2_join_strategies(scale: u32) {
-    println!("## A2 — composition join strategies (ablation)");
+/// A2: the two paths of one composition — zipped runs and the keyed
+/// buffer.
+fn a2_compose_paths(scale: u32) {
+    println!("## A2 — composition: zipped runs and the keyed buffer (ablation)");
     let w = 128 * scale;
     let h = 128 * scale;
     let (schema, a) = ramp_elements(w, h, 2);
     let (_, b) = ramp_elements(w, h, 2);
-    println!("| strategy | wall | peak buffer (pts) | points out |");
-    println!("|---|---|---|---|");
-    for strategy in [JoinStrategy::Hash, JoinStrategy::FrameMerge] {
-        let sa = VecStream::new(schema.renamed("a"), a.clone());
-        let sb = VecStream::new(schema.renamed("b"), b.clone());
-        let op = Compose::new(sa, sb, GammaOp::Mul, strategy).expect("compose");
-        let (wall, rep, ops) = time_run(op);
+    println!("| input | wall | operator peak (pts) | subsystem peak (pts) | points out |");
+    println!("|---|---|---|---|---|");
+    let row = |label: &str, (wall, rep, ops): (Duration, RunReport, Vec<OpReport>)| {
+        // The composition reports last, after its inputs.
+        let own = ops.last().map_or(0, |o| o.stats.buffered_points_peak);
         println!(
-            "| {:?} | {:.0?} | {} | {} |",
-            strategy,
-            wall,
+            "| {label} | {wall:.0?} | {own} | {} | {} |",
             max_peak(&ops),
             rep.points_delivered
         );
-    }
+    };
+    let band =
+        |name: &str, els: &[Element<f32>]| VecStream::new(schema.renamed(name), els.to_vec());
+
+    // Row-by-row bands on one lattice: every run is zipped.
+    let op = Compose::new(band("a", &a), band("b", &b), GammaOp::Mul).expect("compose");
+    row("row-by-row, aligned", time_run(op));
+
+    // Band-sequential downlink: the split queue holds band a's image
+    // until band b's arrives, then the runs zip.
+    let transport = band_sequential(&a, &b);
+    let (s0, s1) = split2(transport.into_iter(), schema.renamed("a"), schema.renamed("b"));
+    let op = Compose::new(s0, s1, GammaOp::Mul).expect("compose");
+    row("band-sequential", time_run(op));
+
+    // Differently restricted bands: each row's cells outside the
+    // overlap go through the keyed buffer.
+    let restricted = |name: &str, els: &[Element<f32>], rect: Rect| {
+        SpatialRestrict::new(band(name, els), Region::Rect(rect))
+    };
+    let op = Compose::new(
+        restricted("a", &a, Rect::new(-123.0, 33.0, -116.0, 41.0)),
+        restricted("b", &b, Rect::new(-122.0, 34.0, -115.0, 40.0)),
+        GammaOp::Mul,
+    )
+    .expect("compose");
+    row("differently restricted", time_run(op));
     println!();
 }
 

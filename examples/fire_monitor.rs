@@ -16,7 +16,7 @@
 
 use geostreams_core::model::{Element, GeoStream};
 use geostreams_core::ops::{
-    AggFunc, Compose, GammaOp, JoinStrategy, SpatialAggregate, TemporalAggregate, ValueRestrict,
+    AggFunc, Compose, GammaOp, SpatialAggregate, TemporalAggregate, ValueRestrict,
 };
 use geostreams_geo::{Coord, Crs, Rect, Region};
 use geostreams_satsim::goes_like;
@@ -29,7 +29,7 @@ fn main() {
     // share the 4 km lattice, so they compose directly.
     let b4 = scanner.band_stream_by_id(4, sectors).expect("band 4");
     let b5 = scanner.band_stream_by_id(5, sectors).expect("band 5");
-    let diff = Compose::new(b4, b5, GammaOp::Sub, JoinStrategy::Hash).expect("compose");
+    let diff = Compose::new(b4, b5, GammaOp::Sub).expect("compose");
 
     // The simulated channels are near-identical, so absolute differences
     // are tiny; treat the brightest fraction of band-4 as "hot" instead:

@@ -1,13 +1,34 @@
-//! Shared by the integration suites: a deterministic PRNG and scratch
-//! directories.
+//! Shared by the integration suites: a deterministic PRNG, scratch
+//! directories, the per-operator references and the literal three-join
+//! NDVI.
 //!
 //! The build environment has no crates.io access, so the former
 //! proptest suites run as fixed-case loops over this SplitMix64
 //! generator: same properties, reproducible inputs, zero dependencies.
 #![allow(dead_code)]
 
+use geostreams::core::model::{tee2, GeoStream};
+use geostreams::core::ops::{Compose, GammaOp};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
+
+/// The literal §3.4 expression `(G₁ − G₂) ⊘ (G₂ + G₁)`: three
+/// compositions over two stream tees, each band read twice. What the
+/// fused `ndvi` macro operator computes in one join.
+pub fn ndvi_unfused<L, R>(
+    nir: L,
+    vis: R,
+) -> Compose<impl GeoStream<V = L::V>, impl GeoStream<V = L::V>>
+where
+    L: GeoStream,
+    R: GeoStream<V = L::V>,
+{
+    let (nir_a, nir_b) = tee2(nir);
+    let (vis_a, vis_b) = tee2(vis);
+    let num = Compose::new(nir_a, vis_a, GammaOp::Sub).unwrap();
+    let den = Compose::new(vis_b, nir_b, GammaOp::Add).unwrap();
+    Compose::new(num, den, GammaOp::Div).unwrap()
+}
 
 /// An absent directory under the system's temporary directory, unique
 /// to this process and call; the caller removes it when done.
@@ -64,18 +85,20 @@ impl Rng {
 
 /// Reference semantics of the operators whose per-point logic used to
 /// live in a scalar arm of its own (the restrictions, the point-wise
-/// value maps, load shedding) and of re-projection as it ran before its
-/// mapping was cached, written over the flattened input element
-/// sequence. The chunked operators are compared against these at every
-/// pull budget.
+/// value maps, load shedding), of re-projection as it ran before its
+/// mapping was cached and of composition as it ran before it zipped
+/// runs, written over the flattened input element sequences. The
+/// chunked operators are compared against these at every pull budget.
 pub mod reference {
-    use geostreams::core::model::{Element, FrameEnd, FrameInfo, SectorInfo, TimeSet, Timestamp};
-    use geostreams::core::ops::{ReprojectConfig, ShedPolicy, ValueFunc};
+    use geostreams::core::model::{
+        Element, FrameEnd, FrameInfo, SectorEnd, SectorInfo, TimeSet, Timestamp,
+    };
+    use geostreams::core::ops::{GammaOp, ReprojectConfig, ShedPolicy, ValueFunc};
     use geostreams::core::stats::OpStats;
     use geostreams::geo::{Cell, CellBox, Crs, LatticeGeoref, Rect, Region};
     use geostreams::raster::resample::{sample_source, SampleSource};
     use geostreams::raster::Pixel;
-    use std::collections::VecDeque;
+    use std::collections::{HashMap, VecDeque};
 
     type Els = Vec<Element<f32>>;
 
@@ -430,5 +453,142 @@ pub mod reference {
             _ => true,
         };
         els.iter().filter(keep).cloned().collect()
+    }
+
+    /// One input of the reference join.
+    #[derive(Default)]
+    struct JoinSide {
+        /// Elements pulled so far, and sectors closed among them: how
+        /// far the input has got.
+        pulled: usize,
+        sectors: u64,
+        ts: Option<Timestamp>,
+        lattice: Option<LatticeGeoref>,
+        closed: bool,
+        done: bool,
+        buf: HashMap<(i64, Cell), f32>,
+    }
+
+    /// `compose`: a symmetric hash join on `(timestamp, cell)` that pulls
+    /// one element at a time from the input that is behind (fewer
+    /// sectors closed, then fewer elements pulled; the left on a tie).
+    /// A point meets its partner waiting on the other side or waits in
+    /// its own side's buffer. The left input's sectors are the output's;
+    /// a sector closes when both inputs have closed theirs (or the input
+    /// has ended), and the composed points of one timestamp form one
+    /// frame over the whole sector. Waiting points older than both
+    /// inputs' current frame timestamps, and every waiting point once
+    /// both inputs have ended, are dropped; so is every point while the
+    /// two sector lattices differ. Returns the elements, the operator's
+    /// counters and the number of points dropped unmatched.
+    pub fn compose(inputs: [&[Element<f32>]; 2], op: GammaOp) -> (Els, OpStats, u64) {
+        let (mut out, mut stats, mut unmatched) = (Vec::new(), OpStats::default(), 0u64);
+        let mut sides = [JoinSide::default(), JoinSide::default()];
+        let (mut active, mut mismatch) = (None::<SectorInfo>, false);
+        let (mut frame, mut next_frame_id) = (None::<(Timestamp, u64, u64)>, 0u64);
+        let close_frame = |out: &mut Els, frame: &mut Option<(Timestamp, u64, u64)>| {
+            if let Some((_, frame_id, sector_id)) = frame.take() {
+                out.push(Element::FrameEnd(FrameEnd { frame_id, sector_id }));
+            }
+        };
+        loop {
+            let s = match (sides[0].done, sides[1].done) {
+                (true, true) => break,
+                (true, false) => 1,
+                (false, true) => 0,
+                _ => usize::from(
+                    (sides[0].sectors, sides[0].pulled) > (sides[1].sectors, sides[1].pulled),
+                ),
+            };
+            let Some(el) = inputs[s].get(sides[s].pulled).cloned() else {
+                (sides[s].done, sides[s].closed) = (true, true);
+                continue;
+            };
+            sides[s].pulled += 1;
+            match el {
+                Element::SectorStart(si) => {
+                    sides[s].lattice = Some(si.lattice);
+                    if s == 0 {
+                        out.push(Element::SectorStart(si.clone()));
+                        active = Some(si);
+                    }
+                    mismatch = matches!(
+                        (sides[0].lattice, sides[1].lattice),
+                        (Some(a), Some(b)) if a != b
+                    );
+                }
+                Element::FrameStart(fi) => {
+                    stats.frames_in += 1;
+                    sides[s].ts = Some(fi.timestamp);
+                    if let (Some(l), Some(r)) = (sides[0].ts, sides[1].ts) {
+                        let watermark = l.value().min(r.value());
+                        for side in &mut sides {
+                            let before = side.buf.len() as u64;
+                            side.buf.retain(|k, _| k.0 >= watermark);
+                            let dropped = before - side.buf.len() as u64;
+                            unmatched += dropped;
+                            stats.buffer_shrink(dropped, dropped * 4);
+                        }
+                    }
+                }
+                Element::Point(p) => {
+                    stats.points_in += 1;
+                    if mismatch {
+                        unmatched += 1;
+                        continue;
+                    }
+                    let ts = sides[s].ts.unwrap_or_default();
+                    let key = (ts.value(), p.cell);
+                    let Some(other) = sides[1 - s].buf.remove(&key) else {
+                        sides[s].buf.insert(key, p.value);
+                        stats.buffer_grow(1, 4);
+                        continue;
+                    };
+                    stats.buffer_shrink(1, 4);
+                    let (a, b) = if s == 0 { (p.value, other) } else { (other, p.value) };
+                    if frame.is_none_or(|(open, _, _)| open != ts) {
+                        close_frame(&mut out, &mut frame);
+                        let sector_id = active.as_ref().map_or(0, |si| si.sector_id);
+                        let cells = active.as_ref().map_or(CellBox::new(0, 0, 0, 0), |si| {
+                            CellBox::full(si.lattice.width, si.lattice.height)
+                        });
+                        stats.frames_out += 1;
+                        out.push(Element::FrameStart(FrameInfo {
+                            frame_id: next_frame_id,
+                            sector_id,
+                            timestamp: ts,
+                            cells,
+                            synth_ns: 0,
+                        }));
+                        frame = Some((ts, next_frame_id, sector_id));
+                        next_frame_id += 1;
+                    }
+                    stats.points_out += 1;
+                    let v = f32::from_f64(op.apply(a.to_f64(), b.to_f64()));
+                    out.push(Element::point(p.cell, v));
+                }
+                Element::FrameEnd(_) => {}
+                Element::SectorEnd(_) => {
+                    sides[s].sectors += 1;
+                    sides[s].closed = true;
+                    if sides[0].closed && sides[1].closed {
+                        close_frame(&mut out, &mut frame);
+                        if let Some(si) = active.take() {
+                            out.push(Element::SectorEnd(SectorEnd { sector_id: si.sector_id }));
+                        }
+                        sides[0].closed = false;
+                        sides[1].closed = false;
+                    }
+                }
+            }
+        }
+        let dropped: u64 = sides.iter_mut().map(|s| std::mem::take(&mut s.buf).len() as u64).sum();
+        unmatched += dropped;
+        stats.buffer_shrink(dropped, dropped * 4);
+        close_frame(&mut out, &mut frame);
+        if let Some(si) = active {
+            out.push(Element::SectorEnd(SectorEnd { sector_id: si.sector_id }));
+        }
+        (out, stats, unmatched)
     }
 }

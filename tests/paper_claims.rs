@@ -7,8 +7,8 @@ use geostreams::core::model::{
     split2, Element, GeoStream, StreamSchema, TimeSemantics, Timestamp, VecStream,
 };
 use geostreams::core::ops::{
-    AggFunc, Compose, Downsample, GammaOp, JoinStrategy, Magnify, Reproject, ReprojectConfig,
-    SpatialRestrict, StretchMode, StretchScope, StretchTransform, TemporalAggregate,
+    AggFunc, Compose, Downsample, GammaOp, Magnify, Reproject, ReprojectConfig, SpatialRestrict,
+    StretchMode, StretchScope, StretchTransform, TemporalAggregate,
 };
 use geostreams::core::stats::OpReport;
 use geostreams::geo::{Crs, LatticeGeoref, Rect, Region};
@@ -125,7 +125,7 @@ fn claim_composition_buffer_depends_on_organization() {
     let transport: Vec<(u8, Element<f32>)> =
         a.into_iter().map(|e| (0u8, e)).chain(b.into_iter().map(|e| (1u8, e))).collect();
     let (s0, s1) = split2(transport.into_iter(), schema.renamed("a"), schema.renamed("b"));
-    let op = Compose::new(s0, s1, GammaOp::Add, JoinStrategy::Hash).unwrap();
+    let op = Compose::new(s0, s1, GammaOp::Add).unwrap();
     let (peak_image, out) = peak_of(op);
     assert_eq!(out, image);
     assert!(peak_image >= image - w as u64, "≈ whole image: {peak_image}");
@@ -151,7 +151,7 @@ fn claim_composition_buffer_depends_on_organization() {
         transport.extend(y.into_iter().map(|e| (1u8, e)));
     }
     let (s0, s1) = split2(transport.into_iter(), schema.renamed("a"), schema.renamed("b"));
-    let op = Compose::new(s0, s1, GammaOp::Add, JoinStrategy::Hash).unwrap();
+    let op = Compose::new(s0, s1, GammaOp::Add).unwrap();
     let (peak_row, out) = peak_of(op);
     assert_eq!(out, image);
     assert!(peak_row <= 2 * u64::from(w), "row-by-row composition buffers ~a row: {peak_row}");
@@ -181,14 +181,13 @@ fn claim_measurement_timestamps_never_join() {
         };
         VecStream::new(schema, els)
     };
-    let mut op = Compose::new(mk(0), mk(1), GammaOp::Add, JoinStrategy::Hash).unwrap();
+    let mut op = Compose::new(mk(0), mk(1), GammaOp::Add).unwrap();
     assert!(op.drain_points().is_empty());
     // Sector-id stamping (the practical fix the paper describes) joins.
     let mut op = Compose::new(
         VecStream::<f32>::single_sector("a", lattice(8, 8), 0, |c, _| f64::from(c)),
         VecStream::<f32>::single_sector("b", lattice(8, 8), 0, |c, _| f64::from(c)),
         GammaOp::Add,
-        JoinStrategy::Hash,
     )
     .unwrap();
     assert_eq!(op.drain_points().len(), 64);
@@ -226,7 +225,7 @@ fn claim_algebra_is_closed() {
         StretchMode::Linear { out_lo: 0.0, out_hi: 1.0 },
         StretchScope::Image,
     );
-    let mut s = Compose::new(s, t, GammaOp::Sub, JoinStrategy::Hash).unwrap();
+    let mut s = Compose::new(s, t, GammaOp::Sub).unwrap();
     let pts = s.drain_points();
     assert!(!pts.is_empty());
     // Identical inputs: every difference is exactly zero.

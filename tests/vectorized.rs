@@ -11,15 +11,15 @@ mod common;
 use common::reference;
 use geostreams::core::model::{
     drain_chunked, split2, tee2, BoxedF32Stream, ChunkChannel, ChunkInput, ChunkOrMarker, Element,
-    GeoStream, StreamRepair, StreamSchema, TimeSet, Validator, VecStream,
+    GeoStream, StreamRepair, StreamSchema, TimeSemantics, TimeSet, Timestamp, Validator, VecStream,
 };
 use geostreams::core::obs::{FlightRecorder, SpanStream, TracedStream};
 use geostreams::core::ops::{
     AggFunc, CastTransform, ChunkProtocolChecker, Compose, Delay, Downsample, FocalFunc,
-    FocalTransform, GammaOp, ImageAssembler, JoinStrategy, Magnify, MapTransform, Orient,
-    Orientation, PngSink, Reproject, ReprojectConfig, RgbComposite, Shed, ShedPolicy,
-    SpatialAggregate, SpatialRestrict, StretchMode, StretchScope, StretchTransform,
-    TemporalAggregate, TemporalRestrict, ValueFunc, ValueRestrict,
+    FocalTransform, GammaOp, ImageAssembler, Magnify, MapTransform, Orient, Orientation, PngSink,
+    Reproject, ReprojectConfig, RgbComposite, Shed, ShedPolicy, SpatialAggregate, SpatialRestrict,
+    StretchMode, StretchScope, StretchTransform, TemporalAggregate, TemporalRestrict, ValueFunc,
+    ValueRestrict,
 };
 use geostreams::core::stats::OpStats;
 use geostreams::geo::{Cell, Coord, Crs, LatticeGeoref, Polygon, Rect, Region};
@@ -215,22 +215,205 @@ fn shed_points_matches_scalar() {
 
 #[test]
 fn compose_hash_matches_scalar() {
-    assert_scalar_chunked_identical("Compose/Hash", || {
+    assert_scalar_chunked_identical("Compose", || {
         let left = vec_fixture();
         let right =
             VecStream::sectors("rhs", lattice(), 3, |s, x, y| (s as f64) + (x as f64) - (y as f64));
-        Compose::new(left, right, GammaOp::Add, JoinStrategy::Hash).unwrap()
+        Compose::new(left, right, GammaOp::Add).unwrap()
     });
 }
 
+/// `make()` against the hash join of `tests/common` over `inputs`, at
+/// every budget of the oracle and one past the output row: the same
+/// elements, the same `f32` bits, the same points in and out and the
+/// same unmatched count, with a buffer peak no higher than the hash
+/// join's.
+fn assert_compose_matches_reference<L, R>(
+    label: &str,
+    make: impl Fn() -> Compose<L, R>,
+    inputs: [Vec<Element<f32>>; 2],
+    op: GammaOp,
+) where
+    L: GeoStream<V = f32>,
+    R: GeoStream<V = f32>,
+{
+    let (want, want_stats, want_dropped) = reference::compose([&inputs[0], &inputs[1]], op);
+    let width = want
+        .iter()
+        .find_map(|el| match el {
+            Element::SectorStart(si) => Some(si.lattice.width as usize),
+            _ => None,
+        })
+        .expect("the reference opens a sector");
+    let bits = |els: &[Element<f32>]| -> Vec<(Cell, u32)> {
+        els.iter()
+            .filter_map(|el| match el {
+                Element::Point(p) => Some((p.cell, p.value.to_bits())),
+                _ => None,
+            })
+            .collect()
+    };
+    for budget in [1, 7, 256, 1024, width + 1] {
+        let mut op = make();
+        let got = drain_chunked(&mut op, budget);
+        let stats = op.op_stats();
+        let at = format!("{label}, budget {budget}");
+        assert_eq!(got, want, "{at}: elements");
+        assert_eq!(bits(&got), bits(&want), "{at}: value bits");
+        assert_eq!(
+            (stats.points_in, stats.points_out, op.unmatched_dropped),
+            (want_stats.points_in, want_stats.points_out, want_dropped),
+            "{at}: points in, out and unmatched"
+        );
+        assert!(
+            stats.buffered_points_peak <= want_stats.buffered_points_peak,
+            "{at}: buffer peak {} over the hash join's {}",
+            stats.buffered_points_peak,
+            want_stats.buffered_points_peak
+        );
+    }
+}
+
 #[test]
-fn compose_frame_merge_matches_scalar() {
-    assert_scalar_chunked_identical("Compose/FrameMerge", || {
-        let left = vec_fixture();
-        let right =
-            VecStream::sectors("rhs", lattice(), 3, |s, x, y| (s as f64) * 2.0 + (x * y) as f64);
-        Compose::new(left, right, GammaOp::Sup, JoinStrategy::FrameMerge).unwrap()
-    });
+fn compose_matches_the_hash_join_reference() {
+    // A GOES-like instrument whose near-infrared band is scanned at the
+    // visible band's resolution, so the two compose on one lattice.
+    let mut goes = goes_like(32, 16, 11);
+    goes.instrument.bands[1].reduction = 1;
+    let vis = || goes.band_stream(0, 3);
+    let nir = || goes.band_stream(1, 3);
+    let lat = goes.sector_lattice(0, 0);
+    let cells = |from: Cell, to: Cell| {
+        let (a, b) = (lat.cell_to_world(from), lat.cell_to_world(to));
+        Region::Rect(Rect::new(a.x.min(b.x), a.y.min(b.y), a.x.max(b.x), a.y.max(b.y)))
+    };
+    let (box_a, box_b) =
+        (cells(Cell::new(3, 2), Cell::new(20, 11)), cells(Cell::new(9, 5), Cell::new(28, 14)));
+    fn els<S: GeoStream<V = f32>>(mut s: S) -> Vec<Element<f32>> {
+        s.drain_elements()
+    }
+    macro_rules! case {
+        ($label:expr, $op:expr, $left:expr, $right:expr) => {
+            assert_compose_matches_reference(
+                $label,
+                || Compose::new($left, $right, $op).unwrap(),
+                [els($left), els($right)],
+                $op,
+            )
+        };
+    }
+    case!("aligned", GammaOp::NormDiff, nir(), vis());
+    case!("one side restricted", GammaOp::Sub, SpatialRestrict::new(nir(), box_a.clone()), vis());
+    case!(
+        "both differently restricted",
+        GammaOp::Add,
+        SpatialRestrict::new(nir(), box_a.clone()),
+        SpatialRestrict::new(vis(), box_b.clone())
+    );
+    case!(
+        "damaged_then_repaired",
+        GammaOp::Sub,
+        damaged_then_repaired(),
+        MapTransform::<_, f32>::new(damaged_then_repaired(), ValueFunc::Abs)
+    );
+    case!("magnified twice", GammaOp::Mul, Magnify::new(nir(), 2), Magnify::new(vis(), 2));
+    case!("magnified once", GammaOp::Mul, Magnify::new(nir(), 2), vis());
+    // goes_like's own near-infrared band is a quarter of the visible
+    // band's resolution: the live NDVI shape.
+    let quarter = goes_like(32, 16, 11);
+    case!(
+        "downsampled visible",
+        GammaOp::NormDiff,
+        quarter.band_stream(1, 3),
+        Downsample::new(quarter.band_stream(0, 3), 4)
+    );
+    case!("measurement time", GammaOp::Add, measurement_time(vis(), 0), measurement_time(vis(), 1));
+    case!(
+        "measurement time, equal",
+        GammaOp::Sup,
+        measurement_time(nir(), 0),
+        measurement_time(vis(), 0)
+    );
+
+    // A self-join with the stream's own past.
+    let delayed = || {
+        let (live, past) = tee2(vis());
+        (live, Delay::new(past, 1))
+    };
+    let (live, past) = delayed();
+    let inputs = [els(live), els(past)];
+    let make = || {
+        let (live, past) = delayed();
+        Compose::new(live, past, GammaOp::Sub).unwrap()
+    };
+    assert_compose_matches_reference("delay", make, inputs, GammaOp::Sub);
+
+    // One downlink carrying both bands: line-interleaved, then
+    // band-sequential.
+    let (a, b) = (els(nir()), els(vis()));
+    for (label, transport) in
+        [("split2 rows", interleave(&a, &b, false)), ("split2 bands", interleave(&a, &b, true))]
+    {
+        let schema = || nir().schema().clone();
+        let make = || {
+            let (s0, s1) = split2(transport.clone().into_iter(), schema(), schema());
+            Compose::new(s0, s1, GammaOp::Div).unwrap()
+        };
+        assert_compose_matches_reference(label, make, [a.clone(), b.clone()], GammaOp::Div);
+    }
+
+    // The unfused §3.4 NDVI: compositions of compositions.
+    let num = reference::compose([&a, &b], GammaOp::Sub).0;
+    let den = reference::compose([&b, &a], GammaOp::Add).0;
+    let make = || common::ndvi_unfused(nir(), vis());
+    assert_compose_matches_reference("nested", make, [num, den], GammaOp::Div);
+}
+
+/// `s` with every frame stamped by its measurement time: frame `i`
+/// at `2i + offset`.
+fn measurement_time(s: SyntheticStream, offset: i64) -> VecStream<f32> {
+    let mut schema = s.schema().clone();
+    schema.time_semantics = TimeSemantics::MeasurementTime;
+    let mut s = s;
+    let els = s
+        .drain_elements()
+        .into_iter()
+        .map(|el| match el {
+            Element::FrameStart(mut fi) => {
+                fi.timestamp = Timestamp::new(fi.frame_id as i64 * 2 + offset);
+                Element::FrameStart(fi)
+            }
+            other => other,
+        })
+        .collect();
+    VecStream::new(schema, els)
+}
+
+/// One transport of two bands: frame by frame (line-interleaved) or,
+/// with `by_sector`, sector by sector (band-sequential).
+fn interleave(a: &[Element<f32>], b: &[Element<f32>], by_sector: bool) -> Vec<(u8, Element<f32>)> {
+    let groups = |els: &[Element<f32>]| {
+        let mut out: Vec<Vec<Element<f32>>> = vec![Vec::new()];
+        for el in els {
+            let end = if by_sector {
+                matches!(el, Element::SectorEnd(_))
+            } else {
+                matches!(el, Element::FrameEnd(_) | Element::SectorEnd(_))
+            };
+            out.last_mut().expect("a group is open").push(el.clone());
+            if end {
+                out.push(Vec::new());
+            }
+        }
+        out.retain(|g| !g.is_empty());
+        out
+    };
+    let mut out = Vec::new();
+    for (x, y) in groups(a).into_iter().zip(groups(b)) {
+        out.extend(x.into_iter().map(|e| (0u8, e)));
+        out.extend(y.into_iter().map(|e| (1u8, e)));
+    }
+    out
 }
 
 // ---------------------------------------------------------------------
@@ -427,15 +610,13 @@ fn buffering_operators_match_scalar_over_repaired_damage() {
     });
     assert_scalar_chunked_identical("Magnify", || Magnify::new(src(), 2));
     assert_scalar_chunked_identical("Downsample", || Downsample::new(src(), 2));
-    for strategy in [JoinStrategy::Hash, JoinStrategy::FrameMerge] {
-        assert_scalar_chunked_identical("Compose", || {
-            let right = MapTransform::<_, f32>::new(
-                damaged_then_repaired(),
-                ValueFunc::Linear { scale: 0.5, offset: 1.0 },
-            );
-            Compose::new(src(), right, GammaOp::Sub, strategy).unwrap()
-        });
-    }
+    assert_scalar_chunked_identical("Compose", || {
+        let right = MapTransform::<_, f32>::new(
+            damaged_then_repaired(),
+            ValueFunc::Linear { scale: 0.5, offset: 1.0 },
+        );
+        Compose::new(src(), right, GammaOp::Sub).unwrap()
+    });
     assert_scalar_chunked_identical("Shed/Points over Focal", || {
         Shed::new(FocalTransform::new(src(), FocalFunc::Max, 3), ShedPolicy::Points, 2)
     });
@@ -717,9 +898,7 @@ fn every_stream_obeys_the_chunk_contract_at_every_budget() {
         case("MapTransform", || MapTransform::<_, f32>::new(src(), ValueFunc::Abs)),
         case("CastTransform", || CastTransform::<_, f32>::new(src())),
         case("Shed", || Shed::new(src(), ShedPolicy::Points, 2)),
-        case("Compose", || {
-            Compose::new(vec_fixture(), right(), GammaOp::Add, JoinStrategy::Hash).unwrap()
-        }),
+        case("Compose", || Compose::new(vec_fixture(), right(), GammaOp::Add).unwrap()),
         case("Delay", || Delay::new(src(), 1)),
         case("FocalTransform", || FocalTransform::new(src(), FocalFunc::Mean, 3)),
         case("Orient", || Orient::new(src(), Orientation::Rot90)),
