@@ -28,8 +28,8 @@ pub mod morsel;
 pub mod pool;
 
 pub use morsel::{
-    compile_stages, run_morsels, split_and_compile, split_parallel, CompiledStages, MorselReport,
-    ParallelSplit,
+    build_split, compile_stages, run_morsels, split_and_compile, split_parallel, CompiledStages,
+    MorselReport, ParallelSplit,
 };
 pub use pool::{OrderedCollector, WorkerPool, WorkerStatsSnapshot};
 

@@ -55,7 +55,7 @@ use crate::model::{
 use crate::obs::{PipelineObs, SpanOutcome};
 use crate::ops::{Granularity, Parallelism};
 use crate::query::plan::{build_operator, region_in};
-use crate::query::{Expr, Planner};
+use crate::query::{Expr, Plan, Planner};
 use crate::stats::{OpReport, OpStats};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -179,18 +179,33 @@ pub fn compile_stages(stages: &[&Expr], schema: &StreamSchema) -> Result<Compile
     Ok(compiled)
 }
 
-/// Splits `expr`, builds the inner pipeline through `planner` (traced
-/// under `obs` exactly like a serial plan), and compiles the stage
-/// suffix against the inner schema.
-pub fn split_and_compile(
+/// Builds `plan` for the morsel driver: the inner pipeline through
+/// `planner` (traced under `obs`, untraced without), on the plan's own
+/// verdict, and the stage suffix compiled against its schema. Without
+/// `peel` the whole plan is the inner pipeline and the suffix is empty.
+pub fn build_split(
     planner: &Planner<'_>,
-    expr: &Expr,
-    obs: &PipelineObs,
+    plan: &Plan,
+    peel: bool,
+    obs: Option<&PipelineObs>,
 ) -> Result<(BoxedF32Stream, CompiledStages)> {
-    let split = split_parallel(expr);
-    let inner = planner.build_traced(split.inner, obs)?;
+    let split = match peel {
+        true => split_parallel(plan),
+        false => ParallelSplit { inner: plan, stages: Vec::new() },
+    };
+    let inner = planner.build_part(plan, split.inner, obs)?;
     let compiled = compile_stages(&split.stages, inner.schema())?;
     Ok((inner, compiled))
+}
+
+/// [`build_split`] with the suffix peeled and the inner pipeline traced
+/// under `obs` exactly like a serial plan.
+pub fn split_and_compile(
+    planner: &Planner<'_>,
+    plan: &Plan,
+    obs: &PipelineObs,
+) -> Result<(BoxedF32Stream, CompiledStages)> {
+    build_split(planner, plan, true, Some(obs))
 }
 
 /// A morsel: the inner pipeline's items for one unit of work, and
@@ -589,7 +604,7 @@ mod tests {
     fn assert_matches_serial(label: &str, elements: &[Element<f32>], query: &str) {
         let catalog = catalog_of(elements.to_vec());
         let planner = Planner::new(&catalog);
-        let expr = parse_query(query).expect("parse");
+        let expr = Plan::analyze(parse_query(query).expect("parse"), &catalog);
         let n_stages = split_parallel(&expr).stages.len();
         assert!(n_stages > 0, "{query} has a partitionable suffix");
         let obs = PipelineObs::default();
@@ -707,7 +722,8 @@ mod tests {
         // thread, it is the next one the source takes.
         let catalog = catalog_of(source_of(16).drain_elements());
         let planner = Planner::new(&catalog);
-        let expr = parse_query("restrict_value(src, 0, 1000)").expect("parse");
+        let expr =
+            Plan::analyze(parse_query("restrict_value(src, 0, 1000)").expect("parse"), &catalog);
         let obs = PipelineObs::default();
         let pool = WorkerPool::new(2);
         let mut halves = Vec::new();

@@ -398,10 +398,11 @@ impl CertBuilder {
             (MarkerEffect::Synthesize, _) => StreamGuarantees::pristine(),
             // A resynthesizing stage emits fresh, well-bracketed
             // markers — but only if its own requirements held;
-            // garbage in, garbage out.
+            // garbage in, garbage out. One that does not need order
+            // keeps what its input had.
             (MarkerEffect::Resynthesize, _) => StreamGuarantees {
                 bracketed: ok,
-                lattice_order: ok && contract.order != OrderEffect::Break,
+                lattice_order: ok && input.lattice_order && contract.order != OrderEffect::Break,
             },
             // A forwarding stage propagates what it got; breaking
             // order taints the order guarantee.

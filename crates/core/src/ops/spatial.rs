@@ -305,10 +305,14 @@ impl<S: GeoStream> GeoStream for Downsample<S> {
 }
 
 /// Magnification synthesizes a k×-denser output lattice: markers are
-/// re-emitted for the new frame geometry, and the replication pattern
-/// only yields lattice-ordered output for lattice-ordered input.
+/// re-emitted for the new frame geometry. Each point's block lands
+/// where the point does, so any input order is served, and the output
+/// is lattice-ordered exactly when the input is.
 pub fn magnify_contract() -> crate::ops::ProtocolContract {
-    crate::ops::ProtocolContract::resynthesizing("magnify")
+    crate::ops::ProtocolContract {
+        requires_order: false,
+        ..crate::ops::ProtocolContract::resynthesizing("magnify")
+    }
 }
 
 /// Downsampling accumulates k×k blocks and flushes them on row and

@@ -281,18 +281,6 @@ impl PlanReport {
         self.diagnostics.iter().any(|d| d.severity == Severity::Error)
     }
 
-    /// The error diagnostics, rendered one per line (used by the DSMS
-    /// to explain a refused registration).
-    pub fn render_errors(&self) -> String {
-        let lines: Vec<String> = self
-            .diagnostics
-            .iter()
-            .filter(|d| d.severity == Severity::Error)
-            .map(Diagnostic::to_string)
-            .collect();
-        lines.join("; ")
-    }
-
     /// True when an observed buffering peak exceeds the static bound —
     /// the observability cross-check the DSMS counts as
     /// `geostreams_plan_buffer_overrun_total`. An unbounded plan never
@@ -1059,6 +1047,67 @@ pub fn analyze_with(expr: &Expr, catalog: &Catalog, opts: &AnalyzeOptions<'_>) -
         certificate,
         sharing: SharingReport::for_expr(expr),
         parallelism,
+    }
+}
+
+/// An analyzed plan: an expression and the analyzer's report on it.
+/// Only analysis makes one — [`Plan::analyze`], or
+/// [`optimize`](super::optimize), whose closing analysis is the report —
+/// and the planner, the morsel split, DSMS admission and `/explain` read
+/// that report instead of analyzing again. It derefs to its [`Expr`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct Plan {
+    expr: Expr,
+    report: PlanReport,
+}
+
+impl Plan {
+    /// Analyzes `expr` as written (see [`analyze`]).
+    pub fn analyze(expr: Expr, catalog: &Catalog) -> Plan {
+        Plan::analyze_with(expr, catalog, &AnalyzeOptions::default())
+    }
+
+    /// Analyzes `expr` in a runtime context (see [`analyze_with`]).
+    pub fn analyze_with(expr: Expr, catalog: &Catalog, opts: &AnalyzeOptions<'_>) -> Plan {
+        let report = analyze_with(&expr, catalog, opts);
+        Plan { expr, report }
+    }
+
+    /// The analyzer's report on the plan.
+    pub fn report(&self) -> &PlanReport {
+        &self.report
+    }
+
+    /// The plan with the registry-filled [`SharingReport::shared_with`].
+    pub fn shared_with(mut self, others: u64) -> Plan {
+        self.report.sharing.shared_with = others;
+        self
+    }
+
+    /// The one refusal: the plan's error diagnostics, an uncertified
+    /// protocol composition among them, joined by `; `. The planner reads
+    /// it before building, DSMS admission before its budget checks.
+    pub fn verdict(&self) -> crate::Result<()> {
+        let errors = self.report.diagnostics.iter().filter(|d| d.severity == Severity::Error);
+        let errors: Vec<String> = errors.map(Diagnostic::to_string).collect();
+        if errors.is_empty() && self.report.certificate.certified {
+            return Ok(());
+        }
+        Err(crate::CoreError::PlanRejected(errors.join("; ")))
+    }
+}
+
+impl std::ops::Deref for Plan {
+    type Target = Expr;
+
+    fn deref(&self) -> &Expr {
+        &self.expr
+    }
+}
+
+impl std::fmt::Display for Plan {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.expr.fmt(f)
     }
 }
 

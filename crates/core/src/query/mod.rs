@@ -10,13 +10,13 @@ pub mod plan;
 pub mod pushdown;
 
 pub use analyze::{
-    analyze, analyze_with, AnalyzeOptions, Diagnostic, OpAnalysis, ParallelismReport, PlanReport,
-    ReplayEstimate, ReplayProvider, Severity, SharingReport, SubplanKey,
+    analyze, analyze_with, AnalyzeOptions, Diagnostic, OpAnalysis, ParallelismReport, Plan,
+    PlanReport, ReplayEstimate, ReplayProvider, Severity, SharingReport, SubplanKey,
 };
 pub use ast::Expr;
 pub use canon::{canonical_key, canonical_text, canonicalize, key_hex};
 pub use cascade::{CascadeTree, NaiveRegionIndex, RegionIndex};
-pub use optimizer::optimize;
+pub use optimizer::{optimize, optimize_with};
 pub use parser::parse_query;
 pub use plan::{Catalog, Planner};
 pub use pushdown::{

@@ -28,33 +28,41 @@
 //! property-based equivalence checks between optimized and unoptimized
 //! plans.
 
+use super::analyze::{AnalyzeOptions, Plan};
 use super::ast::Expr;
 use super::plan::Catalog;
 use crate::model::TimeSet;
 use crate::ops::GammaOp;
 use geostreams_geo::{map_region, Region};
 
-/// Applies all rewrite rules to an expression.
+/// Applies all rewrite rules to an expression and returns the analyzed
+/// [`Plan`]: the analysis that checks the rewrite is the plan's report.
 ///
 /// Rewrites must never worsen the plan's static blocking class
 /// (restriction pushdown, macro fusion and identity removal are all
 /// blocking-neutral). The invariant is asserted in debug builds; in
 /// release builds a rewrite that *would* worsen it is discarded and the
 /// original expression is kept.
-pub fn optimize(expr: &Expr, catalog: &Catalog) -> Expr {
-    let before = super::analyze::analyze(expr, catalog).blocking;
+pub fn optimize(expr: &Expr, catalog: &Catalog) -> Plan {
+    optimize_with(expr, catalog, &AnalyzeOptions::default())
+}
+
+/// [`optimize`] in the runtime context `opts` of
+/// [`analyze_with`](super::analyze_with).
+pub fn optimize_with(expr: &Expr, catalog: &Catalog, opts: &AnalyzeOptions<'_>) -> Plan {
+    let before = Plan::analyze_with(expr.clone(), catalog, opts);
     let e = simplify(expr.clone());
     let e = fuse_macros(e);
     let e = push_restrictions(e, catalog);
     let e = merge_restricts(e);
     // Pushdown can duplicate value transforms; fuse once more.
-    let e = simplify(e);
-    let after = super::analyze::analyze(&e, catalog).blocking;
-    debug_assert!(after <= before, "optimizer worsened blocking class: {before} -> {after}");
-    if after > before {
-        return expr.clone();
+    let after = Plan::analyze_with(simplify(e), catalog, opts);
+    let (from, to) = (before.report().blocking, after.report().blocking);
+    debug_assert!(to <= from, "optimizer worsened blocking class: {from} -> {to}");
+    if to > from {
+        return before;
     }
-    e
+    after
 }
 
 /// Bottom-up algebraic simplifications:
@@ -387,6 +395,11 @@ mod tests {
     use crate::query::parser::parse_query;
     use geostreams_geo::{Crs, LatticeGeoref, Rect};
 
+    /// The optimized expression alone: these tests match its shape.
+    fn optimize(e: &Expr, cat: &Catalog) -> Expr {
+        (*super::optimize(e, cat)).clone()
+    }
+
     fn catalog() -> Catalog {
         let lattice =
             LatticeGeoref::north_up(Crs::LatLon, Rect::new(-124.0, 36.0, -120.0, 40.0), 16, 16);
@@ -591,8 +604,8 @@ mod tests {
         ];
         for q in queries {
             let e = parse_query(q).unwrap();
-            let o = optimize(&e, &cat);
-            let mut base = planner.build(&e).unwrap();
+            let o = super::optimize(&e, &cat);
+            let mut base = planner.build(&Plan::analyze(e, &cat)).unwrap();
             let mut opt = planner.build(&o).unwrap();
             let mut a = base.drain_points();
             let mut b = opt.drain_points();

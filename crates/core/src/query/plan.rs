@@ -5,6 +5,7 @@
 //! normalized to `f32` pixels ([`BoxedF32Stream`]); the operator library
 //! itself stays generic for direct users.
 
+use super::analyze::Plan;
 use super::ast::Expr;
 use crate::error::{CoreError, Result};
 use crate::model::{BoxedF32Stream, GeoStream, StreamSchema};
@@ -178,26 +179,11 @@ impl<'a> Planner<'a> {
         Planner { catalog }
     }
 
-    /// Builds a runnable pipeline from an expression. A plan whose
-    /// operators' protocol contracts do not compose — one the analyzer
-    /// does not certify — is refused with [`CoreError::PlanRejected`].
-    pub fn build(&self, expr: &Expr) -> Result<BoxedF32Stream> {
-        self.certify(expr)?;
-        self.build_inner(expr, None)
-    }
-
-    /// Refuses a plan the analyzer does not certify, as DSMS admission
-    /// does. An operator that needs lattice-ordered input would otherwise
-    /// run over a stream an orientation reordered and silently lose
-    /// points: composition drops a waiting point once the other input
-    /// opens a frame below it.
-    fn certify(&self, expr: &Expr) -> Result<()> {
-        let certificate = super::analyze::analyze(expr, self.catalog).certificate;
-        if certificate.certified {
-            Ok(())
-        } else {
-            Err(CoreError::PlanRejected(certificate.violations.join("; ")))
-        }
+    /// Builds a runnable pipeline from an analyzed plan, unless its
+    /// [`Plan::verdict`] refuses it: composition over a reoriented
+    /// input, for one, would silently drop points.
+    pub fn build(&self, plan: &Plan) -> Result<BoxedF32Stream> {
+        self.build_part(plan, plan, None)
     }
 
     /// Builds a pipeline with every operator (sources included) wrapped
@@ -212,9 +198,21 @@ impl<'a> Planner<'a> {
     /// [`FlightRecorder::build_parent`](crate::obs::FlightRecorder),
     /// which is set to the wrapping span's id just before each
     /// `catalog.open`.
-    pub fn build_traced(&self, expr: &Expr, obs: &PipelineObs) -> Result<BoxedF32Stream> {
-        self.certify(expr)?;
-        self.build_inner(expr, Some(obs))
+    pub fn build_traced(&self, plan: &Plan, obs: &PipelineObs) -> Result<BoxedF32Stream> {
+        self.build_part(plan, plan, Some(obs))
+    }
+
+    /// Builds `part`, a subtree of `plan`, on the plan's verdict: the
+    /// certificate is the conjunction of its per-stage checks, so a
+    /// subtree of a certified plan is certified too.
+    pub(crate) fn build_part(
+        &self,
+        plan: &Plan,
+        part: &Expr,
+        obs: Option<&PipelineObs>,
+    ) -> Result<BoxedF32Stream> {
+        plan.verdict()?;
+        self.build_inner(part, obs)
     }
 
     fn build_inner(&self, expr: &Expr, obs: Option<&PipelineObs>) -> Result<BoxedF32Stream> {
@@ -254,11 +252,10 @@ impl<'a> Planner<'a> {
     /// operator — its blocking class, its bound on points emitted per
     /// sector and its worst-case buffer — root first, each input
     /// indented under its consumer. Operator parameters are in the
-    /// plan's own text form (`expr.to_string()`), not repeated here.
-    pub fn explain(&self, expr: &Expr) -> String {
-        let report = super::analyze::analyze(expr, self.catalog);
+    /// plan's own text form (`plan.to_string()`), not repeated here.
+    pub fn explain(&self, plan: &Plan) -> String {
         let mut out = String::new();
-        for op in report.per_op.iter().rev() {
+        for op in plan.report().per_op.iter().rev() {
             let depth = op.path.matches('/').count();
             let name = op.path.rsplit('/').next().unwrap_or(&op.operator);
             out.push_str(&format!(
@@ -273,11 +270,15 @@ impl<'a> Planner<'a> {
         out
     }
 
-    /// Parses, optionally optimizes, and builds a query in one step.
+    /// Parses, analyzes (optimizing first if asked), and builds a query
+    /// in one step.
     pub fn plan_text(&self, text: &str, optimize: bool) -> Result<BoxedF32Stream> {
         let expr = super::parser::parse_query(text)?;
-        let expr = if optimize { super::optimizer::optimize(&expr, self.catalog) } else { expr };
-        self.build(&expr)
+        let plan = match optimize {
+            true => super::optimizer::optimize(&expr, self.catalog),
+            false => Plan::analyze(expr, self.catalog),
+        };
+        self.build(&plan)
     }
 }
 
@@ -380,11 +381,11 @@ mod tests {
         // A flipped input opens its first frame on the bottom row: the
         // composition would drop every row of the other input above it.
         for q in ["add(orient(g1, \"flipv\"), g2)", "downsample(orient(g1, \"rot180\"), 2)"] {
-            let e = crate::query::parse_query(q).unwrap();
-            assert!(!super::super::analyze::analyze(&e, &cat).certificate.certified, "{q}");
-            assert!(matches!(planner.build(&e), Err(CoreError::PlanRejected(_))), "{q}");
+            let plan = Plan::analyze(crate::query::parse_query(q).unwrap(), &cat);
+            assert!(!plan.report().certificate.certified, "{q}");
+            assert!(matches!(planner.build(&plan), Err(CoreError::PlanRejected(_))), "{q}");
             let obs = PipelineObs::default();
-            assert!(matches!(planner.build_traced(&e, &obs), Err(CoreError::PlanRejected(_))));
+            assert!(matches!(planner.build_traced(&plan, &obs), Err(CoreError::PlanRejected(_))));
         }
         // Reoriented after the composition, the same bands join in full.
         let mut pipe = planner.plan_text("orient(add(g1, g2), \"flipv\")", false).unwrap();
@@ -399,7 +400,7 @@ mod tests {
             "restrict_space(reproject(ndvi(g1, g2), \"utm:10N\"), bbox(0, 0, 1, 1), \"utm:10N\")",
         )
         .unwrap();
-        let text = planner.explain(&e);
+        let text = planner.explain(&Plan::analyze(e, &cat));
         // One line per analyzed operator, root first.
         assert_eq!(text.lines().count(), 5, "{text}");
         assert!(text.starts_with("restrict_space  [non-blocking, ≤"), "{text}");

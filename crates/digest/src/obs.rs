@@ -14,7 +14,7 @@ use crate::{fnv1a, FNV_OFFSET};
 use geostreams_core::exec::run_chunked;
 use geostreams_core::model::{ChunkOrMarker, GeoStream, VecStream, DEFAULT_CHUNK_BUDGET};
 use geostreams_core::obs::{FlightRecorder, PipelineObs, SpanOutcome};
-use geostreams_core::query::{parse_query, Catalog, Planner};
+use geostreams_core::query::{parse_query, Catalog, Plan, Planner};
 use geostreams_geo::{Crs, LatticeGeoref, Rect};
 use std::sync::Arc;
 
@@ -46,13 +46,13 @@ pub fn digest(w: u32, h: u32, sectors: u64) -> String {
     let replayed = schema.clone();
     catalog.register(schema, move || Box::new(VecStream::new(replayed.clone(), elements.clone())));
     let planner = Planner::new(&catalog);
-    let expr = parse_query("scale(ramp, 2, 0)").expect("query parses");
+    let plan = Plan::analyze(parse_query("scale(ramp, 2, 0)").expect("query parses"), &catalog);
 
-    let untraced = planner.build(&expr).expect("query plans");
+    let untraced = planner.build(&plan).expect("query plans");
     let rec = Arc::new(FlightRecorder::for_query(1));
     let deliver_id = rec.alloc_span();
     let obs = PipelineObs::default().with_recorder(Arc::clone(&rec)).under(deliver_id);
-    let traced = planner.build_traced(&expr, &obs).expect("query plans");
+    let traced = planner.build_traced(&plan, &obs).expect("query plans");
 
     let (points, fnv) = drain(untraced, &PipelineObs::default());
     let mut deliver = rec.begin_with_id(deliver_id, "deliver", 0);

@@ -37,7 +37,7 @@
 use crate::eval::{conclude, Delivered, Evaluator};
 use crate::metrics::ServerMetrics;
 use crate::protocol::{ClientRequest, OutputFormat};
-use crate::server::{certify, plan_request, scanner_catalog, QueryResult};
+use crate::server::{known_sources, parse_request, scanner_catalog, QueryResult};
 use crate::share::{
     band_refs, lock, plan_sharing, share_refs, share_source_name, SubscriptionTree,
 };
@@ -51,7 +51,7 @@ use geostreams_core::obs::{
     TraceContext,
 };
 use geostreams_core::query::{
-    analyze_with, key_hex, merged_source_windows, AnalyzeOptions, Catalog, Expr, Planner,
+    key_hex, merged_source_windows, optimize_with, AnalyzeOptions, Catalog, Plan, Planner,
     ReplayProvider, TimeWindow,
 };
 use geostreams_core::{CoreError, Result};
@@ -269,7 +269,7 @@ impl ThreadLedger {
 /// An admitted request: the optimized plan, its delivery format, and
 /// the sources the archive serves (live channels not attached yet).
 struct Admitted {
-    expr: Expr,
+    plan: Plan,
     format: OutputFormat,
     /// Archive routes by source name, one per leaf reading it.
     routes: HashMap<String, Vec<Feed<()>>>,
@@ -301,7 +301,7 @@ enum Slot {
     /// reports repair facts from the node and everything upstream.
     Member(usize, Rx, Probes),
     /// Evaluates its own pipeline over these sources.
-    Own(Expr, OutputFormat, Vec<Source>),
+    Own(Box<Plan>, OutputFormat, Vec<Source>),
 }
 
 /// One ingested band; its pump fans out through the subscription tree.
@@ -314,7 +314,7 @@ struct Band {
 
 /// A shared-plan DAG node: evaluated once, multicast through its tree.
 struct Node {
-    expr: Expr,
+    plan: Plan,
     tree: SubscriptionTree,
 }
 
@@ -385,8 +385,8 @@ pub fn run_supervised(
                     Slot::Member(_, rx, probes) => {
                         rt.ledger.spawn(s, move || run_member(rt, qid, &rx, &probes))
                     }
-                    Slot::Own(expr, format, sources) => {
-                        rt.ledger.spawn(s, move || run_own(rt, qid, &expr, format, sources))
+                    Slot::Own(plan, format, sources) => {
+                        rt.ledger.spawn(s, move || run_own(rt, qid, &plan, format, sources))
                     }
                 });
                 (qid, handle)
@@ -495,8 +495,10 @@ fn admit(rt: &Runtime<'_>, requests: &[ClientRequest]) -> Result<Vec<Result<Admi
         }
         // The run's length is `n_sectors`: a request's own `sectors=`
         // (a one-shot parameter) is not applied here.
-        let (_, expr) = plan_request(&req.query, 0, catalog)?;
-        if let Err(e) = certify(&analyze_with(&expr, catalog, &analyze_opts)) {
+        let expr = parse_request(&req.query, 0)?;
+        known_sources(&expr, catalog)?;
+        let plan = optimize_with(&expr, catalog, &analyze_opts);
+        if let Err(e) = plan.verdict() {
             if let Some(m) = &config.metrics {
                 m.set_query_state(qid as u32, "rejected");
             }
@@ -508,8 +510,8 @@ fn admit(rt: &Runtime<'_>, requests: &[ClientRequest]) -> Result<Vec<Result<Admi
         // backfill `[lo, now)` and splice into the live feed.
         let mut routes = HashMap::new();
         if let Some(archive) = &config.archive {
-            let leaves = expr.source_leaves();
-            for (name, sw) in merged_source_windows(&expr, catalog) {
+            let leaves = plan.source_leaves();
+            for (name, sw) in merged_source_windows(&plan, catalog) {
                 let w = sw.window;
                 let past = w.wholly_before(now) || w.starts_before(now);
                 if w == TimeWindow::unbounded() || !past {
@@ -533,7 +535,7 @@ fn admit(rt: &Runtime<'_>, requests: &[ClientRequest]) -> Result<Vec<Result<Admi
                 routes.insert(name, (0..reads).map(feed).collect::<Result<_>>()?);
             }
         }
-        admitted.push(Ok(Admitted { expr, format: req.format, routes }));
+        admitted.push(Ok(Admitted { plan, format: req.format, routes }));
     }
     Ok(admitted)
 }
@@ -559,7 +561,7 @@ fn wire(rt: &mut Runtime<'_>, admitted: Vec<Result<Admitted>>) -> Result<Wiring>
     let sharing = config.share_plans && config.watchdog.is_none();
     let eligible = admitted.iter().enumerate().filter_map(|(qid, a)| {
         let a = a.as_ref().ok()?;
-        (sharing && a.format.is_counting() && a.routes.is_empty()).then(|| (qid, a.expr.clone()))
+        (sharing && a.format.is_counting() && a.routes.is_empty()).then(|| (qid, (*a.plan).clone()))
     });
     let plan = plan_sharing(&eligible.collect::<Vec<_>>());
     let key_of: HashMap<String, usize> =
@@ -611,7 +613,7 @@ fn wire(rt: &mut Runtime<'_>, admitted: Vec<Result<Admitted>>) -> Result<Wiring>
     };
     let mut slots = Vec::new();
     for (qid, admitted) in admitted.into_iter().enumerate() {
-        let Admitted { expr, format, mut routes } = match admitted {
+        let Admitted { plan: own, format, mut routes } = match admitted {
             Ok(a) => a,
             Err(e) => {
                 slots.push(Err(e));
@@ -626,7 +628,7 @@ fn wire(rt: &mut Runtime<'_>, admitted: Vec<Result<Admitted>>) -> Result<Wiring>
             continue;
         }
         let mut sources = Vec::new();
-        for name in expr.source_leaves() {
+        for name in own.source_leaves() {
             let feed = match routes.get_mut(&name).and_then(Vec::pop) {
                 Some(Feed::Archive(replay)) => Feed::Archive(replay),
                 Some(Feed::Hybrid { replay, watermark, .. }) => {
@@ -637,19 +639,20 @@ fn wire(rt: &mut Runtime<'_>, admitted: Vec<Result<Admitted>>) -> Result<Wiring>
             };
             sources.push(Source { name, feed, probe: Some(Arc::default()) });
         }
-        slots.push(Ok(Slot::Own(expr, format, sources)));
+        slots.push(Ok(Slot::Own(Box::new(own), format, sources)));
     }
 
-    // Each node's output schema is registered under its `@share:*`
-    // source name, producers before consumers (the DAG is acyclic: a
-    // cut's body references only strictly smaller subexpressions).
-    let mut placed = vec![false; plan.nodes.len()];
-    while let Some(i) =
-        (0..placed.len()).find(|&i| !placed[i] && deps[i].iter().all(|&d| placed[d]))
+    // Each node is analyzed once and its schema registered under its
+    // `@share:*` source name, producers before consumers (the DAG is
+    // acyclic: a cut's body references only smaller subexpressions).
+    let mut node_plans: Vec<Option<Plan>> = plan.nodes.iter().map(|_| None).collect();
+    while let Some(i) = (0..node_plans.len())
+        .find(|&i| node_plans[i].is_none() && deps[i].iter().all(|&d| node_plans[d].is_some()))
     {
-        placed[i] = true;
         let node = &plan.nodes[i];
-        let mut schema = Planner::new(catalog).build(&node.expr)?.schema().clone();
+        let analyzed = Plan::analyze(node.expr.clone(), catalog);
+        let mut schema = Planner::new(catalog).build(&analyzed)?.schema().clone();
+        node_plans[i] = Some(analyzed);
         schema.name = share_source_name(node.key);
         let exhausted = schema.clone();
         catalog.register(schema, move || Box::new(ChunkChannel::new(exhausted.clone(), || None)));
@@ -672,7 +675,7 @@ fn wire(rt: &mut Runtime<'_>, admitted: Vec<Result<Admitted>>) -> Result<Wiring>
         }
         node_sources.push(sources);
     }
-    let nodes = plan.nodes.into_iter().zip(trees).map(|(n, tree)| Node { expr: n.expr, tree });
+    let nodes = node_plans.into_iter().flatten().zip(trees).map(|(plan, tree)| Node { plan, tree });
     let nodes = nodes.collect();
 
     let bands = band_trees
@@ -891,7 +894,7 @@ fn source_catalog(sources: Vec<Source>, schemas: &Catalog, cx: &SourceCtx) -> (C
 fn run_node(rt: &Runtime<'_>, node: &Node, sources: Vec<Source>) {
     let (catalog, _) = source_catalog(sources, &rt.schemas, &SourceCtx::new(rt, None));
     let eval = Evaluator { qid: 0, catalog: &catalog, pool: &rt.pool, metrics: None };
-    let run = eval.count(&node.expr, |item| {
+    let run = eval.count(&node.plan, |item| {
         node.tree.multicast(Arc::new(item.clone()), rt.config.fanout, rt.config.marker_patience);
     });
     // Members terminate when the tree closes, evaluated or not.
@@ -949,7 +952,7 @@ fn run_member(rt: &Runtime<'_>, qid: usize, rx: &Rx, probes: &Probes) -> Result<
 fn run_own(
     rt: &Runtime<'_>,
     qid: usize,
-    expr: &Expr,
+    plan: &Plan,
     format: OutputFormat,
     sources: Vec<Source>,
 ) -> Result<QueryResult> {
@@ -965,7 +968,7 @@ fn run_own(
     // ROADMAP.md): every image format renders in gray here (`false`;
     // the one-shot path applies the NDVI/thermal color ramps), and an
     // image run returns no report.
-    let run = eval.run(expr, format, false);
+    let run = eval.run(plan, format, false);
     let cancelled = cx.cancelled.load(Ordering::SeqCst);
     let mut result = conclude(qid as u32, metrics.map(Arc::as_ref), run, &probes, cancelled)?;
     if !format.is_counting() {

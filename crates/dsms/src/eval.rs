@@ -13,15 +13,13 @@
 use crate::metrics::ServerMetrics;
 use crate::protocol::OutputFormat;
 use crate::server::{QueryResult, SourceRepair};
-use geostreams_core::exec::{
-    compile_stages, run_morsels, split_parallel, ParallelSplit, RunReport, WorkerPool,
-};
+use geostreams_core::exec::{build_split, run_morsels, RunReport, WorkerPool};
 use geostreams_core::model::{
     ChunkOrMarker, Marker, RepairProbe, StreamSchema, DEFAULT_CHUNK_BUDGET,
 };
 use geostreams_core::obs::{PipelineObs, SpanOutcome};
 use geostreams_core::ops::delivery::{DeliveredFrame, FrameSink, Rendering};
-use geostreams_core::query::{Catalog, Expr, Planner};
+use geostreams_core::query::{Catalog, Plan, Planner};
 use geostreams_core::Result;
 use geostreams_raster::colormap::ColorMap;
 use geostreams_raster::png::PngOptions;
@@ -56,18 +54,18 @@ impl Delivered {
 }
 
 impl Evaluator<'_> {
-    /// Runs `expr` to the end and delivers it in `format`: an image
+    /// Runs `plan` to the end and delivers it in `format`: an image
     /// format adds a PNG sink that the driver pushes every item into,
     /// nothing else differs. `color_ramps` applies the NDVI/thermal
     /// color maps to the image formats that name them; without it every
     /// image is gray over the plan's value range.
-    pub fn run(&self, expr: &Expr, format: OutputFormat, color_ramps: bool) -> Result<Delivered> {
+    pub fn run(&self, plan: &Plan, format: OutputFormat, color_ramps: bool) -> Result<Delivered> {
         if format.is_counting() {
-            return Ok(Delivered::counted(self.count(expr, |_| {})?));
+            return Ok(Delivered::counted(self.count(plan, |_| {})?));
         }
         let mut frames = Vec::new();
         let delivered = &mut frames;
-        let report = self.drive(expr, |schema| {
+        let report = self.drive(plan, |schema| {
             let rendering = rendering_for(format, color_ramps, schema.value_range);
             let mut sink = FrameSink::new(rendering, PngOptions::default());
             move |item| delivered.extend(sink.push(item))
@@ -75,9 +73,9 @@ impl Evaluator<'_> {
         Ok(Delivered { points: frames.len() as u64, frames, report })
     }
 
-    /// Runs `expr` to the end, `sink` seeing every delivered item.
-    pub fn count(&self, expr: &Expr, sink: impl FnMut(&ChunkOrMarker<f32>)) -> Result<RunReport> {
-        self.drive(expr, |_| sink)
+    /// Runs `plan` to the end, `sink` seeing every delivered item.
+    pub fn count(&self, plan: &Plan, sink: impl FnMut(&ChunkOrMarker<f32>)) -> Result<RunReport> {
+        self.drive(plan, |_| sink)
     }
 
     /// The one path from plan to report: the order-sensitive inner plan
@@ -92,26 +90,20 @@ impl Evaluator<'_> {
     /// `FrameStart`.
     fn drive<F: FnMut(&ChunkOrMarker<f32>)>(
         &self,
-        expr: &Expr,
+        plan: &Plan,
         sink_for: impl FnOnce(&StreamSchema) -> F,
     ) -> Result<RunReport> {
-        let split = match self.pool.workers() {
-            0 => ParallelSplit { inner: expr, stages: Vec::new() },
-            _ => split_parallel(expr),
-        };
-        let planner = Planner::new(self.catalog);
         // A traced run reserves the delivery span's id before the build,
         // so the operators (built inside-out) chain under it.
-        let (mut inner, obs) = match self.metrics {
-            Some(m) => {
-                let rec = m.recorder(self.qid);
-                let deliver_id = rec.alloc_span();
-                let obs = PipelineObs::default().with_recorder(rec).under(deliver_id);
-                (planner.build_traced(split.inner, &obs)?, obs)
-            }
-            None => (planner.build(split.inner)?, PipelineObs::default()),
-        };
-        let stages = Arc::new(compile_stages(&split.stages, inner.schema())?);
+        let obs = self.metrics.map(|m| {
+            let rec = m.recorder(self.qid);
+            let deliver_id = rec.alloc_span();
+            PipelineObs::default().with_recorder(rec).under(deliver_id)
+        });
+        let peel = self.pool.workers() > 0;
+        let (mut inner, stages) =
+            build_split(&Planner::new(self.catalog), plan, peel, obs.as_ref())?;
+        let (stages, obs) = (Arc::new(stages), obs.unwrap_or_default());
         let mut sink = sink_for(stages.schema());
         let deliver = obs.recorder.as_ref().map(|rec| rec.begin_with_id(obs.parent, "deliver", 0));
         let report =
@@ -200,12 +192,12 @@ mod tests {
             VecStream::<f32>::sectors("src", lattice, 3, |s, c, r| f64::from(c + r) + s as f64)
         };
         catalog.register(make().schema().clone(), move || Box::new(make()));
-        let expr = parse_query("scale(src, 2, 0)").expect("parses");
+        let plan = Plan::analyze(parse_query("scale(src, 2, 0)").expect("parses"), &catalog);
         for workers in [0, 2] {
             let pool = WorkerPool::new(workers);
             let eval = Evaluator { qid: 1, catalog: &catalog, pool: &pool, metrics: None };
             let Delivered { frames, report, points } =
-                eval.run(&expr, OutputFormat::PngGray, false).expect("runs");
+                eval.run(&plan, OutputFormat::PngGray, false).expect("runs");
             assert_eq!((frames.len(), points), (3, 3), "{workers} workers");
             assert_eq!(report.sectors, 3, "{workers} workers: one per SectorEnd");
             assert_eq!(report.points_delivered, 3 * 64, "{workers} workers");

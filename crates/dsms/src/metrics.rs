@@ -119,8 +119,8 @@ pub struct ServerMetrics {
     /// copy-on-write fallback when a fanned-out `Arc` chunk is still
     /// referenced elsewhere. 0 means fan-out was zero-copy throughout.
     pub share_payload_copies: Counter,
-    /// Plan analyses served from the canonical-key cache instead of
-    /// re-analyzed.
+    /// Registrations and explains whose canonical plan was already
+    /// live.
     pub plan_cache_hits: Counter,
     /// Per-query wall time, nanoseconds.
     pub query_wall_ns: HistogramHandle,
@@ -217,7 +217,7 @@ impl ServerMetrics {
             ),
             (
                 "geostreams_plan_cache_hits_total",
-                "Plan analyses served from the canonical-key cache.",
+                "Registrations and explains whose canonical plan was already live.",
             ),
         ];
         for (name, text) in help {

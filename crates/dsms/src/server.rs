@@ -8,7 +8,7 @@ use geostreams_core::exec::{RunReport, WorkerPool};
 use geostreams_core::model::GeoStream;
 use geostreams_core::ops::delivery::DeliveredFrame;
 use geostreams_core::query::{
-    analyze_with, canonical_key, key_hex, optimize, parse_query, AnalyzeOptions, Catalog, Expr,
+    canonical_key, key_hex, optimize_with, parse_query, AnalyzeOptions, Catalog, Expr, Plan,
     PlanReport, ReplayProvider,
 };
 use geostreams_core::stats::OpReport;
@@ -32,10 +32,9 @@ pub struct QueryHandle {
     pub text: String,
     /// Parsed expression.
     pub expr: Expr,
-    /// Optimized expression actually executed.
-    pub optimized: Expr,
-    /// Static analysis of the optimized plan (admission evidence).
-    pub plan: PlanReport,
+    /// Optimized plan actually executed; its report is the admission
+    /// evidence.
+    pub optimized: Plan,
     /// Delivery format.
     pub format: OutputFormat,
     /// Sectors to run.
@@ -67,8 +66,7 @@ pub struct Explanation {
     pub canonical_key: String,
     /// Live queries currently subscribed to this exact plan.
     pub shared_with: u64,
-    /// The report above was served from the admission-time plan cache
-    /// rather than re-analyzed.
+    /// A structurally-equal plan was live when this was explained.
     pub cache_hit: bool,
 }
 
@@ -117,7 +115,7 @@ pub struct Dsms {
     archive: Mutex<Option<(Arc<Archive>, i64)>>,
     /// Server metrics (shared with query threads).
     pub metrics: Arc<ServerMetrics>,
-    /// Sharing bookkeeping: canonical-key plan cache, tenant quotas,
+    /// Sharing bookkeeping: live plans by canonical key, tenant quotas,
     /// and the `GET /share` subscription topology.
     share: ShareRegistry,
 }
@@ -143,7 +141,7 @@ impl Dsms {
         }
     }
 
-    /// The sharing registry: plan cache, tenant usage, `/share`
+    /// The sharing registry: live plans, tenant usage, `/share`
     /// topology.
     pub fn share(&self) -> &ShareRegistry {
         &self.share
@@ -179,10 +177,6 @@ impl Dsms {
     pub fn attach_archive(&self, archive: Arc<Archive>, now: i64) {
         archive.attach_metrics(StoreMetrics::register(self.metrics.registry()));
         *lock(&self.archive) = Some((archive, now));
-        // The analysis context changed: cached reports (replay
-        // classification, completeness) are stale. Subscriptions
-        // survive; the next registration per key re-analyzes.
-        self.share.invalidate_reports();
     }
 
     /// The attached archive, if any.
@@ -190,38 +184,27 @@ impl Dsms {
         lock(&self.archive).as_ref().map(|(a, _)| Arc::clone(a))
     }
 
-    /// Analyzes an optimized plan in the server's temporal context:
+    /// Optimizes and analyzes a plan in the server's temporal context:
     /// with an archive attached, replay classification runs against its
     /// coverage; without one, the analysis is context-free.
-    fn analyze_plan(&self, optimized: &Expr) -> PlanReport {
-        let ctx = lock(&self.archive);
-        match ctx.as_ref() {
-            Some((archive, now)) => analyze_with(
-                optimized,
-                &self.catalog,
-                &AnalyzeOptions {
-                    now: Some(*now),
-                    replay: Some(archive.as_ref() as &dyn ReplayProvider),
-                },
-            ),
-            None => analyze_with(optimized, &self.catalog, &AnalyzeOptions::default()),
-        }
+    fn optimize(&self, expr: &Expr) -> Plan {
+        let archive = lock(&self.archive).clone();
+        let opts = AnalyzeOptions {
+            now: archive.as_ref().map(|(_, now)| *now),
+            replay: archive.as_ref().map(|(a, _)| a.as_ref() as &dyn ReplayProvider),
+        };
+        optimize_with(expr, &self.catalog, &opts)
     }
 
-    /// The canonical key of a plan, its analysis, and whether that
-    /// came from the plan cache: a structurally-equal plan that is live
-    /// serves its admission-time report — certificate included, so the
-    /// protocol verifier runs once per distinct plan, not once per
-    /// subscriber — anything else is analyzed now.
-    fn analysis(&self, optimized: &Expr) -> (u64, Arc<PlanReport>, bool) {
-        let key = canonical_key(optimized);
-        match self.share.cached_report(key) {
-            Some(cached) => {
-                self.metrics.plan_cache_hits.inc();
-                (key, cached, true)
-            }
-            None => (key, Arc::new(self.analyze_plan(optimized)), false),
+    /// The canonical key of a plan, and whether a structurally-equal
+    /// plan is live (counted in `plan_cache_hits`).
+    fn live_key(&self, plan: &Plan) -> (u64, bool) {
+        let key = canonical_key(plan);
+        let live = self.share.subscribers_of(key) > 0;
+        if live {
+            self.metrics.plan_cache_hits.inc();
         }
+        (key, live)
     }
 
     /// Registers a query from a parsed client request (as the
@@ -248,27 +231,29 @@ impl Dsms {
     }
 
     fn register_inner(&self, tenant: &str, request: &ClientRequest) -> Result<QueryHandle> {
-        let (expr, optimized) = plan_request(&request.query, request.sectors, &self.catalog)?;
+        let expr = parse_request(&request.query, request.sectors)?;
+        known_sources(&expr, &self.catalog)?;
+        let plan = self.optimize(&expr);
         // Admission control (§3's cost analysis, enforced): reject plans
         // with error diagnostics, no static buffer bound, or a bound
         // over the server's per-query memory budget.
-        let (key, report, _) = self.analysis(&optimized);
-        self.admission_check(&report)?;
+        let (key, _) = self.live_key(&plan);
+        self.admission_check(&plan)?;
         let mut id_guard = lock(&self.next_id);
         let id = *id_guard;
         *id_guard += 1;
         drop(id_guard);
         // Tenant quotas (sharing-aware): this can still refuse the
         // query even though the plan itself is admissible.
-        self.share.admit(tenant, key, &report.sharing.canonical_text, &report, id)?;
-        let mut plan = (*report).clone();
-        plan.sharing.shared_with = self.share.subscribers_of(key).saturating_sub(1);
+        let report = plan.report();
+        let bytes = report.peak_buffer_bytes.unwrap_or(0);
+        self.share.admit(tenant, key, &report.sharing.canonical_text, bytes, id)?;
+        let others = self.share.subscribers_of(key).saturating_sub(1);
         let handle = QueryHandle {
             id,
             text: request.query.clone(),
             expr,
-            optimized,
-            plan,
+            optimized: plan.shared_with(others),
             format: request.format,
             sectors: request.sectors,
             canonical_key: key_hex(key),
@@ -282,12 +267,13 @@ impl Dsms {
         Ok(handle)
     }
 
-    /// The admission decision for an analyzed plan: [`certify`], then
-    /// the static buffer bound against the per-query memory budget.
-    fn admission_check(&self, plan: &PlanReport) -> Result<()> {
-        certify(plan)?;
+    /// The admission decision for an analyzed plan: its
+    /// [`Plan::verdict`], then the static buffer bound against the
+    /// per-query memory budget.
+    fn admission_check(&self, plan: &Plan) -> Result<()> {
+        plan.verdict()?;
         let budget = self.memory_budget();
-        match plan.peak_buffer_bytes {
+        match plan.report().peak_buffer_bytes {
             None => Err(CoreError::PlanRejected("plan has no static buffer bound".to_string())),
             Some(bytes) if bytes > budget => Err(CoreError::PlanRejected(format!(
                 "worst-case buffering of {bytes} bytes exceeds the per-query budget of \
@@ -297,33 +283,30 @@ impl Dsms {
         }
     }
 
-    /// Statically explains a query without running it: parse, optimize,
-    /// analyze, and report the admission verdict against the current
-    /// budget. Fails only when the query does not parse; an unknown
-    /// source is a diagnostic of the report.
+    /// Statically explains a query without running it: parse, optimize
+    /// (which analyzes), and report the admission verdict against the
+    /// current budget. Fails only when the query does not parse; an
+    /// unknown source is a diagnostic of the report.
     pub fn explain(&self, request: &ClientRequest) -> Result<Explanation> {
         let expr = parse_request(&request.query, request.sectors)?;
-        let optimized = optimize(&expr, &self.catalog);
-        let (key, report, cache_hit) = self.analysis(&optimized);
-        let mut report = (*report).clone();
-        report.sharing.shared_with = self.share.subscribers_of(key);
-        let shared_with = report.sharing.shared_with;
-        let admitted = self.admission_check(&report).is_ok();
+        let plan = self.optimize(&expr);
+        let (key, cache_hit) = self.live_key(&plan);
+        let plan = plan.shared_with(self.share.subscribers_of(key));
         Ok(Explanation {
             query: request.query.clone(),
-            optimized: optimized.to_string(),
-            report,
-            admitted,
+            optimized: plan.to_string(),
+            admitted: self.admission_check(&plan).is_ok(),
             budget_bytes: self.memory_budget(),
             canonical_key: key_hex(key),
-            shared_with,
+            shared_with: plan.report().sharing.shared_with,
             cache_hit,
+            report: plan.report().clone(),
         })
     }
 
     /// Unregisters a query: drops its handle, releases its sharing
     /// subscription (refunding the tenant's charge on the tenant's
-    /// last reference, and tearing down the plan-cache entry when no
+    /// last reference, and tearing down the plan's entry when no
     /// subscriber remains), and marks its directory entry. Returns
     /// `false` for unknown ids.
     pub fn unregister(&self, id: u32) -> bool {
@@ -394,7 +377,7 @@ impl Dsms {
             metrics.points_ingested.add(source_points(per_op));
             // Observed buffering over the static bound means the
             // analyzer's cost model under-estimated.
-            if handle.plan.buffer_overrun(delivered.report.peak_buffered_bytes()) {
+            if handle.optimized.report().buffer_overrun(delivered.report.peak_buffered_bytes()) {
                 metrics.plan_buffer_overruns.inc();
             }
             metrics.query_wall_ns.record(started.elapsed().as_nanos() as u64);
@@ -534,7 +517,7 @@ pub(crate) fn scanner_catalog(scanner: &Scanner, n_sectors: u64) -> Catalog {
 /// Parses a query and realizes a `sectors=` parameter (0 = none) as a
 /// temporal restriction `[0, sectors)` — the algebra's own mechanism,
 /// which the optimizer pushes to the sources.
-fn parse_request(query: &str, sectors: u64) -> Result<Expr> {
+pub(crate) fn parse_request(query: &str, sectors: u64) -> Result<Expr> {
     let expr = parse_query(query)?;
     if sectors == 0 {
         return Ok(expr);
@@ -543,36 +526,13 @@ fn parse_request(query: &str, sectors: u64) -> Result<Expr> {
     Ok(Expr::RestrictTime { input: Box::new(expr), times })
 }
 
-/// The admission prelude of everything that runs a query (`register`,
-/// `run_supervised`): parse, fail fast on unknown sources, optimize.
-/// Returns the expression as requested and as it will run.
-pub(crate) fn plan_request(query: &str, sectors: u64, catalog: &Catalog) -> Result<(Expr, Expr)> {
-    let expr = parse_request(query, sectors)?;
-    if let Some(name) = expr.source_names().into_iter().find(|n| catalog.schema(n).is_none()) {
-        return Err(CoreError::UnknownSource(name));
+/// Fails fast on a source the catalog does not know (`register`,
+/// `run_supervised`); `explain` reports it as a diagnostic instead.
+pub(crate) fn known_sources(expr: &Expr, catalog: &Catalog) -> Result<()> {
+    match expr.source_names().into_iter().find(|n| catalog.schema(n).is_none()) {
+        Some(name) => Err(CoreError::UnknownSource(name)),
+        None => Ok(()),
     }
-    let optimized = optimize(&expr, catalog);
-    Ok((expr, optimized))
-}
-
-/// The plan-level admission verdict: error diagnostics or a missing
-/// protocol certificate reject the plan.
-pub(crate) fn certify(plan: &PlanReport) -> Result<()> {
-    if plan.has_errors() {
-        return Err(CoreError::PlanRejected(plan.render_errors()));
-    }
-    if !plan.certificate.certified {
-        // An analyzer-composed plan that fails certification also
-        // carries `protocol-uncertified` error diagnostics, so this arm
-        // guards the other way in: a report that never ran the verifier
-        // at all (e.g. deserialized from an older peer) must not slip
-        // past admission.
-        return Err(CoreError::PlanRejected(format!(
-            "plan carries no valid protocol certificate: {}",
-            plan.certificate.violations.join("; ")
-        )));
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -711,16 +671,16 @@ mod tests {
     }
 
     #[test]
-    fn registration_caches_plans_by_canonical_key() {
+    fn registration_counts_live_plans_by_canonical_key() {
         let s = server();
         let a = s.register_text("scale(goes-sim.b4-ir, 2, 0)", OutputFormat::Stats, 2).unwrap();
         assert_eq!(s.metrics.plan_cache_hits.get(), 0);
-        // A commuted spelling of the same plan: cache hit, same key.
+        // The same plan again: it is live, same key.
         let b = s.register_text("scale(goes-sim.b4-ir, 2, 0)", OutputFormat::Stats, 2).unwrap();
         assert_eq!(s.metrics.plan_cache_hits.get(), 1);
         assert_eq!(a.canonical_key, b.canonical_key);
-        assert_eq!(b.plan.sharing.shared_with, 1);
-        // Explain serves the cached report for the shared key.
+        assert_eq!(b.optimized.report().sharing.shared_with, 1);
+        // Explain sees the live plan and its subscribers.
         let e = s
             .explain(&ClientRequest {
                 query: "scale(goes-sim.b4-ir, 2, 0)".into(),
@@ -731,7 +691,7 @@ mod tests {
         assert!(e.cache_hit);
         assert_eq!(e.canonical_key, a.canonical_key);
         assert_eq!(e.shared_with, 2);
-        // A different plan is a miss.
+        // A different plan is not live.
         let c = s.register_text("scale(goes-sim.b4-ir, 3, 0)", OutputFormat::Stats, 2).unwrap();
         assert_ne!(c.canonical_key, a.canonical_key);
         assert_eq!(s.metrics.plan_cache_hits.get(), 2);

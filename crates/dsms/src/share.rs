@@ -17,11 +17,9 @@
 //!   node) are lossless and blocking, *query* edges (node → client)
 //!   follow the runtime's fan-out policy, shedding per tenant instead
 //!   of head-of-line-blocking siblings;
-//! * [`ShareRegistry`] is the server-side bookkeeping: the
-//!   canonical-key plan cache (one analysis and one certificate
-//!   validation per distinct plan), per-tenant admission quotas
-//!   extending the memory-budget admission control, and the `/share`
-//!   topology.
+//! * [`ShareRegistry`] is the server-side bookkeeping: the live plans
+//!   by canonical key, per-tenant admission quotas extending the
+//!   memory-budget admission control, and the `/share` topology.
 //!
 //! The load-bearing invariant: **sharing never changes per-subscriber
 //! results**. It holds because canonicalization is bit-exact and every
@@ -30,7 +28,7 @@
 
 use crate::continuous::FanoutPolicy;
 use geostreams_core::obs::{Counter, Gauge};
-use geostreams_core::query::{canonical_key, canonicalize, key_hex, Expr, PlanReport};
+use geostreams_core::query::{canonical_key, canonicalize, key_hex, Expr};
 use geostreams_core::{model::ChunkOrMarker, CoreError, Result};
 use serde::Serialize;
 use std::collections::{BTreeMap, HashMap, HashSet};
@@ -489,7 +487,7 @@ fn shed_try_sub(
 }
 
 // ---------------------------------------------------------------------------
-// Server-side registry: plan cache, tenant quotas, /share topology
+// Server-side registry: live plans, tenant quotas, /share topology
 // ---------------------------------------------------------------------------
 
 /// Admission limits for one tenant, layered on top of the server's
@@ -516,9 +514,6 @@ struct TenantState {
 #[derive(Debug)]
 struct PlanEntry {
     canonical_text: String,
-    /// Cached analysis (`None` after an invalidation — e.g. an archive
-    /// attach changed the analysis context — until re-analyzed).
-    report: Option<Arc<PlanReport>>,
     /// Worst-case buffer bytes this plan charges a tenant on first
     /// subscription.
     bytes: u64,
@@ -576,7 +571,7 @@ pub struct ShareTopology {
     pub tenants: Vec<TenantInfo>,
 }
 
-/// Server-side sharing bookkeeping: the canonical-key plan cache,
+/// Server-side sharing bookkeeping: the live plans by canonical key,
 /// per-tenant quotas and usage, and the subscription topology.
 #[derive(Debug, Default)]
 pub struct ShareRegistry {
@@ -595,40 +590,24 @@ impl ShareRegistry {
         lock(&self.state).quotas.insert(tenant.to_string(), quota);
     }
 
-    /// A tenant's quota, if one is set.
-    pub fn quota(&self, tenant: &str) -> Option<TenantQuota> {
-        lock(&self.state).quotas.get(tenant).copied()
-    }
-
-    /// The cached analysis for a canonical key, if present and valid.
-    pub fn cached_report(&self, key: u64) -> Option<Arc<PlanReport>> {
-        lock(&self.state).plans.get(&key).and_then(|p| p.report.clone())
-    }
-
     /// Number of live queries subscribed to a canonical key.
     pub fn subscribers_of(&self, key: u64) -> u64 {
         lock(&self.state).plans.get(&key).map_or(0, |p| p.subscribers.len() as u64)
     }
 
-    /// Number of distinct registered plans.
-    pub fn distinct_plans(&self) -> usize {
-        lock(&self.state).plans.len()
-    }
-
-    /// Admits query `qid` of `tenant` onto plan `key`, enforcing the
-    /// tenant's quotas and caching the analysis for future
-    /// registrations and `/explain`. Sharing-aware accounting: the
-    /// plan's buffer bound is charged against the tenant's memory
-    /// budget only on the tenant's *first* subscription to this plan.
+    /// Admits query `qid` of `tenant` onto plan `key`, whose static
+    /// buffer bound is `bytes`, enforcing the tenant's quotas.
+    /// Sharing-aware accounting: the bound is charged against the
+    /// tenant's memory budget only on the tenant's *first* subscription
+    /// to this plan.
     pub fn admit(
         &self,
         tenant: &str,
         key: u64,
         canonical_text: &str,
-        report: &Arc<PlanReport>,
+        bytes: u64,
         qid: u32,
     ) -> Result<()> {
-        let bytes = report.peak_buffer_bytes.unwrap_or(0);
         let mut st = lock(&self.state);
         let quota = st.quotas.get(tenant).copied().unwrap_or_default();
         let usage = st.tenants.entry(tenant.to_string()).or_default();
@@ -656,11 +635,9 @@ impl ShareRegistry {
         *usage.plan_refs.entry(key).or_insert(0) += 1;
         let entry = st.plans.entry(key).or_insert_with(|| PlanEntry {
             canonical_text: canonical_text.to_string(),
-            report: None,
             bytes,
             subscribers: Vec::new(),
         });
-        entry.report = Some(Arc::clone(report));
         entry.bytes = bytes;
         entry.subscribers.push(qid);
         st.by_query.insert(qid, (key, tenant.to_string()));
@@ -698,16 +675,6 @@ impl ShareRegistry {
             }
         }
         true
-    }
-
-    /// Invalidates every cached analysis (the analysis context
-    /// changed, e.g. an archive was attached). Subscriptions and
-    /// tenant accounting survive; the next registration or `/explain`
-    /// per key re-analyzes and re-fills the cache.
-    pub fn invalidate_reports(&self) {
-        for entry in lock(&self.state).plans.values_mut() {
-            entry.report = None;
-        }
     }
 
     /// The `/share` topology snapshot.
@@ -914,41 +881,25 @@ mod tests {
             "acme",
             TenantQuota { max_queries: Some(3), memory_budget_bytes: Some(1000) },
         );
-        let report = Arc::new(PlanReport { peak_buffer_bytes: Some(600), ..PlanReport::default() });
         // Two subscriptions to the same plan charge the budget once.
-        reg.admit("acme", 7, "scale(g1, 2, 0)", &report, 1).unwrap();
-        reg.admit("acme", 7, "scale(g1, 2, 0)", &report, 2).unwrap();
+        reg.admit("acme", 7, "scale(g1, 2, 0)", 600, 1).unwrap();
+        reg.admit("acme", 7, "scale(g1, 2, 0)", 600, 2).unwrap();
         assert_eq!(reg.subscribers_of(7), 2);
         let topo = reg.topology();
         assert_eq!(topo.distinct_plans, 1);
         assert_eq!(topo.tenants[0].charged_bytes, 600);
         // A distinct plan that would break the budget is refused...
-        let report2 =
-            Arc::new(PlanReport { peak_buffer_bytes: Some(600), ..PlanReport::default() });
-        assert!(reg.admit("acme", 9, "downsample(g1, 2)", &report2, 3).is_err());
+        assert!(reg.admit("acme", 9, "downsample(g1, 2)", 600, 3).is_err());
         // ...and the query quota binds as well.
-        let tiny = Arc::new(PlanReport { peak_buffer_bytes: Some(1), ..PlanReport::default() });
-        reg.admit("acme", 11, "g1", &tiny, 4).unwrap();
-        assert!(reg.admit("acme", 11, "g1", &tiny, 5).is_err(), "4th query over max_queries=3");
+        reg.admit("acme", 11, "g1", 1, 4).unwrap();
+        assert!(reg.admit("acme", 11, "g1", 1, 5).is_err(), "4th query over max_queries=3");
         // Release: the plan survives while referenced, then tears down.
         assert!(reg.release(1));
         assert_eq!(reg.subscribers_of(7), 1);
-        assert!(reg.cached_report(7).is_some());
         assert!(reg.release(2));
         assert_eq!(reg.subscribers_of(7), 0);
-        assert!(reg.cached_report(7).is_none(), "unreferenced plan entry torn down");
         let topo = reg.topology();
+        assert_eq!(topo.distinct_plans, 1, "unreferenced plan entry torn down");
         assert_eq!(topo.tenants[0].charged_bytes, 1, "only the tiny plan remains charged");
-    }
-
-    #[test]
-    fn invalidation_clears_reports_but_keeps_subscriptions() {
-        let reg = ShareRegistry::new();
-        let report = Arc::new(PlanReport::default());
-        reg.admit("default", 7, "g1", &report, 1).unwrap();
-        assert!(reg.cached_report(7).is_some());
-        reg.invalidate_reports();
-        assert!(reg.cached_report(7).is_none());
-        assert_eq!(reg.subscribers_of(7), 1);
     }
 }

@@ -13,7 +13,7 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use geostreams_core::exec::{compile_stages, run_morsels, split_parallel, WorkerPool};
+use geostreams_core::exec::{build_split, run_morsels, WorkerPool};
 use geostreams_core::model::{drain_chunked, Element, GeoStream, StreamRepair};
 use geostreams_core::obs::PipelineObs;
 use geostreams_core::query::{optimize, parse_query, Catalog, Planner};
@@ -90,12 +90,11 @@ fn morsel_run(
     pool: &WorkerPool,
     budget: usize,
 ) -> Vec<Element<f32>> {
-    let expr = optimize(&parse_query(query).expect("parse"), catalog);
-    let split = split_parallel(&expr);
-    assert!(!split.stages.is_empty(), "query must have a partitionable suffix: {query}");
+    let plan = optimize(&parse_query(query).expect("parse"), catalog);
     let planner = Planner::new(catalog);
-    let mut inner = planner.build(split.inner).expect("build inner");
-    let stages = Arc::new(compile_stages(&split.stages, inner.schema()).expect("compile"));
+    let (mut inner, stages) = build_split(&planner, &plan, true, None).expect("build split");
+    assert!(!stages.is_empty(), "query must have a partitionable suffix: {query}");
+    let stages = Arc::new(stages);
     let mut merged = Vec::new();
     let report = run_morsels(&mut inner, &stages, pool, &PipelineObs::default(), budget, |item| {
         item.for_each_element(&mut |el| merged.push(el.clone()))

@@ -17,7 +17,7 @@ use geostreams_core::ops::{
     StretchTransform, TemporalAggregate, ValueFunc,
 };
 use geostreams_core::query::cascade::{CascadeTree, NaiveRegionIndex, RegionIndex};
-use geostreams_core::query::{analyze, optimize, parse_query, Planner};
+use geostreams_core::query::{optimize, parse_query, Plan, Planner};
 use geostreams_core::stats::OpReport;
 use geostreams_dsms::{Dsms, OutputFormat};
 use geostreams_geo::{Crs, LatticeGeoref, Rect, Region};
@@ -440,14 +440,14 @@ fn e4_rewriting(scale: u32) {
             center.0 + half_w,
             center.1 + half_h
         );
-        let expr = parse_query(&q).expect("parses");
-        let optimized = optimize(&expr, catalog);
+        let naive = Plan::analyze(parse_query(&q).expect("parses"), catalog);
+        let optimized = optimize(&naive, catalog);
         // The analyzer's bound on points touched: Σ per-op points/sector.
         let bound =
-            |e| -> u64 { analyze(e, catalog).per_op.iter().map(|op| op.points_per_sector).sum() };
-        let (bound_naive, bound_opt) = (bound(&expr), bound(&optimized));
+            |p: &Plan| -> u64 { p.report().per_op.iter().map(|op| op.points_per_sector).sum() };
+        let (bound_naive, bound_opt) = (bound(&naive), bound(&optimized));
 
-        let mut naive_pipe = planner.build(&expr).expect("plan");
+        let mut naive_pipe = planner.build(&naive).expect("plan");
         let t0 = Instant::now();
         let naive_rep = run_to_end(&mut naive_pipe);
         let naive_wall = t0.elapsed();

@@ -15,7 +15,7 @@
 //! Run with `cargo run --release --example ndvi_pipeline`.
 
 use geostreams_core::exec::run_to_end;
-use geostreams_core::query::{analyze, optimize, parse_query, Planner};
+use geostreams_core::query::{optimize, parse_query, Plan, Planner};
 use geostreams_dsms::Dsms;
 use geostreams_satsim::goes_like;
 use std::time::Instant;
@@ -42,11 +42,11 @@ fn main() {
 
     let planner = Planner::new(catalog);
     let mut rows = Vec::new();
-    for (label, e) in [("naive", &expr), ("optimized", &optimized)] {
+    for (label, plan) in [("naive", &Plan::analyze(expr, catalog)), ("optimized", &optimized)] {
         // The static bound on points touched per sector: every operator
         // consumes what its inputs emit, each at most `points_per_sector`.
-        let bound: u64 = analyze(e, catalog).per_op.iter().map(|op| op.points_per_sector).sum();
-        let mut pipeline = planner.build(e).expect("plans");
+        let bound: u64 = plan.report().per_op.iter().map(|op| op.points_per_sector).sum();
+        let mut pipeline = planner.build(plan).expect("plans");
         let start = Instant::now();
         let report = run_to_end(&mut pipeline);
         let wall = start.elapsed();

@@ -39,7 +39,8 @@ fn main() {
     //    optimized plan — per operator, its blocking class, the points
     //    it can emit per sector and its worst-case buffer.
     let planner = geostreams_core::query::Planner::new(server.catalog());
-    println!("\nnaive plan:\n{}", planner.explain(&handle.expr));
+    let naive = geostreams_core::query::Plan::analyze(handle.expr.clone(), server.catalog());
+    println!("\nnaive plan:\n{}", planner.explain(&naive));
     println!("optimized plan:\n{}", planner.explain(&handle.optimized));
 
     // 4. Execute and deliver.
@@ -62,7 +63,7 @@ fn main() {
     assert!(!result.frames.is_empty(), "quickstart must deliver frames");
     // The root's static bound covers what each sector delivered.
     let run = result.report.as_ref().expect("one-shot runs report");
-    let bound = handle.plan.per_op.last().expect("analyzed").points_per_sector;
+    let bound = handle.optimized.report().per_op.last().expect("analyzed").points_per_sector;
     println!("points per sector: {} delivered, ≤{bound} bound", run.points_delivered / run.sectors);
     assert!(run.points_delivered <= bound * run.sectors, "the root bound must hold");
 }

@@ -8,6 +8,10 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cargo build --release --offline --workspace
+# The benchmark package (bench/, its own workspace) reaches the system
+# only through public items: building it right away means a break of
+# that surface fails in seconds, not after the whole suite.
+cargo build --release --offline --manifest-path bench/Cargo.toml
 cargo test -q --offline --workspace --no-fail-fast
 cargo clippy --offline --workspace --all-targets -- -D warnings
 cargo fmt --check
@@ -51,11 +55,9 @@ scripts/determinism_gate.sh
 # workspace tests above, and its speed is a geobench figure
 # (`exec.morsel_w2_efficiency`, reported at any core count).
 
-# The benchmark package (bench/, its own workspace) reaches the system
-# only through public items: building it, running its unit tests (its
-# in-memory source implements `GeoStream`) and its oracle check here
-# means a break of that surface fails locally, not in the pipeline that
-# runs BENCHMARK.json.
-cargo build --release --offline --manifest-path bench/Cargo.toml
+# The benchmark package, built above: its unit tests (its in-memory
+# source implements `GeoStream`) and its oracle check here mean a break
+# of that surface fails locally, not in the pipeline that runs
+# BENCHMARK.json.
 cargo test -q --offline --release --manifest-path bench/Cargo.toml
 bench/target/release/geobench verify --seed 1

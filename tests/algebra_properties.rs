@@ -11,7 +11,7 @@ use geostreams::core::ops::macro_ops::ndvi;
 use geostreams::core::ops::{
     Compose, GammaOp, MapTransform, SpatialRestrict, ValueFunc, ValueRestrict,
 };
-use geostreams::core::query::{optimize, parse_query, Catalog, Planner};
+use geostreams::core::query::{optimize, parse_query, Catalog, Plan, Planner};
 use geostreams::geo::{Crs, LatticeGeoref, Rect, Region};
 
 const W: u32 = 12;
@@ -258,7 +258,7 @@ fn optimizer_preserves_semantics() {
         let planner = Planner::new(&cat);
         let expr = parse_query(&q).unwrap();
         let optimized = optimize(&expr, &cat);
-        let mut base = planner.build(&expr).unwrap();
+        let mut base = planner.build(&Plan::analyze(expr.clone(), &cat)).unwrap();
         let mut opt = planner.build(&optimized).unwrap();
         let mut a = base.drain_points();
         let mut b = opt.drain_points();

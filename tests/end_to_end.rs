@@ -2,7 +2,7 @@
 
 use geostreams::core::exec::run_to_end;
 use geostreams::core::model::GeoStream;
-use geostreams::core::query::{parse_query, Planner};
+use geostreams::core::query::{parse_query, Plan, Planner};
 use geostreams::dsms::{Dsms, OutputFormat};
 use geostreams::geo::{Coord, Crs, Rect};
 use geostreams::raster::png::{decode, Decoded};
@@ -63,7 +63,7 @@ fn optimizer_is_transparent_to_query_results() {
                bbox(-105, 28, -88, 42), \"latlon\")";
     let expr = parse_query(q).unwrap();
     let optimized = geostreams::core::query::optimize(&expr, server.catalog());
-    let mut a = planner.build(&expr).unwrap();
+    let mut a = planner.build(&Plan::analyze(expr, server.catalog())).unwrap();
     let mut b = planner.build(&optimized).unwrap();
     let mut pa = a.drain_points();
     let mut pb = b.drain_points();

@@ -7,10 +7,13 @@ use geostreams::core::exec::run_to_end;
 use geostreams::core::model::{GeoStream, StreamSchema, VecStream};
 use geostreams::core::ops::BlockingClass;
 use geostreams::core::query::{
-    analyze, optimize, parse_query, Catalog, Expr, PlanReport, Planner, Severity,
+    analyze, analyze_with, optimize, optimize_with, parse_query, AnalyzeOptions, Catalog, Expr,
+    Plan, PlanReport, Planner, ReplayEstimate, ReplayProvider, Severity,
 };
 use geostreams::core::CoreError;
-use geostreams::dsms::{Dsms, OutputFormat, DEFAULT_MEMORY_BUDGET_BYTES};
+use geostreams::dsms::{
+    run_supervised, ClientRequest, Dsms, OutputFormat, RuntimeConfig, DEFAULT_MEMORY_BUDGET_BYTES,
+};
 use geostreams::geo::{Cell, Crs, LatticeGeoref, Rect};
 use geostreams::satsim::{goes_like, Scanner};
 use std::sync::Arc;
@@ -97,15 +100,17 @@ fn subplans<'a>(e: &'a Expr, out: &mut Vec<&'a Expr>) {
 /// operators whose buffer peak exceeds `buffer_bytes`.
 fn buffer_overruns(cat: &Catalog, e: &Expr) -> Vec<String> {
     let planner = Planner::new(cat);
-    let bounds = analyze(e, cat).per_op;
-    let run = run_to_end(&mut planner.build(e).unwrap());
+    let plan = Plan::analyze(e.clone(), cat);
+    let bounds = &plan.report().per_op;
+    let run = run_to_end(&mut planner.build(&plan).unwrap());
     let mut subs = Vec::new();
     subplans(e, &mut subs);
     assert_eq!(bounds.len(), run.per_op.len(), "{e}");
     assert_eq!(bounds.len(), subs.len(), "{e}");
     let mut over = Vec::new();
     for ((bound, seen), sub) in bounds.iter().zip(&run.per_op).zip(subs) {
-        let sectors = run_to_end(&mut planner.build(sub).unwrap()).sectors;
+        let sectors =
+            run_to_end(&mut planner.build(&Plan::analyze(sub.clone(), cat)).unwrap()).sectors;
         assert!(
             seen.stats.points_out <= bound.points_per_sector * sectors,
             "{e}: {} emitted {} points in {sectors} sectors, bound {}/sector",
@@ -284,8 +289,64 @@ fn optimizer_never_worsens_blocking_class() {
     for q in queries {
         let e = parse_query(q).unwrap();
         let before = analyze(&e, &cat).blocking;
-        let after = analyze(&optimize(&e, &cat), &cat).blocking;
+        let plan = optimize(&e, &cat);
+        let after = analyze(&plan, &cat).blocking;
         assert!(after <= before, "{q}: {before:?} -> {after:?}");
+        // The report the plan carries is the analysis of what it runs.
+        assert_eq!(*plan.report(), analyze(&plan, &cat), "{q}");
+    }
+    // So it is under an archive's replay contract: a wholly-past window
+    // replays from the archive, one that starts in the past splices.
+    let archive = Archived { hi: 10 };
+    for (q, now, contract) in [
+        ("restrict_time(g1, interval(2, 6))", 10, "replay-from-archive"),
+        ("restrict_time(g1, interval(1, none))", 5, "replay-hybrid"),
+    ] {
+        let opts = AnalyzeOptions { now: Some(now), replay: Some(&archive) };
+        let plan = optimize_with(&parse_query(q).unwrap(), &cat, &opts);
+        assert_eq!(*plan.report(), analyze_with(&plan, &cat, &opts), "{q}");
+        assert!(plan.report().certificate.certified, "{q}");
+        assert_eq!(plan.report().certificate.stages[0].contract.operator, contract, "{q}");
+    }
+}
+
+/// An archive index holding every source's sectors before `hi`.
+struct Archived {
+    hi: i64,
+}
+
+impl ReplayProvider for Archived {
+    fn estimate(&self, _source: &str, lo: Option<i64>, hi: Option<i64>) -> Option<ReplayEstimate> {
+        let (lo, hi) = (lo.unwrap_or(0), hi.unwrap_or(self.hi).min(self.hi));
+        let frames = hi.saturating_sub(lo).max(0) as u64;
+        Some(ReplayEstimate { frames, tiles: frames, bytes: 64 * frames })
+    }
+}
+
+#[test]
+fn planner_admission_and_supervised_runs_refuse_with_one_message() {
+    let scanner = goes();
+    let server = Dsms::over_scanner(&scanner, 1);
+    let planner = Planner::new(server.catalog());
+    // An orientation below an operator that needs lattice order.
+    for q in [
+        "add(orient(goes-sim.b4-ir, \"flipv\"), goes-sim.b5-ir)",
+        "downsample(orient(goes-sim.b4-ir, \"rot180\"), 2)",
+    ] {
+        let refusal = |outcome: Option<CoreError>| match outcome {
+            Some(CoreError::PlanRejected(msg)) => msg,
+            other => panic!("{q}: expected PlanRejected, got {other:?}"),
+        };
+        let plan = optimize(&parse_query(q).unwrap(), server.catalog());
+        let built = refusal(planner.build(&plan).err());
+        let registered = refusal(server.register_text(q, OutputFormat::Stats, 0).err());
+        let request = ClientRequest { query: q.into(), format: OutputFormat::Stats, sectors: 0 };
+        let (slots, _) =
+            run_supervised(&scanner, 1, &[request], &RuntimeConfig::default()).unwrap();
+        let supervised = refusal(slots.into_iter().next().and_then(Result::err));
+        assert!(built.contains("protocol-uncertified"), "{q}: {built}");
+        assert_eq!(built, registered, "{q}");
+        assert_eq!(built, supervised, "{q}");
     }
 }
 
@@ -320,7 +381,7 @@ fn dsms_refuses_over_budget_plans_and_admits_within_budget() {
     // Restored budget: the same query is admitted and runs.
     server.set_memory_budget(DEFAULT_MEMORY_BUDGET_BYTES);
     let h = server.register_text(q, OutputFormat::Stats, 1).unwrap();
-    assert!(h.plan.peak_buffer_bytes.unwrap() >= 32 * 16 * 4);
+    assert!(h.optimized.report().peak_buffer_bytes.unwrap() >= 32 * 16 * 4);
     let result = server.run_query(&h).unwrap();
     assert!(result.points > 0);
 }
@@ -401,9 +462,9 @@ fn overrun_counter_stays_zero_when_bounds_hold() {
     let observed = result.report.unwrap().peak_buffered_bytes();
     assert!(observed > 0, "stretch must buffer");
     assert!(
-        !h.plan.buffer_overrun(observed),
+        !h.optimized.report().buffer_overrun(observed),
         "static bound {:?} must cover observed {observed}",
-        h.plan.peak_buffer_bytes
+        h.optimized.report().peak_buffer_bytes
     );
     assert_eq!(server.metrics.plan_buffer_overruns.get(), 0);
     // The counter is exposed on /metrics.
@@ -427,9 +488,9 @@ fn oneshot_reprojection_stays_within_its_bound() {
     let observed = result.report.unwrap().peak_buffered_bytes();
     assert!(observed > 0, "reprojection must buffer");
     assert!(
-        !h.plan.buffer_overrun(observed),
+        !h.optimized.report().buffer_overrun(observed),
         "static bound {:?} must cover observed {observed}",
-        h.plan.peak_buffer_bytes
+        h.optimized.report().peak_buffer_bytes
     );
     assert_eq!(server.metrics.plan_buffer_overruns.get(), 0);
 }
@@ -473,7 +534,7 @@ fn every_admissible_plan_carries_a_protocol_certificate() {
     // to the handle the runtime keeps.
     let server = Dsms::over_catalog(catalog());
     let h = server.register_text("stretch(g1, \"linear\")", OutputFormat::Stats, 1).unwrap();
-    assert!(h.plan.certificate.certified);
+    assert!(h.optimized.report().certificate.certified);
 }
 
 #[test]

@@ -213,6 +213,11 @@ fn archive_endpoint_and_explain_see_the_attachment() {
     let server = Dsms::over_scanner(&scanner, 2);
     let before = server.handle_http("GET /archive HTTP/1.1");
     assert!(String::from_utf8_lossy(&before).starts_with("HTTP/1.1 404"));
+    // A live plan whose window starts in the past, admitted before the
+    // archive is attached: nothing classifies its past part yet.
+    let reaching_back = "restrict_time(goes-sim.b4-ir, interval(2, 10))";
+    let live = server.register(&req(reaching_back, OutputFormat::Stats)).unwrap();
+    assert!(live.optimized.report().diagnostics.iter().all(|d| d.code != "replay-hybrid"));
 
     server.attach_archive(Arc::new(archive), 3);
     let resp = String::from_utf8_lossy(&server.handle_http("GET /archive HTTP/1.1")).into_owned();
@@ -231,6 +236,12 @@ fn archive_endpoint_and_explain_see_the_attachment() {
         .unwrap();
     let report = format!("{exp:?}");
     assert!(report.contains("replay-from-archive"), "{report}");
+    // The same plan, still live, is explained in the new context: the
+    // archive backfills sector 2 and the live feed takes over at 3.
+    let exp = server.explain(&req(reaching_back, OutputFormat::Stats)).unwrap();
+    assert!(exp.cache_hit && exp.shared_with == 1, "{exp:?}");
+    assert!(exp.report.diagnostics.iter().any(|d| d.code == "replay-hybrid"), "{exp:?}");
+    assert!(exp.report.per_op[0].replay.is_some_and(|r| r.frames > 0), "{exp:?}");
 
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -987,3 +987,79 @@ fn validator_catches_unrepaired_damage() {
     }
     assert!(checker.violations() > 0, "dropping all end markers must trip the validator");
 }
+
+/// Each sector's points as a sorted set of (column, row, value bits),
+/// pulled at `budget` under a protocol checker that must stay quiet.
+fn sector_point_sets<S: GeoStream<V = f32>>(mut s: S, budget: usize) -> Vec<Vec<(u32, u32, u32)>> {
+    let mut checker = ChunkProtocolChecker::with_budget(budget);
+    let mut sectors: Vec<Vec<(u32, u32, u32)>> = Vec::new();
+    while let Some(item) = s.next_chunk(budget) {
+        checker.observe(&item);
+        item.into_elements(&mut |el| match el {
+            Element::SectorStart(_) => sectors.push(Vec::new()),
+            Element::Point(p) => match sectors.last_mut() {
+                Some(points) => points.push((p.cell.col, p.cell.row, p.value.to_bits())),
+                None => panic!("a point before any SectorStart"),
+            },
+            _ => {}
+        });
+    }
+    assert_eq!(checker.violations(), 0, "{:?}", checker.first_violation());
+    for points in &mut sectors {
+        points.sort_unstable();
+    }
+    sectors
+}
+
+#[test]
+fn magnify_needs_no_lattice_order() {
+    use geostreams::core::query::{parse_query, Catalog, Plan, Planner};
+    // Magnification writes each point's k×k block wherever the point
+    // arrives: over any orientation it yields, sector by sector, the
+    // points of the orientation over the magnified stream.
+    let all = [
+        Orientation::Rot90,
+        Orientation::Rot180,
+        Orientation::Rot270,
+        Orientation::FlipH,
+        Orientation::FlipV,
+        Orientation::Transpose,
+    ];
+    for o in all {
+        for k in [2, 3] {
+            for budget in [1, 7, 256] {
+                let below =
+                    sector_point_sets(Magnify::new(Orient::new(goes_fixture(), o), k), budget);
+                let above =
+                    sector_point_sets(Orient::new(Magnify::new(goes_fixture(), k), o), budget);
+                assert_eq!(below.len(), 2, "{o:?} x{k} at {budget}");
+                assert_eq!(below, above, "{o:?} x{k} at {budget}");
+            }
+        }
+    }
+    // So the contract asks for bracketing only: both orders are
+    // admitted. Magnification keeps its input's order, so an
+    // order-needing operator above it is still refused.
+    let mut catalog = Catalog::new();
+    catalog.register(goes_fixture().schema().clone(), || Box::new(goes_fixture()));
+    let g = goes_fixture().schema().name.clone();
+    let planner = Planner::new(&catalog);
+    for o in all {
+        let o = o.name();
+        for q in [
+            format!("magnify(orient({g}, \"{o}\"), 3)"),
+            format!("orient(magnify({g}, 3), \"{o}\")"),
+        ] {
+            let plan = Plan::analyze(parse_query(&q).unwrap(), &catalog);
+            assert!(plan.report().certificate.certified, "{q}: {:?}", plan.report().diagnostics);
+            assert_eq!(
+                planner.build(&plan).unwrap().drain_points().len(),
+                2 * 9 * (W * H) as usize,
+                "{q}"
+            );
+        }
+        let q = format!("add(magnify(orient({g}, \"{o}\"), 2), magnify({g}, 2))");
+        let plan = Plan::analyze(parse_query(&q).unwrap(), &catalog);
+        assert!(plan.verdict().is_err(), "{q}");
+    }
+}
