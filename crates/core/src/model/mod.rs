@@ -13,6 +13,7 @@
 pub mod chunk;
 mod element;
 mod repair;
+pub(crate) mod rows;
 mod schema;
 mod split;
 mod stream;

@@ -7,18 +7,21 @@
 //! stream needs to buffer only a band of rows (the kernel height), never
 //! the frame: the operator emits row `r` once row `r + k/2` has
 //! completed, using the scan-sector metadata to flush the trailing rows
-//! at `SectorEnd` with clamped borders.
+//! at `SectorEnd` with clamped borders. The band is the row window of
+//! `model::rows`, which re-projection runs too; input is read
+//! a run at a time and each output row leaves as one run.
 
+use crate::model::chunk::RunQueue;
+use crate::model::rows::{RowSchedule, RowWindow};
 use crate::model::{
-    pack_elements, ChunkInput, ChunkOrMarker, Element, FrameEnd, FrameInfo, GeoStream, SectorEnd,
-    StreamSchema,
+    Chunk, ChunkOrMarker, FrameEnd, FrameInfo, GeoStream, Marker, PointRecord, SectorInfo,
+    StreamSchema, Timestamp, DEFAULT_CHUNK_BUDGET,
 };
 use crate::stats::{OpReport, OpStats};
-use geostreams_geo::{Cell, CellBox, LatticeGeoref};
+use geostreams_geo::{Cell, CellBox};
 use geostreams_raster::resample::SampleSource;
 use geostreams_raster::Pixel;
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
 
 /// The focal function applied to each neighborhood.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -67,86 +70,32 @@ impl FocalFunc {
     pub fn fixed_3x3(self) -> bool {
         matches!(self, FocalFunc::Sobel | FocalFunc::Laplacian)
     }
-}
 
-/// Sliding band of buffered input rows for the focal window.
-struct RowBand<V> {
-    rows: VecDeque<Option<Vec<V>>>,
-    first_row: u32,
-    width: u32,
-    height: u32,
-}
-
-impl<V: Pixel> RowBand<V> {
-    fn new(width: u32, height: u32) -> Self {
-        RowBand { rows: VecDeque::new(), first_row: 0, width, height }
-    }
-
-    fn set(&mut self, cell: Cell, v: V) -> u64 {
-        if cell.row < self.first_row || cell.col >= self.width {
-            return 0;
-        }
-        let mut grown = 0;
-        while self.first_row + (self.rows.len() as u32) <= cell.row {
-            self.rows.push_back(None);
-        }
-        let idx = (cell.row - self.first_row) as usize;
-        let width = self.width;
-        let row_vals = self.rows[idx].get_or_insert_with(|| {
-            grown = u64::from(width);
-            vec![V::default(); width as usize]
-        });
-        row_vals[cell.col as usize] = v;
-        grown
-    }
-
-    fn evict_below(&mut self, row: u32) -> u64 {
-        let mut freed = 0;
-        while self.first_row < row {
-            match self.rows.pop_front() {
-                Some(Some(r)) => freed += r.len() as u64,
-                Some(None) => {}
-                None => break,
-            }
-            self.first_row += 1;
-        }
-        freed
-    }
-
-    fn buffered(&self) -> u64 {
-        self.rows.iter().flatten().map(|r| r.len() as u64).sum()
-    }
-}
-
-impl<V: Pixel> SampleSource for RowBand<V> {
-    fn at(&self, col: i64, row: i64) -> f64 {
-        let col = col.clamp(0, i64::from(self.width) - 1) as usize;
-        let row = row.clamp(0, i64::from(self.height) - 1) as u32;
-        let last = self.first_row + (self.rows.len().max(1) as u32) - 1;
-        let row = row.clamp(self.first_row, last);
-        match self.rows.get((row - self.first_row) as usize) {
-            Some(Some(r)) => r[col].to_f64(),
-            _ => 0.0,
+    /// The kernel size the operator runs for a requested `k`: 3 for
+    /// Sobel and Laplacian, else `k` made odd and at least 3.
+    pub fn kernel_size(self, k: u32) -> u32 {
+        if self.fixed_3x3() {
+            3
+        } else {
+            k.max(3) | 1
         }
     }
 }
 
 /// The streaming focal operator.
 pub struct FocalTransform<S: GeoStream> {
-    input: ChunkInput<S>,
+    input: S,
     func: FocalFunc,
     /// Kernel size (odd; ≥ 3).
     k: u32,
-    band: Option<RowBand<S::V>>,
-    lattice: Option<LatticeGeoref>,
-    /// Rows of input fully received (prefix).
-    rows_complete: u32,
-    /// Next output row to emit.
-    cursor: u32,
-    sector_id: u64,
-    timestamp: crate::model::Timestamp,
-    next_frame_id: u64,
-    queue: VecDeque<Element<S::V>>,
+    /// The band schedule of the last sector height seen.
+    schedule: Option<RowSchedule>,
+    window: RowWindow<S::V>,
+    /// The open sector.
+    sector: Option<SectorInfo>,
+    /// Timestamp of the last input frame opened: the output frames'.
+    timestamp: Timestamp,
+    queue: RunQueue<S::V>,
     scratch: Vec<f64>,
     stats: OpStats,
     schema: StreamSchema,
@@ -156,7 +105,7 @@ impl<S: GeoStream> FocalTransform<S> {
     /// Creates a focal transform with kernel size `k` (forced odd, ≥ 3;
     /// Sobel/Laplacian always use 3).
     pub fn new(input: S, func: FocalFunc, k: u32) -> Self {
-        let k = if func.fixed_3x3() { 3 } else { (k.max(3)) | 1 };
+        let k = func.kernel_size(k);
         let mut schema = input.schema().renamed(format!("focal[{} {k}x{k}]", func.name()));
         if matches!(func, FocalFunc::Sobel) {
             schema.value_range = (0.0, schema.value_range.1 - schema.value_range.0);
@@ -165,198 +114,135 @@ impl<S: GeoStream> FocalTransform<S> {
             schema.value_range = (-4.0 * span, 4.0 * span);
         }
         FocalTransform {
-            input: ChunkInput::new(input),
+            input,
             func,
             k,
-            band: None,
-            lattice: None,
-            rows_complete: 0,
-            cursor: 0,
-            sector_id: 0,
-            timestamp: crate::model::Timestamp::default(),
-            next_frame_id: 0,
-            queue: VecDeque::new(),
+            schedule: None,
+            window: RowWindow::new(),
+            sector: None,
+            timestamp: Timestamp::default(),
+            queue: RunQueue::new(),
             scratch: Vec::new(),
             stats: OpStats::default(),
             schema,
         }
     }
 
-    /// Kernel half-width.
-    fn half(&self) -> u32 {
-        self.k / 2
-    }
-
-    /// Evaluates the focal function at one cell.
-    fn evaluate(&mut self, col: u32, row: u32) -> f64 {
-        let Some(band) = self.band.as_ref() else { return 0.0 };
-        let (c, r) = (i64::from(col), i64::from(row));
-        match self.func {
-            FocalFunc::Sobel => {
-                let g = |dc: i64, dr: i64| band.at(c + dc, r + dr);
-                let gx =
-                    (g(1, -1) + 2.0 * g(1, 0) + g(1, 1)) - (g(-1, -1) + 2.0 * g(-1, 0) + g(-1, 1));
-                let gy =
-                    (g(-1, 1) + 2.0 * g(0, 1) + g(1, 1)) - (g(-1, -1) + 2.0 * g(0, -1) + g(1, -1));
-                gx.hypot(gy)
-            }
-            FocalFunc::Laplacian => {
-                band.at(c - 1, r) + band.at(c + 1, r) + band.at(c, r - 1) + band.at(c, r + 1)
-                    - 4.0 * band.at(c, r)
-            }
-            FocalFunc::Mean => {
-                let h = i64::from(self.half());
-                let mut acc = 0.0;
-                for dr in -h..=h {
-                    for dc in -h..=h {
-                        acc += band.at(c + dc, r + dr);
-                    }
+    fn on_marker(&mut self, marker: Marker) {
+        match marker {
+            Marker::SectorStart(si) => {
+                let (width, height) = (si.lattice.width, si.lattice.height);
+                if self.schedule.as_ref().is_none_or(|s| s.in_height() != height) {
+                    self.schedule = Some(RowSchedule::band(height, self.k / 2));
                 }
-                acc / ((self.k * self.k) as f64)
+                self.window.open(width, height, &mut self.stats);
+                self.timestamp = si.timestamp;
+                self.sector = Some(si.clone());
+                self.queue.push(ChunkOrMarker::Marker(Marker::SectorStart(si)));
             }
-            FocalFunc::Min | FocalFunc::Max => {
-                let h = i64::from(self.half());
-                let mut best = if matches!(self.func, FocalFunc::Min) {
-                    f64::INFINITY
-                } else {
-                    f64::NEG_INFINITY
-                };
-                for dr in -h..=h {
-                    for dc in -h..=h {
-                        let v = band.at(c + dc, r + dr);
-                        best = if matches!(self.func, FocalFunc::Min) {
-                            best.min(v)
-                        } else {
-                            best.max(v)
-                        };
-                    }
-                }
-                best
+            Marker::FrameStart(fi) => {
+                self.timestamp = fi.timestamp;
+                self.window.frame_start(&fi.cells, &mut self.stats);
             }
-            FocalFunc::Median => {
-                let h = i64::from(self.half());
-                self.scratch.clear();
-                for dr in -h..=h {
-                    for dc in -h..=h {
-                        self.scratch.push(band.at(c + dc, r + dr));
-                    }
-                }
-                self.scratch.sort_by(f64::total_cmp);
-                self.scratch[self.scratch.len() / 2]
+            Marker::FrameEnd(_) => {
+                self.window.frame_end();
+                self.emit_ready_rows(false);
+            }
+            Marker::SectorEnd(se) => {
+                self.emit_ready_rows(true);
+                self.window.close(&mut self.stats);
+                self.sector = None;
+                self.queue.push(ChunkOrMarker::Marker(Marker::SectorEnd(se)));
             }
         }
     }
 
-    /// Emits every output row whose neighborhood is complete (`force` at
-    /// sector end clamps the trailing border).
+    /// Emits every output row whose neighborhood is complete (all the
+    /// remaining rows when `force`, at sector end, with the trailing
+    /// border clamped), each as `FrameStart`, one run and `FrameEnd`.
+    /// Output frame ids are `sector_id × height + row`: they depend only
+    /// on this sector's input, the property that makes focal
+    /// sector-partitionable (a fresh per-morsel instance emits the ids
+    /// the serial instance would).
     fn emit_ready_rows(&mut self, force: bool) {
-        let Some(lattice) = self.lattice else { return };
-        let h = self.half();
-        while self.cursor < lattice.height {
-            let needed_last = self.cursor + h;
-            let ready =
-                force || self.rows_complete > needed_last || self.rows_complete >= lattice.height;
-            if !ready {
-                break;
-            }
-            let row = self.cursor;
-            let frame_id = self.next_frame_id;
-            self.next_frame_id += 1;
+        let (Some(sector), Some(schedule)) = (&self.sector, &self.schedule) else { return };
+        let (sector_id, width, height) =
+            (sector.sector_id, sector.lattice.width, sector.lattice.height);
+        while let Some(row) = self.window.next_ready_row(schedule, force, &mut self.stats) {
+            let frame_id = sector_id * u64::from(height) + u64::from(row);
             self.stats.frames_out += 1;
-            self.queue.push_back(Element::FrameStart(FrameInfo {
+            self.stats.points_out += u64::from(width);
+            self.queue.push(ChunkOrMarker::Marker(Marker::FrameStart(FrameInfo {
                 frame_id,
-                sector_id: self.sector_id,
+                sector_id,
                 timestamp: self.timestamp,
-                cells: CellBox::new(0, row, lattice.width.saturating_sub(1), row),
+                cells: CellBox::new(0, row, width.saturating_sub(1), row),
                 synth_ns: crate::obs::now_ns(),
-            }));
-            for col in 0..lattice.width {
-                let v = self.evaluate(col, row);
-                self.stats.points_out += 1;
-                self.queue.push_back(Element::point(Cell::new(col, row), S::V::from_f64(v)));
+            })));
+            if width > 0 {
+                let mut run = Chunk::with_budget(width as usize);
+                let rows = &self.window;
+                run.points.extend((0..width).map(|col| {
+                    let v = evaluate(self.func, self.k, rows, &mut self.scratch, col, row);
+                    PointRecord { cell: Cell::new(col, row), value: S::V::from_f64(v) }
+                }));
+                self.queue.push(ChunkOrMarker::Chunk(run));
             }
-            self.queue
-                .push_back(Element::FrameEnd(FrameEnd { frame_id, sector_id: self.sector_id }));
-            self.cursor += 1;
-            // Rows below cursor-h are no longer needed.
-            if self.cursor > h {
-                if let Some(band) = &mut self.band {
-                    let freed = band.evict_below(self.cursor - h);
-                    self.stats.buffer_shrink(freed, freed * S::V::BYTES as u64);
-                }
-            }
+            let end = FrameEnd { frame_id, sector_id };
+            self.queue.push(ChunkOrMarker::Marker(Marker::FrameEnd(end)));
         }
     }
+}
 
-    /// The next output element; `next_chunk` packs these into runs.
-    fn step(&mut self) -> Option<Element<S::V>> {
-        loop {
-            if let Some(el) = self.queue.pop_front() {
-                return Some(el);
-            }
-            let el = self.input.pull()?;
-            match el {
-                Element::SectorStart(si) => {
-                    self.lattice = Some(si.lattice);
-                    self.band = Some(RowBand::new(si.lattice.width, si.lattice.height));
-                    self.rows_complete = 0;
-                    self.cursor = 0;
-                    self.sector_id = si.sector_id;
-                    self.timestamp = si.timestamp;
-                    // Output frame ids are seeded from the sector id so
-                    // they depend only on this sector's input — the
-                    // property that makes focal sector-partitionable
-                    // (a fresh per-morsel instance emits the same ids
-                    // the serial instance would).
-                    self.next_frame_id = si.sector_id * u64::from(si.lattice.height);
-                    return Some(Element::SectorStart(si));
-                }
-                Element::FrameStart(fi) => {
-                    self.stats.frames_in += 1;
-                    self.timestamp = fi.timestamp;
-                    self.stats.stalls += 1;
-                }
-                Element::Point(p) => {
-                    self.stats.points_in += 1;
-                    if let Some(band) = &mut self.band {
-                        let grown = band.set(p.cell, p.value);
-                        if grown > 0 {
-                            self.stats.buffer_grow(grown, grown * S::V::BYTES as u64);
-                        }
-                    }
-                }
-                Element::FrameEnd(_) => {
-                    // Advance the complete-prefix watermark.
-                    if let (Some(band), Some(lat)) = (&self.band, &self.lattice) {
-                        let mut complete = self.rows_complete;
-                        while complete < lat.height {
-                            match complete.checked_sub(band.first_row) {
-                                None => complete += 1, // already evicted
-                                Some(i) => {
-                                    if band.rows.get(i as usize).map(|r| r.is_some()) == Some(true)
-                                    {
-                                        complete += 1;
-                                    } else {
-                                        break;
-                                    }
-                                }
-                            }
-                        }
-                        self.rows_complete = complete;
-                    }
-                    self.emit_ready_rows(false);
-                }
-                Element::SectorEnd(se) => {
-                    self.emit_ready_rows(true);
-                    if let Some(band) = &mut self.band {
-                        let freed = band.buffered();
-                        self.stats.buffer_shrink(freed, freed * S::V::BYTES as u64);
-                    }
-                    self.band = None;
-                    self.lattice = None;
-                    self.queue.push_back(Element::SectorEnd(SectorEnd { sector_id: se.sector_id }));
+/// The focal function `func` of kernel size `k` at one cell of `rows`.
+fn evaluate<V: Pixel>(
+    func: FocalFunc,
+    k: u32,
+    rows: &RowWindow<V>,
+    scratch: &mut Vec<f64>,
+    col: u32,
+    row: u32,
+) -> f64 {
+    let (c, r, h) = (i64::from(col), i64::from(row), i64::from(k / 2));
+    let at = |dc: i64, dr: i64| rows.at(c + dc, r + dr);
+    match func {
+        FocalFunc::Sobel => {
+            let gx = (at(1, -1) + 2.0 * at(1, 0) + at(1, 1))
+                - (at(-1, -1) + 2.0 * at(-1, 0) + at(-1, 1));
+            let gy = (at(-1, 1) + 2.0 * at(0, 1) + at(1, 1))
+                - (at(-1, -1) + 2.0 * at(0, -1) + at(1, -1));
+            gx.hypot(gy)
+        }
+        FocalFunc::Laplacian => at(-1, 0) + at(1, 0) + at(0, -1) + at(0, 1) - 4.0 * at(0, 0),
+        FocalFunc::Mean => {
+            let mut acc = 0.0;
+            for dr in -h..=h {
+                for dc in -h..=h {
+                    acc += at(dc, dr);
                 }
             }
+            acc / ((k * k) as f64)
+        }
+        FocalFunc::Min | FocalFunc::Max => {
+            let min = matches!(func, FocalFunc::Min);
+            let mut best = if min { f64::INFINITY } else { f64::NEG_INFINITY };
+            for dr in -h..=h {
+                for dc in -h..=h {
+                    let v = at(dc, dr);
+                    best = if min { best.min(v) } else { best.max(v) };
+                }
+            }
+            best
+        }
+        FocalFunc::Median => {
+            scratch.clear();
+            for dr in -h..=h {
+                for dc in -h..=h {
+                    scratch.push(at(dc, dr));
+                }
+            }
+            scratch.sort_by(f64::total_cmp);
+            scratch[scratch.len() / 2]
         }
     }
 }
@@ -369,7 +255,14 @@ impl<S: GeoStream> GeoStream for FocalTransform<S> {
     }
 
     fn next_chunk(&mut self, budget: usize) -> Option<ChunkOrMarker<S::V>> {
-        pack_elements(budget, || self.step())
+        let budget = budget.max(1);
+        while !self.queue.ready(budget) {
+            let Some(item) = self.input.next_chunk(DEFAULT_CHUNK_BUDGET) else { break };
+            if let Some(marker) = self.window.ingest(item, &mut self.stats) {
+                self.on_marker(marker);
+            }
+        }
+        self.queue.pop(budget)
     }
 
     fn op_stats(&self) -> OpStats {
@@ -377,7 +270,7 @@ impl<S: GeoStream> GeoStream for FocalTransform<S> {
     }
 
     fn collect_stats(&self, out: &mut Vec<OpReport>) {
-        self.input.stream().collect_stats(out);
+        self.input.collect_stats(out);
         out.push(OpReport::new(self.schema.name.clone(), self.op_stats()));
     }
 }
@@ -410,7 +303,7 @@ impl<S: GeoStream> FocalTransform<S> {
 mod tests {
     use super::*;
     use crate::model::VecStream;
-    use geostreams_geo::{Crs, Rect};
+    use geostreams_geo::{Crs, LatticeGeoref, Rect};
 
     fn lattice(w: u32, h: u32) -> LatticeGeoref {
         LatticeGeoref::north_up(Crs::LatLon, Rect::new(0.0, 0.0, 16.0, 16.0), w, h)

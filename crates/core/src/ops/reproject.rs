@@ -30,15 +30,15 @@
 //! `FrameStart`, one run and one `FrameEnd`.
 
 use crate::model::chunk::RunQueue;
+use crate::model::rows::{RowSchedule, RowWindow};
 use crate::model::{
     Chunk, ChunkOrMarker, FrameEnd, FrameInfo, GeoStream, Marker, PointRecord, SectorInfo,
-    StreamSchema, Timestamp, DEFAULT_CHUNK_BUDGET,
+    StreamSchema, DEFAULT_CHUNK_BUDGET,
 };
 use crate::stats::{OpReport, OpStats};
 use geostreams_geo::{Cell, CellBox, Crs, LatticeGeoref, Projection, Rect};
-use geostreams_raster::resample::{sample_source, Kernel, SampleSource};
+use geostreams_raster::resample::{sample_source, Kernel};
 use geostreams_raster::Pixel;
-use std::ops::Range;
 
 /// Bytes the mapping table holds per output cell: the cell's fractional
 /// source column and row, two `f64`s.
@@ -220,68 +220,6 @@ impl CrsPair {
     }
 }
 
-/// Which input rows each output row of a sector reads: the emission and
-/// eviction schedule of a re-projection. The operator runs it; the
-/// static analyzer bounds the operator's buffer with
-/// [`peak_rows`](RowSchedule::peak_rows).
-pub(crate) struct RowSchedule {
-    /// Per output row, the inclusive input-row window `(lo, hi)` its
-    /// kernel reads, or `None` when no sampled column of the row maps
-    /// (the row is skipped).
-    needed: Vec<Option<(u32, u32)>>,
-    /// `min_needed_from[i]` is the smallest `lo` over output rows `i..`,
-    /// and the input height at `i` = the row count: the eviction
-    /// watermark once row `i` is next to emit.
-    min_needed_from: Vec<u32>,
-}
-
-impl RowSchedule {
-    fn new(needed: Vec<Option<(u32, u32)>>, in_height: u32) -> Self {
-        let mut min_needed_from = vec![in_height; needed.len() + 1];
-        let mut running = in_height;
-        for (i, window) in needed.iter().enumerate().rev() {
-            if let Some((lo, _)) = window {
-                running = running.min(*lo);
-            }
-            min_needed_from[i] = running;
-        }
-        RowSchedule { needed, min_needed_from }
-    }
-
-    /// The most input rows the operator holds over one sector whose rows
-    /// `arriving` come in order, each complete and a frame of its own:
-    /// the schedule run the way the operator runs it. A row arrives
-    /// only after every row above it has, so when `arriving` starts
-    /// below row 0 nothing is emitted (or evicted) until a skipped
-    /// output row moves the watermark past the gap.
-    pub(crate) fn peak_rows(&self, arriving: Range<u32>) -> u32 {
-        let in_height = self.min_needed_from.last().copied().unwrap_or(0);
-        let (mut cursor, mut first, mut end, mut complete, mut peak) = (0, 0u32, 0u32, 0u32, 0u32);
-        for row in arriving.clone() {
-            if row >= first {
-                end = end.max(row + 1);
-                peak = peak.max(row + 1 - first.max(arriving.start));
-            }
-            // The frame ends: the completion watermark passes every row
-            // evicted or received.
-            while complete < in_height
-                && (complete < first || (arriving.start..=row).contains(&complete))
-            {
-                complete += 1;
-            }
-            while let Some(window) = self.needed.get(cursor) {
-                if window.is_some_and(|(_, hi)| complete <= hi) {
-                    break;
-                }
-                cursor += 1;
-                // Eviction never passes the last row seen.
-                first = first.max(self.min_needed_from[cursor].min(end));
-            }
-        }
-        peak
-    }
-}
-
 /// Everything the operator derives from one sector lattice: a constant
 /// while the geometry repeats.
 struct Mapping {
@@ -322,7 +260,7 @@ impl Mapping {
         let w = out_lattice.width as usize;
         while self.table.len() < (row as usize + 1) * w {
             let r = (self.table.len() / w) as u32;
-            if self.schedule.needed[r as usize].is_some() {
+            if self.schedule.emits(r) {
                 self.table.extend(
                     (0..w as u32)
                         .map(|col| pair.table_entry(&in_lattice, &out_lattice, Cell::new(col, r))),
@@ -339,7 +277,7 @@ impl Mapping {
     fn gather<V: Pixel>(
         &mut self,
         pair: &CrsPair,
-        ring: &RowRing<V>,
+        rows: &RowWindow<V>,
         kernel: Kernel,
         row: u32,
     ) -> Chunk<V> {
@@ -349,135 +287,11 @@ impl Mapping {
             if fc == NO_SOURCE[0] {
                 continue;
             }
-            let value = V::from_f64(sample_source(ring, fc, fr, kernel));
+            let value = V::from_f64(sample_source(rows, fc, fr, kernel));
             run.points.push(PointRecord { cell: Cell::new(col, row), value });
         }
         run
     }
-}
-
-/// The buffered input rows of the open sector: one row-major ring of
-/// row slots (a power of two of them) over input rows
-/// `first_row .. first_row + len`, with a flag per slot marking a row
-/// that has received a point. A row of the window that never arrived
-/// reads as `0.0`.
-struct RowRing<V> {
-    data: Vec<V>,
-    received: Vec<bool>,
-    width: u32,
-    height: u32,
-    first_row: u32,
-    len: u32,
-    /// Received rows in the window: the running count behind the
-    /// operator's buffered points.
-    held: u32,
-}
-
-impl<V: Pixel> RowRing<V> {
-    fn new() -> Self {
-        RowRing {
-            data: Vec::new(),
-            received: vec![false],
-            width: 0,
-            height: 0,
-            first_row: 0,
-            len: 0,
-            held: 0,
-        }
-    }
-
-    /// Empties the ring for a sector of `width × height` input cells,
-    /// keeping its slots.
-    fn reset(&mut self, width: u32, height: u32) {
-        if width != self.width {
-            self.data = vec![V::default(); self.received.len() * width as usize];
-        }
-        self.received.fill(false);
-        (self.width, self.height, self.first_row, self.len, self.held) = (width, height, 0, 0, 0);
-    }
-
-    #[inline]
-    fn slot(&self, row: u32) -> usize {
-        row as usize & (self.received.len() - 1)
-    }
-
-    /// Offset of `row` (at or past `first_row`) in `data`; the row's
-    /// first point receives it, zeroed.
-    fn receive(&mut self, row: u32) -> usize {
-        let span = row - self.first_row + 1;
-        if span as usize > self.received.len() {
-            self.grow(span as usize);
-        }
-        self.len = self.len.max(span);
-        let (slot, w) = (self.slot(row), self.width as usize);
-        if !self.received[slot] {
-            self.received[slot] = true;
-            self.held += 1;
-            self.data[slot * w..][..w].fill(V::default());
-        }
-        slot * w
-    }
-
-    /// Lays the window out again over at least `rows` slots.
-    fn grow(&mut self, rows: usize) {
-        let slots = rows.next_power_of_two();
-        let w = self.width as usize;
-        let mut data = vec![V::default(); slots * w];
-        let mut received = vec![false; slots];
-        for row in self.first_row..self.first_row + self.len {
-            let old = self.slot(row);
-            if self.received[old] {
-                let new = row as usize & (slots - 1);
-                received[new] = true;
-                data[new * w..][..w].copy_from_slice(&self.data[old * w..][..w]);
-            }
-        }
-        (self.data, self.received) = (data, received);
-    }
-
-    /// Whether input row `row` is evicted or received.
-    fn is_done(&self, row: u32) -> bool {
-        row < self.first_row || (row < self.first_row + self.len && self.received[self.slot(row)])
-    }
-
-    /// Drops the rows below `row`, never past the last row seen; returns
-    /// how many received rows went.
-    fn evict_below(&mut self, row: u32) -> u32 {
-        let mut freed = 0;
-        while self.first_row < row && self.len > 0 {
-            let slot = self.slot(self.first_row);
-            freed += u32::from(std::mem::take(&mut self.received[slot]));
-            self.first_row += 1;
-            self.len -= 1;
-        }
-        self.held -= freed;
-        freed
-    }
-}
-
-impl<V: Pixel> SampleSource for RowRing<V> {
-    #[inline]
-    fn at(&self, col: i64, row: i64) -> f64 {
-        let col = col.clamp(0, i64::from(self.width) - 1) as usize;
-        let row = (row.clamp(0, i64::from(self.height) - 1) as u32)
-            .clamp(self.first_row, self.first_row + self.len.max(1) - 1);
-        let slot = self.slot(row);
-        if self.received[slot] {
-            self.data[slot * self.width as usize + col].to_f64()
-        } else {
-            0.0
-        }
-    }
-}
-
-/// The sector being re-projected.
-struct OpenSector {
-    /// Next output row to emit.
-    cursor: u32,
-    /// Number of leading input rows fully received.
-    rows_complete: u32,
-    sector_id: u64,
-    timestamp: Timestamp,
 }
 
 /// The re-projection operator `G ∘ f_spat` across coordinate systems.
@@ -488,11 +302,11 @@ pub struct Reproject<S: GeoStream> {
     /// The mapping of the last visible sector geometry.
     mapping: Option<Mapping>,
     /// The open sector, while it is visible in the target CRS.
-    sector: Option<OpenSector>,
+    sector: Option<SectorInfo>,
     /// The open sector is invisible in the target CRS: it is dropped
     /// whole, `SectorEnd` included.
     dropping: bool,
-    ring: RowRing<S::V>,
+    window: RowWindow<S::V>,
     queue: RunQueue<S::V>,
     next_frame_id: u64,
     stats: OpStats,
@@ -514,7 +328,7 @@ impl<S: GeoStream> Reproject<S> {
             mapping: None,
             sector: None,
             dropping: false,
-            ring: RowRing::new(),
+            window: RowWindow::new(),
             queue: RunQueue::new(),
             next_frame_id: 0,
             stats: OpStats::default(),
@@ -522,78 +336,18 @@ impl<S: GeoStream> Reproject<S> {
         })
     }
 
-    /// Consumes one input item: its run into the ring, then its marker.
-    fn ingest(&mut self, item: ChunkOrMarker<S::V>) {
-        match item {
-            ChunkOrMarker::Marker(m) => self.on_marker(m),
-            ChunkOrMarker::Chunk(mut c) => {
-                self.ingest_run(&c.points);
-                let end = c.end.take();
-                c.recycle();
-                if let Some(m) = end {
-                    self.on_marker(m);
-                }
-            }
-        }
-    }
-
-    /// Writes a run of input points into their rows of the ring.
-    fn ingest_run(&mut self, points: &[PointRecord<S::V>]) {
-        self.stats.points_in += points.len() as u64;
-        if self.sector.is_none() {
-            return;
-        }
-        let ring = &mut self.ring;
-        let held = ring.held;
-        let mut row_at: Option<(u32, usize)> = None;
-        for p in points {
-            let Cell { col, row } = p.cell;
-            // Already evicted (out-of-order input), or off the lattice.
-            if row < ring.first_row || col >= ring.width {
-                continue;
-            }
-            let base = match row_at {
-                Some((r, base)) if r == row => base,
-                _ => {
-                    let base = ring.receive(row);
-                    row_at = Some((row, base));
-                    base
-                }
-            };
-            ring.data[base + col as usize] = p.value;
-        }
-        let grown = u64::from(ring.held - held) * u64::from(ring.width);
-        if grown > 0 {
-            self.stats.buffer_grow(grown, grown * S::V::BYTES as u64);
-        }
-    }
-
     fn on_marker(&mut self, marker: Marker) {
         match marker {
             Marker::SectorStart(si) => self.open_sector(si),
-            Marker::FrameStart(_) => {
-                self.stats.frames_in += 1;
-                self.stats.stalls += 1;
-            }
+            Marker::FrameStart(fi) => self.window.frame_start(&fi.cells, &mut self.stats),
             Marker::FrameEnd(_) => {
-                if let Some(sector) = &mut self.sector {
-                    // Rows complete in arrival order: advance the
-                    // completion watermark to the highest prefix of
-                    // rows evicted or received.
-                    while sector.rows_complete < self.ring.height
-                        && self.ring.is_done(sector.rows_complete)
-                    {
-                        sector.rows_complete += 1;
-                    }
-                }
+                self.window.frame_end();
                 self.emit_ready_rows(false);
             }
             Marker::SectorEnd(se) => {
                 self.emit_ready_rows(true);
-                if self.sector.take().is_some() {
-                    let freed = u64::from(self.ring.held) * u64::from(self.ring.width);
-                    self.stats.buffer_shrink(freed, freed * S::V::BYTES as u64);
-                }
+                self.sector = None;
+                self.window.close(&mut self.stats);
                 if !std::mem::take(&mut self.dropping) {
                     self.queue.push(ChunkOrMarker::Marker(Marker::SectorEnd(se)));
                 }
@@ -608,6 +362,7 @@ impl<S: GeoStream> Reproject<S> {
             let Some(out_lattice) = self.config.out_lattice(&self.pair, &si.lattice) else {
                 // Invisible in the target CRS: the sector is dropped.
                 self.sector = None;
+                self.window.close(&mut self.stats);
                 self.dropping = true;
                 return;
             };
@@ -620,54 +375,39 @@ impl<S: GeoStream> Reproject<S> {
         }
         let Some(mapping) = &self.mapping else { return };
         self.dropping = false;
-        self.ring.reset(si.lattice.width, si.lattice.height);
-        self.sector = Some(OpenSector {
-            cursor: 0,
-            rows_complete: 0,
-            sector_id: si.sector_id,
-            timestamp: si.timestamp,
-        });
-        let out = SectorInfo { lattice: mapping.out_lattice, ..si };
+        self.window.open(si.lattice.width, si.lattice.height, &mut self.stats);
+        let out = SectorInfo { lattice: mapping.out_lattice, ..si.clone() };
+        self.sector = Some(si);
         self.queue.push(ChunkOrMarker::Marker(Marker::SectorStart(out)));
     }
 
     /// Emits every output row whose input window is satisfied (or all
     /// remaining rows when `force` at sector end), each as `FrameStart`,
-    /// one run and `FrameEnd`, evicting the input rows no remaining
-    /// output row needs.
+    /// one run and `FrameEnd`.
     fn emit_ready_rows(&mut self, force: bool) {
-        let (Some(sector), Some(mapping)) = (&mut self.sector, &mut self.mapping) else { return };
-        while let Some(&window) = mapping.schedule.needed.get(sector.cursor as usize) {
-            if let Some((_, hi)) = window {
-                if !force && sector.rows_complete <= hi {
-                    break;
-                }
-                let (row, frame_id) = (sector.cursor, self.next_frame_id);
-                self.next_frame_id += 1;
-                let run = mapping.gather(&self.pair, &self.ring, self.config.kernel, row);
-                if run.is_empty() {
-                    run.recycle();
-                } else {
-                    self.stats.frames_out += 1;
-                    self.stats.points_out += run.len() as u64;
-                    let sector_id = sector.sector_id;
-                    let width = mapping.out_lattice.width;
-                    self.queue.push(ChunkOrMarker::Marker(Marker::FrameStart(FrameInfo {
-                        frame_id,
-                        sector_id,
-                        timestamp: sector.timestamp,
-                        cells: CellBox::new(0, row, width.saturating_sub(1), row),
-                        synth_ns: crate::obs::now_ns(),
-                    })));
-                    self.queue.push(ChunkOrMarker::Chunk(run));
-                    let end = FrameEnd { frame_id, sector_id };
-                    self.queue.push(ChunkOrMarker::Marker(Marker::FrameEnd(end)));
-                }
+        let (Some(sector), Some(mapping)) = (&self.sector, &mut self.mapping) else { return };
+        while let Some(row) = self.window.next_ready_row(&mapping.schedule, force, &mut self.stats)
+        {
+            let frame_id = self.next_frame_id;
+            self.next_frame_id += 1;
+            let run = mapping.gather(&self.pair, &self.window, self.config.kernel, row);
+            if run.is_empty() {
+                run.recycle();
+                continue;
             }
-            sector.cursor += 1;
-            let watermark = mapping.schedule.min_needed_from[sector.cursor as usize];
-            let freed = u64::from(self.ring.evict_below(watermark)) * u64::from(self.ring.width);
-            self.stats.buffer_shrink(freed, freed * S::V::BYTES as u64);
+            self.stats.frames_out += 1;
+            self.stats.points_out += run.len() as u64;
+            let (sector_id, width) = (sector.sector_id, mapping.out_lattice.width);
+            self.queue.push(ChunkOrMarker::Marker(Marker::FrameStart(FrameInfo {
+                frame_id,
+                sector_id,
+                timestamp: sector.timestamp,
+                cells: CellBox::new(0, row, width.saturating_sub(1), row),
+                synth_ns: crate::obs::now_ns(),
+            })));
+            self.queue.push(ChunkOrMarker::Chunk(run));
+            let end = FrameEnd { frame_id, sector_id };
+            self.queue.push(ChunkOrMarker::Marker(Marker::FrameEnd(end)));
         }
     }
 }
@@ -683,7 +423,9 @@ impl<S: GeoStream> GeoStream for Reproject<S> {
         let budget = budget.max(1);
         while !self.queue.ready(budget) {
             let Some(item) = self.input.next_chunk(DEFAULT_CHUNK_BUDGET) else { break };
-            self.ingest(item);
+            if let Some(marker) = self.window.ingest(item, &mut self.stats) {
+                self.on_marker(marker);
+            }
         }
         self.queue.pop(budget)
     }
@@ -911,19 +653,6 @@ mod tests {
         assert_eq!(stats.buffered_bytes, table, "the table outlives its sectors");
         assert_eq!(stats.buffered_points, 0, "the window does not");
         assert_eq!(stats.buffered_bytes_peak, table + stats.buffered_points_peak * 4);
-    }
-
-    #[test]
-    fn peak_rows_runs_the_schedule() {
-        // Output row i reads input rows i..=i+2 of an 8-row sector.
-        let schedule = RowSchedule::new((0..6).map(|i| Some((i, i + 2))).collect::<Vec<_>>(), 8);
-        assert_eq!(schedule.min_needed_from, vec![0, 1, 2, 3, 4, 5, 8]);
-        // Output row r leaves once row r + 2 is in, so rows r..=r + 2
-        // are held at most.
-        assert_eq!(schedule.peak_rows(0..8), 3);
-        // Row 0 never arrives: nothing completes, every row waits.
-        assert_eq!(schedule.peak_rows(1..8), 7);
-        assert_eq!(schedule.peak_rows(0..0), 0);
     }
 
     #[test]

@@ -612,9 +612,11 @@ const HOT_FNS: &[&str] = &[
     // The per-element state machine a buffering operator's `next_chunk`
     // packs with `pack_elements`.
     "step",
-    // Re-projection: input runs into the row ring, output rows into the
-    // item queue (`ops/reproject.rs`).
+    // The row window of focal and re-projection: input runs into the
+    // row ring, ready rows walked (`model/rows.rs`), output rows into
+    // the item queue (`ops/focal.rs`, `ops/reproject.rs`).
     "ingest_run",
+    "next_ready_row",
     "emit_ready_rows",
     // Composition: aligned input runs zipped, composed points into the
     // output queue's last run (`ops/compose.rs`, `model::chunk::RunQueue`).

@@ -133,8 +133,8 @@ fn every_variant_gets_a_blocking_class_and_bound() {
     // Mapping-table bytes per re-projected cell.
     let table = 16;
     // Rows 8..=23 of the 32-row geostationary sector: the first arriving
-    // row is not row 0, so nothing completes before `SectorEnd` and all
-    // 16 rows are held.
+    // row's frame rules out the rows above it, so the schedule runs as
+    // over the whole sector and holds 13 rows at most.
     let goes_lattice = goes().sector_lattice(0, 0);
     let restricted =
         restrict_cells("goes-sim.b1-vis", &goes_lattice, Cell::new(16, 8), Cell::new(47, 23));
@@ -144,6 +144,12 @@ fn every_variant_gets_a_blocking_class_and_bound() {
         "add({}, {})",
         restrict_cells("g1", &g_lattice, Cell::new(16, 8), Cell::new(47, 39)),
         restrict_cells("g2", &g_lattice, Cell::new(8, 16), Cell::new(39, 55))
+    );
+    // Columns 16..=47, rows 8..=39: the focal window holds three whole
+    // sector rows, and emits every row of the sector.
+    let restricted_focal = format!(
+        "focal({}, \"mean\", 3)",
+        restrict_cells("g1", &g_lattice, Cell::new(16, 8), Cell::new(47, 39))
     );
     let cases: &[(&str, &str, BlockingClass, u64)] = &[
         ("g1", "source", BlockingClass::NonBlocking, 0),
@@ -159,6 +165,7 @@ fn every_variant_gets_a_blocking_class_and_bound() {
         ("stretch(g1, \"linear\", \"frame\")", "stretch", BlockingClass::BoundedRows(1), row),
         ("stretch(g1, \"linear\", \"image\")", "stretch", BlockingClass::BoundedFrame, image),
         ("focal(g1, \"mean\", 5)", "focal", BlockingClass::BoundedRows(5), 5 * row),
+        (&restricted_focal, "focal", BlockingClass::BoundedRows(3), 3 * row),
         ("orient(g1, \"rot90\")", "orient", BlockingClass::NonBlocking, 0),
         ("magnify(g1, 2)", "magnify", BlockingClass::NonBlocking, 0),
         ("downsample(g1, 4)", "downsample", BlockingClass::BoundedRows(4), (W / 4) * 24),
@@ -180,7 +187,7 @@ fn every_variant_gets_a_blocking_class_and_bound() {
             &goes_to_latlon,
             "reproject",
             BlockingClass::BoundedRows(13),
-            16 * 64 * PX + 64 * 32 * table,
+            13 * 64 * PX + 64 * 32 * table,
         ),
         ("add(g1, g2)", "compose", BlockingClass::BoundedRows(1), 2 * row),
         ("ndvi(g1, g2)", "ndvi", BlockingClass::BoundedRows(1), 2 * row),
@@ -210,6 +217,13 @@ fn every_variant_gets_a_blocking_class_and_bound() {
         // The bounds hold against the run.
         let over = buffer_overruns(&cat, &parse_query(q).unwrap());
         assert!(over.is_empty(), "{q}: buffer peaks over their bound at {over:?}");
+    }
+    // The restricted focal and re-projection hold what their bounds say.
+    for q in [&restricted_focal, &goes_to_latlon] {
+        let plan = Plan::analyze(parse_query(q).unwrap(), &cat);
+        let run = run_to_end(&mut Planner::new(&cat).build(&plan).unwrap());
+        let seen = run.per_op.last().unwrap().stats.buffered_bytes_peak;
+        assert_eq!(seen, root_op(plan.report()).buffer_bytes, "{q}");
     }
     // The optimized quickstart plan, over the instrument it was written for.
     let server = Dsms::over_scanner(&goes_like(64, 32, 2006), SECTORS);
@@ -353,7 +367,9 @@ fn planner_admission_and_supervised_runs_refuse_with_one_message() {
 #[test]
 fn restriction_pushdown_shrinks_the_static_bound() {
     let cat = catalog();
-    let q = "restrict_space(focal(g1, \"mean\", 3), bbox(-124, 38, -123, 39), \"latlon\")";
+    // A downsampler's accumulators span the columns that arrive; a focal
+    // window holds whole sector rows, so pushdown below it saves nothing.
+    let q = "restrict_space(downsample(g1, 4), bbox(-124, 38, -123, 39), \"latlon\")";
     let e = parse_query(q).unwrap();
     let base = analyze(&e, &cat).peak_buffer_bytes.unwrap();
     let opt = analyze(&optimize(&e, &cat), &cat).peak_buffer_bytes.unwrap();
@@ -474,24 +490,34 @@ fn overrun_counter_stays_zero_when_bounds_hold() {
 
 #[test]
 fn oneshot_reprojection_stays_within_its_bound() {
-    // The one-shot HTTP reprojection shape: a half-size box of an
-    // infrared band, one sector, rendered to PNG. The box starts below
-    // row 0, so the operator holds every row it receives until
-    // `SectorEnd`; the bound must say so.
+    // The one-shot HTTP shapes with a row window, one sector each: a
+    // re-projection and a 3 × 3 focal over half-size boxes of infrared
+    // bands, rendered to PNG, and a 5 × 5 focal over a quarter-size box
+    // of the visible band, answered as JSON. Every box starts below
+    // row 0; the bound must cover what the operator holds.
     let scanner = goes_like(256, 128, 1);
     let server = Dsms::over_scanner(&scanner, 1);
-    let ir = scanner.instrument.band_lattice(3);
-    let restricted = restrict_cells("goes-sim.b4-ir", &ir, Cell::new(9, 5), Cell::new(40, 20));
-    let q = format!("reproject({restricted}, \"latlon\", \"bilinear\")");
-    let h = server.register_text(&q, OutputFormat::PngGray, 1).unwrap();
-    let result = server.run_query(&h).unwrap();
-    let observed = result.report.unwrap().peak_buffered_bytes();
-    assert!(observed > 0, "reprojection must buffer");
-    assert!(
-        !h.optimized.report().buffer_overrun(observed),
-        "static bound {:?} must cover observed {observed}",
-        h.optimized.report().peak_buffer_bytes
-    );
+    let (vis, ir) = (scanner.instrument.band_lattice(0), scanner.instrument.band_lattice(3));
+    let ir_box = |band| restrict_cells(band, &ir, Cell::new(9, 5), Cell::new(40, 20));
+    let vis_box = restrict_cells("goes-sim.b1-vis", &vis, Cell::new(40, 50), Cell::new(103, 81));
+    for (q, format) in [
+        (
+            format!("reproject({}, \"latlon\", \"bilinear\")", ir_box("goes-sim.b4-ir")),
+            OutputFormat::PngGray,
+        ),
+        (format!("focal({}, \"mean\", 3)", ir_box("goes-sim.b3-wv")), OutputFormat::PngGray),
+        (format!("focal({vis_box}, \"max\", 5)"), OutputFormat::Json),
+    ] {
+        let h = server.register_text(&q, format, 1).unwrap();
+        let result = server.run_query(&h).unwrap();
+        let observed = result.report.unwrap().peak_buffered_bytes();
+        assert!(observed > 0, "{q}: the window must buffer");
+        assert!(
+            !h.optimized.report().buffer_overrun(observed),
+            "{q}: static bound {:?} must cover observed {observed}",
+            h.optimized.report().peak_buffer_bytes
+        );
+    }
     assert_eq!(server.metrics.plan_buffer_overruns.get(), 0);
 }
 
