@@ -24,10 +24,13 @@
 //! * Point buffers come from a thread-local pool keyed by the pixel
 //!   type; call [`Chunk::recycle`] (or [`ChunkOrMarker::recycle`]) when
 //!   done so steady-state execution allocates nothing.
-//! * A consumer reads through [`ChunkInput`], which stages one chunk at
-//!   a time and serves it element by element or, to a consumer that
-//!   works on runs, as a run it takes a prefix of; a producer whose
-//!   logic is per element packs its output with [`pack_elements`].
+//! * An operator reads whole input runs (`next_chunk`, or
+//!   [`ChunkInput`], which stages one chunk at a time and serves it as a
+//!   run the consumer takes a prefix of, or element by element) and
+//!   queues whole output runs (`RunQueue`). A stream whose logic is per
+//!   element — the validator, the `split2` sides, the scanner's marker
+//!   phases, chaos injection, repair of a damaged run, archive replay —
+//!   packs its output with [`pack_elements`].
 
 use std::any::{Any, TypeId};
 use std::cell::RefCell;
@@ -363,6 +366,21 @@ impl<V: Pixel> ChunkOrMarker<V> {
             c.recycle();
         }
     }
+
+    /// Hands the item's run to `f` (a bare marker has none), recycles
+    /// the run's buffer and returns the trailing or bare marker: how an
+    /// operator that reads whole runs takes one input item.
+    pub(crate) fn take_run(self, f: impl FnOnce(&[PointRecord<V>])) -> Option<Marker> {
+        match self {
+            ChunkOrMarker::Chunk(mut c) => {
+                f(&c.points);
+                let end = c.end.take();
+                c.recycle();
+                end
+            }
+            ChunkOrMarker::Marker(m) => Some(m),
+        }
+    }
 }
 
 /// Packs the elements a per-element `step` yields into one chunk item:
@@ -370,9 +388,10 @@ impl<V: Pixel> ChunkOrMarker<V> {
 /// until the run holds `budget` of them or a marker cuts it short, that
 /// marker riding in [`Chunk::end`]. Returns `None` once `step` does.
 ///
-/// Operators whose state machine emits one element at a time (the
-/// buffering operators of §3.3, the scanner's marker phases) implement
-/// [`GeoStream::next_chunk`] as one call of this.
+/// Streams whose state machine emits one element at a time (the
+/// validator, the `split2` sides, the scanner's marker phases)
+/// implement [`GeoStream::next_chunk`] as one call of this. No operator
+/// of `ops` does: they read and write whole runs.
 pub fn pack_elements<V: Pixel>(
     budget: usize,
     mut step: impl FnMut() -> Option<Element<V>>,
@@ -410,8 +429,8 @@ pub fn pack_queue<V: Pixel>(
     pack_elements(budget, || queue.pop_front())
 }
 
-/// The output of an operator that emits whole runs (re-projection,
-/// composition): items in stream order, handed out under the budget
+/// The output of an operator that emits whole runs (every buffering
+/// operator of `ops`): items in stream order, handed out under the budget
 /// rule. A run longer than the budget leaves in budget-sized pieces,
 /// cut by an offset into the front run; a shorter one carries the
 /// marker that follows it. The last run may still grow.
@@ -486,9 +505,10 @@ impl<V: Pixel> RunQueue<V> {
     }
 }
 
-/// The input side of an operator whose state machine consumes one
-/// element at a time (the buffering operators of §3.3, image assembly):
-/// it pulls whole chunks and serves their elements in place, so the
+/// The input side of a stream whose state machine consumes one element
+/// at a time (the validator, the `split2` sides, the multi-query front
+/// end) or that reads two inputs run against run (composition): it
+/// pulls whole chunks and serves their elements in place, so the
 /// subtree below always runs its chunk path — one virtual call, one
 /// clock sample and one repair pass per run instead of per point —
 /// whatever the shape of the consumer.

@@ -15,6 +15,7 @@ mod element;
 mod repair;
 pub(crate) mod rows;
 mod schema;
+pub(crate) mod sector;
 mod split;
 mod stream;
 mod timestamp;

@@ -190,16 +190,10 @@ impl<V: Pixel> RowWindow<V> {
     /// Takes one input item: a run's points go into their rows and are
     /// counted in, the run is recycled; returns the marker to act on.
     pub(crate) fn ingest(&mut self, item: ChunkOrMarker<V>, stats: &mut OpStats) -> Option<Marker> {
-        match item {
-            ChunkOrMarker::Marker(m) => Some(m),
-            ChunkOrMarker::Chunk(mut c) => {
-                stats.points_in += c.len() as u64;
-                self.ingest_run(&c.points, stats);
-                let end = c.end.take();
-                c.recycle();
-                end
-            }
-        }
+        item.take_run(|run| {
+            stats.points_in += run.len() as u64;
+            self.ingest_run(run, stats);
+        })
     }
 
     /// Writes a run of input points into their rows; a row's first

@@ -12,9 +12,11 @@
 //!   of interest (O(1) state), emitted as a 1×1-lattice GeoStream so the
 //!   algebra stays closed.
 
+use crate::model::chunk::RunQueue;
+use crate::model::sector::{queue_sector, SectorImage};
 use crate::model::{
-    pack_elements, ChunkInput, ChunkOrMarker, Element, FrameEnd, FrameInfo, GeoStream, SectorEnd,
-    SectorInfo, StreamSchema, Timestamp,
+    ChunkOrMarker, FrameEnd, FrameInfo, GeoStream, Marker, PointRecord, SectorEnd, SectorInfo,
+    StreamSchema, Timestamp, DEFAULT_CHUNK_BUDGET,
 };
 use crate::stats::{OpReport, OpStats};
 use geostreams_geo::{Cell, CellBox, LatticeGeoref, Region};
@@ -65,24 +67,21 @@ impl AggFunc {
     }
 }
 
-/// One buffered image of the sliding window.
-struct WindowImage {
-    values: Vec<f64>,
-    present: Vec<bool>,
-}
-
 /// Sliding-window per-cell temporal aggregate: after each incoming image
 /// (sector), emits an image whose cell values aggregate the last `W`
-/// images at that cell.
+/// images at that cell. Input runs are written into the open sector's
+/// image; at `SectorEnd` the window's cells are reduced, oldest image
+/// first, into one output run.
 pub struct TemporalAggregate<S: GeoStream> {
-    input: ChunkInput<S>,
+    input: S,
     func: AggFunc,
     window: usize,
     lattice: Option<LatticeGeoref>,
-    current: Option<WindowImage>,
-    history: VecDeque<WindowImage>,
+    current: Option<SectorImage<f64>>,
+    /// The window: front = oldest.
+    history: VecDeque<SectorImage<f64>>,
     pending_sector: Option<SectorInfo>,
-    queue: VecDeque<Element<f32>>,
+    queue: RunQueue<f32>,
     next_frame_id: u64,
     stats: OpStats,
     schema: StreamSchema,
@@ -94,112 +93,86 @@ impl<S: GeoStream> TemporalAggregate<S> {
         assert!(window >= 1, "window must hold at least one image");
         let schema = input.schema().renamed(format!("agg_time[{func:?} w={window}]"));
         TemporalAggregate {
-            input: ChunkInput::new(input),
+            input,
             func,
             window,
             lattice: None,
             current: None,
             history: VecDeque::new(),
             pending_sector: None,
-            queue: VecDeque::new(),
+            queue: RunQueue::new(),
             next_frame_id: 0,
             stats: OpStats::default(),
             schema,
         }
     }
 
-    fn emit_aggregate(&mut self, si_template: &SectorInfo) {
+    /// Queues the window's aggregate under the identity of `si`.
+    fn emit_window(&mut self, si: &SectorInfo) {
         let Some(lattice) = self.lattice else { return };
-        let w = lattice.width as usize;
-        let h = lattice.height as usize;
-        self.queue.push_back(Element::SectorStart(SectorInfo { lattice, ..si_template.clone() }));
         let frame_id = self.next_frame_id;
         self.next_frame_id += 1;
         self.stats.frames_out += 1;
-        self.queue.push_back(Element::FrameStart(FrameInfo {
-            frame_id,
-            sector_id: si_template.sector_id,
-            timestamp: si_template.timestamp,
-            cells: CellBox::full(lattice.width, lattice.height),
-            synth_ns: crate::obs::now_ns(),
-        }));
-        let mut obs: Vec<f64> = Vec::with_capacity(self.window);
-        for idx in 0..w * h {
-            obs.clear();
-            for img in &self.history {
-                if img.present[idx] {
-                    obs.push(img.values[idx]);
+        let (func, history, stats) = (self.func, &self.history, &mut self.stats);
+        queue_sector(&mut self.queue, si, lattice, frame_id, |run| {
+            let Some(newest) = history.back() else { return };
+            // One cell's observations, oldest first.
+            let mut obs = Vec::with_capacity(history.len());
+            for idx in 0..newest.cells() as usize {
+                obs.clear();
+                obs.extend(history.iter().filter_map(|img| img.get(idx)));
+                if !obs.is_empty() {
+                    stats.points_out += 1;
+                    run.push(PointRecord {
+                        cell: newest.cell(idx),
+                        value: func.reduce(&obs) as f32,
+                    });
                 }
             }
-            if !obs.is_empty() {
-                let v = self.func.reduce(&obs);
-                self.stats.points_out += 1;
-                self.queue.push_back(Element::point(
-                    Cell::new((idx % w) as u32, (idx / w) as u32),
-                    v as f32,
-                ));
-            }
-        }
-        self.queue
-            .push_back(Element::FrameEnd(FrameEnd { frame_id, sector_id: si_template.sector_id }));
-        self.queue.push_back(Element::SectorEnd(SectorEnd { sector_id: si_template.sector_id }));
+        });
     }
 
-    /// The next output element; `next_chunk` packs these into runs.
-    fn step(&mut self) -> Option<Element<f32>> {
-        loop {
-            if let Some(el) = self.queue.pop_front() {
-                return Some(el);
+    /// Takes one input item: its points into the open image, then its
+    /// marker.
+    fn ingest_item(&mut self, item: ChunkOrMarker<S::V>) {
+        let marker = item.take_run(|run| {
+            self.stats.points_in += run.len() as u64;
+            if let Some(cur) = &mut self.current {
+                cur.ingest(run, Pixel::to_f64);
             }
-            let el = self.input.pull()?;
-            match el {
-                Element::SectorStart(si) => {
-                    // Lattice changes reset the window (different geometry
-                    // cannot aggregate cell-wise).
-                    if self.lattice != Some(si.lattice) {
-                        let freed: u64 = self.history.iter().map(|i| i.values.len() as u64).sum();
-                        self.stats.buffer_shrink(freed, freed * 8);
-                        self.history.clear();
-                        self.lattice = Some(si.lattice);
-                    }
-                    let n = (si.lattice.width as usize) * (si.lattice.height as usize);
-                    self.current =
-                        Some(WindowImage { values: vec![0.0; n], present: vec![false; n] });
-                    // Remember sector metadata for the emission.
-                    self.schema.sector_lattice = Some(si.lattice);
-                    self.pending_sector = Some(si);
+        });
+        match marker {
+            Some(Marker::SectorStart(si)) => {
+                // Lattice changes reset the window (different geometry
+                // cannot aggregate cell-wise).
+                if self.lattice != Some(si.lattice) {
+                    let freed: u64 = self.history.iter().map(SectorImage::cells).sum();
+                    self.stats.buffer_shrink(freed, freed * 8);
+                    self.history.clear();
+                    self.lattice = Some(si.lattice);
                 }
-                Element::FrameStart(_) => {
-                    self.stats.frames_in += 1;
-                }
-                Element::Point(p) => {
-                    self.stats.points_in += 1;
-                    if let (Some(cur), Some(lat)) = (&mut self.current, &self.lattice) {
-                        if p.cell.col < lat.width && p.cell.row < lat.height {
-                            let idx =
-                                (p.cell.row as usize) * (lat.width as usize) + p.cell.col as usize;
-                            cur.values[idx] = p.value.to_f64();
-                            cur.present[idx] = true;
+                self.current = Some(SectorImage::new(si.lattice));
+                // Remember sector metadata for the emission.
+                self.schema.sector_lattice = Some(si.lattice);
+                self.pending_sector = Some(si);
+            }
+            Some(Marker::FrameStart(_)) => self.stats.frames_in += 1,
+            Some(Marker::FrameEnd(_)) | None => {}
+            Some(Marker::SectorEnd(_)) => {
+                if let Some(cur) = self.current.take() {
+                    // Evict before inserting so the live buffer never
+                    // exceeds `window` images.
+                    if self.history.len() == self.window {
+                        if let Some(old) = self.history.pop_front() {
+                            let n = old.cells();
+                            self.stats.buffer_shrink(n, n * 8);
                         }
                     }
-                }
-                Element::FrameEnd(_) => {}
-                Element::SectorEnd(_) => {
-                    if let Some(cur) = self.current.take() {
-                        // Evict before inserting so the live buffer never
-                        // exceeds `window` images.
-                        if self.history.len() == self.window {
-                            if let Some(old) = self.history.pop_front() {
-                                let n = old.values.len() as u64;
-                                self.stats.buffer_shrink(n, n * 8);
-                            }
-                        }
-                        let n = cur.values.len() as u64;
-                        self.stats.buffer_grow(n, n * 8);
-                        self.history.push_back(cur);
-                        if let Some(si) = self.pending_sector.take() {
-                            self.emit_aggregate(&si);
-                        }
+                    let n = cur.cells();
+                    self.stats.buffer_grow(n, n * 8);
+                    self.history.push_back(cur);
+                    if let Some(si) = self.pending_sector.take() {
+                        self.emit_window(&si);
                     }
                 }
             }
@@ -215,7 +188,12 @@ impl<S: GeoStream> GeoStream for TemporalAggregate<S> {
     }
 
     fn next_chunk(&mut self, budget: usize) -> Option<ChunkOrMarker<f32>> {
-        pack_elements(budget, || self.step())
+        let budget = budget.max(1);
+        while !self.queue.ready(budget) {
+            let Some(item) = self.input.next_chunk(DEFAULT_CHUNK_BUDGET) else { break };
+            self.ingest_item(item);
+        }
+        self.queue.pop(budget)
     }
 
     fn op_stats(&self) -> OpStats {
@@ -223,7 +201,7 @@ impl<S: GeoStream> GeoStream for TemporalAggregate<S> {
     }
 
     fn collect_stats(&self, out: &mut Vec<OpReport>) {
-        self.input.stream().collect_stats(out);
+        self.input.collect_stats(out);
         out.push(OpReport::new(self.schema.name.clone(), self.op_stats()));
     }
 }
@@ -265,9 +243,10 @@ impl ScalarAcc {
 }
 
 /// Per-sector spatial aggregate over a region of interest: emits one
-/// point per sector on a 1×1 lattice centered at the region.
+/// point per sector on a 1×1 lattice centered at the region. Each input
+/// run is folded into the sector's accumulator.
 pub struct SpatialAggregate<S: GeoStream> {
-    input: ChunkInput<S>,
+    input: S,
     func: AggFunc,
     region: Region,
     footprint: Option<geostreams_geo::CellBox>,
@@ -275,7 +254,7 @@ pub struct SpatialAggregate<S: GeoStream> {
     exact: bool,
     acc: ScalarAcc,
     sector: Option<(u64, Timestamp)>,
-    queue: VecDeque<Element<f32>>,
+    queue: RunQueue<f32>,
     next_frame_id: u64,
     stats: OpStats,
     schema: StreamSchema,
@@ -287,7 +266,7 @@ impl<S: GeoStream> SpatialAggregate<S> {
         let schema = input.schema().renamed(format!("agg_space[{func:?}]"));
         let exact = !region.is_rectangular();
         SpatialAggregate {
-            input: ChunkInput::new(input),
+            input,
             func,
             region,
             footprint: None,
@@ -295,77 +274,83 @@ impl<S: GeoStream> SpatialAggregate<S> {
             exact,
             acc: ScalarAcc::default(),
             sector: None,
-            queue: VecDeque::new(),
+            queue: RunQueue::new(),
             next_frame_id: 0,
             stats: OpStats::default(),
             schema,
         }
     }
 
-    /// The next output element; `next_chunk` packs these into runs.
-    fn step(&mut self) -> Option<Element<f32>> {
-        loop {
-            if let Some(el) = self.queue.pop_front() {
-                return Some(el);
+    /// Folds a run's points inside the region into the accumulator.
+    fn fold_run(&mut self, run: &[PointRecord<S::V>]) {
+        self.stats.points_in += run.len() as u64;
+        let Some(fp) = self.footprint else { return };
+        let exact = match (self.exact, &self.lattice) {
+            (false, _) => None,
+            (true, Some(lat)) => Some(lat),
+            (true, None) => return,
+        };
+        for p in run {
+            if !fp.contains(p.cell)
+                || exact.is_some_and(|lat| !self.region.contains(lat.cell_to_world(p.cell)))
+            {
+                continue;
             }
-            let el = self.input.pull()?;
-            match el {
-                Element::SectorStart(si) => {
-                    self.footprint = si.lattice.footprint_of_region(&self.region);
-                    self.lattice = Some(si.lattice);
-                    self.sector = Some((si.sector_id, si.timestamp));
+            self.acc.push(p.value.to_f64());
+        }
+    }
+
+    /// Takes one input item: its points into the accumulator, then its
+    /// marker.
+    fn ingest_item(&mut self, item: ChunkOrMarker<S::V>) {
+        let marker = item.take_run(|run| self.fold_run(run));
+        match marker {
+            Some(Marker::SectorStart(si)) => {
+                self.footprint = si.lattice.footprint_of_region(&self.region);
+                self.lattice = Some(si.lattice);
+                self.sector = Some((si.sector_id, si.timestamp));
+                self.acc = ScalarAcc::default();
+                // Output lattice: a single cell at the region center.
+                let bbox = self.region.bbox_clamped(si.lattice.world_bbox());
+                let out_lattice = LatticeGeoref::north_up(
+                    si.lattice.crs,
+                    if bbox.is_empty() { si.lattice.world_bbox() } else { bbox },
+                    1,
+                    1,
+                );
+                self.queue.push(ChunkOrMarker::Marker(Marker::SectorStart(SectorInfo {
+                    lattice: out_lattice,
+                    ..si
+                })));
+            }
+            Some(Marker::FrameStart(_)) => self.stats.frames_in += 1,
+            Some(Marker::FrameEnd(_)) | None => {}
+            Some(Marker::SectorEnd(se)) => {
+                if let Some((sector_id, ts)) = self.sector.take() {
+                    let frame_id = self.next_frame_id;
+                    self.next_frame_id += 1;
+                    self.stats.frames_out += 1;
+                    self.queue.push(ChunkOrMarker::Marker(Marker::FrameStart(FrameInfo {
+                        frame_id,
+                        sector_id,
+                        timestamp: ts,
+                        cells: CellBox::new(0, 0, 0, 0),
+                        synth_ns: crate::obs::now_ns(),
+                    })));
+                    let v = self.acc.reduce(self.func);
+                    self.stats.points_out += 1;
+                    self.queue
+                        .open_run()
+                        .push(PointRecord { cell: Cell::new(0, 0), value: v as f32 });
+                    self.queue.push(ChunkOrMarker::Marker(Marker::FrameEnd(FrameEnd {
+                        frame_id,
+                        sector_id,
+                    })));
                     self.acc = ScalarAcc::default();
-                    // Output lattice: a single cell at the region center.
-                    let bbox = self.region.bbox_clamped(si.lattice.world_bbox());
-                    let out_lattice = LatticeGeoref::north_up(
-                        si.lattice.crs,
-                        if bbox.is_empty() { si.lattice.world_bbox() } else { bbox },
-                        1,
-                        1,
-                    );
-                    self.queue.push_back(Element::SectorStart(SectorInfo {
-                        lattice: out_lattice,
-                        ..si.clone()
-                    }));
                 }
-                Element::FrameStart(_) => {
-                    self.stats.frames_in += 1;
-                }
-                Element::Point(p) => {
-                    self.stats.points_in += 1;
-                    let Some(fp) = self.footprint else { continue };
-                    if !fp.contains(p.cell) {
-                        continue;
-                    }
-                    if self.exact {
-                        let Some(lat) = &self.lattice else { continue };
-                        if !self.region.contains(lat.cell_to_world(p.cell)) {
-                            continue;
-                        }
-                    }
-                    self.acc.push(p.value.to_f64());
-                }
-                Element::FrameEnd(_) => {}
-                Element::SectorEnd(se) => {
-                    if let Some((sector_id, ts)) = self.sector.take() {
-                        let frame_id = self.next_frame_id;
-                        self.next_frame_id += 1;
-                        self.stats.frames_out += 1;
-                        self.queue.push_back(Element::FrameStart(FrameInfo {
-                            frame_id,
-                            sector_id,
-                            timestamp: ts,
-                            cells: CellBox::new(0, 0, 0, 0),
-                            synth_ns: crate::obs::now_ns(),
-                        }));
-                        let v = self.acc.reduce(self.func);
-                        self.stats.points_out += 1;
-                        self.queue.push_back(Element::point(Cell::new(0, 0), v as f32));
-                        self.queue.push_back(Element::FrameEnd(FrameEnd { frame_id, sector_id }));
-                        self.acc = ScalarAcc::default();
-                    }
-                    self.queue.push_back(Element::SectorEnd(SectorEnd { sector_id: se.sector_id }));
-                }
+                self.queue.push(ChunkOrMarker::Marker(Marker::SectorEnd(SectorEnd {
+                    sector_id: se.sector_id,
+                })));
             }
         }
     }
@@ -379,7 +364,12 @@ impl<S: GeoStream> GeoStream for SpatialAggregate<S> {
     }
 
     fn next_chunk(&mut self, budget: usize) -> Option<ChunkOrMarker<f32>> {
-        pack_elements(budget, || self.step())
+        let budget = budget.max(1);
+        while !self.queue.ready(budget) {
+            let Some(item) = self.input.next_chunk(DEFAULT_CHUNK_BUDGET) else { break };
+            self.ingest_item(item);
+        }
+        self.queue.pop(budget)
     }
 
     fn op_stats(&self) -> OpStats {
@@ -387,7 +377,7 @@ impl<S: GeoStream> GeoStream for SpatialAggregate<S> {
     }
 
     fn collect_stats(&self, out: &mut Vec<OpReport>) {
-        self.input.stream().collect_stats(out);
+        self.input.collect_stats(out);
         out.push(OpReport::new(self.schema.name.clone(), self.op_stats()));
     }
 }
@@ -438,7 +428,7 @@ impl<S: GeoStream> SpatialAggregate<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::VecStream;
+    use crate::model::{Element, VecStream};
     use geostreams_geo::{Crs, Rect};
 
     fn lattice() -> LatticeGeoref {

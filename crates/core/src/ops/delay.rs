@@ -10,30 +10,26 @@
 //! scans. Buffering is exactly `d + 1` images (the paper's space-cost
 //! style of analysis applies: the state is images, not the stream).
 
+use crate::model::chunk::RunQueue;
+use crate::model::sector::{queue_sector, SectorImage};
 use crate::model::{
-    pack_elements, ChunkInput, ChunkOrMarker, Element, FrameEnd, FrameInfo, GeoStream, SectorEnd,
-    SectorInfo, StreamSchema,
+    ChunkOrMarker, GeoStream, Marker, PointRecord, SectorInfo, StreamSchema, DEFAULT_CHUNK_BUDGET,
 };
 use crate::stats::{OpReport, OpStats};
-use geostreams_geo::{Cell, CellBox, LatticeGeoref};
 use geostreams_raster::Pixel;
 use std::collections::VecDeque;
 
-/// A buffered image of the delay line.
-struct Held<V> {
-    values: Vec<Option<V>>,
-    lattice: LatticeGeoref,
-}
-
-/// The delay operator `delay(G, d)`.
+/// The delay operator `delay(G, d)`. Input runs are written into the
+/// open sector's image; at `SectorEnd` the image from `d` sectors ago
+/// leaves as one run.
 pub struct Delay<S: GeoStream> {
-    input: ChunkInput<S>,
+    input: S,
     d: usize,
     /// Delay line: front = oldest.
-    line: VecDeque<Held<S::V>>,
-    current: Option<Held<S::V>>,
+    line: VecDeque<SectorImage<S::V>>,
+    current: Option<SectorImage<S::V>>,
     pending_sector: Option<SectorInfo>,
-    queue: VecDeque<Element<S::V>>,
+    queue: RunQueue<S::V>,
     next_frame_id: u64,
     stats: OpStats,
     schema: StreamSchema,
@@ -45,45 +41,35 @@ impl<S: GeoStream> Delay<S> {
         assert!(d >= 1, "delay must be at least one sector");
         let schema = input.schema().renamed(format!("delay[{d}]"));
         Delay {
-            input: ChunkInput::new(input),
+            input,
             d: d as usize,
             line: VecDeque::new(),
             current: None,
             pending_sector: None,
-            queue: VecDeque::new(),
+            queue: RunQueue::new(),
             next_frame_id: 0,
             stats: OpStats::default(),
             schema,
         }
     }
 
-    /// Emits the delayed image under the current sector's identity.
-    fn emit_delayed(&mut self, si: &SectorInfo, held: &Held<S::V>) {
+    /// Queues the delayed image under the current sector's identity.
+    fn emit_delayed(&mut self, si: &SectorInfo, held: &SectorImage<S::V>) {
         // The delayed image is re-georeferenced to its own (old) lattice
         // but stamped with the *current* timestamp/sector so it joins
         // against the live stream.
-        self.queue
-            .push_back(Element::SectorStart(SectorInfo { lattice: held.lattice, ..si.clone() }));
         let frame_id = self.next_frame_id;
         self.next_frame_id += 1;
         self.stats.frames_out += 1;
-        self.queue.push_back(Element::FrameStart(FrameInfo {
-            frame_id,
-            sector_id: si.sector_id,
-            timestamp: si.timestamp,
-            cells: CellBox::full(held.lattice.width, held.lattice.height),
-            synth_ns: crate::obs::now_ns(),
-        }));
-        let w = held.lattice.width as usize;
-        for (idx, v) in held.values.iter().enumerate() {
-            if let Some(v) = v {
-                self.stats.points_out += 1;
-                self.queue
-                    .push_back(Element::point(Cell::new((idx % w) as u32, (idx / w) as u32), *v));
+        let stats = &mut self.stats;
+        queue_sector(&mut self.queue, si, held.lattice(), frame_id, |run| {
+            for idx in 0..held.cells() as usize {
+                if let Some(value) = held.get(idx) {
+                    stats.points_out += 1;
+                    run.push(PointRecord { cell: held.cell(idx), value });
+                }
             }
-        }
-        self.queue.push_back(Element::FrameEnd(FrameEnd { frame_id, sector_id: si.sector_id }));
-        self.queue.push_back(Element::SectorEnd(SectorEnd { sector_id: si.sector_id }));
+        });
     }
 
     /// The current timestamp shift in sectors.
@@ -91,48 +77,36 @@ impl<S: GeoStream> Delay<S> {
         self.d
     }
 
-    /// The next output element; `next_chunk` packs these into runs.
-    fn step(&mut self) -> Option<Element<S::V>> {
-        loop {
-            if let Some(el) = self.queue.pop_front() {
-                return Some(el);
+    /// Takes one input item: its points into the open image, then its
+    /// marker.
+    fn ingest_item(&mut self, item: ChunkOrMarker<S::V>) {
+        let marker = item.take_run(|run| {
+            self.stats.points_in += run.len() as u64;
+            if let Some(cur) = &mut self.current {
+                cur.ingest(run, |v| v);
             }
-            let el = self.input.pull()?;
-            match el {
-                Element::SectorStart(si) => {
-                    let n = (si.lattice.width as usize) * (si.lattice.height as usize);
-                    self.current = Some(Held { values: vec![None; n], lattice: si.lattice });
-                    self.pending_sector = Some(si);
+        });
+        match marker {
+            Some(Marker::SectorStart(si)) => {
+                self.current = Some(SectorImage::new(si.lattice));
+                self.pending_sector = Some(si);
+            }
+            Some(Marker::FrameStart(_) | Marker::FrameEnd(_)) => self.stats.stalls += 1,
+            None => {}
+            Some(Marker::SectorEnd(_)) => {
+                let Some(si) = self.pending_sector.take() else { return };
+                if let Some(cur) = self.current.take() {
+                    let n = cur.cells();
+                    self.stats.buffer_grow(n, n * S::V::BYTES as u64);
+                    self.line.push_back(cur);
                 }
-                Element::FrameStart(_) | Element::FrameEnd(_) => {
-                    self.stats.stalls += 1;
-                }
-                Element::Point(p) => {
-                    self.stats.points_in += 1;
-                    if let Some(cur) = &mut self.current {
-                        let w = cur.lattice.width;
-                        if p.cell.col < w && p.cell.row < cur.lattice.height {
-                            cur.values
-                                [(p.cell.row as usize) * (w as usize) + p.cell.col as usize] =
-                                Some(p.value);
-                        }
-                    }
-                }
-                Element::SectorEnd(_) => {
-                    let Some(si) = self.pending_sector.take() else { continue };
-                    if let Some(cur) = self.current.take() {
-                        let n = cur.values.len() as u64;
-                        self.stats.buffer_grow(n, n * S::V::BYTES as u64);
-                        self.line.push_back(cur);
-                    }
-                    // Once the line holds more than `d` images, the front
-                    // one is exactly d sectors old: replay and drop it.
-                    if self.line.len() > self.d {
-                        if let Some(old) = self.line.pop_front() {
-                            self.emit_delayed(&si, &old);
-                            let n = old.values.len() as u64;
-                            self.stats.buffer_shrink(n, n * S::V::BYTES as u64);
-                        }
+                // Once the line holds more than `d` images, the front
+                // one is exactly d sectors old: replay and drop it.
+                if self.line.len() > self.d {
+                    if let Some(old) = self.line.pop_front() {
+                        self.emit_delayed(&si, &old);
+                        let n = old.cells();
+                        self.stats.buffer_shrink(n, n * S::V::BYTES as u64);
                     }
                 }
             }
@@ -148,7 +122,12 @@ impl<S: GeoStream> GeoStream for Delay<S> {
     }
 
     fn next_chunk(&mut self, budget: usize) -> Option<ChunkOrMarker<S::V>> {
-        pack_elements(budget, || self.step())
+        let budget = budget.max(1);
+        while !self.queue.ready(budget) {
+            let Some(item) = self.input.next_chunk(DEFAULT_CHUNK_BUDGET) else { break };
+            self.ingest_item(item);
+        }
+        self.queue.pop(budget)
     }
 
     fn op_stats(&self) -> OpStats {
@@ -156,7 +135,7 @@ impl<S: GeoStream> GeoStream for Delay<S> {
     }
 
     fn collect_stats(&self, out: &mut Vec<OpReport>) {
-        self.input.stream().collect_stats(out);
+        self.input.collect_stats(out);
         out.push(OpReport::new(self.schema.name.clone(), self.op_stats()));
     }
 }
@@ -195,9 +174,9 @@ impl<S: GeoStream> Delay<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::{tee2, VecStream};
+    use crate::model::{tee2, Element, VecStream};
     use crate::ops::{Compose, GammaOp};
-    use geostreams_geo::{Crs, Rect};
+    use geostreams_geo::{Cell, Crs, LatticeGeoref, Rect};
 
     fn lattice() -> LatticeGeoref {
         LatticeGeoref::north_up(Crs::LatLon, Rect::new(0.0, 0.0, 4.0, 4.0), 4, 4)

@@ -10,10 +10,7 @@
 //! on the image, not the georeference; quarter-turns therefore swap the
 //! lattice dimensions).
 
-use crate::model::{
-    pack_elements, ChunkInput, ChunkOrMarker, Element, FrameInfo, GeoStream, SectorInfo,
-    StreamSchema,
-};
+use crate::model::{ChunkOrMarker, FrameInfo, GeoStream, Marker, SectorInfo, StreamSchema};
 use crate::stats::{OpReport, OpStats};
 use geostreams_geo::{Cell, CellBox, LatticeGeoref, Rect};
 use serde::{Deserialize, Serialize};
@@ -93,8 +90,9 @@ impl Orientation {
 }
 
 /// The orientation operator: per-point cell remapping, zero buffering.
+/// Each input run is remapped in place, in its own order.
 pub struct Orient<S: GeoStream> {
-    input: ChunkInput<S>,
+    input: S,
     orientation: Orientation,
     in_dims: (u32, u32),
     stats: OpStats,
@@ -105,13 +103,7 @@ impl<S: GeoStream> Orient<S> {
     /// Creates the orientation transform.
     pub fn new(input: S, orientation: Orientation) -> Self {
         let schema = input.schema().renamed(format!("orient[{}]", orientation.name()));
-        Orient {
-            input: ChunkInput::new(input),
-            orientation,
-            in_dims: (0, 0),
-            stats: OpStats::default(),
-            schema,
-        }
+        Orient { input, orientation, in_dims: (0, 0), stats: OpStats::default(), schema }
     }
 
     fn map_box(&self, cells: CellBox) -> CellBox {
@@ -121,11 +113,10 @@ impl<S: GeoStream> Orient<S> {
         CellBox::new(a.col.min(b.col), a.row.min(b.row), a.col.max(b.col), a.row.max(b.row))
     }
 
-    /// The next output element; `next_chunk` packs these into runs.
-    fn step(&mut self) -> Option<Element<S::V>> {
-        let el = self.input.pull()?;
-        Some(match el {
-            Element::SectorStart(si) => {
+    /// Re-orients a marker: the sector's lattice, a frame's cell box.
+    fn map_marker(&mut self, marker: Marker) -> Marker {
+        match marker {
+            Marker::SectorStart(si) => {
                 self.in_dims = (si.lattice.width, si.lattice.height);
                 let lat = si.lattice;
                 let out_lattice = if self.orientation.swaps_axes() {
@@ -135,21 +126,15 @@ impl<S: GeoStream> Orient<S> {
                 } else {
                     lat
                 };
-                Element::SectorStart(SectorInfo { lattice: out_lattice, ..si })
+                Marker::SectorStart(SectorInfo { lattice: out_lattice, ..si })
             }
-            Element::FrameStart(fi) => {
+            Marker::FrameStart(fi) => {
                 self.stats.frames_in += 1;
                 self.stats.frames_out += 1;
-                Element::FrameStart(FrameInfo { cells: self.map_box(fi.cells), ..fi })
-            }
-            Element::Point(p) => {
-                self.stats.points_in += 1;
-                self.stats.points_out += 1;
-                let (w, h) = self.in_dims;
-                Element::point(self.orientation.map_cell(p.cell, w, h), p.value)
+                Marker::FrameStart(FrameInfo { cells: self.map_box(fi.cells), ..fi })
             }
             other => other,
-        })
+        }
     }
 }
 
@@ -161,7 +146,20 @@ impl<S: GeoStream> GeoStream for Orient<S> {
     }
 
     fn next_chunk(&mut self, budget: usize) -> Option<ChunkOrMarker<S::V>> {
-        pack_elements(budget, || self.step())
+        Some(match self.input.next_chunk(budget)? {
+            ChunkOrMarker::Chunk(mut c) => {
+                let n = c.points.len() as u64;
+                self.stats.points_in += n;
+                self.stats.points_out += n;
+                let ((w, h), orientation) = (self.in_dims, self.orientation);
+                for p in &mut c.points {
+                    p.cell = orientation.map_cell(p.cell, w, h);
+                }
+                c.end = c.end.take().map(|m| self.map_marker(m));
+                ChunkOrMarker::Chunk(c)
+            }
+            ChunkOrMarker::Marker(m) => ChunkOrMarker::Marker(self.map_marker(m)),
+        })
     }
 
     fn op_stats(&self) -> OpStats {
@@ -169,7 +167,7 @@ impl<S: GeoStream> GeoStream for Orient<S> {
     }
 
     fn collect_stats(&self, out: &mut Vec<OpReport>) {
-        self.input.stream().collect_stats(out);
+        self.input.collect_stats(out);
         out.push(OpReport::new(self.schema.name.clone(), self.op_stats()));
     }
 }
@@ -204,7 +202,7 @@ impl<S: GeoStream> Orient<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::VecStream;
+    use crate::model::{Element, VecStream};
     use geostreams_geo::Crs;
 
     fn source(w: u32, h: u32) -> VecStream<f32> {

@@ -160,7 +160,9 @@ pub enum ChunkDiscipline {
     Preserve,
     /// The operator re-packs points into fresh chunks but maintains the
     /// §12 invariant that a run never crosses a frame or sector edge
-    /// (everything built on [`pack_queue`](crate::model::pack_queue)).
+    /// (the operators that queue their output runs in
+    /// `model::chunk::RunQueue`, and the streams that pack elements with
+    /// [`pack_queue`](crate::model::pack_queue)).
     Repack,
 }
 

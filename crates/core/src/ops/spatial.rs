@@ -10,9 +10,10 @@
 //!   sums; for a row-by-row stream its buffer is proportional to the row
 //!   width (never the frame height), which experiment F2 verifies.
 
+use crate::model::chunk::RunQueue;
 use crate::model::{
-    pack_elements, ChunkInput, ChunkOrMarker, Element, FrameEnd, FrameInfo, GeoStream, SectorEnd,
-    SectorInfo, StreamSchema,
+    ChunkOrMarker, FrameEnd, FrameInfo, GeoStream, Marker, PointRecord, SectorEnd, SectorInfo,
+    StreamSchema, DEFAULT_CHUNK_BUDGET,
 };
 use crate::stats::{OpReport, OpStats};
 use geostreams_geo::{Cell, CellBox, LatticeGeoref};
@@ -20,11 +21,13 @@ use geostreams_raster::Pixel;
 use std::collections::VecDeque;
 
 /// k× magnification: each input point becomes a `k × k` block of output
-/// points with the same value. Non-blocking; per-point cost O(k²).
+/// points with the same value. Non-blocking; per-point cost O(k²). Each
+/// input run's blocks are written straight into the open output run,
+/// point by point, rows of a block top to bottom.
 pub struct Magnify<S: GeoStream> {
-    input: ChunkInput<S>,
+    input: S,
     k: u32,
-    queue: VecDeque<Element<S::V>>,
+    queue: RunQueue<S::V>,
     stats: OpStats,
     schema: StreamSchema,
 }
@@ -34,55 +37,58 @@ impl<S: GeoStream> Magnify<S> {
     pub fn new(input: S, k: u32) -> Self {
         assert!(k >= 1, "magnification factor must be >= 1");
         let schema = input.schema().renamed(format!("magnify[x{k}]"));
-        Magnify {
-            input: ChunkInput::new(input),
-            k,
-            queue: VecDeque::new(),
-            stats: OpStats::default(),
-            schema,
+        Magnify { input, k, queue: RunQueue::new(), stats: OpStats::default(), schema }
+    }
+
+    /// Writes the `k × k` block of every point of `run`.
+    fn magnify_run(&mut self, run: &[PointRecord<S::V>]) {
+        if run.is_empty() {
+            return;
+        }
+        let k = self.k;
+        let n = run.len() as u64;
+        self.stats.points_in += n;
+        self.stats.points_out += n * u64::from(k) * u64::from(k);
+        let out = self.queue.open_run();
+        out.reserve(run.len() * (k * k) as usize);
+        for p in run {
+            let (col, row) = (p.cell.col * k, p.cell.row * k);
+            for dr in 0..k {
+                out.extend(
+                    (0..k).map(|dc| PointRecord {
+                        cell: Cell::new(col + dc, row + dr),
+                        value: p.value,
+                    }),
+                );
+            }
         }
     }
 
-    /// The next output element; `next_chunk` packs these into runs.
-    fn step(&mut self) -> Option<Element<S::V>> {
-        loop {
-            if let Some(el) = self.queue.pop_front() {
-                return Some(el);
+    /// Takes one input item: its run's blocks, then its marker mapped
+    /// onto the magnified lattice.
+    fn ingest_item(&mut self, item: ChunkOrMarker<S::V>) {
+        let marker = item.take_run(|run| self.magnify_run(run));
+        let k = self.k;
+        let out = match marker {
+            Some(Marker::SectorStart(si)) => {
+                Marker::SectorStart(SectorInfo { lattice: si.lattice.magnified(k), ..si })
             }
-            let el = self.input.pull()?;
-            let k = self.k;
-            match el {
-                Element::SectorStart(si) => {
-                    let out = SectorInfo { lattice: si.lattice.magnified(k), ..si };
-                    return Some(Element::SectorStart(out));
-                }
-                Element::FrameStart(fi) => {
-                    self.stats.frames_in += 1;
-                    self.stats.frames_out += 1;
-                    let c = fi.cells;
-                    let cells = CellBox::new(
-                        c.col_min * k,
-                        c.row_min * k,
-                        c.col_max * k + (k - 1),
-                        c.row_max * k + (k - 1),
-                    );
-                    return Some(Element::FrameStart(FrameInfo { cells, ..fi }));
-                }
-                Element::Point(p) => {
-                    self.stats.points_in += 1;
-                    self.stats.points_out += u64::from(k) * u64::from(k);
-                    for dr in 0..k {
-                        for dc in 0..k {
-                            self.queue.push_back(Element::point(
-                                Cell::new(p.cell.col * k + dc, p.cell.row * k + dr),
-                                p.value,
-                            ));
-                        }
-                    }
-                }
-                other => return Some(other),
+            Some(Marker::FrameStart(fi)) => {
+                self.stats.frames_in += 1;
+                self.stats.frames_out += 1;
+                let c = fi.cells;
+                let cells = CellBox::new(
+                    c.col_min * k,
+                    c.row_min * k,
+                    c.col_max * k + (k - 1),
+                    c.row_max * k + (k - 1),
+                );
+                Marker::FrameStart(FrameInfo { cells, ..fi })
             }
-        }
+            Some(other) => other,
+            None => return,
+        };
+        self.queue.push(ChunkOrMarker::Marker(out));
     }
 }
 
@@ -94,7 +100,12 @@ impl<S: GeoStream> GeoStream for Magnify<S> {
     }
 
     fn next_chunk(&mut self, budget: usize) -> Option<ChunkOrMarker<S::V>> {
-        pack_elements(budget, || self.step())
+        let budget = budget.max(1);
+        while !self.queue.ready(budget) {
+            let Some(item) = self.input.next_chunk(DEFAULT_CHUNK_BUDGET) else { break };
+            self.ingest_item(item);
+        }
+        self.queue.pop(budget)
     }
 
     fn op_stats(&self) -> OpStats {
@@ -102,7 +113,7 @@ impl<S: GeoStream> GeoStream for Magnify<S> {
     }
 
     fn collect_stats(&self, out: &mut Vec<OpReport>) {
-        self.input.stream().collect_stats(out);
+        self.input.collect_stats(out);
         out.push(OpReport::new(self.schema.name.clone(), self.op_stats()));
     }
 }
@@ -130,15 +141,17 @@ struct BlockRow {
 /// arrive: when a later block of its output row completes, or when a
 /// frame starts below its last input row (a frame may interleave its
 /// rows, as magnification does). The §3.2 "boundary point
-/// interpolations", in lattice order.
+/// interpolations", in lattice order. Input runs are folded into the
+/// open rows' accumulators, and the blocks they complete are written
+/// into the open output run.
 pub struct Downsample<S: GeoStream> {
-    input: ChunkInput<S>,
+    input: S,
     k: u32,
     out_lattice: Option<LatticeGeoref>,
     /// Open output rows, the first of them output row `first_row`.
     rows: VecDeque<BlockRow>,
     first_row: u32,
-    queue: VecDeque<Element<S::V>>,
+    queue: RunQueue<S::V>,
     next_frame_id: u64,
     open_frame: Option<(u64, u64)>,
     stats: OpStats,
@@ -154,12 +167,12 @@ impl<S: GeoStream> Downsample<S> {
         assert!(k >= 1, "downsampling factor must be >= 1");
         let schema = input.schema().renamed(format!("downsample[/{k}]"));
         Downsample {
-            input: ChunkInput::new(input),
+            input,
             k,
             out_lattice: None,
             rows: VecDeque::new(),
             first_row: 0,
-            queue: VecDeque::new(),
+            queue: RunQueue::new(),
             next_frame_id: 0,
             open_frame: None,
             stats: OpStats::default(),
@@ -169,17 +182,20 @@ impl<S: GeoStream> Downsample<S> {
 
     /// Emits, in column order, every open block in columns `from..to`
     /// of the `i`-th open row.
-    fn flush(&mut self, i: usize, from: u32, to: u32) {
+    fn flush_blocks(&mut self, i: usize, from: u32, to: u32) {
         let row = self.first_row + i as u32;
-        for col in from..to {
-            let acc = std::mem::take(&mut self.rows[i].acc[col as usize]);
+        let accs = &mut self.rows[i].acc[from as usize..to as usize];
+        let Some(first) = accs.iter().position(|acc| acc.count > 0) else { return };
+        let out = self.queue.open_run();
+        for (col, acc) in (from + first as u32..).zip(&mut accs[first..]) {
+            let acc = std::mem::take(acc);
             if acc.count == 0 {
                 continue;
             }
             self.stats.buffer_shrink(u64::from(acc.count), ACC_ENTRY_BYTES);
-            let v = S::V::from_f64(acc.sum / f64::from(acc.count));
+            let value = S::V::from_f64(acc.sum / f64::from(acc.count));
             self.stats.points_out += 1;
-            self.queue.push_back(Element::point(Cell::new(col, row), v));
+            out.push(PointRecord { cell: Cell::new(col, row), value });
         }
     }
 
@@ -187,97 +203,102 @@ impl<S: GeoStream> Downsample<S> {
     fn flush_rows_above(&mut self, end: u32) {
         while self.first_row < end && !self.rows.is_empty() {
             let width = self.rows[0].acc.len() as u32;
-            self.flush(0, 0, width);
+            self.flush_blocks(0, 0, width);
             self.rows.pop_front();
             self.first_row += 1;
         }
     }
 
-    /// The next output element; `next_chunk` packs these into runs.
-    fn step(&mut self) -> Option<Element<S::V>> {
-        loop {
-            if let Some(el) = self.queue.pop_front() {
-                return Some(el);
+    /// Folds a run into the block accumulators, emitting each block it
+    /// completes with the open blocks to its left.
+    fn fold_run(&mut self, run: &[PointRecord<S::V>]) {
+        self.stats.points_in += run.len() as u64;
+        let Some(out) = self.out_lattice else { return };
+        let k = self.k;
+        let new_row =
+            || BlockRow { acc: vec![BlockAcc::default(); out.width as usize], next_col: 0 };
+        for p in run {
+            let (oc, or) = (p.cell.col / k, p.cell.row / k);
+            if oc >= out.width || or >= out.height {
+                continue; // trailing cells of a partial block edge
             }
-            let el = self.input.pull()?;
-            let k = self.k;
-            match el {
-                Element::SectorStart(si) => {
-                    let out_lat = si.lattice.reduced(k);
-                    self.out_lattice = Some(out_lat);
-                    self.rows.clear();
-                    let frame_id = self.next_frame_id;
-                    self.next_frame_id += 1;
-                    self.open_frame = Some((frame_id, si.sector_id));
-                    self.queue.push_back(Element::SectorStart(SectorInfo {
-                        lattice: out_lat,
-                        ..si.clone()
-                    }));
-                    if !out_lat.is_empty() {
-                        self.stats.frames_out += 1;
-                        self.queue.push_back(Element::FrameStart(FrameInfo {
-                            frame_id,
-                            sector_id: si.sector_id,
-                            timestamp: si.timestamp,
-                            cells: CellBox::full(out_lat.width, out_lat.height),
-                            synth_ns: crate::obs::now_ns(),
-                        }));
-                    }
+            if self.rows.is_empty() {
+                self.first_row = or;
+            }
+            while or < self.first_row {
+                self.rows.push_front(new_row());
+                self.first_row -= 1;
+            }
+            while or >= self.first_row + self.rows.len() as u32 {
+                self.rows.push_back(new_row());
+            }
+            let i = (or - self.first_row) as usize;
+            let entry = &mut self.rows[i].acc[oc as usize];
+            if entry.count == 0 {
+                self.stats.buffer_grow(0, ACC_ENTRY_BYTES);
+            }
+            entry.sum += p.value.to_f64();
+            entry.count += 1;
+            let complete = entry.count == k * k;
+            // Count every accumulated-but-unemitted input point.
+            self.stats.buffer_grow(1, 0);
+            if complete {
+                // Each row is scanned left to right: blocks left of a
+                // complete one can receive no more points.
+                let next = self.rows[i].next_col;
+                self.flush_blocks(i, next.min(oc), oc + 1);
+                self.rows[i].next_col = next.max(oc + 1);
+            }
+        }
+    }
+
+    /// Takes one input item: its run into the accumulators, then its
+    /// marker.
+    fn ingest_item(&mut self, item: ChunkOrMarker<S::V>) {
+        let marker = item.take_run(|run| self.fold_run(run));
+        match marker {
+            Some(Marker::SectorStart(si)) => {
+                let out_lat = si.lattice.reduced(self.k);
+                self.out_lattice = Some(out_lat);
+                self.rows.clear();
+                let frame_id = self.next_frame_id;
+                self.next_frame_id += 1;
+                self.open_frame = Some((frame_id, si.sector_id));
+                let (sector_id, timestamp) = (si.sector_id, si.timestamp);
+                self.queue.push(ChunkOrMarker::Marker(Marker::SectorStart(SectorInfo {
+                    lattice: out_lat,
+                    ..si
+                })));
+                if !out_lat.is_empty() {
+                    self.stats.frames_out += 1;
+                    self.queue.push(ChunkOrMarker::Marker(Marker::FrameStart(FrameInfo {
+                        frame_id,
+                        sector_id,
+                        timestamp,
+                        cells: CellBox::full(out_lat.width, out_lat.height),
+                        synth_ns: crate::obs::now_ns(),
+                    })));
                 }
-                Element::FrameStart(fi) => {
-                    self.stats.frames_in += 1;
-                    self.stats.stalls += 1;
-                    // Frames start top to bottom: no later point lies
-                    // above this frame's first row.
-                    self.flush_rows_above(fi.cells.row_min / k);
+            }
+            Some(Marker::FrameStart(fi)) => {
+                self.stats.frames_in += 1;
+                self.stats.stalls += 1;
+                // Frames start top to bottom: no later point lies above
+                // this frame's first row.
+                self.flush_rows_above(fi.cells.row_min / self.k);
+            }
+            Some(Marker::FrameEnd(_)) | None => {}
+            Some(Marker::SectorEnd(se)) => {
+                self.flush_rows_above(u32::MAX);
+                if let Some((frame_id, sector_id)) = self.open_frame.take() {
+                    self.queue.push(ChunkOrMarker::Marker(Marker::FrameEnd(FrameEnd {
+                        frame_id,
+                        sector_id,
+                    })));
                 }
-                Element::Point(p) => {
-                    self.stats.points_in += 1;
-                    let Some(out) = self.out_lattice else { continue };
-                    let (oc, or) = (p.cell.col / k, p.cell.row / k);
-                    if oc >= out.width || or >= out.height {
-                        continue; // trailing cells of a partial block edge
-                    }
-                    if self.rows.is_empty() {
-                        self.first_row = or;
-                    }
-                    let new_row = || BlockRow {
-                        acc: vec![BlockAcc::default(); out.width as usize],
-                        next_col: 0,
-                    };
-                    while or < self.first_row {
-                        self.rows.push_front(new_row());
-                        self.first_row -= 1;
-                    }
-                    while or >= self.first_row + self.rows.len() as u32 {
-                        self.rows.push_back(new_row());
-                    }
-                    let i = (or - self.first_row) as usize;
-                    let entry = &mut self.rows[i].acc[oc as usize];
-                    if entry.count == 0 {
-                        self.stats.buffer_grow(0, ACC_ENTRY_BYTES);
-                    }
-                    entry.sum += p.value.to_f64();
-                    entry.count += 1;
-                    let complete = entry.count == k * k;
-                    // Count every accumulated-but-unemitted input point.
-                    self.stats.buffer_grow(1, 0);
-                    if complete {
-                        // Each row is scanned left to right: blocks left
-                        // of a complete one can receive no more points.
-                        let next = self.rows[i].next_col;
-                        self.flush(i, next.min(oc), oc + 1);
-                        self.rows[i].next_col = next.max(oc + 1);
-                    }
-                }
-                Element::FrameEnd(_) => {}
-                Element::SectorEnd(se) => {
-                    self.flush_rows_above(u32::MAX);
-                    if let Some((frame_id, sector_id)) = self.open_frame.take() {
-                        self.queue.push_back(Element::FrameEnd(FrameEnd { frame_id, sector_id }));
-                    }
-                    self.queue.push_back(Element::SectorEnd(SectorEnd { sector_id: se.sector_id }));
-                }
+                self.queue.push(ChunkOrMarker::Marker(Marker::SectorEnd(SectorEnd {
+                    sector_id: se.sector_id,
+                })));
             }
         }
     }
@@ -291,7 +312,12 @@ impl<S: GeoStream> GeoStream for Downsample<S> {
     }
 
     fn next_chunk(&mut self, budget: usize) -> Option<ChunkOrMarker<S::V>> {
-        pack_elements(budget, || self.step())
+        let budget = budget.max(1);
+        while !self.queue.ready(budget) {
+            let Some(item) = self.input.next_chunk(DEFAULT_CHUNK_BUDGET) else { break };
+            self.ingest_item(item);
+        }
+        self.queue.pop(budget)
     }
 
     fn op_stats(&self) -> OpStats {
@@ -299,7 +325,7 @@ impl<S: GeoStream> GeoStream for Downsample<S> {
     }
 
     fn collect_stats(&self, out: &mut Vec<OpReport>) {
-        self.input.stream().collect_stats(out);
+        self.input.collect_stats(out);
         out.push(OpReport::new(self.schema.name.clone(), self.op_stats()));
     }
 }
@@ -350,7 +376,7 @@ impl<S: GeoStream> Downsample<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::VecStream;
+    use crate::model::{Element, VecStream};
     use geostreams_geo::{Crs, Rect};
 
     fn lattice(w: u32, h: u32) -> LatticeGeoref {

@@ -15,12 +15,18 @@
 //! GOES visible-band sector is the 20 840 × 10 820-point frame whose
 //! ≈280 MB buffer the paper cites. Experiment E2 measures exactly this
 //! buffer growth.
+//!
+//! The scope is held as the input's own items — runs and markers. Each
+//! arriving run feeds the scope's statistics in stream order; once the
+//! scope closes, each held run is mapped into one `f32` run.
 
-use crate::model::{pack_elements, ChunkInput, ChunkOrMarker, Element, GeoStream, StreamSchema};
+use crate::model::chunk::RunQueue;
+use crate::model::{
+    ChunkOrMarker, GeoStream, Marker, PointRecord, StreamSchema, DEFAULT_CHUNK_BUDGET,
+};
 use crate::stats::{OpReport, OpStats};
 use geostreams_raster::{Histogram, Pixel, RangeTracker};
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
 
 /// Which stretch is applied once the scope's statistics are complete.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -59,16 +65,17 @@ pub enum StretchScope {
 
 /// The frame/image-scoped stretch operator. Output pixels are `f32`.
 pub struct StretchTransform<S: GeoStream> {
-    input: ChunkInput<S>,
+    input: S,
     mode: StretchMode,
     scope: StretchScope,
-    /// Elements of the current scope held until its statistics complete.
-    held: Vec<Element<S::V>>,
+    /// Input items of the current scope held until its statistics
+    /// complete.
+    held: Vec<ChunkOrMarker<S::V>>,
     tracker: RangeTracker,
     hist: Option<Histogram>,
     /// Input nominal range used to (re)build the histogram each scope.
     hist_range: (f64, f64),
-    queue: VecDeque<Element<f32>>,
+    queue: RunQueue<f32>,
     stats: OpStats,
     schema: StreamSchema,
 }
@@ -93,14 +100,14 @@ impl<S: GeoStream> StretchTransform<S> {
             _ => None,
         };
         StretchTransform {
-            input: ChunkInput::new(input),
+            input,
             mode,
             scope,
             held: Vec::new(),
             tracker: RangeTracker::new(),
             hist,
             hist_range,
-            queue: VecDeque::new(),
+            queue: RunQueue::new(),
             stats: OpStats::default(),
             schema,
         }
@@ -113,15 +120,28 @@ impl<S: GeoStream> StretchTransform<S> {
         }
     }
 
-    /// Applies the configured stretch to one value.
-    fn map_value(&self, v: f64) -> f64 {
+    /// Maps a held run through the configured stretch onto the output.
+    fn map_run(&mut self, run: &[PointRecord<S::V>]) {
+        if run.is_empty() {
+            return;
+        }
+        self.stats.points_out += run.len() as u64;
+        let (tracker, hist) = (&self.tracker, self.hist.as_ref());
+        let out = self.queue.open_run();
+        let point = |p: &PointRecord<S::V>, v: f64| PointRecord { cell: p.cell, value: v as f32 };
         match self.mode {
-            StretchMode::Linear { out_lo, out_hi } => self.tracker.stretch(v, out_lo, out_hi),
+            StretchMode::Linear { out_lo, out_hi } => out.extend(
+                run.iter().map(|p| point(p, tracker.stretch(p.value.to_f64(), out_lo, out_hi))),
+            ),
             StretchMode::HistEq { .. } => {
-                self.hist.as_ref().map_or(0.0, |h| h.equalize(v, 0.0, 1.0))
+                out.extend(run.iter().map(|p| {
+                    point(p, hist.map_or(0.0, |h| h.equalize(p.value.to_f64(), 0.0, 1.0)))
+                }))
             }
             StretchMode::Gaussian { n_sigma } => {
-                self.tracker.gaussian_stretch(v, 0.0, 1.0, n_sigma)
+                out.extend(run.iter().map(|p| {
+                    point(p, tracker.gaussian_stretch(p.value.to_f64(), 0.0, 1.0, n_sigma))
+                }))
             }
         }
     }
@@ -129,74 +149,60 @@ impl<S: GeoStream> StretchTransform<S> {
     /// Emits the held scope with stretched values.
     fn flush_scope(&mut self) {
         let held = std::mem::take(&mut self.held);
-        let released = held.iter().filter(|e| e.is_point()).count() as u64;
+        let released: u64 = held.iter().map(|item| item.point_count() as u64).sum();
         self.stats.buffer_shrink(released, released * S::V::BYTES as u64);
-        for el in held {
-            match el {
-                Element::Point(p) => {
-                    self.stats.points_out += 1;
-                    let v = self.map_value(p.value.to_f64());
-                    self.queue.push_back(Element::point(p.cell, v as f32));
-                }
-                Element::FrameStart(fi) => {
+        for item in held {
+            if let Some(m) = item.take_run(|run| self.map_run(run)) {
+                if matches!(m, Marker::FrameStart(_)) {
                     self.stats.frames_out += 1;
-                    self.queue.push_back(Element::FrameStart(fi));
                 }
-                Element::FrameEnd(fe) => self.queue.push_back(Element::FrameEnd(fe)),
-                Element::SectorStart(si) => self.queue.push_back(Element::SectorStart(si)),
-                Element::SectorEnd(se) => self.queue.push_back(Element::SectorEnd(se)),
+                self.queue.push(ChunkOrMarker::Marker(m));
             }
         }
         self.reset_scope_stats();
     }
 
-    /// The next output element; `next_chunk` packs these into runs.
-    fn step(&mut self) -> Option<Element<f32>> {
-        loop {
-            if let Some(el) = self.queue.pop_front() {
-                return Some(el);
+    /// Takes one input item: its run into the scope's statistics, the
+    /// item into the scope, and the scope out once its marker closes it.
+    fn ingest_item(&mut self, item: ChunkOrMarker<S::V>) {
+        let closes = match item {
+            ChunkOrMarker::Marker(Marker::SectorStart(si)) if self.held.is_empty() => {
+                self.queue.push(ChunkOrMarker::Marker(Marker::SectorStart(si)));
+                return;
             }
-            let Some(el) = self.input.pull() else {
-                // End of stream: flush whatever is pending (partial scope).
-                if self.held.is_empty() {
-                    return None;
+            ChunkOrMarker::Chunk(ref c) => {
+                let n = c.points.len() as u64;
+                self.stats.points_in += n;
+                for p in &c.points {
+                    self.tracker.push(p.value.to_f64());
                 }
-                self.flush_scope();
-                continue;
-            };
-            match el {
-                Element::SectorStart(si) => {
-                    if self.held.is_empty() {
-                        return Some(Element::SectorStart(si));
-                    }
-                    self.held.push(Element::SectorStart(si));
-                }
-                Element::FrameStart(fi) => {
-                    self.stats.frames_in += 1;
-                    self.held.push(Element::FrameStart(fi));
-                    self.stats.stalls += 1;
-                }
-                Element::Point(p) => {
-                    self.stats.points_in += 1;
-                    let v = p.value.to_f64();
-                    self.tracker.push(v);
-                    if let Some(h) = &mut self.hist {
-                        h.push(v);
-                    }
-                    self.stats.buffer_grow(1, S::V::BYTES as u64);
-                    self.held.push(Element::Point(p));
-                }
-                Element::FrameEnd(fe) => {
-                    self.held.push(Element::FrameEnd(fe));
-                    if self.scope == StretchScope::Frame {
-                        self.flush_scope();
+                if let Some(h) = &mut self.hist {
+                    for p in &c.points {
+                        h.push(p.value.to_f64());
                     }
                 }
-                Element::SectorEnd(se) => {
-                    self.held.push(Element::SectorEnd(se));
-                    self.flush_scope();
-                }
+                self.stats.buffer_grow(n, n * S::V::BYTES as u64);
+                self.closes(c.end.as_ref())
             }
+            ChunkOrMarker::Marker(ref m) => self.closes(Some(m)),
+        };
+        self.held.push(item);
+        if closes {
+            self.flush_scope();
+        }
+    }
+
+    /// Counts a held marker; whether it closes the scope.
+    fn closes(&mut self, marker: Option<&Marker>) -> bool {
+        match marker {
+            Some(Marker::FrameStart(_)) => {
+                self.stats.frames_in += 1;
+                self.stats.stalls += 1;
+                false
+            }
+            Some(Marker::FrameEnd(_)) => self.scope == StretchScope::Frame,
+            Some(Marker::SectorEnd(_)) => true,
+            Some(Marker::SectorStart(_)) | None => false,
         }
     }
 }
@@ -209,7 +215,16 @@ impl<S: GeoStream> GeoStream for StretchTransform<S> {
     }
 
     fn next_chunk(&mut self, budget: usize) -> Option<ChunkOrMarker<f32>> {
-        pack_elements(budget, || self.step())
+        let budget = budget.max(1);
+        while !self.queue.ready(budget) {
+            match self.input.next_chunk(DEFAULT_CHUNK_BUDGET) {
+                Some(item) => self.ingest_item(item),
+                // End of stream: flush whatever is pending (partial scope).
+                None if !self.held.is_empty() => self.flush_scope(),
+                None => break,
+            }
+        }
+        self.queue.pop(budget)
     }
 
     fn op_stats(&self) -> OpStats {
@@ -217,7 +232,7 @@ impl<S: GeoStream> GeoStream for StretchTransform<S> {
     }
 
     fn collect_stats(&self, out: &mut Vec<OpReport>) {
-        self.input.stream().collect_stats(out);
+        self.input.collect_stats(out);
         out.push(OpReport::new(self.schema.name.clone(), self.op_stats()));
     }
 }
@@ -271,7 +286,7 @@ impl<S: GeoStream> StretchTransform<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::VecStream;
+    use crate::model::{Element, VecStream};
     use geostreams_geo::{Crs, LatticeGeoref, Rect};
 
     fn lattice(w: u32, h: u32) -> LatticeGeoref {

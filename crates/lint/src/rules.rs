@@ -194,6 +194,7 @@ pub fn run_all(files: &[SourceFile], out: &mut Vec<Finding>) {
     rule_raw_file_io_in_store(files, out);
     rule_detached_thread_spawn(files, out);
     rule_scalar_pull(files, out);
+    rule_element_packing(files, out);
 }
 
 /// True for library source files (skips `src/bin/` entry points, which
@@ -609,9 +610,22 @@ fn rule_lock_order_cycle(files: &[SourceFile], out: &mut Vec<Finding>) {
 /// continuous stream.
 const HOT_FNS: &[&str] = &[
     "next_chunk",
-    // The per-element state machine a buffering operator's `next_chunk`
-    // packs with `pack_elements`.
+    // The per-element state machine whose elements `next_chunk` packs
+    // with `pack_elements` (`Validator`, the `split2` sides, the
+    // scanner's marker phases).
     "step",
+    // The run-native sector and scope operators: one input item taken
+    // whole (`ingest_item`), a run folded, magnified or mapped into the
+    // output queue's last run, a held scope or finished blocks flushed,
+    // a whole sector queued (`ops/aggregate.rs`, `ops/delay.rs`,
+    // `ops/stretch.rs`, `ops/spatial.rs`, `model/sector.rs`).
+    "ingest_item",
+    "fold_run",
+    "magnify_run",
+    "map_run",
+    "flush_scope",
+    "flush_blocks",
+    "queue_sector",
     // The row window of focal and re-projection: input runs into the
     // row ring, ready rows walked (`model/rows.rs`), output rows into
     // the item queue (`ops/focal.rs`, `ops/reproject.rs`).
@@ -1157,6 +1171,37 @@ fn rule_scalar_pull(files: &[SourceFile], out: &mut Vec<Finding>) {
                 message: "`.next_element()` pulls one point per virtual call and cuts \
                           everything upstream into one-point runs; read the input through \
                           `ChunkInput::pull` or `next_chunk`"
+                    .to_string(),
+            });
+        }
+    }
+}
+
+/// `element-packing`: a `pack_elements(..)` call in operator library
+/// code (`crates/core/src/ops/`). Every operator there reads input runs
+/// and writes output runs; packing the elements of a per-element state
+/// machine puts a `VecDeque<Element>` hop and a match per point back on
+/// the path — the cost that kept the buffering operators an order of
+/// magnitude below the run-native ones.
+fn rule_element_packing(files: &[SourceFile], out: &mut Vec<Finding>) {
+    for f in files.iter().filter(|f| f.path.starts_with("crates/core/src/ops/")) {
+        let toks = &f.toks;
+        for i in 0..toks.len() {
+            if !(toks[i].is_ident("pack_elements") && is_call(toks, i)) {
+                continue;
+            }
+            let fun = innermost(&f.fns, i).map(|fi| &f.fns[fi]);
+            if fun.is_some_and(|fun| fun.is_test) {
+                continue;
+            }
+            out.push(Finding {
+                rule: "element-packing",
+                file: f.path.clone(),
+                line: toks[i].line,
+                function: fun.map(|fun| fun.name.clone()).unwrap_or_default(),
+                message: "`pack_elements` packs a per-element state machine's output one \
+                          element at a time; an operator reads whole input runs and writes \
+                          output runs through `model::chunk::RunQueue`"
                     .to_string(),
             });
         }

@@ -151,3 +151,18 @@ fn scalar_pull_rule_flags_every_library_next_element_call() {
     let as_trace = lint_files(&[("crates/satsim/src/trace.rs".to_string(), src)]);
     assert!(rules_hit(&as_trace, "scalar-pull").is_empty());
 }
+
+#[test]
+fn element_packing_rule_flags_operator_library_calls_only() {
+    let src = include_str!("fixtures/element_packing.rs").to_string();
+    let findings = lint_files(&[("crates/core/src/ops/buffering.rs".to_string(), src.clone())]);
+    let hits = rules_hit(&findings, "element-packing");
+    let fns: Vec<&str> = hits.iter().map(|f| f.function.as_str()).collect();
+    assert_eq!(fns, vec!["next_chunk", "bad_drain_queue"], "{hits:?}");
+    // The model's per-element streams (validator, split sides) and the
+    // scanner's marker phases still pack their elements.
+    for path in ["crates/core/src/model/validate.rs", "crates/satsim/src/scanner.rs"] {
+        let elsewhere = lint_files(&[(path.to_string(), src.clone())]);
+        assert!(rules_hit(&elsewhere, "element-packing").is_empty(), "{path}");
+    }
+}

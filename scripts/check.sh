@@ -37,7 +37,7 @@ done
 # full rule catalog of DESIGN.md §14 — panic-in-lib, lock-across-
 # blocking, lock-order-cycle, unbounded-growth, instant-in-chunk-loop,
 # relaxed-strong-mix, raw-file-io-in-store, detached-thread-spawn,
-# scalar-pull — gated through the justified allowlist in
+# scalar-pull, element-packing — gated through the justified allowlist in
 # geolint.allow (stale entries fail the gate too).
 scripts/lint_gate.sh
 

@@ -94,11 +94,14 @@ pub mod reference {
     use geostreams::core::model::{
         Element, FrameEnd, FrameInfo, SectorEnd, SectorInfo, TimeSet, Timestamp,
     };
-    use geostreams::core::ops::{FocalFunc, GammaOp, ReprojectConfig, ShedPolicy, ValueFunc};
+    use geostreams::core::ops::{
+        AggFunc, FocalFunc, GammaOp, ReprojectConfig, ShedPolicy, StretchMode, StretchScope,
+        ValueFunc,
+    };
     use geostreams::core::stats::OpStats;
     use geostreams::geo::{Cell, CellBox, Crs, LatticeGeoref, Rect, Region};
     use geostreams::raster::resample::{sample_source, SampleSource};
-    use geostreams::raster::Pixel;
+    use geostreams::raster::{Histogram, Pixel, RangeTracker};
     use std::collections::{HashMap, VecDeque};
 
     type Els = Vec<Element<f32>>;
@@ -717,5 +720,399 @@ pub mod reference {
             out.push(Element::SectorEnd(SectorEnd { sector_id: si.sector_id }));
         }
         (out, stats, unmatched)
+    }
+
+    /// The sector a whole-image operator emits under `si`'s identity on
+    /// `lattice`: `SectorStart`, frame `frame_id` over the full lattice
+    /// holding `points`, `FrameEnd`, `SectorEnd`.
+    fn whole_sector(
+        out: &mut Els,
+        si: &SectorInfo,
+        lattice: LatticeGeoref,
+        frame_id: u64,
+        points: Els,
+    ) {
+        let sector_id = si.sector_id;
+        out.push(Element::SectorStart(SectorInfo { lattice, ..si.clone() }));
+        out.push(Element::FrameStart(FrameInfo {
+            frame_id,
+            sector_id,
+            timestamp: si.timestamp,
+            cells: CellBox::full(lattice.width, lattice.height),
+            synth_ns: 0,
+        }));
+        out.extend(points);
+        out.push(Element::FrameEnd(FrameEnd { frame_id, sector_id }));
+        out.push(Element::SectorEnd(SectorEnd { sector_id }));
+    }
+
+    /// The row-major index of `cell` on `lattice`, if it lies inside.
+    fn cell_index(lattice: &LatticeGeoref, cell: Cell) -> Option<usize> {
+        (cell.col < lattice.width && cell.row < lattice.height)
+            .then(|| cell.row as usize * lattice.width as usize + cell.col as usize)
+    }
+
+    /// `agg_time`, one element at a time: each sector's points go into
+    /// a grid of its lattice (a later point overwrites); at `SectorEnd`
+    /// the grid joins the window of the last `window` grids (8 bytes a
+    /// cell; a change of lattice empties the window) and every cell
+    /// present in any of them leaves, in row-major order, as the
+    /// reduction of its values oldest first — one frame over the whole
+    /// lattice under the sector's identity. Returns the elements and the
+    /// operator's counters.
+    pub fn agg_time(els: &[Element<f32>], func: AggFunc, window: usize) -> (Els, OpStats) {
+        type Grid = Vec<Option<f64>>;
+        let (mut out, mut stats) = (Vec::new(), OpStats::default());
+        let (mut lattice, mut current, mut pending) = (None::<LatticeGeoref>, None::<Grid>, None);
+        let (mut history, mut next_frame_id) = (VecDeque::<Grid>::new(), 0u64);
+        for el in els.iter().cloned() {
+            match el {
+                Element::SectorStart(si) => {
+                    if lattice != Some(si.lattice) {
+                        let freed: u64 = history.iter().map(|g| g.len() as u64).sum();
+                        stats.buffer_shrink(freed, freed * 8);
+                        history.clear();
+                        lattice = Some(si.lattice);
+                    }
+                    current = Some(vec![None; si.lattice.len() as usize]);
+                    pending = Some(si);
+                }
+                Element::FrameStart(_) => stats.frames_in += 1,
+                Element::Point(p) => {
+                    stats.points_in += 1;
+                    if let (Some(grid), Some(idx)) =
+                        (&mut current, lattice.and_then(|l| cell_index(&l, p.cell)))
+                    {
+                        grid[idx] = Some(p.value.to_f64());
+                    }
+                }
+                Element::FrameEnd(_) => {}
+                Element::SectorEnd(_) => {
+                    let Some(grid) = current.take() else { continue };
+                    if history.len() == window {
+                        if let Some(old) = history.pop_front() {
+                            stats.buffer_shrink(old.len() as u64, old.len() as u64 * 8);
+                        }
+                    }
+                    stats.buffer_grow(grid.len() as u64, grid.len() as u64 * 8);
+                    history.push_back(grid);
+                    let (Some(si), Some(lat)) = (pending.take(), lattice) else { continue };
+                    stats.frames_out += 1;
+                    let mut points = Vec::new();
+                    for idx in 0..lat.len() as usize {
+                        let obs: Vec<f64> = history.iter().filter_map(|g| g[idx]).collect();
+                        if !obs.is_empty() {
+                            stats.points_out += 1;
+                            let w = lat.width as usize;
+                            let cell = Cell::new((idx % w) as u32, (idx / w) as u32);
+                            points.push(Element::point(cell, func.reduce(&obs) as f32));
+                        }
+                    }
+                    whole_sector(&mut out, &si, lat, next_frame_id, points);
+                    next_frame_id += 1;
+                }
+            }
+        }
+        (out, stats)
+    }
+
+    /// `delay`, one element at a time: each sector's points go into a
+    /// grid of its lattice (a later point overwrites); at `SectorEnd`
+    /// the grid joins the delay line (4 bytes a cell), and once the line
+    /// holds more than `d` grids its oldest leaves — its present cells
+    /// in row-major order, one frame over its own lattice — under the
+    /// closing sector's identity. Returns the elements and the
+    /// operator's counters.
+    pub fn delay(els: &[Element<f32>], d: usize) -> (Els, OpStats) {
+        type Grid = (LatticeGeoref, Vec<Option<f32>>);
+        let (mut out, mut stats) = (Vec::new(), OpStats::default());
+        let (mut line, mut current, mut pending) = (VecDeque::<Grid>::new(), None::<Grid>, None);
+        let mut next_frame_id = 0u64;
+        for el in els.iter().cloned() {
+            match el {
+                Element::SectorStart(si) => {
+                    current = Some((si.lattice, vec![None; si.lattice.len() as usize]));
+                    pending = Some(si);
+                }
+                Element::FrameStart(_) | Element::FrameEnd(_) => stats.stalls += 1,
+                Element::Point(p) => {
+                    stats.points_in += 1;
+                    if let Some((lat, grid)) = &mut current {
+                        if let Some(idx) = cell_index(lat, p.cell) {
+                            grid[idx] = Some(p.value);
+                        }
+                    }
+                }
+                Element::SectorEnd(_) => {
+                    let Some(si) = pending.take() else { continue };
+                    if let Some(grid) = current.take() {
+                        stats.buffer_grow(grid.1.len() as u64, grid.1.len() as u64 * 4);
+                        line.push_back(grid);
+                    }
+                    if line.len() <= d {
+                        continue;
+                    }
+                    let Some((lat, grid)) = line.pop_front() else { continue };
+                    stats.frames_out += 1;
+                    let w = lat.width as usize;
+                    let points: Els = (0..grid.len())
+                        .filter_map(|idx| {
+                            let v = grid[idx]?;
+                            stats.points_out += 1;
+                            Some(Element::point(Cell::new((idx % w) as u32, (idx / w) as u32), v))
+                        })
+                        .collect();
+                    whole_sector(&mut out, &si, lat, next_frame_id, points);
+                    next_frame_id += 1;
+                    stats.buffer_shrink(grid.len() as u64, grid.len() as u64 * 4);
+                }
+            }
+        }
+        (out, stats)
+    }
+
+    /// `stretch`, one element at a time: hold every element of the scope
+    /// — a frame up to its `FrameEnd`, or an image up to its
+    /// `SectorEnd` — feeding each point's value to the scope's range
+    /// tracker (and histogram) in stream order; once the scope closes,
+    /// or the input ends, emit the held elements with each value
+    /// stretched by the complete statistics. A `SectorStart` that finds
+    /// nothing held passes straight through. The histogram spans the
+    /// input's nominal `value_range` (one unit wide when empty). Returns
+    /// the elements and the operator's counters.
+    pub fn stretch(
+        els: &[Element<f32>],
+        mode: StretchMode,
+        scope: StretchScope,
+        value_range: (f64, f64),
+    ) -> (Els, OpStats) {
+        let (mut out, mut stats, mut held) = (Vec::new(), OpStats::default(), Vec::new());
+        let (lo, hi) = value_range;
+        let range = (lo, if hi > lo { hi } else { lo + 1.0 });
+        let new_hist = || match mode {
+            StretchMode::HistEq { bins } => Some(Histogram::new(range.0, range.1, bins.max(2))),
+            _ => None,
+        };
+        let (mut tracker, mut hist) = (RangeTracker::new(), new_hist());
+        let flush = |held: &mut Els,
+                     tracker: &mut RangeTracker,
+                     hist: &mut Option<Histogram>,
+                     out: &mut Els,
+                     stats: &mut OpStats| {
+            let released = held.iter().filter(|e| e.is_point()).count() as u64;
+            stats.buffer_shrink(released, released * 4);
+            for el in held.drain(..) {
+                out.push(match el {
+                    Element::Point(p) => {
+                        stats.points_out += 1;
+                        let v = p.value.to_f64();
+                        let v = match mode {
+                            StretchMode::Linear { out_lo, out_hi } => {
+                                tracker.stretch(v, out_lo, out_hi)
+                            }
+                            StretchMode::HistEq { .. } => {
+                                hist.as_ref().map_or(0.0, |h| h.equalize(v, 0.0, 1.0))
+                            }
+                            StretchMode::Gaussian { n_sigma } => {
+                                tracker.gaussian_stretch(v, 0.0, 1.0, n_sigma)
+                            }
+                        };
+                        Element::point(p.cell, v as f32)
+                    }
+                    Element::FrameStart(fi) => {
+                        stats.frames_out += 1;
+                        Element::FrameStart(fi)
+                    }
+                    other => other,
+                });
+            }
+            *tracker = RangeTracker::new();
+            *hist = new_hist();
+        };
+        for el in els.iter().cloned() {
+            let closes = match &el {
+                Element::SectorStart(_) if held.is_empty() => {
+                    out.push(el);
+                    continue;
+                }
+                Element::FrameStart(_) => {
+                    stats.frames_in += 1;
+                    stats.stalls += 1;
+                    false
+                }
+                Element::Point(p) => {
+                    stats.points_in += 1;
+                    tracker.push(p.value.to_f64());
+                    if let Some(h) = &mut hist {
+                        h.push(p.value.to_f64());
+                    }
+                    stats.buffer_grow(1, 4);
+                    false
+                }
+                Element::FrameEnd(_) => scope == StretchScope::Frame,
+                Element::SectorEnd(_) => true,
+                Element::SectorStart(_) => false,
+            };
+            held.push(el);
+            if closes {
+                flush(&mut held, &mut tracker, &mut hist, &mut out, &mut stats);
+            }
+        }
+        if !held.is_empty() {
+            flush(&mut held, &mut tracker, &mut hist, &mut out, &mut stats);
+        }
+        (out, stats)
+    }
+
+    /// `magnify`, one element at a time: each point becomes its `k × k`
+    /// block, rows of the block top to bottom; the sector's lattice and
+    /// each frame's cell box scale by `k`. Returns the elements and the
+    /// operator's counters.
+    pub fn magnify(els: &[Element<f32>], k: u32) -> (Els, OpStats) {
+        let (mut out, mut stats) = (Vec::new(), OpStats::default());
+        for el in els.iter().cloned() {
+            match el {
+                Element::SectorStart(si) => out.push(Element::SectorStart(SectorInfo {
+                    lattice: si.lattice.magnified(k),
+                    ..si
+                })),
+                Element::FrameStart(fi) => {
+                    stats.frames_in += 1;
+                    stats.frames_out += 1;
+                    let c = fi.cells;
+                    let cells = CellBox::new(
+                        c.col_min * k,
+                        c.row_min * k,
+                        c.col_max * k + (k - 1),
+                        c.row_max * k + (k - 1),
+                    );
+                    out.push(Element::FrameStart(FrameInfo { cells, ..fi }));
+                }
+                Element::Point(p) => {
+                    stats.points_in += 1;
+                    for dr in 0..k {
+                        for dc in 0..k {
+                            stats.points_out += 1;
+                            let cell = Cell::new(p.cell.col * k + dc, p.cell.row * k + dr);
+                            out.push(Element::point(cell, p.value));
+                        }
+                    }
+                }
+                other => out.push(other),
+            }
+        }
+        (out, stats)
+    }
+
+    /// `downsample`, one element at a time: one output frame per sector
+    /// on the lattice reduced by `k`; each point adds its value to its
+    /// block's running sum (24 bytes a live block, one buffered point per
+    /// value). A block leaves as the mean of what it holds when it
+    /// completes `k²` points — with every open block to its left in its
+    /// row — when a frame starts below its rows, or at `SectorEnd`.
+    /// Returns the elements and the operator's counters.
+    pub fn downsample(els: &[Element<f32>], k: u32) -> (Els, OpStats) {
+        const ENTRY: u64 = 24;
+        // Open output rows from `first`, each its blocks' (sum, count)
+        // and the column below which they are emitted.
+        type Row = (Vec<(f64, u32)>, u32);
+        let (mut out, mut stats) = (Vec::new(), OpStats::default());
+        let (mut rows, mut first) = (VecDeque::<Row>::new(), 0u32);
+        let (mut out_lattice, mut open, mut next_frame_id) = (None::<LatticeGeoref>, None, 0u64);
+        let emit = |row: &mut Row,
+                    r: u32,
+                    cols: std::ops::Range<u32>,
+                    out: &mut Els,
+                    stats: &mut OpStats| {
+            for col in cols {
+                let (sum, n) = std::mem::take(&mut row.0[col as usize]);
+                if n > 0 {
+                    stats.buffer_shrink(u64::from(n), ENTRY);
+                    stats.points_out += 1;
+                    out.push(Element::point(Cell::new(col, r), f32::from_f64(sum / f64::from(n))));
+                }
+            }
+        };
+        let flush_above = |end: u32,
+                           rows: &mut VecDeque<Row>,
+                           first: &mut u32,
+                           out: &mut Els,
+                           stats: &mut OpStats| {
+            while *first < end {
+                let Some(mut row) = rows.pop_front() else { break };
+                let width = row.0.len() as u32;
+                emit(&mut row, *first, 0..width, out, stats);
+                *first += 1;
+            }
+        };
+        for el in els.iter().cloned() {
+            match el {
+                Element::SectorStart(si) => {
+                    let lat = si.lattice.reduced(k);
+                    out_lattice = Some(lat);
+                    rows.clear();
+                    open = Some((next_frame_id, si.sector_id));
+                    out.push(Element::SectorStart(SectorInfo { lattice: lat, ..si.clone() }));
+                    if !lat.is_empty() {
+                        stats.frames_out += 1;
+                        out.push(Element::FrameStart(FrameInfo {
+                            frame_id: next_frame_id,
+                            sector_id: si.sector_id,
+                            timestamp: si.timestamp,
+                            cells: CellBox::full(lat.width, lat.height),
+                            synth_ns: 0,
+                        }));
+                    }
+                    next_frame_id += 1;
+                }
+                Element::FrameStart(fi) => {
+                    stats.frames_in += 1;
+                    stats.stalls += 1;
+                    flush_above(fi.cells.row_min / k, &mut rows, &mut first, &mut out, &mut stats);
+                }
+                Element::Point(p) => {
+                    stats.points_in += 1;
+                    let Some(lat) = out_lattice else { continue };
+                    let (oc, or) = (p.cell.col / k, p.cell.row / k);
+                    if oc >= lat.width || or >= lat.height {
+                        continue;
+                    }
+                    if rows.is_empty() {
+                        first = or;
+                    }
+                    let new_row = || (vec![(0.0, 0u32); lat.width as usize], 0u32);
+                    while or < first {
+                        rows.push_front(new_row());
+                        first -= 1;
+                    }
+                    while or >= first + rows.len() as u32 {
+                        rows.push_back(new_row());
+                    }
+                    let row = &mut rows[(or - first) as usize];
+                    let block = &mut row.0[oc as usize];
+                    if block.1 == 0 {
+                        stats.buffer_grow(0, ENTRY);
+                    }
+                    block.0 += p.value.to_f64();
+                    block.1 += 1;
+                    let complete = block.1 == k * k;
+                    stats.buffer_grow(1, 0);
+                    if complete {
+                        let next = row.1;
+                        emit(row, or, next.min(oc)..oc + 1, &mut out, &mut stats);
+                        row.1 = next.max(oc + 1);
+                    }
+                }
+                Element::FrameEnd(_) => {}
+                Element::SectorEnd(se) => {
+                    flush_above(u32::MAX, &mut rows, &mut first, &mut out, &mut stats);
+                    if let Some((frame_id, sector_id)) = open.take() {
+                        out.push(Element::FrameEnd(FrameEnd { frame_id, sector_id }));
+                    }
+                    out.push(Element::SectorEnd(SectorEnd { sector_id: se.sector_id }));
+                }
+            }
+        }
+        (out, stats)
     }
 }

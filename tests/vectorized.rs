@@ -830,6 +830,127 @@ fn focal_matches_the_per_element_reference() {
     }
 }
 
+/// `build(make())` against the per-element `reference` of
+/// `tests/common` at every budget of the oracle and one past the input
+/// row: the same elements, the same `f32` bits and the same `OpStats`,
+/// buffer counters included.
+fn assert_matches_reference<S: GeoStream<V = f32>, O: GeoStream<V = f32>>(
+    label: &str,
+    make: impl Fn() -> S,
+    build: impl Fn(S) -> O,
+    reference: impl Fn(&[Element<f32>]) -> (Vec<Element<f32>>, OpStats),
+) {
+    let input = make().drain_elements();
+    let (want, want_stats) = reference(&input);
+    assert!(want.iter().any(Element::is_point), "{label}: the reference emits no point");
+    let width = input
+        .iter()
+        .find_map(|el| match el {
+            Element::SectorStart(si) => Some(si.lattice.width as usize),
+            _ => None,
+        })
+        .unwrap();
+    let bits = |els: &[Element<f32>]| -> Vec<u32> {
+        els.iter()
+            .filter_map(|el| match el {
+                Element::Point(p) => Some(p.value.to_bits()),
+                _ => None,
+            })
+            .collect()
+    };
+    for budget in [1, 7, 256, 1024, width + 1] {
+        let mut op = build(make());
+        let got = drain_chunked(&mut op, budget);
+        let at = format!("{label}, budget {budget}");
+        assert_eq!(got, want, "{at}: elements");
+        assert_eq!(bits(&got), bits(&want), "{at}: value bits");
+        assert_eq!(op.op_stats(), want_stats, "{at}: OpStats");
+    }
+}
+
+/// `agg_time`, `delay`, `stretch`, `magnify` and `downsample` over
+/// `make()` against their per-element references.
+fn assert_sector_and_scope_operators<S: GeoStream<V = f32>>(label: &str, make: impl Fn() -> S) {
+    for func in [AggFunc::Mean, AggFunc::Min, AggFunc::Max, AggFunc::Sum, AggFunc::Count] {
+        for window in [1, 2, 3] {
+            assert_matches_reference(
+                &format!("{label}, agg_time {func:?} w={window}"),
+                &make,
+                |s| TemporalAggregate::new(s, func, window),
+                |els| reference::agg_time(els, func, window),
+            );
+        }
+    }
+    for d in [1, 2] {
+        assert_matches_reference(
+            &format!("{label}, delay {d}"),
+            &make,
+            |s| Delay::new(s, d),
+            |els| reference::delay(els, d as usize),
+        );
+    }
+    let value_range = make().schema().value_range;
+    for mode in [
+        StretchMode::Linear { out_lo: 0.0, out_hi: 255.0 },
+        StretchMode::HistEq { bins: 16 },
+        StretchMode::Gaussian { n_sigma: 2.0 },
+    ] {
+        for scope in [StretchScope::Frame, StretchScope::Image] {
+            assert_matches_reference(
+                &format!("{label}, stretch {mode:?} {scope:?}"),
+                &make,
+                |s| StretchTransform::new(s, mode, scope),
+                |els| reference::stretch(els, mode, scope, value_range),
+            );
+        }
+    }
+    assert_resolution_operators(label, make);
+}
+
+/// `magnify` and `downsample` over `make()` against their per-element
+/// references.
+fn assert_resolution_operators<S: GeoStream<V = f32>>(label: &str, make: impl Fn() -> S) {
+    for k in [1, 2, 3] {
+        assert_matches_reference(
+            &format!("{label}, magnify {k}"),
+            &make,
+            |s| Magnify::new(s, k),
+            |els| reference::magnify(els, k),
+        );
+    }
+    for k in [2, 3, 4] {
+        assert_matches_reference(
+            &format!("{label}, downsample {k}"),
+            &make,
+            |s| Downsample::new(s, k),
+            |els| reference::downsample(els, k),
+        );
+    }
+}
+
+#[test]
+fn sector_and_scope_operators_match_the_per_element_reference() {
+    let goes = || goes_like(48, 24, 11).band_stream(0, 3);
+    let moving = || lattice_sequence(&[shifted(0.0), shifted(0.5), shifted(0.0)]);
+    assert_sector_and_scope_operators("goes_like", goes);
+    assert_sector_and_scope_operators("restricted goes_like", restricted_goes_like);
+    assert_sector_and_scope_operators("damaged_then_repaired", damaged_then_repaired);
+    assert_sector_and_scope_operators("shed points", shed_points);
+    assert_sector_and_scope_operators("lattices A, B, A", moving);
+    // Values that cancel: a window summed in another order than oldest
+    // first gives other bits.
+    let cancelling = || {
+        VecStream::<f32>::sectors("cancelling", shifted(0.0), 5, |s, c, r| {
+            [1e20, -1e20, f64::from(c + r) + 0.25][s as usize % 3]
+        })
+    };
+    assert_sector_and_scope_operators("cancelling sectors", cancelling);
+    // Magnification and downsampling accept input out of lattice order.
+    for o in [Orientation::Rot90, Orientation::Rot180, Orientation::FlipV, Orientation::Transpose] {
+        assert_resolution_operators(&format!("orient {o:?}"), || Orient::new(goes(), o));
+    }
+}
+
 /// The reference image assembler, one scalar pull per element: what
 /// `ImageAssembler` must produce however its input is chunked.
 fn reference_images<S: GeoStream<V = f32>>(mut s: S) -> Vec<RasterImage<f32>> {
