@@ -28,6 +28,7 @@ use std::ops::Range;
 
 /// Which input rows each output row of a sector reads: the emission and
 /// eviction schedule of a row window.
+#[derive(Debug, PartialEq)]
 pub(crate) struct RowSchedule {
     /// Per output row, the inclusive input-row window `(lo, hi)` its
     /// kernel reads, or `None` when the row is skipped.
@@ -326,20 +327,25 @@ impl<V: Pixel> RowWindow<V> {
         self.held -= freed;
         self.account(stats, freed, OpStats::buffer_shrink);
     }
+
+    /// The values of input row `row` as a [`SampleSource`] reads it: a
+    /// row off the sector is its nearest edge row, one above the window
+    /// its first row and one past the last row seen that row; `None`
+    /// (read as `0.0`) when that row never arrived.
+    #[inline]
+    pub(crate) fn row(&self, row: i64) -> Option<&[V]> {
+        let row = (row.clamp(0, i64::from(self.height) - 1) as u32)
+            .clamp(self.first_row, self.first_row + self.len.max(1) - 1);
+        let (slot, w) = (self.slot(row), self.width as usize);
+        self.received[slot].then(|| &self.data[slot * w..][..w])
+    }
 }
 
 impl<V: Pixel> SampleSource for RowWindow<V> {
     #[inline]
     fn at(&self, col: i64, row: i64) -> f64 {
         let col = col.clamp(0, i64::from(self.width) - 1) as usize;
-        let row = (row.clamp(0, i64::from(self.height) - 1) as u32)
-            .clamp(self.first_row, self.first_row + self.len.max(1) - 1);
-        let slot = self.slot(row);
-        if self.received[slot] {
-            self.data[slot * self.width as usize + col].to_f64()
-        } else {
-            0.0
-        }
+        self.row(row).map_or(0.0, |values| values[col].to_f64())
     }
 }
 
@@ -427,6 +433,62 @@ mod tests {
         assert_eq!(frame(&mut window, 2, &[]), None);
         assert_eq!(frame(&mut window, 3, &points(3, 4)), Some(0));
         assert_eq!(window.at(0, 1), 0.0);
+    }
+
+    #[test]
+    fn a_row_reads_as_the_window_samples_it() {
+        // Rows 0–3 and 5 of a 4 × 10 sector arrive, row 4 does not;
+        // output rows 0–2 of a ±1 band leave and evict rows 0 and 1.
+        let schedule = RowSchedule::band(10, 1);
+        let (mut window, mut stats) = (RowWindow::<f32>::new(), OpStats::default());
+        window.open(4, 10, &mut stats);
+        // A window that has seen no row reads zeros everywhere.
+        for r in [-2, 0, 3, 10] {
+            assert_eq!(window.row(r), None, "row {r} of an empty window");
+            assert_eq!(window.at(1, r), 0.0);
+        }
+        let values = |row: u32| (0..4).map(|col| (10 * row + col) as f32).collect::<Vec<_>>();
+        let arrive = |window: &mut RowWindow<f32>, stats: &mut OpStats, row: u32| {
+            window.frame_start(&CellBox::new(0, row, 3, row), stats);
+            let run: Vec<_> = (0..4)
+                .map(|col| PointRecord {
+                    cell: Cell::new(col, row),
+                    value: values(row)[col as usize],
+                })
+                .collect();
+            window.ingest_run(&run, stats);
+            window.frame_end();
+        };
+        let mut emitted = vec![];
+        for row in 0..4 {
+            arrive(&mut window, &mut stats, row);
+            while let Some(r) = window.next_ready_row(&schedule, false, &mut stats) {
+                emitted.push(r);
+            }
+        }
+        // Row 5's frame rules row 4 out; no output row leaves after it.
+        arrive(&mut window, &mut stats, 5);
+        assert_eq!(emitted, vec![0, 1, 2]);
+        assert_eq!((window.first_row, window.len), (2, 4), "rows 2..=5 held");
+        let cases: [(i64, Option<u32>, &str); 9] = [
+            (-3, Some(2), "a negative row reads as the first row held"),
+            (0, Some(2), "an evicted row reads as the first row held"),
+            (1, Some(2), "an evicted row reads as the first row held"),
+            (3, Some(3), "a received row is itself"),
+            (4, None, "a row not received reads as zeros"),
+            (5, Some(5), "the last row seen is itself"),
+            (7, Some(5), "a row past the last one seen reads as it"),
+            (10, Some(5), "the sector height clamps to the last row"),
+            (25, Some(5), "a row past the sector height clamps too"),
+        ];
+        for (r, want, why) in cases {
+            let want = want.map(values);
+            assert_eq!(window.row(r), want.as_deref(), "row {r}: {why}");
+            for col in -1..5 {
+                let at = want.as_ref().map_or(0.0, |v| f64::from(v[col.clamp(0, 3) as usize]));
+                assert_eq!(window.at(col, r), at, "at({col}, {r}): {why}");
+            }
+        }
     }
 
     #[test]

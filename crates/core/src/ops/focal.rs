@@ -19,7 +19,6 @@ use crate::model::{
 };
 use crate::stats::{OpReport, OpStats};
 use geostreams_geo::{Cell, CellBox};
-use geostreams_raster::resample::SampleSource;
 use geostreams_raster::Pixel;
 use serde::{Deserialize, Serialize};
 
@@ -96,7 +95,7 @@ pub struct FocalTransform<S: GeoStream> {
     /// Timestamp of the last input frame opened: the output frames'.
     timestamp: Timestamp,
     queue: RunQueue<S::V>,
-    scratch: Vec<f64>,
+    kernel: RowKernel,
     stats: OpStats,
     schema: StreamSchema,
 }
@@ -122,7 +121,7 @@ impl<S: GeoStream> FocalTransform<S> {
             sector: None,
             timestamp: Timestamp::default(),
             queue: RunQueue::new(),
-            scratch: Vec::new(),
+            kernel: RowKernel::default(),
             stats: OpStats::default(),
             schema,
         }
@@ -181,10 +180,10 @@ impl<S: GeoStream> FocalTransform<S> {
             })));
             if width > 0 {
                 let mut run = Chunk::with_budget(width as usize);
-                let rows = &self.window;
-                run.points.extend((0..width).map(|col| {
-                    let v = evaluate(self.func, self.k, rows, &mut self.scratch, col, row);
-                    PointRecord { cell: Cell::new(col, row), value: S::V::from_f64(v) }
+                let values = self.kernel.evaluate(self.func, self.k, &self.window, width, row);
+                run.points.extend((0..width).zip(values).map(|(col, &v)| PointRecord {
+                    cell: Cell::new(col, row),
+                    value: S::V::from_f64(v),
                 }));
                 self.queue.push(ChunkOrMarker::Chunk(run));
             }
@@ -194,56 +193,104 @@ impl<S: GeoStream> FocalTransform<S> {
     }
 }
 
-/// The focal function `func` of kernel size `k` at one cell of `rows`.
-fn evaluate<V: Pixel>(
-    func: FocalFunc,
-    k: u32,
-    rows: &RowWindow<V>,
-    scratch: &mut Vec<f64>,
-    col: u32,
-    row: u32,
-) -> f64 {
-    let (c, r, h) = (i64::from(col), i64::from(row), i64::from(k / 2));
-    let at = |dc: i64, dr: i64| rows.at(c + dc, r + dr);
-    match func {
-        FocalFunc::Sobel => {
-            let gx = (at(1, -1) + 2.0 * at(1, 0) + at(1, 1))
-                - (at(-1, -1) + 2.0 * at(-1, 0) + at(-1, 1));
-            let gy = (at(-1, 1) + 2.0 * at(0, 1) + at(1, 1))
-                - (at(-1, -1) + 2.0 * at(0, -1) + at(1, -1));
-            gx.hypot(gy)
+/// The buffers of the row kernel: the `k` input rows of one output row
+/// as border-padded `f64` rows, one accumulator per output column and
+/// the taps of one median.
+#[derive(Default)]
+struct RowKernel {
+    padded: Vec<f64>,
+    acc: Vec<f64>,
+    taps: Vec<f64>,
+}
+
+impl RowKernel {
+    /// The focal function `func` of kernel size `k` over output row `row`
+    /// of `rows`, `width` input cells wide: one value per column. Each
+    /// input row is converted to `f64` once, padded `k / 2` cells each
+    /// side with its edge values; a row that never arrived reads as
+    /// zeros. Every cell sums, and compares, its taps in one order, `dr`
+    /// outer and `dc` inner, so the values keep their bits.
+    fn evaluate<V: Pixel>(
+        &mut self,
+        func: FocalFunc,
+        k: u32,
+        rows: &RowWindow<V>,
+        width: u32,
+        row: u32,
+    ) -> &[f64] {
+        let (w, h, k) = (width as usize, k as usize / 2, k as usize);
+        let stride = w + 2 * h;
+        self.padded.resize(k * stride, 0.0);
+        for (dst, dr) in self.padded.chunks_exact_mut(stride).zip(-(h as i64)..) {
+            match rows.row(i64::from(row) + dr) {
+                Some(values) => {
+                    for (d, v) in dst[h..h + w].iter_mut().zip(values) {
+                        *d = v.to_f64();
+                    }
+                    let (first, last) = (dst[h], dst[h + w - 1]);
+                    dst[..h].fill(first);
+                    dst[h + w..].fill(last);
+                }
+                None => dst.fill(0.0),
+            }
         }
-        FocalFunc::Laplacian => at(-1, 0) + at(1, 0) + at(0, -1) + at(0, 1) - 4.0 * at(0, 0),
-        FocalFunc::Mean => {
-            let mut acc = 0.0;
-            for dr in -h..=h {
-                for dc in -h..=h {
-                    acc += at(dc, dr);
+        // Padded row `i` holds input row `row + i - h`; the tap
+        // `(i - h, j - h)` of every column starts at its cell `j`. Sobel
+        // and Laplacian are always 3 × 3 (`FocalFunc::kernel_size`).
+        let padded = |i: usize| &self.padded[i * stride..][..stride];
+        let tap = |i: usize, j: usize| &padded(i)[j..][..w];
+        self.acc.clear();
+        match func {
+            FocalFunc::Sobel => {
+                let (n, m, s) = (padded(0), padded(1), padded(2));
+                self.acc.extend((0..w).map(|c| {
+                    let gx = (n[c + 2] + 2.0 * m[c + 2] + s[c + 2]) - (n[c] + 2.0 * m[c] + s[c]);
+                    let gy =
+                        (s[c] + 2.0 * s[c + 1] + s[c + 2]) - (n[c] + 2.0 * n[c + 1] + n[c + 2]);
+                    gx.hypot(gy)
+                }));
+            }
+            FocalFunc::Laplacian => {
+                let (n, m, s) = (padded(0), padded(1), padded(2));
+                self.acc
+                    .extend((0..w).map(|c| m[c] + m[c + 2] + n[c + 1] + s[c + 1] - 4.0 * m[c + 1]));
+            }
+            FocalFunc::Mean => {
+                self.acc.resize(w, 0.0);
+                for i in 0..k {
+                    for j in 0..k {
+                        for (acc, v) in self.acc.iter_mut().zip(tap(i, j)) {
+                            *acc += v;
+                        }
+                    }
+                }
+                let n = (k * k) as f64;
+                self.acc.iter_mut().for_each(|acc| *acc /= n);
+            }
+            FocalFunc::Min | FocalFunc::Max => {
+                let min = matches!(func, FocalFunc::Min);
+                self.acc.resize(w, if min { f64::INFINITY } else { f64::NEG_INFINITY });
+                for i in 0..k {
+                    for j in 0..k {
+                        for (best, &v) in self.acc.iter_mut().zip(tap(i, j)) {
+                            *best = if min { best.min(v) } else { best.max(v) };
+                        }
+                    }
                 }
             }
-            acc / ((k * k) as f64)
-        }
-        FocalFunc::Min | FocalFunc::Max => {
-            let min = matches!(func, FocalFunc::Min);
-            let mut best = if min { f64::INFINITY } else { f64::NEG_INFINITY };
-            for dr in -h..=h {
-                for dc in -h..=h {
-                    let v = at(dc, dr);
-                    best = if min { best.min(v) } else { best.max(v) };
-                }
+            FocalFunc::Median => {
+                let taps = &mut self.taps;
+                self.acc.extend((0..w).map(|c| {
+                    taps.clear();
+                    for i in 0..k {
+                        taps.extend_from_slice(&padded(i)[c..][..k]);
+                    }
+                    taps.sort_by(f64::total_cmp);
+                    taps[taps.len() / 2]
+                }));
             }
-            best
         }
-        FocalFunc::Median => {
-            scratch.clear();
-            for dr in -h..=h {
-                for dc in -h..=h {
-                    scratch.push(at(dc, dr));
-                }
-            }
-            scratch.sort_by(f64::total_cmp);
-            scratch[scratch.len() / 2]
-        }
+        &self.acc
     }
 }
 

@@ -609,7 +609,7 @@ fn marker_name(m: &Marker) -> &'static str {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::{drain_chunked, Chunk, GeoStream, VecStream};
+    use crate::model::{drain_chunked, GeoStream, VecStream};
     use geostreams_geo::{Crs, LatticeGeoref, Rect};
 
     fn source(sectors: u64) -> VecStream<f32> {
@@ -715,7 +715,7 @@ mod tests {
     #[cfg(debug_assertions)]
     #[test]
     fn checker_flags_edge_crossing_chunks() {
-        use crate::model::{Element, SectorEnd};
+        use crate::model::{Chunk, Element, SectorEnd};
         // A chunk terminated by a SectorEnd crosses the frame edge.
         let mut checker = ChunkProtocolChecker::new();
         let els = source(1).drain_elements();
@@ -750,7 +750,7 @@ mod tests {
     #[cfg(debug_assertions)]
     #[test]
     fn checker_flags_budget_rule_breaches() {
-        use crate::model::{FrameEnd, PointRecord};
+        use crate::model::{Chunk, FrameEnd, PointRecord};
         let run = |n: usize, end: Option<Marker>| {
             let mut c = Chunk::<f32>::with_budget(n);
             c.points.resize(n, PointRecord { cell: geostreams_geo::Cell::new(0, 0), value: 1.0 });

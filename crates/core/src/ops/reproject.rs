@@ -25,7 +25,8 @@
 //! once and reused while the next sector arrives on an equal lattice (a
 //! scanner repeats its sector geometry). A row's source coordinates are
 //! projected the first time the row is emitted, so a one-sector run
-//! projects no more than it emits. Input runs are written into a
+//! projects no more than it emits, and a whole row at a time: the
+//! source projection's batch path shares the work of a parallel. Input runs are written into a
 //! row-major ring of input rows; each output row leaves as one
 //! `FrameStart`, one run and one `FrameEnd`.
 
@@ -152,38 +153,33 @@ impl CrsPair {
         Some(LatticeGeoref::north_up(self.to_crs, out, in_lattice.width, in_lattice.height))
     }
 
-    /// Fractional input-lattice coordinates of an output cell; `None`
-    /// when the point is unmappable (e.g. beyond the geostationary limb).
-    fn source_of(
+    /// Fractional input-lattice coordinates `(col, fc, fr)` of the cells
+    /// `cols` of output row `row` that map (those beyond the
+    /// geostationary limb, say, do not), in column order. Each cell is
+    /// inverted out of the target CRS, then the row is projected into
+    /// the source CRS in one [`Projection::forward_batch`]: the cells of
+    /// a north-up lat/lon row share their latitude.
+    fn row_sources(
         &self,
         in_lattice: &LatticeGeoref,
         out_lattice: &LatticeGeoref,
-        cell: Cell,
-    ) -> Option<(f64, f64)> {
-        let ll = self.to.inverse(out_lattice.cell_to_world(cell)).ok()?;
-        let xy = self.from.forward(ll).ok()?;
-        Some(in_lattice.world_to_fractional(xy))
-    }
-
-    /// The mapping-table entry of an output cell: its source
-    /// coordinates, or [`NO_SOURCE`] outside the input lattice.
-    fn table_entry(
-        &self,
-        in_lattice: &LatticeGeoref,
-        out_lattice: &LatticeGeoref,
-        cell: Cell,
-    ) -> [f64; 2] {
-        let Some((fc, fr)) = self.source_of(in_lattice, out_lattice, cell) else {
-            return NO_SOURCE;
-        };
-        if fc < -0.5
-            || fr < -0.5
-            || fc > f64::from(in_lattice.width) - 0.5
-            || fr > f64::from(in_lattice.height) - 0.5
-        {
-            return NO_SOURCE;
+        row: u32,
+        cols: impl Iterator<Item = u32>,
+    ) -> impl Iterator<Item = (u32, f64, f64)> {
+        let (mut mapped, mut lonlat) = (Vec::new(), Vec::new());
+        for col in cols {
+            if let Ok(ll) = self.to.inverse(out_lattice.cell_to_world(Cell::new(col, row))) {
+                mapped.push(col);
+                lonlat.push(ll);
+            }
         }
-        [fc, fr]
+        let mut xy = Vec::with_capacity(lonlat.len());
+        self.from.forward_batch(&lonlat, &mut xy);
+        let in_lattice = *in_lattice;
+        mapped.into_iter().zip(xy).filter_map(move |(col, xy)| {
+            let (fc, fr) = in_lattice.world_to_fractional(xy?);
+            Some((col, fc, fr))
+        })
     }
 
     /// The metadata-assisted schedule: per output row, the source rows
@@ -199,14 +195,11 @@ impl CrsPair {
         let step = (w / 16).max(1) as usize;
         let needed = (0..out_lattice.height)
             .map(|row| {
+                let cols = (0..w).step_by(step).chain(w.checked_sub(1));
                 let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
-                for col in (0..w).step_by(step).chain(w.checked_sub(1)) {
-                    if let Some((_, fr)) =
-                        self.source_of(in_lattice, out_lattice, Cell::new(col, row))
-                    {
-                        lo = lo.min(fr);
-                        hi = hi.max(fr);
-                    }
+                for (_, _, fr) in self.row_sources(in_lattice, out_lattice, row, cols) {
+                    lo = lo.min(fr);
+                    hi = hi.max(fr);
                 }
                 lo.is_finite().then(|| {
                     let lo_row = (lo.floor() as i64 - i64::from(margin)).max(0) as u32;
@@ -218,6 +211,19 @@ impl CrsPair {
             .collect();
         RowSchedule::new(needed, in_h)
     }
+}
+
+/// The mapping-table entry of source coordinates `(fc, fr)`: the
+/// coordinates, or [`NO_SOURCE`] outside the input lattice.
+fn table_entry(in_lattice: &LatticeGeoref, fc: f64, fr: f64) -> [f64; 2] {
+    if fc < -0.5
+        || fr < -0.5
+        || fc > f64::from(in_lattice.width) - 0.5
+        || fr > f64::from(in_lattice.height) - 0.5
+    {
+        return NO_SOURCE;
+    }
+    [fc, fr]
 }
 
 /// Everything the operator derives from one sector lattice: a constant
@@ -260,13 +266,13 @@ impl Mapping {
         let w = out_lattice.width as usize;
         while self.table.len() < (row as usize + 1) * w {
             let r = (self.table.len() / w) as u32;
+            let start = self.table.len();
+            self.table.resize(start + w, NO_SOURCE);
             if self.schedule.emits(r) {
-                self.table.extend(
-                    (0..w as u32)
-                        .map(|col| pair.table_entry(&in_lattice, &out_lattice, Cell::new(col, r))),
-                );
-            } else {
-                self.table.resize(self.table.len() + w, NO_SOURCE);
+                let cols = 0..w as u32;
+                for (col, fc, fr) in pair.row_sources(&in_lattice, &out_lattice, r, cols) {
+                    self.table[start + col as usize] = table_entry(&in_lattice, fc, fr);
+                }
             }
         }
         &self.table[row as usize * w..][..w]
@@ -473,6 +479,7 @@ impl<S: GeoStream> Reproject<S> {
 mod tests {
     use super::*;
     use crate::model::{Element, VecStream};
+    use geostreams_geo::projection::Geostationary;
     use geostreams_geo::Coord as GeoCoord;
 
     /// A lat/lon sector over Northern California.
@@ -653,6 +660,85 @@ mod tests {
         assert_eq!(stats.buffered_bytes, table, "the table outlives its sectors");
         assert_eq!(stats.buffered_points, 0, "the window does not");
         assert_eq!(stats.buffered_bytes_peak, table + stats.buffered_points_peak * 4);
+    }
+
+    /// The mapping-table entry of one output cell, projected on its own.
+    fn per_cell_entry(
+        pair: &CrsPair,
+        in_lattice: &LatticeGeoref,
+        out_lattice: &LatticeGeoref,
+        cell: Cell,
+    ) -> Option<[f64; 2]> {
+        let ll = pair.to.inverse(out_lattice.cell_to_world(cell)).ok()?;
+        let (fc, fr) = in_lattice.world_to_fractional(pair.from.forward(ll).ok()?);
+        Some(table_entry(in_lattice, fc, fr))
+    }
+
+    #[test]
+    fn table_rows_and_schedule_equal_the_per_cell_projection() {
+        // The eastern part of the GOES-East disk, and output lattices
+        // from 60° W to 15° E: the cells east of the limb (about 6° E on
+        // the equator) have no source, and those west of the input
+        // lattice map off it.
+        let geos = Crs::geostationary(-75.0);
+        let h = Geostationary::new(-75.0).height();
+        let bounds = Rect::new(0.06 * h, -0.17 * h, 0.17 * h, 0.17 * h);
+        let in_lattice = LatticeGeoref::north_up(geos, bounds, 40, 30);
+        let utm = Crs::utm(28, true);
+        let (sw, ne) = (GeoCoord::new(-60.0, -30.0), GeoCoord::new(15.0, 30.0));
+        let (a, b) = (utm.forward(sw).unwrap(), utm.forward(ne).unwrap());
+        for (to, area) in
+            [(Crs::LatLon, Rect::new(sw.x, sw.y, ne.x, ne.y)), (utm, Rect::new(a.x, a.y, b.x, b.y))]
+        {
+            let output_lattice = Some(LatticeGeoref::north_up(to, area, 36, 28));
+            let config = ReprojectConfig { output_lattice, ..ReprojectConfig::new(to) };
+            let pair = CrsPair::new(geos, to).unwrap();
+            let out = config.out_lattice(&pair, &in_lattice).expect("visible");
+            let mut mapping = Mapping::new(&config, &pair, in_lattice, out);
+            let (mut mapped, mut off_lattice, mut past_limb) = (0, 0, 0);
+            for row in 0..out.height {
+                let table = mapping.table_row(&pair, row).to_vec();
+                for (col, got) in (0..).zip(table) {
+                    let cell = Cell::new(col, row);
+                    let projected = per_cell_entry(&pair, &in_lattice, &out, cell);
+                    let want = match projected {
+                        Some(entry) if mapping.schedule.emits(row) => entry,
+                        _ => NO_SOURCE,
+                    };
+                    assert_eq!(got.map(f64::to_bits), want.map(f64::to_bits), "{to} {cell:?}");
+                    mapped += usize::from(got != NO_SOURCE);
+                    off_lattice += usize::from(projected == Some(NO_SOURCE));
+                    past_limb += usize::from(projected.is_none());
+                }
+            }
+            assert!(
+                mapped > 0 && off_lattice > 0 && past_limb > 0,
+                "{to}: {mapped} mapped, {off_lattice} off the lattice, {past_limb} past the limb"
+            );
+
+            // The schedule the per-cell projection samples.
+            let (w, in_h) = (out.width, in_lattice.height);
+            let margin = config.kernel.support() + config.safety_rows;
+            let step = (w / 16).max(1) as usize;
+            let needed = (0..out.height)
+                .map(|row| {
+                    let frs = (0..w).step_by(step).chain(w.checked_sub(1)).filter_map(|col| {
+                        let ll = pair.to.inverse(out.cell_to_world(Cell::new(col, row))).ok()?;
+                        Some(in_lattice.world_to_fractional(pair.from.forward(ll).ok()?).1)
+                    });
+                    let (lo, hi) = frs.fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), fr| {
+                        (lo.min(fr), hi.max(fr))
+                    });
+                    lo.is_finite().then(|| {
+                        let lo_row = (lo.floor() as i64 - i64::from(margin)).max(0) as u32;
+                        let hi_row =
+                            ((hi.ceil() as i64 + i64::from(margin)).max(0) as u32).min(in_h - 1);
+                        (lo_row.min(in_h - 1), hi_row)
+                    })
+                })
+                .collect();
+            assert_eq!(mapping.schedule, RowSchedule::new(needed, in_h), "{to}: schedule");
+        }
     }
 
     #[test]

@@ -51,24 +51,31 @@ impl Geostationary {
         let b = self.ellipsoid.b();
         (a * a) / (b * b)
     }
-}
 
-impl Projection for Geostationary {
-    fn forward(&self, lonlat: Coord) -> Result<Coord> {
-        let (lon, lat) = checked_lonlat_rad(lonlat)?;
-        let dlon = norm_lon_deg(deg(lon) - self.lon0_deg).to_radians();
-        let h_total = self.orbit_radius;
+    /// The terms of a surface point that depend on its latitude `lat`
+    /// (radians) alone: `rc · cos φc` and `sz = rc · sin φc`, from the
+    /// geocentric latitude `φc` and radius `rc`.
+    #[inline]
+    fn parallel(&self, lat: f64) -> (f64, f64) {
         let e2 = self.ellipsoid.e2();
         let r_pol = self.ellipsoid.b();
-
-        // Geocentric latitude and radius of the surface point.
         let phi_c = ((1.0 - e2) * lat.tan()).atan();
-        let rc = r_pol / (1.0 - e2 * phi_c.cos().powi(2)).sqrt();
+        let cos_c = phi_c.cos();
+        let rc = r_pol / (1.0 - e2 * cos_c.powi(2)).sqrt();
+        (rc * cos_c, rc * phi_c.sin())
+    }
+
+    /// The view of the surface point at longitude `lon` (radians) on the
+    /// parallel with [`parallel`](Self::parallel) terms `(rc_cos, sz)`;
+    /// `lonlat` names the point in the error.
+    #[inline]
+    fn view(&self, lonlat: Coord, lon: f64, (rc_cos, sz): (f64, f64)) -> Result<Coord> {
+        let dlon = norm_lon_deg(deg(lon) - self.lon0_deg).to_radians();
+        let h_total = self.orbit_radius;
 
         // Satellite-centered coordinates (x toward Earth center).
-        let sx = h_total - rc * phi_c.cos() * dlon.cos();
-        let sy = -rc * phi_c.cos() * dlon.sin();
-        let sz = rc * phi_c.sin();
+        let sx = h_total - rc_cos * dlon.cos();
+        let sy = -rc_cos * dlon.sin();
 
         // Visibility: the surface normal must face the satellite.
         if h_total * (h_total - sx) < sy * sy + self.axis_ratio2() * sz * sz {
@@ -83,6 +90,29 @@ impl Projection for Geostationary {
         let y_ang = (sz / sx).atan();
         let h = self.height();
         Ok(Coord::new(h * x_ang, h * y_ang))
+    }
+}
+
+impl Projection for Geostationary {
+    fn forward(&self, lonlat: Coord) -> Result<Coord> {
+        let (lon, lat) = checked_lonlat_rad(lonlat)?;
+        self.view(lonlat, lon, self.parallel(lat))
+    }
+
+    /// [`forward`](Projection::forward) with the latitude terms computed
+    /// once per run of points that share a latitude bit pattern, as the
+    /// cells of a north-up lat/lon row do.
+    fn forward_batch(&self, lonlat: &[Coord], out: &mut Vec<Option<Coord>>) {
+        out.clear();
+        let mut last: Option<(u64, (f64, f64))> = None;
+        out.extend(lonlat.iter().map(|&p| {
+            let (lon, lat) = checked_lonlat_rad(p).ok()?;
+            let terms = match last {
+                Some((bits, terms)) if bits == p.y.to_bits() => terms,
+                _ => last.insert((p.y.to_bits(), self.parallel(lat))).1,
+            };
+            self.view(p, lon, terms).ok()
+        }));
     }
 
     fn inverse(&self, xy: Coord) -> Result<Coord> {

@@ -46,6 +46,16 @@ pub trait Projection: Send + Sync + std::fmt::Debug {
     /// Recovers geographic `(lon, lat)` degrees from planar coordinates.
     fn inverse(&self, xy: Coord) -> Result<Coord>;
 
+    /// Projects every point of `lonlat` into `out`, which is cleared
+    /// first: one entry per point, bit-equal to
+    /// [`forward`](Self::forward)'s result, and `None` where `forward`
+    /// fails. A projection overrides it when a run of points can share
+    /// work, such as the points of one parallel.
+    fn forward_batch(&self, lonlat: &[Coord], out: &mut Vec<Option<Coord>>) {
+        out.clear();
+        out.extend(lonlat.iter().map(|&p| self.forward(p).ok()));
+    }
+
     /// Short human-readable name used in errors and plans.
     fn name(&self) -> &'static str;
 }

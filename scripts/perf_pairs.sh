@@ -39,9 +39,14 @@ fi
 parent_ref=$1 workload=$2 pairs=${3:-10} seed=${4:-1} trace=${5:-0}
 
 work=target/perf_pairs
+parent_rev=$(git rev-parse "$parent_ref^{commit}")
 rm -rf "$work/parent" "$work/change" "$work/runs"
-mkdir -p "$work/parent" "$work/change" "$work/runs"
-git archive "$parent_ref" | tar -x -C "$work/parent"
+# git archive stamps every file with the commit's time, so a target
+# directory built from a newer parent would look up to date to cargo:
+# it is kept only while the parent commit stays the same.
+[ "$(cat "$work/parent-target/.commit" 2>/dev/null)" = "$parent_rev" ] || rm -rf "$work/parent-target"
+mkdir -p "$work/parent" "$work/change" "$work/runs" "$work/parent-target"
+git archive "$parent_rev" | tar -x -C "$work/parent"
 git ls-files -z --cached --others --exclude-standard |
   while IFS= read -r -d '' f; do [ -e "$f" ] && printf '%s\0' "$f"; done |
   tar -c --null -T - | tar -x -C "$work/change"
@@ -66,6 +71,7 @@ for side in parent change; do
   (cd "$work/$side" && CARGO_TARGET_DIR="$root/$work/$side-target" \
     cargo build --quiet --offline --release --manifest-path bench/Cargo.toml)
 done
+echo "$parent_rev" > "$work/parent-target/.commit"
 
 for i in $(seq 1 "$pairs"); do
   if [ $((i % 2)) -eq 1 ]; then order="parent change"; else order="change parent"; fi

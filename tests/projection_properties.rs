@@ -6,7 +6,7 @@
 mod common;
 
 use common::Rng;
-use geostreams::geo::{map_region, Coord, Crs, LatticeGeoref, Rect, Region};
+use geostreams::geo::{map_region, Coord, Crs, LatticeGeoref, Projection, Rect, Region};
 
 /// CRSs under test with their geographic domains (lon range, lat range).
 fn crs_cases() -> Vec<(Crs, Rect)> {
@@ -51,6 +51,79 @@ fn all_projections_round_trip() {
         assert!((ll.x - lon).abs() < 1e-5, "{crs}: lon {lon} -> {}", ll.x);
         assert!((ll.y - lat).abs() < 1e-5, "{crs}: lat {lat} -> {}", ll.y);
     }
+}
+
+/// `forward_batch` of `points` under `crs` equals `forward` point by
+/// point: the same bits where `forward` succeeds, no result where it
+/// fails.
+fn assert_batch_is_forward(crs: Crs, proj: &dyn Projection, points: &[Coord], label: &str) {
+    // A stale entry in `out` must not survive the call.
+    let mut out = vec![Some(Coord::new(1.0, 2.0)); 3];
+    proj.forward_batch(points, &mut out);
+    assert_eq!(out.len(), points.len(), "{crs} {label}: one result per point");
+    for (&p, got) in points.iter().zip(&out) {
+        match (proj.forward(p), got) {
+            (Ok(want), Some(got)) => assert!(
+                want.x.to_bits() == got.x.to_bits() && want.y.to_bits() == got.y.to_bits(),
+                "{crs} {label}: {p} -> {got}, forward gives {want}"
+            ),
+            (Err(_), None) => {}
+            (want, got) => panic!("{crs} {label}: {p} -> {got:?}, forward gives {want:?}"),
+        }
+    }
+}
+
+#[test]
+fn forward_batch_equals_forward_for_every_crs() {
+    // Longitudes past ±180 and ±360, latitudes past ±90, non-finite
+    // values, and for GOES-East the far side of the disk.
+    let lons = |n: u32| (0..n).map(move |i| -400.0 + 800.0 * f64::from(i) / f64::from(n - 1));
+    let special_lats = [0.0, 37.5, -89.9, 90.0, -90.0, 90.5, -91.0, f64::NAN, f64::INFINITY];
+    let awkward = [
+        Coord::new(-75.0, 10.0),
+        Coord::new(f64::NAN, 10.0),
+        Coord::new(-75.5, 10.0),
+        Coord::new(500.0, 10.0),
+        Coord::new(-74.0, 10.0),
+        Coord::new(105.0, 10.0),
+        Coord::new(-73.0, 10.0),
+        Coord::new(-75.0, 91.0),
+        Coord::new(-72.0, 10.0),
+        Coord::new(f64::NEG_INFINITY, f64::NAN),
+        Coord::new(180.0, 45.0),
+        Coord::new(-180.0, 45.0),
+        Coord::new(360.0, 45.0),
+        Coord::new(-360.0, 45.0),
+        Coord::new(360.5, 45.0),
+        Coord::new(-0.0, -0.0),
+        Coord::new(0.0, 0.0),
+    ];
+    for (case, (crs, dom)) in (0u64..).zip(crs_cases()) {
+        let proj = crs.projection().unwrap();
+        let mut rng = Rng::new(5000 + case);
+        // Rows of one latitude, as a north-up lat/lon lattice row gives.
+        let domain_lats = [dom.y_min, dom.center().y, dom.y_max];
+        for lat in domain_lats.into_iter().chain(special_lats) {
+            let row: Vec<Coord> = lons(97).map(|lon| Coord::new(lon, lat)).collect();
+            assert_batch_is_forward(crs, &*proj, &row, &format!("row at lat {lat}"));
+        }
+        // Rows of mixed latitudes: random points, and runs of two.
+        let mixed: Vec<Coord> = (0..200)
+            .map(|_| Coord::new(rng.uniform(-370.0, 370.0), rng.uniform(-95.0, 95.0)))
+            .collect();
+        assert_batch_is_forward(crs, &*proj, &mixed, "mixed latitudes");
+        let runs: Vec<Coord> =
+            mixed.iter().flat_map(|&p| [p, Coord::new(p.x + 0.5, p.y)]).collect();
+        assert_batch_is_forward(crs, &*proj, &runs, "runs of two");
+        // A failing point inside a run of one latitude breaks no run.
+        assert_batch_is_forward(crs, &*proj, &awkward, "awkward points");
+        assert_batch_is_forward(crs, &*proj, &[], "no points");
+    }
+    // The geostationary rows above do cross the limb.
+    let goes = Crs::geostationary(-75.0).projection().unwrap();
+    let mut out = Vec::new();
+    goes.forward_batch(&lons(97).map(|lon| Coord::new(lon, 0.0)).collect::<Vec<_>>(), &mut out);
+    assert!(out.iter().any(Option::is_some) && out.iter().any(Option::is_none));
 }
 
 #[test]

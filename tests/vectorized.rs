@@ -811,6 +811,13 @@ fn focal_matches_the_per_element_reference() {
     // kept across the change would emit sector B's rows by A's.
     let small = LatticeGeoref::north_up(Crs::LatLon, Rect::new(-123.0, 37.0, -121.0, 38.0), 13, 9);
     let moving = || lattice_sequence(&[shifted(0.0), small, shifted(0.0)]);
+    // Values that cancel: a neighbourhood summed in another order than
+    // `dr` outer, `dc` inner gives other bits.
+    let cancelling = || {
+        VecStream::<f32>::sectors("cancelling", shifted(0.0), 2, |s, c, r| {
+            [1e20, -1e20, f64::from(c + r) + 0.25][(c as usize + 2 * r as usize + s as usize) % 3]
+        })
+    };
     for func in [
         FocalFunc::Mean,
         FocalFunc::Min,
@@ -826,6 +833,7 @@ fn focal_matches_the_per_element_reference() {
             assert_focal_matches_reference("magnified", magnified, func, k);
             assert_focal_matches_reference("lattices A, B, A", moving, func, k);
             assert_focal_matches_reference("shed points", shed_points, func, k);
+            assert_focal_matches_reference("cancelling values", cancelling, func, k);
         }
     }
 }
