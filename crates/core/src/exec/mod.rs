@@ -33,7 +33,9 @@ pub use morsel::{
 };
 pub use pool::{OrderedCollector, WorkerPool, WorkerStatsSnapshot};
 
-use crate::model::{ChunkOrMarker, Element, GeoStream, Marker, DEFAULT_CHUNK_BUDGET};
+use crate::model::{
+    ChunkOrMarker, Element, GeoStream, Marker, TimeSemantics, DEFAULT_CHUNK_BUDGET,
+};
 use crate::obs::{Histogram, HistogramSnapshot, PipelineObs, SampledClock};
 use crate::ops::ChunkProtocolChecker;
 use crate::stats::OpReport;
@@ -56,10 +58,11 @@ pub struct RunReport {
     pub per_op: Vec<OpReport>,
     /// Per-element pull latency at the pipeline root (nanoseconds).
     pub pull_latency: HistogramSnapshot,
-    /// Stream-protocol violations the debug-build
-    /// [`ChunkProtocolChecker`] observed at the pipeline root (marker
-    /// bracketing breaks, chunks crossing frame/sector edges). Always 0
-    /// in release builds, where the checker compiles out.
+    /// Stream-protocol violations the [`ChunkProtocolChecker`] observed
+    /// at the pipeline root (bracketing breaks, points outside their
+    /// frame or lattice, id regressions, chunks crossing frame/sector
+    /// edges). The driver runs the checker in debug builds only, so
+    /// this is 0 in release builds.
     pub protocol_violations: u64,
 }
 
@@ -197,22 +200,23 @@ struct Drive<F> {
     start: Instant,
     pull_ns: Histogram,
     clock: SampledClock,
-    /// Live protocol cross-check: observes every delivered item in
-    /// debug builds; compiles to a no-op in release builds (the static
-    /// certificate already carries the proof).
+    /// Live grammar check of every delivered item, in debug builds:
+    /// release builds skip it (the static certificate already carries
+    /// the proof).
     checker: ChunkProtocolChecker,
     report: RunReport,
 }
 
 impl<F> Drive<F> {
-    /// Starts a run whose items are pulled at `budget`.
-    fn begin(on_item: F, budget: usize) -> Self {
+    /// Starts a run whose items are pulled at `budget` from a stream of
+    /// `time_semantics`.
+    fn begin(on_item: F, budget: usize, time_semantics: TimeSemantics) -> Self {
         Drive {
             on_item,
             start: Instant::now(),
             pull_ns: Histogram::new(),
             clock: SampledClock::new(),
-            checker: ChunkProtocolChecker::with_budget(budget),
+            checker: ChunkProtocolChecker::new(budget, time_semantics),
             report: RunReport::default(),
         }
     }
@@ -238,7 +242,10 @@ impl<F> Drive<F> {
         if let Some(Marker::SectorEnd(_)) = item.marker() {
             self.report.sectors += 1;
         }
-        self.checker.observe(&item);
+        // The one place the build profile is read.
+        if cfg!(debug_assertions) {
+            self.checker.observe(&item);
+        }
         (self.on_item)(&item);
         item.recycle();
     }
@@ -269,7 +276,7 @@ where
     S: GeoStream,
     F: FnMut(&ChunkOrMarker<S::V>),
 {
-    let mut drive = Drive::begin(on_item, budget);
+    let mut drive = Drive::begin(on_item, budget, stream.schema().time_semantics);
     while let Some(item) = drive.next_chunk(stream, budget) {
         drive.deliver(item);
     }

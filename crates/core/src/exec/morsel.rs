@@ -385,7 +385,7 @@ where
         let run = run_chunked(inner, obs, budget, on_item);
         return MorselReport { run, morsels: 0, kernel_panics: 0 };
     }
-    let mut drive = Drive::begin(on_item, budget);
+    let mut drive = Drive::begin(on_item, budget, inner.schema().time_semantics);
     let schema = Arc::new(inner.schema().clone());
     let collector: Arc<OrderedCollector<Vec<ChunkOrMarker<f32>>>> =
         Arc::new(OrderedCollector::new());

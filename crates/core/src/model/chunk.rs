@@ -27,10 +27,11 @@
 //! * An operator reads whole input runs (`next_chunk`, or
 //!   [`ChunkInput`], which stages one chunk at a time and serves it as a
 //!   run the consumer takes a prefix of, or element by element) and
-//!   queues whole output runs (`RunQueue`). A stream whose logic is per
-//!   element — the validator, the `split2` sides, the scanner's marker
-//!   phases, chaos injection, repair of a damaged run, archive replay —
-//!   packs its output with [`pack_elements`].
+//!   queues whole output runs (`RunQueue`). The `split2` and `tee2`
+//!   sides, whose logic is per element, pack their output with
+//!   [`pack_elements`]; chaos injection, repair of a damaged run and
+//!   archive replay, which queue elements, pack the queue's front with
+//!   [`pack_queue`].
 
 use std::any::{Any, TypeId};
 use std::cell::RefCell;
@@ -388,10 +389,10 @@ impl<V: Pixel> ChunkOrMarker<V> {
 /// until the run holds `budget` of them or a marker cuts it short, that
 /// marker riding in [`Chunk::end`]. Returns `None` once `step` does.
 ///
-/// Streams whose state machine emits one element at a time (the
-/// validator, the `split2` sides, the scanner's marker phases)
-/// implement [`GeoStream::next_chunk`] as one call of this. No operator
-/// of `ops` does: they read and write whole runs.
+/// The `split2` and `tee2` sides, whose state machine emits one element
+/// at a time, implement [`GeoStream::next_chunk`] as one call of this;
+/// [`pack_queue`] is this over an element queue. No operator of `ops`
+/// calls it: they read and write whole runs.
 pub fn pack_elements<V: Pixel>(
     budget: usize,
     mut step: impl FnMut() -> Option<Element<V>>,
@@ -506,8 +507,8 @@ impl<V: Pixel> RunQueue<V> {
 }
 
 /// The input side of a stream whose state machine consumes one element
-/// at a time (the validator, the `split2` sides, the multi-query front
-/// end) or that reads two inputs run against run (composition): it
+/// at a time (the `tee2` sides, the multi-query front end) or that
+/// reads two inputs run against run (composition): it
 /// pulls whole chunks and serves their elements in place, so the
 /// subtree below always runs its chunk path — one virtual call, one
 /// clock sample and one repair pass per run instead of per point —

@@ -30,7 +30,8 @@ use serde::{Deserialize, Serialize};
 /// instrument is about to deliver.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SectorInfo {
-    /// Monotonically increasing sector identifier.
+    /// Sector identifier: strictly greater than the id of the sector
+    /// before it in the stream.
     pub sector_id: u64,
     /// Georeferenced lattice covering the whole sector.
     pub lattice: LatticeGeoref,
@@ -46,7 +47,9 @@ pub struct SectorInfo {
 /// Metadata opening a frame: a maximal same-timestamp chunk of arrival.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct FrameInfo {
-    /// Frame identifier, unique within the stream.
+    /// Frame identifier: strictly greater than the id of the frame
+    /// before it in the stream (across sectors too), so unique within
+    /// the stream.
     pub frame_id: u64,
     /// Sector this frame belongs to.
     pub sector_id: u64,

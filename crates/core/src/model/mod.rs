@@ -19,7 +19,6 @@ pub(crate) mod sector;
 mod split;
 mod stream;
 mod timestamp;
-mod validate;
 
 pub use chunk::{
     drain_chunked, pack_elements, pack_queue, pool_counts, Chunk, ChunkInput, ChunkOrMarker,
@@ -31,4 +30,3 @@ pub use schema::{Organization, StreamSchema};
 pub use split::{split2, tee2, SideStream, TeeStream};
 pub use stream::{BoxedF32Stream, ChunkChannel, GeoStream, VecStream};
 pub use timestamp::{TimeSemantics, TimeSet, Timestamp};
-pub use validate::{Validator, Violation};

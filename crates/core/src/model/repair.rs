@@ -5,9 +5,10 @@
 //! `compose` hold points until the `FrameEnd`/`SectorEnd` marker that
 //! closes the scope (§3). Over a real downlink those markers — and the
 //! rows they close — get lost, and a naive pipeline blocks forever on a
-//! frame that will never complete. [`Validator`](super::Validator)
-//! *detects* such damage; [`StreamRepair`] goes further and **repairs
-//! the framing** so downstream operators always terminate:
+//! frame that will never complete. The
+//! [`ChunkProtocolChecker`](crate::ops::ChunkProtocolChecker) *detects*
+//! such damage; [`StreamRepair`] goes further and **repairs the
+//! framing** so downstream operators always terminate:
 //!
 //! * a missing `FrameEnd`/`SectorEnd` is synthesized as soon as the
 //!   scan-sector metadata proves the scope is over (a new frame/sector
@@ -16,15 +17,19 @@
 //! * duplicated frames and points (link-layer retransmissions) are
 //!   dropped, so aggregates are not double-counted;
 //! * out-of-order and orphaned elements (a point after its frame was
-//!   finalized, an end marker for a scope that is not open) are dropped
-//!   and counted as disorder rather than corrupting open scopes.
+//!   finalized or outside the open frame's declared box, an end marker
+//!   for a scope that is not open) are dropped and counted as disorder
+//!   or orphans rather than corrupting open scopes.
 //!
-//! The output of `StreamRepair` is always protocol-valid — it passes
-//! [`Validator`](super::Validator) clean even when the input is
-//! arbitrarily damaged — which is the invariant the supervised DSMS
-//! runtime relies on: queries over a degraded feed *complete*, with the
+//! The output of `StreamRepair` is bracketed, and every point it
+//! delivers lies in its frame's box and its sector's lattice, however
+//! damaged the input. That is the invariant the supervised DSMS runtime
+//! relies on: queries over a degraded feed *complete*, with the
 //! degradation quantified in [`RepairStats`] and per-sector
 //! [`SectorCompleteness`] records instead of silently wrong output.
+//! Identifiers pass in arrival order: a frame or sector whose id does
+//! not exceed its predecessor's is delivered as it came, and the checker
+//! reports it.
 
 use super::chunk::{pack_queue, ChunkOrMarker, Marker};
 use super::element::{Element, FrameEnd, FrameInfo, PointRecord, SectorEnd};
@@ -34,7 +39,7 @@ use crate::obs::Counter;
 use crate::stats::{OpReport, OpStats};
 use geostreams_geo::{Cell, CellBox};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeSet, HashSet, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 use std::sync::{Arc, Mutex};
 
 /// Counters of everything [`StreamRepair`] detected and fixed.
@@ -53,7 +58,8 @@ pub struct RepairStats {
     /// Duplicate points dropped (cell already delivered in its frame).
     pub duplicate_points: u64,
     /// Out-of-order observations: mismatched end markers, row
-    /// regressions within a sector.
+    /// regressions within a sector, points outside the open frame's
+    /// declared box (dropped).
     pub disorder: u64,
     /// Orphaned elements dropped (no open scope to attribute them to).
     pub orphans: u64,
@@ -174,75 +180,77 @@ struct OpenFrame {
     expected: u64,
 }
 
-/// Largest frame box tracked by bitmap (32 MiB of bits; a full-scale
-/// 20 840 × 10 820 GOES image frame fits). A header declaring more —
-/// only a corrupt one does — is tracked cell by cell in the set.
+/// Largest admitted box tracked by bitmap (32 MiB of bits; a
+/// full-scale 20 840 × 10 820 GOES image frame fits). A frame whose box,
+/// clipped to its sector's lattice, holds more — only a corrupt
+/// `SectorStart` declares such a lattice — admits no point: every point
+/// of it is dropped as disorder and the frame is finalized partial.
 const MAX_BITMAP_CELLS: u64 = 1 << 28;
 
 /// The distinct cells delivered in the open frame: one bit per cell of
-/// the frame's declared box, and a set for cells outside it. `insert`
-/// behaves as `HashSet::insert` over both.
+/// the box it admits (its declared box clipped to the sector lattice).
 #[derive(Default)]
 struct SeenCells {
     col_min: u32,
     row_min: u32,
-    /// Extent of the bitmapped box; `0 × 0` when nothing is mapped.
+    /// Extent of the admitted box; `0 × 0` when it admits nothing.
     width: u32,
     height: u32,
     bits: Vec<u64>,
-    stray: HashSet<Cell>,
     len: u64,
 }
 
 impl SeenCells {
-    /// Empties the set and maps the bitmap onto `cells`.
-    fn reset(&mut self, cells: CellBox) {
-        let extent = |min: u32, max: u32| max.checked_sub(min).map(|d| u64::from(d) + 1);
-        let (w, h) =
-            match (extent(cells.col_min, cells.col_max), extent(cells.row_min, cells.row_max)) {
-                (Some(w), Some(h)) if w.saturating_mul(h) <= MAX_BITMAP_CELLS => (w, h),
-                _ => (0, 0),
-            };
-        (self.col_min, self.row_min) = (cells.col_min, cells.row_min);
-        (self.width, self.height) = (w as u32, h as u32);
+    /// Empties the set and maps the bitmap onto `admitted` (nothing when
+    /// `None` or too large).
+    fn reset(&mut self, admitted: Option<CellBox>) {
+        let (col_min, row_min, w, h) = admitted
+            .filter(|b| b.len() <= MAX_BITMAP_CELLS)
+            .map_or((0, 0, 0, 0), |b| (b.col_min, b.row_min, b.width(), b.height()));
+        (self.col_min, self.row_min, self.width, self.height) = (col_min, row_min, w, h);
         self.bits.clear();
-        self.bits.resize((w * h).div_ceil(64) as usize, 0);
-        self.stray.clear();
+        self.bits.resize((u64::from(w) * u64::from(h)).div_ceil(64) as usize, 0);
         self.len = 0;
     }
 
-    /// Adds `cell`; `false` when it was already present.
+    /// Whether `cell` lies in the admitted box.
+    fn covers(&self, cell: Cell) -> bool {
+        cell.col.wrapping_sub(self.col_min) < self.width
+            && cell.row.wrapping_sub(self.row_min) < self.height
+    }
+
+    /// Adds `cell` (which the box covers); `false` when it was already
+    /// present.
     fn insert(&mut self, cell: Cell) -> bool {
         self.insert_run(std::iter::once(cell)) == 1
     }
 
-    /// Adds `cells` in order up to the first one already present;
-    /// returns how many were added. Consecutive cells of a scan line
-    /// share a bitmap word, which stays in a register until the run
-    /// moves on.
+    /// Adds `cells` in order up to the first one outside the admitted
+    /// box or already present; returns how many were added. Consecutive
+    /// cells of a scan line share a bitmap word, which stays in a
+    /// register until the run moves on.
     fn insert_run(&mut self, cells: impl Iterator<Item = Cell>) -> usize {
         let (mut held, mut word) = (usize::MAX, 0u64);
         let mut added = 0;
         for cell in cells {
             let (dc, dr) =
                 (cell.col.wrapping_sub(self.col_min), cell.row.wrapping_sub(self.row_min));
-            if dc < self.width && dr < self.height {
-                let i = dr as usize * self.width as usize + dc as usize;
-                if i >> 6 != held {
-                    if let Some(w) = self.bits.get_mut(held) {
-                        *w = word;
-                    }
-                    held = i >> 6;
-                    word = self.bits[held];
-                }
-                let bit = 1u64 << (i & 63);
-                if word & bit != 0 {
-                    break;
-                }
-                word |= bit;
-            } else if !self.stray.insert(cell) {
+            if dc >= self.width || dr >= self.height {
                 break;
             }
+            let i = dr as usize * self.width as usize + dc as usize;
+            if i >> 6 != held {
+                if let Some(w) = self.bits.get_mut(held) {
+                    *w = word;
+                }
+                held = i >> 6;
+                word = self.bits[held];
+            }
+            let bit = 1u64 << (i & 63);
+            if word & bit != 0 {
+                break;
+            }
+            word |= bit;
             added += 1;
         }
         if let Some(w) = self.bits.get_mut(held) {
@@ -257,6 +265,8 @@ impl SeenCells {
 struct OpenSector {
     id: u64,
     band: u16,
+    /// The sector's lattice: no point outside it is admitted.
+    lattice: CellBox,
     expected: u64,
     received: u64,
     frames_seen: u64,
@@ -440,6 +450,7 @@ impl<S: GeoStream> StreamRepair<S> {
                 self.sector = Some(OpenSector {
                     id: si.sector_id,
                     band: si.band,
+                    lattice: CellBox::full(si.lattice.width, si.lattice.height),
                     expected: area,
                     received: 0,
                     frames_seen: 0,
@@ -469,8 +480,9 @@ impl<S: GeoStream> StreamRepair<S> {
                 }
                 // Previous frame never closed: finalize it partial.
                 self.close_frame(true);
-                let expected = u64::from(fi.cells.col_max - fi.cells.col_min + 1)
-                    * u64::from(fi.cells.row_max - fi.cells.row_min + 1);
+                // An inverted (corrupt) box declares no cell.
+                let expected = fi.cells.intersect(&fi.cells).map_or(0, |b| b.len());
+                let admitted = self.sector.as_ref().and_then(|s| fi.cells.intersect(&s.lattice));
                 let mut gap_frames = 0u64;
                 let mut disorders = 0u32;
                 if let Some(open) = &mut self.sector {
@@ -499,7 +511,7 @@ impl<S: GeoStream> StreamRepair<S> {
                 for _ in 0..disorders {
                     self.note_disorder();
                 }
-                self.seen_cells.reset(fi.cells);
+                self.seen_cells.reset(admitted);
                 self.frame = Some(OpenFrame { info: fi, expected });
                 self.out.push_back(Element::FrameStart(fi));
             }
@@ -511,6 +523,13 @@ impl<S: GeoStream> StreamRepair<S> {
                 }
                 if self.frame.is_none() {
                     self.stats.orphans += 1;
+                    return;
+                }
+                if !self.seen_cells.covers(p.cell) {
+                    // Outside the open frame's box (its own frame was
+                    // lost or is out of order) or the lattice: never
+                    // attributed to a frame it does not belong to.
+                    self.note_disorder();
                     return;
                 }
                 if !self.seen_cells.insert(p.cell) {
@@ -568,7 +587,8 @@ impl<S: GeoStream> StreamRepair<S> {
     }
 
     /// Accounts the longest prefix of `points` that continues the open
-    /// frame cleanly — every cell new to it — exactly as
+    /// frame cleanly — every cell in its admitted box and new to it —
+    /// exactly as
     /// [`process_one`](Self::process_one) would one by one, and returns
     /// its length. Nothing is queued: the caller owns the points.
     fn admit_run(&mut self, points: &[PointRecord<S::V>]) -> usize {
@@ -669,7 +689,8 @@ impl<S: GeoStream> GeoStream for StreamRepair<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::{Element, StreamSchema, Validator, VecStream};
+    use crate::model::{Element, StreamSchema, TimeSemantics, VecStream};
+    use crate::ops::ChunkProtocolChecker;
     use geostreams_geo::{Crs, LatticeGeoref, Rect};
 
     fn lattice() -> LatticeGeoref {
@@ -699,11 +720,18 @@ mod tests {
 
     /// The repaired stream must always be protocol-valid.
     fn assert_valid(els: &[Element<f32>]) {
-        let mut v =
-            Validator::new(VecStream::new(StreamSchema::new("x", Crs::LatLon), els.to_vec()));
-        while v.next_element().is_some() {}
-        let _ = v.next_element();
-        assert!(v.is_clean(), "repaired stream invalid: {:?}", v.violations);
+        let mut s = VecStream::new(StreamSchema::new("x", Crs::LatLon), els.to_vec());
+        let mut checker = ChunkProtocolChecker::new(1, TimeSemantics::SectorId);
+        while let Some(item) = s.next_chunk(1) {
+            checker.observe(&item);
+        }
+        checker.finish();
+        assert_eq!(
+            checker.violations(),
+            0,
+            "repaired stream invalid: {:?}",
+            checker.first_violation()
+        );
     }
 
     #[test]
@@ -947,6 +975,23 @@ mod tests {
                 Element::point(geostreams_geo::Cell::new(70_000, 70_000), 1.0f32),
             );
         });
+        edit("frame box wider than the lattice", &|els| {
+            if let Element::FrameStart(fi) = &mut els[first_point - 1] {
+                fi.cells.col_max = 99;
+            }
+            els.insert(first_point + 1, Element::point(geostreams_geo::Cell::new(50, 0), 1.0f32));
+        });
+        edit("inverted frame box", &|els| {
+            if let Element::FrameStart(fi) = &mut els[first_point - 1] {
+                (fi.cells.col_min, fi.cells.col_max) = (3, 1);
+            }
+        });
+        edit("next row's points after its lost markers", &|els| {
+            // Frame 0's end and frame 1's start are lost: row 1 arrives
+            // while frame 0 (row 0) is still open.
+            let end = els.iter().position(|e| matches!(e, Element::FrameEnd(_))).unwrap();
+            els.drain(end..=end + 1);
+        });
         edit("duplicate frame", &|els| {
             let start = els.iter().position(|e| matches!(e, Element::FrameStart(_))).unwrap();
             let end = els.iter().position(|e| matches!(e, Element::FrameEnd(_))).unwrap();
@@ -961,9 +1006,11 @@ mod tests {
         });
         for (label, els) in cases {
             let expected = repair(els.clone());
-            // Reordered and out-of-box cells are delivered as long as
-            // each is new to its frame; only the rest counts as damage.
-            let passes = ["clean", "out-of-order points", "cell outside the lattice"];
+            assert_valid(&expected.0);
+            // Reordered cells are delivered as long as each lies in its
+            // frame's box and the lattice and is new to its frame; only
+            // the rest counts as damage.
+            let passes = ["clean", "out-of-order points"];
             assert_eq!(expected.1.is_clean(), passes.contains(&label), "{label}");
             // Rows are 4 points wide: at budget 4 every end marker lands
             // exactly on the budget edge, at 3 and 5 runs straddle it.
@@ -975,6 +1022,42 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn a_box_past_the_bitmap_limit_admits_no_point() {
+        // A lattice of 70 000 × 70 000 cells (only a corrupt header
+        // declares one) and a frame over all of it: more cells than the
+        // bitmap maps, so its points are dropped as disorder and the
+        // frame is finalized empty and partial.
+        let big =
+            LatticeGeoref::north_up(Crs::LatLon, Rect::new(0.0, 0.0, 4.0, 4.0), 70_000, 70_000);
+        let mut els: Vec<Element<f32>> =
+            VecStream::single_sector("x", lattice(), 0, |c, r| f64::from(c + r)).drain_elements();
+        // One frame over all 16 points: the first frame's markers,
+        // its end moved to the last.
+        let first_end = els.iter().position(|e| matches!(e, Element::FrameEnd(_))).unwrap();
+        let close = els[first_end].clone();
+        let first_start = els.iter().position(|e| matches!(e, Element::FrameStart(_))).unwrap();
+        let mut i = 0;
+        els.retain(|e| {
+            i += 1;
+            !matches!(e, Element::FrameStart(_) | Element::FrameEnd(_)) || i - 1 == first_start
+        });
+        els.insert(els.len() - 1, close);
+        for el in &mut els {
+            match el {
+                Element::SectorStart(si) => si.lattice = big,
+                Element::FrameStart(fi) => fi.cells = CellBox::full(70_000, 70_000),
+                _ => {}
+            }
+        }
+        let (out, stats, _) = repair(els);
+        assert_valid(&out);
+        assert_eq!(stats.disorder, 16);
+        assert_eq!((stats.received_points, stats.partial_frames), (0, 1));
+        assert_eq!(out.iter().filter(|e| e.is_point()).count(), 0);
+        assert_eq!(out.len(), 4, "SectorStart, FrameStart, FrameEnd, SectorEnd");
     }
 
     /// Hands out prepared chunk items as they are.
@@ -1030,18 +1113,13 @@ mod tests {
         let mut retained = Vec::new();
         while let Some(item) = r.next_chunk(64) {
             if let Some(Marker::SectorEnd(_)) = item.marker() {
-                retained.push((
-                    r.seen_frames.len(),
-                    r.seen_cells.bits.len(),
-                    r.seen_cells.stray.len(),
-                    r.out.len(),
-                ));
+                retained.push((r.seen_frames.len(), r.seen_cells.bits.len(), r.out.len()));
             }
             item.recycle();
         }
         assert_eq!(retained.len(), 1000);
         // One sector's frame ids (the lattice has 4 rows), one row's bits.
-        assert_eq!(retained[0], (4, 1, 0, 0));
+        assert_eq!(retained[0], (4, 1, 0));
         assert!(retained.iter().all(|s| *s == retained[0]), "state grew: {:?}", retained.last());
         assert!(r.repair_stats().is_clean());
         assert_eq!(r.probe().sectors().len(), 1000);

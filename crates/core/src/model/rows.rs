@@ -207,12 +207,15 @@ impl<V: Pixel> RowWindow<V> {
         let mut row_at: Option<(u32, usize)> = None;
         for p in points {
             let Cell { col, row } = p.cell;
-            // Already evicted (out-of-order input), or off the lattice.
-            if row < self.first_row || col >= self.width {
+            if col >= self.width {
                 continue;
             }
             let base = match row_at {
                 Some((r, base)) if r == row => base,
+                // Already evicted (out-of-order input), or off the
+                // lattice; checked once per row, as the window's first
+                // row and height stay put during a run.
+                _ if row < self.first_row || row >= self.height => continue,
                 _ => {
                     let base = self.receive(row);
                     row_at = Some((row, base));
@@ -489,6 +492,32 @@ mod tests {
                 assert_eq!(window.at(col, r), at, "at({col}, {r}): {why}");
             }
         }
+    }
+
+    #[test]
+    fn points_past_the_sector_height_are_not_taken() {
+        // Row 3's run carries two points past the 12-row sector (rows 12
+        // and 70 000): neither may grow the ring or count as a held row.
+        let schedule = RowSchedule::band(12, 1);
+        let (mut window, mut stats) = (RowWindow::<f32>::new(), OpStats::default());
+        window.open(5, 12, &mut stats);
+        for row in 0..12 {
+            window.frame_start(&CellBox::new(0, row, 4, row), &mut stats);
+            let mut run = points(row, 5);
+            if row == 3 {
+                run.extend([12, 70_000].map(|r| PointRecord { cell: Cell::new(1, r), value: 1.0 }));
+            }
+            window.ingest_run(&run, &mut stats);
+            window.frame_end();
+            while window.next_ready_row(&schedule, false, &mut stats).is_some() {}
+        }
+        let (_, held) = schedule.bound(0..12, true);
+        assert!(
+            stats.buffered_bytes_peak <= u64::from(held) * 5 * 4,
+            "{} bytes buffered, bound {held} rows of 5",
+            stats.buffered_bytes_peak
+        );
+        assert!(window.received.len() <= 16, "a ring of {} rows", window.received.len());
     }
 
     #[test]

@@ -42,6 +42,7 @@ pub use orient::{Orient, Orientation};
 pub use protocol::{
     meet, CertBuilder, ChunkDiscipline, ChunkProtocolChecker, Granularity, MarkerEffect,
     OrderEffect, Parallelism, ProtocolCertificate, ProtocolContract, StageCheck, StreamGuarantees,
+    Violation,
 };
 pub use reproject::{Reproject, ReprojectConfig};
 pub use restrict::{SpatialRestrict, TemporalRestrict, ValueRestrict};

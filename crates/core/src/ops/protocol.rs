@@ -18,14 +18,16 @@
 //!   static analyzer attaches the certificate to every
 //!   [`PlanReport`](crate::query::PlanReport), and the DSMS refuses to
 //!   admit a plan whose certificate is not [`ProtocolCertificate::certified`];
-//! * [`ChunkProtocolChecker`] cross-checks the discipline **live** in
-//!   debug builds (marker bracketing, chunks never crossing frame or
-//!   sector edges); it compiles to a no-op in release builds so the
-//!   certified fast path pays nothing.
+//! * [`ChunkProtocolChecker`] checks the whole stream grammar **live**
+//!   over pulled items (bracketing, points inside their frame's box and
+//!   the lattice, strictly increasing ids, sector-id timestamps, runs
+//!   within the budget and never crossing a frame or sector edge) and
+//!   names each break with a [`Violation`]. `exec`'s driver runs it in
+//!   debug builds only, so the certified release fast path pays
+//!   nothing.
 
-// `Marker` is only consumed by the debug-build checker body.
-#[cfg_attr(not(debug_assertions), allow(unused_imports))]
-use crate::model::{ChunkOrMarker, Marker};
+use crate::model::{ChunkOrMarker, Marker, TimeSemantics};
+use geostreams_geo::CellBox;
 use geostreams_raster::Pixel;
 use serde::{Deserialize, Serialize};
 
@@ -444,101 +446,160 @@ pub fn meet(a: StreamGuarantees, b: StreamGuarantees) -> StreamGuarantees {
     }
 }
 
-/// Live cross-check of the marker discipline over chunked transport.
+/// A break of the stream grammar of DESIGN.md §12 or of the chunk
+/// contract, as the [`ChunkProtocolChecker`] names it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Violation {
+    /// A `FrameStart` with no open sector.
+    FrameOutsideSector,
+    /// A `FrameStart` while another frame is open.
+    OverlappingFrames,
+    /// A `FrameEnd` or `SectorEnd` with no open frame or sector.
+    UnmatchedEnd,
+    /// A point with no open frame.
+    PointOutsideFrame,
+    /// A point outside its frame's declared cell box.
+    PointOutsideFrameBox,
+    /// A point outside its sector's lattice.
+    PointOutsideLattice,
+    /// A sector id not greater than the sector id before it.
+    SectorIdNotIncreasing,
+    /// A frame id not greater than the frame id before it.
+    FrameIdNotIncreasing,
+    /// Under [`TimeSemantics::SectorId`], a frame whose timestamp is
+    /// not its sector's.
+    TimestampMismatch,
+    /// A frame or sector left open: a frame by a `SectorEnd` or a
+    /// `SectorStart`, a sector by a `SectorStart`, either by the end of
+    /// the stream.
+    TruncatedStream,
+    /// A run of more points than the pull budget.
+    RunOverBudget,
+    /// A marker riding on a run that holds the whole budget: it did not
+    /// cut the run short.
+    MarkerOnFullRun,
+    /// A run ended by a marker other than its frame's `FrameEnd`: the
+    /// run crosses a frame or sector edge.
+    RunCrossesEdge,
+}
+
+impl std::fmt::Display for Violation {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            Violation::FrameOutsideSector => "FrameStart outside a sector",
+            Violation::OverlappingFrames => "FrameStart while a frame is already open",
+            Violation::UnmatchedEnd => "end marker without an open frame or sector",
+            Violation::PointOutsideFrame => "point outside an open frame",
+            Violation::PointOutsideFrameBox => "point outside its frame's cell box",
+            Violation::PointOutsideLattice => "point outside the sector lattice",
+            Violation::SectorIdNotIncreasing => "sector id not greater than the previous one",
+            Violation::FrameIdNotIncreasing => "frame id not greater than the previous one",
+            Violation::TimestampMismatch => "frame timestamp differs from its sector's",
+            Violation::TruncatedStream => "frame or sector left open",
+            Violation::RunOverBudget => "point run exceeds the pull budget",
+            Violation::MarkerOnFullRun => "marker rides on a full run",
+            Violation::RunCrossesEdge => "point run crosses a frame or sector edge",
+        })
+    }
+}
+
+/// The one checker of the stream grammar, over chunked transport.
 ///
-/// In debug builds [`ChunkProtocolChecker::observe`] runs a bracketing
-/// state machine over every item a driver pulls and verifies the §12
-/// chunk-boundary invariant (a point run may only be terminated by its
-/// own frame's `FrameEnd`, never by a sector edge or a new opening
-/// marker) and, given the pull budget, the budget rule (a run holds at
-/// most `budget` points, and a marker rides only on a run it cut
-/// short). In release builds `observe` is an empty inline function:
-/// the validator is compiled out entirely, as the certificate already
-/// carries the static proof.
-#[derive(Debug, Default)]
-// The state machine only runs under `debug_assertions`; in release the
-// struct survives (stable API) but most of it is never touched.
-#[cfg_attr(not(debug_assertions), allow(dead_code))]
+/// [`observe`](Self::observe) runs over every item a consumer pulls: a
+/// bracketing state machine (`SectorStart (FrameStart Point* FrameEnd)*
+/// SectorEnd`); every point inside its frame's cell box and its
+/// sector's lattice; sector ids and frame ids strictly increasing; under
+/// [`TimeSemantics::SectorId`] each frame stamped with its sector's
+/// timestamp; and the chunk contract at the pull budget (a run holds at
+/// most `budget` points, a marker rides only on a run it cut short, and
+/// a run ends only at its own frame's `FrameEnd`, never at a sector
+/// edge or an opening marker). [`finish`](Self::finish) adds the
+/// end-of-stream check. The checker's state is a few scalars whatever
+/// the length of the stream.
+///
+/// It always checks what it observes; `exec`'s driver decides whether
+/// to run it (debug builds only — the static certificate carries the
+/// proof for the release fast path).
+#[derive(Debug)]
 pub struct ChunkProtocolChecker {
-    /// The budget the observed items were pulled at, if known.
-    budget: Option<usize>,
-    sector_open: bool,
-    frame_open: bool,
+    budget: usize,
+    time_semantics: TimeSemantics,
+    /// Ordinal of the next element in the flattened stream.
+    position: u64,
+    /// The open sector's lattice and timestamp.
+    sector: Option<(CellBox, i64)>,
+    /// The open frame's cell box.
+    frame: Option<CellBox>,
+    last_sector_id: Option<u64>,
+    last_frame_id: Option<u64>,
     violations: u64,
-    first: Option<String>,
+    first: Option<(u64, Violation)>,
 }
 
 impl ChunkProtocolChecker {
-    /// A fresh checker (no sector open) that does not know the pull budget.
-    pub fn new() -> Self {
-        ChunkProtocolChecker::default()
+    /// A fresh checker (no sector open) for items pulled at `budget`
+    /// from a stream of `time_semantics`.
+    pub fn new(budget: usize, time_semantics: TimeSemantics) -> Self {
+        ChunkProtocolChecker {
+            budget: budget.max(1),
+            time_semantics,
+            position: 0,
+            sector: None,
+            frame: None,
+            last_sector_id: None,
+            last_frame_id: None,
+            violations: 0,
+            first: None,
+        }
     }
 
-    /// A fresh checker for items pulled at `budget`: it also checks the
-    /// budget rule.
-    pub fn with_budget(budget: usize) -> Self {
-        ChunkProtocolChecker { budget: Some(budget.max(1)), ..ChunkProtocolChecker::default() }
-    }
-
-    /// Violations observed so far (always 0 in release builds).
+    /// Violations observed so far.
     pub fn violations(&self) -> u64 {
         self.violations
     }
 
-    /// Description of the first violation, if any.
-    pub fn first_violation(&self) -> Option<&str> {
-        self.first.as_deref()
+    /// The first violation, with the ordinal of the element it was
+    /// found at (0-based, in the flattened stream).
+    pub fn first_violation(&self) -> Option<(u64, Violation)> {
+        self.first
     }
 
-    #[cfg_attr(not(debug_assertions), allow(dead_code))]
-    fn fail(&mut self, msg: String) {
+    fn fail(&mut self, at: u64, violation: Violation) {
         self.violations += 1;
-        if self.first.is_none() {
-            self.first = Some(msg);
-        }
+        self.first.get_or_insert((at, violation));
     }
 
-    /// Observes one pulled item. Debug builds check; release builds
-    /// compile this to nothing.
-    #[inline]
+    /// Checks one pulled item.
     pub fn observe<V: Pixel>(&mut self, item: &ChunkOrMarker<V>) {
-        #[cfg(debug_assertions)]
-        self.observe_impl(item);
-        #[cfg(not(debug_assertions))]
-        let _ = item;
-    }
-
-    #[cfg(debug_assertions)]
-    fn observe_impl<V: Pixel>(&mut self, item: &ChunkOrMarker<V>) {
         match item {
             ChunkOrMarker::Chunk(c) => {
-                if !self.frame_open {
-                    self.fail("point run outside an open frame".to_string());
+                let start = self.position;
+                self.position += c.points.len() as u64;
+                if c.points.len() > self.budget {
+                    self.fail(start, Violation::RunOverBudget);
                 }
-                let n = c.points.len();
-                match self.budget {
-                    Some(budget) if n > budget => {
-                        self.fail(format!("point run of {n} exceeds the pull budget {budget}"));
+                let (frame, lattice) = (self.frame, self.sector.map(|(lattice, _)| lattice));
+                for (at, p) in (start..).zip(&c.points) {
+                    let Some(frame) = frame else {
+                        self.fail(at, Violation::PointOutsideFrame);
+                        continue;
+                    };
+                    if !frame.contains(p.cell) {
+                        self.fail(at, Violation::PointOutsideFrameBox);
                     }
-                    Some(budget) if n == budget && c.end.is_some() => {
-                        self.fail(format!("marker rides on a full run of {budget} points"));
-                    }
-                    _ => {}
-                }
-                match &c.end {
-                    None | Some(Marker::FrameEnd(_)) => {}
-                    Some(other) => {
-                        // The §12 invariant: a run is terminated by its
-                        // frame's end or by budget exhaustion — any
-                        // other marker means the chunk crossed a frame
-                        // or sector edge.
-                        self.fail(format!(
-                            "point run crosses a frame/sector edge (terminated by {})",
-                            marker_name(other)
-                        ));
+                    if lattice.is_some_and(|lattice| !lattice.contains(p.cell)) {
+                        self.fail(at, Violation::PointOutsideLattice);
                     }
                 }
                 if let Some(m) = &c.end {
+                    // The §12 invariant: a run is terminated by its
+                    // frame's end or by budget exhaustion.
+                    if !matches!(m, Marker::FrameEnd(_)) {
+                        self.fail(self.position, Violation::RunCrossesEdge);
+                    }
+                    if c.points.len() == self.budget {
+                        self.fail(self.position, Violation::MarkerOnFullRun);
+                    }
                     self.transition(m);
                 }
             }
@@ -546,71 +607,77 @@ impl ChunkProtocolChecker {
         }
     }
 
-    #[cfg(debug_assertions)]
     fn transition(&mut self, m: &Marker) {
+        let at = self.position;
+        self.position += 1;
         match m {
-            Marker::SectorStart(_) => {
-                if self.sector_open {
-                    self.fail("SectorStart while a sector is already open".to_string());
+            Marker::SectorStart(si) => {
+                if self.sector.is_some() || self.frame.is_some() {
+                    self.fail(at, Violation::TruncatedStream);
                 }
-                self.sector_open = true;
-                self.frame_open = false;
+                if self.last_sector_id.is_some_and(|last| si.sector_id <= last) {
+                    self.fail(at, Violation::SectorIdNotIncreasing);
+                }
+                self.last_sector_id = Some(si.sector_id);
+                let lattice = CellBox::full(si.lattice.width, si.lattice.height);
+                self.sector = Some((lattice, si.timestamp.value()));
+                self.frame = None;
             }
-            Marker::FrameStart(_) => {
-                if !self.sector_open {
-                    self.fail("FrameStart outside a sector".to_string());
+            Marker::FrameStart(fi) => {
+                match self.sector {
+                    None => self.fail(at, Violation::FrameOutsideSector),
+                    Some((_, timestamp))
+                        if self.time_semantics == TimeSemantics::SectorId
+                            && fi.timestamp.value() != timestamp =>
+                    {
+                        self.fail(at, Violation::TimestampMismatch);
+                    }
+                    Some(_) => {}
                 }
-                if self.frame_open {
-                    self.fail("FrameStart while a frame is already open".to_string());
+                if self.frame.is_some() {
+                    self.fail(at, Violation::OverlappingFrames);
                 }
-                self.frame_open = true;
+                if self.last_frame_id.is_some_and(|last| fi.frame_id <= last) {
+                    self.fail(at, Violation::FrameIdNotIncreasing);
+                }
+                self.last_frame_id = Some(fi.frame_id);
+                self.frame = Some(fi.cells);
             }
             Marker::FrameEnd(_) => {
-                if !self.frame_open {
-                    self.fail("FrameEnd without an open frame".to_string());
+                if self.frame.take().is_none() {
+                    self.fail(at, Violation::UnmatchedEnd);
                 }
-                self.frame_open = false;
             }
             Marker::SectorEnd(_) => {
-                if self.frame_open {
-                    self.fail("SectorEnd while a frame is still open".to_string());
-                    self.frame_open = false;
+                if self.frame.take().is_some() {
+                    self.fail(at, Violation::TruncatedStream);
                 }
-                if !self.sector_open {
-                    self.fail("SectorEnd without an open sector".to_string());
+                if self.sector.take().is_none() {
+                    self.fail(at, Violation::UnmatchedEnd);
                 }
-                self.sector_open = false;
             }
         }
     }
 
     /// End-of-stream check: an open frame or sector at stream end is a
     /// truncation. Not called by the drivers (a watchdog-cancelled
-    /// query ends mid-sector legitimately); available for tests that
-    /// assert a complete run.
+    /// query ends mid-sector legitimately); for callers that assert a
+    /// complete stream.
     pub fn finish(&mut self) {
-        #[cfg(debug_assertions)]
-        if self.frame_open || self.sector_open {
-            self.fail("stream ended with an open frame or sector".to_string());
+        if self.frame.is_some() || self.sector.is_some() {
+            self.fail(self.position, Violation::TruncatedStream);
         }
-    }
-}
-
-#[cfg(debug_assertions)]
-fn marker_name(m: &Marker) -> &'static str {
-    match m {
-        Marker::SectorStart(_) => "SectorStart",
-        Marker::FrameStart(_) => "FrameStart",
-        Marker::FrameEnd(_) => "FrameEnd",
-        Marker::SectorEnd(_) => "SectorEnd",
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::{drain_chunked, GeoStream, VecStream};
-    use geostreams_geo::{Crs, LatticeGeoref, Rect};
+    use crate::model::{
+        drain_chunked, Chunk, Element, FrameEnd, GeoStream, SectorEnd, StreamSchema, Timestamp,
+        VecStream,
+    };
+    use geostreams_geo::{Cell, Crs, LatticeGeoref, Rect};
 
     fn source(sectors: u64) -> VecStream<f32> {
         let lattice = LatticeGeoref::north_up(Crs::LatLon, Rect::new(0.0, 0.0, 4.0, 4.0), 8, 4);
@@ -696,95 +763,244 @@ mod tests {
         assert_eq!(cert, back);
     }
 
+    /// Observes `items` at `budget`, then the end of the stream.
+    fn check(
+        items: impl IntoIterator<Item = ChunkOrMarker<f32>>,
+        budget: usize,
+        semantics: TimeSemantics,
+    ) -> ChunkProtocolChecker {
+        let mut checker = ChunkProtocolChecker::new(budget, semantics);
+        for item in items {
+            checker.observe(&item);
+            item.recycle();
+        }
+        checker.finish();
+        checker
+    }
+
+    /// The items a [`VecStream`] of `els` yields at `budget`.
+    fn pulled(els: Vec<Element<f32>>, budget: usize) -> Vec<ChunkOrMarker<f32>> {
+        let mut s = VecStream::new(StreamSchema::new("p", Crs::LatLon), els);
+        std::iter::from_fn(|| s.next_chunk(budget)).collect()
+    }
+
+    /// One sector of one `width`-cell row.
+    fn row(width: u32) -> Vec<Element<f32>> {
+        let lattice = LatticeGeoref::north_up(Crs::LatLon, Rect::new(0.0, 0.0, 1.0, 1.0), width, 1);
+        VecStream::single_sector("p", lattice, 0, |c, _| f64::from(c)).drain_elements()
+    }
+
+    /// `els` of a one-frame stream as items: every point in one run,
+    /// the marker after the run riding on it when `ride` is set.
+    fn one_run(els: Vec<Element<f32>>, ride: bool) -> Vec<ChunkOrMarker<f32>> {
+        let (mut items, mut run) = (Vec::new(), None::<Chunk<f32>>);
+        for el in els {
+            match Marker::from_element(el) {
+                Err(p) => run.get_or_insert_with(|| Chunk::with_budget(1)).points.push(p),
+                Ok(m) => match run.take() {
+                    Some(mut c) if ride => {
+                        c.end = Some(m);
+                        items.push(ChunkOrMarker::Chunk(c));
+                    }
+                    Some(c) => items.extend([ChunkOrMarker::Chunk(c), ChunkOrMarker::Marker(m)]),
+                    None => items.push(ChunkOrMarker::Marker(m)),
+                },
+            }
+        }
+        items
+    }
+
+    fn position(els: &[Element<f32>], pred: impl Fn(&Element<f32>) -> bool) -> usize {
+        els.iter().position(pred).unwrap()
+    }
+
+    fn frame_start(el: &Element<f32>) -> bool {
+        matches!(el, Element::FrameStart(_))
+    }
+
+    fn frame_end(el: &Element<f32>) -> bool {
+        matches!(el, Element::FrameEnd(_))
+    }
+
+    /// `source(2)` edited by `edit`, which returns the ordinal of the
+    /// element it broke, pulled at `budget`.
+    fn edited(
+        budget: usize,
+        edit: fn(&mut Vec<Element<f32>>) -> usize,
+    ) -> (Vec<ChunkOrMarker<f32>>, u64) {
+        let mut els = source(2).drain_elements();
+        let at = edit(&mut els);
+        (pulled(els, budget), at as u64)
+    }
+
+    type Broken = fn(usize) -> (Vec<ChunkOrMarker<f32>>, u64);
+
+    /// One deliberately broken stream per [`Violation`] kind, as the
+    /// items pulled at a budget and the ordinal of the break.
+    fn broken_streams() -> Vec<(Violation, Broken)> {
+        vec![
+            (Violation::FrameOutsideSector, |budget| {
+                edited(budget, |els| {
+                    els.remove(0);
+                    0
+                })
+            }),
+            (Violation::OverlappingFrames, |budget| {
+                // The first frame loses its points and its end.
+                edited(budget, |els| {
+                    let first = position(els, frame_start);
+                    els.drain(first + 1..=position(els, frame_end));
+                    first + 1
+                })
+            }),
+            (Violation::UnmatchedEnd, |budget| {
+                edited(budget, |els| {
+                    let end = position(els, frame_end);
+                    els.insert(end + 1, els[end].clone());
+                    end + 1
+                })
+            }),
+            (Violation::PointOutsideFrame, |budget| {
+                edited(budget, |els| {
+                    els.insert(1, Element::point(Cell::new(0, 0), 1.0));
+                    1
+                })
+            }),
+            (Violation::PointOutsideFrameBox, |budget| {
+                // Row 3 of the lattice, inside the frame of row 0.
+                edited(budget, |els| {
+                    let at = position(els, frame_start) + 2;
+                    els.insert(at, Element::point(Cell::new(0, 3), 1.0));
+                    at
+                })
+            }),
+            (Violation::PointOutsideLattice, |budget| {
+                // A frame box wider than the lattice, and a point in it
+                // past the lattice's last column.
+                edited(budget, |els| {
+                    let first = position(els, frame_start);
+                    if let Element::FrameStart(fi) = &mut els[first] {
+                        fi.cells.col_max = 99;
+                    }
+                    els.insert(first + 1, Element::point(Cell::new(50, 0), 1.0));
+                    first + 1
+                })
+            }),
+            (Violation::SectorIdNotIncreasing, |budget| {
+                edited(budget, |els| {
+                    let second = els.iter().rposition(|e| matches!(e, Element::SectorStart(_)));
+                    let second = second.unwrap();
+                    // The second sector reuses the first's id.
+                    if let Element::SectorStart(si) = &mut els[second] {
+                        si.sector_id = 0;
+                    }
+                    second
+                })
+            }),
+            (Violation::FrameIdNotIncreasing, |budget| {
+                edited(budget, |els| {
+                    let second = position(els, frame_end) + 1;
+                    if let Element::FrameStart(fi) = &mut els[second] {
+                        fi.frame_id = 0;
+                    }
+                    second
+                })
+            }),
+            (Violation::TimestampMismatch, |budget| {
+                edited(budget, |els| {
+                    let first = position(els, frame_start);
+                    if let Element::FrameStart(fi) = &mut els[first] {
+                        fi.timestamp = Timestamp::new(999);
+                    }
+                    first
+                })
+            }),
+            (Violation::TruncatedStream, |budget| {
+                // The last FrameEnd and SectorEnd are lost.
+                edited(budget, |els| {
+                    els.truncate(els.len() - 2);
+                    els.len()
+                })
+            }),
+            (Violation::RunOverBudget, |budget| (one_run(row(budget as u32 + 1), false), 2)),
+            (Violation::MarkerOnFullRun, |budget| {
+                (one_run(row(budget as u32), true), 2 + budget as u64)
+            }),
+            (Violation::RunCrossesEdge, |_| {
+                // The FrameEnd is lost and the sector's end cuts the run.
+                let mut els = row(1);
+                els.retain(|e| !frame_end(e));
+                (one_run(els, true), 3)
+            }),
+        ]
+    }
+
+    #[test]
+    fn each_violation_kind_is_caught_by_its_broken_stream() {
+        let cases = broken_streams();
+        // Thirteen kinds, each with its own text.
+        let mut texts: Vec<_> = cases.iter().map(|(kind, _)| kind.to_string()).collect();
+        texts.sort();
+        texts.dedup();
+        assert_eq!(texts.len(), 13, "one broken stream per kind");
+        for (kind, make) in cases {
+            for budget in [1usize, 1024] {
+                let (items, at) = make(budget);
+                let checker = check(items, budget, TimeSemantics::SectorId);
+                assert_eq!(checker.first_violation(), Some((at, kind)), "budget {budget}");
+            }
+        }
+    }
+
+    #[test]
+    fn frame_timestamps_are_free_under_measurement_time() {
+        let (_, make) = broken_streams()
+            .into_iter()
+            .find(|(kind, _)| *kind == Violation::TimestampMismatch)
+            .unwrap();
+        for budget in [1usize, 1024] {
+            let checker = check(make(budget).0, budget, TimeSemantics::MeasurementTime);
+            assert_eq!(checker.violations(), 0, "{:?}", checker.first_violation());
+        }
+    }
+
     #[test]
     fn checker_accepts_every_generated_stream() {
-        // All budgets, all sector counts: the §12 discipline holds on
-        // anything our sources produce.
-        for budget in [1usize, 5, 64, 1024] {
-            let mut s = source(2);
-            let mut checker = ChunkProtocolChecker::with_budget(budget);
-            while let Some(item) = s.next_chunk(budget) {
-                checker.observe(&item);
-                item.recycle();
-            }
-            checker.finish();
-            assert_eq!(checker.violations(), 0, "budget {budget}: {:?}", checker.first_violation());
-        }
-    }
-
-    #[cfg(debug_assertions)]
-    #[test]
-    fn checker_flags_edge_crossing_chunks() {
-        use crate::model::{Chunk, Element, SectorEnd};
-        // A chunk terminated by a SectorEnd crosses the frame edge.
-        let mut checker = ChunkProtocolChecker::new();
-        let els = source(1).drain_elements();
-        // Open sector + frame legitimately first.
-        let mut opened = 0;
-        for el in &els {
-            match el {
-                Element::SectorStart(si) => {
-                    checker.observe::<f32>(&ChunkOrMarker::Marker(Marker::SectorStart(si.clone())));
-                    opened += 1;
-                }
-                Element::FrameStart(fi) => {
-                    checker.observe::<f32>(&ChunkOrMarker::Marker(Marker::FrameStart(*fi)));
-                    opened += 1;
-                }
-                _ => {}
-            }
-            if opened == 2 {
-                break;
-            }
-        }
-        assert_eq!(checker.violations(), 0);
-        let mut bad = Chunk::<f32>::with_budget(4);
-        bad.points
-            .push(crate::model::PointRecord { cell: geostreams_geo::Cell::new(0, 0), value: 1.0 });
-        bad.end = Some(Marker::SectorEnd(SectorEnd { sector_id: 0 }));
-        checker.observe(&ChunkOrMarker::Chunk(bad));
-        assert!(checker.violations() > 0);
-        assert!(checker.first_violation().unwrap().contains("crosses"));
-    }
-
-    #[cfg(debug_assertions)]
-    #[test]
-    fn checker_flags_budget_rule_breaches() {
-        use crate::model::{Chunk, FrameEnd, PointRecord};
-        let run = |n: usize, end: Option<Marker>| {
-            let mut c = Chunk::<f32>::with_budget(n);
-            c.points.resize(n, PointRecord { cell: geostreams_geo::Cell::new(0, 0), value: 1.0 });
-            c.end = end;
-            ChunkOrMarker::Chunk(c)
+        // All budgets, sources and a deep pipeline: the grammar holds
+        // on anything the crate produces.
+        use crate::ops::{Downsample, FocalFunc, FocalTransform, Magnify, SpatialRestrict};
+        use geostreams_geo::Region;
+        let pipeline = || {
+            let op = SpatialRestrict::new(source(3), Region::Rect(Rect::new(0.5, 0.5, 3.5, 3.5)));
+            let op = FocalTransform::new(Magnify::new(op, 2), FocalFunc::Mean, 3);
+            Downsample::new(op, 2)
         };
-        let frame_end = || Some(Marker::FrameEnd(FrameEnd { frame_id: 0, sector_id: 0 }));
-        let mut checker = ChunkProtocolChecker::with_budget(4);
-        let mut s = source(1);
-        for _ in 0..2 {
-            // SectorStart, FrameStart.
-            checker.observe(&s.next_chunk(4).unwrap());
+        for budget in [1usize, 5, 64, 1024] {
+            let (mut s, mut p) = (source(2), pipeline());
+            let source_items: Vec<_> = std::iter::from_fn(|| s.next_chunk(budget)).collect();
+            for items in [source_items, std::iter::from_fn(|| p.next_chunk(budget)).collect()] {
+                let checker = check(items, budget, TimeSemantics::SectorId);
+                assert_eq!(
+                    checker.violations(),
+                    0,
+                    "budget {budget}: {:?}",
+                    checker.first_violation()
+                );
+            }
         }
-        checker.observe(&run(4, None));
-        checker.observe(&run(3, None));
-        assert_eq!(checker.violations(), 0, "{:?}", checker.first_violation());
-        checker.observe(&run(5, None));
-        assert!(checker.first_violation().unwrap().contains("exceeds the pull budget"));
-        checker.observe(&run(4, frame_end()));
-        assert_eq!(checker.violations(), 2, "and a marker on a full run");
     }
 
-    #[cfg(debug_assertions)]
     #[test]
-    fn checker_flags_bracketing_violations() {
-        use crate::model::{FrameEnd, SectorEnd};
-        let mut checker = ChunkProtocolChecker::new();
-        checker.observe::<f32>(&ChunkOrMarker::Marker(Marker::FrameEnd(FrameEnd {
-            frame_id: 0,
-            sector_id: 0,
-        })));
-        checker
-            .observe::<f32>(&ChunkOrMarker::Marker(Marker::SectorEnd(SectorEnd { sector_id: 0 })));
+    fn every_break_is_counted() {
+        // Two unmatched ends, then the end of a stream that never
+        // opened anything: two violations, the first at ordinal 0.
+        let els: Vec<Element<f32>> = vec![
+            Element::FrameEnd(FrameEnd { frame_id: 0, sector_id: 0 }),
+            Element::SectorEnd(SectorEnd { sector_id: 0 }),
+        ];
+        let checker = check(pulled(els, 1), 1, TimeSemantics::SectorId);
         assert_eq!(checker.violations(), 2);
+        assert_eq!(checker.first_violation(), Some((0, Violation::UnmatchedEnd)));
     }
 
     #[test]

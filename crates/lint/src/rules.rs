@@ -611,8 +611,8 @@ fn rule_lock_order_cycle(files: &[SourceFile], out: &mut Vec<Finding>) {
 const HOT_FNS: &[&str] = &[
     "next_chunk",
     // The per-element state machine whose elements `next_chunk` packs
-    // with `pack_elements` (`Validator`, the `split2` sides, the
-    // scanner's marker phases).
+    // with `pack_elements` (the `tee2` sides) or that yields the
+    // scanner's marker phases.
     "step",
     // The run-native sector and scope operators: one input item taken
     // whole (`ingest_item`), a run folded, magnified or mapped into the

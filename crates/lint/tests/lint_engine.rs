@@ -159,9 +159,9 @@ fn element_packing_rule_flags_operator_library_calls_only() {
     let hits = rules_hit(&findings, "element-packing");
     let fns: Vec<&str> = hits.iter().map(|f| f.function.as_str()).collect();
     assert_eq!(fns, vec!["next_chunk", "bad_drain_queue"], "{hits:?}");
-    // The model's per-element streams (validator, split sides) and the
-    // scanner's marker phases still pack their elements.
-    for path in ["crates/core/src/model/validate.rs", "crates/satsim/src/scanner.rs"] {
+    // The model's per-element streams (the `split2` and `tee2` sides)
+    // and the scanner's marker phases still pack their elements.
+    for path in ["crates/core/src/model/split.rs", "crates/satsim/src/scanner.rs"] {
         let elsewhere = lint_files(&[(path.to_string(), src.clone())]);
         assert!(rules_hit(&elsewhere, "element-packing").is_empty(), "{path}");
     }

@@ -165,6 +165,11 @@ fn ingest_crash_restarts_and_feed_resumes() {
     assert!(stats.faults_per_band.iter().any(|(_, f)| f.died));
     // The query saw sectors from both sides of the crash.
     let r = results[0].as_ref().unwrap();
+    // Reordering and lost markers around the restart never put a point
+    // into a frame it does not belong to: the repaired stream the query
+    // saw obeyed the whole grammar (checked in debug builds).
+    assert_eq!(r.report.as_ref().unwrap().protocol_violations, 0);
+    assert_eq!(metrics.protocol_violations.get(), 0);
     let repair = &r.repair[0];
     assert!(repair.sectors.len() >= 2, "{:?}", repair.sectors);
     let max_sector = repair.sectors.iter().map(|s| s.sector_id).max().unwrap();

@@ -11,7 +11,7 @@ mod common;
 use common::reference;
 use geostreams::core::model::{
     drain_chunked, split2, tee2, BoxedF32Stream, ChunkChannel, ChunkInput, ChunkOrMarker, Element,
-    GeoStream, StreamRepair, StreamSchema, TimeSemantics, TimeSet, Timestamp, Validator, VecStream,
+    GeoStream, StreamRepair, StreamSchema, TimeSemantics, TimeSet, Timestamp, VecStream,
 };
 use geostreams::core::obs::{FlightRecorder, SpanStream, TracedStream};
 use geostreams::core::ops::{
@@ -42,10 +42,13 @@ const H: u32 = 8;
 /// divisor of every image-by-image frame), a sector, the default.
 const BUDGETS: &[usize] = &[1, 2, 7, W as usize, 256, 1024];
 
-/// Where `make()` breaks the chunk contract, one breach per budget at
-/// most: a run holds `1..=budget` points, a marker rides only on a run
-/// it cut short, and the flattened output and final `OpStats` equal
-/// those of one-element pulls — whose element sequence is returned.
+/// Where `make()` breaks the chunk contract or the stream grammar, one
+/// breach per budget at most: every item passes a
+/// [`ChunkProtocolChecker`] built with the pull budget (a run holds at
+/// most `budget` points, a marker rides only on a run it cut short, and
+/// the whole grammar, end of stream included), no run is empty, and the
+/// flattened output and final `OpStats` equal those of one-element
+/// pulls — whose element sequence is returned.
 fn contract_breaches<S: GeoStream>(make: impl Fn() -> S) -> (Vec<Element<S::V>>, Vec<String>)
 where
     S::V: PartialEq,
@@ -55,14 +58,17 @@ where
     let mut breaches = Vec::new();
     for &budget in BUDGETS {
         let (mut s, mut got, mut breach) = (make(), Vec::new(), None);
+        let mut checker = ChunkProtocolChecker::new(budget, s.schema().time_semantics);
         while let Some(item) = s.next_chunk(budget) {
-            let n = item.point_count();
-            if matches!(item, ChunkOrMarker::Chunk(_)) && !(1..=budget).contains(&n) {
-                breach.get_or_insert(format!("a run of {n} points"));
-            } else if n == budget && item.marker().is_some() {
-                breach.get_or_insert("a marker on a full run".to_string());
+            checker.observe(&item);
+            if matches!(item, ChunkOrMarker::Chunk(_)) && item.point_count() == 0 {
+                breach.get_or_insert("an empty run".to_string());
             }
             item.into_elements(&mut |el| got.push(el));
+        }
+        checker.finish();
+        if let Some((at, violation)) = checker.first_violation() {
+            breach.get_or_insert(format!("element {at}: {violation}"));
         }
         if got != expected || s.op_stats() != one_by_one.op_stats() {
             breach.get_or_insert("elements or OpStats differ from one-element pulls".to_string());
@@ -1110,6 +1116,10 @@ fn every_stream_obeys_the_chunk_contract_at_every_budget() {
     let tagged = |tag: u8| vec_fixture().drain_elements().into_iter().map(move |e| (tag, e));
     let schema = || vec_fixture().schema().clone();
     let right = || VecStream::sectors("rhs", lattice(), 3, |s, x, y| (s as f64) + (x * y) as f64);
+    // `contract_breaches` also holds each stream to the whole grammar.
+    // No stream here breaks it by design: `ChaosStream` runs a plan
+    // without faults, and its damage reaches this table only through
+    // `StreamRepair`.
     let cases = [
         case("VecStream", vec_fixture),
         case("SyntheticStream", camera),
@@ -1124,7 +1134,6 @@ fn every_stream_obeys_the_chunk_contract_at_every_budget() {
         case("&mut", || Box::leak(Box::new(vec_fixture()))),
         case("ChaosStream", || ChaosStream::new(camera(), FaultPlan::seeded(3), 1)),
         case("StreamRepair", || StreamRepair::new(ChaosStream::new(camera(), nasty_plan(), 1))),
-        case("Validator", || Validator::new(vec_fixture())),
         case("split2", || split2(tagged(0).chain(tagged(1)), schema(), schema()).1),
         case("tee2", || tee2(vec_fixture()).1),
         case("SpatialRestrict", || SpatialRestrict::new(src(), Region::Rect(lat.world_bbox()))),
@@ -1166,8 +1175,8 @@ fn every_stream_obeys_the_chunk_contract_at_every_budget() {
 // Runtime protocol validation (ISSUE 7)
 // ---------------------------------------------------------------------
 
-/// Drives every chunk of a pipeline through the debug-build protocol
-/// checker at every pull budget and requires a clean run.
+/// Drives every chunk of a pipeline through the protocol checker at
+/// every pull budget and requires a clean run.
 fn assert_protocol_clean<S, F>(label: &str, make: F)
 where
     S: GeoStream<V = f32>,
@@ -1175,14 +1184,15 @@ where
 {
     for &budget in BUDGETS {
         let mut s = make();
-        let mut checker = ChunkProtocolChecker::new();
+        let mut checker = ChunkProtocolChecker::new(budget, s.schema().time_semantics);
         while let Some(item) = s.next_chunk(budget) {
             checker.observe(&item);
         }
         assert_eq!(
             checker.violations(),
             0,
-            "{label} violated the chunk protocol at budget {budget}"
+            "{label} violated the chunk protocol at budget {budget}: {:?}",
+            checker.first_violation()
         );
     }
 }
@@ -1208,15 +1218,14 @@ fn chunked_pipelines_are_protocol_clean() {
     });
 }
 
-#[cfg(debug_assertions)]
 #[test]
 fn validator_catches_unrepaired_damage() {
-    // Sanity check that the validator can actually fail: a downlink
-    // that loses every end marker, pulled WITHOUT the repair layer,
-    // must register bracketing violations in debug builds.
+    // Sanity check that the checker can actually fail: a downlink that
+    // loses every end marker, pulled WITHOUT the repair layer, must
+    // register bracketing violations.
     let plan = FaultPlan::seeded(5).with_dropped_end_markers(1.0);
     let mut s = ChaosStream::new(goes_fixture(), plan, 3);
-    let mut checker = ChunkProtocolChecker::new();
+    let mut checker = ChunkProtocolChecker::new(64, s.schema().time_semantics);
     while let Some(item) = s.next_chunk(64) {
         checker.observe(&item);
     }
@@ -1226,7 +1235,7 @@ fn validator_catches_unrepaired_damage() {
 /// Each sector's points as a sorted set of (column, row, value bits),
 /// pulled at `budget` under a protocol checker that must stay quiet.
 fn sector_point_sets<S: GeoStream<V = f32>>(mut s: S, budget: usize) -> Vec<Vec<(u32, u32, u32)>> {
-    let mut checker = ChunkProtocolChecker::with_budget(budget);
+    let mut checker = ChunkProtocolChecker::new(budget, s.schema().time_semantics);
     let mut sectors: Vec<Vec<(u32, u32, u32)>> = Vec::new();
     while let Some(item) = s.next_chunk(budget) {
         checker.observe(&item);
