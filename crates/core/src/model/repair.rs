@@ -261,6 +261,20 @@ impl SeenCells {
     }
 }
 
+/// Elements being discarded up to the end marker of a frame or a
+/// sector.
+#[derive(Clone, Copy, PartialEq)]
+enum Skip {
+    /// A retransmitted frame: its points count as duplicates.
+    Duplicate(u64),
+    /// A frame whose id is below the last one of its sector: its points
+    /// are orphans.
+    Frame(u64),
+    /// A sector whose id does not exceed the last one opened: its
+    /// elements are orphans.
+    Sector(u64),
+}
+
 /// An open sector being tracked.
 struct OpenSector {
     id: u64,
@@ -291,30 +305,18 @@ pub struct StreamRepair<S: GeoStream> {
     /// less than a sector, and a continuous query must not grow with
     /// the length of the stream.
     seen_frames: BTreeSet<u64>,
-    /// Inside a duplicate frame whose elements are being discarded.
-    dup_skip: Option<u64>,
+    /// Inside a frame or sector whose elements are being discarded.
+    skip: Option<Skip>,
     last_sector_id: Option<u64>,
     ended: bool,
     probe: Arc<RepairProbe>,
     counters: Option<RepairCounters>,
 }
 
-/// The repair stage is the protocol's safety net: it tolerates
-/// arbitrary (chaotic) input and restores both bracketing and lattice
-/// order on its output, which is what re-certifies everything above it.
-pub fn repair_contract() -> crate::ops::ProtocolContract {
-    crate::ops::ProtocolContract::repairing("repair")
-}
-
 impl<S: GeoStream> StreamRepair<S> {
     /// Wraps a stream with a fresh probe.
     pub fn new(input: S) -> Self {
         Self::with_probe(input, Arc::new(RepairProbe::default()))
-    }
-
-    /// Protocol contract (`repair_contract`).
-    pub fn declared_contract(&self) -> crate::ops::ProtocolContract {
-        repair_contract()
     }
 
     /// Wraps a stream, reporting into a caller-supplied probe (so the
@@ -328,7 +330,7 @@ impl<S: GeoStream> StreamRepair<S> {
             frame: None,
             seen_cells: SeenCells::default(),
             seen_frames: BTreeSet::new(),
-            dup_skip: None,
+            skip: None,
             last_sector_id: None,
             ended: false,
             probe,
@@ -423,7 +425,7 @@ impl<S: GeoStream> StreamRepair<S> {
         self.stats.elements_in += 1;
         match el {
             Element::SectorStart(si) => {
-                self.dup_skip = None;
+                self.skip = None;
                 if let Some(open) = &self.sector {
                     if open.id == si.sector_id {
                         // Retransmitted SectorStart for the open
@@ -432,6 +434,15 @@ impl<S: GeoStream> StreamRepair<S> {
                         self.note_duplicate();
                         return;
                     }
+                }
+                if self.last_sector_id.is_some_and(|last| si.sector_id <= last) {
+                    // A sector that comes after a later one (or again):
+                    // discarded whole, up to its `SectorEnd`.
+                    self.note_disorder();
+                    self.skip = Some(Skip::Sector(si.sector_id));
+                    return;
+                }
+                if self.sector.is_some() {
                     // Previous sector never closed: force-close it
                     // (and any open frame) before opening the new
                     // one.
@@ -461,7 +472,11 @@ impl<S: GeoStream> StreamRepair<S> {
                 self.out.push_back(Element::SectorStart(si));
             }
             Element::FrameStart(fi) => {
-                self.dup_skip = None;
+                if matches!(self.skip, Some(Skip::Sector(_))) {
+                    self.stats.orphans += 1;
+                    return;
+                }
+                self.skip = None;
                 if self.sector.is_none() {
                     // No sector to attribute the frame to (its
                     // SectorStart is lost or still in flight): drop
@@ -475,7 +490,16 @@ impl<S: GeoStream> StreamRepair<S> {
                     // Retransmitted frame: discard its whole body.
                     self.stats.duplicate_frames += 1;
                     self.note_duplicate();
-                    self.dup_skip = Some(fi.frame_id);
+                    self.skip = Some(Skip::Duplicate(fi.frame_id));
+                    return;
+                }
+                let last = self.sector.as_ref().and_then(|s| s.last_frame_id);
+                if last.is_some_and(|last| fi.frame_id < last) {
+                    // A frame that comes after a later one of its sector:
+                    // discarded whole, up to its `FrameEnd`.
+                    self.seen_frames.remove(&fi.frame_id);
+                    self.note_disorder();
+                    self.skip = Some(Skip::Frame(fi.frame_id));
                     return;
                 }
                 // Previous frame never closed: finalize it partial.
@@ -493,8 +517,6 @@ impl<S: GeoStream> StreamRepair<S> {
                         if fi.frame_id > prev + 1 {
                             // Whole frames (scan rows) missing.
                             gap_frames = fi.frame_id - prev - 1;
-                        } else if fi.frame_id < prev {
-                            disorders += 1;
                         }
                     }
                     open.last_frame_id = Some(fi.frame_id);
@@ -516,10 +538,17 @@ impl<S: GeoStream> StreamRepair<S> {
                 self.out.push_back(Element::FrameStart(fi));
             }
             Element::Point(p) => {
-                if self.dup_skip.is_some() {
-                    self.stats.duplicate_points += 1;
-                    self.note_duplicate();
-                    return;
+                match self.skip {
+                    Some(Skip::Duplicate(_)) => {
+                        self.stats.duplicate_points += 1;
+                        self.note_duplicate();
+                        return;
+                    }
+                    Some(_) => {
+                        self.stats.orphans += 1;
+                        return;
+                    }
+                    None => {}
                 }
                 if self.frame.is_none() {
                     self.stats.orphans += 1;
@@ -544,11 +573,17 @@ impl<S: GeoStream> StreamRepair<S> {
                 self.out.push_back(Element::Point(p));
             }
             Element::FrameEnd(fe) => {
-                if self.dup_skip == Some(fe.frame_id) {
-                    self.dup_skip = None;
-                    return;
+                match self.skip {
+                    Some(Skip::Duplicate(id) | Skip::Frame(id)) if id == fe.frame_id => {
+                        self.skip = None;
+                        return;
+                    }
+                    Some(Skip::Sector(_)) => {
+                        self.stats.orphans += 1;
+                        return;
+                    }
+                    _ => self.skip = None,
                 }
-                self.dup_skip = None;
                 match &self.frame {
                     Some(open) if open.info.frame_id == fe.frame_id => {
                         self.close_frame(false);
@@ -566,7 +601,9 @@ impl<S: GeoStream> StreamRepair<S> {
                 }
             }
             Element::SectorEnd(se) => {
-                self.dup_skip = None;
+                if std::mem::take(&mut self.skip) == Some(Skip::Sector(se.sector_id)) {
+                    return;
+                }
                 match &self.sector {
                     Some(open) if open.id == se.sector_id => {
                         // Close any frame the lost markers left
@@ -592,7 +629,7 @@ impl<S: GeoStream> StreamRepair<S> {
     /// [`process_one`](Self::process_one) would one by one, and returns
     /// its length. Nothing is queued: the caller owns the points.
     fn admit_run(&mut self, points: &[PointRecord<S::V>]) -> usize {
-        if self.frame.is_none() || self.dup_skip.is_some() {
+        if self.frame.is_none() || self.skip.is_some() {
             return 0;
         }
         let n = self.seen_cells.insert_run(points.iter().map(|p| p.cell)) as u64;
@@ -948,6 +985,104 @@ mod tests {
         let out = crate::model::drain_chunked(&mut r, budget);
         let probe = r.probe();
         (out, probe.stats(), probe.sectors())
+    }
+
+    /// `els` with the element ranges `a` and `b` (`a` before `b`, apart)
+    /// swapped whole.
+    fn swapped(
+        mut els: Vec<Element<f32>>,
+        a: std::ops::RangeInclusive<usize>,
+        b: std::ops::RangeInclusive<usize>,
+    ) -> Vec<Element<f32>> {
+        let tail = els.split_off(b.end() + 1);
+        let second: Vec<_> = els.drain(b.clone()).collect();
+        let middle: Vec<_> = els.drain(a.end() + 1..).collect();
+        let first: Vec<_> = els.drain(a).collect();
+        els.extend(second.into_iter().chain(middle).chain(first).chain(tail));
+        els
+    }
+
+    /// The index ranges of the elements from each marker `starts` matches
+    /// to the next one `ends` matches.
+    fn spans(
+        els: &[Element<f32>],
+        starts: fn(&Element<f32>) -> bool,
+        ends: fn(&Element<f32>) -> bool,
+    ) -> Vec<std::ops::RangeInclusive<usize>> {
+        let mut out = Vec::new();
+        for (i, el) in els.iter().enumerate() {
+            if starts(el) {
+                out.push(i..=i + els[i..].iter().position(ends).unwrap());
+            }
+        }
+        out
+    }
+
+    /// Repairs `els` through the chunk path at budgets 1, 3 and 1024:
+    /// the output keeps the stream grammar and is one result.
+    fn repair_at_every_budget(els: Vec<Element<f32>>) -> (Vec<Element<f32>>, RepairStats) {
+        let (out, stats, _) = repair_chunked(els.clone(), 1);
+        for budget in [1, 3, 1024] {
+            let mut r =
+                StreamRepair::new(VecStream::new(StreamSchema::new("x", Crs::LatLon), els.clone()));
+            let mut checker = ChunkProtocolChecker::new(budget, TimeSemantics::SectorId);
+            let mut got = Vec::new();
+            while let Some(item) = r.next_chunk(budget) {
+                checker.observe(&item);
+                item.into_elements(&mut |el| got.push(el));
+            }
+            checker.finish();
+            assert_eq!(checker.violations(), 0, "budget {budget}: {:?}", checker.first_violation());
+            assert_eq!((got, r.probe().stats()), (out.clone(), stats.clone()), "budget {budget}");
+        }
+        (out, stats)
+    }
+
+    #[test]
+    fn a_frame_after_a_later_one_is_dropped_whole() {
+        // Frames 0 and 1 of a 4 × 4 sector arrive swapped whole: frame 1
+        // goes through, frame 0 is one disorder and its points orphans.
+        let els = clean_elements(1);
+        let frames = spans(
+            &els,
+            |e| matches!(e, Element::FrameStart(_)),
+            |e| matches!(e, Element::FrameEnd(_)),
+        );
+        let els = swapped(els, frames[0].clone(), frames[1].clone());
+        let (out, stats) = repair_at_every_budget(els);
+        let ids: Vec<u64> = out
+            .iter()
+            .filter_map(|e| match e {
+                Element::FrameStart(fi) => Some(fi.frame_id),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(ids, vec![1, 2, 3]);
+        assert_eq!((stats.disorder, stats.orphans, stats.received_points), (1, 4, 12));
+    }
+
+    #[test]
+    fn a_sector_after_a_later_one_is_dropped_whole() {
+        // Sectors 0 and 1 arrive swapped whole: sector 1 goes through,
+        // sector 0 is one disorder and every element inside it an orphan.
+        let els = clean_elements(2);
+        let sectors = spans(
+            &els,
+            |e| matches!(e, Element::SectorStart(_)),
+            |e| matches!(e, Element::SectorEnd(_)),
+        );
+        let els = swapped(els, sectors[0].clone(), sectors[1].clone());
+        let (out, stats) = repair_at_every_budget(els);
+        let ids: Vec<u64> = out
+            .iter()
+            .filter_map(|e| match e {
+                Element::SectorStart(si) => Some(si.sector_id),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(ids, vec![1]);
+        // Four frames of four points, each frame with two markers.
+        assert_eq!((stats.disorder, stats.orphans, stats.received_points), (1, 24, 16));
     }
 
     #[test]

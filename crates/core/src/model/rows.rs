@@ -17,10 +17,11 @@
 //!
 //! The static analyzer bounds the window with
 //! [`RowSchedule::peak_rows`], which runs the same rules over the rows
-//! that arrive.
+//! that arrive, and asks [`RowWindow::bytes_for`] what a ring of that
+//! many rows allocates.
 
 use crate::model::{ChunkOrMarker, Marker, PointRecord};
-use crate::stats::OpStats;
+use crate::stats::{bytes_of, OpStats};
 use geostreams_geo::{Cell, CellBox};
 use geostreams_raster::resample::SampleSource;
 use geostreams_raster::Pixel;
@@ -58,6 +59,13 @@ impl RowSchedule {
         let last = height.saturating_sub(1);
         let needed = (0..height).map(|r| Some((r.saturating_sub(half), (r + half).min(last))));
         RowSchedule::new(needed.collect(), height)
+    }
+
+    /// Bytes the schedule has allocated: a window and a watermark per
+    /// output row.
+    pub(crate) fn bytes(&self) -> u64 {
+        bytes_of::<Option<(u32, u32)>>(self.needed.capacity())
+            + bytes_of::<u32>(self.min_needed_from.capacity())
     }
 
     /// Input rows of the sector the schedule was built for.
@@ -112,8 +120,10 @@ impl RowSchedule {
 /// row-major ring of row slots (a power of two of them) over input rows
 /// `first_row .. first_row + len`, with a flag per slot marking a row
 /// that has received a point, the completion watermark and the next
-/// output row. As a [`SampleSource`], a row of the window that never
-/// arrived reads as `0.0` and a row past the last one seen as that row.
+/// output row. Rows above the first one received (a restriction dropped
+/// them) take no slot. As a [`SampleSource`], a row of the window that
+/// never arrived reads as `0.0` and a row past the last one seen as that
+/// row.
 pub(crate) struct RowWindow<V> {
     data: Vec<V>,
     received: Vec<bool>,
@@ -121,6 +131,9 @@ pub(crate) struct RowWindow<V> {
     height: u32,
     first_row: u32,
     len: u32,
+    /// The first row with a slot: rows from `first_row` up to it never
+    /// arrived, as the window opened on a later row.
+    top: u32,
     /// Received rows in the window: the running count behind the
     /// operator's buffered points.
     held: u32,
@@ -145,6 +158,7 @@ impl<V: Pixel> RowWindow<V> {
             height: 0,
             first_row: 0,
             len: 0,
+            top: 0,
             held: 0,
             open: false,
             cursor: 0,
@@ -156,31 +170,40 @@ impl<V: Pixel> RowWindow<V> {
 
     /// Opens a sector of `width × height` input cells, keeping the
     /// ring's slots and releasing what an unclosed sector still holds.
-    pub(crate) fn open(&mut self, width: u32, height: u32, stats: &mut OpStats) {
-        self.close(stats);
+    pub(crate) fn open(&mut self, width: u32, height: u32) {
+        self.close();
         if width != self.width {
             self.data = vec![V::default(); self.received.len() * width as usize];
         }
         self.received.fill(false);
-        (self.width, self.height, self.first_row, self.len) = (width, height, 0, 0);
+        (self.width, self.height, self.first_row, self.len, self.top) = (width, height, 0, 0, 0);
         (self.open, self.cursor, self.complete, self.floor, self.handed_out) =
             (true, 0, 0, 0, false);
     }
 
-    /// Closes the open sector, releasing every row it holds.
-    pub(crate) fn close(&mut self, stats: &mut OpStats) {
+    /// Closes the open sector, releasing every row it holds; the ring
+    /// stays allocated for the next.
+    pub(crate) fn close(&mut self) {
         if std::mem::take(&mut self.open) {
-            let rows = std::mem::take(&mut self.held);
-            self.account(stats, rows, OpStats::buffer_shrink);
+            self.held = 0;
         }
     }
 
-    /// Counts `rows` whole rows into the buffer counters with `f`.
-    fn account(&self, stats: &mut OpStats, rows: u32, f: fn(&mut OpStats, u64, u64)) {
-        let points = u64::from(rows) * u64::from(self.width);
-        if points > 0 {
-            f(stats, points, points * V::BYTES as u64);
-        }
+    /// Points of the received rows held: whole rows.
+    pub(crate) fn points(&self) -> u64 {
+        u64::from(self.held) * u64::from(self.width)
+    }
+
+    /// Bytes the ring has allocated: its row slots and their flags.
+    pub(crate) fn bytes(&self) -> u64 {
+        bytes_of::<V>(self.data.capacity()) + bytes_of::<bool>(self.received.capacity())
+    }
+
+    /// Bytes of the ring a window holding at most `rows` rows of `width`
+    /// cells grows to: a power of two of slots, at least one.
+    pub(crate) fn bytes_for(rows: u32, width: u32) -> u64 {
+        let slots = rows.max(1).next_power_of_two() as usize;
+        bytes_of::<V>(slots * width as usize) + bytes_of::<bool>(slots)
     }
 
     #[inline]
@@ -193,17 +216,16 @@ impl<V: Pixel> RowWindow<V> {
     pub(crate) fn ingest(&mut self, item: ChunkOrMarker<V>, stats: &mut OpStats) -> Option<Marker> {
         item.take_run(|run| {
             stats.points_in += run.len() as u64;
-            self.ingest_run(run, stats);
+            self.ingest_run(run);
         })
     }
 
     /// Writes a run of input points into their rows; a row's first
     /// point counts the whole row as buffered.
-    fn ingest_run(&mut self, points: &[PointRecord<V>], stats: &mut OpStats) {
+    fn ingest_run(&mut self, points: &[PointRecord<V>]) {
         if !self.open {
             return;
         }
-        let held = self.held;
         let mut row_at: Option<(u32, usize)> = None;
         for p in points {
             let Cell { col, row } = p.cell;
@@ -224,17 +246,20 @@ impl<V: Pixel> RowWindow<V> {
             };
             self.data[base + col as usize] = p.value;
         }
-        self.account(stats, self.held - held, OpStats::buffer_grow);
     }
 
     /// Offset of `row` (at or past `first_row`) in `data`; the row's
-    /// first point receives it, zeroed.
+    /// first point receives it, zeroed. The first row an empty window
+    /// receives is its first slot.
     fn receive(&mut self, row: u32) -> usize {
-        let span = row - self.first_row + 1;
-        if span as usize > self.received.len() {
-            self.grow(span as usize);
+        if self.len == 0 {
+            self.top = row;
         }
-        self.len = self.len.max(span);
+        let slots = row - self.first_row.max(self.top) + 1;
+        if slots as usize > self.received.len() {
+            self.grow(slots as usize);
+        }
+        self.len = self.len.max(row - self.first_row + 1);
         let (slot, w) = (self.slot(row), self.width as usize);
         if !self.received[slot] {
             self.received[slot] = true;
@@ -244,21 +269,22 @@ impl<V: Pixel> RowWindow<V> {
         slot * w
     }
 
-    /// Lays the ring out again over at least `rows` slots.
+    /// Lays the ring out again over at least `rows` slots, in place: a
+    /// row whose slot changes moves to a new slot past the old ones.
     fn grow(&mut self, rows: usize) {
-        let slots = rows.next_power_of_two();
+        let (old, slots) = (self.received.len(), rows.next_power_of_two());
         let w = self.width as usize;
-        let mut data = vec![V::default(); slots * w];
-        let mut received = vec![false; slots];
-        for row in self.first_row..self.first_row + self.len {
-            let old = self.slot(row);
-            if self.received[old] {
-                let new = row as usize & (slots - 1);
-                received[new] = true;
-                data[new * w..][..w].copy_from_slice(&self.data[old * w..][..w]);
+        self.data.reserve_exact(slots * w - self.data.len());
+        self.data.resize(slots * w, V::default());
+        self.received.reserve_exact(slots - old);
+        self.received.resize(slots, false);
+        for row in self.first_row.max(self.top)..self.first_row + self.len {
+            let (from, to) = (row as usize & (old - 1), row as usize & (slots - 1));
+            if from != to && std::mem::take(&mut self.received[from]) {
+                self.received[to] = true;
+                self.data.copy_within(from * w..(from + 1) * w, to * w);
             }
         }
-        (self.data, self.received) = (data, received);
     }
 
     /// A frame over `cells` opens (consumed without output, a stall): the
@@ -283,7 +309,13 @@ impl<V: Pixel> RowWindow<V> {
 
     /// Whether input row `row` is evicted or received.
     fn is_done(&self, row: u32) -> bool {
-        row < self.first_row || (row < self.first_row + self.len && self.received[self.slot(row)])
+        row < self.first_row || self.has(row)
+    }
+
+    /// Whether input row `row` of the window has received a point.
+    #[inline]
+    fn has(&self, row: u32) -> bool {
+        (self.top..self.first_row + self.len).contains(&row) && self.received[self.slot(row)]
     }
 
     /// The next output row of `schedule` whose input window the
@@ -291,21 +323,16 @@ impl<V: Pixel> RowWindow<V> {
     /// end), or `None` until more input arrives. Called again, it first
     /// evicts the input rows no later output row reads; rows the
     /// schedule skips go by unseen.
-    pub(crate) fn next_ready_row(
-        &mut self,
-        schedule: &RowSchedule,
-        force: bool,
-        stats: &mut OpStats,
-    ) -> Option<u32> {
+    pub(crate) fn next_ready_row(&mut self, schedule: &RowSchedule, force: bool) -> Option<u32> {
         if !self.open {
             return None;
         }
         loop {
             if std::mem::take(&mut self.handed_out) {
-                self.advance(schedule, stats);
+                self.advance(schedule);
             }
             match *schedule.needed.get(self.cursor as usize)? {
-                None => self.advance(schedule, stats),
+                None => self.advance(schedule),
                 Some((_, hi)) if force || self.complete > hi => {
                     self.handed_out = true;
                     return Some(self.cursor);
@@ -317,18 +344,17 @@ impl<V: Pixel> RowWindow<V> {
 
     /// Moves past the cursor's output row and drops the input rows below
     /// every later output row's window, never past the last row seen.
-    fn advance(&mut self, schedule: &RowSchedule, stats: &mut OpStats) {
+    fn advance(&mut self, schedule: &RowSchedule) {
         self.cursor += 1;
         let keep = schedule.min_needed_from[self.cursor as usize];
-        let mut freed = 0;
         while self.first_row < keep && self.len > 0 {
-            let slot = self.slot(self.first_row);
-            freed += u32::from(std::mem::take(&mut self.received[slot]));
+            if self.first_row >= self.top {
+                let slot = self.slot(self.first_row);
+                self.held -= u32::from(std::mem::take(&mut self.received[slot]));
+            }
             self.first_row += 1;
             self.len -= 1;
         }
-        self.held -= freed;
-        self.account(stats, freed, OpStats::buffer_shrink);
     }
 
     /// The values of input row `row` as a [`SampleSource`] reads it: a
@@ -340,7 +366,7 @@ impl<V: Pixel> RowWindow<V> {
         let row = (row.clamp(0, i64::from(self.height) - 1) as u32)
             .clamp(self.first_row, self.first_row + self.len.max(1) - 1);
         let (slot, w) = (self.slot(row), self.width as usize);
-        self.received[slot].then(|| &self.data[slot * w..][..w])
+        self.has(row).then(|| &self.data[slot * w..][..w])
     }
 }
 
@@ -361,25 +387,26 @@ mod tests {
     }
 
     /// Feeds rows `arriving` of a `width × height` sector, each a frame
-    /// of its own, through `schedule`; returns the emitted rows and the
-    /// peak of buffered rows.
-    fn run(schedule: &RowSchedule, width: u32, arriving: Range<u32>) -> (Vec<u32>, u64) {
+    /// of its own, through `schedule`; returns the emitted rows, the peak
+    /// of buffered rows and the bytes of the ring.
+    fn run(schedule: &RowSchedule, width: u32, arriving: Range<u32>) -> (Vec<u32>, u64, u64) {
         let (mut window, mut stats, mut emitted) = (RowWindow::new(), OpStats::default(), vec![]);
-        window.open(width, schedule.in_height(), &mut stats);
+        window.open(width, schedule.in_height());
         for row in arriving {
             window.frame_start(&CellBox::new(0, row, width - 1, row), &mut stats);
-            window.ingest_run(&points(row, width), &mut stats);
+            window.ingest_run(&points(row, width));
+            stats.hold(window.points(), window.bytes());
             window.frame_end();
-            while let Some(r) = window.next_ready_row(schedule, false, &mut stats) {
+            while let Some(r) = window.next_ready_row(schedule, false) {
                 emitted.push(r);
             }
         }
-        while let Some(r) = window.next_ready_row(schedule, true, &mut stats) {
+        while let Some(r) = window.next_ready_row(schedule, true) {
             emitted.push(r);
         }
-        window.close(&mut stats);
-        assert_eq!(stats.buffered_points, 0);
-        (emitted, stats.buffered_points_peak / u64::from(width))
+        window.close();
+        assert_eq!(window.points(), 0);
+        (emitted, stats.buffered_points_peak / u64::from(width), window.bytes())
     }
 
     #[test]
@@ -408,11 +435,14 @@ mod tests {
         ] {
             let h = schedule.in_height();
             for arriving in [0..h, 3..h, 0..h / 2, 4..h - 1] {
-                let (emitted, peak) = run(&schedule, 5, arriving.clone());
+                let (emitted, peak, bytes) = run(&schedule, 5, arriving.clone());
                 let want: Vec<u32> =
                     (0..schedule.needed.len() as u32).filter(|&r| schedule.emits(r)).collect();
                 assert_eq!(emitted, want, "{arriving:?}");
-                assert_eq!(peak, u64::from(schedule.peak_rows(arriving.clone())), "{arriving:?}");
+                let rows = schedule.peak_rows(arriving.clone());
+                assert_eq!(peak, u64::from(rows), "{arriving:?}");
+                // The ring spans the rows held, from the first received.
+                assert_eq!(bytes, RowWindow::<f32>::bytes_for(rows, 5), "{arriving:?}");
             }
         }
     }
@@ -424,12 +454,12 @@ mod tests {
         // after, so row 0 waits for row 3.
         let schedule = RowSchedule::band(6, 1);
         let (mut window, mut stats) = (RowWindow::<f32>::new(), OpStats::default());
-        window.open(4, 6, &mut stats);
+        window.open(4, 6);
         let mut frame = |window: &mut RowWindow<f32>, row: u32, points: &[PointRecord<f32>]| {
             window.frame_start(&CellBox::new(0, row, 3, row), &mut stats);
-            window.ingest_run(points, &mut stats);
+            window.ingest_run(points);
             window.frame_end();
-            window.next_ready_row(&schedule, false, &mut stats)
+            window.next_ready_row(&schedule, false)
         };
         assert_eq!(frame(&mut window, 0, &points(0, 4)), None);
         assert_eq!(frame(&mut window, 1, &[]), None);
@@ -444,7 +474,7 @@ mod tests {
         // output rows 0–2 of a ±1 band leave and evict rows 0 and 1.
         let schedule = RowSchedule::band(10, 1);
         let (mut window, mut stats) = (RowWindow::<f32>::new(), OpStats::default());
-        window.open(4, 10, &mut stats);
+        window.open(4, 10);
         // A window that has seen no row reads zeros everywhere.
         for r in [-2, 0, 3, 10] {
             assert_eq!(window.row(r), None, "row {r} of an empty window");
@@ -459,13 +489,13 @@ mod tests {
                     value: values(row)[col as usize],
                 })
                 .collect();
-            window.ingest_run(&run, stats);
+            window.ingest_run(&run);
             window.frame_end();
         };
         let mut emitted = vec![];
         for row in 0..4 {
             arrive(&mut window, &mut stats, row);
-            while let Some(r) = window.next_ready_row(&schedule, false, &mut stats) {
+            while let Some(r) = window.next_ready_row(&schedule, false) {
                 emitted.push(r);
             }
         }
@@ -500,24 +530,25 @@ mod tests {
         // and 70 000): neither may grow the ring or count as a held row.
         let schedule = RowSchedule::band(12, 1);
         let (mut window, mut stats) = (RowWindow::<f32>::new(), OpStats::default());
-        window.open(5, 12, &mut stats);
+        window.open(5, 12);
         for row in 0..12 {
             window.frame_start(&CellBox::new(0, row, 4, row), &mut stats);
             let mut run = points(row, 5);
             if row == 3 {
                 run.extend([12, 70_000].map(|r| PointRecord { cell: Cell::new(1, r), value: 1.0 }));
             }
-            window.ingest_run(&run, &mut stats);
+            window.ingest_run(&run);
+            stats.hold(window.points(), window.bytes());
             window.frame_end();
-            while window.next_ready_row(&schedule, false, &mut stats).is_some() {}
+            while window.next_ready_row(&schedule, false).is_some() {}
         }
         let (_, held) = schedule.bound(0..12, true);
         assert!(
-            stats.buffered_bytes_peak <= u64::from(held) * 5 * 4,
-            "{} bytes buffered, bound {held} rows of 5",
-            stats.buffered_bytes_peak
+            stats.buffered_points_peak <= u64::from(held) * 5,
+            "{} points buffered, bound {held} rows of 5",
+            stats.buffered_points_peak
         );
-        assert!(window.received.len() <= 16, "a ring of {} rows", window.received.len());
+        assert_eq!(window.bytes(), RowWindow::<f32>::bytes_for(held, 5), "a ring of {held} rows");
     }
 
     #[test]

@@ -1,15 +1,16 @@
 //! The sector image of the operators that hold whole images: the §6
-//! windowed temporal aggregate keeps the last `W` of them, the delay
-//! line the last `d + 1`. Both write each input run into a
-//! [`SectorImage`] — a value grid over the sector lattice with a
-//! presence mask — and, at `SectorEnd`, send the grid's present cells
-//! out in row-major order as one run of one full-lattice frame
-//! ([`queue_sector`]).
+//! windowed temporal aggregate keeps the last `W` of them and the open
+//! one, the delay line the last `d + 1`. Both write each input run into
+//! a [`SectorImage`] — a value grid over the sector lattice with a
+//! presence mask — and, at `SectorEnd`, send the present cells out in
+//! row-major order as one full-lattice frame, a pull budget of them at a
+//! time ([`SectorOut`]).
 
 use crate::model::chunk::RunQueue;
 use crate::model::{
-    Chunk, ChunkOrMarker, FrameEnd, FrameInfo, Marker, PointRecord, SectorEnd, SectorInfo,
+    ChunkOrMarker, FrameEnd, FrameInfo, Marker, PointRecord, SectorEnd, SectorInfo,
 };
+use crate::stats::bytes_of;
 use geostreams_geo::{Cell, CellBox, LatticeGeoref};
 use geostreams_raster::Pixel;
 
@@ -38,6 +39,16 @@ impl<T: Copy + Default> SectorImage<T> {
         self.values.len() as u64
     }
 
+    /// Bytes the image has allocated: its values and its mask.
+    pub(crate) fn bytes(&self) -> u64 {
+        bytes_of::<T>(self.values.capacity()) + bytes_of::<bool>(self.present.capacity())
+    }
+
+    /// Bytes of an image of `cells` cells.
+    pub(crate) fn bytes_for(cells: u64) -> u64 {
+        bytes_of::<T>(cells as usize) + bytes_of::<bool>(cells as usize)
+    }
+
     /// Writes a run of points: a point inside the lattice sets its cell
     /// (a later point overwrites an earlier one), any other is dropped.
     pub(crate) fn ingest<V: Pixel>(&mut self, run: &[PointRecord<V>], value: impl Fn(V) -> T) {
@@ -56,40 +67,82 @@ impl<T: Copy + Default> SectorImage<T> {
     pub(crate) fn get(&self, idx: usize) -> Option<T> {
         self.present[idx].then(|| self.values[idx])
     }
-
-    /// The cell of row-major index `idx`.
-    #[inline]
-    pub(crate) fn cell(&self, idx: usize) -> Cell {
-        let w = self.lattice.width as usize;
-        Cell::new((idx % w) as u32, (idx / w) as u32)
-    }
 }
 
-/// Queues one whole sector under `si`'s identity on `lattice`:
-/// `SectorStart`, frame `frame_id` over the full lattice holding the
-/// points `fill` writes (in the order it writes them), `FrameEnd`,
-/// `SectorEnd`.
-pub(crate) fn queue_sector<V: Pixel>(
-    queue: &mut RunQueue<V>,
-    si: &SectorInfo,
-    lattice: LatticeGeoref,
+/// One whole sector handed out of held images a run at a time: its
+/// `SectorStart` and `FrameStart` go out first, then the present cells
+/// in row-major order from a cursor, at most a pull budget of them per
+/// run, then `FrameEnd` and `SectorEnd`. No run of the whole lattice is
+/// ever built.
+pub(crate) struct SectorOut {
+    sector_id: u64,
     frame_id: u64,
-    fill: impl FnOnce(&mut Vec<PointRecord<V>>),
-) {
-    let sector_id = si.sector_id;
-    queue.push(ChunkOrMarker::Marker(Marker::SectorStart(SectorInfo { lattice, ..si.clone() })));
-    queue.push(ChunkOrMarker::Marker(Marker::FrameStart(FrameInfo {
-        frame_id,
-        sector_id,
-        timestamp: si.timestamp,
-        cells: CellBox::full(lattice.width, lattice.height),
-        synth_ns: crate::obs::now_ns(),
-    })));
-    let mut run = Chunk::with_budget(lattice.len() as usize);
-    fill(&mut run.points);
-    if let Some(item) = run.into_item(None) {
-        queue.push(item);
+    width: u32,
+    /// The next cell, row-major, and the cells of the lattice.
+    next: usize,
+    cells: usize,
+}
+
+impl SectorOut {
+    /// Queues the markers that open one sector under `si`'s identity on
+    /// `lattice`, a frame `frame_id` over the whole lattice in it.
+    pub(crate) fn open<V: Pixel>(
+        queue: &mut RunQueue<V>,
+        si: &SectorInfo,
+        lattice: LatticeGeoref,
+        frame_id: u64,
+    ) -> Self {
+        let sector_id = si.sector_id;
+        queue
+            .push(ChunkOrMarker::Marker(Marker::SectorStart(SectorInfo { lattice, ..si.clone() })));
+        queue.push(ChunkOrMarker::Marker(Marker::FrameStart(FrameInfo {
+            frame_id,
+            sector_id,
+            timestamp: si.timestamp,
+            cells: CellBox::full(lattice.width, lattice.height),
+            synth_ns: crate::obs::now_ns(),
+        })));
+        let cells = lattice.len() as usize;
+        SectorOut { sector_id, frame_id, width: lattice.width, next: 0, cells }
     }
-    queue.push(ChunkOrMarker::Marker(Marker::FrameEnd(FrameEnd { frame_id, sector_id })));
-    queue.push(ChunkOrMarker::Marker(Marker::SectorEnd(SectorEnd { sector_id })));
+
+    /// Appends the cells from the cursor on to the queue's open run, each
+    /// with the value `value` gives it (`None`: absent), until that run
+    /// holds `budget` points; once no cell is left, queues `FrameEnd` and
+    /// `SectorEnd` and returns `true`.
+    pub(crate) fn fill<V: Pixel>(
+        &mut self,
+        queue: &mut RunQueue<V>,
+        budget: usize,
+        mut value: impl FnMut(usize) -> Option<V>,
+    ) -> bool {
+        let w = self.width as usize;
+        let point = |idx: usize, value| PointRecord {
+            cell: Cell::new((idx % w) as u32, (idx / w) as u32),
+            value,
+        };
+        // A run is opened only for a point: no empty run goes out.
+        while self.next < self.cells {
+            let idx = self.next;
+            self.next += 1;
+            if let Some(v) = value(idx) {
+                let run = queue.open_run();
+                run.push(point(idx, v));
+                while run.len() < budget && self.next < self.cells {
+                    if let Some(v) = value(self.next) {
+                        run.push(point(self.next, v));
+                    }
+                    self.next += 1;
+                }
+                break;
+            }
+        }
+        if self.next < self.cells {
+            return false;
+        }
+        let (frame_id, sector_id) = (self.frame_id, self.sector_id);
+        queue.push(ChunkOrMarker::Marker(Marker::FrameEnd(FrameEnd { frame_id, sector_id })));
+        queue.push(ChunkOrMarker::Marker(Marker::SectorEnd(SectorEnd { sector_id })));
+        true
+    }
 }

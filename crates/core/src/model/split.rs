@@ -20,10 +20,27 @@ use super::chunk::{pack_elements, ChunkInput, ChunkOrMarker};
 use super::element::Element;
 use super::schema::StreamSchema;
 use super::stream::GeoStream;
-use crate::stats::{OpReport, OpStats};
+use crate::stats::{bytes_of, OpReport, OpStats};
 use geostreams_raster::Pixel;
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
+
+/// Queues `el` for a side and reports what its queue holds: the points,
+/// counted in `buffered_points` as they come and go, and the bytes the
+/// queue has allocated.
+fn enqueue<V>(queue: &mut VecDeque<Element<V>>, stats: &mut OpStats, el: Element<V>) {
+    let points = stats.buffered_points + u64::from(el.is_point());
+    queue.push_back(el);
+    stats.hold(points, bytes_of::<Element<V>>(queue.capacity()));
+}
+
+/// The oldest element queued for a side, reported as [`enqueue`] does.
+fn dequeue<V>(queue: &mut VecDeque<Element<V>>, stats: &mut OpStats) -> Option<Element<V>> {
+    let el = queue.pop_front()?;
+    let points = stats.buffered_points - u64::from(el.is_point());
+    stats.hold(points, bytes_of::<Element<V>>(queue.capacity()));
+    Some(el)
+}
 
 /// Shared state between the two sides of a split.
 struct SplitState<V> {
@@ -41,10 +58,7 @@ impl<V: Pixel> SplitState<V> {
     /// other side's queue as needed.
     fn pull(&mut self, side: u8) -> Option<Element<V>> {
         let si = side as usize;
-        if let Some(el) = self.queues[si].pop_front() {
-            if el.is_point() {
-                self.stats[si].buffer_shrink(1, V::BYTES as u64);
-            }
+        if let Some(el) = dequeue(&mut self.queues[si], &mut self.stats[si]) {
             return Some(el);
         }
         loop {
@@ -53,10 +67,7 @@ impl<V: Pixel> SplitState<V> {
             if oi == si {
                 return Some(el);
             }
-            if el.is_point() {
-                self.stats[oi].buffer_grow(1, V::BYTES as u64);
-            }
-            self.queues[oi].push_back(el);
+            enqueue(&mut self.queues[oi], &mut self.stats[oi], el);
         }
     }
 }
@@ -128,12 +139,10 @@ pub struct TeeStream<S: GeoStream> {
 impl<S: GeoStream> TeeStream<S> {
     /// The next output element; `next_chunk` packs these into runs.
     fn step(&mut self) -> Option<Element<S::V>> {
-        let mut st = self.state.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut guard = self.state.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let st = &mut *guard;
         let si = self.side as usize;
-        if let Some(el) = st.queues[si].pop_front() {
-            if el.is_point() {
-                st.stats[si].buffer_shrink(1, S::V::BYTES as u64);
-            }
+        if let Some(el) = dequeue(&mut st.queues[si], &mut st.stats[si]) {
             return Some(el);
         }
         if st.done {
@@ -142,10 +151,7 @@ impl<S: GeoStream> TeeStream<S> {
         match st.input.pull() {
             Some(el) => {
                 let oi = 1 - si;
-                if el.is_point() {
-                    st.stats[oi].buffer_grow(1, S::V::BYTES as u64);
-                }
-                st.queues[oi].push_back(el.clone());
+                enqueue(&mut st.queues[oi], &mut st.stats[oi], el.clone());
                 Some(el)
             }
             None => {

@@ -13,7 +13,7 @@
 //!   algebra stays closed.
 
 use crate::model::chunk::RunQueue;
-use crate::model::sector::{queue_sector, SectorImage};
+use crate::model::sector::{SectorImage, SectorOut};
 use crate::model::{
     ChunkOrMarker, FrameEnd, FrameInfo, GeoStream, Marker, PointRecord, SectorEnd, SectorInfo,
     StreamSchema, Timestamp, DEFAULT_CHUNK_BUDGET,
@@ -71,7 +71,8 @@ impl AggFunc {
 /// (sector), emits an image whose cell values aggregate the last `W`
 /// images at that cell. Input runs are written into the open sector's
 /// image; at `SectorEnd` the window's cells are reduced, oldest image
-/// first, into one output run.
+/// first, a pull budget of them at a time, before the next input is
+/// read.
 pub struct TemporalAggregate<S: GeoStream> {
     input: S,
     func: AggFunc,
@@ -81,6 +82,10 @@ pub struct TemporalAggregate<S: GeoStream> {
     /// The window: front = oldest.
     history: VecDeque<SectorImage<f64>>,
     pending_sector: Option<SectorInfo>,
+    /// The window's aggregate going out.
+    out: Option<SectorOut>,
+    /// One cell's observations, oldest first.
+    obs: Vec<f64>,
     queue: RunQueue<f32>,
     next_frame_id: u64,
     stats: OpStats,
@@ -100,6 +105,8 @@ impl<S: GeoStream> TemporalAggregate<S> {
             current: None,
             history: VecDeque::new(),
             pending_sector: None,
+            out: None,
+            obs: Vec::with_capacity(window),
             queue: RunQueue::new(),
             next_frame_id: 0,
             stats: OpStats::default(),
@@ -107,29 +114,12 @@ impl<S: GeoStream> TemporalAggregate<S> {
         }
     }
 
-    /// Queues the window's aggregate under the identity of `si`.
-    fn emit_window(&mut self, si: &SectorInfo) {
-        let Some(lattice) = self.lattice else { return };
-        let frame_id = self.next_frame_id;
-        self.next_frame_id += 1;
-        self.stats.frames_out += 1;
-        let (func, history, stats) = (self.func, &self.history, &mut self.stats);
-        queue_sector(&mut self.queue, si, lattice, frame_id, |run| {
-            let Some(newest) = history.back() else { return };
-            // One cell's observations, oldest first.
-            let mut obs = Vec::with_capacity(history.len());
-            for idx in 0..newest.cells() as usize {
-                obs.clear();
-                obs.extend(history.iter().filter_map(|img| img.get(idx)));
-                if !obs.is_empty() {
-                    stats.points_out += 1;
-                    run.push(PointRecord {
-                        cell: newest.cell(idx),
-                        value: func.reduce(&obs) as f32,
-                    });
-                }
-            }
-        });
+    /// Reports the window's cells and the bytes of its images and the
+    /// open one.
+    fn hold(&mut self) {
+        let images = self.history.iter().chain(&self.current);
+        let bytes = images.map(SectorImage::bytes).sum();
+        self.stats.hold(self.history.iter().map(SectorImage::cells).sum(), bytes);
     }
 
     /// Takes one input item: its points into the open image, then its
@@ -146,8 +136,6 @@ impl<S: GeoStream> TemporalAggregate<S> {
                 // Lattice changes reset the window (different geometry
                 // cannot aggregate cell-wise).
                 if self.lattice != Some(si.lattice) {
-                    let freed: u64 = self.history.iter().map(SectorImage::cells).sum();
-                    self.stats.buffer_shrink(freed, freed * 8);
                     self.history.clear();
                     self.lattice = Some(si.lattice);
                 }
@@ -157,26 +145,26 @@ impl<S: GeoStream> TemporalAggregate<S> {
                 self.pending_sector = Some(si);
             }
             Some(Marker::FrameStart(_)) => self.stats.frames_in += 1,
-            Some(Marker::FrameEnd(_)) | None => {}
+            Some(Marker::FrameEnd(_)) | None => return,
             Some(Marker::SectorEnd(_)) => {
                 if let Some(cur) = self.current.take() {
                     // Evict before inserting so the live buffer never
                     // exceeds `window` images.
                     if self.history.len() == self.window {
-                        if let Some(old) = self.history.pop_front() {
-                            let n = old.cells();
-                            self.stats.buffer_shrink(n, n * 8);
-                        }
+                        self.history.pop_front();
                     }
-                    let n = cur.cells();
-                    self.stats.buffer_grow(n, n * 8);
                     self.history.push_back(cur);
-                    if let Some(si) = self.pending_sector.take() {
-                        self.emit_window(&si);
+                    if let (Some(si), Some(lattice)) = (self.pending_sector.take(), self.lattice) {
+                        // The window's aggregate under the identity of `si`.
+                        let frame_id = self.next_frame_id;
+                        self.next_frame_id += 1;
+                        self.stats.frames_out += 1;
+                        self.out = Some(SectorOut::open(&mut self.queue, &si, lattice, frame_id));
                     }
                 }
             }
         }
+        self.hold();
     }
 }
 
@@ -190,6 +178,20 @@ impl<S: GeoStream> GeoStream for TemporalAggregate<S> {
     fn next_chunk(&mut self, budget: usize) -> Option<ChunkOrMarker<f32>> {
         let budget = budget.max(1);
         while !self.queue.ready(budget) {
+            if let Some(out) = &mut self.out {
+                let (func, history, obs, stats) =
+                    (self.func, &self.history, &mut self.obs, &mut self.stats);
+                let done = out.fill(&mut self.queue, budget, |idx| {
+                    obs.clear();
+                    obs.extend(history.iter().filter_map(|img| img.get(idx)));
+                    stats.points_out += u64::from(!obs.is_empty());
+                    (!obs.is_empty()).then(|| func.reduce(obs) as f32)
+                });
+                if done {
+                    self.out = None;
+                }
+                continue;
+            }
             let Some(item) = self.input.next_chunk(DEFAULT_CHUNK_BUDGET) else { break };
             self.ingest_item(item);
         }
@@ -398,30 +400,6 @@ pub fn aggregate_contract(operator: &str) -> crate::ops::ProtocolContract {
         // boundaries: aggregates bound the parallel region.
         parallelism: crate::ops::protocol::Parallelism::BlockingMerge,
         granularity: crate::ops::protocol::Granularity::Sector,
-    }
-}
-
-impl<S: GeoStream> TemporalAggregate<S> {
-    /// A sliding window of `W` images is frame-scale buffering (§6 / \[27\]).
-    pub fn declared_blocking(&self) -> crate::ops::BlockingClass {
-        crate::ops::BlockingClass::BoundedFrame
-    }
-
-    /// Protocol contract (see [`aggregate_contract`]).
-    pub fn declared_contract(&self) -> crate::ops::ProtocolContract {
-        aggregate_contract("agg_time")
-    }
-}
-
-impl<S: GeoStream> SpatialAggregate<S> {
-    /// One scalar accumulator per sector: O(1) state, non-blocking.
-    pub fn declared_blocking(&self) -> crate::ops::BlockingClass {
-        crate::ops::BlockingClass::NonBlocking
-    }
-
-    /// Protocol contract (see [`aggregate_contract`]).
-    pub fn declared_contract(&self) -> crate::ops::ProtocolContract {
-        aggregate_contract("agg_space")
     }
 }
 

@@ -1,12 +1,10 @@
 //! Declared blocking classes: the paper's §3 per-operator cost claims
 //! as a first-class, ordered type.
 //!
-//! Every operator in this module tree exposes a `declared_blocking()`
-//! method returning the class it promises to respect at runtime;
-//! [`crate::query::analyze()`] re-derives the same classification
-//! statically from an expression tree so plans can be admitted or
-//! refused *before* the pipeline pulls its first point (Aurora-style
-//! admission control).
+//! [`crate::query::analyze()`] derives each operator's class statically
+//! from an expression tree, with the buffer bound its structures report,
+//! so plans can be admitted or refused *before* the pipeline pulls its
+//! first point (Aurora-style admission control).
 //!
 //! The variants are totally ordered from cheapest to most expensive:
 //! `NonBlocking < BoundedRows(k) < BoundedFrame < Unbounded`. The

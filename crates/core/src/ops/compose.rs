@@ -47,7 +47,7 @@ use crate::model::{
     ChunkInput, ChunkOrMarker, Element, FrameEnd, FrameInfo, GeoStream, Marker, PointRecord,
     SectorEnd, SectorInfo, StreamSchema, Timestamp,
 };
-use crate::stats::{OpReport, OpStats};
+use crate::stats::{bytes_of, OpReport, OpStats};
 use geostreams_geo::{CellBox, LatticeGeoref};
 use geostreams_raster::Pixel;
 use serde::{Deserialize, Serialize};
@@ -166,7 +166,7 @@ impl GammaOp {
 type Key = (i64, u32, u32);
 
 /// What the operator knows of one input.
-struct Side<V> {
+pub(crate) struct Side<V> {
     /// Timestamp of the frame being read: the key of its points.
     ts: Timestamp,
     /// The smallest key the input can still produce (see the module
@@ -183,6 +183,12 @@ struct Side<V> {
 }
 
 impl<V> Side<V> {
+    /// Bytes of `points` points waiting in the keyed buffers: a key and
+    /// a value each; the B-tree's node slack is not counted.
+    pub(crate) fn bytes_for(points: u64) -> u64 {
+        bytes_of::<(Key, V)>(points as usize)
+    }
+
     fn new() -> Self {
         Side {
             ts: Timestamp::default(),
@@ -424,7 +430,7 @@ impl<L: GeoStream, R: GeoStream<V = L::V>> Compose<L, R> {
         let [left, right] = &mut self.sides;
         let (mine, theirs) = if s == 0 { (left, right) } else { (right, left) };
         if let Some(other) = theirs.held.remove(&key) {
-            self.stats.buffer_shrink(1, L::V::BYTES as u64);
+            self.hold();
             let (a, b) = if s == 0 { (p.value, other) } else { (other, p.value) };
             let value = L::V::from_f64(self.op.apply(a.to_f64(), b.to_f64()));
             let out = self.out.emit_run(ts, self.active.as_ref(), &mut self.stats);
@@ -434,7 +440,7 @@ impl<L: GeoStream, R: GeoStream<V = L::V>> Compose<L, R> {
             self.unmatched_dropped += 1;
         } else {
             mine.held.insert(key, p.value);
-            self.stats.buffer_grow(1, L::V::BYTES as u64);
+            self.hold();
         }
     }
 
@@ -475,7 +481,13 @@ impl<L: GeoStream, R: GeoStream<V = L::V>> Compose<L, R> {
 
     fn drop_unmatched(&mut self, n: u64) {
         self.unmatched_dropped += n;
-        self.stats.buffer_shrink(n, n * L::V::BYTES as u64);
+        self.hold();
+    }
+
+    /// Reports the points waiting in both keyed buffers.
+    fn hold(&mut self) {
+        let points = (self.sides[0].held.len() + self.sides[1].held.len()) as u64;
+        self.stats.hold(points, Side::<L::V>::bytes_for(points));
     }
 
     /// Raises side `s`'s floor: the other side's points waiting below
@@ -540,24 +552,6 @@ pub fn compose_contract(operator: &str) -> crate::ops::ProtocolContract {
     // parallel region (subtrees above it can still be partitioned).
     crate::ops::ProtocolContract::resynthesizing(operator)
         .with_parallelism(Parallelism::BlockingMerge, Granularity::Sector)
-}
-
-impl<L: GeoStream, R: GeoStream<V = L::V>> Compose<L, R> {
-    /// Protocol contract (see [`compose_contract`]).
-    pub fn declared_contract(&self) -> crate::ops::ProtocolContract {
-        compose_contract("compose")
-    }
-
-    /// §3.3: composition buffering "depends on the point organization
-    /// (whole image for image-by-image vs a single row for row-by-row)".
-    pub fn declared_blocking(&self) -> crate::ops::BlockingClass {
-        use crate::model::Organization;
-        if self.schema.organization == Organization::ImageByImage {
-            crate::ops::BlockingClass::BoundedFrame
-        } else {
-            crate::ops::BlockingClass::BoundedRows(1)
-        }
-    }
 }
 
 #[cfg(test)]

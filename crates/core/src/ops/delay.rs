@@ -11,17 +11,17 @@
 //! style of analysis applies: the state is images, not the stream).
 
 use crate::model::chunk::RunQueue;
-use crate::model::sector::{queue_sector, SectorImage};
+use crate::model::sector::{SectorImage, SectorOut};
 use crate::model::{
-    ChunkOrMarker, GeoStream, Marker, PointRecord, SectorInfo, StreamSchema, DEFAULT_CHUNK_BUDGET,
+    ChunkOrMarker, GeoStream, Marker, SectorInfo, StreamSchema, DEFAULT_CHUNK_BUDGET,
 };
 use crate::stats::{OpReport, OpStats};
-use geostreams_raster::Pixel;
 use std::collections::VecDeque;
 
 /// The delay operator `delay(G, d)`. Input runs are written into the
 /// open sector's image; at `SectorEnd` the image from `d` sectors ago
-/// leaves as one run.
+/// goes out, a pull budget of cells at a time, before the next input is
+/// read.
 pub struct Delay<S: GeoStream> {
     input: S,
     d: usize,
@@ -29,6 +29,8 @@ pub struct Delay<S: GeoStream> {
     line: VecDeque<SectorImage<S::V>>,
     current: Option<SectorImage<S::V>>,
     pending_sector: Option<SectorInfo>,
+    /// The delayed image going out.
+    replay: Option<(SectorOut, SectorImage<S::V>)>,
     queue: RunQueue<S::V>,
     next_frame_id: u64,
     stats: OpStats,
@@ -46,6 +48,7 @@ impl<S: GeoStream> Delay<S> {
             line: VecDeque::new(),
             current: None,
             pending_sector: None,
+            replay: None,
             queue: RunQueue::new(),
             next_frame_id: 0,
             stats: OpStats::default(),
@@ -53,28 +56,17 @@ impl<S: GeoStream> Delay<S> {
         }
     }
 
-    /// Queues the delayed image under the current sector's identity.
-    fn emit_delayed(&mut self, si: &SectorInfo, held: &SectorImage<S::V>) {
-        // The delayed image is re-georeferenced to its own (old) lattice
-        // but stamped with the *current* timestamp/sector so it joins
-        // against the live stream.
-        let frame_id = self.next_frame_id;
-        self.next_frame_id += 1;
-        self.stats.frames_out += 1;
-        let stats = &mut self.stats;
-        queue_sector(&mut self.queue, si, held.lattice(), frame_id, |run| {
-            for idx in 0..held.cells() as usize {
-                if let Some(value) = held.get(idx) {
-                    stats.points_out += 1;
-                    run.push(PointRecord { cell: held.cell(idx), value });
-                }
-            }
-        });
-    }
-
     /// The current timestamp shift in sectors.
     pub fn delay_sectors(&self) -> usize {
         self.d
+    }
+
+    /// Reports the cells of the line and the image going out, and the
+    /// bytes of every image held.
+    fn hold(&mut self) {
+        let held = || self.line.iter().chain(self.replay.as_ref().map(|(_, image)| image));
+        let bytes = held().chain(&self.current).map(SectorImage::bytes).sum();
+        self.stats.hold(held().map(SectorImage::cells).sum(), bytes);
     }
 
     /// Takes one input item: its points into the open image, then its
@@ -92,25 +84,26 @@ impl<S: GeoStream> Delay<S> {
                 self.pending_sector = Some(si);
             }
             Some(Marker::FrameStart(_) | Marker::FrameEnd(_)) => self.stats.stalls += 1,
-            None => {}
+            None => return,
             Some(Marker::SectorEnd(_)) => {
                 let Some(si) = self.pending_sector.take() else { return };
-                if let Some(cur) = self.current.take() {
-                    let n = cur.cells();
-                    self.stats.buffer_grow(n, n * S::V::BYTES as u64);
-                    self.line.push_back(cur);
-                }
+                self.line.extend(self.current.take());
                 // Once the line holds more than `d` images, the front
-                // one is exactly d sectors old: replay and drop it.
+                // one is exactly d sectors old: it is replayed under the
+                // current sector's identity and timestamp, so it joins
+                // against the live stream, on its own (old) lattice.
                 if self.line.len() > self.d {
                     if let Some(old) = self.line.pop_front() {
-                        self.emit_delayed(&si, &old);
-                        let n = old.cells();
-                        self.stats.buffer_shrink(n, n * S::V::BYTES as u64);
+                        let frame_id = self.next_frame_id;
+                        self.next_frame_id += 1;
+                        self.stats.frames_out += 1;
+                        let out = SectorOut::open(&mut self.queue, &si, old.lattice(), frame_id);
+                        self.replay = Some((out, old));
                     }
                 }
             }
         }
+        self.hold();
     }
 }
 
@@ -124,6 +117,19 @@ impl<S: GeoStream> GeoStream for Delay<S> {
     fn next_chunk(&mut self, budget: usize) -> Option<ChunkOrMarker<S::V>> {
         let budget = budget.max(1);
         while !self.queue.ready(budget) {
+            if let Some((out, image)) = &mut self.replay {
+                let stats = &mut self.stats;
+                let done = out.fill(&mut self.queue, budget, |idx| {
+                    let value = image.get(idx);
+                    stats.points_out += u64::from(value.is_some());
+                    value
+                });
+                if done {
+                    self.replay = None;
+                    self.hold();
+                }
+                continue;
+            }
             let Some(item) = self.input.next_chunk(DEFAULT_CHUNK_BUDGET) else { break };
             self.ingest_item(item);
         }
@@ -156,18 +162,6 @@ pub fn delay_contract() -> crate::ops::ProtocolContract {
         // The d-sector shift spans morsel boundaries by definition.
         parallelism: crate::ops::protocol::Parallelism::OrderSensitive,
         granularity: crate::ops::protocol::Granularity::Sector,
-    }
-}
-
-impl<S: GeoStream> Delay<S> {
-    /// A delay line holds `d + 1` whole images: frame-scale buffering.
-    pub fn declared_blocking(&self) -> crate::ops::BlockingClass {
-        crate::ops::BlockingClass::BoundedFrame
-    }
-
-    /// Protocol contract (see [`delay_contract`]).
-    pub fn declared_contract(&self) -> crate::ops::ProtocolContract {
-        delay_contract()
     }
 }
 

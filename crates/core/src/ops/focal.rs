@@ -14,10 +14,10 @@
 use crate::model::chunk::RunQueue;
 use crate::model::rows::{RowSchedule, RowWindow};
 use crate::model::{
-    Chunk, ChunkOrMarker, FrameEnd, FrameInfo, GeoStream, Marker, PointRecord, SectorInfo,
-    StreamSchema, Timestamp, DEFAULT_CHUNK_BUDGET,
+    Chunk, ChunkOrMarker, FrameEnd, FrameInfo, GeoStream, Marker, PointRecord, SectorEnd,
+    SectorInfo, StreamSchema, Timestamp, DEFAULT_CHUNK_BUDGET,
 };
-use crate::stats::{OpReport, OpStats};
+use crate::stats::{bytes_of, OpReport, OpStats};
 use geostreams_geo::{Cell, CellBox};
 use geostreams_raster::Pixel;
 use serde::{Deserialize, Serialize};
@@ -94,6 +94,8 @@ pub struct FocalTransform<S: GeoStream> {
     sector: Option<SectorInfo>,
     /// Timestamp of the last input frame opened: the output frames'.
     timestamp: Timestamp,
+    /// The open sector has ended: its remaining rows go out, then this.
+    closing: Option<SectorEnd>,
     queue: RunQueue<S::V>,
     kernel: RowKernel,
     stats: OpStats,
@@ -120,6 +122,7 @@ impl<S: GeoStream> FocalTransform<S> {
             window: RowWindow::new(),
             sector: None,
             timestamp: Timestamp::default(),
+            closing: None,
             queue: RunQueue::new(),
             kernel: RowKernel::default(),
             stats: OpStats::default(),
@@ -134,7 +137,7 @@ impl<S: GeoStream> FocalTransform<S> {
                 if self.schedule.as_ref().is_none_or(|s| s.in_height() != height) {
                     self.schedule = Some(RowSchedule::band(height, self.k / 2));
                 }
-                self.window.open(width, height, &mut self.stats);
+                self.window.open(width, height);
                 self.timestamp = si.timestamp;
                 self.sector = Some(si.clone());
                 self.queue.push(ChunkOrMarker::Marker(Marker::SectorStart(si)));
@@ -143,31 +146,31 @@ impl<S: GeoStream> FocalTransform<S> {
                 self.timestamp = fi.timestamp;
                 self.window.frame_start(&fi.cells, &mut self.stats);
             }
-            Marker::FrameEnd(_) => {
-                self.window.frame_end();
-                self.emit_ready_rows(false);
-            }
-            Marker::SectorEnd(se) => {
-                self.emit_ready_rows(true);
-                self.window.close(&mut self.stats);
-                self.sector = None;
-                self.queue.push(ChunkOrMarker::Marker(Marker::SectorEnd(se)));
-            }
+            Marker::FrameEnd(_) => self.window.frame_end(),
+            Marker::SectorEnd(se) => self.closing = Some(se),
         }
     }
 
-    /// Emits every output row whose neighborhood is complete (all the
-    /// remaining rows when `force`, at sector end, with the trailing
-    /// border clamped), each as `FrameStart`, one run and `FrameEnd`.
-    /// Output frame ids are `sector_id × height + row`: they depend only
-    /// on this sector's input, the property that makes focal
-    /// sector-partitionable (a fresh per-morsel instance emits the ids
-    /// the serial instance would).
-    fn emit_ready_rows(&mut self, force: bool) {
-        let (Some(sector), Some(schedule)) = (&self.sector, &self.schedule) else { return };
-        let (sector_id, width, height) =
-            (sector.sector_id, sector.lattice.width, sector.lattice.height);
-        while let Some(row) = self.window.next_ready_row(schedule, force, &mut self.stats) {
+    /// Emits the next output row whose neighborhood is complete (any
+    /// remaining row once the sector is closing, with the trailing
+    /// border clamped) as `FrameStart`, one run and `FrameEnd`; once
+    /// none is left of a closing sector, its `SectorEnd`. Returns
+    /// whether it emitted anything. Output frame ids are `sector_id ×
+    /// height + row`: they depend only on this sector's input, the
+    /// property that makes focal sector-partitionable (a fresh
+    /// per-morsel instance emits the ids the serial instance would).
+    fn emit_next(&mut self) -> bool {
+        let force = self.closing.is_some();
+        let ready = match (&self.sector, &self.schedule) {
+            (Some(sector), Some(schedule)) => {
+                self.window.next_ready_row(schedule, force).map(|row| {
+                    let (w, h) = (sector.lattice.width, sector.lattice.height);
+                    (row, sector.sector_id, w, h)
+                })
+            }
+            _ => None,
+        };
+        if let Some((row, sector_id, width, height)) = ready {
             let frame_id = sector_id * u64::from(height) + u64::from(row);
             self.stats.frames_out += 1;
             self.stats.points_out += u64::from(width);
@@ -189,7 +192,22 @@ impl<S: GeoStream> FocalTransform<S> {
             }
             let end = FrameEnd { frame_id, sector_id };
             self.queue.push(ChunkOrMarker::Marker(Marker::FrameEnd(end)));
+        } else if let Some(se) = self.closing.take() {
+            self.window.close();
+            self.sector = None;
+            self.queue.push(ChunkOrMarker::Marker(Marker::SectorEnd(se)));
+        } else {
+            return false;
         }
+        self.hold();
+        true
+    }
+
+    /// Reports what the window, its schedule and the row kernel hold.
+    fn hold(&mut self) {
+        let schedule = self.schedule.as_ref().map_or(0, RowSchedule::bytes);
+        let bytes = self.window.bytes() + schedule + self.kernel.bytes();
+        self.stats.hold(self.window.points(), bytes);
     }
 }
 
@@ -197,13 +215,26 @@ impl<S: GeoStream> FocalTransform<S> {
 /// as border-padded `f64` rows, one accumulator per output column and
 /// the taps of one median.
 #[derive(Default)]
-struct RowKernel {
+pub(crate) struct RowKernel {
     padded: Vec<f64>,
     acc: Vec<f64>,
     taps: Vec<f64>,
 }
 
 impl RowKernel {
+    /// Bytes the kernel's buffers have allocated.
+    fn bytes(&self) -> u64 {
+        bytes_of::<f64>(self.padded.capacity() + self.acc.capacity() + self.taps.capacity())
+    }
+
+    /// Bytes of the buffers of `func` at kernel size `k` (as the operator
+    /// runs it) over rows of `width` cells.
+    pub(crate) fn bytes_for(func: FocalFunc, k: u32, width: u32) -> u64 {
+        let (k, w) = (k as usize, width as usize);
+        let taps = if func == FocalFunc::Median { k * k } else { 0 };
+        bytes_of::<f64>(k * (w + k - 1) + w + taps)
+    }
+
     /// The focal function `func` of kernel size `k` over output row `row`
     /// of `rows`, `width` input cells wide: one value per column. Each
     /// input row is converted to `f64` once, padded `k / 2` cells each
@@ -280,6 +311,7 @@ impl RowKernel {
             }
             FocalFunc::Median => {
                 let taps = &mut self.taps;
+                taps.reserve_exact(k * k);
                 self.acc.extend((0..w).map(|c| {
                     taps.clear();
                     for i in 0..k {
@@ -304,9 +336,16 @@ impl<S: GeoStream> GeoStream for FocalTransform<S> {
     fn next_chunk(&mut self, budget: usize) -> Option<ChunkOrMarker<S::V>> {
         let budget = budget.max(1);
         while !self.queue.ready(budget) {
+            // What the last input made ready goes out before the next.
+            if self.emit_next() {
+                continue;
+            }
             let Some(item) = self.input.next_chunk(DEFAULT_CHUNK_BUDGET) else { break };
-            if let Some(marker) = self.window.ingest(item, &mut self.stats) {
+            let marker = self.window.ingest(item, &mut self.stats);
+            self.hold();
+            if let Some(marker) = marker {
                 self.on_marker(marker);
+                self.hold();
             }
         }
         self.queue.pop(budget)
@@ -332,18 +371,6 @@ pub fn focal_contract() -> crate::ops::ProtocolContract {
     // sector reproduces the serial output: sector-partitionable.
     crate::ops::ProtocolContract::resynthesizing("focal")
         .with_parallelism(Parallelism::Partitionable, Granularity::Sector)
-}
-
-impl<S: GeoStream> FocalTransform<S> {
-    /// §3.2: a k×k neighborhood operator buffers a k-row sliding band.
-    pub fn declared_blocking(&self) -> crate::ops::BlockingClass {
-        crate::ops::BlockingClass::BoundedRows(self.k)
-    }
-
-    /// Protocol contract (see [`focal_contract`]).
-    pub fn declared_contract(&self) -> crate::ops::ProtocolContract {
-        focal_contract()
-    }
 }
 
 #[cfg(test)]

@@ -187,18 +187,6 @@ pub fn orient_contract() -> crate::ops::ProtocolContract {
     contract
 }
 
-impl<S: GeoStream> Orient<S> {
-    /// §3.2: orientation changes remap cells point-wise, zero buffering.
-    pub fn declared_blocking(&self) -> crate::ops::BlockingClass {
-        crate::ops::BlockingClass::NonBlocking
-    }
-
-    /// Protocol contract: an order-breaking forwarder (see [`orient_contract`]).
-    pub fn declared_contract(&self) -> crate::ops::ProtocolContract {
-        orient_contract()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

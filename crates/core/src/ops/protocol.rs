@@ -178,8 +178,8 @@ impl std::fmt::Display for ChunkDiscipline {
 }
 
 /// The protocol promises one operator makes, and what it requires of
-/// its input. Declared by each operator (see `declared_contract()` on
-/// the operator types) and composed by the plan analyzer.
+/// its input. Each operator's module declares its own (`focal_contract`
+/// and the like); the plan analyzer composes them.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ProtocolContract {
     /// Operator name the contract belongs to.

@@ -33,17 +33,13 @@
 use crate::model::chunk::RunQueue;
 use crate::model::rows::{RowSchedule, RowWindow};
 use crate::model::{
-    Chunk, ChunkOrMarker, FrameEnd, FrameInfo, GeoStream, Marker, PointRecord, SectorInfo,
-    StreamSchema, DEFAULT_CHUNK_BUDGET,
+    Chunk, ChunkOrMarker, FrameEnd, FrameInfo, GeoStream, Marker, PointRecord, SectorEnd,
+    SectorInfo, StreamSchema, DEFAULT_CHUNK_BUDGET,
 };
-use crate::stats::{OpReport, OpStats};
+use crate::stats::{bytes_of, OpReport, OpStats};
 use geostreams_geo::{Cell, CellBox, Crs, LatticeGeoref, Projection, Rect};
 use geostreams_raster::resample::{sample_source, Kernel};
 use geostreams_raster::Pixel;
-
-/// Bytes the mapping table holds per output cell: the cell's fractional
-/// source column and row, two `f64`s.
-pub(crate) const MAP_CELL_BYTES: u64 = 16;
 
 /// The mapping-table entry of an output cell without a source
 /// (unmappable, or off the input lattice). An infinite coordinate fails
@@ -228,7 +224,7 @@ fn table_entry(in_lattice: &LatticeGeoref, fc: f64, fr: f64) -> [f64; 2] {
 
 /// Everything the operator derives from one sector lattice: a constant
 /// while the geometry repeats.
-struct Mapping {
+pub(crate) struct Mapping {
     /// The input lattice the mapping was built for (the cache key).
     in_lattice: LatticeGeoref,
     out_lattice: LatticeGeoref,
@@ -254,8 +250,15 @@ impl Mapping {
         }
     }
 
-    fn table_bytes(&self) -> u64 {
-        self.out_lattice.len() * MAP_CELL_BYTES
+    /// Bytes the table and the schedule have allocated.
+    fn bytes(&self) -> u64 {
+        bytes_of::<[f64; 2]>(self.table.capacity()) + self.schedule.bytes()
+    }
+
+    /// Bytes of the mapping onto `out` run by `schedule`: a table entry
+    /// per output cell, reserved up front, and the schedule.
+    pub(crate) fn bytes_for(out: &LatticeGeoref, schedule: &RowSchedule) -> u64 {
+        bytes_of::<[f64; 2]>(out.len() as usize) + schedule.bytes()
     }
 
     /// The table row of output row `row`, projecting the rows up to it
@@ -313,6 +316,8 @@ pub struct Reproject<S: GeoStream> {
     /// whole, `SectorEnd` included.
     dropping: bool,
     window: RowWindow<S::V>,
+    /// The open sector has ended: its remaining rows go out, then this.
+    closing: Option<SectorEnd>,
     queue: RunQueue<S::V>,
     next_frame_id: u64,
     stats: OpStats,
@@ -335,6 +340,7 @@ impl<S: GeoStream> Reproject<S> {
             sector: None,
             dropping: false,
             window: RowWindow::new(),
+            closing: None,
             queue: RunQueue::new(),
             next_frame_id: 0,
             stats: OpStats::default(),
@@ -346,18 +352,8 @@ impl<S: GeoStream> Reproject<S> {
         match marker {
             Marker::SectorStart(si) => self.open_sector(si),
             Marker::FrameStart(fi) => self.window.frame_start(&fi.cells, &mut self.stats),
-            Marker::FrameEnd(_) => {
-                self.window.frame_end();
-                self.emit_ready_rows(false);
-            }
-            Marker::SectorEnd(se) => {
-                self.emit_ready_rows(true);
-                self.sector = None;
-                self.window.close(&mut self.stats);
-                if !std::mem::take(&mut self.dropping) {
-                    self.queue.push(ChunkOrMarker::Marker(Marker::SectorEnd(se)));
-                }
-            }
+            Marker::FrameEnd(_) => self.window.frame_end(),
+            Marker::SectorEnd(se) => self.closing = Some(se),
         }
     }
 
@@ -368,53 +364,72 @@ impl<S: GeoStream> Reproject<S> {
             let Some(out_lattice) = self.config.out_lattice(&self.pair, &si.lattice) else {
                 // Invisible in the target CRS: the sector is dropped.
                 self.sector = None;
-                self.window.close(&mut self.stats);
+                self.window.close();
                 self.dropping = true;
                 return;
             };
-            if let Some(old) = self.mapping.take() {
-                self.stats.buffer_shrink(0, old.table_bytes());
-            }
+            // The old table goes before the new one is reserved.
+            self.mapping = None;
             let mapping = Mapping::new(&self.config, &self.pair, si.lattice, out_lattice);
-            self.stats.buffer_grow(0, mapping.table_bytes());
             self.mapping = Some(mapping);
         }
         let Some(mapping) = &self.mapping else { return };
         self.dropping = false;
-        self.window.open(si.lattice.width, si.lattice.height, &mut self.stats);
+        self.window.open(si.lattice.width, si.lattice.height);
         let out = SectorInfo { lattice: mapping.out_lattice, ..si.clone() };
         self.sector = Some(si);
         self.queue.push(ChunkOrMarker::Marker(Marker::SectorStart(out)));
     }
 
-    /// Emits every output row whose input window is satisfied (or all
-    /// remaining rows when `force` at sector end), each as `FrameStart`,
-    /// one run and `FrameEnd`.
-    fn emit_ready_rows(&mut self, force: bool) {
-        let (Some(sector), Some(mapping)) = (&self.sector, &mut self.mapping) else { return };
-        while let Some(row) = self.window.next_ready_row(&mapping.schedule, force, &mut self.stats)
-        {
-            let frame_id = self.next_frame_id;
-            self.next_frame_id += 1;
-            let run = mapping.gather(&self.pair, &self.window, self.config.kernel, row);
-            if run.is_empty() {
-                run.recycle();
-                continue;
+    /// Emits the next output row whose input window is satisfied (any
+    /// remaining row once the sector is closing) that has points, as
+    /// `FrameStart`, one run and `FrameEnd`; once none is left of a
+    /// closing sector, its `SectorEnd`. Returns whether it emitted
+    /// anything.
+    fn emit_next(&mut self) -> bool {
+        let force = self.closing.is_some();
+        if let (Some(sector), Some(mapping)) = (&self.sector, &mut self.mapping) {
+            while let Some(row) = self.window.next_ready_row(&mapping.schedule, force) {
+                let frame_id = self.next_frame_id;
+                self.next_frame_id += 1;
+                let run = mapping.gather(&self.pair, &self.window, self.config.kernel, row);
+                if run.is_empty() {
+                    run.recycle();
+                    continue;
+                }
+                self.stats.frames_out += 1;
+                self.stats.points_out += run.len() as u64;
+                let (sector_id, width) = (sector.sector_id, mapping.out_lattice.width);
+                self.queue.push(ChunkOrMarker::Marker(Marker::FrameStart(FrameInfo {
+                    frame_id,
+                    sector_id,
+                    timestamp: sector.timestamp,
+                    cells: CellBox::new(0, row, width.saturating_sub(1), row),
+                    synth_ns: crate::obs::now_ns(),
+                })));
+                self.queue.push(ChunkOrMarker::Chunk(run));
+                let end = FrameEnd { frame_id, sector_id };
+                self.queue.push(ChunkOrMarker::Marker(Marker::FrameEnd(end)));
+                self.hold();
+                return true;
             }
-            self.stats.frames_out += 1;
-            self.stats.points_out += run.len() as u64;
-            let (sector_id, width) = (sector.sector_id, mapping.out_lattice.width);
-            self.queue.push(ChunkOrMarker::Marker(Marker::FrameStart(FrameInfo {
-                frame_id,
-                sector_id,
-                timestamp: sector.timestamp,
-                cells: CellBox::new(0, row, width.saturating_sub(1), row),
-                synth_ns: crate::obs::now_ns(),
-            })));
-            self.queue.push(ChunkOrMarker::Chunk(run));
-            let end = FrameEnd { frame_id, sector_id };
-            self.queue.push(ChunkOrMarker::Marker(Marker::FrameEnd(end)));
         }
+        let Some(se) = self.closing.take() else { return false };
+        self.sector = None;
+        self.window.close();
+        if !std::mem::take(&mut self.dropping) {
+            self.queue.push(ChunkOrMarker::Marker(Marker::SectorEnd(se)));
+        }
+        self.hold();
+        true
+    }
+}
+
+impl<S: GeoStream> Reproject<S> {
+    /// Reports what the window and the mapping hold.
+    fn hold(&mut self) {
+        let mapping = self.mapping.as_ref().map_or(0, Mapping::bytes);
+        self.stats.hold(self.window.points(), self.window.bytes() + mapping);
     }
 }
 
@@ -428,9 +443,16 @@ impl<S: GeoStream> GeoStream for Reproject<S> {
     fn next_chunk(&mut self, budget: usize) -> Option<ChunkOrMarker<S::V>> {
         let budget = budget.max(1);
         while !self.queue.ready(budget) {
+            // What the last input made ready goes out before the next.
+            if self.emit_next() {
+                continue;
+            }
             let Some(item) = self.input.next_chunk(DEFAULT_CHUNK_BUDGET) else { break };
-            if let Some(marker) = self.window.ingest(item, &mut self.stats) {
+            let marker = self.window.ingest(item, &mut self.stats);
+            self.hold();
+            if let Some(marker) = marker {
                 self.on_marker(marker);
+                self.hold();
             }
         }
         self.queue.pop(budget)
@@ -451,28 +473,6 @@ impl<S: GeoStream> GeoStream for Reproject<S> {
 /// lattice-ordered input.
 pub fn reproject_contract() -> crate::ops::ProtocolContract {
     crate::ops::ProtocolContract::resynthesizing("reproject")
-}
-
-impl<S: GeoStream> Reproject<S> {
-    /// Protocol contract (see [`reproject_contract`]).
-    pub fn declared_contract(&self) -> crate::ops::ProtocolContract {
-        reproject_contract()
-    }
-
-    /// §3.2: re-projection "may block arbitrarily" unless scan-sector
-    /// metadata bounds the needed input neighborhood to a narrow row
-    /// band around the current scanline. The band declared here is the
-    /// kernel's; the analyzer, which knows the sector geometry, bounds
-    /// the rows by running the sector's row schedule.
-    pub fn declared_blocking(&self) -> crate::ops::BlockingClass {
-        if self.config.use_sector_metadata {
-            crate::ops::BlockingClass::BoundedRows(
-                2 * (self.config.kernel.support() + self.config.safety_rows) + 1,
-            )
-        } else {
-            crate::ops::BlockingClass::Unbounded
-        }
-    }
 }
 
 #[cfg(test)]
@@ -656,10 +656,12 @@ mod tests {
         let per_sector = pts.len() / 3;
         assert_eq!(pts[..per_sector], pts[per_sector..2 * per_sector]);
         let stats = op.op_stats();
-        let table = 24 * 24 * MAP_CELL_BYTES;
-        assert_eq!(stats.buffered_bytes, table, "the table outlives its sectors");
-        assert_eq!(stats.buffered_points, 0, "the window does not");
-        assert_eq!(stats.buffered_bytes_peak, table + stats.buffered_points_peak * 4);
+        let mapping = op.mapping.as_ref().unwrap();
+        assert_eq!(mapping.table.capacity(), 24 * 24, "one table entry per output cell");
+        assert_eq!(stats.buffered_points, 0, "the window holds no row");
+        let held = op.window.bytes() + mapping.bytes();
+        assert_eq!(stats.buffered_bytes, held, "the table and the ring outlive their sectors");
+        assert_eq!(stats.buffered_bytes_peak, held, "later sectors allocate nothing more");
     }
 
     /// The mapping-table entry of one output cell, projected on its own.

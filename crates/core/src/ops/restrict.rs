@@ -392,42 +392,6 @@ pub fn restriction_contract(operator: &str) -> crate::ops::ProtocolContract {
     crate::ops::ProtocolContract::forwarding(operator)
 }
 
-impl<S: GeoStream> SpatialRestrict<S> {
-    /// §3.1: restrictions are non-blocking, O(1) per point, zero buffering.
-    pub fn declared_blocking(&self) -> crate::ops::BlockingClass {
-        crate::ops::BlockingClass::NonBlocking
-    }
-
-    /// Protocol contract: transparent forwarder (see [`restriction_contract`]).
-    pub fn declared_contract(&self) -> crate::ops::ProtocolContract {
-        restriction_contract("restrict_space")
-    }
-}
-
-impl<S: GeoStream> TemporalRestrict<S> {
-    /// §3.1: restrictions are non-blocking, O(1) per point, zero buffering.
-    pub fn declared_blocking(&self) -> crate::ops::BlockingClass {
-        crate::ops::BlockingClass::NonBlocking
-    }
-
-    /// Protocol contract: transparent forwarder (see [`restriction_contract`]).
-    pub fn declared_contract(&self) -> crate::ops::ProtocolContract {
-        restriction_contract("restrict_time")
-    }
-}
-
-impl<S: GeoStream> ValueRestrict<S> {
-    /// §3.1: restrictions are non-blocking, O(1) per point, zero buffering.
-    pub fn declared_blocking(&self) -> crate::ops::BlockingClass {
-        crate::ops::BlockingClass::NonBlocking
-    }
-
-    /// Protocol contract: transparent forwarder (see [`restriction_contract`]).
-    pub fn declared_contract(&self) -> crate::ops::ProtocolContract {
-        restriction_contract("restrict_value")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

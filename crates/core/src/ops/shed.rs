@@ -159,18 +159,6 @@ pub fn shed_contract() -> crate::ops::ProtocolContract {
         .with_parallelism(Parallelism::OrderSensitive, Granularity::Sector)
 }
 
-impl<S: GeoStream> Shed<S> {
-    /// Shedding drops elements in place: non-blocking, zero buffering.
-    pub fn declared_blocking(&self) -> crate::ops::BlockingClass {
-        crate::ops::BlockingClass::NonBlocking
-    }
-
-    /// Protocol contract: transparent forwarder (see [`shed_contract`]).
-    pub fn declared_contract(&self) -> crate::ops::ProtocolContract {
-        shed_contract()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -284,18 +272,6 @@ mod tests {
         let pts = op.drain_points();
         assert!(pts.iter().all(|p| p.cell.col % 4 == 0 && p.cell.row % 4 == 0));
         assert_eq!(pts.len() as u64 + op.dropped, total, "every point accounted for");
-    }
-
-    #[test]
-    fn declared_blocking_stays_nonblocking() {
-        // The PR 2 static analyzer admits shed pipelines as NonBlocking;
-        // this pins the contract for both policies and any stride.
-        for policy in [ShedPolicy::Rows, ShedPolicy::Points] {
-            for stride in [1, 2, 8] {
-                let op = Shed::new(source(4, 4), policy, stride);
-                assert_eq!(op.declared_blocking(), crate::ops::BlockingClass::NonBlocking);
-            }
-        }
     }
 
     #[test]

@@ -12,21 +12,25 @@
 
 use crate::model::chunk::RunQueue;
 use crate::model::{
-    ChunkOrMarker, FrameEnd, FrameInfo, GeoStream, Marker, PointRecord, SectorEnd, SectorInfo,
-    StreamSchema, DEFAULT_CHUNK_BUDGET,
+    Chunk, ChunkOrMarker, FrameEnd, FrameInfo, GeoStream, Marker, PointRecord, SectorEnd,
+    SectorInfo, StreamSchema, DEFAULT_CHUNK_BUDGET,
 };
-use crate::stats::{OpReport, OpStats};
+use crate::stats::{bytes_of, OpReport, OpStats};
 use geostreams_geo::{Cell, CellBox, LatticeGeoref};
 use geostreams_raster::Pixel;
 use std::collections::VecDeque;
+use std::ops::Range;
 
 /// k× magnification: each input point becomes a `k × k` block of output
-/// points with the same value. Non-blocking; per-point cost O(k²). Each
-/// input run's blocks are written straight into the open output run,
-/// point by point, rows of a block top to bottom.
+/// points with the same value. Non-blocking; per-point cost O(k²). An
+/// input run's blocks are written into the open output run, point by
+/// point, rows of a block top to bottom, a pull budget of them at a
+/// time before the next input is read.
 pub struct Magnify<S: GeoStream> {
     input: S,
     k: u32,
+    /// The input run being magnified and its next point.
+    pending: Option<(Chunk<S::V>, usize)>,
     queue: RunQueue<S::V>,
     stats: OpStats,
     schema: StreamSchema,
@@ -37,21 +41,27 @@ impl<S: GeoStream> Magnify<S> {
     pub fn new(input: S, k: u32) -> Self {
         assert!(k >= 1, "magnification factor must be >= 1");
         let schema = input.schema().renamed(format!("magnify[x{k}]"));
-        Magnify { input, k, queue: RunQueue::new(), stats: OpStats::default(), schema }
+        Magnify {
+            input,
+            k,
+            pending: None,
+            queue: RunQueue::new(),
+            stats: OpStats::default(),
+            schema,
+        }
     }
 
-    /// Writes the `k × k` block of every point of `run`.
-    fn magnify_run(&mut self, run: &[PointRecord<S::V>]) {
-        if run.is_empty() {
-            return;
-        }
+    /// Writes the blocks of the pending run's next points, enough to
+    /// fill the open output run to `budget`; once the run is done, its
+    /// marker follows.
+    fn magnify_some(&mut self, budget: usize) {
+        let Some((run, at)) = &mut self.pending else { return };
         let k = self.k;
-        let n = run.len() as u64;
-        self.stats.points_in += n;
-        self.stats.points_out += n * u64::from(k) * u64::from(k);
+        let block = (k * k) as usize;
         let out = self.queue.open_run();
-        out.reserve(run.len() * (k * k) as usize);
-        for p in run {
+        let n = budget.saturating_sub(out.len()).div_ceil(block).clamp(1, run.len() - *at);
+        out.reserve(n * block);
+        for p in &run.points[*at..*at + n] {
             let (col, row) = (p.cell.col * k, p.cell.row * k);
             for dr in 0..k {
                 out.extend(
@@ -62,12 +72,33 @@ impl<S: GeoStream> Magnify<S> {
                 );
             }
         }
+        self.stats.points_out += (n * block) as u64;
+        *at += n;
+        if *at == run.len() {
+            if let Some((mut run, _)) = self.pending.take() {
+                let end = run.end.take();
+                run.recycle();
+                self.push_marker(end);
+            }
+        }
     }
 
-    /// Takes one input item: its run's blocks, then its marker mapped
-    /// onto the magnified lattice.
+    /// Takes one input item: its run to magnify, or its marker.
     fn ingest_item(&mut self, item: ChunkOrMarker<S::V>) {
-        let marker = item.take_run(|run| self.magnify_run(run));
+        match item {
+            ChunkOrMarker::Chunk(run) if !run.is_empty() => {
+                self.stats.points_in += run.len() as u64;
+                self.pending = Some((run, 0));
+            }
+            item => {
+                let marker = item.take_run(|_| {});
+                self.push_marker(marker);
+            }
+        }
+    }
+
+    /// Queues a marker mapped onto the magnified lattice.
+    fn push_marker(&mut self, marker: Option<Marker>) {
         let k = self.k;
         let out = match marker {
             Some(Marker::SectorStart(si)) => {
@@ -102,6 +133,10 @@ impl<S: GeoStream> GeoStream for Magnify<S> {
     fn next_chunk(&mut self, budget: usize) -> Option<ChunkOrMarker<S::V>> {
         let budget = budget.max(1);
         while !self.queue.ready(budget) {
+            if self.pending.is_some() {
+                self.magnify_some(budget);
+                continue;
+            }
             let Some(item) = self.input.next_chunk(DEFAULT_CHUNK_BUDGET) else { break };
             self.ingest_item(item);
         }
@@ -125,11 +160,98 @@ struct BlockAcc {
     count: u32,
 }
 
-/// Accumulators of one output row, by output column.
+/// Accumulators of one output row, by output column from `col0`.
 struct BlockRow {
     acc: Vec<BlockAcc>,
+    col0: u32,
     /// Columns below this one are emitted.
     next_col: u32,
+}
+
+/// The open output rows of a downsampling, the first of them output row
+/// `first`, with running counts of the input points their accumulators
+/// hold and of the bytes the accumulators have allocated. A row spans
+/// the output columns of the frame that opened it, and grows when a
+/// point lands past them.
+pub(crate) struct BlockRows {
+    rows: VecDeque<BlockRow>,
+    first: u32,
+    points: u64,
+    bytes: u64,
+}
+
+impl BlockRows {
+    fn new() -> Self {
+        BlockRows { rows: VecDeque::new(), first: 0, points: 0, bytes: 0 }
+    }
+
+    /// Bytes of one open row of `width` accumulators: what a row-by-row
+    /// input holds, as a row closes before the next one opens.
+    pub(crate) fn bytes_for(width: u32) -> u64 {
+        bytes_of::<BlockAcc>(width as usize)
+    }
+
+    fn clear(&mut self) {
+        self.rows.clear();
+        (self.points, self.bytes) = (0, 0);
+    }
+
+    /// A row over the output columns `cols`.
+    fn new_row(&mut self, cols: &Range<u32>) -> BlockRow {
+        let acc = vec![BlockAcc::default(); cols.len()];
+        self.bytes += bytes_of::<BlockAcc>(acc.capacity());
+        BlockRow { acc, col0: cols.start, next_col: 0 }
+    }
+
+    /// The accumulator of output cell `(col, row)`, counting one more
+    /// point in it.
+    #[inline]
+    fn entry(&mut self, col: u32, row: u32, cols: &Range<u32>) -> &mut BlockAcc {
+        let i = row.wrapping_sub(self.first) as usize;
+        let open = self.rows.get(i).and_then(|r| {
+            let c = col.wrapping_sub(r.col0) as usize;
+            (c < r.acc.len()).then_some((i, c))
+        });
+        let (i, c) = open.unwrap_or_else(|| self.open(col, row, cols));
+        self.points += 1;
+        &mut self.rows[i].acc[c]
+    }
+
+    /// Opens the rows up to output row `row` over the columns `cols`, and
+    /// widens that row to `col`; returns its index and `col`'s in it.
+    fn open(&mut self, col: u32, row: u32, cols: &Range<u32>) -> (usize, usize) {
+        if self.rows.is_empty() {
+            self.first = row;
+        }
+        while row < self.first {
+            let new = self.new_row(cols);
+            self.rows.push_front(new);
+            self.first -= 1;
+        }
+        while row >= self.first + self.rows.len() as u32 {
+            let new = self.new_row(cols);
+            self.rows.push_back(new);
+        }
+        let i = (row - self.first) as usize;
+        let r = &mut self.rows[i];
+        let end = r.col0 + r.acc.len() as u32;
+        if !(r.col0..end).contains(&col) {
+            let (lo, hi) = (r.col0.min(col), end.max(col + 1));
+            let mut acc = vec![BlockAcc::default(); (hi - lo) as usize];
+            acc[(r.col0 - lo) as usize..][..r.acc.len()].copy_from_slice(&r.acc);
+            self.bytes += bytes_of::<BlockAcc>(acc.len() - r.acc.capacity());
+            (r.acc, r.col0) = (acc, lo);
+        }
+        (i, (col - r.col0) as usize)
+    }
+
+    /// Closes the first open row.
+    fn pop_front(&mut self) {
+        if let Some(row) = self.rows.pop_front() {
+            self.bytes -= bytes_of::<BlockAcc>(row.acc.capacity());
+            self.first += 1;
+        }
+    }
 }
 
 /// 1/k downsampling by `k × k` block averaging.
@@ -148,18 +270,15 @@ pub struct Downsample<S: GeoStream> {
     input: S,
     k: u32,
     out_lattice: Option<LatticeGeoref>,
-    /// Open output rows, the first of them output row `first_row`.
-    rows: VecDeque<BlockRow>,
-    first_row: u32,
+    rows: BlockRows,
+    /// The output columns the open frame covers: those of a row it opens.
+    cols: Range<u32>,
     queue: RunQueue<S::V>,
     next_frame_id: u64,
     open_frame: Option<(u64, u64)>,
     stats: OpStats,
     schema: StreamSchema,
 }
-
-/// Approximate bookkeeping bytes per live block accumulator.
-const ACC_ENTRY_BYTES: u64 = 24;
 
 impl<S: GeoStream> Downsample<S> {
     /// Creates a downsampling by integer factor `k ≥ 1`.
@@ -170,8 +289,8 @@ impl<S: GeoStream> Downsample<S> {
             input,
             k,
             out_lattice: None,
-            rows: VecDeque::new(),
-            first_row: 0,
+            rows: BlockRows::new(),
+            cols: 0..0,
             queue: RunQueue::new(),
             next_frame_id: 0,
             open_frame: None,
@@ -180,11 +299,21 @@ impl<S: GeoStream> Downsample<S> {
         }
     }
 
+    /// Reports what the accumulators hold.
+    fn hold(&mut self) {
+        self.stats.hold(self.rows.points, self.rows.bytes);
+    }
+
     /// Emits, in column order, every open block in columns `from..to`
     /// of the `i`-th open row.
     fn flush_blocks(&mut self, i: usize, from: u32, to: u32) {
-        let row = self.first_row + i as u32;
-        let accs = &mut self.rows[i].acc[from as usize..to as usize];
+        // The points held peak just before blocks leave.
+        self.hold();
+        let row = self.rows.first + i as u32;
+        let r = &mut self.rows.rows[i];
+        let end = r.col0 + r.acc.len() as u32;
+        let (from, to) = (from.clamp(r.col0, end), to.clamp(r.col0, end));
+        let accs = &mut r.acc[(from - r.col0) as usize..(to.max(from) - r.col0) as usize];
         let Some(first) = accs.iter().position(|acc| acc.count > 0) else { return };
         let out = self.queue.open_run();
         for (col, acc) in (from + first as u32..).zip(&mut accs[first..]) {
@@ -192,7 +321,7 @@ impl<S: GeoStream> Downsample<S> {
             if acc.count == 0 {
                 continue;
             }
-            self.stats.buffer_shrink(u64::from(acc.count), ACC_ENTRY_BYTES);
+            self.rows.points -= u64::from(acc.count);
             let value = S::V::from_f64(acc.sum / f64::from(acc.count));
             self.stats.points_out += 1;
             out.push(PointRecord { cell: Cell::new(col, row), value });
@@ -201,11 +330,9 @@ impl<S: GeoStream> Downsample<S> {
 
     /// Emits every open row above output row `end`, top to bottom.
     fn flush_rows_above(&mut self, end: u32) {
-        while self.first_row < end && !self.rows.is_empty() {
-            let width = self.rows[0].acc.len() as u32;
-            self.flush_blocks(0, 0, width);
+        while self.rows.first < end && !self.rows.rows.is_empty() {
+            self.flush_blocks(0, 0, u32::MAX);
             self.rows.pop_front();
-            self.first_row += 1;
         }
     }
 
@@ -215,41 +342,24 @@ impl<S: GeoStream> Downsample<S> {
         self.stats.points_in += run.len() as u64;
         let Some(out) = self.out_lattice else { return };
         let k = self.k;
-        let new_row =
-            || BlockRow { acc: vec![BlockAcc::default(); out.width as usize], next_col: 0 };
         for p in run {
             let (oc, or) = (p.cell.col / k, p.cell.row / k);
             if oc >= out.width || or >= out.height {
                 continue; // trailing cells of a partial block edge
             }
-            if self.rows.is_empty() {
-                self.first_row = or;
-            }
-            while or < self.first_row {
-                self.rows.push_front(new_row());
-                self.first_row -= 1;
-            }
-            while or >= self.first_row + self.rows.len() as u32 {
-                self.rows.push_back(new_row());
-            }
-            let i = (or - self.first_row) as usize;
-            let entry = &mut self.rows[i].acc[oc as usize];
-            if entry.count == 0 {
-                self.stats.buffer_grow(0, ACC_ENTRY_BYTES);
-            }
+            let entry = self.rows.entry(oc, or, &self.cols);
             entry.sum += p.value.to_f64();
             entry.count += 1;
-            let complete = entry.count == k * k;
-            // Count every accumulated-but-unemitted input point.
-            self.stats.buffer_grow(1, 0);
-            if complete {
+            if entry.count == k * k {
                 // Each row is scanned left to right: blocks left of a
                 // complete one can receive no more points.
-                let next = self.rows[i].next_col;
+                let i = (or - self.rows.first) as usize;
+                let next = self.rows.rows[i].next_col;
                 self.flush_blocks(i, next.min(oc), oc + 1);
-                self.rows[i].next_col = next.max(oc + 1);
+                self.rows.rows[i].next_col = next.max(oc + 1);
             }
         }
+        self.hold();
     }
 
     /// Takes one input item: its run into the accumulators, then its
@@ -261,6 +371,7 @@ impl<S: GeoStream> Downsample<S> {
                 let out_lat = si.lattice.reduced(self.k);
                 self.out_lattice = Some(out_lat);
                 self.rows.clear();
+                self.cols = 0..out_lat.width;
                 let frame_id = self.next_frame_id;
                 self.next_frame_id += 1;
                 self.open_frame = Some((frame_id, si.sector_id));
@@ -286,6 +397,9 @@ impl<S: GeoStream> Downsample<S> {
                 // Frames start top to bottom: no later point lies above
                 // this frame's first row.
                 self.flush_rows_above(fi.cells.row_min / self.k);
+                let width = self.out_lattice.map_or(0, |l| l.width);
+                let (lo, hi) = (fi.cells.col_min / self.k, fi.cells.col_max / self.k + 1);
+                self.cols = lo.min(width)..hi.min(width);
             }
             Some(Marker::FrameEnd(_)) | None => {}
             Some(Marker::SectorEnd(se)) => {
@@ -301,6 +415,7 @@ impl<S: GeoStream> Downsample<S> {
                 })));
             }
         }
+        self.hold();
     }
 }
 
@@ -346,31 +461,6 @@ pub fn magnify_contract() -> crate::ops::ProtocolContract {
 /// fresh marker sequence for the coarser output lattice.
 pub fn downsample_contract() -> crate::ops::ProtocolContract {
     crate::ops::ProtocolContract::resynthesizing("downsample")
-}
-
-impl<S: GeoStream> Magnify<S> {
-    /// §3.2: "magnification needs no buffering".
-    pub fn declared_blocking(&self) -> crate::ops::BlockingClass {
-        crate::ops::BlockingClass::NonBlocking
-    }
-
-    /// Protocol contract (see [`magnify_contract`]).
-    pub fn declared_contract(&self) -> crate::ops::ProtocolContract {
-        magnify_contract()
-    }
-}
-
-impl<S: GeoStream> Downsample<S> {
-    /// §3.2: "k× downsampling buffers k rows" (one output row of block
-    /// accumulators spans k input rows).
-    pub fn declared_blocking(&self) -> crate::ops::BlockingClass {
-        crate::ops::BlockingClass::BoundedRows(self.k)
-    }
-
-    /// Protocol contract (see [`downsample_contract`]).
-    pub fn declared_contract(&self) -> crate::ops::ProtocolContract {
-        downsample_contract()
-    }
 }
 
 #[cfg(test)]
@@ -456,8 +546,9 @@ mod tests {
         assert!(order.windows(2).all(|w| w[0] < w[1]), "{order:?}");
         // Block (0, 0) holds input columns 1 only: rows 0 and 1 -> 1, 9.
         assert!((pts[0].value - 5.0).abs() < 1e-6);
-        // One output row of accumulators, never more.
-        assert_eq!(op.op_stats().buffered_bytes_peak, 4 * ACC_ENTRY_BYTES);
+        // One output row of accumulators over the frames' four output
+        // columns, never more.
+        assert_eq!(op.op_stats().buffered_bytes_peak, BlockRows::bytes_for(4));
     }
 
     #[test]

@@ -16,17 +16,19 @@
 //! ≈280 MB buffer the paper cites. Experiment E2 measures exactly this
 //! buffer growth.
 //!
-//! The scope is held as the input's own items — runs and markers. Each
-//! arriving run feeds the scope's statistics in stream order; once the
-//! scope closes, each held run is mapped into one `f32` run.
+//! The scope holds the input's points, copied out of its runs, and its
+//! markers (`Scope`). Each arriving run feeds the scope's statistics in
+//! stream order; once the scope closes, its points are mapped into `f32`
+//! runs a pull budget at a time, the markers in place.
 
 use crate::model::chunk::RunQueue;
 use crate::model::{
     ChunkOrMarker, GeoStream, Marker, PointRecord, StreamSchema, DEFAULT_CHUNK_BUDGET,
 };
-use crate::stats::{OpReport, OpStats};
+use crate::stats::{bytes_of, OpReport, OpStats};
 use geostreams_raster::{Histogram, Pixel, RangeTracker};
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 
 /// Which stretch is applied once the scope's statistics are complete.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -63,14 +65,75 @@ pub enum StretchScope {
     Image,
 }
 
+/// The input of a stretch's open scope, held until its statistics are
+/// complete: its points in arrival order, and each marker with the count
+/// of points before it. Both grow by powers of two and keep their room
+/// for the next scope, so what they allocate follows the scope's size,
+/// not how its input was cut into runs. Once the scope closes it is
+/// handed out from a cursor, a pull budget of points at a time.
+pub(crate) struct Scope<V> {
+    points: Vec<PointRecord<V>>,
+    marks: Vec<(usize, Marker)>,
+    /// While the scope goes out: the next mark and the next point.
+    out: Option<(usize, usize)>,
+}
+
+/// Makes room in `v` for `extra` more values, to a power of two.
+fn reserve_pow2<T>(v: &mut Vec<T>, extra: usize) {
+    let need = v.len() + extra;
+    if need > v.capacity() {
+        v.reserve_exact(need.next_power_of_two() - v.len());
+    }
+}
+
+impl<V: Pixel> Scope<V> {
+    fn new() -> Self {
+        Scope { points: Vec::new(), marks: Vec::new(), out: None }
+    }
+
+    fn is_empty(&self) -> bool {
+        self.points.is_empty() && self.marks.is_empty()
+    }
+
+    /// Holds an input item: its points, then its marker; the run goes
+    /// back to the pool.
+    fn push(&mut self, item: ChunkOrMarker<V>) {
+        let marker = item.take_run(|run| {
+            reserve_pow2(&mut self.points, run.len());
+            self.points.extend_from_slice(run);
+        });
+        if let Some(m) = marker {
+            reserve_pow2(&mut self.marks, 1);
+            self.marks.push((self.points.len(), m));
+        }
+    }
+
+    fn clear(&mut self) {
+        self.points.clear();
+        self.marks.clear();
+        self.out = None;
+    }
+
+    /// Bytes the points and the marks have allocated.
+    fn bytes(&self) -> u64 {
+        bytes_of::<PointRecord<V>>(self.points.capacity())
+            + bytes_of::<(usize, Marker)>(self.marks.capacity())
+    }
+
+    /// Bytes of a scope of `points` points and `marks` markers.
+    pub(crate) fn bytes_for(points: u64, marks: u64) -> u64 {
+        let slots = |n: u64| n.max(1).next_power_of_two() as usize;
+        bytes_of::<PointRecord<V>>(slots(points)) + bytes_of::<(usize, Marker)>(slots(marks))
+    }
+}
+
 /// The frame/image-scoped stretch operator. Output pixels are `f32`.
 pub struct StretchTransform<S: GeoStream> {
     input: S,
     mode: StretchMode,
     scope: StretchScope,
-    /// Input items of the current scope held until its statistics
-    /// complete.
-    held: Vec<ChunkOrMarker<S::V>>,
+    /// The current scope, held until its statistics complete.
+    held: Scope<S::V>,
     tracker: RangeTracker,
     hist: Option<Histogram>,
     /// Input nominal range used to (re)build the histogram each scope.
@@ -103,7 +166,7 @@ impl<S: GeoStream> StretchTransform<S> {
             input,
             mode,
             scope,
-            held: Vec::new(),
+            held: Scope::new(),
             tracker: RangeTracker::new(),
             hist,
             hist_range,
@@ -120,11 +183,10 @@ impl<S: GeoStream> StretchTransform<S> {
         }
     }
 
-    /// Maps a held run through the configured stretch onto the output.
-    fn map_run(&mut self, run: &[PointRecord<S::V>]) {
-        if run.is_empty() {
-            return;
-        }
+    /// Maps the held points `range` through the configured stretch onto
+    /// the output.
+    fn map_run(&mut self, range: Range<usize>) {
+        let run = &self.held.points[range];
         self.stats.points_out += run.len() as u64;
         let (tracker, hist) = (&self.tracker, self.hist.as_ref());
         let out = self.queue.open_run();
@@ -146,20 +208,27 @@ impl<S: GeoStream> StretchTransform<S> {
         }
     }
 
-    /// Emits the held scope with stretched values.
-    fn flush_scope(&mut self) {
-        let held = std::mem::take(&mut self.held);
-        let released: u64 = held.iter().map(|item| item.point_count() as u64).sum();
-        self.stats.buffer_shrink(released, released * S::V::BYTES as u64);
-        for item in held {
-            if let Some(m) = item.take_run(|run| self.map_run(run)) {
-                if matches!(m, Marker::FrameStart(_)) {
-                    self.stats.frames_out += 1;
-                }
-                self.queue.push(ChunkOrMarker::Marker(m));
+    /// Hands out the next part of the closed scope: up to `budget`
+    /// stretched points, or the marker that follows them. Once all is
+    /// out the scope is emptied for the next.
+    fn flush_step(&mut self, budget: usize) {
+        let Some((mark, at)) = self.held.out else { return };
+        let end = self.held.marks.get(mark).map_or(self.held.points.len(), |&(end, _)| end);
+        if at < end {
+            let to = end.min(at + budget);
+            self.map_run(at..to);
+            self.held.out = Some((mark, to));
+        } else if let Some((_, m)) = self.held.marks.get(mark) {
+            if matches!(m, Marker::FrameStart(_)) {
+                self.stats.frames_out += 1;
             }
+            self.queue.push(ChunkOrMarker::Marker(m.clone()));
+            self.held.out = Some((mark + 1, at));
+        } else {
+            self.held.clear();
+            self.stats.hold(0, self.held.bytes());
+            self.reset_scope_stats();
         }
-        self.reset_scope_stats();
     }
 
     /// Takes one input item: its run into the scope's statistics, the
@@ -181,14 +250,14 @@ impl<S: GeoStream> StretchTransform<S> {
                         h.push(p.value.to_f64());
                     }
                 }
-                self.stats.buffer_grow(n, n * S::V::BYTES as u64);
                 self.closes(c.end.as_ref())
             }
             ChunkOrMarker::Marker(ref m) => self.closes(Some(m)),
         };
         self.held.push(item);
+        self.stats.hold(self.held.points.len() as u64, self.held.bytes());
         if closes {
-            self.flush_scope();
+            self.held.out = Some((0, 0));
         }
     }
 
@@ -217,10 +286,14 @@ impl<S: GeoStream> GeoStream for StretchTransform<S> {
     fn next_chunk(&mut self, budget: usize) -> Option<ChunkOrMarker<f32>> {
         let budget = budget.max(1);
         while !self.queue.ready(budget) {
+            if self.held.out.is_some() {
+                self.flush_step(budget);
+                continue;
+            }
             match self.input.next_chunk(DEFAULT_CHUNK_BUDGET) {
                 Some(item) => self.ingest_item(item),
                 // End of stream: flush whatever is pending (partial scope).
-                None if !self.held.is_empty() => self.flush_scope(),
+                None if !self.held.is_empty() => self.held.out = Some((0, 0)),
                 None => break,
             }
         }
@@ -260,26 +333,6 @@ pub fn stretch_contract(scope: StretchScope) -> crate::ops::ProtocolContract {
             StretchScope::Frame => Granularity::Frame,
             StretchScope::Image => Granularity::Sector,
         },
-    }
-}
-
-impl<S: GeoStream> StretchTransform<S> {
-    /// Protocol contract (see [`stretch_contract`]).
-    pub fn declared_contract(&self) -> crate::ops::ProtocolContract {
-        stretch_contract(self.scope)
-    }
-
-    /// §3.2: a frame-scoped stretch buffers one arrival frame (a single
-    /// row under row-by-row transmission); an image-scoped stretch must
-    /// hold the whole image before it can emit.
-    pub fn declared_blocking(&self) -> crate::ops::BlockingClass {
-        use crate::model::Organization;
-        match (self.scope, self.schema.organization) {
-            (StretchScope::Frame, Organization::RowByRow | Organization::PointByPoint) => {
-                crate::ops::BlockingClass::BoundedRows(1)
-            }
-            _ => crate::ops::BlockingClass::BoundedFrame,
-        }
     }
 }
 

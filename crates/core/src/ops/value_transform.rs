@@ -243,30 +243,6 @@ pub fn value_transform_contract(operator: &str) -> crate::ops::ProtocolContract 
     crate::ops::ProtocolContract::forwarding(operator)
 }
 
-impl<S: GeoStream, W: Pixel> MapTransform<S, W> {
-    /// §3.2: point-wise value transforms are non-blocking.
-    pub fn declared_blocking(&self) -> crate::ops::BlockingClass {
-        crate::ops::BlockingClass::NonBlocking
-    }
-
-    /// Protocol contract: transparent forwarder (see [`value_transform_contract`]).
-    pub fn declared_contract(&self) -> crate::ops::ProtocolContract {
-        value_transform_contract("map_value")
-    }
-}
-
-impl<S: GeoStream, W: Pixel> CastTransform<S, W> {
-    /// Pixel-type casts are point-wise and non-blocking.
-    pub fn declared_blocking(&self) -> crate::ops::BlockingClass {
-        crate::ops::BlockingClass::NonBlocking
-    }
-
-    /// Protocol contract: transparent forwarder (see [`value_transform_contract`]).
-    pub fn declared_contract(&self) -> crate::ops::ProtocolContract {
-        value_transform_contract("cast")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

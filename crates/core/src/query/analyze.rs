@@ -16,8 +16,10 @@
 //! The analysis produces a [`PlanReport`]:
 //!
 //! * a per-operator [`BlockingClass`] and worst-case buffer bound in
-//!   bytes, derived from each source's `sector_lattice` and the pixel
-//!   width (f32 = 4 bytes, matching the executor's byte accounting);
+//!   bytes, derived from each source's `sector_lattice`: each buffering
+//!   arm asks the structure its operator runs (`RowWindow`,
+//!   `SectorImage`, the stretch scope, …) what it allocates for that
+//!   geometry, the figure the structure reports at run time;
 //! * schema/CRS type checks — cross-CRS region restrictions,
 //!   composition over mismatched coordinate systems or measurement-time
 //!   semantics (§3.3: such timestamps "would never match"), degenerate
@@ -34,27 +36,21 @@ use super::ast::Expr;
 use super::canon::{canonical_key, canonical_text, key_hex};
 use super::plan::{region_in, Catalog};
 use super::pushdown::{time_set_window, TimeWindow};
-use crate::model::rows::RowSchedule;
+use crate::model::rows::{RowSchedule, RowWindow};
+use crate::model::sector::SectorImage;
 use crate::model::{Organization, TimeSemantics, TimeSet};
+use crate::ops::compose::Side;
+use crate::ops::focal::RowKernel;
 use crate::ops::protocol::{
     meet, CertBuilder, ProtocolCertificate, ProtocolContract, StreamGuarantees,
 };
-use crate::ops::reproject::{CrsPair, MAP_CELL_BYTES};
+use crate::ops::reproject::{CrsPair, Mapping};
+use crate::ops::spatial::BlockRows;
+use crate::ops::stretch::Scope;
 use crate::ops::{BlockingClass, ReprojectConfig, StretchScope};
 use geostreams_geo::{CellBox, Coord, Crs, LatticeGeoref};
 use serde::{Deserialize, Serialize};
 use std::ops::Range;
-
-/// Bytes per buffered stream value (pipelines are normalized to `f32`,
-/// and the executor's `OpStats` counts the same unit).
-pub const PIXEL_BYTES: u64 = 4;
-
-/// Bytes per downsampling block accumulator (mirrors
-/// `ops::spatial::ACC_ENTRY_BYTES`).
-const ACC_ENTRY_BYTES: u64 = 24;
-
-/// Bytes per cell of a sliding-window aggregate image (`f64` state).
-const AGG_CELL_BYTES: u64 = 8;
 
 /// Sector dimensions assumed when a source registers no
 /// `sector_lattice`: the byte bounds then describe a nominal
@@ -155,7 +151,8 @@ pub struct OpAnalysis {
     pub operator: String,
     /// Declared blocking class.
     pub blocking: BlockingClass,
-    /// Worst-case buffered bytes for this operator alone.
+    /// Worst-case bytes this operator's structures have allocated, as
+    /// the structures themselves compute them (`bytes_for`).
     pub buffer_bytes: u64,
     /// Upper bound on the points this operator emits per sector: the
     /// cell count of its effective lattice (shrunk by restrictions,
@@ -176,9 +173,10 @@ pub struct PlanReport {
     pub per_op: Vec<OpAnalysis>,
     /// Worst blocking class across all operators.
     pub blocking: BlockingClass,
-    /// Worst-case peak buffered bytes for the whole plan (sum of the
-    /// per-operator bounds — all operators of a pipeline buffer
-    /// concurrently). `None` when any operator is [`BlockingClass::Unbounded`].
+    /// Worst-case peak of the bytes the operators' structures have
+    /// allocated, for the whole plan (sum of the per-operator bounds —
+    /// all operators of a pipeline buffer concurrently). `None` when any
+    /// operator is [`BlockingClass::Unbounded`].
     pub peak_buffer_bytes: Option<u64>,
     /// Findings, ranked most severe first.
     pub diagnostics: Vec<Diagnostic>,
@@ -329,12 +327,18 @@ impl Derived {
         u64::from(self.width()) * u64::from(self.height())
     }
 
-    fn row_bytes(&self) -> u64 {
-        u64::from(self.width()) * PIXEL_BYTES
+    /// Width and height of the lattice the stream's `SectorStart`
+    /// carries, which the operators that hold rows or images allocate.
+    fn sector_size(&self) -> (u32, u32) {
+        self.sector
+            .or(self.lattice)
+            .map_or((DEFAULT_SECTOR_WIDTH, DEFAULT_SECTOR_HEIGHT), |s| (s.width, s.height))
     }
 
-    fn image_bytes(&self) -> u64 {
-        self.points() * PIXEL_BYTES
+    /// Cells of the sector lattice.
+    fn sector_cells(&self) -> u64 {
+        let (w, h) = self.sector_size();
+        u64::from(w) * u64::from(h)
     }
 }
 
@@ -697,24 +701,37 @@ impl Analyzer<'_> {
             Expr::MapValue { input, .. } => (self.walk(input, path), none, 0),
             Expr::Stretch { input, scope, .. } => {
                 let d = self.walk(input, path);
+                // The scope holds each frame's points, at most a sector
+                // row (or the sector) of them, and its two markers.
+                let (width, _) = d.sector_size();
+                let (frames, frame_points) = match d.organization {
+                    Organization::RowByRow => (u64::from(d.height()), u64::from(width)),
+                    Organization::PointByPoint => (d.points(), 1),
+                    Organization::ImageByImage => (1, d.sector_cells()),
+                };
+                let held = |frames: u64, closing: u64| {
+                    Scope::<f32>::bytes_for(frames * frame_points, frames * 2 + closing)
+                };
                 match (scope, d.organization) {
                     (StretchScope::Frame, Organization::RowByRow | Organization::PointByPoint) => {
-                        let bytes = d.row_bytes();
-                        (d, BlockingClass::BoundedRows(1), bytes)
+                        (d, BlockingClass::BoundedRows(1), held(1, 0))
                     }
                     _ => {
+                        // An image scope closes at `SectorEnd`, which it holds too.
+                        let bytes = match scope {
+                            StretchScope::Frame => held(1, 0),
+                            StretchScope::Image => held(frames, 1),
+                        };
                         self.diag(
                             Severity::Info,
                             "stretch-buffers-image",
                             path,
                             format!(
                                 "image-scoped stretch must buffer the whole image \
-                                 ({} bytes) before emitting",
-                                d.image_bytes()
+                                 ({bytes} bytes) before emitting"
                             ),
                             "§3.2",
                         );
-                        let bytes = d.image_bytes();
                         (d, BlockingClass::BoundedFrame, bytes)
                     }
                 }
@@ -734,7 +751,8 @@ impl Analyzer<'_> {
                     _ => 0..height,
                 };
                 let (band, held) = schedule.bound(arriving, d.row_frames);
-                let bytes = u64::from(held) * u64::from(width) * PIXEL_BYTES;
+                let kernel = RowKernel::bytes_for(*func, func.kernel_size(*k), width);
+                let bytes = RowWindow::<f32>::bytes_for(held, width) + schedule.bytes() + kernel;
                 // Every row of the sector comes out whole, a frame of its own.
                 (d.lattice, d.row_frames) = (sector, true);
                 (d, BlockingClass::BoundedRows(band), bytes)
@@ -784,7 +802,7 @@ impl Analyzer<'_> {
                 let out_width =
                     blocks_straddled(d.width(), *k).min(sector.map_or(u32::MAX, |s| s.width));
                 // One output row of block accumulators spans k input rows.
-                let bytes = u64::from(out_width.max(1)) * ACC_ENTRY_BYTES;
+                let bytes = BlockRows::bytes_for(out_width);
                 if let Some(lat) = d.lattice {
                     let out_height =
                         blocks_straddled(lat.height, *k).min(sector.map_or(u32::MAX, |s| s.height));
@@ -843,8 +861,8 @@ impl Analyzer<'_> {
                 // restriction pushed below leaves alone; the bytes follow
                 // the rows that do arrive.
                 let (band, held) = schedule.bound(rows_within(&src, &lat), d.row_frames);
-                let bytes = u64::from(held) * u64::from(src.width) * PIXEL_BYTES
-                    + out.len() * MAP_CELL_BYTES;
+                let bytes = RowWindow::<f32>::bytes_for(held, src.width)
+                    + Mapping::bytes_for(&out, &schedule);
                 // It interpolates every output cell inside the sector,
                 // whatever its input dropped, so the whole output lattice
                 // is effective.
@@ -885,7 +903,9 @@ impl Analyzer<'_> {
                         "§3.3",
                     );
                 }
-                let bytes = u64::from(shift + 1) * d.image_bytes();
+                // The line's `d` images and the open one (or the one
+                // going out).
+                let bytes = u64::from(shift + 1) * SectorImage::<f32>::bytes_for(d.sector_cells());
                 (d, BlockingClass::BoundedFrame, bytes)
             }
             Expr::AggTime { input, window, .. } => {
@@ -899,7 +919,8 @@ impl Analyzer<'_> {
                         "§6",
                     );
                 }
-                let bytes = u64::from(*window) * d.points() * AGG_CELL_BYTES;
+                // The window's `W` images and the open one.
+                let bytes = u64::from(window + 1) * SectorImage::<f64>::bytes_for(d.sector_cells());
                 (d, BlockingClass::BoundedFrame, bytes)
             }
             Expr::AggSpace { input, region, .. } => {
@@ -973,11 +994,13 @@ impl Analyzer<'_> {
         }
         let image_by_image = l.organization == Organization::ImageByImage
             || r.organization == Organization::ImageByImage;
-        let (class, bytes) = if image_by_image {
-            (BlockingClass::BoundedFrame, l.image_bytes() + r.image_bytes())
+        // The keyed buffers hold an image, or a row, of each side.
+        let (class, points) = if image_by_image {
+            (BlockingClass::BoundedFrame, l.points() + r.points())
         } else {
-            (BlockingClass::BoundedRows(1), l.row_bytes() + r.row_bytes())
+            (BlockingClass::BoundedRows(1), u64::from(l.width()) + u64::from(r.width()))
         };
+        let bytes = Side::<f32>::bytes_for(points);
         let out = Derived {
             crs: l.crs,
             organization: l.organization,

@@ -405,7 +405,9 @@ mod tests {
         assert_eq!(text.lines().count(), 5, "{text}");
         assert!(text.starts_with("restrict_space  [non-blocking, ≤"), "{text}");
         assert!(
-            text.contains("reproject  [bounded-rows(9), ≤256 pts/sector, buf 5120 B]"),
+            // A 16-slot ring of 16-cell rows (9 rows rounded up), a table
+            // entry per output cell and the 16-row schedule.
+            text.contains("reproject  [bounded-rows(9), ≤256 pts/sector, buf 5396 B]"),
             "{text}"
         );
         assert!(text.contains("ndvi  [bounded-rows(1)"), "{text}");

@@ -25,7 +25,9 @@ pub struct OpStats {
     pub buffered_points: u64,
     /// High-water mark of [`buffered_points`](Self::buffered_points).
     pub buffered_points_peak: u64,
-    /// Current buffered bytes (pixel payloads plus bookkeeping).
+    /// Bytes the operator's structures have allocated: each buffering
+    /// structure counts its own (capacity × element size), and the
+    /// analyzer's bound asks the same structure.
     pub buffered_bytes: u64,
     /// High-water mark of [`buffered_bytes`](Self::buffered_bytes).
     pub buffered_bytes_peak: u64,
@@ -36,24 +38,14 @@ pub struct OpStats {
 }
 
 impl OpStats {
-    /// Records `n` buffered points occupying `bytes` additional bytes.
+    /// Sets what the operator's structures hold now, as they report it:
+    /// `points` buffered points in `bytes` allocated bytes; raises the
+    /// peaks.
     #[inline]
-    pub fn buffer_grow(&mut self, n: u64, bytes: u64) {
-        self.buffered_points += n;
-        self.buffered_bytes += bytes;
-        if self.buffered_points > self.buffered_points_peak {
-            self.buffered_points_peak = self.buffered_points;
-        }
-        if self.buffered_bytes > self.buffered_bytes_peak {
-            self.buffered_bytes_peak = self.buffered_bytes;
-        }
-    }
-
-    /// Releases `n` buffered points occupying `bytes` bytes.
-    #[inline]
-    pub fn buffer_shrink(&mut self, n: u64, bytes: u64) {
-        self.buffered_points = self.buffered_points.saturating_sub(n);
-        self.buffered_bytes = self.buffered_bytes.saturating_sub(bytes);
+    pub fn hold(&mut self, points: u64, bytes: u64) {
+        (self.buffered_points, self.buffered_bytes) = (points, bytes);
+        self.buffered_points_peak = self.buffered_points_peak.max(points);
+        self.buffered_bytes_peak = self.buffered_bytes_peak.max(bytes);
     }
 
     /// Merges another operator's counters into this one (used when a
@@ -76,6 +68,13 @@ impl OpStats {
             self.points_out as f64 / self.points_in as f64
         }
     }
+}
+
+/// The bytes `n` values of `T` occupy: what a buffer of capacity `n`
+/// has allocated.
+#[inline]
+pub(crate) fn bytes_of<T>(n: usize) -> u64 {
+    (n * std::mem::size_of::<T>()) as u64
 }
 
 /// A named snapshot of one operator's stats within a pipeline report.
@@ -123,24 +122,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn buffer_tracking_peaks() {
+    fn hold_sets_the_figures_and_raises_the_peaks() {
         let mut s = OpStats::default();
-        s.buffer_grow(10, 40);
-        s.buffer_grow(5, 20);
-        s.buffer_shrink(12, 48);
-        s.buffer_grow(1, 4);
-        assert_eq!(s.buffered_points, 4);
-        assert_eq!(s.buffered_points_peak, 15);
-        assert_eq!(s.buffered_bytes_peak, 60);
-    }
-
-    #[test]
-    fn shrink_saturates() {
-        let mut s = OpStats::default();
-        s.buffer_grow(2, 8);
-        s.buffer_shrink(100, 800);
-        assert_eq!(s.buffered_points, 0);
-        assert_eq!(s.buffered_bytes, 0);
+        s.hold(10, 40);
+        s.hold(15, 60);
+        s.hold(3, 100);
+        assert_eq!((s.buffered_points, s.buffered_bytes), (3, 100));
+        assert_eq!((s.buffered_points_peak, s.buffered_bytes_peak), (15, 100));
     }
 
     #[test]

@@ -13,6 +13,9 @@ cargo build --release --offline --workspace
 # that surface fails in seconds, not after the whole suite.
 cargo build --release --offline --manifest-path bench/Cargo.toml
 cargo test -q --offline --workspace --no-fail-fast
+# The release profile is the one the benchmark runs, and there
+# `exec::Drive` skips the protocol checker: the suite runs in it too.
+cargo test -q --offline --release --workspace --no-fail-fast
 cargo clippy --offline --workspace --all-targets -- -D warnings
 cargo fmt --check
 # Doc links rot when a public item is deleted: every intra-doc link of

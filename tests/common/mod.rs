@@ -106,6 +106,25 @@ pub mod reference {
 
     type Els = Vec<Element<f32>>;
 
+    /// The references' point accounting: each grows and shrinks the
+    /// points it buffers as it goes, and counts no bytes. What an
+    /// operator allocates is its structures' to say, and
+    /// `tests/memory_bound.rs` holds that to the heap.
+    trait Buffered {
+        fn grow(&mut self, n: u64);
+        fn shrink(&mut self, n: u64);
+    }
+
+    impl Buffered for OpStats {
+        fn grow(&mut self, n: u64) {
+            self.hold(self.buffered_points + n, 0);
+        }
+
+        fn shrink(&mut self, n: u64) {
+            self.hold(self.buffered_points.saturating_sub(n), 0);
+        }
+    }
+
     /// A frame whose `FrameStart` is withheld until its first surviving
     /// point; a frame nothing survives in is swallowed whole.
     #[derive(Default)]
@@ -254,7 +273,7 @@ pub mod reference {
             let width = self.width as usize;
             let row = &mut self.rows[(cell.row - self.first_row) as usize];
             if row.is_none() {
-                stats.buffer_grow(width as u64, width as u64 * 4);
+                stats.grow(width as u64);
             }
             row.get_or_insert_with(|| vec![0.0; width])[cell.col as usize] = value;
         }
@@ -277,7 +296,7 @@ pub mod reference {
             while self.first_row < keep {
                 let Some(row) = self.rows.pop_front() else { break };
                 let n = row.map_or(0, |r| r.len() as u64);
-                stats.buffer_shrink(n, n * 4);
+                stats.shrink(n);
                 self.first_row += 1;
             }
         }
@@ -447,7 +466,7 @@ pub mod reference {
                     if force {
                         if let Some(pl) = plan.take() {
                             let n = pl.window.points();
-                            stats.buffer_shrink(n, n * 4);
+                            stats.shrink(n);
                         }
                         if !std::mem::take(&mut dropping) {
                             out.push(el);
@@ -533,7 +552,7 @@ pub mod reference {
             if force {
                 if let Some(w) = window.take() {
                     let n = w.points();
-                    stats.buffer_shrink(n, n * 4);
+                    stats.shrink(n);
                 }
                 out.push(el);
             }
@@ -657,7 +676,7 @@ pub mod reference {
                             side.buf.retain(|k, _| k.0 >= watermark);
                             let dropped = before - side.buf.len() as u64;
                             unmatched += dropped;
-                            stats.buffer_shrink(dropped, dropped * 4);
+                            stats.shrink(dropped);
                         }
                     }
                 }
@@ -671,10 +690,10 @@ pub mod reference {
                     let key = (ts.value(), p.cell);
                     let Some(other) = sides[1 - s].buf.remove(&key) else {
                         sides[s].buf.insert(key, p.value);
-                        stats.buffer_grow(1, 4);
+                        stats.grow(1);
                         continue;
                     };
-                    stats.buffer_shrink(1, 4);
+                    stats.shrink(1);
                     let (a, b) = if s == 0 { (p.value, other) } else { (other, p.value) };
                     if frame.is_none_or(|(open, _, _)| open != ts) {
                         close_frame(&mut out, &mut frame);
@@ -714,7 +733,7 @@ pub mod reference {
         }
         let dropped: u64 = sides.iter_mut().map(|s| std::mem::take(&mut s.buf).len() as u64).sum();
         unmatched += dropped;
-        stats.buffer_shrink(dropped, dropped * 4);
+        stats.shrink(dropped);
         close_frame(&mut out, &mut frame);
         if let Some(si) = active {
             out.push(Element::SectorEnd(SectorEnd { sector_id: si.sector_id }));
@@ -770,7 +789,7 @@ pub mod reference {
                 Element::SectorStart(si) => {
                     if lattice != Some(si.lattice) {
                         let freed: u64 = history.iter().map(|g| g.len() as u64).sum();
-                        stats.buffer_shrink(freed, freed * 8);
+                        stats.shrink(freed);
                         history.clear();
                         lattice = Some(si.lattice);
                     }
@@ -791,10 +810,10 @@ pub mod reference {
                     let Some(grid) = current.take() else { continue };
                     if history.len() == window {
                         if let Some(old) = history.pop_front() {
-                            stats.buffer_shrink(old.len() as u64, old.len() as u64 * 8);
+                            stats.shrink(old.len() as u64);
                         }
                     }
-                    stats.buffer_grow(grid.len() as u64, grid.len() as u64 * 8);
+                    stats.grow(grid.len() as u64);
                     history.push_back(grid);
                     let (Some(si), Some(lat)) = (pending.take(), lattice) else { continue };
                     stats.frames_out += 1;
@@ -846,7 +865,7 @@ pub mod reference {
                 Element::SectorEnd(_) => {
                     let Some(si) = pending.take() else { continue };
                     if let Some(grid) = current.take() {
-                        stats.buffer_grow(grid.1.len() as u64, grid.1.len() as u64 * 4);
+                        stats.grow(grid.1.len() as u64);
                         line.push_back(grid);
                     }
                     if line.len() <= d {
@@ -864,7 +883,7 @@ pub mod reference {
                         .collect();
                     whole_sector(&mut out, &si, lat, next_frame_id, points);
                     next_frame_id += 1;
-                    stats.buffer_shrink(grid.len() as u64, grid.len() as u64 * 4);
+                    stats.shrink(grid.len() as u64);
                 }
             }
         }
@@ -900,7 +919,7 @@ pub mod reference {
                      out: &mut Els,
                      stats: &mut OpStats| {
             let released = held.iter().filter(|e| e.is_point()).count() as u64;
-            stats.buffer_shrink(released, released * 4);
+            stats.shrink(released);
             for el in held.drain(..) {
                 out.push(match el {
                     Element::Point(p) => {
@@ -946,7 +965,7 @@ pub mod reference {
                     if let Some(h) = &mut hist {
                         h.push(p.value.to_f64());
                     }
-                    stats.buffer_grow(1, 4);
+                    stats.grow(1);
                     false
                 }
                 Element::FrameEnd(_) => scope == StretchScope::Frame,
@@ -1012,7 +1031,6 @@ pub mod reference {
     /// row — when a frame starts below its rows, or at `SectorEnd`.
     /// Returns the elements and the operator's counters.
     pub fn downsample(els: &[Element<f32>], k: u32) -> (Els, OpStats) {
-        const ENTRY: u64 = 24;
         // Open output rows from `first`, each its blocks' (sum, count)
         // and the column below which they are emitted.
         type Row = (Vec<(f64, u32)>, u32);
@@ -1027,7 +1045,7 @@ pub mod reference {
             for col in cols {
                 let (sum, n) = std::mem::take(&mut row.0[col as usize]);
                 if n > 0 {
-                    stats.buffer_shrink(u64::from(n), ENTRY);
+                    stats.shrink(u64::from(n));
                     stats.points_out += 1;
                     out.push(Element::point(Cell::new(col, r), f32::from_f64(sum / f64::from(n))));
                 }
@@ -1090,13 +1108,10 @@ pub mod reference {
                     }
                     let row = &mut rows[(or - first) as usize];
                     let block = &mut row.0[oc as usize];
-                    if block.1 == 0 {
-                        stats.buffer_grow(0, ENTRY);
-                    }
                     block.0 += p.value.to_f64();
                     block.1 += 1;
                     let complete = block.1 == k * k;
-                    stats.buffer_grow(1, 0);
+                    stats.grow(1);
                     if complete {
                         let next = row.1;
                         emit(row, or, next.min(oc)..oc + 1, &mut out, &mut stats);

@@ -4,7 +4,7 @@
 //! memory budget, and the EXPLAIN surface (protocol + HTTP).
 
 use geostreams::core::exec::run_to_end;
-use geostreams::core::model::{GeoStream, StreamSchema, VecStream};
+use geostreams::core::model::{GeoStream, Marker, PointRecord, StreamSchema, VecStream};
 use geostreams::core::ops::BlockingClass;
 use geostreams::core::query::{
     analyze, analyze_with, optimize, optimize_with, parse_query, AnalyzeOptions, Catalog, Expr,
@@ -16,11 +16,11 @@ use geostreams::dsms::{
 };
 use geostreams::geo::{Cell, Crs, LatticeGeoref, Rect};
 use geostreams::satsim::{goes_like, Scanner};
+use std::mem::size_of;
 use std::sync::Arc;
 
 const W: u64 = 64;
 const H: u64 = 64;
-const PX: u64 = 4; // bytes per f32 point
 const SECTORS: u64 = 3;
 
 /// The GOES-like instrument of the geostationary source: a 64x32
@@ -127,11 +127,33 @@ fn buffer_overruns(cat: &Catalog, e: &Expr) -> Vec<String> {
 
 #[test]
 fn every_variant_gets_a_blocking_class_and_bound() {
-    // (query, root operator name, expected class, expected root bytes)
-    let row = W * PX;
-    let image = W * H * PX;
-    // Mapping-table bytes per re-projected cell.
-    let table = 16;
+    // (query, root operator name, expected class, expected root bytes).
+    // Each figure is the layout of what the operator allocates for the
+    // 64 × 64 lattice of `g1`, `f32` values.
+    let (value, point) = (size_of::<f32>() as u64, size_of::<PointRecord<f32>>() as u64);
+    let mark = size_of::<(usize, Marker)>() as u64;
+    // `RowWindow`: a power of two of row slots, a flag byte each.
+    let ring = |rows: u64, width: u64| rows.next_power_of_two() * (width * value + 1);
+    // `RowSchedule`: an `Option<(u32, u32)>` window per output row and a
+    // `u32` watermark per output row and one more.
+    let schedule = |rows: u64| rows * size_of::<Option<(u32, u32)>>() as u64 + (rows + 1) * 4;
+    // `RowKernel` of a box mean: `k` rows padded by `k - 1` cells and one
+    // accumulator per column, `f64`s.
+    let kernel = |k: u64| (k * (W + k - 1) + W) * 8;
+    // `stretch::Scope`: the scope's points and markers, each to a power
+    // of two.
+    let scope = |points: u64, marks: u64| {
+        points.next_power_of_two() * point + marks.next_power_of_two() * mark
+    };
+    // `BlockRows`: one row of `(f64, u32)` accumulators.
+    let blocks = |n: u64| n * 16;
+    // `Mapping`: a `[f64; 2]` table entry per output cell.
+    let table = |cells: u64| cells * 16;
+    // The keyed buffers of `compose`: a `(i64, u32, u32)` key and a value
+    // per waiting point.
+    let keyed = |n: u64| n * size_of::<((i64, u32, u32), f32)>() as u64;
+    // `SectorImage`: a value and a mask byte per cell.
+    let image = |cell_bytes: u64| W * H * (cell_bytes + 1);
     // Rows 8..=23 of the 32-row geostationary sector: the first arriving
     // row's frame rules out the rows above it, so the schedule runs as
     // over the whole sector and holds 13 rows at most.
@@ -162,42 +184,67 @@ fn every_variant_gets_a_blocking_class_and_bound() {
         ("restrict_time(g1, interval(0, 5))", "restrict_time", BlockingClass::NonBlocking, 0),
         ("restrict_value(g1, 0, 1)", "restrict_value", BlockingClass::NonBlocking, 0),
         ("scale(g1, 2, 1)", "map_value", BlockingClass::NonBlocking, 0),
-        ("stretch(g1, \"linear\", \"frame\")", "stretch", BlockingClass::BoundedRows(1), row),
-        ("stretch(g1, \"linear\", \"image\")", "stretch", BlockingClass::BoundedFrame, image),
-        ("focal(g1, \"mean\", 5)", "focal", BlockingClass::BoundedRows(5), 5 * row),
-        (&restricted_focal, "focal", BlockingClass::BoundedRows(3), 3 * row),
+        // One row of points, its `FrameStart` and `FrameEnd`.
+        (
+            "stretch(g1, \"linear\", \"frame\")",
+            "stretch",
+            BlockingClass::BoundedRows(1),
+            scope(W, 2),
+        ),
+        // Every row's points and markers, and `SectorEnd`.
+        (
+            "stretch(g1, \"linear\", \"image\")",
+            "stretch",
+            BlockingClass::BoundedFrame,
+            scope(W * H, 2 * H + 1),
+        ),
+        // A 5-row ring rounds up to 8 rows, plus 8 flag bytes.
+        (
+            "focal(g1, \"mean\", 5)",
+            "focal",
+            BlockingClass::BoundedRows(5),
+            ring(5, W) + schedule(H) + kernel(5),
+        ),
+        (
+            &restricted_focal,
+            "focal",
+            BlockingClass::BoundedRows(3),
+            ring(3, W) + schedule(H) + kernel(3),
+        ),
         ("orient(g1, \"rot90\")", "orient", BlockingClass::NonBlocking, 0),
         ("magnify(g1, 2)", "magnify", BlockingClass::NonBlocking, 0),
-        ("downsample(g1, 4)", "downsample", BlockingClass::BoundedRows(4), (W / 4) * 24),
+        ("downsample(g1, 4)", "downsample", BlockingClass::BoundedRows(4), blocks(W / 4)),
         // Columns 5..=36 straddle 9 blocks of the sector's 4-grid.
         (
             "downsample(restrict_space(g1, bbox(-123.7, 37, -121.7, 39), \"latlon\"), 4)",
             "downsample",
             BlockingClass::BoundedRows(4),
-            9 * 24,
+            blocks(9),
         ),
         // The row schedule holds 9 input rows; the table maps every cell.
         (
             "reproject(g1, \"utm:10N\")",
             "reproject",
             BlockingClass::BoundedRows(9),
-            9 * row + W * H * table,
+            ring(9, W) + table(W * H) + schedule(H),
         ),
         (
             &goes_to_latlon,
             "reproject",
             BlockingClass::BoundedRows(13),
-            13 * 64 * PX + 64 * 32 * table,
+            ring(13, 64) + table(64 * 32) + schedule(32),
         ),
-        ("add(g1, g2)", "compose", BlockingClass::BoundedRows(1), 2 * row),
-        ("ndvi(g1, g2)", "ndvi", BlockingClass::BoundedRows(1), 2 * row),
+        ("add(g1, g2)", "compose", BlockingClass::BoundedRows(1), keyed(2 * W)),
+        ("ndvi(g1, g2)", "ndvi", BlockingClass::BoundedRows(1), keyed(2 * W)),
         // Columns 16..=47 against 8..=39, rows 8..=39 against 16..=55: a
         // row's cells outside the overlap wait for the other side's next
         // row, not for the sector's end.
-        (&differently_restricted, "compose", BlockingClass::BoundedRows(1), 2 * 32 * PX),
+        (&differently_restricted, "compose", BlockingClass::BoundedRows(1), keyed(2 * 32)),
         ("shed(g1, \"points\", 2)", "shed", BlockingClass::NonBlocking, 0),
-        ("delay(g1, 2)", "delay", BlockingClass::BoundedFrame, 3 * image),
-        ("agg_time(g1, \"mean\", 4)", "agg_time", BlockingClass::BoundedFrame, 4 * W * H * 8),
+        // The line's two `f32` images and the open one.
+        ("delay(g1, 2)", "delay", BlockingClass::BoundedFrame, 3 * image(value)),
+        // The window's four `f64` images and the open one.
+        ("agg_time(g1, \"mean\", 4)", "agg_time", BlockingClass::BoundedFrame, 5 * image(8)),
         (
             "agg_space(g1, \"mean\", bbox(-124, 36, -120, 40))",
             "agg_space",
