@@ -27,11 +27,10 @@
 //! * An operator reads whole input runs (`next_chunk`, or
 //!   [`ChunkInput`], which stages one chunk at a time and serves it as a
 //!   run the consumer takes a prefix of, or element by element) and
-//!   queues whole output runs (`RunQueue`). The `split2` and `tee2`
-//!   sides, whose logic is per element, pack their output with
-//!   [`pack_elements`]; chaos injection, repair of a damaged run and
-//!   archive replay, which queue elements, pack the queue's front with
-//!   [`pack_queue`].
+//!   queues whole output runs in a [`RunQueue`], as chaos injection,
+//!   stream repair and archive replay do. Only the `split2` and `tee2`
+//!   sides, whose transports are element sequences, pack their output
+//!   one element at a time with [`pack_elements`].
 
 use std::any::{Any, TypeId};
 use std::cell::RefCell;
@@ -390,9 +389,9 @@ impl<V: Pixel> ChunkOrMarker<V> {
 /// marker riding in [`Chunk::end`]. Returns `None` once `step` does.
 ///
 /// The `split2` and `tee2` sides, whose state machine emits one element
-/// at a time, implement [`GeoStream::next_chunk`] as one call of this;
-/// [`pack_queue`] is this over an element queue. No operator of `ops`
-/// calls it: they read and write whole runs.
+/// at a time, implement [`GeoStream::next_chunk`] as one call of this.
+/// Nothing else does: every other stream queues whole runs in a
+/// [`RunQueue`].
 pub fn pack_elements<V: Pixel>(
     budget: usize,
     mut step: impl FnMut() -> Option<Element<V>>,
@@ -419,40 +418,30 @@ pub fn pack_elements<V: Pixel>(
     Some(ChunkOrMarker::Chunk(chunk))
 }
 
-/// Packs the front of an element queue into one chunk item (see
-/// [`pack_elements`]). Operators that batch output through an internal
-/// `VecDeque<Element>` (chaos injection, stream repair, archive replay)
-/// use this to speak the chunked protocol without reshaping their logic.
-pub fn pack_queue<V: Pixel>(
-    queue: &mut VecDeque<Element<V>>,
-    budget: usize,
-) -> Option<ChunkOrMarker<V>> {
-    pack_elements(budget, || queue.pop_front())
-}
-
-/// The output of an operator that emits whole runs (every buffering
-/// operator of `ops`): items in stream order, handed out under the budget
-/// rule. A run longer than the budget leaves in budget-sized pieces,
-/// cut by an offset into the front run; a shorter one carries the
-/// marker that follows it. The last run may still grow.
-pub(crate) struct RunQueue<V: Pixel> {
+/// The output of a stream that emits whole runs (every buffering
+/// operator of `ops`, chaos injection, stream repair, archive replay):
+/// items in stream order, handed out under the budget rule. Markers are
+/// pushed as items and points appended to [`open_run`](Self::open_run).
+/// A run longer than the budget leaves in budget-sized pieces, cut by
+/// an offset into the front run; a shorter one carries the marker that
+/// follows it. The last run may still grow.
+#[derive(Default)]
+pub struct RunQueue<V: Pixel> {
     items: VecDeque<ChunkOrMarker<V>>,
     /// Points of the front run already handed out.
     offset: usize,
 }
 
 impl<V: Pixel> RunQueue<V> {
-    pub(crate) fn new() -> Self {
-        RunQueue { items: VecDeque::new(), offset: 0 }
-    }
-
-    pub(crate) fn push(&mut self, item: ChunkOrMarker<V>) {
+    /// Queues an item: a marker, or a whole run the queue does not end
+    /// in.
+    pub fn push(&mut self, item: ChunkOrMarker<V>) {
         self.items.push_back(item);
     }
 
     /// The run points are appended to: the last item, or a fresh run
     /// after a marker.
-    pub(crate) fn open_run(&mut self) -> &mut Vec<PointRecord<V>> {
+    pub fn open_run(&mut self) -> &mut Vec<PointRecord<V>> {
         let open_is_front = self.items.len() == 1;
         match self.items.back_mut() {
             // Partly handed out: keep only what is left.
@@ -472,7 +461,7 @@ impl<V: Pixel> RunQueue<V> {
 
     /// Whether the front item can go out at `budget` as it is: a marker,
     /// a run of `budget` points, or a run a marker follows.
-    pub(crate) fn ready(&self, budget: usize) -> bool {
+    pub fn ready(&self, budget: usize) -> bool {
         match self.items.front() {
             Some(ChunkOrMarker::Chunk(run)) => {
                 run.len() - self.offset >= budget || self.items.len() > 1
@@ -484,7 +473,7 @@ impl<V: Pixel> RunQueue<V> {
 
     /// The front item at `budget`, whether or not it is
     /// [`ready`](Self::ready); `None` when the queue is empty.
-    pub(crate) fn pop(&mut self, budget: usize) -> Option<ChunkOrMarker<V>> {
+    pub fn pop(&mut self, budget: usize) -> Option<ChunkOrMarker<V>> {
         if let Some(ChunkOrMarker::Chunk(run)) = self.items.front() {
             if run.len() - self.offset > budget {
                 let mut piece = Chunk::with_budget(budget);
@@ -642,20 +631,36 @@ mod tests {
     }
 
     #[test]
-    fn pack_queue_round_trips() {
-        let els = source(6, 3).drain_elements();
-        for budget in [1usize, 4, 100] {
-            let mut q: VecDeque<Element<f32>> = els.iter().cloned().collect();
+    fn run_queue_round_trips() {
+        let mut src = source(6, 3);
+        let semantics = src.schema().time_semantics;
+        let els = src.drain_elements();
+        let queued = || {
+            let mut q = RunQueue::default();
+            for el in els.iter().cloned() {
+                match Marker::from_element(el) {
+                    Ok(m) => q.push(ChunkOrMarker::Marker(m)),
+                    Err(p) => q.open_run().push(p),
+                }
+            }
+            q
+        };
+        for budget in [1usize, 2, 3, 1024] {
+            let mut q = queued();
+            let mut checker = crate::ops::ChunkProtocolChecker::new(budget, semantics);
             let mut out = Vec::new();
-            while let Some(item) = pack_queue(&mut q, budget) {
+            while let Some(item) = q.pop(budget) {
+                checker.observe(&item);
                 item.into_elements(&mut |el| out.push(el));
             }
+            checker.finish();
+            assert_eq!(checker.violations(), 0, "budget {budget}: {:?}", checker.first_violation());
             assert_eq!(out, els, "budget {budget}");
         }
         // A row of 6 at budget 3: the FrameEnd after a full run is its
         // own item, not folded into the run.
-        let mut q: VecDeque<Element<f32>> = els.iter().cloned().collect();
-        let items: Vec<_> = std::iter::from_fn(|| pack_queue(&mut q, 3)).collect();
+        let mut q = queued();
+        let items: Vec<_> = std::iter::from_fn(|| q.pop(3)).collect();
         assert!(items.iter().all(|i| i.point_count() < 3 || i.marker().is_none()));
         assert!(matches!(items[4], ChunkOrMarker::Marker(Marker::FrameEnd(_))));
     }

@@ -21,8 +21,8 @@ mod stream;
 mod timestamp;
 
 pub use chunk::{
-    drain_chunked, pack_elements, pack_queue, pool_counts, Chunk, ChunkInput, ChunkOrMarker,
-    Marker, DEFAULT_CHUNK_BUDGET,
+    drain_chunked, pack_elements, pool_counts, Chunk, ChunkInput, ChunkOrMarker, Marker,
+    DEFAULT_CHUNK_BUDGET,
 };
 pub use element::{Element, FrameEnd, FrameInfo, PointRecord, SectorEnd, SectorInfo};
 pub use repair::{RepairCounters, RepairProbe, RepairStats, SectorCompleteness, StreamRepair};

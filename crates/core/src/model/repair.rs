@@ -27,19 +27,19 @@
 //! relies on: queries over a degraded feed *complete*, with the
 //! degradation quantified in [`RepairStats`] and per-sector
 //! [`SectorCompleteness`] records instead of silently wrong output.
-//! Identifiers pass in arrival order: a frame or sector whose id does
-//! not exceed its predecessor's is delivered as it came, and the checker
-//! reports it.
+//! A frame or sector that arrives after a later one of its scope (two
+//! frames swapped whole) is dropped whole: one disorder, its contents
+//! orphans.
 
-use super::chunk::{pack_queue, ChunkOrMarker, Marker};
-use super::element::{Element, FrameEnd, FrameInfo, PointRecord, SectorEnd};
+use super::chunk::{Chunk, ChunkOrMarker, Marker, RunQueue};
+use super::element::{FrameEnd, FrameInfo, PointRecord, SectorEnd};
 use super::stream::GeoStream;
 use crate::model::StreamSchema;
 use crate::obs::Counter;
 use crate::stats::{OpReport, OpStats};
 use geostreams_geo::{Cell, CellBox};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex};
 
 /// Counters of everything [`StreamRepair`] detected and fixed.
@@ -219,12 +219,6 @@ impl SeenCells {
             && cell.row.wrapping_sub(self.row_min) < self.height
     }
 
-    /// Adds `cell` (which the box covers); `false` when it was already
-    /// present.
-    fn insert(&mut self, cell: Cell) -> bool {
-        self.insert_run(std::iter::once(cell)) == 1
-    }
-
     /// Adds `cells` in order up to the first one outside the admitted
     /// box or already present; returns how many were added. Consecutive
     /// cells of a scan line share a bitmap word, which stays in a
@@ -261,7 +255,7 @@ impl SeenCells {
     }
 }
 
-/// Elements being discarded up to the end marker of a frame or a
+/// What is being discarded up to the end marker of a frame or a
 /// sector.
 #[derive(Clone, Copy, PartialEq)]
 enum Skip {
@@ -294,7 +288,7 @@ struct OpenSector {
 /// sequence into a protocol-valid one (see the module docs).
 pub struct StreamRepair<S: GeoStream> {
     input: S,
-    out: VecDeque<Element<S::V>>,
+    out: RunQueue<S::V>,
     stats: RepairStats,
     sector: Option<OpenSector>,
     frame: Option<OpenFrame>,
@@ -324,7 +318,7 @@ impl<S: GeoStream> StreamRepair<S> {
     pub fn with_probe(input: S, probe: Arc<RepairProbe>) -> Self {
         StreamRepair {
             input,
-            out: VecDeque::new(),
+            out: RunQueue::default(),
             stats: RepairStats::default(),
             sector: None,
             frame: None,
@@ -369,9 +363,9 @@ impl<S: GeoStream> StreamRepair<S> {
         }
     }
 
-    fn note_duplicate(&mut self) {
+    fn note_duplicates(&mut self, n: u64) {
         if let Some(c) = &self.counters {
-            c.duplicates.inc();
+            c.duplicates.add(n);
         }
     }
 
@@ -398,10 +392,10 @@ impl<S: GeoStream> StreamRepair<S> {
         if synthesize {
             self.stats.synthesized_frame_ends += 1;
         }
-        self.out.push_back(Element::FrameEnd(FrameEnd {
+        self.out.push(ChunkOrMarker::Marker(Marker::FrameEnd(FrameEnd {
             frame_id: open.info.frame_id,
             sector_id: open.info.sector_id,
-        }));
+        })));
     }
 
     /// Handles the end of the input stream: force-closes open scopes
@@ -417,21 +411,19 @@ impl<S: GeoStream> StreamRepair<S> {
         }
     }
 
-    /// Runs one input element through the repair state machine, queueing
-    /// whatever survives onto `self.out`. Markers and every point of a run
-    /// that is not clean throughout take this path; a clean run is
-    /// accounted in one step by [`admit_run`](Self::admit_run).
-    fn process_one(&mut self, el: Element<S::V>) {
+    /// Runs one input marker through the repair state machine, queueing
+    /// whatever survives onto `self.out`.
+    fn process_marker(&mut self, m: Marker) {
         self.stats.elements_in += 1;
-        match el {
-            Element::SectorStart(si) => {
+        match m {
+            Marker::SectorStart(si) => {
                 self.skip = None;
                 if let Some(open) = &self.sector {
                     if open.id == si.sector_id {
                         // Retransmitted SectorStart for the open
                         // sector: drop.
                         self.stats.duplicate_frames += 1;
-                        self.note_duplicate();
+                        self.note_duplicates(1);
                         return;
                     }
                 }
@@ -469,9 +461,9 @@ impl<S: GeoStream> StreamRepair<S> {
                     last_frame_id: None,
                     last_row: None,
                 });
-                self.out.push_back(Element::SectorStart(si));
+                self.out.push(ChunkOrMarker::Marker(Marker::SectorStart(si)));
             }
-            Element::FrameStart(fi) => {
+            Marker::FrameStart(fi) => {
                 if matches!(self.skip, Some(Skip::Sector(_))) {
                     self.stats.orphans += 1;
                     return;
@@ -489,7 +481,7 @@ impl<S: GeoStream> StreamRepair<S> {
                 if !self.seen_frames.insert(fi.frame_id) {
                     // Retransmitted frame: discard its whole body.
                     self.stats.duplicate_frames += 1;
-                    self.note_duplicate();
+                    self.note_duplicates(1);
                     self.skip = Some(Skip::Duplicate(fi.frame_id));
                     return;
                 }
@@ -535,44 +527,9 @@ impl<S: GeoStream> StreamRepair<S> {
                 }
                 self.seen_cells.reset(admitted);
                 self.frame = Some(OpenFrame { info: fi, expected });
-                self.out.push_back(Element::FrameStart(fi));
+                self.out.push(ChunkOrMarker::Marker(Marker::FrameStart(fi)));
             }
-            Element::Point(p) => {
-                match self.skip {
-                    Some(Skip::Duplicate(_)) => {
-                        self.stats.duplicate_points += 1;
-                        self.note_duplicate();
-                        return;
-                    }
-                    Some(_) => {
-                        self.stats.orphans += 1;
-                        return;
-                    }
-                    None => {}
-                }
-                if self.frame.is_none() {
-                    self.stats.orphans += 1;
-                    return;
-                }
-                if !self.seen_cells.covers(p.cell) {
-                    // Outside the open frame's box (its own frame was
-                    // lost or is out of order) or the lattice: never
-                    // attributed to a frame it does not belong to.
-                    self.note_disorder();
-                    return;
-                }
-                if !self.seen_cells.insert(p.cell) {
-                    self.stats.duplicate_points += 1;
-                    self.note_duplicate();
-                    return;
-                }
-                self.stats.received_points += 1;
-                if let Some(sec) = &mut self.sector {
-                    sec.received += 1;
-                }
-                self.out.push_back(Element::Point(p));
-            }
-            Element::FrameEnd(fe) => {
+            Marker::FrameEnd(fe) => {
                 match self.skip {
                     Some(Skip::Duplicate(id) | Skip::Frame(id)) if id == fe.frame_id => {
                         self.skip = None;
@@ -600,7 +557,7 @@ impl<S: GeoStream> StreamRepair<S> {
                     }
                 }
             }
-            Element::SectorEnd(se) => {
+            Marker::SectorEnd(se) => {
                 if std::mem::take(&mut self.skip) == Some(Skip::Sector(se.sector_id)) {
                     return;
                 }
@@ -623,22 +580,62 @@ impl<S: GeoStream> StreamRepair<S> {
         }
     }
 
-    /// Accounts the longest prefix of `points` that continues the open
-    /// frame cleanly — every cell in its admitted box and new to it —
-    /// exactly as
-    /// [`process_one`](Self::process_one) would one by one, and returns
-    /// its length. Nothing is queued: the caller owns the points.
-    fn admit_run(&mut self, points: &[PointRecord<S::V>]) -> usize {
-        if self.frame.is_none() || self.skip.is_some() {
-            return 0;
-        }
-        let n = self.seen_cells.insert_run(points.iter().map(|p| p.cell)) as u64;
+    /// Runs one input run through the repair, queueing what survives
+    /// onto `self.out`. A run inside a skipped frame or sector, or with
+    /// no frame open, is counted in one step. Otherwise each clean
+    /// stretch is admitted by [`admit_run`](Self::admit_run) and appended
+    /// in one slice, and the point that ends it is counted as disorder
+    /// (outside the admitted box) or a duplicate. A run admitted whole is
+    /// queued in the buffer it came in: the caller has nothing queued.
+    fn process_run(&mut self, run: Chunk<S::V>) {
+        let n = run.len() as u64;
         self.stats.elements_in += n;
-        self.stats.received_points += n;
-        if let Some(sec) = &mut self.sector {
-            sec.received += n;
+        match self.skip {
+            Some(Skip::Duplicate(_)) => {
+                self.stats.duplicate_points += n;
+                self.note_duplicates(n);
+            }
+            Some(_) => self.stats.orphans += n,
+            None if self.frame.is_none() => self.stats.orphans += n,
+            None => {
+                let mut at = 0;
+                while at < run.len() {
+                    let clean = self.admit_run(&run.points[at..]);
+                    if clean == run.len() {
+                        self.out.push(ChunkOrMarker::Chunk(run));
+                        return;
+                    }
+                    if clean > 0 {
+                        self.out.open_run().extend_from_slice(&run.points[at..at + clean]);
+                    }
+                    at += clean;
+                    let Some(p) = run.points.get(at) else { break };
+                    if self.seen_cells.covers(p.cell) {
+                        self.stats.duplicate_points += 1;
+                        self.note_duplicates(1);
+                    } else {
+                        // Outside the open frame's box (its own frame was
+                        // lost or is out of order) or the lattice: never
+                        // attributed to a frame it does not belong to.
+                        self.note_disorder();
+                    }
+                    at += 1;
+                }
+            }
         }
-        n as usize
+        run.recycle();
+    }
+
+    /// Admits the longest prefix of `points` that continues the open
+    /// frame cleanly — every cell in its admitted box and new to it — and
+    /// returns its length.
+    fn admit_run(&mut self, points: &[PointRecord<S::V>]) -> usize {
+        let n = self.seen_cells.insert_run(points.iter().map(|p| p.cell));
+        self.stats.received_points += n as u64;
+        if let Some(sec) = &mut self.sector {
+            sec.received += n as u64;
+        }
+        n
     }
 
     /// Finalizes the open sector (if any); `synthesize` emits the
@@ -651,7 +648,7 @@ impl<S: GeoStream> StreamRepair<S> {
         if synthesize {
             self.stats.synthesized_sector_ends += 1;
         }
-        self.out.push_back(Element::SectorEnd(SectorEnd { sector_id: open.id }));
+        self.out.push(ChunkOrMarker::Marker(Marker::SectorEnd(SectorEnd { sector_id: open.id })));
         if let Some(first) = open.first_frame_id {
             self.seen_frames = self.seen_frames.split_off(&first);
         }
@@ -675,39 +672,26 @@ impl<S: GeoStream> GeoStream for StreamRepair<S> {
     }
 
     fn next_chunk(&mut self, budget: usize) -> Option<ChunkOrMarker<S::V>> {
+        let budget = budget.max(1);
         loop {
-            if let Some(item) = pack_queue(&mut self.out, budget) {
+            if let Some(item) = self.out.pop(budget) {
                 return Some(item);
             }
             if self.ended {
                 return None;
             }
-            match self.input.next_chunk(budget.max(1)) {
-                Some(ChunkOrMarker::Marker(m)) => self.process_one(m.into_element()),
+            match self.input.next_chunk(budget) {
+                Some(ChunkOrMarker::Marker(m)) => self.process_marker(m),
                 Some(ChunkOrMarker::Chunk(mut c)) => {
-                    // Nothing is queued here (`pack_queue` came back
-                    // empty), so a run that is clean throughout goes
-                    // downstream in the buffer it arrived in; what its
-                    // end marker turns into rides along.
-                    let clean = self.admit_run(&c.points);
+                    // Nothing is queued here (`pop` came back empty), so
+                    // a run admitted whole goes downstream in the buffer
+                    // it arrived in; what its end marker turns into
+                    // rides along.
                     let end = c.end.take();
-                    if clean > 0 && clean == c.points.len() {
-                        if let Some(m) = end {
-                            self.process_one(m.into_element());
-                            c.end =
-                                self.out.pop_front().and_then(|el| Marker::from_element(el).ok());
-                        }
-                        return Some(ChunkOrMarker::Chunk(c));
-                    }
-                    let mut points = c.points.drain(..);
-                    self.out.extend(points.by_ref().take(clean).map(Element::Point));
-                    for p in points {
-                        self.process_one(Element::Point(p));
-                    }
+                    self.process_run(c);
                     if let Some(m) = end {
-                        self.process_one(m.into_element());
+                        self.process_marker(m);
                     }
-                    c.recycle();
                 }
                 None => self.finish_input(),
             }
@@ -729,6 +713,7 @@ mod tests {
     use crate::model::{Element, StreamSchema, TimeSemantics, VecStream};
     use crate::ops::ChunkProtocolChecker;
     use geostreams_geo::{Crs, LatticeGeoref, Rect};
+    use std::collections::VecDeque;
 
     fn lattice() -> LatticeGeoref {
         LatticeGeoref::north_up(Crs::LatLon, Rect::new(0.0, 0.0, 4.0, 4.0), 4, 4)
@@ -740,17 +725,29 @@ mod tests {
         s.drain_elements()
     }
 
-    /// Repairs `els` one element at a time through `process_one` alone:
+    /// Repairs `els` one element at a time, each point a run of its own:
     /// the oracle of the chunk path's whole-run admission.
     fn repair(els: Vec<Element<f32>>) -> (Vec<Element<f32>>, RepairStats, Vec<SectorCompleteness>) {
         let mut r = StreamRepair::new(VecStream::new(StreamSchema::new("x", Crs::LatLon), vec![]));
         let mut out = Vec::new();
+        let mut drain = |r: &mut StreamRepair<VecStream<f32>>| {
+            while let Some(item) = r.out.pop(1) {
+                item.into_elements(&mut |el| out.push(el));
+            }
+        };
         for el in els {
-            r.process_one(el);
-            out.extend(r.out.drain(..));
+            match Marker::from_element(el) {
+                Ok(m) => r.process_marker(m),
+                Err(p) => {
+                    let mut run = Chunk::with_budget(1);
+                    run.points.push(p);
+                    r.process_run(run);
+                }
+            }
+            drain(&mut r);
         }
         r.finish_input();
-        out.extend(r.out.drain(..));
+        drain(&mut r);
         let probe = r.probe();
         (out, probe.stats(), probe.sectors())
     }
@@ -1248,13 +1245,13 @@ mod tests {
         let mut retained = Vec::new();
         while let Some(item) = r.next_chunk(64) {
             if let Some(Marker::SectorEnd(_)) = item.marker() {
-                retained.push((r.seen_frames.len(), r.seen_cells.bits.len(), r.out.len()));
+                retained.push((r.seen_frames.len(), r.seen_cells.bits.len(), r.out.ready(1)));
             }
             item.recycle();
         }
         assert_eq!(retained.len(), 1000);
         // One sector's frame ids (the lattice has 4 rows), one row's bits.
-        assert_eq!(retained[0], (4, 1, 0));
+        assert_eq!(retained[0], (4, 1, false));
         assert!(retained.iter().all(|s| *s == retained[0]), "state grew: {:?}", retained.last());
         assert!(r.repair_stats().is_clean());
         assert_eq!(r.probe().sectors().len(), 1000);

@@ -107,7 +107,7 @@ impl<S: GeoStream> TemporalAggregate<S> {
             pending_sector: None,
             out: None,
             obs: Vec::with_capacity(window),
-            queue: RunQueue::new(),
+            queue: RunQueue::default(),
             next_frame_id: 0,
             stats: OpStats::default(),
             schema,
@@ -276,7 +276,7 @@ impl<S: GeoStream> SpatialAggregate<S> {
             exact,
             acc: ScalarAcc::default(),
             sector: None,
-            queue: RunQueue::new(),
+            queue: RunQueue::default(),
             next_frame_id: 0,
             stats: OpStats::default(),
             schema,

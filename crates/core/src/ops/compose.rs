@@ -307,7 +307,7 @@ impl<L: GeoStream, R: GeoStream<V = L::V>> Compose<L, R> {
             lattice_mismatch: false,
             finished: false,
             unmatched_dropped: 0,
-            out: Output { queue: RunQueue::new(), frame: None, next_frame_id: 0 },
+            out: Output { queue: RunQueue::default(), frame: None, next_frame_id: 0 },
             stats: OpStats::default(),
             schema,
         })

@@ -49,7 +49,7 @@ impl<S: GeoStream> Delay<S> {
             current: None,
             pending_sector: None,
             replay: None,
-            queue: RunQueue::new(),
+            queue: RunQueue::default(),
             next_frame_id: 0,
             stats: OpStats::default(),
             schema,

@@ -123,7 +123,7 @@ impl<S: GeoStream> FocalTransform<S> {
             sector: None,
             timestamp: Timestamp::default(),
             closing: None,
-            queue: RunQueue::new(),
+            queue: RunQueue::default(),
             kernel: RowKernel::default(),
             stats: OpStats::default(),
             schema,

@@ -162,9 +162,8 @@ pub enum ChunkDiscipline {
     Preserve,
     /// The operator re-packs points into fresh chunks but maintains the
     /// §12 invariant that a run never crosses a frame or sector edge
-    /// (the operators that queue their output runs in
-    /// `model::chunk::RunQueue`, and the streams that pack elements with
-    /// [`pack_queue`](crate::model::pack_queue)).
+    /// (the streams that queue their output runs in a
+    /// [`RunQueue`](crate::model::chunk::RunQueue)).
     Repack,
 }
 

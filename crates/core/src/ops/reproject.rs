@@ -341,7 +341,7 @@ impl<S: GeoStream> Reproject<S> {
             dropping: false,
             window: RowWindow::new(),
             closing: None,
-            queue: RunQueue::new(),
+            queue: RunQueue::default(),
             next_frame_id: 0,
             stats: OpStats::default(),
             schema,

@@ -45,7 +45,7 @@ impl<S: GeoStream> Magnify<S> {
             input,
             k,
             pending: None,
-            queue: RunQueue::new(),
+            queue: RunQueue::default(),
             stats: OpStats::default(),
             schema,
         }
@@ -291,7 +291,7 @@ impl<S: GeoStream> Downsample<S> {
             out_lattice: None,
             rows: BlockRows::new(),
             cols: 0..0,
-            queue: RunQueue::new(),
+            queue: RunQueue::default(),
             next_frame_id: 0,
             open_frame: None,
             stats: OpStats::default(),

@@ -170,7 +170,7 @@ impl<S: GeoStream> StretchTransform<S> {
             tracker: RangeTracker::new(),
             hist,
             hist_range,
-            queue: RunQueue::new(),
+            queue: RunQueue::default(),
             stats: OpStats::default(),
             schema,
         }

@@ -639,7 +639,6 @@ const HOT_FNS: &[&str] = &[
     "open_run",
     "next_frame",
     "pack_elements",
-    "pack_queue",
     "drain_chunked",
     "run_chunked",
     "ingest_chunk",
@@ -1177,14 +1176,16 @@ fn rule_scalar_pull(files: &[SourceFile], out: &mut Vec<Finding>) {
     }
 }
 
-/// `element-packing`: a `pack_elements(..)` call in operator library
-/// code (`crates/core/src/ops/`). Every operator there reads input runs
-/// and writes output runs; packing the elements of a per-element state
-/// machine puts a `VecDeque<Element>` hop and a match per point back on
-/// the path — the cost that kept the buffering operators an order of
-/// magnitude below the run-native ones.
+/// `element-packing`: a `pack_elements(..)` call in library code,
+/// except `crates/core/src/model/split.rs`, whose `split2` and `tee2`
+/// sides carry element sequences by definition. Every other stream reads
+/// input runs and writes output runs; packing the elements of a
+/// per-element state machine puts an element queue hop and a match per
+/// point back on the path — the cost that kept the buffering operators
+/// an order of magnitude below the run-native ones.
 fn rule_element_packing(files: &[SourceFile], out: &mut Vec<Finding>) {
-    for f in files.iter().filter(|f| f.path.starts_with("crates/core/src/ops/")) {
+    let in_scope = |path: &str| is_lib_file(path) && path != "crates/core/src/model/split.rs";
+    for f in files.iter().filter(|f| in_scope(&f.path)) {
         let toks = &f.toks;
         for i in 0..toks.len() {
             if !(toks[i].is_ident("pack_elements") && is_call(toks, i)) {
@@ -1200,7 +1201,7 @@ fn rule_element_packing(files: &[SourceFile], out: &mut Vec<Finding>) {
                 line: toks[i].line,
                 function: fun.map(|fun| fun.name.clone()).unwrap_or_default(),
                 message: "`pack_elements` packs a per-element state machine's output one \
-                          element at a time; an operator reads whole input runs and writes \
+                          element at a time; a stream reads whole input runs and writes \
                           output runs through `model::chunk::RunQueue`"
                     .to_string(),
             });

@@ -1,6 +1,7 @@
-//! Fixture for `element-packing`: an operator packing a per-element
-//! state machine versus one writing whole runs. Not compiled — lexed by
-//! the engine tests.
+//! Fixture for `element-packing`: a stream packing a per-element state
+//! machine or an element queue versus one writing whole runs. Not
+//! compiled — lexed by the engine tests under operator, store and
+//! simulator paths.
 
 /// Bad: the output of a per-element step packed one element at a time.
 impl<S: GeoStream> GeoStream for Buffering<S> {
@@ -14,6 +15,15 @@ impl<S: GeoStream> GeoStream for Buffering<S> {
 /// Bad: a helper packing a queue of elements.
 fn bad_drain_queue(queue: &mut VecDeque<Element<f32>>) -> Option<ChunkOrMarker<f32>> {
     model::pack_elements(64, || queue.pop_front())
+}
+
+/// Bad: a source's queue of elements (fault injection, repair, replay)
+/// packed into runs at the pull.
+pub fn pack_queue<V: Pixel>(
+    queue: &mut VecDeque<Element<V>>,
+    budget: usize,
+) -> Option<ChunkOrMarker<V>> {
+    pack_elements(budget, || queue.pop_front())
 }
 
 /// Good: input runs in, output runs out through the run queue.

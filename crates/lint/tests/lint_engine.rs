@@ -158,11 +158,15 @@ fn element_packing_rule_flags_operator_library_calls_only() {
     let findings = lint_files(&[("crates/core/src/ops/buffering.rs".to_string(), src.clone())]);
     let hits = rules_hit(&findings, "element-packing");
     let fns: Vec<&str> = hits.iter().map(|f| f.function.as_str()).collect();
-    assert_eq!(fns, vec!["next_chunk", "bad_drain_queue"], "{hits:?}");
-    // The model's per-element streams (the `split2` and `tee2` sides)
-    // and the scanner's marker phases still pack their elements.
-    for path in ["crates/core/src/model/split.rs", "crates/satsim/src/scanner.rs"] {
+    assert_eq!(fns, vec!["next_chunk", "bad_drain_queue", "pack_queue"], "{hits:?}");
+    // Every crate's library code is held to it: the store's replay and
+    // the simulator's fault injection queue runs too.
+    for path in ["crates/store/src/replay.rs", "crates/satsim/src/faults.rs"] {
         let elsewhere = lint_files(&[(path.to_string(), src.clone())]);
-        assert!(rules_hit(&elsewhere, "element-packing").is_empty(), "{path}");
+        assert_eq!(rules_hit(&elsewhere, "element-packing").len(), 3, "{path}");
     }
+    // Only the `split2` and `tee2` sides, whose transports are element
+    // sequences, still pack their elements.
+    let split = lint_files(&[("crates/core/src/model/split.rs".to_string(), src)]);
+    assert!(rules_hit(&split, "element-packing").is_empty());
 }

@@ -23,11 +23,11 @@
 //!   supervisor's restart trigger) or the downlink ends early
 //!   (`truncate_after`).
 
-use geostreams_core::model::{pack_queue, ChunkOrMarker, Element, GeoStream, StreamSchema};
+use geostreams_core::model::chunk::RunQueue;
+use geostreams_core::model::{ChunkOrMarker, Element, GeoStream, Marker, StreamSchema};
 use geostreams_core::stats::{OpReport, OpStats};
 use geostreams_raster::Pixel;
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 
 /// A seeded, declarative description of downlink degradation.
@@ -285,7 +285,7 @@ pub struct ChaosStream<S: GeoStream> {
     plan: FaultPlan,
     rng: u64,
     /// Already-faulted elements awaiting delivery.
-    out: VecDeque<Element<S::V>>,
+    out: RunQueue<S::V>,
     /// Element held back by a reorder fault.
     held: Option<Element<S::V>>,
     /// Currently inside a dropped frame.
@@ -309,7 +309,7 @@ impl<S: GeoStream> ChaosStream<S> {
             input,
             plan,
             rng,
-            out: VecDeque::new(),
+            out: RunQueue::default(),
             held: None,
             skip_frame: false,
             skip_sector: false,
@@ -335,14 +335,22 @@ impl<S: GeoStream> ChaosStream<S> {
         *guard = self.stats.clone();
     }
 
+    /// Queues `el` for delivery: a marker as an item, a point onto the
+    /// open run.
+    fn queue(&mut self, el: Element<S::V>) {
+        match Marker::from_element(el) {
+            Ok(m) => self.out.push(ChunkOrMarker::Marker(m)),
+            Err(p) => self.out.open_run().push(p),
+        }
+    }
+
     /// Queues `el` for delivery, honoring a pending reorder hold.
     fn emit(&mut self, el: Element<S::V>) {
-        if let Some(h) = self.held.take() {
+        let held = self.held.take();
+        self.queue(el);
+        if let Some(h) = held {
             // The held element trails its successor: pairwise disorder.
-            self.out.push_back(el);
-            self.out.push_back(h);
-        } else {
-            self.out.push_back(el);
+            self.queue(h);
         }
     }
 
@@ -351,7 +359,7 @@ impl<S: GeoStream> ChaosStream<S> {
     fn finish_input(&mut self) {
         self.ended = true;
         if let Some(h) = self.held.take() {
-            self.out.push_back(h);
+            self.queue(h);
         }
         self.sync_probe();
     }
@@ -454,7 +462,7 @@ impl<S: GeoStream> ChaosStream<S> {
         };
         if self.plan.duplicate > 0.0 && roll(&mut self.rng) < self.plan.duplicate {
             self.stats.duplicated += 1;
-            self.out.push_back(el.clone());
+            self.queue(el.clone());
         }
         if self.plan.reorder > 0.0 && self.held.is_none() && roll(&mut self.rng) < self.plan.reorder
         {
@@ -477,14 +485,15 @@ impl<S: GeoStream> GeoStream for ChaosStream<S> {
     }
 
     fn next_chunk(&mut self, budget: usize) -> Option<ChunkOrMarker<S::V>> {
+        let budget = budget.max(1);
         loop {
-            if let Some(item) = pack_queue(&mut self.out, budget) {
+            if let Some(item) = self.out.pop(budget) {
                 return Some(item);
             }
             if self.ended {
                 return None;
             }
-            match self.input.next_chunk(budget.max(1)) {
+            match self.input.next_chunk(budget) {
                 Some(ChunkOrMarker::Marker(m)) => self.process_one(m.into_element()),
                 Some(ChunkOrMarker::Chunk(mut c)) => {
                     for p in c.points.drain(..) {

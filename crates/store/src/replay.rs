@@ -7,9 +7,9 @@ use crate::archive::{Archive, PlannedFrame, PlannedSector, ReplayPlan};
 use crate::codec::decode_stripe;
 use crate::vfs::{crc32, VfsFile};
 use geostreams_core::exec::{OrderedCollector, WorkerPool};
+use geostreams_core::model::chunk::RunQueue;
 use geostreams_core::model::{
-    pack_queue, ChunkOrMarker, Element, FrameEnd, FrameInfo, Marker, PointRecord, SectorEnd,
-    StreamSchema,
+    ChunkOrMarker, FrameEnd, FrameInfo, Marker, PointRecord, SectorEnd, StreamSchema,
 };
 use geostreams_core::stats::OpStats;
 use geostreams_core::{GeoStream, Result};
@@ -85,7 +85,7 @@ pub struct ArchiveReplay {
     cache: Arc<Mutex<TileCache>>,
     metrics: Option<crate::metrics::StoreMetrics>,
     pool: Option<Arc<WorkerPool>>,
-    out: VecDeque<Element<f32>>,
+    out: RunQueue<f32>,
     stats: OpStats,
     done: bool,
     failed: bool,
@@ -113,25 +113,7 @@ impl Archive {
     }
 }
 
-/// Archive replay is a source: tiles are decoded and emitted in lattice
-/// order with a synthesized, well-bracketed marker sequence.
-pub fn replay_contract() -> geostreams_core::ops::ProtocolContract {
-    geostreams_core::ops::ProtocolContract::source("replay-from-archive")
-}
-
-/// A splice is a source to everything downstream: replay hands off to
-/// live exactly once at the watermark, and both halves emit bracketed,
-/// lattice-ordered sectors (the seam is deduplicated by `StreamRepair`).
-pub fn splice_contract() -> geostreams_core::ops::ProtocolContract {
-    geostreams_core::ops::ProtocolContract::source("replay-hybrid")
-}
-
 impl ArchiveReplay {
-    /// Protocol contract (see [`replay_contract`]).
-    pub fn declared_contract(&self) -> geostreams_core::ops::ProtocolContract {
-        replay_contract()
-    }
-
     pub(crate) fn from_plan(
         plan: ReplayPlan,
         cache: Arc<Mutex<TileCache>>,
@@ -148,7 +130,7 @@ impl ArchiveReplay {
             cache,
             metrics,
             pool: None,
-            out: VecDeque::new(),
+            out: RunQueue::default(),
             stats: OpStats::default(),
             done: false,
             failed: false,
@@ -303,15 +285,17 @@ impl ArchiveReplay {
         Ok(stripes)
     }
 
-    /// Refills the output queue with the next batch of elements.
-    fn refill(&mut self) -> Result<()> {
-        while self.out.is_empty() {
+    /// Decodes frames into the output queue until its front item can go
+    /// out at `budget`: a sector's markers, or a frame's run with the
+    /// `FrameEnd` after it.
+    fn refill(&mut self, budget: usize) -> Result<()> {
+        while !self.out.ready(budget) {
             let Some(cursor) = self.current.as_mut() else {
                 let Some(sector) = self.sectors.pop_front() else {
                     self.done = true;
                     return Ok(());
                 };
-                self.out.push_back(Element::SectorStart(sector.info.clone()));
+                self.out.push(ChunkOrMarker::Marker(Marker::SectorStart(sector.info.clone())));
                 self.current = Some(SectorCursor {
                     sector_id: sector.info.sector_id,
                     emit_box: sector.emit_box,
@@ -323,7 +307,7 @@ impl ArchiveReplay {
             let Some(frame) = cursor.frames.pop_front() else {
                 let sector_id = cursor.sector_id;
                 self.current = None;
-                self.out.push_back(Element::SectorEnd(SectorEnd { sector_id }));
+                self.out.push(ChunkOrMarker::Marker(Marker::SectorEnd(SectorEnd { sector_id })));
                 continue;
             };
             let sector_id = cursor.sector_id;
@@ -341,7 +325,7 @@ impl ArchiveReplay {
                 Some(eb) => frame.cells.intersect(&eb),
             };
             let Some(emit_cells) = emit_cells else { continue };
-            self.out.push_back(Element::FrameStart(FrameInfo {
+            self.out.push(ChunkOrMarker::Marker(Marker::FrameStart(FrameInfo {
                 frame_id: frame.frame_id,
                 sector_id,
                 timestamp: geostreams_core::model::Timestamp::new(frame.timestamp),
@@ -350,8 +334,11 @@ impl ArchiveReplay {
                 // replayed frame is "fresh as of replay": lag measures
                 // replay → delivery.
                 synth_ns: geostreams_core::obs::now_ns(),
-            }));
-            // Lattice (row-major) order across the frame's stripes.
+            })));
+            let codec = frame.tiles.first().map_or(crate::codec::Codec::Quant16, |t| t.codec);
+            // Lattice (row-major) order across the frame's stripes: each
+            // stripe row's present cells go straight into the open run,
+            // which is opened only for a present cell.
             for row in emit_cells.row_min..=emit_cells.row_max {
                 for (cells, data) in &stripes {
                     if row < cells.row_min || row > cells.row_max {
@@ -359,24 +346,27 @@ impl ArchiveReplay {
                     }
                     let lo = cells.col_min.max(emit_cells.col_min);
                     let hi = cells.col_max.min(emit_cells.col_max);
-                    for col in lo..=hi {
-                        let idx = (row - cells.row_min) as usize * cells.width() as usize
-                            + (col - cells.col_min) as usize;
-                        if data.present[idx] {
-                            let value = frame
-                                .tiles
-                                .first()
-                                .map_or(crate::codec::Codec::Quant16, |t| t.codec)
-                                .value(data.lanes[idx], self.value_range);
-                            self.out.push_back(Element::Point(PointRecord {
+                    let start = (row - cells.row_min) as usize * cells.width() as usize
+                        + (lo - cells.col_min) as usize;
+                    let span = start..start + (hi + 1).saturating_sub(lo) as usize;
+                    let (present, lanes) = (&data.present[span.clone()], &data.lanes[span]);
+                    let Some(first) = present.iter().position(|&p| p) else { continue };
+                    self.out.open_run().extend(
+                        (lo..)
+                            .zip(present.iter().zip(lanes))
+                            .skip(first)
+                            .filter(|(_, (&p, _))| p)
+                            .map(|(col, (_, &lane))| PointRecord {
                                 cell: Cell::new(col, row),
-                                value,
-                            }));
-                        }
-                    }
+                                value: codec.value(lane, self.value_range),
+                            }),
+                    );
                 }
             }
-            self.out.push_back(Element::FrameEnd(FrameEnd { frame_id: frame.frame_id, sector_id }));
+            self.out.push(ChunkOrMarker::Marker(Marker::FrameEnd(FrameEnd {
+                frame_id: frame.frame_id,
+                sector_id,
+            })));
             self.stats.frames_out += 1;
         }
         Ok(())
@@ -391,19 +381,20 @@ impl GeoStream for ArchiveReplay {
     }
 
     fn next_chunk(&mut self, budget: usize) -> Option<ChunkOrMarker<f32>> {
-        if self.out.is_empty() && !self.done {
-            if let Err(e) = self.refill() {
+        let budget = budget.max(1);
+        if !self.done {
+            if let Err(e) = self.refill(budget) {
                 self.done = true;
                 self.failed = true;
-                self.out.clear();
+                self.out = RunQueue::default();
                 self.stats.stalls += 1;
                 eprintln!("archive replay error: {e}");
                 return None;
             }
         }
-        // Tiles decode frame-at-a-time into the queue; packing it into
-        // runs batches the per-point stats into one add.
-        let item = pack_queue(&mut self.out, budget)?;
+        // Tiles decode frame-at-a-time into the queue's runs, so the
+        // per-point stats are one add per item.
+        let item = self.out.pop(budget)?;
         self.stats.points_out += item.point_count() as u64;
         Some(item)
     }
@@ -456,11 +447,6 @@ impl SpliceStream {
             stats: OpStats::default(),
             refused: false,
         }
-    }
-
-    /// Protocol contract (see [`splice_contract`]).
-    pub fn declared_contract(&self) -> geostreams_core::ops::ProtocolContract {
-        splice_contract()
     }
 
     /// True when the splice ended by refusing the live handoff after a

@@ -558,21 +558,75 @@ fn chunk_input_serves_the_scalar_sequence_of_every_source() {
     });
     assert_cursor_is_the_scalar_sequence("repair-over-chaos", damaged_then_repaired);
 
-    // Archive replay of three persisted sectors.
-    let dir = common::tmp_dir("vectorized-replay");
-    let archive = Archive::create(ArchiveConfig::new(&dir)).unwrap();
-    let mut live = goes_like(W, H, 7).band_stream(0, 3);
+    // Archive replay of three persisted sectors, whole and over a
+    // region, and of image-by-image frames.
+    let archives = Archives::new("vectorized-replay");
+    let (archive, band) = (&archives.rows, archives.rows_band);
+    assert_cursor_is_the_scalar_sequence("archive-replay", || {
+        archive.replay(band, None, None, None).unwrap()
+    });
+    assert_cursor_is_the_scalar_sequence("ArchiveReplay/region", || {
+        archive.replay(band, None, None, Some(&archives.region)).unwrap()
+    });
+    let points = |region| archive.replay(band, None, None, region).unwrap().drain_points().len();
+    assert!(points(Some(&archives.region)) < points(None), "the region clips the replay");
+    assert_cursor_is_the_scalar_sequence("ArchiveReplay/frames", || {
+        archives.frames.replay(archives.frames_band, None, None, None).unwrap()
+    });
+}
+
+/// Two archives in temporary directories, removed on drop: three
+/// row-by-row `goes_like` sectors and two image-by-image
+/// `airborne_camera` frames of 16 × 8 points.
+struct Archives {
+    rows: Archive,
+    rows_band: u16,
+    /// A rectangle inside the rows' lattice, clipping columns and rows.
+    region: Rect,
+    frames: Archive,
+    frames_band: u16,
+    /// Declared last: fields drop in order, so both archives are closed
+    /// before their directories go.
+    _dirs: TmpDirs,
+}
+
+/// Directories removed on drop.
+struct TmpDirs([std::path::PathBuf; 2]);
+
+impl Archives {
+    fn new(tag: &str) -> Archives {
+        let dirs =
+            [common::tmp_dir(&format!("{tag}-rows")), common::tmp_dir(&format!("{tag}-frames"))];
+        let (rows, rows_band) = archive_of(&dirs[0], goes_like(W, H, 7).band_stream(0, 3));
+        let (frames, frames_band) = archive_of(
+            &dirs[1],
+            airborne_camera(Rect::new(-100.0, 30.0, -99.0, 31.0), W, H, 5).band_stream(0, 2),
+        );
+        let b = goes_like(W, H, 7).sector_lattice(0, 0).world_bbox();
+        let (dx, dy) = ((b.x_max - b.x_min) / 4.0, (b.y_max - b.y_min) / 4.0);
+        let region = Rect::new(b.x_min + dx, b.y_min + dy, b.x_max - dx, b.y_max - dy);
+        Archives { rows, rows_band, region, frames, frames_band, _dirs: TmpDirs(dirs) }
+    }
+}
+
+impl Drop for TmpDirs {
+    fn drop(&mut self) {
+        for dir in &self.0 {
+            let _ = std::fs::remove_dir_all(dir);
+        }
+    }
+}
+
+/// An archive in `dir` holding what `live` yields, and its band.
+fn archive_of<S: GeoStream<V = f32>>(dir: &std::path::Path, mut live: S) -> (Archive, u16) {
+    let archive = Archive::create(ArchiveConfig::new(dir)).unwrap();
     let band = live.schema().band;
     archive.bind_band(live.schema()).unwrap();
     while let Some(item) = live.next_chunk(64) {
         archive.ingest_chunk(band, &item).unwrap();
     }
     archive.flush().unwrap();
-    assert_cursor_is_the_scalar_sequence("archive-replay", || {
-        archive.replay(band, None, None, None).unwrap()
-    });
-    drop(archive);
-    let _ = std::fs::remove_dir_all(&dir);
+    (archive, band)
 }
 
 /// What every operator below is fed: a damaged downlink after repair
@@ -1098,15 +1152,8 @@ fn every_stream_obeys_the_chunk_contract_at_every_budget() {
     let camera =
         || airborne_camera(Rect::new(-100.0, 30.0, -99.0, 31.0), W, H, 5).band_stream(0, 2);
     let src = damaged_then_repaired;
-    let dir = common::tmp_dir("vectorized-contract");
-    let archive = Archive::create(ArchiveConfig::new(&dir)).unwrap();
-    let mut live = goes_like(W, H, 7).band_stream(0, 3);
-    let band = live.schema().band;
-    archive.bind_band(live.schema()).unwrap();
-    while let Some(item) = live.next_chunk(64) {
-        archive.ingest_chunk(band, &item).unwrap();
-    }
-    archive.flush().unwrap();
+    let archives = Archives::new("vectorized-contract");
+    let (archive, band) = (&archives.rows, archives.rows_band);
     let recorder = Arc::new(FlightRecorder::new(1, 64));
     let lat = goes_like(W, H, 7).sector_lattice(0, 0);
     let tagged = |tag: u8| vec_fixture().drain_elements().into_iter().map(move |e| (tag, e));
@@ -1122,6 +1169,12 @@ fn every_stream_obeys_the_chunk_contract_at_every_budget() {
         case("ChunkChannel/rows", || channel_of(vec_fixture())),
         case("ChunkChannel/frames", || channel_of(camera())),
         case("ArchiveReplay", || archive.replay(band, None, None, None).unwrap()),
+        case("ArchiveReplay/region", || {
+            archive.replay(band, None, None, Some(&archives.region)).unwrap()
+        }),
+        case("ArchiveReplay/frames", || {
+            archives.frames.replay(archives.frames_band, None, None, None).unwrap()
+        }),
         case("SpliceStream", || {
             let replay = archive.replay(band, Some(0), Some(2), None).unwrap();
             SpliceStream::new(replay, Box::new(goes_like(W, H, 7).band_stream(0, 3)), Some(1), None)
@@ -1162,8 +1215,7 @@ fn every_stream_obeys_the_chunk_contract_at_every_budget() {
         })
         .collect();
     drop(cases);
-    drop(archive);
-    let _ = std::fs::remove_dir_all(&dir);
+    drop(archives);
     assert!(breaches.is_empty(), "chunk contract breaches:\n{}", breaches.join("\n"));
 }
 
