@@ -35,7 +35,7 @@
 use super::ast::Expr;
 use super::canon::{canonical_key, canonical_text, key_hex};
 use super::plan::{region_in, Catalog};
-use super::pushdown::{time_set_window, TimeWindow};
+use super::pushdown::{chain_windows, TimeWindow};
 use crate::model::rows::{RowSchedule, RowWindow};
 use crate::model::sector::SectorImage;
 use crate::model::{Organization, TimeSemantics, TimeSet};
@@ -376,10 +376,10 @@ fn blocks_straddled(n: u32, k: u32) -> u32 {
 struct Analyzer<'a> {
     catalog: &'a Catalog,
     opts: &'a AnalyzeOptions<'a>,
-    /// Stack of effective temporal windows: each `RestrictTime` pushes
-    /// its intersection with the window above, so the top is the window
-    /// the current subtree is observed through.
-    windows: Vec<TimeWindow>,
+    /// Under [`AnalyzeOptions::now`], the window of the restriction
+    /// chain sitting directly on each node that has one (see
+    /// [`chain_windows`]).
+    chains: Vec<(&'a Expr, TimeWindow)>,
     per_op: Vec<OpAnalysis>,
     diagnostics: Vec<Diagnostic>,
     cert: CertBuilder,
@@ -414,18 +414,19 @@ impl Analyzer<'_> {
         });
     }
 
-    fn window(&self) -> TimeWindow {
-        self.windows.last().copied().unwrap_or_else(TimeWindow::unbounded)
+    /// The window of the restriction chain sitting directly on `node`.
+    fn chain(&self, node: &Expr) -> TimeWindow {
+        let chain = self.chains.iter().find(|(n, _)| std::ptr::eq(*n, node));
+        chain.map_or_else(TimeWindow::unbounded, |&(_, window)| window)
     }
 
     /// Past-window classification for a source leaf (§3.1 `G|T` over
-    /// history): decides whether the effective temporal window needs the
-    /// archive, and whether the archive can actually serve it. Runs only
-    /// under [`AnalyzeOptions::now`]; attaches the replay estimate to
-    /// the just-recorded source's [`OpAnalysis`].
-    fn classify_replay(&mut self, name: &str, path: &str) {
+    /// history): decides whether the window of the leaf's restriction
+    /// chain needs the archive, and whether the archive can actually
+    /// serve it. Runs only under [`AnalyzeOptions::now`]; attaches the
+    /// replay estimate to the just-recorded source's [`OpAnalysis`].
+    fn classify_replay(&mut self, name: &str, path: &str, win: TimeWindow) {
         let Some(now) = self.opts.now else { return };
-        let win = self.window();
         if win.is_empty() {
             return; // `empty-time-set` already warns upstream.
         }
@@ -514,10 +515,10 @@ impl Analyzer<'_> {
     /// any operator sees them), so all three share the `source` contract
     /// shape; the operator name records which kind the replay
     /// classification picked.
-    fn apply_source_contract(&mut self, path: &str) -> StreamGuarantees {
+    fn apply_source_contract(&mut self, path: &str, window: TimeWindow) -> StreamGuarantees {
         let replayed = self.per_op.last().and_then(|op| op.replay).is_some();
         let name = match (replayed, self.opts.now) {
-            (true, Some(now)) if self.window().wholly_before(now) => "replay-from-archive",
+            (true, Some(now)) if window.wholly_before(now) => "replay-from-archive",
             (true, _) => "replay-hybrid",
             _ => "source",
         };
@@ -545,14 +546,46 @@ impl Analyzer<'_> {
         );
         self.record(&path, &contract.operator, class, bytes, &d);
         d.proto = match expr {
-            Expr::Source(name) if self.catalog.schema(name).is_some() => {
-                self.classify_replay(name, &path);
-                self.apply_source_contract(&path)
+            Expr::Source(name) => {
+                let window = self.chain(expr);
+                if self.catalog.schema(name).is_some() {
+                    self.classify_replay(name, &path, window);
+                }
+                self.apply_source_contract(&path, window)
             }
-            Expr::Source(_) => self.apply_source_contract(&path),
-            _ => self.cert.apply(&path, &contract, d.proto),
+            _ => {
+                self.check_held(expr, &path, &contract.operator);
+                self.cert.apply(&path, &contract, d.proto)
+            }
         };
         d
+    }
+
+    /// A window that reaches before `now` but is held above `expr`, an
+    /// operator the optimizer could not push it through: a source below
+    /// whose own chain does not reach back is read live only, so the
+    /// past part of the window never arrives. Reported instead of
+    /// admitted as a silent gap.
+    fn check_held(&mut self, expr: &Expr, path: &str, operator: &str) {
+        let (Some(now), win) = (self.opts.now, self.chain(expr)) else { return };
+        let mut live = None;
+        expr.visit(&mut |x| match x {
+            Expr::Source(name) if !self.chain(x).reaches_before(now) => {
+                live.get_or_insert_with(|| name.clone());
+            }
+            _ => {}
+        });
+        let Some(live) = live.filter(|_| win.reaches_before(now)) else { return };
+        let (severity, code) = match win.wholly_before(now) {
+            true => (Severity::Error, "past-interval-unservable"),
+            false => (Severity::Warn, "past-start-no-archive"),
+        };
+        let message = format!(
+            "temporal window {win} reaches before the live feed (now={now}) but is held above \
+             `{operator}`, which no restriction crosses; source `{live}` is read live only, so the \
+             window's past part is never delivered"
+        );
+        self.diag(severity, code, path, message, "§3.4");
     }
 
     /// A source leaf: the stream its schema describes.
@@ -661,10 +694,7 @@ impl Analyzer<'_> {
                 (d, none, 0)
             }
             Expr::RestrictTime { input, times } => {
-                let narrowed = self.window().intersect(&time_set_window(times));
-                self.windows.push(narrowed);
                 let mut d = self.walk(input, path);
-                self.windows.pop();
                 // Frames pass whole sectors at a time only when every frame
                 // carries its sector's timestamp.
                 d.row_frames &= d.time_semantics == TimeSemantics::SectorId;
@@ -887,13 +917,7 @@ impl Analyzer<'_> {
                 (d, none, 0)
             }
             Expr::Delay { input, d: shift } => {
-                // `delay(g, d)` re-stamps data from `d` sectors ago: an
-                // output window [lo, hi) consumes input from [lo-d, hi).
-                let w = self.window();
-                let shifted = TimeWindow { lo: w.shifted(-i64::from(*shift)).lo, hi: w.hi };
-                self.windows.push(shifted);
                 let d = self.walk(input, path);
-                self.windows.pop();
                 if *shift == 0 {
                     self.diag(
                         Severity::Error,
@@ -1024,18 +1048,22 @@ pub fn analyze(expr: &Expr, catalog: &Catalog) -> PlanReport {
 }
 
 /// [`analyze`] with runtime context: when [`AnalyzeOptions::now`] is
-/// set, source leaves whose effective temporal window reaches before
-/// `now` are classified — bounded archive replay (`replay-from-archive`
-/// / `replay-hybrid`, with a [`ReplayEstimate`] on the source's
+/// set, source leaves whose own restriction chain (the window the
+/// optimizer left directly on the source, see
+/// [`source_windows`](super::source_windows)) reaches before `now` are
+/// classified — bounded archive replay (`replay-from-archive` /
+/// `replay-hybrid`, with a [`ReplayEstimate`] on the source's
 /// [`OpAnalysis`]), a warning when the past portion is not archived, or
 /// an error (`past-interval-unservable`) when a wholly-past window has
 /// no archive coverage and the query could only ever return an empty
-/// stream.
+/// stream. A window held above an operator, over a source read live
+/// only, gets the same warning or error at that operator.
 pub fn analyze_with(expr: &Expr, catalog: &Catalog, opts: &AnalyzeOptions<'_>) -> PlanReport {
+    let chains = if opts.now.is_some() { chain_windows(expr) } else { Vec::new() };
     let mut a = Analyzer {
         catalog,
         opts,
-        windows: Vec::new(),
+        chains,
         per_op: Vec::new(),
         diagnostics: Vec::new(),
         cert: CertBuilder::new(),

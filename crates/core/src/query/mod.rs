@@ -19,6 +19,4 @@ pub use cascade::{CascadeTree, NaiveRegionIndex, RegionIndex};
 pub use optimizer::{optimize, optimize_with};
 pub use parser::parse_query;
 pub use plan::{Catalog, Planner};
-pub use pushdown::{
-    merged_source_windows, source_windows, time_set_window, SourceWindow, TimeWindow,
-};
+pub use pushdown::{source_windows, time_set_window, SourceWindow, TimeWindow};

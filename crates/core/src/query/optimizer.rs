@@ -17,8 +17,11 @@
 //!    region mapping — through re-projections. When the push crosses a
 //!    re-projection the mapped region is a conservative bounding box, so
 //!    the original restriction is *kept* on the outside for exactness;
-//! 2. **temporal-restriction pushdown** — through everything except
-//!    sliding-window aggregates (which need history);
+//! 2. **temporal-restriction pushdown** — exact through the operators
+//!    that keep a frame's timestamp, widened (outer restriction kept)
+//!    through `delay` and `agg_time`, the same set (outer kept) through
+//!    `focal`, `reproject` and `agg_space`, stopping at row shedding;
+//!    the table is on `push_time`;
 //! 3. **macro-operator fusion** — the NDVI pattern
 //!    `(G₁ − G₂) ⊘ (G₂ + G₁)` is recognized and replaced by the fused
 //!    [`Expr::Ndvi`] operator of §4; adjacent same-CRS rectangular
@@ -26,13 +29,17 @@
 //!
 //! Every rewrite is semantics-preserving; `tests/` contains
 //! property-based equivalence checks between optimized and unoptimized
-//! plans.
+//! plans. `push_space` and `push_time` are the only code that says how a
+//! restriction crosses an operator: the archive routes and the
+//! analyzer's replay classification read the restrictions the optimized
+//! plan leaves directly on each source (`super::pushdown`).
 
 use super::analyze::{AnalyzeOptions, Plan};
 use super::ast::Expr;
 use super::plan::Catalog;
-use crate::model::TimeSet;
-use crate::ops::GammaOp;
+use super::pushdown::{time_set_window, TimeWindow};
+use crate::model::{TimeSemantics, TimeSet};
+use crate::ops::{GammaOp, ShedPolicy, StretchScope};
 use geostreams_geo::{map_region, Region};
 
 /// Applies all rewrite rules to an expression and returns the analyzed
@@ -141,7 +148,7 @@ fn push_restrictions(e: Expr, catalog: &Catalog) -> Expr {
                 Expr::RestrictSpace { input: Box::new(pushed), region, crs }
             }
         }
-        Expr::RestrictTime { input, times } => push_time(*input, &times),
+        Expr::RestrictTime { input, times } => push_time(*input, &times, catalog),
         other => other,
     }
 }
@@ -184,101 +191,44 @@ fn push_space(
     rcrs: &geostreams_geo::Crs,
     catalog: &Catalog,
 ) -> (Expr, bool) {
+    let into_inputs = |e: Expr, region: &Region, rcrs: &geostreams_geo::Crs| {
+        let mut exact = true;
+        let node = e.map_inputs(&mut |input| {
+            let (pushed, x) = push_space(input, region, rcrs, catalog);
+            exact &= x;
+            pushed
+        });
+        (node, exact)
+    };
+    // A resampling operator's boundary cell reads up to `cells` input
+    // cells beyond R: push a margin-expanded region and keep the outer
+    // restriction (never exact).
+    let widened = |e: Expr, cells: f64| {
+        let input = e.inputs()[0];
+        let Some(step) = source_step(input, catalog) else { return (e, false) };
+        let in_crs = catalog.crs_of(input).unwrap_or(*rcrs);
+        let margin = 2.0 * convert_margin(step * cells, &in_crs, rcrs);
+        (into_inputs(e, &expanded(region, margin), rcrs).0, false)
+    };
     match e {
-        Expr::MapValue { input, func } => {
-            let (i, exact) = push_space(*input, region, rcrs, catalog);
-            (Expr::MapValue { input: Box::new(i), func }, exact)
-        }
-        Expr::RestrictValue { input, ranges } => {
-            let (i, exact) = push_space(*input, region, rcrs, catalog);
-            (Expr::RestrictValue { input: Box::new(i), ranges }, exact)
-        }
-        Expr::RestrictTime { input, times } => {
-            let (i, exact) = push_space(*input, region, rcrs, catalog);
-            (Expr::RestrictTime { input: Box::new(i), times }, exact)
-        }
-        Expr::Magnify { input, k } => {
-            // Resolution changes resample the lattice: a fine cell whose
-            // center is inside R may come from a coarse cell whose
-            // center is just outside. Push a margin-expanded region and
-            // keep the outer restriction (never exact).
-            match source_step(&input, catalog) {
-                Some(step) => {
-                    let in_crs = catalog.crs_of(&input).unwrap_or(*rcrs);
-                    let margin = 2.0 * convert_margin(step, &in_crs, rcrs);
-                    let (i, _) = push_space(*input, &expanded(region, margin), rcrs, catalog);
-                    (Expr::Magnify { input: Box::new(i), k }, false)
-                }
-                None => (Expr::Magnify { input, k }, false),
-            }
-        }
-        Expr::Downsample { input, k } => {
-            // A boundary block whose center is inside R averages source
-            // cells up to k steps outside R: expand by (k+1) steps, keep
-            // the outer restriction.
-            match source_step(&input, catalog) {
-                Some(step) => {
-                    let in_crs = catalog.crs_of(&input).unwrap_or(*rcrs);
-                    let margin = 2.0 * convert_margin(step * f64::from(k + 1), &in_crs, rcrs);
-                    let (i, _) = push_space(*input, &expanded(region, margin), rcrs, catalog);
-                    (Expr::Downsample { input: Box::new(i), k }, false)
-                }
-                None => (Expr::Downsample { input, k }, false),
-            }
-        }
-        Expr::Focal { input, func, k } => {
-            // Neighborhood ops read k/2 cells beyond the region edge:
-            // push a margin-expanded region and keep the outer restrict.
-            match source_step(&input, catalog) {
-                Some(step) => {
-                    let in_crs = catalog.crs_of(&input).unwrap_or(*rcrs);
-                    let margin = 2.0 * convert_margin(step * f64::from(k / 2 + 1), &in_crs, rcrs);
-                    let (i, _) = push_space(*input, &expanded(region, margin), rcrs, catalog);
-                    (Expr::Focal { input: Box::new(i), func, k }, false)
-                }
-                None => (Expr::Focal { input, func, k }, false),
-            }
-        }
-        Expr::Compose { left, right, op } => {
-            let (l, le) = push_space(*left, region, rcrs, catalog);
-            let (r, re) = push_space(*right, region, rcrs, catalog);
-            (Expr::Compose { left: Box::new(l), right: Box::new(r), op }, le && re)
-        }
-        Expr::Ndvi { nir, vis } => {
-            let (n, ne) = push_space(*nir, region, rcrs, catalog);
-            let (v, ve) = push_space(*vis, region, rcrs, catalog);
-            (Expr::Ndvi { nir: Box::new(n), vis: Box::new(v) }, ne && ve)
-        }
-        Expr::AggTime { input, func, window } => {
-            let (i, exact) = push_space(*input, region, rcrs, catalog);
-            (Expr::AggTime { input: Box::new(i), func, window }, exact)
-        }
-        Expr::Delay { input, d } => {
-            // A spatial restriction selects the same cells regardless of
-            // the temporal shift: exact commute.
-            let (i, exact) = push_space(*input, region, rcrs, catalog);
-            (Expr::Delay { input: Box::new(i), d }, exact)
-        }
-        Expr::Shed { input, policy, stride } => {
-            match policy {
-                // Point shedding drops cells by lattice position only:
-                // exact commute.
-                crate::ops::ShedPolicy::Points => {
-                    let (i, exact) = push_space(*input, region, rcrs, catalog);
-                    (Expr::Shed { input: Box::new(i), policy, stride }, exact)
-                }
-                // Row shedding counts arriving frames; a restriction
-                // below it would change the frame parity. Stop here.
-                crate::ops::ShedPolicy::Rows => {
-                    let node = Expr::RestrictSpace {
-                        input: Box::new(Expr::Shed { input, policy, stride }),
-                        region: region.clone(),
-                        crs: *rcrs,
-                    };
-                    (node, true)
-                }
-            }
-        }
+        // Delay selects the same cells whatever the temporal shift;
+        // point shedding drops cells by lattice position only.
+        Expr::MapValue { .. }
+        | Expr::RestrictValue { .. }
+        | Expr::RestrictTime { .. }
+        | Expr::RestrictSpace { .. }
+        | Expr::Compose { .. }
+        | Expr::Ndvi { .. }
+        | Expr::AggTime { .. }
+        | Expr::Delay { .. }
+        | Expr::Shed { policy: ShedPolicy::Points, .. } => into_inputs(e, region, rcrs),
+        // A fine cell whose center is inside R may come from a coarse
+        // cell whose center is just outside; a boundary block averages
+        // cells up to k steps outside; a neighbourhood reads k/2 cells
+        // beyond the edge.
+        Expr::Magnify { .. } => widened(e, 1.0),
+        Expr::Downsample { k, .. } => widened(e, f64::from(k + 1)),
+        Expr::Focal { k, .. } => widened(e, f64::from(k / 2 + 1)),
         Expr::Reproject { input, to, kernel } => {
             // §3.4: map R into the input coordinate system; the mapped
             // region is a conservative bbox (padded), so the result is
@@ -298,73 +248,90 @@ fn push_space(
                 None => (Expr::Reproject { input, to, kernel }, false),
             }
         }
-        Expr::RestrictSpace { input, region: r2, crs: crs2 } => {
-            let (i, exact) = push_space(*input, region, rcrs, catalog);
-            (Expr::RestrictSpace { input: Box::new(i), region: r2, crs: crs2 }, exact)
-        }
         // Stretch scopes its statistics to the surviving points, so a
-        // restriction does not commute; stop here. Orientation moves
-        // content spatially (restricting before/after selects different
-        // world regions); spatial aggregates own their region; sources
-        // are where the restriction lands.
-        Expr::Stretch { .. } | Expr::Orient { .. } | Expr::AggSpace { .. } | Expr::Source(_) => {
-            let node =
-                Expr::RestrictSpace { input: Box::new(e), region: region.clone(), crs: *rcrs };
-            (node, true)
-        }
+        // restriction does not commute; row shedding counts arriving
+        // frames, so a restriction below it would change the frame
+        // parity; orientation moves content spatially (restricting
+        // before/after selects different world regions); spatial
+        // aggregates own their region; sources are where the
+        // restriction lands. Stop here.
+        _ => (Expr::RestrictSpace { input: Box::new(e), region: region.clone(), crs: *rcrs }, true),
     }
 }
 
-/// Pushes a temporal restriction to the sources (always exact).
-fn push_time(e: Expr, times: &TimeSet) -> Expr {
+/// Whether every source below `e` stamps its frames with sector ids: a
+/// sector then holds one timestamp, and a time restriction keeps or
+/// drops it whole.
+fn sector_ids(e: &Expr, catalog: &Catalog) -> bool {
+    let mut all = true;
+    e.visit(&mut |x| {
+        if let Expr::Source(n) = x {
+            all &= catalog.schema(n).is_some_and(|s| s.time_semantics == TimeSemantics::SectorId);
+        }
+    });
+    all
+}
+
+/// `times`'s covering window with its lower bound moved `back` sectors
+/// earlier, as a restriction to push below an operator whose output at
+/// `t` reads its input's sectors `t - back ..= t`; `None` when the
+/// window is unbounded (nothing to push).
+fn widened(times: &TimeSet, back: i64) -> Option<TimeSet> {
+    let w = time_set_window(times);
+    let lo = w.lo.map(|lo| lo.saturating_sub(back));
+    (w != TimeWindow::unbounded()).then_some(TimeSet::Interval { lo, hi: w.hi })
+}
+
+/// Pushes a temporal restriction toward the sources. A time restriction
+/// keeps or drops whole frames by timestamp, so it crosses an operator:
+///
+/// * **exact** through value restrictions and transforms, spatial
+///   restrictions, compositions (into both inputs), orientation,
+///   magnification, point shedding and a frame-scoped stretch, whose
+///   output frames keep their input frames' timestamps; and, on a
+///   sector-id input, through downsampling and an image-scoped stretch,
+///   since a sector then holds one timestamp;
+/// * **same set, outer kept**, on a sector-id input, through `focal`,
+///   `reproject` and `agg_space`: each emits a zero-filled lattice (or
+///   point) for a sector whose frames the pushed restriction removed,
+///   which the outer one drops;
+/// * **widened, outer kept**, on a sector-id input, through
+///   `delay(g, d)` (`[lo−d, hi)`) and `agg_time(g, f, W)`
+///   (`[lo−W+1, hi)`): the output of sector `t` reads the input's
+///   sectors back to `t−d` or `t−W+1`;
+/// * **stop** at `shed(…, "rows", k)` (its frame counter runs across
+///   timestamps), at the other buffering operators over
+///   measurement-time input (a sector holds many timestamps, and an
+///   output sector is stamped apart from its input frames), and at
+///   another restriction.
+fn push_time(e: Expr, times: &TimeSet, catalog: &Catalog) -> Expr {
+    let into_inputs =
+        |e: Expr, times: &TimeSet| e.map_inputs(&mut |c| push_time(c, times, catalog));
+    let kept = |node: Expr| Expr::RestrictTime { input: Box::new(node), times: times.clone() };
+    let sectors = sector_ids(&e, catalog);
     match e {
-        Expr::MapValue { input, func } => {
-            Expr::MapValue { input: Box::new(push_time(*input, times)), func }
+        Expr::MapValue { .. }
+        | Expr::RestrictValue { .. }
+        | Expr::RestrictSpace { .. }
+        | Expr::Compose { .. }
+        | Expr::Ndvi { .. }
+        | Expr::Orient { .. }
+        | Expr::Magnify { .. }
+        | Expr::Shed { policy: ShedPolicy::Points, .. }
+        | Expr::Stretch { scope: StretchScope::Frame, .. } => into_inputs(e, times),
+        Expr::Downsample { .. } | Expr::Stretch { .. } if sectors => into_inputs(e, times),
+        Expr::Focal { .. } | Expr::Reproject { .. } | Expr::AggSpace { .. } if sectors => {
+            kept(into_inputs(e, times))
         }
-        Expr::RestrictValue { input, ranges } => {
-            Expr::RestrictValue { input: Box::new(push_time(*input, times)), ranges }
-        }
-        Expr::RestrictSpace { input, region, crs } => {
-            Expr::RestrictSpace { input: Box::new(push_time(*input, times)), region, crs }
-        }
-        Expr::Focal { input, func, k } => {
-            Expr::Focal { input: Box::new(push_time(*input, times)), func, k }
-        }
-        Expr::Orient { input, orientation } => {
-            Expr::Orient { input: Box::new(push_time(*input, times)), orientation }
-        }
-        Expr::Magnify { input, k } => {
-            Expr::Magnify { input: Box::new(push_time(*input, times)), k }
-        }
-        Expr::Downsample { input, k } => {
-            Expr::Downsample { input: Box::new(push_time(*input, times)), k }
-        }
-        Expr::Reproject { input, to, kernel } => {
-            Expr::Reproject { input: Box::new(push_time(*input, times)), to, kernel }
-        }
-        Expr::Compose { left, right, op } => Expr::Compose {
-            left: Box::new(push_time(*left, times)),
-            right: Box::new(push_time(*right, times)),
-            op,
+        Expr::Delay { d, .. } if sectors => match widened(times, i64::from(d)) {
+            Some(w) => kept(into_inputs(e, &w)),
+            None => kept(e),
         },
-        Expr::Ndvi { nir, vis } => Expr::Ndvi {
-            nir: Box::new(push_time(*nir, times)),
-            vis: Box::new(push_time(*vis, times)),
+        Expr::AggTime { window, .. } if sectors => match widened(times, i64::from(window) - 1) {
+            Some(w) => kept(into_inputs(e, &w)),
+            None => kept(e),
         },
-        Expr::AggSpace { input, func, region } => {
-            Expr::AggSpace { input: Box::new(push_time(*input, times)), func, region }
-        }
-        // Sliding windows need history: the restriction stays outside.
-        // Stretch commutes (frames of other timestamps are independent
-        // scopes) but we only push *past* it, keeping it simple: stop.
-        Expr::Shed { .. }
-        | Expr::Delay { .. }
-        | Expr::AggTime { .. }
-        | Expr::Stretch { .. }
-        | Expr::Source(_)
-        | Expr::RestrictTime { .. } => {
-            Expr::RestrictTime { input: Box::new(e), times: times.clone() }
-        }
+        _ => kept(e),
     }
 }
 

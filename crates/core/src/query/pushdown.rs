@@ -1,27 +1,31 @@
-//! Restriction pushdown facts: the effective temporal window and
-//! spatial extent each *source* of a plan is observed through.
+//! Restriction pushdown facts: the temporal window and spatial extent
+//! each *source leaf* of an optimized plan is read through.
 //!
-//! The optimizer pushes restriction operators toward the sources to cut
-//! work inside the pipeline; this module derives the same facts without
-//! rewriting, as data: for every source leaf, the intersection of all
-//! temporal restrictions (`G|T`, Definition 7) and spatial restrictions
-//! (`G|R`, Definition 6) on the path from the plan root. Two consumers
-//! use it:
+//! How a restriction crosses an operator is said in one place: the
+//! optimizer's `push_space`/`push_time` (§3.4), which rewrite the plan
+//! and keep the outer restriction wherever the push only widens. This
+//! module reads the result and names no other operator: a leaf's window
+//! and region are the intersection of the `RestrictTime`/`RestrictSpace`
+//! chain sitting *directly* on its `Source`, and any other node resets
+//! the chain. Regions map into the source CRS with `plan::region_in`,
+//! the mapping the restriction operator itself tests with. The
+//! restriction stays in the plan, so a consumer that serves the leaf
+//! from elsewhere only pre-filters. Two consumers use it:
 //!
-//! * the DSMS planner routes each source to the **archive**, the **live
-//!   feed**, or a **hybrid splice** of both by comparing the source's
-//!   temporal window against the live feed's start ("now"), and hands
-//!   the spatial extent to the archive so replay decodes only
-//!   intersecting tiles (restriction pushdown into the store);
-//! * the static analyzer ([`super::analyze()`]) classifies replay
-//!   sources as bounded and flags wholly-past windows that no archive
-//!   can serve.
+//! * the DSMS planner routes each source leaf to the **archive**, the
+//!   **live feed**, or a **hybrid splice** of both by comparing the
+//!   leaf's window against the live feed's start ("now"), and hands the
+//!   spatial extent to the archive so replay decodes only intersecting
+//!   tiles (restriction pushdown into the store);
+//! * the static analyzer ([`super::analyze()`]) classifies replayed
+//!   leaves as bounded, flags wholly-past windows that no archive can
+//!   serve, and reports a past window held above an operator no
+//!   restriction crosses ([`chain_windows`]).
 
 use super::ast::Expr;
-use super::plan::Catalog;
+use super::plan::{region_in, Catalog};
 use crate::model::TimeSet;
-use geostreams_geo::{map_region, Crs, Rect, Region};
-use std::collections::HashMap;
+use geostreams_geo::{Crs, Rect, Region};
 
 /// A half-open window `[lo, hi)` of logical timestamps; `None` bounds
 /// are unbounded.
@@ -70,12 +74,10 @@ impl TimeWindow {
         !self.is_empty() && self.lo.unwrap_or(0) < now && self.hi.is_none_or(|hi| hi > 0)
     }
 
-    /// Shifts both bounds by `delta` (saturating).
-    pub fn shifted(&self, delta: i64) -> TimeWindow {
-        TimeWindow {
-            lo: self.lo.map(|v| v.saturating_add(delta)),
-            hi: self.hi.map(|v| v.saturating_add(delta)),
-        }
+    /// True when the window is restricted and reaches before `now`:
+    /// the part before `now` exists only in an archive.
+    pub fn reaches_before(&self, now: i64) -> bool {
+        *self != TimeWindow::unbounded() && (self.wholly_before(now) || self.starts_before(now))
     }
 }
 
@@ -101,148 +103,82 @@ pub fn time_set_window(times: &TimeSet) -> TimeWindow {
     }
 }
 
-/// The restriction context one source leaf is observed through.
+/// The restriction chain one source leaf is read through.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SourceWindow {
     /// Source name.
     pub name: String,
-    /// Intersection of every temporal restriction above the leaf.
+    /// Intersection of the temporal restrictions stacked on the leaf.
     pub window: TimeWindow,
     /// Bounding rectangle (in the source's own CRS) of the intersection
-    /// of every spatial restriction above the leaf; `None` when the
-    /// leaf is spatially unrestricted (or a constraint could not be
-    /// mapped, which degrades to "no pushdown", never to wrong answers).
+    /// of the spatial restrictions stacked on the leaf; `None` when the
+    /// leaf is spatially unrestricted (or a region could not be mapped,
+    /// which degrades to "no pushdown", never to wrong answers).
     pub region: Option<Rect>,
 }
 
-/// Spatial constraints are carried down as `(region, crs)` pairs and
-/// only mapped into the source CRS at the leaf (the same conservative
-/// bounding-box mapping the optimizer's pushdown uses).
-#[derive(Clone)]
-struct SpaceConstraint {
-    region: Region,
-    crs: Crs,
-}
-
-fn walk(
-    expr: &Expr,
+/// Calls `f` on every node that is not a restriction, left to right,
+/// with the window and the regions of the restriction chain sitting
+/// directly on it (none when its parent is another operator).
+fn chains<'a>(
+    expr: &'a Expr,
     window: TimeWindow,
-    space: Vec<SpaceConstraint>,
-    catalog: &Catalog,
-    out: &mut Vec<SourceWindow>,
+    space: &mut Vec<(&'a Region, Crs)>,
+    f: &mut impl FnMut(&'a Expr, TimeWindow, &[(&'a Region, Crs)]),
 ) {
     match expr {
-        Expr::Source(name) => {
-            let mut region: Option<Rect> = None;
-            if let Some(schema) = catalog.schema(name) {
-                for c in &space {
-                    let rect = if c.crs == schema.crs {
-                        Some(c.region.bbox())
-                    } else {
-                        map_region(&c.region, &c.crs, &schema.crs, 8).ok()
-                    };
-                    // An unmappable constraint cannot prune safely.
-                    let Some(rect) = rect else { continue };
-                    region = Some(match region {
-                        Some(r) => r.intersect(&rect),
-                        None => rect,
-                    });
-                }
-            }
-            out.push(SourceWindow { name: name.clone(), window, region });
-        }
         Expr::RestrictTime { input, times } => {
-            walk(input, window.intersect(&time_set_window(times)), space, catalog, out);
+            chains(input, window.intersect(&time_set_window(times)), space, f);
         }
         Expr::RestrictSpace { input, region, crs } => {
-            let mut space = space;
-            space.push(SpaceConstraint { region: region.clone(), crs: *crs });
-            walk(input, window, space, catalog, out);
+            space.push((region, *crs));
+            chains(input, window, space, f);
+            space.pop();
         }
-        Expr::AggSpace { input, .. } => {
-            // The aggregate region is expressed in the stream CRS at
-            // that point of the plan, which this walk does not track;
-            // keep the temporal facts only (no spatial pruning through
-            // aggregates).
-            walk(input, window, space, catalog, out);
-        }
-        Expr::Delay { input, d } => {
-            // `delay(g, d)` re-stamps data from `d` sectors ago with the
-            // current timestamp: output window [lo, hi) consumes input
-            // from [lo - d, hi).
-            let shifted = TimeWindow { lo: window.shifted(-i64::from(*d)).lo, hi: window.hi };
-            walk(input, shifted, space, catalog, out);
-        }
-        Expr::Orient { input, .. } => {
-            // Orientation changes move points in world space: spatial
-            // constraints from above do not transfer below.
-            walk(input, window, Vec::new(), catalog, out);
-        }
-        Expr::RestrictValue { input, .. }
-        | Expr::MapValue { input, .. }
-        | Expr::Stretch { input, .. }
-        | Expr::Focal { input, .. }
-        | Expr::Magnify { input, .. }
-        | Expr::Downsample { input, .. }
-        | Expr::Reproject { input, .. }
-        | Expr::Shed { input, .. }
-        | Expr::AggTime { input, .. } => walk(input, window, space, catalog, out),
-        Expr::Compose { left, right, .. } => {
-            walk(left, window, space.clone(), catalog, out);
-            walk(right, window, space, catalog, out);
-        }
-        Expr::Ndvi { nir, vis } => {
-            walk(nir, window, space.clone(), catalog, out);
-            walk(vis, window, space, catalog, out);
+        node => {
+            f(node, window, space);
+            for input in node.inputs() {
+                chains(input, TimeWindow::unbounded(), &mut Vec::new(), f);
+            }
         }
     }
 }
 
-/// Per-leaf restriction windows in plan visit order (a source referenced
-/// twice yields two entries).
+/// Per-leaf restriction windows in plan visit order (a source read
+/// twice yields two entries, each with its own chain).
 pub fn source_windows(expr: &Expr, catalog: &Catalog) -> Vec<SourceWindow> {
     let mut out = Vec::new();
-    walk(expr, TimeWindow::unbounded(), Vec::new(), catalog, &mut out);
+    chains(expr, TimeWindow::unbounded(), &mut Vec::new(), &mut |node, window, space| {
+        let Expr::Source(name) = node else { return };
+        let source_crs = catalog.schema(name).map(|s| s.crs);
+        let region = space
+            .iter()
+            // An unmappable region cannot prune safely.
+            .filter_map(|(region, crs)| Some(region_in(region, crs, &source_crs?).ok()?.bbox()))
+            .reduce(|a, b| a.intersect(&b));
+        out.push(SourceWindow { name: name.clone(), window, region });
+    });
     out
 }
 
-/// Per-source windows merged by name: when a source appears under
-/// several restriction contexts the merge is the conservative *union*
-/// (widest window, union of extents), since the shared feed must satisfy
-/// every occurrence.
-pub fn merged_source_windows(expr: &Expr, catalog: &Catalog) -> HashMap<String, SourceWindow> {
-    let mut merged: HashMap<String, SourceWindow> = HashMap::new();
-    for sw in source_windows(expr, catalog) {
-        match merged.get_mut(&sw.name) {
-            None => {
-                merged.insert(sw.name.clone(), sw);
-            }
-            Some(prev) => {
-                prev.window = TimeWindow {
-                    lo: match (prev.window.lo, sw.window.lo) {
-                        (Some(a), Some(b)) => Some(a.min(b)),
-                        _ => None,
-                    },
-                    hi: match (prev.window.hi, sw.window.hi) {
-                        (Some(a), Some(b)) => Some(a.max(b)),
-                        _ => None,
-                    },
-                };
-                prev.region = match (prev.region, sw.region) {
-                    (Some(a), Some(b)) => Some(a.union(&b)),
-                    _ => None,
-                };
-            }
+/// The window of every restriction chain sitting directly on a node
+/// (a source leaf, or an operator the optimizer stopped at or widened
+/// across), with that node, in plan visit order.
+pub fn chain_windows(expr: &Expr) -> Vec<(&Expr, TimeWindow)> {
+    let mut out = Vec::new();
+    chains(expr, TimeWindow::unbounded(), &mut Vec::new(), &mut |node, window, _| {
+        if window != TimeWindow::unbounded() {
+            out.push((node, window));
         }
-    }
-    merged
+    });
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::model::{StreamSchema, VecStream};
-    use crate::query::parse_query;
+    use crate::query::{optimize, parse_query};
     use geostreams_geo::LatticeGeoref;
 
     fn catalog() -> Catalog {
@@ -262,6 +198,12 @@ mod tests {
 
     fn windows(q: &str) -> Vec<SourceWindow> {
         source_windows(&parse_query(q).unwrap(), &catalog())
+    }
+
+    /// The leaf windows of the optimized plan of `q`.
+    fn optimized_windows(q: &str) -> Vec<SourceWindow> {
+        let cat = catalog();
+        source_windows(&optimize(&parse_query(q).unwrap(), &cat), &cat)
     }
 
     #[test]
@@ -296,8 +238,19 @@ mod tests {
     }
 
     #[test]
+    fn any_other_operator_resets_the_chain() {
+        let q = "restrict_time(scale(g1, 2, 0), interval(1, 4))";
+        assert_eq!(windows(q)[0].window, TimeWindow::unbounded());
+        let plan = parse_query(q).unwrap();
+        let held = chain_windows(&plan);
+        assert_eq!(held.len(), 1);
+        assert_eq!(held[0].0.contract().operator, "map_value");
+        assert_eq!(held[0].1, TimeWindow { lo: Some(1), hi: Some(4) });
+    }
+
+    #[test]
     fn compose_applies_the_window_to_both_sides() {
-        let w = windows("restrict_time(ndvi(g1, g2), interval(1, 4))");
+        let w = optimized_windows("restrict_time(ndvi(g1, g2), interval(1, 4))");
         assert_eq!(w.len(), 2);
         for sw in &w {
             assert_eq!(sw.window, TimeWindow { lo: Some(1), hi: Some(4) });
@@ -306,19 +259,24 @@ mod tests {
 
     #[test]
     fn delay_widens_the_window_downward() {
-        let w = windows("restrict_time(delay(g1, 2), interval(5, 8))");
+        let w = optimized_windows("restrict_time(delay(g1, 2), interval(5, 8))");
         assert_eq!(w[0].window, TimeWindow { lo: Some(3), hi: Some(8) });
     }
 
+    /// A source read by two leaves keeps one window per leaf: each leaf
+    /// is fed what its own chain asks for, never a union.
     #[test]
-    fn merged_windows_union_per_name() {
-        let expr = parse_query(
+    fn windows_stay_per_leaf() {
+        let w = windows(
             "compose(restrict_time(g1, interval(0, 2)), \"+\", restrict_time(g1, interval(5, 9)))",
-        )
-        .unwrap();
-        let merged = merged_source_windows(&expr, &catalog());
-        assert_eq!(merged.len(), 1);
-        assert_eq!(merged["g1"].window, TimeWindow { lo: Some(0), hi: Some(9) });
+        );
+        assert_eq!(w.len(), 2);
+        assert_eq!(w[0].window, TimeWindow { lo: Some(0), hi: Some(2) });
+        assert_eq!(w[1].window, TimeWindow { lo: Some(5), hi: Some(9) });
+        let w = optimized_windows("restrict_time(add(g1, delay(g1, 1)), interval(1, 4))");
+        assert_eq!(w.len(), 2);
+        assert_eq!(w[0].window, TimeWindow { lo: Some(1), hi: Some(4) });
+        assert_eq!(w[1].window, TimeWindow { lo: Some(0), hi: Some(4) });
     }
 
     #[test]
@@ -327,5 +285,6 @@ mod tests {
         assert!(w[0].window.is_empty());
         assert!(!w[0].window.wholly_before(100));
         assert!(!w[0].window.starts_before(100));
+        assert!(!w[0].window.reaches_before(100));
     }
 }

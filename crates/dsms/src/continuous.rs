@@ -51,8 +51,7 @@ use geostreams_core::obs::{
     TraceContext,
 };
 use geostreams_core::query::{
-    key_hex, merged_source_windows, optimize_with, AnalyzeOptions, Catalog, Plan, Planner,
-    ReplayProvider, TimeWindow,
+    key_hex, optimize_with, source_windows, AnalyzeOptions, Catalog, Plan, Planner, ReplayProvider,
 };
 use geostreams_core::{CoreError, Result};
 use geostreams_satsim::{ChaosStream, FaultPlan, FaultStats, Scanner};
@@ -241,6 +240,20 @@ struct Runtime<'a> {
     ledger: ThreadLedger,
 }
 
+impl<'a> Runtime<'a> {
+    fn new(scanner: &'a Scanner, n_sectors: u64, config: &'a RuntimeConfig) -> Self {
+        Runtime {
+            scanner,
+            n_sectors,
+            config,
+            schemas: scanner_catalog(scanner, 1),
+            pool: Arc::new(WorkerPool::new(config.exec_workers)),
+            copies: Arc::new(AtomicU64::new(0)),
+            ledger: ThreadLedger::default(),
+        }
+    }
+}
+
 /// Spawned/joined counts of the runtime's (scoped) threads, so a test
 /// can assert from outside that none leaked.
 #[derive(Default)]
@@ -267,12 +280,13 @@ impl ThreadLedger {
 }
 
 /// An admitted request: the optimized plan, its delivery format, and
-/// the sources the archive serves (live channels not attached yet).
+/// the feed of each source leaf (live channels not attached yet).
 struct Admitted {
     plan: Plan,
     format: OutputFormat,
-    /// Archive routes by source name, one per leaf reading it.
-    routes: HashMap<String, Vec<Feed<()>>>,
+    /// One feed per source leaf, in leaf order; empty without an
+    /// archive (every leaf is live).
+    routes: Vec<Feed<()>>,
 }
 
 /// Where a source gets its elements; `L` is its live channel.
@@ -348,15 +362,7 @@ pub fn run_supervised(
     config: &RuntimeConfig,
 ) -> Result<(Vec<Result<QueryResult>>, IngestStats)> {
     prepare_archive(config);
-    let mut rt = Runtime {
-        scanner,
-        n_sectors,
-        config,
-        schemas: scanner_catalog(scanner, 1),
-        pool: Arc::new(WorkerPool::new(config.exec_workers)),
-        copies: Arc::new(AtomicU64::new(0)),
-        ledger: ThreadLedger::default(),
-    };
+    let mut rt = Runtime::new(scanner, n_sectors, config);
     let admitted = admit(&rt, requests)?;
     let Wiring { bands, slots, nodes, node_sources } = wire(&mut rt, admitted)?;
 
@@ -505,34 +511,31 @@ fn admit(rt: &Runtime<'_>, requests: &[ClientRequest]) -> Result<Vec<Result<Admi
             admitted.push(Err(e));
             continue;
         }
-        // Route each temporally-restricted source: wholly-past windows
-        // replay from the archive alone; windows that start in the past
-        // backfill `[lo, now)` and splice into the live feed.
-        let mut routes = HashMap::new();
+        // Route each source leaf by its own restriction chain: a
+        // wholly-past window replays from the archive alone; one that
+        // starts in the past backfills `[lo, now)` and splices into the
+        // live feed. The chain stays in the plan, so a replay only
+        // pre-filters.
+        let mut routes = Vec::new();
         if let Some(archive) = &config.archive {
-            let leaves = plan.source_leaves();
-            for (name, sw) in merged_source_windows(&plan, catalog) {
-                let w = sw.window;
-                let past = w.wholly_before(now) || w.starts_before(now);
-                if w == TimeWindow::unbounded() || !past {
+            for leaf in source_windows(&plan, catalog) {
+                let (w, band) = (leaf.window, archive.band_of(&leaf.name));
+                let Some(band) = band.filter(|_| w.reaches_before(now)) else {
+                    routes.push(Feed::Live(()));
                     continue;
-                }
-                let Some(band) = archive.band_of(&name) else { continue };
+                };
                 let replay = |hi| -> Result<ArchiveReplay> {
                     Ok(archive
-                        .replay(band, w.lo, hi, sw.region.as_ref())?
+                        .replay(band, w.lo, hi, leaf.region.as_ref())?
                         .with_decode_pool(Arc::clone(&rt.pool)))
                 };
-                // Each leaf reads its own replay.
-                let reads = leaves.iter().filter(|leaf| **leaf == name).count();
-                let feed = |_| -> Result<Feed<()>> {
-                    if w.wholly_before(now) {
-                        return Ok(Feed::Archive(replay(w.hi)?));
+                routes.push(match w.wholly_before(now) {
+                    true => Feed::Archive(replay(w.hi)?),
+                    false => {
+                        let watermark = archive.watermark(band).map(|(s, _)| s);
+                        Feed::Hybrid { replay: replay(Some(now))?, watermark, live: () }
                     }
-                    let watermark = archive.watermark(band).map(|(s, _)| s);
-                    Ok(Feed::Hybrid { replay: replay(Some(now))?, watermark, live: () })
-                };
-                routes.insert(name, (0..reads).map(feed).collect::<Result<_>>()?);
+                });
             }
         }
         admitted.push(Ok(Admitted { plan, format: req.format, routes }));
@@ -561,7 +564,8 @@ fn wire(rt: &mut Runtime<'_>, admitted: Vec<Result<Admitted>>) -> Result<Wiring>
     let sharing = config.share_plans && config.watchdog.is_none();
     let eligible = admitted.iter().enumerate().filter_map(|(qid, a)| {
         let a = a.as_ref().ok()?;
-        (sharing && a.format.is_counting() && a.routes.is_empty()).then(|| (qid, (*a.plan).clone()))
+        let live = a.routes.iter().all(|feed| matches!(feed, Feed::Live(())));
+        (sharing && a.format.is_counting() && live).then(|| (qid, (*a.plan).clone()))
     });
     let plan = plan_sharing(&eligible.collect::<Vec<_>>());
     let key_of: HashMap<String, usize> =
@@ -613,7 +617,7 @@ fn wire(rt: &mut Runtime<'_>, admitted: Vec<Result<Admitted>>) -> Result<Wiring>
     };
     let mut slots = Vec::new();
     for (qid, admitted) in admitted.into_iter().enumerate() {
-        let Admitted { plan: own, format, mut routes } = match admitted {
+        let Admitted { plan: own, format, routes } = match admitted {
             Ok(a) => a,
             Err(e) => {
                 slots.push(Err(e));
@@ -628,8 +632,9 @@ fn wire(rt: &mut Runtime<'_>, admitted: Vec<Result<Admitted>>) -> Result<Wiring>
             continue;
         }
         let mut sources = Vec::new();
+        let mut routes = routes.into_iter();
         for name in own.source_leaves() {
-            let feed = match routes.get_mut(&name).and_then(Vec::pop) {
+            let feed = match routes.next() {
                 Some(Feed::Archive(replay)) => Feed::Archive(replay),
                 Some(Feed::Hybrid { replay, watermark, .. }) => {
                     let live = subscribe(&name, tenant_of(qid), depth_of(qid));
@@ -1200,7 +1205,11 @@ fn pump(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use geostreams_core::query::{optimize, parse_query};
+    use geostreams_geo::{map_region, Cell, Crs, LatticeGeoref, Rect, Region};
     use geostreams_satsim::goes_like;
+    use geostreams_store::{ArchiveConfig, Codec};
+    use std::path::PathBuf;
 
     fn req(q: &str, format: OutputFormat) -> ClientRequest {
         ClientRequest { query: q.to_string(), format, sectors: 0 }
@@ -1392,6 +1401,151 @@ mod tests {
         assert_eq!(
             a0.repair.first().map(|r| r.stats.clone()),
             b0.repair.first().map(|r| r.stats.clone())
+        );
+    }
+
+    /// A delivered point: its cell and its value's bits.
+    type Bits = (Cell, u32);
+
+    /// The points of every chunk in `item`, in stream order.
+    fn bits_of(item: &ChunkOrMarker<f32>, out: &mut Vec<Bits>) {
+        if let ChunkOrMarker::Chunk(c) = item {
+            out.extend(c.points.iter().map(|p| (p.cell, p.value.to_bits())));
+        }
+    }
+
+    /// A lossless archive (in a fresh directory the caller removes) of
+    /// sectors `[0, n_sectors)` of band `idx`, so archived and live
+    /// values are bit-identical.
+    fn lossless_archive(scanner: &Scanner, idx: usize, n_sectors: u64) -> (PathBuf, Archive, u16) {
+        static SEQ: AtomicU64 = AtomicU64::new(0);
+        let seq = SEQ.fetch_add(1, Ordering::Relaxed);
+        let dir = std::env::temp_dir().join(format!("gs-routes-{}-{seq}", std::process::id()));
+        let config = ArchiveConfig { codec: Codec::LosslessF32, ..ArchiveConfig::new(&dir) };
+        let archive = Archive::create(config).unwrap();
+        let mut stream = scanner.band_stream(idx, n_sectors);
+        let band = stream.schema().band;
+        archive.bind_band(stream.schema()).unwrap();
+        while let Some(item) = stream.next_chunk(DEFAULT_CHUNK_BUDGET) {
+            archive.ingest_chunk(band, &item).unwrap();
+        }
+        archive.flush().unwrap();
+        (dir, archive, band)
+    }
+
+    /// Admits, wires and evaluates one counting request as
+    /// `run_supervised` does, returning the points it delivers.
+    fn delivered_bits(
+        scanner: &Scanner,
+        n_sectors: u64,
+        q: &str,
+        config: &RuntimeConfig,
+    ) -> Vec<Bits> {
+        prepare_archive(config);
+        let mut rt = Runtime::new(scanner, n_sectors, config);
+        let admitted = admit(&rt, &[req(q, OutputFormat::Stats)]).unwrap();
+        let Wiring { bands, slots, .. } = wire(&mut rt, admitted).unwrap();
+        let Some(Ok(Slot::Own(plan, _, sources))) = slots.into_iter().next() else {
+            panic!("{q}: not admitted to a pipeline of its own");
+        };
+        let rt = &rt;
+        let mut out = Vec::new();
+        std::thread::scope(|s| {
+            for band in &bands {
+                s.spawn(move || supervise_band(rt, band));
+            }
+            let (catalog, _) = source_catalog(sources, &rt.schemas, &SourceCtx::new(rt, Some(0)));
+            let eval = Evaluator { qid: 0, catalog: &catalog, pool: &rt.pool, metrics: None };
+            eval.count(&plan, |item| bits_of(item, &mut out)).unwrap();
+        });
+        out
+    }
+
+    /// The box around cells `from..=to` of `lattice`, drawn halfway
+    /// between cell centres, in the lattice's CRS.
+    fn cell_box(lattice: &LatticeGeoref, from: Cell, to: Cell) -> Rect {
+        let (a, b) = (lattice.cell_to_world(from), lattice.cell_to_world(to));
+        let (hx, hy) = (lattice.step_x.abs() / 2.0, lattice.step_y.abs() / 2.0);
+        Rect::new(a.x.min(b.x) - hx, a.y.min(b.y) - hy, a.x.max(b.x) + hx, a.y.max(b.y) + hy)
+    }
+
+    /// Admission's archive routes against a full-history replay. Each
+    /// plan shape is admitted with its window wholly past (`[1, 3)`,
+    /// now 4, the archive holding sectors `[0, 4)`) and hybrid
+    /// (`[1, 4)`, now 2, the archive holding `[0, 2)` and the downlink
+    /// the rest). Each must deliver the (cell, bits) points that the
+    /// same optimized plan delivers over a replay of the whole
+    /// four-sector history. The rows cover a restriction that must
+    /// widen across an operator (stretch, focal, downsample, magnify, a
+    /// lat/lon box across reproject), one that must reach back in time
+    /// (`delay`, `agg_time`), and one band read by two leaves with
+    /// different windows.
+    #[test]
+    fn archive_routes_deliver_what_a_full_history_replay_delivers() {
+        const B4: usize = 3;
+        let scanner = goes_like(64, 32, 11);
+        let g = "goes-sim.b4-ir";
+        let lattice = scanner.band_stream(B4, 1).schema().sector_lattice.unwrap();
+        // A quarter cell past cells (3, 1)..=(10, 5): a 2× block
+        // centred inside straddles its edge.
+        let quarter = lattice.step_x.abs().min(lattice.step_y.abs()) / 4.0;
+        let inner = cell_box(&lattice, Cell::new(3, 1), Cell::new(10, 5)).expand(quarter);
+        let r = format!(
+            "bbox({}, {}, {}, {}), \"{}\"",
+            inner.x_min, inner.y_min, inner.x_max, inner.y_max, lattice.crs
+        );
+        let ll = map_region(&Region::Rect(inner), &lattice.crs, &Crs::LatLon, 16).unwrap();
+        let l = format!("bbox({}, {}, {}, {}), \"latlon\"", ll.x_min, ll.y_min, ll.x_max, ll.y_max);
+        let shapes = [
+            format!("restrict_space(stretch({g}, \"linear\", \"frame\"), {r})"),
+            format!("restrict_space(focal({g}, \"mean\", 3), {r})"),
+            format!("restrict_space(downsample({g}, 2), {r})"),
+            format!("agg_time({g}, \"mean\", 2)"),
+            format!("delay({g}, 1)"),
+            format!("restrict_space(magnify({g}, 2), {r})"),
+            format!("restrict_space(reproject({g}, \"latlon\"), {l})"),
+            format!("add({g}, delay({g}, 1))"),
+        ];
+
+        // The reference: every plan over a replay of the whole history.
+        let (full_dir, full, band) = lossless_archive(&scanner, B4, 4);
+        let full = Arc::new(full);
+        let mut history = Catalog::new();
+        let schema = full.replay(band, None, None, None).unwrap().schema().clone();
+        history.register(schema, move || Box::new(full.replay(band, None, None, None).unwrap()));
+        let schemas = scanner_catalog(&scanner, 1);
+
+        let mut wrong = Vec::new();
+        for (mode, archived, now, window) in
+            [("wholly past", 4, 4, "interval(1, 3)"), ("hybrid", 2, 2, "interval(1, 4)")]
+        {
+            for shape in &shapes {
+                let q = format!("restrict_time({shape}, {window})");
+                let plan = optimize(&parse_query(&q).unwrap(), &schemas);
+                let mut expected = Vec::new();
+                let mut reference = Planner::new(&history).build(&plan).unwrap();
+                while let Some(item) = reference.next_chunk(DEFAULT_CHUNK_BUDGET) {
+                    bits_of(&item, &mut expected);
+                }
+                assert!(!expected.is_empty(), "{mode}: {q} selects nothing");
+
+                let (dir, archive, _) = lossless_archive(&scanner, B4, archived);
+                let config = RuntimeConfig {
+                    archive: Some(Arc::new(archive)),
+                    start_sector: now,
+                    ..RuntimeConfig::default()
+                };
+                if delivered_bits(&scanner, 4 - now, &q, &config) != expected {
+                    wrong.push(format!("{mode}: {q}"));
+                }
+                let _ = std::fs::remove_dir_all(&dir);
+            }
+        }
+        let _ = std::fs::remove_dir_all(&full_dir);
+        assert!(
+            wrong.is_empty(),
+            "routes that differ from the full history:\n{}",
+            wrong.join("\n")
         );
     }
 }

@@ -5,8 +5,10 @@
 mod common;
 
 use common::Rng;
-use geostreams::core::model::StreamSchema;
-use geostreams::core::model::{GeoStream, PointRecord, VecStream};
+use geostreams::core::model::{
+    Element, FrameInfo, GeoStream, PointRecord, SectorInfo, StreamSchema, TimeSemantics, Timestamp,
+    VecStream,
+};
 use geostreams::core::ops::macro_ops::ndvi;
 use geostreams::core::ops::{
     Compose, GammaOp, MapTransform, SpatialRestrict, ValueFunc, ValueRestrict,
@@ -193,12 +195,63 @@ fn fused_form_does_less_work() {
     assert!(unfused >= 2 * fused, "unfused {unfused} vs fused {fused}");
 }
 
+/// Sectors of each fuzz source.
+const SECTORS: u64 = 3;
+
+/// A `SECTORS`-sector stream whose values derive from a seed and the
+/// sector, stamped with sector ids.
+fn sectors(seed: u64) -> VecStream<f32> {
+    VecStream::sectors("s", lattice(), SECTORS, move |s, c, r| {
+        let x = (u64::from(c) * 31 + u64::from(r) * 17 + (seed + 7 * s) * 1299709) % 1000;
+        x as f64 / 100.0
+    })
+    .with_value_range(0.0, 10.0)
+}
+
+/// [`sectors`] under measurement-time semantics: row `r` of sector `s`
+/// is stamped `s·H + r` and the sector `s·H`, so one sector holds `H`
+/// timestamps.
+fn measured(seed: u64) -> VecStream<f32> {
+    let mut src = sectors(seed);
+    let mut schema = src.schema().clone();
+    schema.time_semantics = TimeSemantics::MeasurementTime;
+    let stamp =
+        |sector: u64, row: u32| Timestamp::new((sector * u64::from(H) + u64::from(row)) as i64);
+    let elements = src
+        .drain_elements()
+        .into_iter()
+        .map(|el| match el {
+            Element::SectorStart(si) => {
+                Element::SectorStart(SectorInfo { timestamp: stamp(si.sector_id, 0), ..si })
+            }
+            Element::FrameStart(fi) => Element::FrameStart(FrameInfo {
+                timestamp: stamp(fi.sector_id, fi.cells.row_min),
+                ..fi
+            }),
+            other => other,
+        })
+        .collect();
+    VecStream::new(schema, elements)
+}
+
+/// A random time set: on the sector scale (`0..SECTORS`) or on the
+/// measurement scale of [`measured`] (`0..SECTORS·H`).
+fn gen_times(rng: &mut Rng) -> String {
+    let scale = if rng.chance() { SECTORS } else { SECTORS * u64::from(H) };
+    let lo = rng.int(0, scale);
+    match rng.index(3) {
+        0 => format!("instants({lo})"),
+        1 => format!("instants({lo}, {})", rng.int(0, scale)),
+        _ => format!("interval({lo}, {})", lo + rng.int(1, scale)),
+    }
+}
+
 /// Random query generator for optimizer-equivalence fuzzing.
 fn gen_query(rng: &mut Rng, depth: u32) -> String {
     if depth == 0 || rng.index(4) == 0 {
-        return if rng.chance() { "g1" } else { "g2" }.to_string();
+        return ["g1", "g2", "m1"][rng.index(3)].to_string();
     }
-    match rng.index(9) {
+    match rng.index(14) {
         0 => {
             let x = rng.uniform(0.0, 10.0);
             let y = rng.uniform(0.0, 8.0);
@@ -232,26 +285,47 @@ fn gen_query(rng: &mut Rng, depth: u32) -> String {
         5 => format!("magnify({}, 2)", gen_query(rng, depth - 1)),
         6 => format!("focal({}, \"mean\", 3)", gen_query(rng, depth - 1)),
         7 => format!("shed({}, \"points\", 2)", gen_query(rng, depth - 1)),
-        _ => format!("shed({}, \"rows\", 2)", gen_query(rng, depth - 1)),
+        8 => format!("shed({}, \"rows\", 2)", gen_query(rng, depth - 1)),
+        9 | 10 => format!("restrict_time({}, {})", gen_query(rng, depth - 1), gen_times(rng)),
+        11 => {
+            let input = gen_query(rng, depth - 1);
+            let scope = if rng.chance() { "frame" } else { "image" };
+            format!("stretch({input}, \"linear\", \"{scope}\")")
+        }
+        12 => format!("delay({}, {})", gen_query(rng, depth - 1), rng.int(1, 3)),
+        _ => {
+            let func = if rng.chance() { "mean" } else { "max" };
+            format!("agg_time({}, \"{func}\", {})", gen_query(rng, depth - 1), rng.int(2, 4))
+        }
     }
 }
 
+/// Two sector-id sources and one measurement-time source, `SECTORS`
+/// sectors each.
 fn fuzz_catalog() -> Catalog {
     let mut cat = Catalog::new();
-    for (name, seed) in [("g1", 1u64), ("g2", 2)] {
+    for (name, seed) in [("g1", 1u64), ("g2", 2), ("m1", 3)] {
+        let measurement = name.starts_with('m');
         let mut schema = StreamSchema::new(name, Crs::LatLon);
         schema.sector_lattice = Some(lattice());
         schema.value_range = (0.0, 10.0);
-        cat.register(schema, move || Box::new(stream(seed)));
+        if measurement {
+            schema.time_semantics = TimeSemantics::MeasurementTime;
+        }
+        cat.register(schema, move || match measurement {
+            true => Box::new(measured(seed)),
+            false => Box::new(sectors(seed)),
+        });
     }
     cat
 }
 
 /// The optimizer never changes query answers (the paper's rewrites are
-/// equivalences).
+/// equivalences), over several sectors and both time semantics: each
+/// cell's points in stream order, point for point.
 #[test]
 fn optimizer_preserves_semantics() {
-    for case in 0..48u64 {
+    for case in 0..256u64 {
         let mut rng = Rng::new(6000 + case);
         let q = gen_query(&mut rng, 3);
         let cat = fuzz_catalog();
@@ -264,16 +338,71 @@ fn optimizer_preserves_semantics() {
         let mut b = opt.drain_points();
         a.sort_by_key(|p| (p.cell.row, p.cell.col));
         b.sort_by_key(|p| (p.cell.row, p.cell.col));
-        assert_eq!(a.len(), b.len(), "{expr} vs {optimized}");
+        assert_eq!(a.len(), b.len(), "seed {}: {expr} vs {optimized}", 6000 + case);
         for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.cell, y.cell, "{expr} vs {optimized}");
+            assert_eq!(x.cell, y.cell, "seed {}: {expr} vs {optimized}", 6000 + case);
             assert!(
                 (x.value - y.value).abs() < 1e-4,
-                "{expr} vs {optimized}: {:?} {} != {}",
+                "seed {}: {expr} vs {optimized}: {:?} {} != {}",
+                6000 + case,
                 x.cell,
                 x.value,
                 y.value
             );
+        }
+    }
+}
+
+/// Optimized and unoptimized runs of `q` over the fuzz catalog deliver
+/// the same points, each cell's in stream order.
+fn assert_optimizer_exact(q: &str, label: &str) {
+    let cat = fuzz_catalog();
+    let planner = Planner::new(&cat);
+    let expr = parse_query(q).unwrap();
+    let optimized = optimize(&expr, &cat);
+    let run = |plan: &Plan| {
+        let mut pts = planner.build(plan).unwrap().drain_points();
+        pts.sort_by_key(|p| (p.cell.row, p.cell.col));
+        pts
+    };
+    let (a, b) = (run(&Plan::analyze(expr.clone(), &cat)), run(&optimized));
+    assert_eq!(a.len(), b.len(), "{label}: {expr} vs {optimized}");
+    for (x, y) in a.iter().zip(&b) {
+        assert_eq!(x.cell, y.cell, "{label}: {expr} vs {optimized}");
+        assert!(
+            (x.value - y.value).abs() < 1e-4,
+            "{label}: {expr} vs {optimized}: {:?} {} != {}",
+            x.cell,
+            x.value,
+            y.value
+        );
+    }
+}
+
+/// Every operator a time restriction may cross, over a sector-id and a
+/// measurement-time source, under time sets on both scales.
+#[test]
+fn time_pushdown_is_exact_per_operator() {
+    let shapes = [
+        "stretch({g}, \"linear\", \"frame\")",
+        "stretch({g}, \"linear\", \"image\")",
+        "shed({g}, \"points\", 2)",
+        "shed({g}, \"rows\", 2)",
+        "delay({g}, 1)",
+        "agg_time({g}, \"mean\", 2)",
+        "focal({g}, \"mean\", 3)",
+        "reproject({g}, \"utm:31N\")",
+        "magnify({g}, 2)",
+        "downsample({g}, 2)",
+        "orient({g}, \"rot90\")",
+        "agg_space({g}, \"mean\", bbox(2, 2, 8, 8))",
+    ];
+    for g in ["g1", "m1"] {
+        for shape in shapes {
+            for times in ["instants(1)", "interval(1, 3)", "instants(10, 14)", "interval(5, 25)"] {
+                let q = format!("restrict_time({}, {times})", shape.replace("{g}", g));
+                assert_optimizer_exact(&q, "table");
+            }
         }
     }
 }

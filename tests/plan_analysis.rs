@@ -357,17 +357,63 @@ fn optimizer_never_worsens_blocking_class() {
         assert_eq!(*plan.report(), analyze(&plan, &cat), "{q}");
     }
     // So it is under an archive's replay contract: a wholly-past window
-    // replays from the archive, one that starts in the past splices.
+    // replays from the archive, one that starts in the past splices. The
+    // replay estimate covers the window the optimizer left on the
+    // source: widened below `delay` and `agg_time`.
     let archive = Archived { hi: 10 };
-    for (q, now, contract) in [
-        ("restrict_time(g1, interval(2, 6))", 10, "replay-from-archive"),
-        ("restrict_time(g1, interval(1, none))", 5, "replay-hybrid"),
+    for (q, now, contract, frames) in [
+        ("restrict_time(g1, interval(2, 6))", 10, "replay-from-archive", 4),
+        ("restrict_time(g1, interval(1, none))", 5, "replay-hybrid", 4),
+        (
+            "restrict_time(stretch(g1, \"linear\", \"image\"), interval(2, 6))",
+            10,
+            "replay-from-archive",
+            4,
+        ),
+        (
+            "restrict_time(stretch(g1, \"linear\", \"frame\"), interval(1, none))",
+            5,
+            "replay-hybrid",
+            4,
+        ),
+        ("restrict_time(delay(g1, 2), interval(3, 6))", 10, "replay-from-archive", 5),
+        ("restrict_time(delay(g1, 1), interval(2, none))", 5, "replay-hybrid", 4),
+        ("restrict_time(agg_time(g1, \"mean\", 3), interval(3, 6))", 10, "replay-from-archive", 5),
+        ("restrict_time(agg_time(g1, \"max\", 2), interval(3, none))", 5, "replay-hybrid", 3),
     ] {
         let opts = AnalyzeOptions { now: Some(now), replay: Some(&archive) };
         let plan = optimize_with(&parse_query(q).unwrap(), &cat, &opts);
         assert_eq!(*plan.report(), analyze_with(&plan, &cat, &opts), "{q}");
+        assert!(!plan.report().has_errors(), "{q}: {:?}", plan.report().diagnostics);
         assert!(plan.report().certificate.certified, "{q}");
         assert_eq!(plan.report().certificate.stages[0].contract.operator, contract, "{q}");
+        assert_eq!(plan.report().per_op[0].replay.map(|r| r.frames), Some(frames), "{q}");
+    }
+    // Row shedding is the one operator a time restriction cannot cross:
+    // a window held above it that reaches before now is reported at
+    // the shed, not replayed with a row parity that depends on where
+    // the replay starts.
+    for (q, now, code, severity) in [
+        (
+            "restrict_time(shed(g1, \"rows\", 2), interval(2, 6))",
+            10,
+            "past-interval-unservable",
+            Severity::Error,
+        ),
+        (
+            "restrict_time(shed(g1, \"rows\", 2), interval(2, none))",
+            5,
+            "past-start-no-archive",
+            Severity::Warn,
+        ),
+    ] {
+        let opts = AnalyzeOptions { now: Some(now), replay: Some(&archive) };
+        let plan = optimize_with(&parse_query(q).unwrap(), &cat, &opts);
+        let d = plan.report().diagnostics.iter().find(|d| d.code == code);
+        let d = d.unwrap_or_else(|| panic!("{q}: {:?}", plan.report().diagnostics));
+        assert_eq!((d.severity, d.path.as_str()), (severity, "/restrict_time/shed"), "{q}");
+        assert!(d.message.contains("`shed`"), "{q}: {}", d.message);
+        assert_eq!(plan.report().per_op[0].replay, None, "{q}");
     }
 }
 
