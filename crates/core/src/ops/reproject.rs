@@ -37,7 +37,7 @@ use crate::model::{
     SectorInfo, StreamSchema, DEFAULT_CHUNK_BUDGET,
 };
 use crate::stats::{bytes_of, OpReport, OpStats};
-use geostreams_geo::{Cell, CellBox, Crs, LatticeGeoref, Projection, Rect};
+use geostreams_geo::{Cell, CellBox, Coord, Crs, LatticeGeoref, Projection, Rect};
 use geostreams_raster::resample::{sample_source, Kernel};
 use geostreams_raster::Pixel;
 
@@ -154,26 +154,29 @@ impl CrsPair {
     /// geostationary limb, say, do not), in column order. Each cell is
     /// inverted out of the target CRS, then the row is projected into
     /// the source CRS in one [`Projection::forward_batch`]: the cells of
-    /// a north-up lat/lon row share their latitude.
-    fn row_sources(
+    /// a north-up lat/lon row share their latitude. The row is worked in
+    /// `scratch`, which keeps its buffers from one row to the next.
+    fn row_sources<'s>(
         &self,
+        scratch: &'s mut RowScratch,
         in_lattice: &LatticeGeoref,
         out_lattice: &LatticeGeoref,
         row: u32,
         cols: impl Iterator<Item = u32>,
-    ) -> impl Iterator<Item = (u32, f64, f64)> {
-        let (mut mapped, mut lonlat) = (Vec::new(), Vec::new());
+    ) -> impl Iterator<Item = (u32, f64, f64)> + 's {
+        let RowScratch { mapped, lonlat, xy } = scratch;
+        mapped.clear();
+        lonlat.clear();
         for col in cols {
             if let Ok(ll) = self.to.inverse(out_lattice.cell_to_world(Cell::new(col, row))) {
                 mapped.push(col);
                 lonlat.push(ll);
             }
         }
-        let mut xy = Vec::with_capacity(lonlat.len());
-        self.from.forward_batch(&lonlat, &mut xy);
+        self.from.forward_batch(lonlat, xy);
         let in_lattice = *in_lattice;
-        mapped.into_iter().zip(xy).filter_map(move |(col, xy)| {
-            let (fc, fr) = in_lattice.world_to_fractional(xy?);
+        mapped.iter().zip(xy.iter()).filter_map(move |(&col, xy)| {
+            let (fc, fr) = in_lattice.world_to_fractional((*xy)?);
             Some((col, fc, fr))
         })
     }
@@ -189,11 +192,13 @@ impl CrsPair {
     ) -> RowSchedule {
         let (w, in_h) = (out_lattice.width, in_lattice.height);
         let step = (w / 16).max(1) as usize;
+        let mut scratch = RowScratch::default();
         let needed = (0..out_lattice.height)
             .map(|row| {
                 let cols = (0..w).step_by(step).chain(w.checked_sub(1));
                 let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
-                for (_, _, fr) in self.row_sources(in_lattice, out_lattice, row, cols) {
+                for (_, _, fr) in self.row_sources(&mut scratch, in_lattice, out_lattice, row, cols)
+                {
                     lo = lo.min(fr);
                     hi = hi.max(fr);
                 }
@@ -222,6 +227,41 @@ fn table_entry(in_lattice: &LatticeGeoref, fc: f64, fr: f64) -> [f64; 2] {
     [fc, fr]
 }
 
+/// The buffers one output row's cells are mapped in: the columns that
+/// invert out of the target CRS, their lon/lat, and their projected
+/// points. A [`Mapping`] reserves them for a whole output row once.
+#[derive(Default)]
+struct RowScratch {
+    mapped: Vec<u32>,
+    lonlat: Vec<Coord>,
+    xy: Vec<Option<Coord>>,
+}
+
+impl RowScratch {
+    /// Room for a row of `width` cells.
+    fn with_width(width: u32) -> Self {
+        let w = width as usize;
+        RowScratch {
+            mapped: Vec::with_capacity(w),
+            lonlat: Vec::with_capacity(w),
+            xy: Vec::with_capacity(w),
+        }
+    }
+
+    /// Bytes the three buffers have allocated.
+    fn bytes(&self) -> u64 {
+        bytes_of::<u32>(self.mapped.capacity())
+            + bytes_of::<Coord>(self.lonlat.capacity())
+            + bytes_of::<Option<Coord>>(self.xy.capacity())
+    }
+
+    /// Bytes of the buffers for a row of `width` cells.
+    fn bytes_for(width: u32) -> u64 {
+        let w = width as usize;
+        bytes_of::<u32>(w) + bytes_of::<Coord>(w) + bytes_of::<Option<Coord>>(w)
+    }
+}
+
 /// Everything the operator derives from one sector lattice: a constant
 /// while the geometry repeats.
 pub(crate) struct Mapping {
@@ -233,6 +273,8 @@ pub(crate) struct Mapping {
     /// [`NO_SOURCE`]: the rows emitted so far. Room for every output
     /// cell is reserved, and counted, up front.
     table: Vec<[f64; 2]>,
+    /// The buffers each table row is projected in.
+    scratch: RowScratch,
 }
 
 impl Mapping {
@@ -247,18 +289,22 @@ impl Mapping {
             out_lattice: out,
             schedule: config.schedule(pair, &in_lattice, &out),
             table: Vec::with_capacity(out.len() as usize),
+            scratch: RowScratch::with_width(out.width),
         }
     }
 
-    /// Bytes the table and the schedule have allocated.
+    /// Bytes the table, the schedule and the row scratch have allocated.
     fn bytes(&self) -> u64 {
-        bytes_of::<[f64; 2]>(self.table.capacity()) + self.schedule.bytes()
+        bytes_of::<[f64; 2]>(self.table.capacity()) + self.schedule.bytes() + self.scratch.bytes()
     }
 
     /// Bytes of the mapping onto `out` run by `schedule`: a table entry
-    /// per output cell, reserved up front, and the schedule.
+    /// per output cell, reserved up front, the schedule, and the scratch
+    /// of one output row.
     pub(crate) fn bytes_for(out: &LatticeGeoref, schedule: &RowSchedule) -> u64 {
-        bytes_of::<[f64; 2]>(out.len() as usize) + schedule.bytes()
+        bytes_of::<[f64; 2]>(out.len() as usize)
+            + schedule.bytes()
+            + RowScratch::bytes_for(out.width)
     }
 
     /// The table row of output row `row`, projecting the rows up to it
@@ -273,7 +319,9 @@ impl Mapping {
             self.table.resize(start + w, NO_SOURCE);
             if self.schedule.emits(r) {
                 let cols = 0..w as u32;
-                for (col, fc, fr) in pair.row_sources(&in_lattice, &out_lattice, r, cols) {
+                let sources =
+                    pair.row_sources(&mut self.scratch, &in_lattice, &out_lattice, r, cols);
+                for (col, fc, fr) in sources {
                     self.table[start + col as usize] = table_entry(&in_lattice, fc, fr);
                 }
             }

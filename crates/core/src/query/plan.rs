@@ -406,8 +406,9 @@ mod tests {
         assert!(text.starts_with("restrict_space  [non-blocking, ≤"), "{text}");
         assert!(
             // A 16-slot ring of 16-cell rows (9 rows rounded up), a table
-            // entry per output cell and the 16-row schedule.
-            text.contains("reproject  [bounded-rows(9), ≤256 pts/sector, buf 5396 B]"),
+            // entry per output cell, the 16-row schedule and the scratch
+            // of one 16-cell output row (44 B a cell).
+            text.contains("reproject  [bounded-rows(9), ≤256 pts/sector, buf 6100 B]"),
             "{text}"
         );
         assert!(text.contains("ndvi  [bounded-rows(1)"), "{text}");

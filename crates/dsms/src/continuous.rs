@@ -1,14 +1,14 @@
 //! Continuous shared-ingest execution under supervision.
 //!
-//! `Dsms::run_query` lets every query pull its own source instances —
-//! convenient, but a real receiving station decodes the downlink
-//! **once**. This module implements the actual Fig. 3 dataflow: one
-//! ingest thread per referenced spectral band fans the element stream
-//! out to bounded channels, and each registered continuous query runs
-//! its optimized pipeline on its own thread over channel-backed,
-//! gap-repaired sources — through the same evaluator
-//! (`dsms::eval`) `run_query` uses. A run is staged: admit, wire,
-//! spawn ingest, spawn evaluators, collect.
+//! A one-shot `Dsms::run_query` reads private source instances, but a
+//! real receiving station decodes the downlink **once**. This module
+//! implements the actual Fig. 3 dataflow: one ingest thread per band
+//! fans the element stream out to bounded channels, and each continuous
+//! query runs its optimized pipeline on its own thread over them. Both
+//! share one admission (`server::admission`), one routing of source
+//! leaves (`route_leaves`: past windows to the archive, the live feed
+//! joined at "now"), one source stack and one evaluator (`dsms::eval`).
+//! A run is staged: admit, wire, spawn ingest, spawn evaluators, collect.
 //!
 //! Unlike the happy-path version this grew from, the runtime is
 //! **supervised** (see DESIGN.md "Fault model & recovery"):
@@ -37,7 +37,7 @@
 use crate::eval::{conclude, Delivered, Evaluator};
 use crate::metrics::ServerMetrics;
 use crate::protocol::{ClientRequest, OutputFormat};
-use crate::server::{known_sources, parse_request, scanner_catalog, QueryResult};
+use crate::server::{admission, scanner_catalog, QueryResult, DEFAULT_MEMORY_BUDGET_BYTES};
 use crate::share::{
     band_refs, lock, plan_sharing, share_refs, share_source_name, SubscriptionTree,
 };
@@ -51,7 +51,7 @@ use geostreams_core::obs::{
     TraceContext,
 };
 use geostreams_core::query::{
-    key_hex, optimize_with, source_windows, AnalyzeOptions, Catalog, Plan, Planner, ReplayProvider,
+    key_hex, source_windows, AnalyzeOptions, Catalog, Plan, Planner, ReplayProvider, SourceWindow,
 };
 use geostreams_core::{CoreError, Result};
 use geostreams_satsim::{ChaosStream, FaultPlan, FaultStats, Scanner};
@@ -284,14 +284,13 @@ impl ThreadLedger {
 struct Admitted {
     plan: Plan,
     format: OutputFormat,
-    /// One feed per source leaf, in leaf order; empty without an
-    /// archive (every leaf is live).
-    routes: Vec<Feed<()>>,
+    /// Each source leaf and its feed, in leaf order.
+    routes: Vec<(String, Feed<()>)>,
 }
 
-/// Where a source gets its elements; `L` is its live channel.
-enum Feed<L> {
-    /// A band pump, or the tree of an upstream shared-plan node.
+/// Where a source gets its elements; `L` is its live end.
+enum Feed<L = Live> {
+    /// The live end alone.
     Live(L),
     /// Archive backfill of `[lo, now)`, spliced into the live channel
     /// at the recorded watermark sector.
@@ -300,10 +299,31 @@ enum Feed<L> {
     Archive(ArchiveReplay),
 }
 
+impl Feed<()> {
+    /// This route with its live end, made by `live` where it has one.
+    fn attach<L>(self, live: impl FnOnce() -> L) -> Feed<L> {
+        match self {
+            Feed::Live(()) => Feed::Live(live()),
+            Feed::Hybrid { replay, watermark, .. } => {
+                Feed::Hybrid { replay, watermark, live: live() }
+            }
+            Feed::Archive(replay) => Feed::Archive(replay),
+        }
+    }
+}
+
+/// The live end of a source.
+enum Live {
+    /// A channel from a band pump or an upstream shared-plan node.
+    Channel(Rx),
+    /// A one-shot run's private instance of a catalog source.
+    Private(BoxedF32Stream),
+}
+
 /// One source of one evaluation, wired but not yet opened.
 struct Source {
     name: String,
-    feed: Feed<Rx>,
+    feed: Feed,
     /// Band and archive sources are repaired, reporting here; interior
     /// `@share:*` edges were repaired upstream and pass untouched.
     probe: Option<Arc<RepairProbe>>,
@@ -480,20 +500,17 @@ fn prepare_archive(config: &RuntimeConfig) {
     }
 }
 
-/// Stage 1: parse, optimize and admit every request. A plan whose
-/// analysis carries errors (e.g. a wholly-past window the archive does
-/// not cover: it would silently deliver nothing) gets a `PlanRejected`
-/// slot; a parse error or an unknown source fails the whole run.
+/// Stage 1: admit every request as a registration is, and route its
+/// leaves. A refused plan (e.g. a wholly-past window the archive does
+/// not cover, or a bound over [`DEFAULT_MEMORY_BUDGET_BYTES`]) gets a
+/// `PlanRejected` slot; a parse error or an unknown source fails the run.
 fn admit(rt: &Runtime<'_>, requests: &[ClientRequest]) -> Result<Vec<Result<Admitted>>> {
     let (config, catalog) = (rt.config, &rt.schemas);
     // "Now" is the first live sector.
     let now = config.start_sector as i64;
-    let analyze_opts = AnalyzeOptions {
-        now: Some(now),
-        replay: config.archive.as_deref().map(|a| a as &dyn ReplayProvider),
-    };
-    let mut admitted = Vec::new();
-    for (qid, req) in requests.iter().enumerate() {
+    let archive = config.archive.as_deref();
+    let opts = AnalyzeOptions { now: Some(now), replay: archive.map(|a| a as &dyn ReplayProvider) };
+    let admit_one = |(qid, req): (usize, &ClientRequest)| -> Result<Result<Admitted>> {
         // Directory entry + flight recorder, minted at admission: the
         // query shows on `GET /queries` and `/trace/<id>` from then on.
         if let Some(m) = &config.metrics {
@@ -501,46 +518,90 @@ fn admit(rt: &Runtime<'_>, requests: &[ClientRequest]) -> Result<Vec<Result<Admi
         }
         // The run's length is `n_sectors`: a request's own `sectors=`
         // (a one-shot parameter) is not applied here.
-        let expr = parse_request(&req.query, 0)?;
-        known_sources(&expr, catalog)?;
-        let plan = optimize_with(&expr, catalog, &analyze_opts);
-        if let Err(e) = plan.verdict() {
-            if let Some(m) = &config.metrics {
-                m.set_query_state(qid as u32, "rejected");
+        let (_, plan, verdict) =
+            admission(&req.query, 0, catalog, &opts, DEFAULT_MEMORY_BUDGET_BYTES)?;
+        match verdict {
+            Err(e @ CoreError::UnknownSource(_)) => Err(e),
+            Err(e) => {
+                if let Some(m) = &config.metrics {
+                    m.set_query_state(qid as u32, "rejected");
+                }
+                Ok(Err(e))
             }
-            admitted.push(Err(e));
-            continue;
-        }
-        // Route each source leaf by its own restriction chain: a
-        // wholly-past window replays from the archive alone; one that
-        // starts in the past backfills `[lo, now)` and splices into the
-        // live feed. The chain stays in the plan, so a replay only
-        // pre-filters.
-        let mut routes = Vec::new();
-        if let Some(archive) = &config.archive {
-            for leaf in source_windows(&plan, catalog) {
-                let (w, band) = (leaf.window, archive.band_of(&leaf.name));
-                let Some(band) = band.filter(|_| w.reaches_before(now)) else {
-                    routes.push(Feed::Live(()));
-                    continue;
-                };
-                let replay = |hi| -> Result<ArchiveReplay> {
-                    Ok(archive
-                        .replay(band, w.lo, hi, leaf.region.as_ref())?
-                        .with_decode_pool(Arc::clone(&rt.pool)))
-                };
-                routes.push(match w.wholly_before(now) {
-                    true => Feed::Archive(replay(w.hi)?),
-                    false => {
-                        let watermark = archive.watermark(band).map(|(s, _)| s);
-                        Feed::Hybrid { replay: replay(Some(now))?, watermark, live: () }
-                    }
-                });
+            Ok(()) => {
+                let routes = route_leaves(&plan, catalog, archive.map(|a| (a, now)), &rt.pool)?;
+                Ok(Ok(Admitted { plan, format: req.format, routes }))
             }
         }
-        admitted.push(Ok(Admitted { plan, format: req.format, routes }));
+    };
+    requests.iter().enumerate().map(admit_one).collect()
+}
+
+/// The one route from a plan to its sources: each source leaf, in leaf
+/// order, with the feed its own restriction chain asks of `archive` at
+/// its "now". A wholly-past window replays from the archive alone; one
+/// that starts in the past backfills `[lo, now)` and splices into the
+/// live feed at the band's watermark; any other leaf is live. The chain
+/// stays in the plan, so a replay only pre-filters.
+fn route_leaves(
+    plan: &Plan,
+    catalog: &Catalog,
+    archive: Option<(&Archive, i64)>,
+    pool: &Arc<WorkerPool>,
+) -> Result<Vec<(String, Feed<()>)>> {
+    let Some((archive, now)) = archive else {
+        return Ok(plan.source_leaves().into_iter().map(|name| (name, Feed::Live(()))).collect());
+    };
+    let route = |leaf: SourceWindow| {
+        let (w, band) = (leaf.window, archive.band_of(&leaf.name));
+        let Some(band) = band.filter(|_| w.reaches_before(now)) else {
+            return Ok((leaf.name, Feed::Live(())));
+        };
+        let replay = |hi| -> Result<ArchiveReplay> {
+            let replay = archive.replay(band, w.lo, hi, leaf.region.as_ref())?;
+            Ok(replay.with_decode_pool(Arc::clone(pool)))
+        };
+        let feed = match w.wholly_before(now) {
+            true => Feed::Archive(replay(w.hi)?),
+            false => {
+                let watermark = archive.watermark(band).map(|(s, _)| s);
+                Feed::Hybrid { replay: replay(Some(now))?, watermark, live: () }
+            }
+        };
+        Ok((leaf.name, feed))
+    };
+    source_windows(plan, catalog).into_iter().map(route).collect()
+}
+
+/// The sources of a one-shot run of `plan` (`Dsms::run_query`), routed
+/// as `run_supervised` routes them, and the probes they report into. A
+/// live end is a private instance of `catalog`'s source joined at "now"
+/// ([`join_at`]), so a splice never serves a sector between the
+/// watermark and "now"; it needs no repair, so its completeness is 1.
+/// The instance starts at sector 0: the sectors before "now" are
+/// synthesized and discarded. A wholly-past leaf opens no live end.
+pub(crate) fn private_sources(
+    plan: &Plan,
+    catalog: &Catalog,
+    archive: Option<(&Archive, i64)>,
+    pool: &Arc<WorkerPool>,
+    metrics: &Arc<ServerMetrics>,
+) -> Result<(Catalog, Probes)> {
+    let now = archive.map_or(0, |(_, now)| now.max(0) as u64);
+    let mut sources = Vec::new();
+    for (name, route) in route_leaves(plan, catalog, archive, pool)? {
+        let probe = (!matches!(route, Feed::Live(()))).then(Arc::default);
+        let feed = match route {
+            Feed::Archive(replay) => Feed::Archive(replay),
+            route => {
+                let live = Live::Private(join_at(catalog.open(&name)?, now));
+                route.attach(|| live)
+            }
+        };
+        sources.push(Source { name, feed, probe });
     }
-    Ok(admitted)
+    let cx = SourceCtx { metrics: Some(Arc::clone(metrics)), ..SourceCtx::default() };
+    Ok(source_catalog(sources, catalog, &cx))
 }
 
 /// Stage 2: decide sharing, then create every channel and tree edge.
@@ -564,7 +625,7 @@ fn wire(rt: &mut Runtime<'_>, admitted: Vec<Result<Admitted>>) -> Result<Wiring>
     let sharing = config.share_plans && config.watchdog.is_none();
     let eligible = admitted.iter().enumerate().filter_map(|(qid, a)| {
         let a = a.as_ref().ok()?;
-        let live = a.routes.iter().all(|feed| matches!(feed, Feed::Live(())));
+        let live = a.routes.iter().all(|(_, feed)| matches!(feed, Feed::Live(())));
         (sharing && a.format.is_counting() && live).then(|| (qid, (*a.plan).clone()))
     });
     let plan = plan_sharing(&eligible.collect::<Vec<_>>());
@@ -611,9 +672,9 @@ fn wire(rt: &mut Runtime<'_>, admitted: Vec<Result<Admitted>>) -> Result<Wiring>
         .collect();
     let mut band_trees: BTreeMap<String, SubscriptionTree> = BTreeMap::new();
     let shed_counter = metrics.map(|m| m.fanout_shed.clone());
-    let mut subscribe = |band: &str, tenant: &str, depth: Option<Gauge>| -> Rx {
+    let mut subscribe = |band: &str, tenant: &str, depth: Option<Gauge>| {
         let tree = band_trees.entry(band.to_string()).or_default();
-        tree.subscribe_query(config.channel_cap, tenant, depth, shed_counter.clone())
+        Live::Channel(tree.subscribe_query(config.channel_cap, tenant, depth, shed_counter.clone()))
     };
     let mut slots = Vec::new();
     for (qid, admitted) in admitted.into_iter().enumerate() {
@@ -631,20 +692,11 @@ fn wire(rt: &mut Runtime<'_>, admitted: Vec<Result<Admitted>>) -> Result<Wiring>
             slots.push(Ok(Slot::Member(i, rx, probes_of(i))));
             continue;
         }
-        let mut sources = Vec::new();
-        let mut routes = routes.into_iter();
-        for name in own.source_leaves() {
-            let feed = match routes.next() {
-                Some(Feed::Archive(replay)) => Feed::Archive(replay),
-                Some(Feed::Hybrid { replay, watermark, .. }) => {
-                    let live = subscribe(&name, tenant_of(qid), depth_of(qid));
-                    Feed::Hybrid { replay, watermark, live }
-                }
-                _ => Feed::Live(subscribe(&name, tenant_of(qid), depth_of(qid))),
-            };
-            sources.push(Source { name, feed, probe: Some(Arc::default()) });
-        }
-        slots.push(Ok(Slot::Own(Box::new(own), format, sources)));
+        let sources = routes.into_iter().map(|(name, route)| {
+            let feed = route.attach(|| subscribe(&name, tenant_of(qid), depth_of(qid)));
+            Source { name, feed, probe: Some(Arc::default()) }
+        });
+        slots.push(Ok(Slot::Own(Box::new(own), format, sources.collect())));
     }
 
     // Each node is analyzed once and its schema registered under its
@@ -674,8 +726,8 @@ fn wire(rt: &mut Runtime<'_>, admitted: Vec<Result<Admitted>>) -> Result<Wiring>
         }
         for name in share_refs(&node.expr) {
             if let Some(&producer) = key_of.get(&name) {
-                let feed = Feed::Live(trees[producer].subscribe_interior(config.channel_cap));
-                sources.push(Source { name, feed, probe: None });
+                let live = Live::Channel(trees[producer].subscribe_interior(config.channel_cap));
+                sources.push(Source { name, feed: Feed::Live(live), probe: None });
             }
         }
         node_sources.push(sources);
@@ -702,7 +754,7 @@ fn wire(rt: &mut Runtime<'_>, admitted: Vec<Result<Admitted>>) -> Result<Wiring>
 /// What the source stacks of one evaluation share: the pull side of
 /// its live channels (watchdog deadline and flag, simulated client
 /// stall, depth gauge, copy count) and what the optional layers report to.
-#[derive(Clone)]
+#[derive(Clone, Default)]
 struct SourceCtx {
     deadline: Option<Instant>,
     stall: Option<Duration>,
@@ -790,18 +842,15 @@ fn stall_of(config: &RuntimeConfig, qid: usize) -> Option<Duration> {
 }
 
 /// Wraps `stream` in a span when the run is traced.
-fn spanned<S>(stream: S, guard: Option<SpanGuard>, capture_link: bool) -> BoxedF32Stream
-where
-    S: GeoStream<V = f32> + Send + 'static,
-{
+fn spanned(stream: BoxedF32Stream, guard: Option<SpanGuard>, capture_link: bool) -> BoxedF32Stream {
     match guard {
         Some(g) if capture_link => Box::new(SpanStream::new(stream, g).with_link_capture()),
         Some(g) => Box::new(SpanStream::new(stream, g)),
-        None => Box::new(stream),
+        None => stream,
     }
 }
 
-/// The one source stack: channel or replay → [splice] → [repair
+/// The one source stack: live end or replay → [splice] → [repair
 /// (+ counters)], each layer under its own span when traced. Spans
 /// chain repair ← splice ← scan under the planner's source span
 /// (`build_parent`), ids reserved up front because the stack is built
@@ -811,15 +860,19 @@ fn open_source(src: Source, schema: &StreamSchema, cx: &SourceCtx) -> BoxedF32St
     let Source { name, feed, probe } = src;
     let rec = cx.recorder.as_ref();
     let repair_id = rec.map(|r| r.alloc_span());
-    let scan = |rx: Rx, parent: Option<u64>| {
+    let scan = |live: Live, parent: Option<u64>| {
         let guard = rec.zip(parent).map(|(r, p)| r.begin(&format!("scan:{name}"), p));
-        spanned(ChunkChannel::new(schema.clone(), cx.clone().pull(rx)), guard, true)
+        let stream: BoxedF32Stream = match live {
+            Live::Channel(rx) => Box::new(ChunkChannel::new(schema.clone(), cx.clone().pull(rx))),
+            Live::Private(stream) => stream,
+        };
+        spanned(stream, guard, true)
     };
     let stream = match feed {
-        Feed::Live(rx) => scan(rx, repair_id),
+        Feed::Live(live) => scan(live, repair_id),
         Feed::Archive(replay) => {
             let guard = rec.zip(repair_id).map(|(r, p)| r.begin(&format!("replay:{name}"), p));
-            spanned(replay, guard, false)
+            spanned(Box::new(replay), guard, false)
         }
         Feed::Hybrid { replay, watermark, live } => {
             let splice_id = rec.map(|r| r.alloc_span());
@@ -845,7 +898,7 @@ fn open_source(src: Source, schema: &StreamSchema, cx: &SourceCtx) -> BoxedF32St
                 .zip(splice_id)
                 .zip(repair_id)
                 .map(|((r, id), parent)| r.begin_with_id(id, &format!("splice:{name}"), parent));
-            spanned(spliced, guard, false)
+            spanned(Box::new(spliced), guard, false)
         }
     };
     let Some(probe) = probe else { return stream };
@@ -862,7 +915,7 @@ fn open_source(src: Source, schema: &StreamSchema, cx: &SourceCtx) -> BoxedF32St
     let guard = rec
         .zip(repair_id)
         .map(|(r, id)| r.begin_with_id(id, &format!("repair:{name}"), r.build_parent()));
-    spanned(repaired, guard, false)
+    spanned(Box::new(repaired), guard, false)
 }
 
 /// A catalog (schemas from `schemas`) whose factories open each wired
@@ -1119,12 +1172,40 @@ fn stall_sliced(total: Duration, deadline: Option<Instant>) -> bool {
     true
 }
 
+/// `stream` joined at sector `from`, as a band pump joins the downlink
+/// and resumes after a restart: nothing goes out before the first
+/// `SectorStart` numbered `from` or later, and a point run inside a
+/// skipped sector is dropped whole.
+fn join_at(mut stream: BoxedF32Stream, from: u64) -> BoxedF32Stream {
+    if from == 0 {
+        return stream;
+    }
+    let (schema, mut joined) = (stream.schema().clone(), false);
+    Box::new(ChunkChannel::new(schema, move || {
+        while !joined {
+            let marker = match stream.next_chunk(DEFAULT_CHUNK_BUDGET)? {
+                ChunkOrMarker::Marker(m) => Some(m),
+                ChunkOrMarker::Chunk(mut c) => {
+                    let end = c.end.take();
+                    c.recycle();
+                    end
+                }
+            };
+            joined = matches!(&marker, Some(Marker::SectorStart(si)) if si.sector_id >= from);
+            if joined {
+                return marker.map(ChunkOrMarker::Marker);
+            }
+        }
+        stream.next_chunk(DEFAULT_CHUNK_BUDGET)
+    }))
+}
+
 /// One ingest attempt: drains the stream into every live subscriber,
-/// skipping sectors before `start_sector` (restart resume). When an
+/// joining it at `start_sector` (restart resume). When an
 /// archive is attached, every delivered element (post-chaos, i.e. what
 /// the downlink actually produced) is also persisted.
 fn pump(
-    mut stream: BoxedF32Stream,
+    stream: BoxedF32Stream,
     subscribers: &SubscriptionTree,
     progress: &PumpProgress,
     start_sector: u64,
@@ -1143,34 +1224,9 @@ fn pump(
             archive = None;
         }
     }
-    let mut skipping = start_sector > 0;
-    while let Some(item) = stream.next_chunk(DEFAULT_CHUNK_BUDGET) {
-        let item = if skipping {
-            // Restart resume: drop everything before `start_sector`. A
-            // point run inside a skipped sector is discarded whole; only
-            // a `SectorStart` at or past the resume point ends the skip.
-            match item {
-                ChunkOrMarker::Marker(Marker::SectorStart(si)) if si.sector_id >= start_sector => {
-                    skipping = false;
-                    ChunkOrMarker::Marker(Marker::SectorStart(si))
-                }
-                ChunkOrMarker::Marker(_) => continue,
-                ChunkOrMarker::Chunk(mut c) => match c.end.take() {
-                    Some(Marker::SectorStart(si)) if si.sector_id >= start_sector => {
-                        skipping = false;
-                        c.recycle();
-                        ChunkOrMarker::Marker(Marker::SectorStart(si))
-                    }
-                    _ => {
-                        c.recycle();
-                        continue;
-                    }
-                },
-            }
-        } else {
-            item
-        };
-        let mut item = item;
+    // Restart resume: nothing before `start_sector` goes out.
+    let mut stream = join_at(stream, start_sector);
+    while let Some(mut item) = stream.next_chunk(DEFAULT_CHUNK_BUDGET) {
         if let ChunkOrMarker::Chunk(c) = &mut item {
             c.ctx = ctx;
         }
@@ -1205,6 +1261,7 @@ fn pump(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::server::Dsms;
     use geostreams_core::query::{optimize, parse_query};
     use geostreams_geo::{map_region, Cell, Crs, LatticeGeoref, Rect, Region};
     use geostreams_satsim::goes_like;
@@ -1461,6 +1518,25 @@ mod tests {
         out
     }
 
+    /// Admits one query as `Dsms::register` does with `archive` attached
+    /// at `now`, and evaluates it over the sources `Dsms::run_query`
+    /// opens, the catalog's downlink holding sectors `[0, 4)`.
+    fn one_shot_bits(scanner: &Scanner, q: &str, archive: &Archive, now: i64) -> Vec<Bits> {
+        let catalog = scanner_catalog(scanner, 4);
+        let opts = AnalyzeOptions { now: Some(now), replay: Some(archive as &dyn ReplayProvider) };
+        let (_, plan, verdict) =
+            admission(q, 0, &catalog, &opts, DEFAULT_MEMORY_BUDGET_BYTES).unwrap();
+        verdict.unwrap();
+        let pool = Arc::new(WorkerPool::new(0));
+        let metrics = Arc::new(ServerMetrics::new());
+        let (sources, _) =
+            private_sources(&plan, &catalog, Some((archive, now)), &pool, &metrics).unwrap();
+        let mut out = Vec::new();
+        let eval = Evaluator { qid: 0, catalog: &sources, pool: &pool, metrics: None };
+        eval.count(&plan, |item| bits_of(item, &mut out)).unwrap();
+        out
+    }
+
     /// The box around cells `from..=to` of `lattice`, drawn halfway
     /// between cell centres, in the lattice's CRS.
     fn cell_box(lattice: &LatticeGeoref, from: Cell, to: Cell) -> Rect {
@@ -1469,13 +1545,17 @@ mod tests {
         Rect::new(a.x.min(b.x) - hx, a.y.min(b.y) - hy, a.x.max(b.x) + hx, a.y.max(b.y) + hy)
     }
 
-    /// Admission's archive routes against a full-history replay. Each
-    /// plan shape is admitted with its window wholly past (`[1, 3)`,
-    /// now 4, the archive holding sectors `[0, 4)`) and hybrid
+    /// The archive routes of both entry points against a full-history
+    /// replay. Each plan shape is admitted with its window wholly past
+    /// (`[1, 3)`, now 4, the archive holding sectors `[0, 4)`) and hybrid
     /// (`[1, 4)`, now 2, the archive holding `[0, 2)` and the downlink
-    /// the rest). Each must deliver the (cell, bits) points that the
-    /// same optimized plan delivers over a replay of the whole
-    /// four-sector history. The rows cover a restriction that must
+    /// the rest). On both routes — `run_supervised`'s channels and the
+    /// private sources of `Dsms::run_query` — each must deliver the
+    /// (cell, bits) points that the same optimized plan delivers over a
+    /// replay of the whole four-sector history. A third, hybrid row has
+    /// an archive that stops short of now (it holds sector 0 only):
+    /// sector 1 is lost, and both routes must deliver the same bits
+    /// without it. The rows cover a restriction that must
     /// widen across an operator (stretch, focal, downsample, magnify, a
     /// lat/lon box across reproject), one that must reach back in time
     /// (`delay`, `agg_time`), and one band read by two leaves with
@@ -1516,29 +1596,44 @@ mod tests {
         let schemas = scanner_catalog(&scanner, 1);
 
         let mut wrong = Vec::new();
-        for (mode, archived, now, window) in
-            [("wholly past", 4, 4, "interval(1, 3)"), ("hybrid", 2, 2, "interval(1, 4)")]
-        {
+        let modes = [
+            ("wholly past", 4, 4, "interval(1, 3)"),
+            ("hybrid", 2, 2, "interval(1, 4)"),
+            ("hybrid, archive short of now", 1, 2, "interval(1, 4)"),
+        ];
+        for (mode, archived, now, window) in modes {
             for shape in &shapes {
                 let q = format!("restrict_time({shape}, {window})");
-                let plan = optimize(&parse_query(&q).unwrap(), &schemas);
-                let mut expected = Vec::new();
-                let mut reference = Planner::new(&history).build(&plan).unwrap();
-                while let Some(item) = reference.next_chunk(DEFAULT_CHUNK_BUDGET) {
-                    bits_of(&item, &mut expected);
-                }
-                assert!(!expected.is_empty(), "{mode}: {q} selects nothing");
-
                 let (dir, archive, _) = lossless_archive(&scanner, B4, archived);
+                let archive = Arc::new(archive);
+                // The supervised run persists its live sectors: it goes
+                // second.
+                let one_shot = one_shot_bits(&scanner, &q, &archive, now as i64);
                 let config = RuntimeConfig {
-                    archive: Some(Arc::new(archive)),
+                    archive: Some(archive),
                     start_sector: now,
                     ..RuntimeConfig::default()
                 };
-                if delivered_bits(&scanner, 4 - now, &q, &config) != expected {
-                    wrong.push(format!("{mode}: {q}"));
-                }
+                let supervised = delivered_bits(&scanner, 4 - now, &q, &config);
                 let _ = std::fs::remove_dir_all(&dir);
+                let expected = match archived < now {
+                    true => supervised.clone(),
+                    false => {
+                        let plan = optimize(&parse_query(&q).unwrap(), &schemas);
+                        let mut expected = Vec::new();
+                        let mut reference = Planner::new(&history).build(&plan).unwrap();
+                        while let Some(item) = reference.next_chunk(DEFAULT_CHUNK_BUDGET) {
+                            bits_of(&item, &mut expected);
+                        }
+                        expected
+                    }
+                };
+                assert!(!expected.is_empty(), "{mode}: {q} selects nothing");
+                for (route, got) in [("run_supervised", supervised), ("run_query", one_shot)] {
+                    if got != expected {
+                        wrong.push(format!("{mode}, {route}: {q}"));
+                    }
+                }
             }
         }
         let _ = std::fs::remove_dir_all(&full_dir);
@@ -1547,5 +1642,26 @@ mod tests {
             "routes that differ from the full history:\n{}",
             wrong.join("\n")
         );
+    }
+
+    /// `run_supervised` admits through the server's one admission: a plan
+    /// over the per-query budget — `agg_time` at the paper's frame size —
+    /// is refused with the text registration refuses it with. Nothing
+    /// runs.
+    #[test]
+    fn supervised_admission_refuses_what_registration_refuses() {
+        let scanner = goes_like(20_840, 10_820, 1);
+        let q = "agg_time(goes-sim.b1-vis, \"mean\", 3)";
+        let config = RuntimeConfig::default();
+        let admitted = admit(&Runtime::new(&scanner, 1, &config), &[req(q, OutputFormat::Stats)]);
+        let admitted = admitted.unwrap().pop().unwrap().err();
+        let registered = Dsms::over_scanner(&scanner, 1).register_text(q, OutputFormat::Stats, 0);
+        match (admitted, registered) {
+            (Some(CoreError::PlanRejected(a)), Err(CoreError::PlanRejected(b))) => {
+                assert!(a.contains("exceeds the per-query budget"), "{a}");
+                assert_eq!(a, b);
+            }
+            (a, b) => panic!("both must refuse: {a:?} / {b:?}"),
+        }
     }
 }

@@ -4,11 +4,10 @@
 //! threads of [`run_supervised`](crate::continuous::run_supervised) and
 //! its shared-plan nodes all run plans through [`Evaluator`], and every
 //! [`QueryResult`] is assembled by [`conclude`]. There is one path from
-//! plan to delivery, whatever the format. Callers differ in what they
-//! pass in: the catalog (private sources, or channel-backed repaired
-//! ones), the pool (inline, or the runtime's), whether the run is
-//! traced, and the sink — count, push into a PNG [`FrameSink`], or
-//! multicast.
+//! plan to delivery, whatever the format, over a catalog from the one
+//! source stack of [`crate::continuous`]. Callers differ in the pool
+//! (inline, or the runtime's), whether the run is traced, and the sink
+//! — count, push into a PNG [`FrameSink`], or multicast.
 
 use crate::metrics::ServerMetrics;
 use crate::protocol::OutputFormat;

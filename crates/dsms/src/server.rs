@@ -1,11 +1,12 @@
 //! The DSMS server: query registration and execution.
 
+use crate::continuous::private_sources;
 use crate::eval::{conclude, Evaluator};
 use crate::metrics::ServerMetrics;
 use crate::protocol::{ClientRequest, OutputFormat};
 use crate::share::{lock, ShareRegistry, TenantQuota};
 use geostreams_core::exec::{RunReport, WorkerPool};
-use geostreams_core::model::GeoStream;
+use geostreams_core::model::{GeoStream, TimeSet};
 use geostreams_core::ops::delivery::DeliveredFrame;
 use geostreams_core::query::{
     canonical_key, key_hex, optimize_with, parse_query, AnalyzeOptions, Catalog, Expr, Plan,
@@ -70,8 +71,8 @@ pub struct Explanation {
     pub cache_hit: bool,
 }
 
-/// Stream-repair outcome of one source feeding a query (supervised
-/// runs; see [`crate::continuous`]).
+/// Stream-repair outcome of one repaired source feeding a query (see
+/// [`crate::continuous`]).
 #[derive(Debug, Clone, Serialize)]
 pub struct SourceRepair {
     /// Source (band) name.
@@ -95,8 +96,8 @@ pub struct QueryResult {
     pub report: Option<RunReport>,
     /// Points delivered by the pipeline root.
     pub points: u64,
-    /// Per-source repair/completeness outcome (empty when the run was
-    /// unsupervised or the sources needed no repair accounting).
+    /// Per-source repair/completeness outcome (empty when no source
+    /// needed repair accounting: a one-shot run's live sources).
     pub repair: Vec<SourceRepair>,
     /// The per-query watchdog cancelled this query before its sources
     /// ended; delivered frames up to the deadline are still present.
@@ -169,11 +170,12 @@ impl Dsms {
         self.budget_bytes.load(Ordering::Relaxed)
     }
 
-    /// Attaches a tiled raster archive: plan analysis becomes
-    /// replay-aware (a temporal restriction reaching before `now` is
-    /// classified against the archive's coverage), `GET /archive`
-    /// serves its statistics, and `geostreams_store_*` metrics land on
-    /// this server's `/metrics` endpoint.
+    /// Attaches a tiled raster archive: plan analysis becomes replay-aware
+    /// and [`Dsms::run_query`] replays what lies before `now`, its live
+    /// feed joining at `now`; `GET /archive` serves the archive's stats
+    /// and `geostreams_store_*` metrics land on `/metrics`. A live feed
+    /// is a catalog source opened at sector 0, so each run synthesizes
+    /// and discards the sectors before `now` on every live or hybrid leaf.
     pub fn attach_archive(&self, archive: Arc<Archive>, now: i64) {
         archive.attach_metrics(StoreMetrics::register(self.metrics.registry()));
         *lock(&self.archive) = Some((archive, now));
@@ -184,16 +186,16 @@ impl Dsms {
         lock(&self.archive).as_ref().map(|(a, _)| Arc::clone(a))
     }
 
-    /// Optimizes and analyzes a plan in the server's temporal context:
-    /// with an archive attached, replay classification runs against its
-    /// coverage; without one, the analysis is context-free.
-    fn optimize(&self, expr: &Expr) -> Plan {
+    /// [`admission`] in the server's temporal context: with an archive
+    /// attached, replay classification runs against its coverage at its
+    /// "now"; without one, the analysis is context-free.
+    fn admit(&self, request: &ClientRequest) -> Result<(Expr, Plan, Result<()>)> {
         let archive = lock(&self.archive).clone();
         let opts = AnalyzeOptions {
             now: archive.as_ref().map(|(_, now)| *now),
             replay: archive.as_ref().map(|(a, _)| a.as_ref() as &dyn ReplayProvider),
         };
-        optimize_with(expr, &self.catalog, &opts)
+        admission(&request.query, request.sectors, &self.catalog, &opts, self.memory_budget())
     }
 
     /// The canonical key of a plan, and whether a structurally-equal
@@ -231,14 +233,9 @@ impl Dsms {
     }
 
     fn register_inner(&self, tenant: &str, request: &ClientRequest) -> Result<QueryHandle> {
-        let expr = parse_request(&request.query, request.sectors)?;
-        known_sources(&expr, &self.catalog)?;
-        let plan = self.optimize(&expr);
-        // Admission control (§3's cost analysis, enforced): reject plans
-        // with error diagnostics, no static buffer bound, or a bound
-        // over the server's per-query memory budget.
+        let (expr, plan, verdict) = self.admit(request)?;
         let (key, _) = self.live_key(&plan);
-        self.admission_check(&plan)?;
+        verdict?;
         let mut id_guard = lock(&self.next_id);
         let id = *id_guard;
         *id_guard += 1;
@@ -267,35 +264,18 @@ impl Dsms {
         Ok(handle)
     }
 
-    /// The admission decision for an analyzed plan: its
-    /// [`Plan::verdict`], then the static buffer bound against the
-    /// per-query memory budget.
-    fn admission_check(&self, plan: &Plan) -> Result<()> {
-        plan.verdict()?;
-        let budget = self.memory_budget();
-        match plan.report().peak_buffer_bytes {
-            None => Err(CoreError::PlanRejected("plan has no static buffer bound".to_string())),
-            Some(bytes) if bytes > budget => Err(CoreError::PlanRejected(format!(
-                "worst-case buffering of {bytes} bytes exceeds the per-query budget of \
-                 {budget} bytes"
-            ))),
-            Some(_) => Ok(()),
-        }
-    }
-
     /// Statically explains a query without running it: parse, optimize
     /// (which analyzes), and report the admission verdict against the
     /// current budget. Fails only when the query does not parse; an
     /// unknown source is a diagnostic of the report.
     pub fn explain(&self, request: &ClientRequest) -> Result<Explanation> {
-        let expr = parse_request(&request.query, request.sectors)?;
-        let plan = self.optimize(&expr);
+        let (_, plan, verdict) = self.admit(request)?;
         let (key, cache_hit) = self.live_key(&plan);
         let plan = plan.shared_with(self.share.subscribers_of(key));
         Ok(Explanation {
             query: request.query.clone(),
             optimized: plan.to_string(),
-            admitted: self.admission_check(&plan).is_ok(),
+            admitted: verdict.is_ok(),
             budget_bytes: self.memory_budget(),
             canonical_key: key_hex(key),
             shared_with: plan.report().sharing.shared_with,
@@ -344,23 +324,27 @@ impl Dsms {
         lock(&self.queries).clone()
     }
 
-    /// Runs one registered query to completion (synchronously), on
-    /// private instances of its sources: the same evaluator as the
-    /// supervised runtime, inline on the calling thread.
+    /// Runs one registered query to completion, inline on the calling
+    /// thread, through the supervised runtime's evaluator and source
+    /// stack, its leaves routed against the attached archive as
+    /// [`run_supervised`](crate::continuous::run_supervised) routes them.
     ///
     /// The run is traced, every operator in place: the returned report
     /// carries per-op pull/frame latency histograms, the query's spans
     /// land in its flight recorder (`GET /trace/<id>`), and its wall
     /// time is recorded in the `geostreams_query_wall_ns` histogram.
     pub fn run_query(&self, handle: &QueryHandle) -> Result<QueryResult> {
-        let pool = WorkerPool::new(0);
+        let pool = Arc::new(WorkerPool::new(0));
         let metrics = &self.metrics;
-        let eval = Evaluator {
-            qid: handle.id,
-            catalog: &self.catalog,
-            pool: &pool,
-            metrics: Some(metrics),
-        };
+        let archive = lock(&self.archive).clone();
+        let context = archive.as_ref().map(|(a, now)| (a.as_ref(), *now));
+        let (catalog, probes) =
+            match private_sources(&handle.optimized, &self.catalog, context, &pool, metrics) {
+                Ok(sources) => sources,
+                Err(e) => return conclude(handle.id, Some(metrics), Err(e), &[], false),
+            };
+        let eval =
+            Evaluator { qid: handle.id, catalog: &catalog, pool: &pool, metrics: Some(metrics) };
         metrics.set_query_state(handle.id, "running");
         let started = Instant::now();
         // `true`: NDVI/thermal frames get their color ramps here, while
@@ -382,8 +366,7 @@ impl Dsms {
             }
             metrics.query_wall_ns.record(started.elapsed().as_nanos() as u64);
         }
-        // No repair stage on private sources: completeness is 1.
-        conclude(handle.id, Some(metrics), run, &[], false)
+        conclude(handle.id, Some(metrics), run, &probes, false)
     }
 
     /// Runs every registered query, one OS thread per query (the
@@ -514,25 +497,38 @@ pub(crate) fn scanner_catalog(scanner: &Scanner, n_sectors: u64) -> Catalog {
     catalog
 }
 
-/// Parses a query and realizes a `sectors=` parameter (0 = none) as a
-/// temporal restriction `[0, sectors)` — the algebra's own mechanism,
-/// which the optimizer pushes to the sources.
-pub(crate) fn parse_request(query: &str, sectors: u64) -> Result<Expr> {
-    let expr = parse_query(query)?;
-    if sectors == 0 {
-        return Ok(expr);
+/// The one admission of a query, for every entry point: parse, with a
+/// `sectors=` parameter (0 = none) realized as the algebra's own
+/// temporal restriction `[0, sectors)`, optimize and analyze in `opts`'
+/// temporal context, then the verdict (§3's cost analysis, enforced). An
+/// unknown source, an error diagnostic, no static buffer bound or a bound
+/// over `budget` refuses the plan. Only a parse error fails outright, so
+/// `explain` can report a refused plan.
+pub(crate) fn admission(
+    query: &str,
+    sectors: u64,
+    catalog: &Catalog,
+    opts: &AnalyzeOptions<'_>,
+    budget: u64,
+) -> Result<(Expr, Plan, Result<()>)> {
+    let mut expr = parse_query(query)?;
+    if sectors > 0 {
+        let times = TimeSet::Interval { lo: None, hi: Some(sectors as i64) };
+        expr = Expr::RestrictTime { input: Box::new(expr), times };
     }
-    let times = geostreams_core::model::TimeSet::Interval { lo: None, hi: Some(sectors as i64) };
-    Ok(Expr::RestrictTime { input: Box::new(expr), times })
-}
-
-/// Fails fast on a source the catalog does not know (`register`,
-/// `run_supervised`); `explain` reports it as a diagnostic instead.
-pub(crate) fn known_sources(expr: &Expr, catalog: &Catalog) -> Result<()> {
-    match expr.source_names().into_iter().find(|n| catalog.schema(n).is_none()) {
+    let plan = optimize_with(&expr, catalog, opts);
+    let verdict = match expr.source_names().into_iter().find(|n| catalog.schema(n).is_none()) {
         Some(name) => Err(CoreError::UnknownSource(name)),
-        None => Ok(()),
-    }
+        None => plan.verdict().and_then(|()| match plan.report().peak_buffer_bytes {
+            None => Err(CoreError::PlanRejected("plan has no static buffer bound".to_string())),
+            Some(bytes) if bytes > budget => Err(CoreError::PlanRejected(format!(
+                "worst-case buffering of {bytes} bytes exceeds the per-query budget of \
+                 {budget} bytes"
+            ))),
+            Some(_) => Ok(()),
+        }),
+    };
+    Ok((expr, plan, verdict))
 }
 
 #[cfg(test)]

@@ -80,11 +80,12 @@ fn heap_growth<T>(f: impl FnOnce() -> T) -> (T, u64) {
 /// What a plan allocates besides its operators' structures, none of it
 /// held from one pull to the next: the source's run of
 /// `DEFAULT_CHUNK_BUDGET` 12-byte points (12 KiB) with the row it
-/// synthesizes, the operator's output run (12 KiB), and the scratch an
-/// operator computes one run or one output row in — an `f64` per point
-/// for `scale` (8 KiB), a re-projected row's columns, coordinates and
-/// projected points (about 24 KiB).
-const RUN_BUFFERS: u64 = 48 * 1024;
+/// synthesizes, the operator's output run, and the scratch an operator
+/// computes one run in — an `f64` per point for `scale` (8 KiB), the
+/// largest, at 21.2 KiB past its bound. A re-projected row's columns,
+/// coordinates and projected points are scratch its mapping holds and
+/// counts in the bound.
+const RUN_BUFFERS: u64 = 24 * 1024;
 
 const SOURCE: &str = "goes-sim.b1-vis";
 

@@ -14,7 +14,7 @@ use geostreams::core::CoreError;
 use geostreams::dsms::{
     run_supervised, ClientRequest, Dsms, OutputFormat, RuntimeConfig, DEFAULT_MEMORY_BUDGET_BYTES,
 };
-use geostreams::geo::{Cell, Crs, LatticeGeoref, Rect};
+use geostreams::geo::{Cell, Coord, Crs, LatticeGeoref, Rect};
 use geostreams::satsim::{goes_like, Scanner};
 use std::mem::size_of;
 use std::sync::Arc;
@@ -147,8 +147,11 @@ fn every_variant_gets_a_blocking_class_and_bound() {
     };
     // `BlockRows`: one row of `(f64, u32)` accumulators.
     let blocks = |n: u64| n * 16;
-    // `Mapping`: a `[f64; 2]` table entry per output cell.
+    // `Mapping`: a `[f64; 2]` table entry per output cell, and the
+    // scratch of one output row: a `u32` column, a lon/lat and an
+    // `Option` of a projected point per cell.
     let table = |cells: u64| cells * 16;
+    let row_scratch = |width: u64| width * (4 + 16 + size_of::<Option<Coord>>() as u64);
     // The keyed buffers of `compose`: a `(i64, u32, u32)` key and a value
     // per waiting point.
     let keyed = |n: u64| n * size_of::<((i64, u32, u32), f32)>() as u64;
@@ -226,13 +229,13 @@ fn every_variant_gets_a_blocking_class_and_bound() {
             "reproject(g1, \"utm:10N\")",
             "reproject",
             BlockingClass::BoundedRows(9),
-            ring(9, W) + table(W * H) + schedule(H),
+            ring(9, W) + table(W * H) + schedule(H) + row_scratch(W),
         ),
         (
             &goes_to_latlon,
             "reproject",
             BlockingClass::BoundedRows(13),
-            ring(13, 64) + table(64 * 32) + schedule(32),
+            ring(13, 64) + table(64 * 32) + schedule(32) + row_scratch(64),
         ),
         ("add(g1, g2)", "compose", BlockingClass::BoundedRows(1), keyed(2 * W)),
         ("ndvi(g1, g2)", "ndvi", BlockingClass::BoundedRows(1), keyed(2 * W)),

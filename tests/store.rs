@@ -245,3 +245,72 @@ fn archive_endpoint_and_explain_see_the_attachment() {
 
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// `points_delivered` of a one-shot `GET /query` answered as JSON.
+fn one_shot_points(server: &geostreams::dsms::Dsms, query: &str, sectors: u64) -> u64 {
+    let q = query.replace(' ', "+");
+    let raw = format!("GET /query?q={q}&format=json&sectors={sectors} HTTP/1.1");
+    let text = String::from_utf8_lossy(&server.handle_http(&raw)).into_owned();
+    assert!(text.starts_with("HTTP/1.1 200"), "{query}: {text}");
+    let body = &text[text.find("\r\n\r\n").unwrap() + 4..];
+    let summary: geostreams::core::exec::RunSummary = serde_json::from_str(body).unwrap();
+    summary.points_delivered
+}
+
+/// The one-shot path routes its sources as `run_supervised` does: with
+/// an archive holding sector 0 only and "now" at sector 3, a wholly-past
+/// window is answered from the archive (sector 0's 128 points, not three
+/// synthesized sectors), and the run reports the replay's repair record.
+#[test]
+fn one_shot_wholly_past_query_replays_what_the_archive_holds() {
+    use geostreams::dsms::Dsms;
+
+    let scanner = goes_like(64, 32, 11);
+    let dir = tmp_dir("oneshot-past");
+    let (archive, _band) = seed_archive(&dir, &scanner, B4, 1);
+    let archive = Arc::new(archive);
+    let server = Dsms::over_scanner(&scanner, 5);
+    server.attach_archive(Arc::clone(&archive), 3);
+    let q = "restrict_time(goes-sim.b4-ir, interval(0, 3))";
+    let one_shot = one_shot_points(&server, q, 3);
+    let config = RuntimeConfig { archive: Some(archive), start_sector: 3, ..Default::default() };
+    let (results, _) =
+        run_supervised(&scanner, 2, &[req(q, OutputFormat::Stats)], &config).unwrap();
+    let supervised = results[0].as_ref().unwrap().points;
+    assert_eq!((one_shot, supervised), (16 * 8, 16 * 8));
+
+    let handle = server.register_text(q, OutputFormat::Stats, 3).unwrap();
+    let result = server.run_query(&handle).unwrap();
+    assert_eq!(result.points, one_shot);
+    let repair: Vec<&str> = result.repair.iter().map(|r| r.source.as_str()).collect();
+    assert_eq!(repair, ["goes-sim.b4-ir"], "the replay reports its repair record");
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A window that starts before "now" splices the archive's backfill
+/// into the live feed, which joins at "now" on both routes: nothing is
+/// archived in [1, 3), so only the live sectors 3 and 4 arrive, never
+/// sectors 1 and 2 synthesized from the catalog's source.
+#[test]
+fn one_shot_hybrid_query_joins_the_live_feed_at_now() {
+    use geostreams::dsms::Dsms;
+
+    let scanner = goes_like(64, 32, 11);
+    let dir = tmp_dir("oneshot-hybrid");
+    let (archive, _band) = seed_archive(&dir, &scanner, B4, 1);
+    let archive = Arc::new(archive);
+    let server = Dsms::over_scanner(&scanner, 5);
+    server.attach_archive(Arc::clone(&archive), 3);
+    let q = "restrict_time(goes-sim.b4-ir, interval(1, 5))";
+    let one_shot = one_shot_points(&server, q, 0);
+
+    // The supervised run persists its live sectors: it goes second.
+    let config = RuntimeConfig { archive: Some(archive), start_sector: 3, ..Default::default() };
+    let (results, _) =
+        run_supervised(&scanner, 2, &[req(q, OutputFormat::Stats)], &config).unwrap();
+    let supervised = results[0].as_ref().unwrap().points;
+    assert_eq!((one_shot, supervised), (2 * 16 * 8, 2 * 16 * 8));
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
